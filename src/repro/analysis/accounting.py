@@ -11,7 +11,7 @@ experiment runners measure per-move or per-phase increments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..geocast.cgcast import SendRecord
 from ..core.messages import TrackerMessage, is_find_message, is_move_message
@@ -39,6 +39,20 @@ class WorkSnapshot:
         )
 
 
+_MOVE, _FIND, _OTHER = range(3)
+
+
+def _classify(payload) -> Tuple[str, int]:
+    """``(by-kind key, work bucket)`` of a payload's message class."""
+    if not isinstance(payload, TrackerMessage):
+        return "other", _OTHER
+    if is_move_message(payload):
+        return payload.kind, _MOVE
+    if is_find_message(payload):
+        return payload.kind, _FIND
+    return payload.kind, _OTHER
+
+
 class WorkAccountant:
     """Classifies and accumulates communication work."""
 
@@ -49,6 +63,9 @@ class WorkAccountant:
         self.messages = 0
         self.by_kind: Dict[str, float] = {}
         self.count_by_kind: Dict[str, int] = {}
+        # Message class → _classify() result: the classification depends
+        # on the payload's class alone, so it is made once per class.
+        self._classes: Dict[type, Tuple[str, int]] = {}
 
     def attach(self, cgcast) -> "WorkAccountant":
         """Subscribe to a C-gcast service; returns self for chaining."""
@@ -59,13 +76,15 @@ class WorkAccountant:
         payload = record.payload
         cost = record.cost
         self.messages += 1
-        is_tracker = isinstance(payload, TrackerMessage)
-        kind = payload.kind if is_tracker else "other"
+        classified = self._classes.get(type(payload))
+        if classified is None:
+            classified = self._classes[type(payload)] = _classify(payload)
+        kind, bucket = classified
         self.by_kind[kind] = self.by_kind.get(kind, 0.0) + cost
         self.count_by_kind[kind] = self.count_by_kind.get(kind, 0) + 1
-        if is_tracker and is_move_message(payload):
+        if bucket == _MOVE:
             self.move_work += cost
-        elif is_tracker and is_find_message(payload):
+        elif bucket == _FIND:
             self.find_work += cost
         else:
             self.other_work += cost

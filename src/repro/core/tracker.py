@@ -236,7 +236,7 @@ class Tracker(TimedAutomaton):
         self.findAckq: List[tuple] = []  # (dest, FindAck)
         self.finding = False
         self.find_id = 0  # bookkeeping tag of the find in service
-        self._recv_handlers: dict = {}  # message kind → bound _recv_* method
+        self._recv_handlers: dict = {}  # message class → bound _recv_* method
         # --- extra object lanes (created on demand) --------------------
         self._lanes = {}
         self._lane_wheel = None
@@ -476,24 +476,26 @@ class Tracker(TimedAutomaton):
     # Input: cTOBrcv — dispatch on message type
     # ------------------------------------------------------------------
     def input_cTOBrcv(self, message: TrackerMessage) -> None:
-        kind = message.kind
-        handler = self._recv_handlers.get(kind)
+        handler = self._recv_handlers.get(type(message))
         if handler is None:
-            handler = getattr(self, f"_recv_{kind}", None)
+            handler = getattr(self, f"_recv_{message.kind}", None)
             if handler is None:
                 raise TypeError(f"{self.name}: unhandled message {message!r}")
-            self._recv_handlers[kind] = handler
+            self._recv_handlers[type(message)] = handler
         self.trace("rcv", message)
         # getattr: extension message types (e.g. heartbeats) may not
         # carry an object_id; they belong to lane 0.
         object_id = getattr(message, "object_id", 0)
         if object_id == 0:
             handler(message, self)
-        else:
-            handler(message, self.lane(object_id))
-            # The receipt may have enabled a lane action; the following
-            # drain scans dirty lanes only.
-            self._dirty.add(object_id)
+            return
+        lane = self._lanes.get(object_id)
+        if lane is None:
+            lane = self.lane(object_id)
+        handler(message, lane)
+        # The receipt may have enabled a lane action; the following
+        # drain scans dirty lanes only.
+        self._dirty.add(object_id)
 
     # --- move-related receipts -----------------------------------------
     def _recv_grow(self, message: Grow, lane) -> None:
@@ -643,33 +645,11 @@ class Tracker(TimedAutomaton):
                 dirty.discard(object_id)  # quiesced until re-touched
         return []
 
-    def _enabled_outputs_fullscan(self) -> List[Action]:
-        """Reference implementation scanning *every* lane (pre-§9.5).
-
-        Kept as the oracle for the dirty-set equivalence property test:
-        same precedence, O(M) per call.  Not used on the hot path.
-        """
-        if self.sendq:
-            return [_SENDQ_HEAD]
-        if self.findAckq:
-            return [_FINDACKQ_HEAD]
-        action = self._lane_enabled(self)
-        if action is not None:
-            return [action]
-        heap = self._deadline_heap
-        if heap and heap[0][0] <= self.now:
-            self._service_heap()  # keep _timeout_pending fed for the wheel
-        lanes = self._lanes
-        if lanes:
-            for object_id in sorted(lanes):
-                action = self._lane_enabled(lanes[object_id])
-                if action is not None:
-                    return [action]
-        return []
-
     def _lane_enabled(self, lane) -> Optional[Action]:
         """The enabled lane-local action, if any (Fig. 2, one lane)."""
-        if lane.timer.expired():
+        # ``timer.expired()`` without its frames: a disarmed deadline is
+        # +inf, so the comparison alone says "armed and due".
+        if lane.timer.deadline <= self.now:
             # Grow send: now = timer ∧ c ≠ ⊥ ∧ p = ⊥.
             if lane.c is not BOTTOM and lane.p is BOTTOM:
                 if lane is self:

@@ -23,9 +23,11 @@ of Theorems 4.9/5.2; client↔cluster messages cost 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import partial
+from itertools import count
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..geometry.regions import RegionId
 from ..obs._state import OBS as _OBS
@@ -37,9 +39,11 @@ from ..tioa.actions import Action, ActionKind
 from ..tioa.automaton import TimedAutomaton
 
 
-@dataclass(frozen=True)
-class SendRecord:
+class SendRecord(NamedTuple):
     """One routed message, as seen by accounting subscribers.
+
+    A named tuple: one is built per send, and a frozen dataclass costs
+    three times as much to construct.
 
     Attributes:
         time: Send time.
@@ -74,6 +78,15 @@ FaultFilter = Callable[[Any, Any, Any, float], Optional[List[float]]]
 ShardRouter = Callable[[Any, Any, RegionId, Any, float], bool]
 
 
+def _rcv(payload: Any) -> Action:
+    """The ``cTOBrcv`` input delivering ``payload``.
+
+    Inline ``Action.input("cTOBrcv", message=payload)``: a single-key
+    payload needs no sort.
+    """
+    return Action("cTOBrcv", ActionKind.INPUT, (("message", payload),))
+
+
 class CGcast:
     """Cluster geocast over a hierarchy, with the exact §II-C.3 delays.
 
@@ -86,14 +99,6 @@ class CGcast:
     Cluster processes register with :meth:`register_process`; client
     receivers register per region with :meth:`register_client_sink`.
     """
-
-    #: Class-level fallback so checkpoints pickled before the sharding
-    #: hooks existed unpickle into a working (unhooked) instance.
-    shard_router: Optional[ShardRouter] = None
-    #: Same, for the transit tombstone counter (pre-tombstone pickles).
-    _transit_dead = 0
-    #: Same, for the cluster-id intern map (pre-intern pickles).
-    _cluster_intern: Optional[Dict[ClusterId, ClusterId]] = None
 
     def __init__(
         self,
@@ -109,9 +114,11 @@ class CGcast:
         self.delta = delta
         self.e = e
         self._processes: Dict[ClusterId, TimedAutomaton] = {}
+        # Canonical instance of every registered cluster id, for
+        # re-interning ids that arrive unpickled from another shard.
+        self._cluster_intern: Dict[ClusterId, ClusterId] = {}
         self._client_sinks: Dict[RegionId, List[Callable[[Any], None]]] = {}
         self._observers: List[SendObserver] = []
-        self._deliver_fn: Optional[Callable] = None
         #: Optional fault-injection interposition point (repro.faults).
         #: When None (the default) dispatch is exactly the §II-C.3 path.
         self.fault_filter: Optional[FaultFilter] = None
@@ -120,17 +127,19 @@ class CGcast:
         self.shard_router: Optional[ShardRouter] = None
         self.messages_sent = 0
         self.total_cost = 0.0
-        # Messages currently in transit: list of [src, dest, payload,
-        # deliver_time] entries.  Delivery tombstones an entry (its
-        # deliver_time slot becomes None) instead of list.remove()-ing
-        # it — removal would equality-scan every earlier in-flight entry
-        # (payload/ClusterId comparisons), O(in-flight) per delivery.
-        # Compaction below keeps the dead fraction bounded.
-        self._in_transit: List[list] = []
-        self._transit_dead = 0
-        # (src, dest) → distance units.  The hierarchy is immutable after
-        # construction, so the §II-C.3 rule outcome never changes.
-        self._units_cache: Dict[tuple, int] = {}
+        # Copies currently in transit: transit key → ``(src, dest,
+        # payload, deliver_time)``.  Keys count up, so the dict's
+        # insertion order is send order, and delivery is one O(1) delete.
+        self._in_transit: Dict[int, tuple] = {}
+        self._transit_keys = count()
+        # (src, dest) → compiled ``(delay, cost, target process)``.  The
+        # hierarchy and the process registry never change once built,
+        # so the §II-C.3 rule outcome is a pure function of the pair.
+        self._routes: Dict[tuple, Tuple[float, float, TimedAutomaton]] = {}
+        # The cTOBrcv envelope of the payload last sent: a tracker fans
+        # one message object out to all its neighbors back to back.
+        self._rcv_payload: Any = None
+        self._rcv_action: Optional[Action] = None
 
     # ------------------------------------------------------------------
     # Registration
@@ -140,10 +149,7 @@ class CGcast:
         if clust in self._processes:
             raise ValueError(f"process for {clust} already registered")
         self._processes[clust] = automaton
-        intern = self._cluster_intern
-        if intern is None:
-            intern = self._cluster_intern = {}
-        intern[clust] = clust
+        self._cluster_intern[clust] = clust
 
     def process(self, clust: ClusterId) -> TimedAutomaton:
         try:
@@ -162,7 +168,7 @@ class CGcast:
 
     def in_transit(self) -> List[tuple]:
         """Snapshot of undelivered messages: ``(src, dest, payload, time)``."""
-        return [tuple(entry) for entry in self._in_transit if entry[3] is not None]
+        return list(self._in_transit.values())
 
     # ------------------------------------------------------------------
     # Delay / cost model
@@ -171,16 +177,9 @@ class CGcast:
         """Distance units of a VSA→VSA message per rules (a)-(c).
 
         This is both the charged work and (times ``δ+e``) the delay.
-        Memoized per (src, dest): the hierarchy is static.
+        :meth:`send_vsa` evaluates it once per (src, dest) pair, when it
+        compiles the pair's route.
         """
-        key = (src, dest)
-        units = self._units_cache.get(key)
-        if units is None:
-            units = self._compute_distance_units(src, dest)
-            self._units_cache[key] = units
-        return units
-
-    def _compute_distance_units(self, src: ClusterId, dest: ClusterId) -> int:
         h = self.hierarchy
         params = h.params
         if src.level == dest.level:
@@ -218,11 +217,18 @@ class CGcast:
     # ------------------------------------------------------------------
     def send_vsa(self, src: ClusterId, dest: ClusterId, payload: Any) -> None:
         """Cluster process ``src`` sends ``payload`` to cluster process ``dest``."""
-        units = self.vsa_distance_units(src, dest)
-        delay = (self.delta + self.e) * units
-        cost = float(units)
-        target = self.process(dest)
-        self._dispatch(src, dest, payload, delay, cost, lambda: self._deliver_vsa(target, payload, src))
+        route = self._routes.get((src, dest))
+        if route is None:
+            units = self.vsa_distance_units(src, dest)
+            route = ((self.delta + self.e) * units, float(units), self.process(dest))
+            self._routes[(src, dest)] = route
+        delay, cost, target = route
+        if payload is not self._rcv_payload:
+            self._rcv_payload = payload
+            self._rcv_action = _rcv(payload)
+        self._dispatch(
+            src, dest, payload, delay, cost, self._fire, target, self._rcv_action
+        )
 
     def send_to_clients(self, src: ClusterId, payload: Any) -> None:
         """Level-0 cluster broadcasts to its own region's clients (rule (d)).
@@ -235,12 +241,10 @@ class CGcast:
             raise ValueError("only level-0 clusters broadcast to clients")
         delay = self.delta + self.e  # rule (d)
         region = self.hierarchy.head(src)
-
-        def deliver() -> None:
-            for sink in self._client_sinks.get(region, []):
-                sink(payload)
-
-        self._dispatch(src, ("clients", region), payload, delay, 1.0, deliver)
+        self._dispatch(
+            src, ("clients", region), payload, delay, 1.0,
+            self._fire_clients, region, payload,
+        )
 
     def send_from_client(
         self, region: RegionId, dest: ClusterId, payload: Any
@@ -256,8 +260,10 @@ class CGcast:
                 f"client in {region!r} cannot reach cluster of {dest_region!r}"
             )
         delay = self.delta  # rule (e)
-        target = self.process(dest)
-        self._dispatch(region, dest, payload, delay, 1.0, lambda: self._deliver_vsa(target, payload, None))
+        self._dispatch(
+            region, dest, payload, delay, 1.0,
+            self._fire, self.process(dest), _rcv(payload),
+        )
 
     # ------------------------------------------------------------------
     # Internals
@@ -269,22 +275,35 @@ class CGcast:
         payload: Any,
         delay: float,
         cost: float,
-        deliver: Callable[[], None],
+        fire: Callable[..., None],
+        *args: Any,
     ) -> None:
+        """Account for one send and put its delivery copies in transit.
+
+        ``fire(key, *args)`` is the terminal delivery of one copy; it
+        runs at the copy's delivery time with the copy's transit key.
+        """
         # Per-message obs gating: two boolean checks when off; timing
         # uses charge() (no Span allocation) on this hottest path.
         spanning = _OBS.spans_enabled
         if spanning:
             t0 = perf_counter()
+        now = self.sim.now
         self.messages_sent += 1
         self.total_cost += cost
-        record = SendRecord(self.sim.now, src, dest, payload, cost, delay)
+        record = SendRecord(now, src, dest, payload, cost, delay)
         for observer in self._observers:
             observer(record)
-        delays = self._faulted_delays(src, dest, payload, delay)
+        # A filter returning None leaves the exact single-delivery
+        # schedule in place; an empty list drops the message.
+        delays = None
+        if self.fault_filter is not None:
+            delays = self.fault_filter(src, dest, payload, delay)
+        if delays is None:
+            delays = (delay,)
         if _OBS.events_enabled:
             _OBS.emit(MessageDispatched(
-                time=self.sim.now,
+                time=now,
                 src=src,
                 dest=dest,
                 payload=type(payload).__name__,
@@ -293,28 +312,37 @@ class CGcast:
                 copies=len(delays),
             ))
         router = self.shard_router
-        dest_region = self.dest_region_of(dest) if router is not None else None
         for copy_delay in delays:
+            when = now + copy_delay
             if router is not None and router(
-                src, dest, dest_region, payload, self.sim.now + copy_delay
+                src, dest, self.dest_region_of(dest), payload, when
             ):
                 continue  # claimed for cross-shard transport
-            entry = [src, dest, payload, self.sim.now + copy_delay]
-            self._in_transit.append(entry)
-
-            def fire(entry=entry) -> None:
-                entry[3] = None  # tombstone: delivered
-                dead = self._transit_dead + 1
-                transit = self._in_transit
-                if dead >= 64 and dead * 2 >= len(transit):
-                    self._in_transit = [e for e in transit if e[3] is not None]
-                    dead = 0
-                self._transit_dead = dead
-                deliver()
-
-            self.sim.call_after(copy_delay, fire, tag="cgcast")
+            key = next(self._transit_keys)
+            self._in_transit[key] = (src, dest, payload, when)
+            self._transport(src, dest, when, partial(fire, key, *args))
         if spanning:
             _OBS.collector.charge("geocast", perf_counter() - t0)
+
+    def _transport(
+        self, src: Any, dest: Any, when: float, deliver: Callable[[], None]
+    ) -> None:
+        """Carry one copy to its destination: ``deliver()`` runs at ``when``."""
+        self.sim.call_at(when, deliver, tag="cgcast")
+
+    def _fire(self, key: int, target: TimedAutomaton, action: Action) -> None:
+        """Delivery event of a copy bound for a cluster process."""
+        del self._in_transit[key]
+        if not target.failed:
+            target.handle_input(action)
+            # Urgency: drain locally controlled actions of the receiver.
+            target.executor.kick(target)
+
+    def _fire_clients(self, key: int, region: RegionId, payload: Any) -> None:
+        """Delivery event of a rule (d) broadcast to ``region``'s clients."""
+        del self._in_transit[key]
+        for sink in self._client_sinks.get(region, ()):
+            sink(payload)
 
     def dest_region_of(self, dest: Any) -> RegionId:
         """Region that hosts ``dest`` — where delivery physically lands.
@@ -336,24 +364,20 @@ class CGcast:
         cost, observers, fault filter); this applies only the terminal
         delivery, at the current simulation time.  Cluster ids arriving
         here were unpickled by the transport, so they are equal-but-not-
-        identical to the local world's: re-intern them against the
-        registered processes so every later comparison (``lane.c ==
+        identical to the local world's: re-intern the payload's against
+        the registered processes so every later comparison (``lane.c ==
         message.cid`` and friends) takes ``ClusterId.__eq__``'s identity
         fast path instead of tuple equality.
         """
-        intern = self._cluster_intern
-        if intern:
-            if isinstance(src, ClusterId):
-                src = intern.get(src, src)
-            payload = self._intern_payload(payload, intern)
+        payload = self._intern_payload(payload, self._cluster_intern)
         if isinstance(dest, tuple) and len(dest) == 2 and dest[0] == "clients":
-            for sink in self._client_sinks.get(dest[1], []):
+            for sink in self._client_sinks.get(dest[1], ()):
                 sink(payload)
             return
         target = self._processes.get(dest)
-        if target is None:
-            return
-        self._deliver_vsa(target, payload, src if isinstance(src, ClusterId) else None)
+        if target is not None and not target.failed:
+            target.handle_input(_rcv(payload))
+            target.executor.kick(target)
 
     @staticmethod
     def _intern_payload(payload: Any, intern: Dict[ClusterId, ClusterId]) -> Any:
@@ -375,28 +399,3 @@ class CGcast:
             return replace(payload, **replacements)
         except TypeError:  # not a dataclass: leave as delivered
             return payload
-
-    def _faulted_delays(
-        self, src: Any, dest: Any, payload: Any, delay: float
-    ) -> List[float]:
-        """Per-copy delivery delays after fault interposition.
-
-        The common case (no filter installed, or the filter leaves the
-        message untouched) returns the exact single-delivery schedule.
-        """
-        if self.fault_filter is None:
-            return [delay]
-        delays = self.fault_filter(src, dest, payload, delay)
-        return [delay] if delays is None else list(delays)
-
-    def _deliver_vsa(
-        self, target: TimedAutomaton, payload: Any, src: Optional[ClusterId]
-    ) -> None:
-        if target.failed:
-            return
-        # Inline Action.input("cTOBrcv", message=payload): single-key
-        # payloads need no sort, and this is the hottest delivery path.
-        action = Action("cTOBrcv", ActionKind.INPUT, (("message", payload),))
-        target.handle_input(action)
-        # Urgency: drain locally controlled actions of the receiver.
-        target.executor.kick(target)

@@ -16,7 +16,7 @@ the emulated system.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from ..geometry.regions import RegionId
 from ..hierarchy.cluster import ClusterId
@@ -57,53 +57,18 @@ class PhysicalCGcast(CGcast):
         self.router.set_region_down(region, down)
 
     # ------------------------------------------------------------------
-    # Physically routed dispatch
+    # Physically routed transport
     # ------------------------------------------------------------------
-    def _dispatch(
-        self,
-        src: Any,
-        dest: Any,
-        payload: Any,
-        delay: float,
-        cost: float,
-        deliver: Callable[[], None],
+    def _transport(
+        self, src: Any, dest: Any, when: float, deliver: Callable[[], None]
     ) -> None:
-        self.messages_sent += 1
-        self.total_cost += cost
-        from .cgcast import SendRecord
+        """Route VSA→VSA copies between the cluster heads, hop by hop.
 
-        record = SendRecord(self.sim.now, src, dest, payload, cost, delay)
-        for observer in self._observers:
-            observer(record)
-        src_region = self._endpoint_region(src)
-        dest_region = self._endpoint_region(dest)
-        for copy_delay in self._faulted_delays(src, dest, payload, delay):
-            entry = [src, dest, payload, self.sim.now + copy_delay]
-            self._in_transit.append(entry)
-
-            def finish(entry=entry) -> None:
-                if entry in self._in_transit:
-                    self._in_transit.remove(entry)
-                deliver()
-
-            if src_region is None or dest_region is None:
-                # Client-local or broadcast legs stay single-hop.
-                self.sim.call_after(copy_delay, finish, tag="cgcast")
-            else:
-                deliver_at = self.sim.now + copy_delay
-                self.router.send(src_region, dest_region, (finish, deliver_at))
-
-    def _endpoint_region(self, endpoint: Any) -> Optional[RegionId]:
-        if isinstance(endpoint, ClusterId):
-            return self.hierarchy.head(endpoint)
-        if isinstance(endpoint, tuple) and len(endpoint) == 2 and endpoint[0] == "clients":
-            return None
-        # Client sends carry the client's region directly.
-        if endpoint in self._region_set():
-            return None  # rule (e): single local broadcast, not routed
-        return None
-
-    def _region_set(self):
-        if not hasattr(self, "_regions_cache"):
-            self._regions_cache = set(self.hierarchy.tiling.regions())
-        return self._regions_cache
+        Client legs (rules (d)/(e)) are one local broadcast and stay
+        single-hop.
+        """
+        if isinstance(src, ClusterId) and isinstance(dest, ClusterId):
+            head = self.hierarchy.head
+            self.router.send(head(src), head(dest), (deliver, when))
+        else:
+            super()._transport(src, dest, when, deliver)

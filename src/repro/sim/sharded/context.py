@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from sys import intern
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -116,7 +117,14 @@ class ShardContext:
         self.windows = 0
         self.busy_s = 0.0
         self.send_lines: List[str] = []
-        self._exact_crc = 0
+        # Memoised pieces of the canonical send line (_observe_send):
+        # the last time object and the last payload object with their
+        # reprs, and per (src, dest) ``(cost, delay, prefix, suffix)``.
+        self._line_time: Optional[float] = None
+        self._line_time_repr = ""
+        self._line_payload: Any = None
+        self._line_payload_repr = ""
+        self._line_pairs: Dict[tuple, Tuple[float, float, str, str]] = {}
         # object_id -> cluster-originated Grow dispatches (handovers).
         # Each dispatch is observed in exactly one shard, so per-object
         # sums across shards are exact and K-invariant.
@@ -138,11 +146,37 @@ class ShardContext:
     # Routing hooks
     # ------------------------------------------------------------------
     def _observe_send(self, record) -> None:
-        line = canonical_send_line(record)
+        """Fold one send into the fingerprints and the handover counts.
+
+        The line is byte for byte :func:`canonical_send_line` of the
+        record, assembled from memoised pieces: the sends of one event
+        carry one time object, a tracker fans one payload object out to
+        all its neighbors, and cost and delay are functions of (src,
+        dest) — a record that deviates from the pair's cached cost or
+        delay is formatted in full.
+        """
+        time, src, dest, payload, cost, delay = record
+        # Identity, not equality: 3 == 3.0 but they print differently.
+        if time is not self._line_time:
+            self._line_time = time
+            self._line_time_repr = repr(time)
+        if payload is not self._line_payload:
+            self._line_payload = payload
+            self._line_payload_repr = repr(payload)
+        pair = self._line_pairs.get((src, dest))
+        if pair is None:
+            # Interned: a world has few distinct (cost, delay) suffixes.
+            pair = self._line_pairs[(src, dest)] = (
+                cost, delay, f"|{src!r}|{dest!r}|", intern(f"|{cost!r}|{delay!r}"),
+            )
+        if pair[0] == cost and pair[1] == delay:
+            line = (
+                f"{self._line_time_repr}{pair[2]}{self._line_payload_repr}{pair[3]}"
+            )
+        else:
+            line = canonical_send_line(record)
         self.send_lines.append(line)
-        self._exact_crc = zlib.crc32(line.encode(), self._exact_crc)
-        payload = record.payload
-        if isinstance(payload, Grow) and isinstance(record.src, ClusterId):
+        if isinstance(payload, Grow) and isinstance(src, ClusterId):
             oid = getattr(payload, "object_id", 0)
             self.handovers[oid] = self.handovers.get(oid, 0) + 1
 
@@ -224,6 +258,14 @@ class ShardContext:
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
+    def exact_crc(self) -> int:
+        """CRC of the send lines in dispatch order (order-sensitive)."""
+        crc = 0
+        lines = self.send_lines
+        for start in range(0, len(lines), 4096):  # bounded scratch memory
+            crc = zlib.crc32("".join(lines[start:start + 4096]).encode(), crc)
+        return crc
+
     def report(self) -> dict:
         """Picklable end-of-run summary for the driver to merge."""
         accountant = self.scenario.accountant
@@ -258,7 +300,7 @@ class ShardContext:
             "other_work": accountant.other_work if accountant else 0.0,
             "moves_observed": getattr(self.system, "moves_observed", 0),
             "send_lines": self.send_lines,
-            "exact_crc": self._exact_crc,
+            "exact_crc": self.exact_crc(),
             "finds": finds,
             "handovers": dict(self.handovers),
             "fault_stats": stats.as_dict() if stats is not None else None,

@@ -29,8 +29,9 @@ process backends.
 Backends: ``serial`` steps the shard contexts in-process (the
 reference semantics, and the honest fallback on 1-core boxes);
 ``processes`` runs each shard in a forked worker and overlaps their
-window computation — the throughput path benchmarked in
-BENCH_core.json's ``sharded`` section.
+window computation — the throughput path measured by the
+``sharded-k2`` workload of ``benchmarks/perf`` against its serial twin
+``service-m2k``.
 """
 
 from __future__ import annotations

@@ -22,6 +22,10 @@ from typing import Any, List, Optional
 from .actions import Action, ActionKind
 
 
+_INPUT = ActionKind.INPUT
+_OUTPUT = ActionKind.OUTPUT
+
+
 class AutomatonError(RuntimeError):
     """Protocol violation inside an automaton (bad dispatch, no executor)."""
 
@@ -39,8 +43,9 @@ class TimedAutomaton:
         self.name = name
         self.failed = False
         self._executor = None
-        # Resolved handler caches: action name → bound method.  getattr
-        # with an f-string key is hot; resolution happens once per name.
+        # Resolved handler caches: action name (inputs) or method name
+        # (locally controlled actions) → bound method.  getattr with an
+        # f-string key is hot; resolution happens once per name.
         self._input_handlers: dict = {}
         self._perform_handlers: dict = {}
 
@@ -105,7 +110,7 @@ class TimedAutomaton:
         """Apply an input action's effect (no-op while failed)."""
         if self.failed:
             return
-        if action.kind is not ActionKind.INPUT:
+        if action.kind is not _INPUT:
             raise AutomatonError(f"{self.name!r}: {action!r} is not an input")
         handler = self._input_handlers.get(action.name)
         if handler is None:
@@ -128,15 +133,19 @@ class TimedAutomaton:
         """Apply a locally controlled action's effect."""
         if self.failed:
             raise AutomatonError(f"{self.name!r} performed {action!r} while failed")
-        key = (action.kind, action.name)
-        handler = self._perform_handlers.get(key)
+        # Keyed by method name: a str hashes in C, where an (ActionKind,
+        # name) tuple key would hash the enum member in Python.
+        method = ("output_" if action.kind is _OUTPUT else "internal_") + action.name
+        handler = self._perform_handlers.get(method)
         if handler is None:
-            prefix = "output_" if action.kind is ActionKind.OUTPUT else "internal_"
-            handler = getattr(self, f"{prefix}{action.name}", None)
+            handler = getattr(self, method, None)
             if handler is None:
                 raise AutomatonError(f"{self.name!r} has no effect for {action!r}")
-            self._perform_handlers[key] = handler
-        handler(**dict(action.payload))
+            self._perform_handlers[method] = handler
+        if action.payload:
+            handler(**dict(action.payload))
+        else:
+            handler()
 
     # ------------------------------------------------------------------
     # Timer wakeups

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Find, Grow
-from repro.core.tracker import Tracker
+from repro.core.tracker import _FINDACKQ_HEAD, _SENDQ_HEAD, Tracker
 from repro.scenario import ScenarioConfig
 from repro.service import ARRIVALS, LoadGenerator, TrackingService
 from repro.sim.sharded.core import _tiling_for
@@ -140,6 +140,31 @@ def _service_config(seed):
     return ScenarioConfig(r=2, max_level=2, seed=seed, shards=2)
 
 
+def _enabled_outputs_fullscan(tracker):
+    """The pre-§9.5 ``Tracker.enabled_outputs``: scans *every* lane.
+
+    The oracle for the dirty-set equivalence property below: same
+    precedence as the dirty-set drain, O(M) per call.
+    """
+    if tracker.sendq:
+        return [_SENDQ_HEAD]
+    if tracker.findAckq:
+        return [_FINDACKQ_HEAD]
+    action = tracker._lane_enabled(tracker)
+    if action is not None:
+        return [action]
+    heap = tracker._deadline_heap
+    if heap and heap[0][0] <= tracker.now:
+        tracker._service_heap()  # keep _timeout_pending fed for the wheel
+    lanes = tracker._lanes
+    if lanes:
+        for object_id in sorted(lanes):
+            action = tracker._lane_enabled(lanes[object_id])
+            if action is not None:
+                return [action]
+    return []
+
+
 class TestDirtySetEquivalence:
     @settings(max_examples=6, deadline=None)
     @given(
@@ -163,7 +188,7 @@ class TestDirtySetEquivalence:
         )
         fast = TrackingService(cfg, engine="plain").run(load, seed=seed)
         original = Tracker.enabled_outputs
-        Tracker.enabled_outputs = Tracker._enabled_outputs_fullscan
+        Tracker.enabled_outputs = _enabled_outputs_fullscan
         try:
             slow = TrackingService(cfg, engine="plain").run(load, seed=seed)
         finally:

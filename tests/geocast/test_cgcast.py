@@ -180,3 +180,85 @@ class TestIntrospection:
         cgcast.send_from_client((0, 0), dest, "b")
         assert cgcast.messages_sent == 2
         assert cgcast.total_cost == 2.0
+
+
+class TestDispatchPipeline:
+    def test_subclass_dispatch_override_is_honoured(self, rig):
+        # Every send goes through ``self._dispatch``: a subclass that
+        # interposes there must see all three send forms.
+        sim, executor, h, _ = rig
+        seen = []
+
+        class Interposed(CGcast):
+            def _dispatch(self, src, dest, payload, *rest):
+                seen.append((src, dest, payload))
+                super()._dispatch(src, dest, payload, *rest)
+
+        cgcast = Interposed(sim, h, delta=1.0, e=0.5)
+        src = h.cluster((0, 0), 0)
+        dest = h.cluster((1, 1), 0)
+        sink = register(executor, cgcast, dest)
+        cgcast.send_vsa(src, dest, "a")
+        cgcast.send_from_client((1, 1), dest, "b")
+        cgcast.send_to_clients(src, "c")
+        assert seen == [
+            (src, dest, "a"), ((1, 1), dest, "b"), (src, ("clients", (0, 0)), "c"),
+        ]
+        sim.run()
+        assert [m for _t, m in sink.received] == ["b", "a"]
+
+    def test_compiled_route_is_the_rule_table(self, rig):
+        # The second send of a pair takes the compiled route; it must
+        # charge and delay exactly like the first.
+        sim, executor, h, cgcast = rig
+        src = h.cluster((0, 0), 1)
+        dest = h.cluster((3, 0), 1)
+        sink = register(executor, cgcast, dest)
+        records = []
+        cgcast.observe(records.append)
+        cgcast.send_vsa(src, dest, "first")
+        cgcast.send_vsa(src, dest, "second")
+        sim.run()
+        assert [(r.cost, r.delay) for r in records] == [(5.0, 7.5), (5.0, 7.5)]
+        assert sink.received == [(7.5, "first"), (7.5, "second")]
+
+    def test_fanned_out_payload_reaches_every_destination(self, rig):
+        # One payload object sent to several processes back to back
+        # shares its cTOBrcv envelope; an equal-but-distinct payload in
+        # between must not be confused with it.
+        sim, executor, h, cgcast = rig
+        src = h.cluster((1, 1), 0)
+        dests = [h.cluster(key, 0) for key in ((0, 0), (0, 1), (1, 0))]
+        sinks = [register(executor, cgcast, dest) for dest in dests]
+        shared, twin = ["m"], ["m"]
+        cgcast.send_vsa(src, dests[0], shared)
+        cgcast.send_vsa(src, dests[1], twin)
+        cgcast.send_vsa(src, dests[2], shared)
+        sim.run()
+        got = [sink.received[0][1] for sink in sinks]
+        assert got[0] is shared and got[1] is twin and got[2] is shared
+
+    def test_duplicated_copies_leave_transit_one_by_one(self, rig):
+        sim, executor, h, cgcast = rig
+        src = h.cluster((0, 0), 0)
+        dest = h.cluster((1, 1), 0)
+        sink = register(executor, cgcast, dest)
+        cgcast.fault_filter = lambda src, dest, payload, delay: [delay, delay + 2.0]
+        cgcast.send_vsa(src, dest, "m")
+        assert [t for *_rest, t in cgcast.in_transit()] == [1.5, 3.5]
+        sim.run_until(2.0)
+        assert cgcast.in_transit() == [(src, dest, "m", 3.5)]
+        sim.run()
+        assert cgcast.in_transit() == []
+        assert sink.received == [(1.5, "m"), (3.5, "m")]
+
+    def test_dropped_message_is_accounted_but_never_in_transit(self, rig):
+        sim, executor, h, cgcast = rig
+        src = h.cluster((0, 0), 0)
+        dest = h.cluster((1, 1), 0)
+        sink = register(executor, cgcast, dest)
+        cgcast.fault_filter = lambda *message: []
+        cgcast.send_vsa(src, dest, "m")
+        assert cgcast.messages_sent == 1 and cgcast.in_transit() == []
+        sim.run()
+        assert sink.received == []

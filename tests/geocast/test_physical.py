@@ -133,3 +133,59 @@ class TestEmulatedPhysicalRouting:
         system.run(200.0)
         assert system.cgcast.router.dropped > drops_before
         assert not system.finds.records[find_id].completed
+
+
+class TestDispatchAccountingShared:
+    """``PhysicalCGcast`` changes only how a copy travels: the count,
+    cost, observer, obs-event and transit accounting is the base
+    class's (regression: its own ``_dispatch`` copy had drifted — no
+    ``MessageDispatched`` event, O(in-flight) transit removal)."""
+
+    def _walk(self, physical_routing):
+        import repro.obs as obs
+
+        h = grid_hierarchy(3, 2)
+        system = EmulatedVineStalk(
+            h, nodes_per_region=1, t_restart=3.0,
+            physical_routing=physical_routing,
+        )
+        system.sim.trace.enabled = False
+        records = []
+        system.cgcast.observe(records.append)
+        with obs.observed(spans=False, events=True, max_events=100_000) as seen:
+            evader = system.make_evader(
+                RandomNeighborWalk(start=(4, 4)), dwell=1e12, start=(4, 4),
+                rng=random.Random(4),
+            )
+            system.run_to_quiescence()
+            for _ in range(4):
+                evader.step()
+                system.run_to_quiescence()
+            system.issue_find((0, 0))
+            system.run_to_quiescence()
+        events = [e for e in seen.events if e.kind == "message-dispatched"]
+        return system, records, events
+
+    def test_one_message_dispatched_event_per_send(self):
+        system, records, events = self._walk(physical_routing=True)
+        assert isinstance(system.cgcast, PhysicalCGcast)
+        assert len(records) == system.cgcast.messages_sent > 0
+        assert [
+            (e.time, e.src, e.dest, e.payload, e.cost, e.delay, e.copies)
+            for e in events
+        ] == [
+            (r.time, r.src, r.dest, type(r.payload).__name__, r.cost, r.delay, 1)
+            for r in records
+        ]
+
+    def test_events_match_the_abstract_path(self):
+        # Same walk, same seed: with every VSA alive the physical
+        # transport delivers at the same §II-C.3 times, so both regimes
+        # dispatch the same messages and must report them identically.
+        _, _, physical = self._walk(physical_routing=True)
+        _, _, abstract = self._walk(physical_routing=False)
+        assert physical == abstract
+
+    def test_transit_registry_empties_on_delivery(self):
+        system, records, _ = self._walk(physical_routing=True)
+        assert system.cgcast.in_transit() == []
