@@ -70,6 +70,8 @@ class EnergyLedger:
         self.vbcast_energy = 0.0
         self.senses = 0
         self.sense_energy = 0.0
+        # (src, dest) endpoints of a dispatch -> the regions hosting them.
+        self._pair_regions: Dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # Wiring
@@ -101,8 +103,13 @@ class EnergyLedger:
         model = self.model
         tx = model.tx_cost * record.cost
         rx = model.rx_cost * record.cost
-        src = self.region_of(record.src)
-        dst = self.region_of(record.dest)
+        pair = (record.src, record.dest)
+        regions = self._pair_regions.get(pair)
+        if regions is None:
+            regions = self._pair_regions[pair] = (
+                self.region_of(pair[0]), self.region_of(pair[1])
+            )
+        src, dst = regions
         self.tx[src] = self.tx.get(src, 0.0) + tx
         self.rx[dst] = self.rx.get(dst, 0.0) + rx
         self.dispatches += 1

@@ -20,14 +20,23 @@ Determinism: every random draw comes from a per-rule stream
 seeded by the injector, and draws happen in simulation-event order —
 so the same seed and the same plan reproduce the same execution
 bit for bit, which the golden tests enforce.
+
+The message rules are compiled once, in :meth:`FaultInjector.arm`, into
+one program per channel that :meth:`FaultInjector._perturb` runs for
+every message.  The definition of a draw is frozen: every golden
+fingerprint in the repo depends on it, and
+``tests/faults/_reference_perturb.py`` holds the interpreter that
+defines it.
 """
 
 from __future__ import annotations
 
 import random
-import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
+from zlib import crc32
+
+from _random import Random as _MersenneTwister
 
 from ..obs._state import OBS as _OBS
 from ..obs.events import FaultCrash, FaultRestore, MessagesPerturbed
@@ -82,6 +91,28 @@ class _ArmedRule:
     index: int = 0
 
 
+#: Opcodes of a compiled message program (see ``FaultInjector._perturb``).
+_LOSS, _DUPLICATE, _JITTER, _LAG = range(4)
+
+#: The C-level Mersenne-Twister seeding, which ``random.Random.seed``
+#: reaches through a Python frame and three ``isinstance`` tests.
+_reseed = _MersenneTwister.seed
+
+
+def _message_op(rule) -> Optional[Tuple[int, Any, Any]]:
+    """``(op, rate, param)`` of a message rule; None for any other rule."""
+    if isinstance(rule, MessageLoss):
+        return _LOSS, rule.rate, None
+    if isinstance(rule, MessageDuplication):
+        return _DUPLICATE, rule.rate, rule.copies
+    if isinstance(rule, MessageJitter):
+        # uniform(0.0, m) is 0.0 + (m - 0.0) * random(); the span is m - 0.0.
+        return _JITTER, rule.rate, rule.max_extra - 0.0
+    if isinstance(rule, LagSpike):
+        return _LAG, None, rule
+    return None
+
+
 class FaultInjector:
     """Arms a :class:`FaultPlan` against one built system.
 
@@ -116,9 +147,23 @@ class FaultInjector:
         self.stats = FaultStats()
         self.stable_draws = stable_draws
         self._root_seed = seed
-        # Per-message-key occurrence counters (stable-draws mode), so
-        # identical back-to-back messages still get independent draws.
+        # Stable-draws mode.  Per-message-key occurrence counters, so
+        # identical back-to-back messages still get independent draws;
+        # keys embed repr(sim.now), so the counters of an instant are
+        # dead once the clock moves on and are cleared then.
         self._edge_counts: Dict[str, int] = {}
+        # The time object the keys were last built for, and its repr
+        # (identity, not equality: 3 == 3.0 but they print differently).
+        self._key_time: Any = None
+        self._key_time_repr = ""
+        # (src, dest) -> "|src|dest|" piece of a C-gcast message key.
+        self._cgcast_edges: Dict[tuple, str] = {}
+        # The one generator every stable draw reseeds.  It stays a
+        # random.Random: the injector is part of every ckpt snapshot and
+        # a bare _random.Random does not pickle.
+        self._draw_rng = random.Random(0)
+        # channel -> (key tag, program rows), compiled by arm().
+        self._programs: Dict[str, Tuple[str, tuple]] = {}
         self._armed = False
         # Regions currently held down by this injector (so overlapping
         # crash/blackout rules never double-fail or double-restore).
@@ -138,11 +183,13 @@ class FaultInjector:
         if self._armed:
             raise RuntimeError("injector already armed")
         self._armed = True
-        if any(not a.rule.is_null() and a.rule.applies_to(CHANNEL_CGCAST)
-               for a in self._armed_rules):
+        self._programs = {
+            CHANNEL_CGCAST: ("cg", self._compile(CHANNEL_CGCAST)),
+            CHANNEL_VBCAST: ("vb", self._compile(CHANNEL_VBCAST)),
+        }
+        if self._programs[CHANNEL_CGCAST][1]:
             self.system.cgcast.fault_filter = self._cgcast_filter
-        if any(not a.rule.is_null() and a.rule.applies_to(CHANNEL_VBCAST)
-               for a in self._armed_rules):
+        if self._programs[CHANNEL_VBCAST][1]:
             vbcast = getattr(self.system.network, "vbcast", None)
             if vbcast is not None:
                 vbcast.fault_filter = self._vbcast_filter
@@ -175,97 +222,143 @@ class FaultInjector:
         horizon = self.plan.horizon
         return horizon is None or self.sim.now < horizon
 
-    def _stable_rng(self, rule_index: int, message_key: str, occurrence: int):
-        """A fresh RNG for one (rule, message) pair in stable-draws mode."""
-        material = f"{self._root_seed}|{rule_index}|{message_key}|{occurrence}"
-        return random.Random(
-            zlib.crc32(material.encode()) ^ (self._root_seed << 32)
-        )
+    def _compile(self, channel: str) -> tuple:
+        """The message program of ``channel``: one row per rule that can
+        perturb it, in plan order.
+
+        A row is ``(op, rate, param, source)``.  ``source`` is where the
+        rule's draws come from: its sequential stream, or in stable-draws
+        mode the CRC of the ``"<seed>|<rule index>|"`` head of the
+        per-message seed material, which :meth:`_perturb` continues over
+        the message's own part.
+        """
+        rows = []
+        for armed in self._armed_rules:
+            rule = armed.rule
+            compiled = _message_op(rule)
+            if compiled is None or rule.is_null() or not rule.applies_to(channel):
+                continue
+            source = armed.rng
+            if self.stable_draws:
+                source = crc32(f"{self._root_seed}|{armed.index}|".encode())
+            rows.append(compiled + (source,))
+        return tuple(rows)
 
     def _perturb(
-        self, channel: str, delay: float, message_key: Optional[str] = None
+        self, channel: str, delay: float, edge: Optional[str] = None
     ) -> Optional[List[float]]:
         """Apply the channel rules in plan order to one message.
 
-        Returns the per-copy delivery delays (empty = dropped), or
-        ``None`` when untouched so callers keep the exact original path.
+        ``edge`` is the part of the message key after the time (None in
+        sequential mode).  Returns the per-copy delivery delays (empty =
+        dropped), or ``None`` when untouched so callers keep the exact
+        original path.
+
+        The seed of a stable draw is ``crc32(material) ^ (seed << 32)``
+        with material ``"<seed>|<rule index>|<key>|<occurrence>"`` and
+        key ``"<tag>|<repr(now)><edge>"``.
         """
         if not self._within_horizon():
             return None
-        stable = self.stable_draws and message_key is not None
-        if stable:
-            occurrence = self._edge_counts.get(message_key, 0)
-            self._edge_counts[message_key] = occurrence + 1
-        delays = [delay]
-        touched = False
-        stats0 = (self.stats.messages_dropped, self.stats.messages_duplicated,
-                  self.stats.messages_delayed)
-        for armed in self._armed_rules:
-            rule = armed.rule
-            if rule.is_null() or not rule.applies_to(channel):
-                continue
-            if stable:
-                rng = self._stable_rng(armed.index, message_key, occurrence)
-            else:
-                rng = armed.rng
-            if isinstance(rule, MessageLoss):
-                kept = [d for d in delays if rng.random() >= rule.rate]
-                if len(kept) != len(delays):
-                    touched = True
-                    self.stats.messages_dropped += len(delays) - len(kept)
-                delays = kept
-            elif isinstance(rule, MessageDuplication):
-                extra: List[float] = []
-                for d in delays:
-                    if rng.random() < rule.rate:
-                        extra.extend([d] * rule.copies)
-                if extra:
-                    touched = True
-                    self.stats.messages_duplicated += len(extra)
-                delays = delays + extra
-            elif isinstance(rule, MessageJitter):
-                new = []
-                for d in delays:
-                    if rng.random() < rule.rate:
-                        touched = True
-                        self.stats.messages_delayed += 1
-                        new.append(d + rng.uniform(0.0, rule.max_extra))
-                    else:
-                        new.append(d)
-                delays = new
-            elif isinstance(rule, LagSpike):
-                if rule.active_at(self.sim.now) and delays:
+        now = self.sim.now
+        tag, program = self._programs[channel]
+        tail = None
+        if edge is not None:
+            if now is not self._key_time:
+                if now != self._key_time:
+                    self._edge_counts.clear()
+                self._key_time = now
+                self._key_time_repr = repr(now)
+            key = f"{tag}|{self._key_time_repr}{edge}"
+            counts = self._edge_counts
+            occurrence = counts.get(key, 0)
+            counts[key] = occurrence + 1
+            tail = f"{key}|{occurrence}".encode()
+            rng = self._draw_rng
+            rand = rng.random
+            seed_high = self._root_seed << 32
+        # The copies of the message: the one delay ``single`` until a
+        # rule drops or duplicates it, the list ``copies`` from then on.
+        single = delay
+        copies: Optional[List[float]] = None
+        dropped = duplicated = delayed = 0
+        for op, rate, param, source in program:
+            if op == _LAG:
+                if param.active_at(now):
                     # extra_e per §II-C.3 distance unit the message covers.
                     units = delay / (self.system.delta + self.system.e)
-                    touched = True
-                    self.stats.messages_delayed += len(delays)
-                    delays = [d + rule.extra_e * units for d in delays]
-        if touched and _OBS.events_enabled:
-            _OBS.emit(MessagesPerturbed(
-                time=self.sim.now,
-                channel=channel,
-                dropped=self.stats.messages_dropped - stats0[0],
-                duplicated=self.stats.messages_duplicated - stats0[1],
-                delayed=self.stats.messages_delayed - stats0[2],
-            ))
-        return delays if touched else None
+                    if copies is None:
+                        delayed += 1
+                        single = single + param.extra_e * units
+                    else:
+                        delayed += len(copies)
+                        copies = [d + param.extra_e * units for d in copies]
+                continue
+            if tail is None:
+                rand = source.random
+            else:
+                _reseed(rng, crc32(tail, source) ^ seed_high)
+            if op == _LOSS:
+                if copies is None:
+                    if rand() < rate:
+                        dropped += 1
+                        copies = []
+                        break  # nothing left to draw for
+                else:
+                    kept = [d for d in copies if rand() >= rate]
+                    dropped += len(copies) - len(kept)
+                    copies = kept
+                    if not kept:
+                        break
+            elif op == _DUPLICATE:
+                if copies is None:
+                    if rand() < rate:
+                        duplicated += param
+                        copies = [single] * (1 + param)
+                else:
+                    extra: List[float] = []
+                    for d in copies:
+                        if rand() < rate:
+                            extra.extend([d] * param)
+                    duplicated += len(extra)
+                    copies = copies + extra
+            elif copies is None:  # _JITTER
+                if rand() < rate:
+                    delayed += 1
+                    single = single + (0.0 + param * rand())
+            else:
+                jittered = []
+                for d in copies:
+                    if rand() < rate:
+                        delayed += 1
+                        d = d + (0.0 + param * rand())
+                    jittered.append(d)
+                copies = jittered
+        if not (dropped or duplicated or delayed):
+            return None
+        stats = self.stats
+        stats.messages_dropped += dropped
+        stats.messages_duplicated += duplicated
+        stats.messages_delayed += delayed
+        if _OBS.events_enabled:
+            _OBS.emit(MessagesPerturbed(now, channel, dropped, duplicated, delayed))
+        return [single] if copies is None else copies
 
     def _cgcast_filter(self, src, dest, payload, delay) -> Optional[List[float]]:
-        key = None
-        if self.stable_draws:
-            key = (
-                f"cg|{self.sim.now!r}|{src!r}|{dest!r}|{type(payload).__name__}"
-            )
-        return self._perturb(CHANNEL_CGCAST, delay, key)
+        if not self.stable_draws:
+            return self._perturb(CHANNEL_CGCAST, delay)
+        edge = self._cgcast_edges.get((src, dest))
+        if edge is None:
+            edge = self._cgcast_edges[(src, dest)] = f"|{src!r}|{dest!r}|"
+        return self._perturb(CHANNEL_CGCAST, delay, edge + type(payload).__name__)
 
     def _vbcast_filter(self, source_region, message, delay, from_vsa):
-        key = None
-        if self.stable_draws:
-            key = (
-                f"vb|{self.sim.now!r}|{source_region!r}|"
-                f"{type(message).__name__}|{from_vsa}"
-            )
-        return self._perturb(CHANNEL_VBCAST, delay, key)
+        if not self.stable_draws:
+            return self._perturb(CHANNEL_VBCAST, delay)
+        return self._perturb(
+            CHANNEL_VBCAST, delay,
+            f"|{source_region!r}|{type(message).__name__}|{from_vsa}",
+        )
 
     # ------------------------------------------------------------------
     # GPS staleness

@@ -303,13 +303,7 @@ class CGcast:
             delays = (delay,)
         if _OBS.events_enabled:
             _OBS.emit(MessageDispatched(
-                time=now,
-                src=src,
-                dest=dest,
-                payload=type(payload).__name__,
-                cost=cost,
-                delay=delay,
-                copies=len(delays),
+                now, src, dest, type(payload).__name__, cost, delay, len(delays)
             ))
         router = self.shard_router
         for copy_delay in delays:

@@ -54,6 +54,8 @@ class ObsCollector:
         self.epoch = time.perf_counter()
         self._span_stack: List[Span] = []
         self._subscribers: List[Callable[[Any], None]] = []
+        # event kind -> its ``events.<kind>`` counter in ``metrics``.
+        self._kind_counters: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Typed events
@@ -67,12 +69,20 @@ class ObsCollector:
         (``dropped + retained == seen`` always).
         """
         self.events_seen += 1
-        if self.events.maxlen is not None and len(self.events) == self.events.maxlen:
+        events = self.events
+        if len(events) == events.maxlen:  # never true for an unbounded deque
             self.events_dropped += 1
-        self.events.append(event)
-        self.metrics.counter(f"events.{event.kind}").add()
-        for fn in self._subscribers:
-            fn(event)
+        events.append(event)
+        kind = event.kind
+        counter = self._kind_counters.get(kind)
+        if counter is None:
+            counter = self._kind_counters[kind] = self.metrics.counter(
+                f"events.{kind}"
+            )
+        counter.add()
+        if self._subscribers:
+            for fn in self._subscribers:
+                fn(event)
 
     def subscribe(self, fn: Callable[[Any], None]) -> None:
         """Invoke ``fn(event)`` synchronously on every future event."""

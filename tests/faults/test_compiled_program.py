@@ -1,0 +1,234 @@
+"""The compiled message program draws exactly what the interpreter drew.
+
+``FaultInjector.arm`` compiles the plan's message rules into one program
+per channel; :class:`~tests.faults._reference_perturb.ReferenceInjector`
+is the per-message interpreter that defines the draws.  Three contracts:
+
+1. **Differential** — random plans, seeds and message streams, stable
+   and sequential mode: identical delay lists, ``FaultStats``, stream
+   positions and ``MessagesPerturbed`` events.
+2. **Bounded counters** — the occurrence dict never holds more keys
+   than the current instant sent messages.
+3. **Checkpoint** — a stable-draws world cut in the middle of an
+   instant whose counters are already above one resumes bit-identically.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import repro.obs as obs  # noqa: E402
+from repro.ckpt import (  # noqa: E402
+    build_tracked_walk,
+    restore_scenario,
+    snapshot_scenario,
+    trace_fingerprint,
+    walk_horizon,
+)
+from repro.faults import (  # noqa: E402
+    CHANNEL_BOTH,
+    CHANNEL_CGCAST,
+    CHANNEL_VBCAST,
+    FaultInjector,
+    FaultPlan,
+    LagSpike,
+    MessageDuplication,
+    MessageJitter,
+    MessageLoss,
+)
+from repro.scenario import ScenarioConfig  # noqa: E402
+from tests.faults._reference_perturb import ReferenceInjector  # noqa: E402
+
+
+class Grow:
+    """Stand-in payload: only its type name enters a message key."""
+
+
+class Find:
+    pass
+
+
+PAYLOADS = (Grow(), Find())
+ENDPOINTS = ((0, 0), (0, 1), ("clients", (0, 0)), "C1:(0, 0)")
+
+
+def fake_system():
+    """The attributes an injector with message rules touches, no more."""
+    return SimpleNamespace(
+        sim=SimpleNamespace(now=0),
+        cgcast=SimpleNamespace(fault_filter=None),
+        network=SimpleNamespace(vbcast=SimpleNamespace(fault_filter=None)),
+        delta=1.0,
+        e=0.5,
+    )
+
+
+channels = st.sampled_from([CHANNEL_CGCAST, CHANNEL_VBCAST, CHANNEL_BOTH])
+rates = st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0])
+
+rules = st.one_of(
+    st.builds(MessageLoss, rate=rates, channel=channels),
+    st.builds(
+        MessageDuplication, rate=rates, channel=channels,
+        copies=st.integers(min_value=1, max_value=3),
+    ),
+    st.builds(
+        MessageJitter, rate=rates, channel=channels,
+        max_extra=st.sampled_from([0.0, 0.25, 3]),
+    ),
+    st.builds(
+        LagSpike,
+        at=st.sampled_from([0.0, 1.0, 2.5]),
+        duration=st.sampled_from([0.0, 1.5, 100.0]),
+        extra_e=st.sampled_from([0.0, 0.5]),
+    ),
+)
+
+plans = st.builds(
+    FaultPlan,
+    rules=st.lists(rules, max_size=5).map(tuple),
+    horizon=st.sampled_from([None, None, 0.0, 3.0]),
+)
+
+seeds = st.sampled_from([0, 1, 7, -1, -(2 ** 33) - 5, 2 ** 32, 2 ** 40 + 3])
+
+#: One message: how the clock moves before it, then what is sent.
+#: ``"fresh"`` keeps the instant under a new time object, as every event
+#: of one instant brings its own; ``"retype"`` keeps it but swaps 3 for
+#: 3.0 (or back): equal times that print differently, hence other keys.
+messages = st.tuples(
+    st.sampled_from([0, 0, "fresh", 0.5, 1, 1.0, "retype"]),
+    st.sampled_from(["cg", "vb"]),
+    st.integers(min_value=0, max_value=len(ENDPOINTS) - 1),
+    st.integers(min_value=0, max_value=len(ENDPOINTS) - 1),
+    st.integers(min_value=0, max_value=len(PAYLOADS) - 1),
+    st.sampled_from([1.0, 1.5, 4]),
+    st.booleans(),
+)
+
+
+def replay(injector_class, plan, seed, stable, stream):
+    """Feed ``stream`` through an armed injector's filters."""
+    system = fake_system()
+    sim = system.sim
+    injector = injector_class(system, plan, seed=seed, stable_draws=stable).arm()
+    out = []
+    with obs.observed(spans=False, events=True) as collector:
+        for advance, channel, src, dest, payload, delay, from_vsa in stream:
+            if advance == "fresh":
+                sim.now = type(sim.now)(repr(sim.now))
+            elif advance == "retype":
+                now = sim.now
+                sim.now = float(now) if isinstance(now, int) else (
+                    int(now) if now == int(now) else now
+                )
+            elif advance:
+                sim.now = sim.now + advance
+            if channel == "cg":
+                filt = system.cgcast.fault_filter
+                args = (ENDPOINTS[src], ENDPOINTS[dest], PAYLOADS[payload], delay)
+            else:
+                filt = system.network.vbcast.fault_filter
+                args = (ENDPOINTS[src], PAYLOADS[payload], delay, from_vsa)
+            out.append(None if filt is None else filt(*args))
+        events = list(collector.events)
+    return out, injector.stats.as_dict(), injector.streams.state(), events
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan=plans, seed=seeds, stable=st.booleans(),
+       stream=st.lists(messages, max_size=40))
+def test_compiled_program_equals_the_interpreter(plan, seed, stable, stream):
+    expected = replay(ReferenceInjector, plan, seed, stable, stream)
+    assert replay(FaultInjector, plan, seed, stable, stream) == expected
+
+
+def test_every_op_and_both_channels_are_exercised():
+    """A fixed stream through all four ops, multi-copy branches included:
+    duplication first, so loss, jitter and the lag spike all see lists."""
+    plan = FaultPlan.of(
+        MessageDuplication(rate=0.9, channel=CHANNEL_BOTH, copies=2),
+        MessageLoss(rate=0.4, channel=CHANNEL_BOTH),
+        MessageDuplication(rate=0.5, channel=CHANNEL_BOTH, copies=1),
+        MessageJitter(rate=0.5, channel=CHANNEL_BOTH, max_extra=2.0),
+        LagSpike(at=0.0, duration=50.0, extra_e=0.5),
+        horizon=60.0,
+    )
+    stream = [
+        (0.5, channel, k % 4, (k + 1) % 4, k % 2, 1.5, bool(k % 2))
+        for k in range(150)
+        for channel in ("cg", "vb")
+    ]
+    for stable in (True, False):
+        expected = replay(ReferenceInjector, plan, 7, stable, stream)
+        actual = replay(FaultInjector, plan, 7, stable, stream)
+        assert actual == expected
+        delays, stats, _, events = actual
+        assert stats["messages_dropped"] > 0
+        assert stats["messages_duplicated"] > 0
+        assert stats["messages_delayed"] > 0
+        assert any(d is not None and len(d) > 3 for d in delays)
+        assert any(d == [] for d in delays)
+        assert {e.channel for e in events} == {CHANNEL_CGCAST, CHANNEL_VBCAST}
+        # t = 60 is past the horizon: the tail of the stream is untouched.
+        assert all(d is None for d in delays[-60:])
+
+
+def test_occurrence_counters_hold_one_instant_only():
+    plan = FaultPlan.of(MessageLoss(rate=0.5, channel=CHANNEL_BOTH))
+    system = fake_system()
+    injector = FaultInjector(system, plan, seed=3, stable_draws=True).arm()
+    filt = system.cgcast.fault_filter
+    for instant in range(50):
+        system.sim.now = float(instant)
+        sent = 1 + instant % 7
+        for k in range(sent):
+            filt(ENDPOINTS[k % 2], ENDPOINTS[0], PAYLOADS[0], 1.0)
+            assert len(injector._edge_counts) <= k + 1
+        assert sum(injector._edge_counts.values()) == sent
+    # A new float object for the same instant is not a new instant.
+    system.sim.now = float(instant)
+    filt(ENDPOINTS[0], ENDPOINTS[0], PAYLOADS[0], 1.0)
+    assert sum(injector._edge_counts.values()) == sent + 1
+
+
+STABLE_WALK = ScenarioConfig(
+    r=2, max_level=2, seed=7, stable_fault_draws=True,
+    fault_plan=FaultPlan.of(
+        MessageLoss(rate=0.1, channel=CHANNEL_BOTH),
+        MessageDuplication(rate=0.4, channel=CHANNEL_BOTH, copies=2),
+        MessageJitter(rate=0.3, channel=CHANNEL_BOTH, max_extra=1.0),
+    ),
+)
+
+
+def test_snapshot_inside_an_instant_resumes_bit_identically():
+    horizon = walk_horizon(5)
+    golden = build_tracked_walk(STABLE_WALK)
+    golden.sim.run_until(horizon)
+
+    # Cut between two events of one instant, after some key of that
+    # instant was already sent twice: the next draws need the counters.
+    scenario = build_tracked_walk(STABLE_WALK)
+    sim, counts = scenario.sim, scenario.injector._edge_counts
+    while not (
+        counts and max(counts.values()) >= 2 and sim.next_event_time() == sim.now
+    ):
+        assert sim.run(max_events=1) == 1, "no cut point inside an instant"
+    snapshot = snapshot_scenario(scenario)
+
+    resumed = restore_scenario(snapshot).scenario
+    assert resumed.injector._edge_counts == counts
+    resumed.sim.run_until(horizon)
+    assert trace_fingerprint(resumed) == trace_fingerprint(golden)
+    assert resumed.injector.stats == golden.injector.stats
+
+    # The counters are load-bearing: forgetting them changes the run.
+    amnesiac = restore_scenario(snapshot).scenario
+    amnesiac.injector._edge_counts.clear()
+    amnesiac.sim.run_until(horizon)
+    assert trace_fingerprint(amnesiac) != trace_fingerprint(golden)

@@ -212,3 +212,35 @@ class TestNonzeroPlanDeterminism:
             base.injector.stats.as_dict() != other.injector.stats.as_dict()
             or base.system.sim.events_fired != other.system.sim.events_fired
         )
+
+
+class TestTimelineRules:
+    """Blackouts through :func:`inject`: hooks, stats and typed events."""
+
+    def test_blackout_takes_regions_down_once_and_restores_them(self):
+        import repro.obs as obs
+        from repro.faults import inject
+
+        scenario = build(ScenarioConfig(r=2, max_level=2, seed=5))
+        system = scenario.system
+        regions = system.hierarchy.tiling.regions()
+        plan = FaultPlan.of(
+            RegionBlackout(at=5.0, duration=10.0, regions=(regions[0],)),
+            RegionBlackout(at=6.0, duration=2.0, regions=(regions[0],)),
+            RegionBlackout(at=7.0, duration=10.0, count=2),
+        )
+        with obs.observed(spans=False, events=True) as collector:
+            injector = inject(system, plan, seed=5)
+            with pytest.raises(RuntimeError):
+                injector.arm()
+            system.sim.run_until(6.5)
+            assert system.network.hosts[regions[0]].failed
+            system.sim.run_until(30.0)
+        # The overlapping second rule neither double-fails nor restores
+        # early; the drawn pair may include the region already down.
+        assert injector.stats.blackouts in (2, 3)
+        assert injector.stats.restores == injector.stats.blackouts
+        assert not any(host.failed for host in system.network.hosts.values())
+        by_kind = collector.events_by_kind()
+        assert by_kind["fault-crash"] == by_kind["fault-restore"]
+        assert by_kind["fault-crash"] == injector.stats.blackouts
