@@ -1,6 +1,6 @@
 """Validate an OBS.json artifact (obs/1) from ``repro report --obs``.
 
-CI's smoke-bench step runs this after generating the artifact; exits
+CI's smoke-cli job runs this after generating the artifact; exits
 nonzero when the artifact is malformed or the default scenario's
 conformance verdicts are dirty.
 

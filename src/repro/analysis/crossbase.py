@@ -25,9 +25,8 @@ at the same seed):
 Fault cells (message loss with stable draws) run message trackers only —
 the analytic models have no channel to perturb.
 
-Modes mirror :mod:`repro.service.harness`: default (full) is the
-committed ``BENCH_baselines.json``; ``--quick`` shrinks the walk and
-drops the fault axis for the CI ``smoke-baselines`` job.
+Default (full) mode is the committed ``BENCH_baselines.json``;
+``--quick`` shrinks the walk and drops the fault axis.
 
 Usage::
 
@@ -383,7 +382,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--out", default="BENCH_baselines.json")
     parser.add_argument(
         "--quick", action="store_true",
-        help="smaller walk, no fault axis (CI smoke-baselines)",
+        help="smaller walk, no fault axis",
     )
     args = parser.parse_args(argv)
     walk = QUICK_WALK if args.quick else FULL_WALK

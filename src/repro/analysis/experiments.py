@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.invariants import InvariantMonitor
 from ..core.vinestalk import VineStalk
@@ -160,11 +160,10 @@ def run_find_at_distance(
 def _warm_find_sweep_system(
     r: int, max_level: int, delta: float, e: float
 ) -> VineStalk:
-    """The seed-independent warm prefix of :func:`run_find_sweep`.
+    """The seed-independent prefix of :func:`run_find_sweep`.
 
     Build, settle an evader at the center, run to quiescence.  No seeded
-    draw happens before quiescence, so every seed of a sweep shares this
-    state — which is what makes it a depot-able warm base.
+    draw happens before quiescence.
     """
     system = build(ScenarioConfig(r=r, max_level=max_level, delta=delta, e=e)).system
     tiling = system.hierarchy.tiling
@@ -172,18 +171,6 @@ def _warm_find_sweep_system(
     system.make_evader(RandomNeighborWalk(start=center), dwell=1e12, start=center)
     system.run_to_quiescence()
     return system
-
-
-def plan_find_sweep_warm(
-    r: int,
-    max_level: int,
-    delta: float = 1.0,
-    e: float = 0.5,
-    **_ignored: Any,
-) -> Tuple[Hashable, Callable[[], Any]]:
-    """``(warm key, builder)`` for a find-sweep job (sweep-runner hook)."""
-    key = ("find_sweep", r, max_level, delta, e)
-    return key, lambda: _warm_find_sweep_system(r, max_level, delta, e)
 
 
 def run_find_sweep(
@@ -194,22 +181,9 @@ def run_find_sweep(
     delta: float = 1.0,
     e: float = 0.5,
     finds_per_distance: int = 3,
-    warm_start: bool = False,
 ) -> List[FindCostResult]:
-    """Finds at a sweep of distances from a settled evader at the center.
-
-    With ``warm_start=True`` the settled pre-find world comes from the
-    :mod:`repro.ckpt.depot` (restored from a snapshot payload, built and
-    deposited on first miss) instead of being rebuilt — bit-identical
-    results, the warm prefix paid once per process.
-    """
-    if warm_start:
-        from ..ckpt import depot
-
-        key, builder = plan_find_sweep_warm(r, max_level, delta, e)
-        system = depot.checkout_or_build(key, builder)
-    else:
-        system = _warm_find_sweep_system(r, max_level, delta, e)
+    """Finds at a sweep of distances from a settled evader at the center."""
+    system = _warm_find_sweep_system(r, max_level, delta, e)
     tiling = system.hierarchy.tiling
     center = tiling.regions()[len(tiling.regions()) // 2]
     rng = random.Random(seed)
@@ -344,10 +318,10 @@ class ComparisonRow:
 def _warm_baseline_state(
     r: int, max_level: int, seed: int, start_corner: bool
 ) -> Tuple[Any, Any, Any]:
-    """The warm prefix of :func:`run_baseline_comparison`.
+    """The settled pre-measurement world of :func:`run_baseline_comparison`.
 
-    The evader's walk RNG is seeded here, so unlike the find-sweep base
-    this state is seed-specific — the warm key includes the seed.
+    The evader's walk RNG is seeded here, so unlike the find-sweep
+    prefix this state is seed-specific.
     """
     config = ScenarioConfig(r=r, max_level=max_level)
     system, accountant = build(config).parts()
@@ -362,18 +336,6 @@ def _warm_baseline_state(
     return system, accountant, evader
 
 
-def plan_baseline_comparison_warm(
-    r: int,
-    max_level: int,
-    seed: int = 0,
-    start_corner: bool = True,
-    **_ignored: Any,
-) -> Tuple[Hashable, Callable[[], Any]]:
-    """``(warm key, builder)`` for a baseline-comparison job."""
-    key = ("baseline_comparison", r, max_level, seed, start_corner)
-    return key, lambda: _warm_baseline_state(r, max_level, seed, start_corner)
-
-
 def run_baseline_comparison(
     r: int,
     max_level: int,
@@ -382,7 +344,6 @@ def run_baseline_comparison(
     find_distance: int,
     seed: int = 0,
     start_corner: bool = True,
-    warm_start: bool = False,
 ) -> List[ComparisonRow]:
     """Same workload across VINESTALK, home-agent, flooding and A–P.
 
@@ -393,22 +354,11 @@ def run_baseline_comparison(
     home-agent rendezvous sits at the center — fixed rendezvous services
     cannot co-locate with activity, which is exactly the non-locality
     the locality-aware services are designed to avoid.
-
-    ``warm_start=True`` restores the settled pre-measurement world from
-    the :mod:`repro.ckpt.depot` (see :func:`run_find_sweep`).
     """
     rows: List[ComparisonRow] = []
 
     # --- VINESTALK (message-level) -------------------------------------
-    if warm_start:
-        from ..ckpt import depot
-
-        key, builder = plan_baseline_comparison_warm(r, max_level, seed, start_corner)
-        system, accountant, evader = depot.checkout_or_build(key, builder)
-    else:
-        system, accountant, evader = _warm_baseline_state(
-            r, max_level, seed, start_corner
-        )
+    system, accountant, evader = _warm_baseline_state(r, max_level, seed, start_corner)
     config = ScenarioConfig(r=r, max_level=max_level)
     tiling = system.hierarchy.tiling
     rng = random.Random(seed)
@@ -785,7 +735,7 @@ def run_service_mk(
 
 
 # ----------------------------------------------------------------------
-# Scale probe (benchmarks/bench_scale.py, BENCH_core.json)
+# Scale probe (benchmarks/bench_scale.py)
 # ----------------------------------------------------------------------
 def run_scale_probe(
     max_level: int,
@@ -796,8 +746,8 @@ def run_scale_probe(
     """Build a large world, drive a short walk and one cross-world find.
 
     Measures world build time, amortized per-move work and the cost of a
-    find launched from the far corner; the scalability benchmark and the
-    BENCH_core.json generator both call this.
+    find launched from the far corner; the scalability benchmark and
+    the ``paper-sweep`` workload of ``benchmarks/perf`` both call this.
     """
     start_build = time.perf_counter()
     scenario = build(ScenarioConfig(r=r, max_level=max_level, seed=seed))

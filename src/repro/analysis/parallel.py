@@ -200,49 +200,9 @@ def topology_keys_of(jobs: Sequence[JobSpec]) -> Tuple[TopologyKey, ...]:
     return tuple(keys)
 
 
-# Warm-start planners: spec runner name → "module:attribute" resolving to
-# a ``plan(**kwargs) -> (warm key, builder)`` hook.  A runner appears here
-# exactly when it accepts a ``warm_start=`` kwarg backed by the
-# :mod:`repro.ckpt.depot`.
-WARM_PLANNERS: Dict[str, str] = {
-    "find_sweep": "repro.analysis.experiments:plan_find_sweep_warm",
-    "baseline_comparison": "repro.analysis.experiments:plan_baseline_comparison_warm",
-}
-
-
-def warm_plans_of(jobs: Sequence[JobSpec]) -> Dict[Any, Callable[[], Any]]:
-    """Distinct ``warm key → builder`` plans of a job list, first-use order.
-
-    Jobs whose runner has no registered warm planner contribute nothing
-    (they run cold even under a warm-start sweep).
-    """
-    plans: Dict[Any, Callable[[], Any]] = {}
-    for spec in jobs:
-        target = WARM_PLANNERS.get(spec.runner)
-        if target is None:
-            continue
-        module_name, _, attr = target.partition(":")
-        plan = getattr(import_module(module_name), attr)
-        key, builder = plan(**spec.kwargs)
-        plans.setdefault(key, builder)
-    return plans
-
-
-def _warm_worker(
-    keys: Tuple[TopologyKey, ...],
-    depot_entries: Optional[Dict[Any, bytes]] = None,
-) -> None:
-    """Pool initializer: pre-build the sweep's topologies in this worker.
-
-    When the sweep runs warm starts, the parent's serialized warm bases
-    ride along and seed this worker's :mod:`repro.ckpt.depot` — workers
-    then restore per job instead of rebuilding the warm prefix.
-    """
+def _warm_worker(keys: Tuple[TopologyKey, ...]) -> None:
+    """Pool initializer: pre-build the sweep's topologies in this worker."""
     topology_cache().warm(keys)
-    if depot_entries:
-        from ..ckpt import depot
-
-        depot.seed(depot_entries)
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
@@ -274,20 +234,7 @@ class SweepRunner:
         workers: Worker-process count.  ``None`` defers to the
             ``REPRO_PARALLEL`` environment variable (default serial);
             ``<= 1`` forces the serial in-process path.
-        chunksize: Jobs handed to a worker per round trip (parallel path
-            only).  ``None`` picks ``max(1, jobs // (workers * 2))`` —
-            large enough to amortize pickling for many small jobs, small
-            enough to keep every worker busy through two rounds.
         mode: ``"auto"`` (default), ``"serial"`` or ``"parallel"``.
-        warm_start: Checkpoint each distinct warm base once (parent
-            side, after building it) and restore per job from the
-            :mod:`repro.ckpt.depot` instead of repaying the warm-up
-            prefix — see :func:`warm_plans_of` for which runners
-            participate.  Serial jobs hit the parent's depot directly;
-            pool workers receive the serialized bases through the
-            initializer.  Results are bit-identical to cold runs (the
-            ckpt golden guarantee); restore time is charged to each
-            job's ``setup_seconds``.
 
     ``mode="auto"`` heuristic — parallel only when it can plausibly win:
 
@@ -295,9 +242,8 @@ class SweepRunner:
        even when ``workers=`` was passed explicitly.
     2. Fewer than 2 workers or fewer than 2 jobs: serial.
     3. ``os.cpu_count() < 2``: serial — on a single core, forking only
-       adds oversubscription and scheduler thrash (the committed
-       bench-core/1 artifact showed E8 burning 22 CPU-seconds on 0.4s
-       of work exactly this way).
+       adds oversubscription and scheduler thrash (E8 once burned 22
+       CPU-seconds on 0.4s of work exactly this way).
     4. Otherwise the first job runs in-process as a *probe*; when the
        probe wall extrapolated over the remaining jobs is smaller than
        ``FORK_OVERHEAD_S × workers``, the rest run serially too (the
@@ -332,22 +278,22 @@ class SweepRunner:
     def __init__(
         self,
         workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
         mode: str = "auto",
-        warm_start: bool = False,
     ) -> None:
         if mode not in ("auto", "serial", "parallel"):
             raise ValueError(f"mode must be auto/serial/parallel, got {mode!r}")
         self.workers = _resolve_workers(workers)
-        self.chunksize = None if chunksize is None else max(1, int(chunksize))
         self.mode = mode
-        self.warm_start = bool(warm_start)
         self.last_mode: Optional[str] = None
         self.last_mode_reason: Optional[str] = None
 
-    def _chunksize_for(self, n_jobs: int, workers: int) -> int:
-        if self.chunksize is not None:
-            return self.chunksize
+    @staticmethod
+    def _chunksize_for(n_jobs: int, workers: int) -> int:
+        """Jobs handed to a worker per round trip.
+
+        Large enough to amortize pickling for many small jobs, small
+        enough to keep every worker busy through two rounds.
+        """
         return max(1, n_jobs // (workers * 2))
 
     def run(self, jobs: Sequence[JobSpec]) -> List[JobResult]:
@@ -355,8 +301,6 @@ class SweepRunner:
         jobs = list(jobs)
         for spec in jobs:  # fail fast on typos, before forking
             resolve_runner(spec.runner)
-        if self.warm_start:
-            jobs = self._prepare_warm(jobs)
         workers = min(self.workers, len(jobs))
         mode = self.mode
         env = os.environ.get("REPRO_PARALLEL", "").strip()
@@ -411,28 +355,10 @@ class SweepRunner:
         )
         return [probe] + self._run_pool(rest, min(workers, len(rest)))
 
-    def _prepare_warm(self, jobs: List[JobSpec]) -> List[JobSpec]:
-        """Deposit the sweep's warm bases; flag participating specs."""
-        from ..ckpt import depot
-
-        for key, builder in warm_plans_of(jobs).items():
-            depot.ensure(key, builder)
-        return [
-            JobSpec(spec.runner, {**spec.kwargs, "warm_start": True})
-            if spec.runner in WARM_PLANNERS
-            else spec
-            for spec in jobs
-        ]
-
     def _run_pool(self, jobs: List[JobSpec], workers: int) -> List[JobResult]:
         keys = topology_keys_of(jobs)
-        depot_entries = None
-        if self.warm_start:
-            from ..ckpt import depot
-
-            depot_entries = depot.entries()
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_warm_worker, initargs=(keys, depot_entries)
+            max_workers=workers, initializer=_warm_worker, initargs=(keys,)
         ) as executor:
             return list(
                 executor.map(

@@ -7,8 +7,7 @@ topology cache instead of re-serializing route tables;
 :func:`restore_scenario` (and the on-disk :func:`save`/:func:`load`
 envelope) turns it back into a fresh continuation that resumes
 bit-identically to the uninterrupted run; :func:`fork_scenario` spins N
-deterministic divergent continuations off one snapshot;
-:mod:`~repro.ckpt.depot` feeds ``SweepRunner`` warm starts; and
+deterministic divergent continuations off one snapshot; and
 :func:`~repro.ckpt.bisect.bisect_divergence` localizes the first
 diverging event between two run variants via interleaved checkpoints.
 

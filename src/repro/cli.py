@@ -20,8 +20,7 @@ Commands:
 * ``service``  — run one multi-object :class:`~repro.service.LoadGenerator`
   workload through :class:`~repro.service.TrackingService` on both
   engines and report per-find latency metrics plus the cross-engine
-  fingerprint verdict (CI's smoke-service job exercises the same path
-  via ``repro.service.harness``);
+  fingerprint verdict (CI's smoke-cli job runs this with ``--json``);
 * ``mobility`` — run the E-series tracked walk across generated mobility
   regimes (:mod:`repro.mobility.gen` presets): per-regime work, §VI
   speed verdict and trace fingerprints, with an optional sharded-engine
@@ -29,8 +28,8 @@ Commands:
 * ``baselines`` — run the cross-baseline grid
   (:mod:`repro.analysis.crossbase`): every registered tracker over a
   shared mobility-preset grid on both engines, scoring find latency,
-  message work, handovers and energy (CI's smoke-baselines job runs
-  the same grid via ``repro.analysis.crossbase --quick``).
+  message work, handovers and energy (CI's smoke-cli job runs this
+  with ``--json``).
 
 The world-shape flags (``--r``, ``--max-level``, ``--seed``) are shared
 by every world-building command via a common parent parser; each command
@@ -769,6 +768,35 @@ def cmd_service(args) -> int:
     return 0 if match else 1
 
 
+def _selection(what: str, raw: str, default, known) -> tuple:
+    """Parse a comma-separated ``--<what>`` value against ``known`` names.
+
+    Raises ``ValueError`` on an unknown name or an empty selection (an
+    empty grid would pass every gate vacuously).
+    """
+    if raw == "all":
+        return tuple(default)
+    names = tuple(name.strip() for name in raw.split(",") if name.strip())
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(
+            f"unknown {what}: {', '.join(unknown)}; "
+            f"registered: {', '.join(known)}"
+        )
+    if not names:
+        raise ValueError(f"empty --{what} selection")
+    return names
+
+
+def _usage_error(command: str, args, exc: ValueError) -> int:
+    """Report a rejected selection (error envelope under ``--json``); exit 2."""
+    if args.json:
+        _emit(command, {"error": str(exc)})
+    else:
+        print(exc, file=sys.stderr)
+    return 2
+
+
 def cmd_mobility(args) -> int:
     from .mobility.gen import preset_names, run_mobility_regime
 
@@ -780,15 +808,10 @@ def cmd_mobility(args) -> int:
             for name in known:
                 print(name)
         return 0
-    if args.regimes == "all":
-        regimes = known
-    else:
-        regimes = tuple(name.strip() for name in args.regimes.split(",") if name.strip())
-        unknown = [name for name in regimes if name not in known]
-        if unknown:
-            print(f"unknown regimes: {', '.join(unknown)}", file=sys.stderr)
-            print(f"registered: {', '.join(known)}", file=sys.stderr)
-            return 2
+    try:
+        regimes = _selection("regimes", args.regimes, known, known)
+    except ValueError as exc:
+        return _usage_error("mobility", args, exc)
     rows = []
     for name in regimes:
         result = run_mobility_regime(
@@ -881,24 +904,13 @@ def cmd_baselines(args) -> int:
     import json as json_mod
 
     from .analysis.crossbase import ALL_TRACKERS, PRESETS, run_cross_baselines
+    from .mobility.gen import preset_names
 
-    if args.trackers == "all":
-        trackers = ALL_TRACKERS
-    else:
-        trackers = tuple(
-            name.strip() for name in args.trackers.split(",") if name.strip()
-        )
-        unknown = [name for name in trackers if name not in ALL_TRACKERS]
-        if unknown:
-            print(f"unknown trackers: {', '.join(unknown)}", file=sys.stderr)
-            print(f"registered: {', '.join(ALL_TRACKERS)}", file=sys.stderr)
-            return 2
-    if args.presets == "all":
-        presets = PRESETS
-    else:
-        presets = tuple(
-            name.strip() for name in args.presets.split(",") if name.strip()
-        )
+    try:
+        trackers = _selection("trackers", args.trackers, ALL_TRACKERS, ALL_TRACKERS)
+        presets = _selection("presets", args.presets, PRESETS, preset_names())
+    except ValueError as exc:
+        return _usage_error("baselines", args, exc)
     payload = run_cross_baselines(
         trackers=trackers,
         presets=presets,

@@ -14,16 +14,12 @@ The default ``0`` is the single-evader lane of the original paper.
 Messages are ``slots=True`` dataclasses: the dispatch path allocates
 one per send and they live in queues, event closures and checkpoint
 payloads by the hundred thousand at M=10k, so the per-instance dict is
-worth dropping.  :func:`_compat_setstate` keeps payloads pickled by
-older (dict-based) builds loadable: it accepts the legacy attribute
-dict — filling fields the old build didn't have (e.g. ``object_id``)
-from their dataclass defaults — as well as the field-list state the
-slots dataclass emits.
+worth dropping.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 from ..hierarchy.cluster import ClusterId
@@ -32,22 +28,6 @@ from ..hierarchy.cluster import ClusterId
 #: per send on the trace path, and ``dataclasses.fields`` re-resolves
 #: the class metadata on every call.
 _REPR_FIELDS: Dict[type, Tuple[str, ...]] = {}
-
-
-def _compat_setstate(self, state) -> None:
-    if isinstance(state, tuple) and len(state) == 2:
-        mapping, slots = state
-        state = dict(mapping or {})
-        state.update(slots or {})
-    if isinstance(state, dict):
-        for key, value in state.items():
-            object.__setattr__(self, key, value)
-        for f in fields(self):
-            if not hasattr(self, f.name) and f.default is not MISSING:
-                object.__setattr__(self, f.name, f.default)
-    else:
-        for f, value in zip(fields(self), state):
-            object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,18 +164,6 @@ MOVE_MESSAGE_TYPES = (Grow, GrowNbr, GrowPar, Shrink, ShrinkUpd)
 FIND_MESSAGE_TYPES = (Find, FindQuery, FindAck, Found)
 # Advisory extension messages (neither move- nor find-critical).
 OTHER_MESSAGE_TYPES = (Prewarm,)
-
-# slots=True makes the dataclass decorator install a __setstate__ that
-# only understands its own field-list state; swap in the tolerant
-# loader so pre-slots (dict-state) checkpoints keep restoring.
-for _cls in (
-    (TrackerMessage,)
-    + MOVE_MESSAGE_TYPES
-    + FIND_MESSAGE_TYPES
-    + OTHER_MESSAGE_TYPES
-):
-    _cls.__setstate__ = _compat_setstate
-del _cls
 
 
 def is_move_message(message: TrackerMessage) -> bool:

@@ -8,9 +8,7 @@ idling is a constant per-region drain over simulated time.
 
 The model is carried on :class:`~repro.scenario.ScenarioConfig` as a
 frozen, picklable value: two configs with the same model build the
-same world, and checkpoints written before the field existed unpickle
-with ``energy=None`` (no ledger) via the config's ``__setstate__``
-default-fill.
+same world.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ singleton::
 
 With observability off (the default) the guard is a single boolean
 attribute load per site — no allocation, no call — which is what keeps
-the obs-off overhead within the ≤2% budget on the BENCH_core
-events/sec number.  This module deliberately imports nothing from the
+the obs-off overhead within the ≤2% budget on the ``benchmarks/perf``
+``events_per_s`` number.  This module deliberately imports nothing from the
 rest of the package so the hot paths never pull in the collector,
 metrics or export machinery.
 

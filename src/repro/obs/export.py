@@ -4,8 +4,7 @@
 conformance sampler) to a schema-versioned, JSON-safe dict;
 :func:`write_obs_artifact` writes it;
 :func:`render_obs_summary` renders the short human table the CLI prints.
-``benchmarks/check_obs_report.py`` validates the artifact the same way
-``check_bench_core.py`` validates ``BENCH_core.json``.
+``benchmarks/check_obs_report.py`` validates the artifact.
 """
 
 from __future__ import annotations

@@ -178,15 +178,6 @@ class ScenarioConfig:
             if not isinstance(self.energy, EnergyModel):
                 raise TypeError("energy must be an EnergyModel")
 
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        # Pickles written before a field existed (e.g. ckpt/1 snapshots
-        # predating ``shards``) carry no value for it; fill defaults so
-        # old checkpoints keep loading and comparing equal.
-        for f in self.__dataclass_fields__.values():
-            if f.name not in state:
-                state[f.name] = f.default
-        object.__setattr__(self, "__dict__", state)
-
     def with_(self, **changes: Any) -> "ScenarioConfig":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
         return replace(self, **changes)

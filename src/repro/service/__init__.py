@@ -10,11 +10,10 @@ adds the service front-end on top:
 * :class:`~repro.service.service.TrackingService` — admits a workload
   against either engine (``plain`` single-loop or ``sharded`` PDES) and
   returns a :class:`~repro.service.service.ServiceRunResult` with
-  per-find records, per-object handover counts and latency metrics;
-* :mod:`~repro.service.harness` — the ``BENCH_service.json``
-  (``bench-service/2``) generator: scenario table plus the
-  M ∈ {100, 1000, 10000} scaling sweep, gated by
-  ``benchmarks/check_bench_service.py`` in CI.
+  per-find records, per-object handover counts and latency metrics.
+
+Its speed is measured by the ``service-m2k`` / ``armed-m1k`` /
+``sharded-k2`` workloads of ``benchmarks/perf``.
 """
 
 from .load import ARRIVALS, LoadGenerator

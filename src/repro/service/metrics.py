@@ -83,7 +83,7 @@ def service_metrics(
     finds: Dict[int, dict],
     handovers: Optional[Dict[int, int]] = None,
 ) -> Dict[str, Any]:
-    """Aggregate per-find records into the bench-service metric block.
+    """Aggregate per-find records into the service metric block.
 
     Throughput is completed finds per sim time unit over the service
     makespan (first issue to last completion).  The deadline-miss rate

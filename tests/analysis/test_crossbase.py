@@ -103,6 +103,20 @@ def test_unknown_tracker_rejected():
         run_cross_baselines(trackers=("vinestalk", "nope"))
 
 
+def test_fault_axis_covers_message_trackers_only():
+    # Stable fault draws are K-invariant, so the loss cell must still
+    # match across engines; analytic models have no channel to perturb.
+    payload = run_cross_baselines(
+        trackers=("vinestalk", "flooding"), presets=("uniform-walk",),
+        faults=("none", "loss"), n_moves=4, n_finds=2,
+    )
+    cells = {(c["tracker"], c["fault"]): c for c in payload["cells"]}
+    assert set(cells) == {
+        ("vinestalk", "none"), ("vinestalk", "loss"), ("flooding", "none"),
+    }
+    assert cells["vinestalk", "loss"]["fingerprint_match"] is True
+
+
 def test_grid_is_seed_deterministic():
     kwargs = dict(
         trackers=("vinestalk",), presets=("uniform-walk",),

@@ -168,6 +168,24 @@ class TestJsonEnvelope:
             {"distance", "mean_find_work"} <= set(row) for row in data["sweep"]
         )
 
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["baselines", "--presets", "nope"], "unknown presets: nope"),
+            (["baselines", "--trackers", ""], "empty --trackers"),
+            (["baselines", "--presets", ""], "empty --presets"),
+            (["mobility", "--regimes", ""], "empty --regimes"),
+        ],
+    )
+    def test_bad_selection_rejected(self, capsys, argv, needle):
+        # A bad selection must fail closed: no traceback, and no empty
+        # grid passing every gate vacuously with exit 0.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert needle in captured.err and not captured.out
+        assert main([*argv, "--json"]) == 2
+        assert needle in self.unwrap(capsys, argv[0])["error"]
+
 
 class TestReportModule:
     def test_section_builders_render_markdown(self):

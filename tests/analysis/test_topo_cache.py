@@ -230,10 +230,8 @@ class TestSweepRunner:
         assert runner.last_mode == "serial"
 
     def test_chunksize_heuristic(self):
-        runner = SweepRunner(workers=4)
-        assert runner._chunksize_for(16, 4) == 2
-        assert runner._chunksize_for(3, 4) == 1
-        assert SweepRunner(workers=4, chunksize=5)._chunksize_for(100, 4) == 5
+        assert SweepRunner._chunksize_for(16, 4) == 2
+        assert SweepRunner._chunksize_for(3, 4) == 1
 
     def test_forced_parallel_matches_serial(self):
         serial = SweepRunner(workers=1, mode="serial").run(TINY_JOBS)

@@ -2,7 +2,7 @@
 
 Loads ``benchmarks/check_obs_report.py`` by path (benchmarks/ is not a
 package) and runs it against a real probe artifact — the same gate CI's
-smoke-bench applies — plus negative cases proving the checker rejects
+smoke-cli applies — plus negative cases proving the checker rejects
 malformed artifacts.
 """
 

@@ -1,4 +1,4 @@
-"""Unit tests for the service metric aggregation (bench-service/2)."""
+"""Unit tests for the service metric aggregation."""
 
 import pytest
 
@@ -122,7 +122,8 @@ class TestServiceMetrics:
 
     def test_wall_clock_never_enters_metrics(self):
         # Every metric must be derivable from sim-time fields alone —
-        # the engine-invariance gate in check_bench_service relies on it.
+        # the plain ≡ sharded metric-block equality in
+        # tests/service/test_service.py::TestKInvariance relies on it.
         finds = {1: record()}
         a = service_metrics(dict(finds), {0: 1})
         b = service_metrics(dict(finds), {0: 1})

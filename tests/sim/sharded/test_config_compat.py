@@ -1,10 +1,4 @@
-"""ScenarioConfig pickle back-compat for the new sharding fields.
-
-Committed ckpt/1 checkpoint files embed pickled ScenarioConfig
-instances from before ``shards`` / ``stable_fault_draws`` existed.
-``__setstate__`` must fill missing dataclass fields with their
-defaults so those artifacts keep loading.
-"""
+"""ScenarioConfig pickle round-trip and validation of the sharding fields."""
 
 import pickle
 
@@ -17,18 +11,6 @@ def test_roundtrip_preserves_new_fields():
     assert clone == config
     assert clone.shards == 4
     assert clone.stable_fault_draws is True
-
-
-def test_legacy_state_without_sharding_fields_fills_defaults():
-    config = ScenarioConfig(r=2, max_level=3)
-    state = dict(config.__dict__)
-    del state["shards"]
-    del state["stable_fault_draws"]  # a pre-sharding pickle's state
-    revived = ScenarioConfig.__new__(ScenarioConfig)
-    revived.__setstate__(state)
-    assert revived.shards == 1
-    assert revived.stable_fault_draws is False
-    assert revived == config
 
 
 def test_shards_validated():
