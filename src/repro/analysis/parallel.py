@@ -174,30 +174,28 @@ def _execute(spec: JobSpec) -> JobResult:
     )
 
 
+def _grid_key_of(spec: JobSpec) -> Optional[TopologyKey]:
+    """Key of the grid world ``spec`` builds, from its ``r``/``max_level``.
+
+    ``scale_probe`` defaults to ``r=2``, as its runner does.  ``None`` when
+    the kwargs do not say (e.g. an explicit ``hierarchy``) or are out of
+    range — that fails in the runner, not here.
+    """
+    r = spec.kwargs.get("r", 2 if spec.runner == "scale_probe" else None)
+    try:
+        return grid_key(int(r), int(spec.kwargs.get("max_level")))
+    except (TypeError, ValueError):
+        return None
+
+
 def topology_keys_of(jobs: Sequence[JobSpec]) -> Tuple[TopologyKey, ...]:
     """Distinct topology keys a job list will build, in first-use order.
 
-    Best-effort: derived from each spec's ``r``/``max_level`` kwargs
-    (``scale_probe`` defaults to ``r=2``, matching the runner's
-    signature).  Jobs whose world cannot be inferred from kwargs alone
-    (e.g. an explicit ``hierarchy`` argument) contribute nothing — the
-    worker then simply builds that world on first use.
+    Best-effort: jobs without an inferable world contribute nothing —
+    the worker then simply builds that world on first use.
     """
-    keys: Dict[TopologyKey, None] = {}
-    for spec in jobs:
-        kwargs = spec.kwargs
-        max_level = kwargs.get("max_level")
-        if max_level is None:
-            continue
-        default_r = 2 if spec.runner == "scale_probe" else None
-        r = kwargs.get("r", default_r)
-        if r is None:
-            continue
-        try:
-            keys.setdefault(grid_key(int(r), int(max_level)))
-        except (TypeError, ValueError):
-            continue  # out-of-range params fail in the runner, not here
-    return tuple(keys)
+    keys = (_grid_key_of(spec) for spec in jobs)
+    return tuple(dict.fromkeys(key for key in keys if key is not None))
 
 
 def _warm_worker(keys: Tuple[TopologyKey, ...]) -> None:
@@ -254,13 +252,13 @@ class SweepRunner:
     ``workers >= 2`` and there is more than one job);
     ``mode="serial"`` never forks.
 
-    The pool is created with an initializer that pre-warms each worker's
-    topology cache with the sweep's distinct topology keys
-    (:func:`topology_keys_of`), so workers don't redo hierarchy/route
-    precomputation per job.  Results always come back in submission
-    order regardless of which worker finished first, so downstream
-    tables are deterministic; serial and parallel values are identical
-    because every runner derives its world from its explicit seed.
+    The pool's initializer pre-warms each worker's topology cache with
+    the sweep's distinct keys (:func:`topology_keys_of`).  Jobs go to
+    the pool one task each, largest world first (``r**(2*max_level)``
+    regions, ties in submission order), so the longest job never starts
+    last; results still come back in submission order, and serial and
+    parallel values are identical because every runner derives its
+    world from its explicit seed.
 
     Setting ``REPRO_PARALLEL`` to ``auto`` or an integer ``>= 2`` is a
     *force*: auto mode skips both serial fallbacks (steps 3-4) and goes
@@ -286,15 +284,6 @@ class SweepRunner:
         self.mode = mode
         self.last_mode: Optional[str] = None
         self.last_mode_reason: Optional[str] = None
-
-    @staticmethod
-    def _chunksize_for(n_jobs: int, workers: int) -> int:
-        """Jobs handed to a worker per round trip.
-
-        Large enough to amortize pickling for many small jobs, small
-        enough to keep every worker busy through two rounds.
-        """
-        return max(1, n_jobs // (workers * 2))
 
     def run(self, jobs: Sequence[JobSpec]) -> List[JobResult]:
         """Execute every job; results in submission order."""
@@ -357,14 +346,18 @@ class SweepRunner:
 
     def _run_pool(self, jobs: List[JobSpec], workers: int) -> List[JobResult]:
         keys = topology_keys_of(jobs)
+
+        def regions(i: int) -> int:
+            key = _grid_key_of(jobs[i])
+            return key.r ** (2 * key.max_level) if key is not None else 0
+
+        # Stable sort: equal worlds keep their submission order.
+        order = sorted(range(len(jobs)), key=regions, reverse=True)
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_warm_worker, initargs=(keys,)
         ) as executor:
-            return list(
-                executor.map(
-                    _execute, jobs, chunksize=self._chunksize_for(len(jobs), workers)
-                )
-            )
+            futures = {i: executor.submit(_execute, jobs[i]) for i in order}
+            return [futures[i].result() for i in range(len(jobs))]
 
     def run_values(self, jobs: Sequence[JobSpec]) -> List[Any]:
         """Like :meth:`run`, but return just the runner return values."""

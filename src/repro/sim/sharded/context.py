@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from itertools import islice
 from sys import intern
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ...core.messages import Grow
 from ...geometry.regions import RegionId
@@ -79,6 +80,21 @@ def canonical_send_line(record) -> str:
         f"{record.time!r}|{record.src!r}|{record.dest!r}|"
         f"{record.payload!r}|{record.cost!r}|{record.delay!r}"
     )
+
+
+def fold_crc(lines: Iterable[str], sep: str = "") -> int:
+    """``crc32(sep.join(lines).encode())`` with one chunk of scratch memory.
+
+    The separator also goes *between* the <= 4096-line chunks, so the
+    value is byte for byte the one-shot CRC of the joined trace.
+    """
+    crc = 0
+    lead = ""
+    lines = iter(lines)
+    while chunk := list(islice(lines, 4096)):
+        crc = zlib.crc32((lead + sep.join(chunk)).encode(), crc)
+        lead = sep
+    return crc
 
 
 class ShardContext:
@@ -260,11 +276,7 @@ class ShardContext:
     # ------------------------------------------------------------------
     def exact_crc(self) -> int:
         """CRC of the send lines in dispatch order (order-sensitive)."""
-        crc = 0
-        lines = self.send_lines
-        for start in range(0, len(lines), 4096):  # bounded scratch memory
-            crc = zlib.crc32("".join(lines[start:start + 4096]).encode(), crc)
-        return crc
+        return fold_crc(self.send_lines)
 
     def report(self) -> dict:
         """Picklable end-of-run summary for the driver to merge."""
@@ -299,8 +311,9 @@ class ShardContext:
             "find_work": accountant.find_work if accountant else 0.0,
             "other_work": accountant.other_work if accountant else 0.0,
             "moves_observed": getattr(self.system, "moves_observed", 0),
-            "send_lines": self.send_lines,
             "exact_crc": self.exact_crc(),
+            # Sorted here, in the worker: the driver then merges K runs.
+            "send_lines": sorted(self.send_lines),
             "finds": finds,
             "handovers": dict(self.handovers),
             "fault_stats": stats.as_dict() if stats is not None else None,

@@ -36,13 +36,12 @@ window computation — the throughput path measured by the
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, List, Optional
 
 from ...obs import span as obs_span
-from .context import RemoteMessage, ShardContext
+from .context import RemoteMessage, ShardContext, fold_crc
 from .plan import ShardPlan, strip_plan
 from .workload import ScriptedWorkload
 
@@ -96,8 +95,12 @@ class ShardedRunResult:
 
 
 def canonical_fingerprint(send_lines: List[str]) -> str:
-    """CRC32 over the sorted canonical send lines, as 8 hex digits."""
-    crc = zlib.crc32("\n".join(sorted(send_lines)).encode())
+    """``crc32("\\n".join(sorted(send_lines)).encode())`` as 8 hex digits.
+
+    Folded in chunks, so no joined copy of the trace ever exists; sorted
+    runs (as :meth:`ShardContext.report` hands them) sort in linear time.
+    """
+    crc = fold_crc(sorted(send_lines), "\n")
     return f"{crc:08x}"
 
 

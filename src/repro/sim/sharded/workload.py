@@ -163,6 +163,10 @@ def schedule_workload(
 
     sim = system.sim
     tiling = system.hierarchy.tiling
+    # Shared by the script's evaders (2.5 KB of Mersenne Twister each
+    # otherwise): they never draw — fixed start, dwell timer never runs
+    # — so no draw can depend on their order.
+    rng = random.Random(0)
 
     def evader_of(object_id: int):
         finder = getattr(system, "object_evader", None)
@@ -178,7 +182,7 @@ def schedule_workload(
                 tiling,
                 RandomNeighborWalk(start=region),
                 dwell=1e18,  # scripted: the dwell timer never runs
-                rng=random.Random(0),
+                rng=rng,
                 name="evader" if object_id == 0 else f"evader:{object_id}",
                 object_id=object_id,
             )

@@ -18,6 +18,7 @@ from repro.analysis import (
     run_find_sweep,
     run_move_walk,
 )
+from repro.analysis.parallel import RUNNERS
 from repro.mobility import RandomNeighborWalk
 from repro.scenario import ScenarioConfig, build
 
@@ -124,6 +125,13 @@ SWEEP_JOBS = [
 ]
 
 
+def _record(log, tag, r=None, max_level=None):
+    """Recording runner: appends its tag to ``log`` when executed."""
+    with open(log, "a") as handle:
+        handle.write(f"{tag}\n")
+    return (r, max_level)
+
+
 class TestSweepRunnerDeterminism:
     def test_serial_matches_direct_loop(self):
         direct = [
@@ -144,6 +152,27 @@ class TestSweepRunnerDeterminism:
     def test_parallel_results_in_submission_order(self):
         results = SweepRunner(workers=2).run(SWEEP_JOBS)
         assert [r.spec for r in results] == SWEEP_JOBS
+
+    def test_pool_runs_largest_world_first(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(RUNNERS, "record", f"{__name__}:_record")
+        log = tmp_path / "executed.log"
+        worlds = [(2, 2), (2, 4), (3, 2), (2, 3), (2, 4), (3, 3), (None, None)]
+        jobs = [
+            job("record", log=str(log), tag=tag, r=r, max_level=m)
+            for tag, (r, m) in enumerate(worlds)
+        ]
+        serial = SweepRunner(workers=1).run_values(jobs)
+        assert serial == worlds
+        log.write_text("")
+        # A one-worker pool runs tasks strictly in the order it was handed
+        # them: 3^6 regions, the two 2^8 worlds in submission order, 3^4,
+        # 2^6, 2^4, and the job whose world cannot be inferred last.
+        results = SweepRunner(workers=2, mode="parallel")._run_pool(jobs, 1)
+        assert log.read_text().split() == ["5", "1", "4", "2", "3", "0", "6"]
+        assert [r.spec for r in results] == jobs
+        assert [r.value for r in results] == serial
+        parallel = SweepRunner(workers=2, mode="parallel").run_values(jobs)
+        assert parallel == serial
 
     def test_env_zero_forces_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "0")

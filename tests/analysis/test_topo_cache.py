@@ -3,7 +3,7 @@
 Covers the cache's sharing/bypass semantics, the legacy-equivalence of
 the distance partitions, worker pre-warming, topology-key derivation
 from job lists, the per-job setup/run wall split, and the runner's
-serial-fallback / kill-switch / chunksize logic.
+serial-fallback / kill-switch logic.
 """
 
 import pytest
@@ -156,7 +156,7 @@ class TestWarm:
 
 
 # ----------------------------------------------------------------------
-# SweepRunner: wall split, auto heuristic, kill-switch, chunksize
+# SweepRunner: wall split, auto heuristic, kill-switch
 # ----------------------------------------------------------------------
 class TestSweepRunner:
     def test_setup_plus_run_splits_wall(self):
@@ -228,10 +228,6 @@ class TestSweepRunner:
         runner = SweepRunner(workers=4, mode="serial")
         runner.run(TINY_JOBS)
         assert runner.last_mode == "serial"
-
-    def test_chunksize_heuristic(self):
-        assert SweepRunner._chunksize_for(16, 4) == 2
-        assert SweepRunner._chunksize_for(3, 4) == 1
 
     def test_forced_parallel_matches_serial(self):
         serial = SweepRunner(workers=1, mode="serial").run(TINY_JOBS)

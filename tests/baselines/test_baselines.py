@@ -59,6 +59,22 @@ class TestFloodingFinder:
         assert flood.ball_size((8, 8), 1) == 9
         assert flood.ball_size((0, 0), 1) == 4  # corner
 
+    @pytest.mark.parametrize(
+        "tiling",
+        [GridTiling(6), GridTiling(7, 3), line_tiling(9)],
+        ids=["grid", "non-square", "line"],
+    )
+    def test_ball_size_equals_full_scan(self, tiling):
+        flood = FloodingFinder(tiling)
+        for center in tiling.regions():
+            for radius in range(-1, tiling.diameter() + 3):
+                scan = sum(
+                    1
+                    for region in tiling.regions()
+                    if tiling.distance(center, region) <= radius
+                )
+                assert flood.ball_size(center, radius) == scan, (center, radius)
+
     def test_adjacent_find_one_ring(self, flood):
         result = flood.find((8, 8), (8, 9))
         assert result.rings == 1
