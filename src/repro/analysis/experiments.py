@@ -29,7 +29,7 @@ from ..core.invariants import InvariantMonitor
 from ..core.vinestalk import VineStalk
 from ..mobility.models import BoundaryOscillator, RandomNeighborWalk, worst_boundary_pair
 from ..scenario import ScenarioConfig, build
-from ..topo import cache_enabled, topology_cache
+from ..topo import topology_cache
 from .bounds import (
     find_work_bound,
     move_work_bound_per_distance,
@@ -101,19 +101,6 @@ def run_move_walk(
     )
 
 
-def _regions_at_distance(tiling, center, distance: int) -> List:
-    """Regions exactly ``distance`` from ``center`` (region order).
-
-    Cached per (tiling, center) through the topology layer; with the
-    cache bypassed this is the legacy full scan.  Both give the same
-    list in the same order, so seeded ``rng.choice`` draws are
-    unchanged.
-    """
-    if cache_enabled():
-        return topology_cache().regions_at_distance(tiling, center, distance)
-    return [u for u in tiling.regions() if tiling.distance(u, center) == distance]
-
-
 # ----------------------------------------------------------------------
 # E2: find cost (Theorem 5.2)
 # ----------------------------------------------------------------------
@@ -138,7 +125,10 @@ def run_find_at_distance(
     Returns None when no region lies at exactly that distance.
     """
     tiling = system.hierarchy.tiling
-    candidates = _regions_at_distance(tiling, evader_region, distance)
+    # In full-scan region order: the seeded ``rng.choice`` depends on it.
+    candidates = topology_cache().regions_at_distance(
+        tiling, evader_region, distance
+    )
     if not candidates:
         return None
     origin = rng.choice(candidates)
@@ -391,7 +381,9 @@ def run_baseline_comparison(
         home.move(region)
         ap.move(region)
         if step % find_every == 0 and finds_done < n_finds:
-            candidates = _regions_at_distance(tiling, region, find_distance)
+            candidates = topology_cache().regions_at_distance(
+                tiling, region, find_distance
+            )
             if candidates:
                 origin = find_rng.choice(candidates)
                 home_find += home.find(origin).work

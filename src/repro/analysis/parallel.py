@@ -16,16 +16,10 @@ sweeps out over a :class:`concurrent.futures.ProcessPoolExecutor`:
 * Canonical job sets (:func:`e1_jobs`, :func:`e2_jobs`, :func:`e8_jobs`,
   :func:`scale_jobs`) mirror the benchmark sweeps byte-for-byte.
 
-Worker-count resolution: an explicit ``workers=`` argument wins;
-otherwise the ``REPRO_PARALLEL`` environment variable is consulted
-(``0``, ``1``, empty or unset → serial; an integer → that many workers;
-``auto`` → ``os.cpu_count()``).  ``REPRO_PARALLEL=0`` is additionally a
-global kill-switch: it forces the serial path even when ``workers=`` was
-given explicitly.  The serial path is a plain in-process loop over the
-same jobs in the same order, so for a fixed seed its results are
-identical to the historical hand-written sweep loops, and (because
-runners derive everything from their explicit seed) identical to the
-parallel path's results too.
+The serial path is a plain in-process loop over the same jobs in the
+same order, so for a fixed seed its results are identical to the
+historical hand-written sweep loops, and (because runners derive
+everything from their explicit seed) identical to the pool's too.
 
 Worker warm-up: before forking, the runner collects the sweep's distinct
 :class:`~repro.topo.keys.TopologyKey`\\ s and hands them to a pool
@@ -36,7 +30,6 @@ topology cache instead of rebuilding their world from scratch.
 
 from __future__ import annotations
 
-import os
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -203,54 +196,15 @@ def _warm_worker(keys: Tuple[TopologyKey, ...]) -> None:
     topology_cache().warm(keys)
 
 
-def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("REPRO_PARALLEL", "").strip()
-    if env in ("", "0", "1"):
-        return 1
-    if env.lower() == "auto":
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(
-            f"REPRO_PARALLEL={env!r} is not an integer, 'auto' or empty"
-        ) from None
-
-
-#: Estimated cost of spinning up one warm pool worker (fork/spawn +
-#: initializer).  ``mode="auto"`` only forks when the measured first-job
-#: wall extrapolated over the rest of the sweep exceeds this per worker.
-FORK_OVERHEAD_S = 0.25
-
-
 class SweepRunner:
     """Executes experiment sweeps, serially or across worker processes.
 
     Args:
-        workers: Worker-process count.  ``None`` defers to the
-            ``REPRO_PARALLEL`` environment variable (default serial);
-            ``<= 1`` forces the serial in-process path.
-        mode: ``"auto"`` (default), ``"serial"`` or ``"parallel"``.
+        workers: Worker-process count (default 1: serial).
+        mode: ``"parallel"`` (default) or ``"serial"``.
 
-    ``mode="auto"`` heuristic — parallel only when it can plausibly win:
-
-    1. ``REPRO_PARALLEL=0`` in the environment is a kill-switch: serial,
-       even when ``workers=`` was passed explicitly.
-    2. Fewer than 2 workers or fewer than 2 jobs: serial.
-    3. ``os.cpu_count() < 2``: serial — on a single core, forking only
-       adds oversubscription and scheduler thrash (E8 once burned 22
-       CPU-seconds on 0.4s of work exactly this way).
-    4. Otherwise the first job runs in-process as a *probe*; when the
-       probe wall extrapolated over the remaining jobs is smaller than
-       ``FORK_OVERHEAD_S × workers``, the rest run serially too (the
-       sweep is too small to pay for the pool); else the remaining jobs
-       go to a warm worker pool.
-
-    ``mode="parallel"`` skips the heuristic and always forks (when
-    ``workers >= 2`` and there is more than one job);
-    ``mode="serial"`` never forks.
+    The pool runs iff ``mode == "parallel"``, ``workers >= 2`` and there
+    is more than one job; everything else is the in-process loop.
 
     The pool's initializer pre-warms each worker's topology cache with
     the sweep's distinct keys (:func:`topology_keys_of`).  Jobs go to
@@ -259,31 +213,13 @@ class SweepRunner:
     last; results still come back in submission order, and serial and
     parallel values are identical because every runner derives its
     world from its explicit seed.
-
-    Setting ``REPRO_PARALLEL`` to ``auto`` or an integer ``>= 2`` is a
-    *force*: auto mode skips both serial fallbacks (steps 3-4) and goes
-    straight to the pool — the operator has asserted the box can take
-    it, so the probe would only second-guess them.
-
-    After :meth:`run`, :attr:`last_mode` records what actually happened:
-    ``"serial"``, ``"processes"`` or ``"serial-fallback"`` (auto mode
-    declined to fork); :attr:`last_mode_reason` records why, in one
-    sentence (probe extrapolation numbers, the kill-switch, the forcing
-    env value, ...) — benchmarks persist it next to the sweep numbers so
-    an artifact reviewed later explains its own execution mode.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        mode: str = "auto",
-    ) -> None:
-        if mode not in ("auto", "serial", "parallel"):
-            raise ValueError(f"mode must be auto/serial/parallel, got {mode!r}")
-        self.workers = _resolve_workers(workers)
+    def __init__(self, workers: int = 1, mode: str = "parallel") -> None:
+        if mode not in ("serial", "parallel"):
+            raise ValueError(f"mode must be serial/parallel, got {mode!r}")
+        self.workers = max(1, int(workers))
         self.mode = mode
-        self.last_mode: Optional[str] = None
-        self.last_mode_reason: Optional[str] = None
 
     def run(self, jobs: Sequence[JobSpec]) -> List[JobResult]:
         """Execute every job; results in submission order."""
@@ -291,58 +227,9 @@ class SweepRunner:
         for spec in jobs:  # fail fast on typos, before forking
             resolve_runner(spec.runner)
         workers = min(self.workers, len(jobs))
-        mode = self.mode
-        env = os.environ.get("REPRO_PARALLEL", "").strip()
-        if env == "0":
-            mode = "serial"  # kill-switch beats an explicit workers=
-        if mode == "serial" or workers <= 1 or len(jobs) <= 1:
-            self.last_mode = "serial"
-            if env == "0":
-                self.last_mode_reason = "REPRO_PARALLEL=0 kill-switch"
-            elif self.mode == "serial":
-                self.last_mode_reason = "mode='serial' requested"
-            elif len(jobs) <= 1:
-                self.last_mode_reason = f"{len(jobs)} job(s): nothing to overlap"
-            else:
-                self.last_mode_reason = f"workers={workers} <= 1"
-            return [_execute(spec) for spec in jobs]
-        if mode == "parallel":
-            self.last_mode = "processes"
-            self.last_mode_reason = "mode='parallel' requested"
+        if self.mode == "parallel" and workers >= 2:
             return self._run_pool(jobs, workers)
-
-        # mode == "auto"
-        if env not in ("", "0", "1"):
-            # The operator explicitly asked for parallelism: honor it,
-            # bypassing the cpu-count and probe fallbacks below.
-            self.last_mode = "processes"
-            self.last_mode_reason = (
-                f"REPRO_PARALLEL={env} forces the pool "
-                "(cpu-count and probe fallbacks bypassed)"
-            )
-            return self._run_pool(jobs, workers)
-        cores = os.cpu_count() or 1
-        if cores < 2:
-            self.last_mode = "serial-fallback"
-            self.last_mode_reason = (
-                f"cpu_count={cores} < 2: forking would only oversubscribe"
-            )
-            return [_execute(spec) for spec in jobs]
-        probe = _execute(jobs[0])
-        rest = jobs[1:]
-        if probe.wall_seconds * len(rest) < FORK_OVERHEAD_S * workers:
-            self.last_mode = "serial-fallback"
-            self.last_mode_reason = (
-                f"probe extrapolation {probe.wall_seconds:.3f}s x {len(rest)} "
-                f"jobs < fork overhead {FORK_OVERHEAD_S}s x {workers} workers"
-            )
-            return [probe] + [_execute(spec) for spec in rest]
-        self.last_mode = "processes"
-        self.last_mode_reason = (
-            f"probe extrapolation {probe.wall_seconds:.3f}s x {len(rest)} "
-            f"jobs clears fork overhead {FORK_OVERHEAD_S}s x {workers} workers"
-        )
-        return [probe] + self._run_pool(rest, min(workers, len(rest)))
+        return [_execute(spec) for spec in jobs]
 
     def _run_pool(self, jobs: List[JobSpec], workers: int) -> List[JobResult]:
         keys = topology_keys_of(jobs)

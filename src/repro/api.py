@@ -23,11 +23,12 @@ Grouped exports:
 * **workload protocol** — :class:`Workload`, :class:`WalkWorkload`,
   :class:`ScriptedWorkload`, :func:`materialize`, :func:`drive`;
 * **service** — :class:`LoadGenerator`, :class:`TrackingService`,
-  :class:`ServiceRunResult`, :func:`service_metrics`,
-  :func:`latency_percentiles`;
+  :func:`service_metrics`, :func:`latency_percentiles`;
 * **engines** — :class:`Simulator` (plain event loop),
-  :class:`ShardedSimulator` plus the :func:`run_reference_walk` /
-  :func:`run_sharded_walk` one-call runners;
+  :class:`ShardedSimulator`, the :func:`run_reference_walk` /
+  :func:`run_sharded_walk` one-call runners, and :class:`RunRecord` —
+  the one record every scripted run returns, on either engine, from the
+  runners and from :class:`TrackingService` alike;
 * **checkpoint / replay** — :func:`snapshot_scenario`, :func:`save`,
   :func:`load`, :func:`restore_scenario`, :func:`bisect_divergence`,
   :class:`Variant`;
@@ -110,13 +111,13 @@ from .mobility.gen import preset_names as mobility_presets
 from .scenario import Scenario, ScenarioConfig, build
 from .service import (
     LoadGenerator,
-    ServiceRunResult,
     TrackingService,
     latency_percentiles,
     service_metrics,
 )
 from .sim.engine import Simulator
 from .sim.sharded import (
+    RunRecord,
     ShardedSimulator,
     run_reference_walk,
     run_sharded_walk,
@@ -143,11 +144,11 @@ __all__ = [
     "materialize",
     # service
     "LoadGenerator",
-    "ServiceRunResult",
     "TrackingService",
     "latency_percentiles",
     "service_metrics",
     # engines
+    "RunRecord",
     "ShardedSimulator",
     "Simulator",
     "run_reference_walk",

@@ -44,13 +44,6 @@ from ...geometry.regions import RegionId
 class PredictiveTracker(Tracker):
     """Tracker that honours fresh prewarms by zeroing the grow delay."""
 
-    #: Class-level fallbacks so pickles from before these fields existed
-    #: unpickle into working (prewarm-less) trackers.
-    _prewarmed: Optional[Dict[int, float]] = None
-    preconfig_received = 0
-    preconfig_correct = 0
-    preconfig_wasted = 0
-
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         # object_id -> expiry time of the latest unresolved prewarm.
@@ -62,8 +55,6 @@ class PredictiveTracker(Tracker):
     def _recv_prewarm(self, message: Prewarm, lane) -> None:
         oid = message.object_id
         prewarmed = self._prewarmed
-        if prewarmed is None:
-            prewarmed = self._prewarmed = {}
         if oid in prewarmed:
             # The older speculation was never consumed: wasted.
             self.preconfig_wasted += 1
@@ -111,11 +102,6 @@ class PredictiveVineStalk(VineStalk):
     prewarm_ttl = 60.0
     #: Trace-history window per object for the forecaster.
     history_window = 4
-    #: Class-level fallbacks (pre-field pickles).
-    rate_policy = None
-    preconfig_sent = 0
-    preconfig_suppressed = 0
-    _history: Optional[Dict[int, List[RegionId]]] = None
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -155,10 +141,7 @@ class PredictiveVineStalk(VineStalk):
         super()._evader_event(event, region, object_id)
         if event != "move":
             return
-        history = self._history
-        if history is None:
-            history = self._history = {}
-        trail = history.setdefault(object_id, [])
+        trail = self._history.setdefault(object_id, [])
         trail.append(region)
         if len(trail) > self.history_window:
             del trail[0]

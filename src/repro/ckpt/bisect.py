@@ -1,11 +1,11 @@
 """Divergence bisection: localize where two "identical" runs split.
 
-A golden mismatch ("cache-on differs from cache-off", "obs-on differs
-from obs-off", "these two seeds should match") historically meant
-staring at full traces.  :func:`bisect_divergence` turns it into one
-call: it replays the canonical tracked walk under two :class:`Variant`
-environments in interleaved windows, folding a rolling per-event
-fingerprint on each side and checkpointing at every window boundary.
+A golden mismatch ("obs-on differs from obs-off", "these two seeds
+should match") historically meant staring at full traces.
+:func:`bisect_divergence` turns it into one call: it replays the
+canonical tracked walk under two :class:`Variant` environments in
+interleaved windows, folding a rolling per-event fingerprint on each
+side and checkpointing at every window boundary.
 When a window's fingerprints disagree, the first diverging event inside
 it is binary-searched from the recorded fingerprints, both sides are
 **restored from the last agreeing checkpoint** and stepped to the exact
@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..faults.plan import CHANNEL_BOTH, FaultPlan, MessageLoss
 from ..scenario import Scenario, ScenarioConfig
-from ..topo import cache_enabled, set_cache_enabled
 from .snapshot import Snapshot, restore_scenario, snapshot_scenario
 from .workload import build_tracked_walk, walk_horizon
 
@@ -39,21 +38,19 @@ class Variant:
     """One side of a bisection: config/environment deltas to apply.
 
     Attributes:
-        cache: Force the topology cache on/off (None = leave as is).
         obs: Run with observability enabled.
         seed: Override the scenario seed.
         loss: Add a ``MessageLoss`` fault plan at this rate (both
             channels, unbounded horizon).
     """
 
-    cache: Optional[bool] = None
     obs: bool = False
     seed: Optional[int] = None
     loss: Optional[float] = None
 
     @classmethod
     def parse(cls, spec: str) -> "Variant":
-        """Parse ``"cache:off,obs:on,seed:6,loss:0.3"`` (order-free).
+        """Parse ``"obs:on,seed:6,loss:0.3"`` (order-free).
 
         An empty spec (or ``"base"``) is the unmodified baseline.
         """
@@ -64,9 +61,9 @@ class Variant:
                 key, sep, value = token.strip().partition(":")
                 if not sep:
                     raise ValueError(f"variant token {token!r} is not key:value")
-                if key in ("cache", "obs"):
+                if key == "obs":
                     if value not in ("on", "off"):
-                        raise ValueError(f"{key} must be on/off, got {value!r}")
+                        raise ValueError(f"obs must be on/off, got {value!r}")
                     kwargs[key] = value == "on"
                 elif key == "seed":
                     kwargs[key] = int(value)
@@ -75,7 +72,7 @@ class Variant:
                 else:
                     raise ValueError(
                         f"unknown variant key {key!r} "
-                        "(expected cache/obs/seed/loss)"
+                        "(expected obs/seed/loss)"
                     )
         return cls(**kwargs)
 
@@ -93,8 +90,6 @@ class Variant:
 
     def describe(self) -> str:
         parts = []
-        if self.cache is not None:
-            parts.append(f"cache:{'on' if self.cache else 'off'}")
         if self.obs:
             parts.append("obs:on")
         if self.seed is not None:
@@ -107,8 +102,8 @@ class Variant:
 class _Env:
     """Per-side global toggles, activated only while that side steps.
 
-    The cache flag and the obs gate are process globals, so interleaved
-    windows swap them in and out around each side's turn.
+    The obs gate is a process global, so interleaved windows swap it in
+    and out around each side's turn.
     """
 
     def __init__(self, variant: Variant) -> None:
@@ -119,14 +114,7 @@ class _Env:
     def __enter__(self) -> "_Env":
         from ..obs._state import OBS
 
-        self._saved = (
-            cache_enabled(),
-            OBS.spans_enabled,
-            OBS.events_enabled,
-            OBS.collector,
-        )
-        if self.variant.cache is not None:
-            set_cache_enabled(self.variant.cache)
+        self._saved = (OBS.spans_enabled, OBS.events_enabled, OBS.collector)
         if self.variant.obs:
             if self._collector is None:
                 from ..obs.collector import ObsCollector
@@ -144,8 +132,7 @@ class _Env:
     def __exit__(self, *exc) -> None:
         from ..obs._state import OBS
 
-        cache_on, spans, events, collector = self._saved
-        set_cache_enabled(cache_on)
+        spans, events, collector = self._saved
         OBS.spans_enabled = spans
         OBS.events_enabled = events
         OBS.collector = collector

@@ -173,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="locate the first diverging event between two run variants",
     )
     bisect.add_argument("--a", default="base", dest="variant_a",
-                        help='variant A, e.g. "base" or "cache:off,loss:0.3"')
+                        help='variant A, e.g. "base" or "seed:8,loss:0.3"')
     bisect.add_argument("--b", default="base", dest="variant_b",
                         help='variant B, e.g. "seed:8" or "obs:on"')
     bisect.add_argument("--moves", type=int, default=5)
@@ -788,10 +788,10 @@ def _selection(what: str, raw: str, default, known) -> tuple:
     return names
 
 
-def _usage_error(command: str, args, exc: ValueError) -> int:
-    """Report a rejected selection (error envelope under ``--json``); exit 2."""
+def _usage_error(args, exc: Exception) -> int:
+    """Report rejected input (error envelope under ``--json``); exit 2."""
     if args.json:
-        _emit(command, {"error": str(exc)})
+        _emit(args.command, {"error": str(exc)})
     else:
         print(exc, file=sys.stderr)
     return 2
@@ -808,10 +808,7 @@ def cmd_mobility(args) -> int:
             for name in known:
                 print(name)
         return 0
-    try:
-        regimes = _selection("regimes", args.regimes, known, known)
-    except ValueError as exc:
-        return _usage_error("mobility", args, exc)
+    regimes = _selection("regimes", args.regimes, known, known)
     rows = []
     for name in regimes:
         result = run_mobility_regime(
@@ -906,11 +903,8 @@ def cmd_baselines(args) -> int:
     from .analysis.crossbase import ALL_TRACKERS, PRESETS, run_cross_baselines
     from .mobility.gen import preset_names
 
-    try:
-        trackers = _selection("trackers", args.trackers, ALL_TRACKERS, ALL_TRACKERS)
-        presets = _selection("presets", args.presets, PRESETS, preset_names())
-    except ValueError as exc:
-        return _usage_error("baselines", args, exc)
+    trackers = _selection("trackers", args.trackers, ALL_TRACKERS, ALL_TRACKERS)
+    presets = _selection("presets", args.presets, PRESETS, preset_names())
     payload = run_cross_baselines(
         trackers=trackers,
         presets=presets,
@@ -957,7 +951,18 @@ def cmd_baselines(args) -> int:
     return 0 if payload["all_classic_match"] else 1
 
 
+def _rejected_input() -> tuple:
+    """The exception types that mean "rejected input", not "bug"."""
+    # repro.ckpt needs cloudpickle: only the commands that can raise its
+    # typed refusals import it, so look it up instead of importing it.
+    ckpt = sys.modules.get(f"{__package__}.ckpt")
+    if ckpt is None:
+        return (ValueError, OSError)
+    return (ValueError, OSError, ckpt.CkptFormatError, ckpt.CkptCompatError)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand; rejected input exits 2 through one error path."""
     args = _build_parser().parse_args(argv)
     handlers = {
         "demo": cmd_demo,
@@ -973,7 +978,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "mobility": cmd_mobility,
         "baselines": cmd_baselines,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _rejected_input() as exc:  # evaluated when something is raised
+        return _usage_error(args, exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

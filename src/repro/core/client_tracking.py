@@ -22,7 +22,7 @@ client whose region currently hosts *that* object.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import Callable, List, Optional
 
 from ..geometry.regions import RegionId
 from ..hierarchy.hierarchy import ClusterHierarchy
@@ -35,10 +35,6 @@ FoundObserver = Callable[[int, RegionId, int], None]
 
 class TrackingClient(Client):
     """Client automaton running the VINESTALK client algorithm."""
-
-    #: Class-level fallback so clients pickled before the multi-object
-    #: service existed unpickle into working single-object clients.
-    _objects_here: Optional[Set[int]] = None
 
     def __init__(self, node_id: int, hierarchy: ClusterHierarchy, cgcast) -> None:
         super().__init__(node_id, hierarchy, cgcast)
@@ -78,9 +74,6 @@ class TrackingClient(Client):
             self.evader_here = present
             return
         objects = self._objects_here
-        if objects is None:
-            objects = set()
-            self._objects_here = objects
         if present:
             objects.add(object_id)
         else:

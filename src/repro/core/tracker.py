@@ -193,14 +193,6 @@ class Tracker(TimedAutomaton):
     #: Lane-0 object id; also makes ``self`` usable wherever an
     #: :class:`ObjectLane` is expected.
     object_id = 0
-    #: Class-level fallbacks so trackers pickled before multi-object
-    #: lanes existed unpickle into working single-lane trackers
-    #: (``__setstate__`` rebuilds the lane bookkeeping either way).
-    _lanes: Optional[Dict[int, ObjectLane]] = None
-    _lane_wheel: Optional[Timer] = None
-    _dirty = None
-    _deadline_heap = None
-    _timeout_pending = None
 
     def __init__(
         self,

@@ -52,17 +52,13 @@ class VineStalk:
     tracker_cls = Tracker
     #: C-gcast implementation; the emulated system may use PhysicalCGcast.
     cgcast_cls = None
-    #: Class-level fallback so checkpoints pickled before the sharding
-    #: hooks existed unpickle into a working (unhooked) deployment.
-    client_filter = None
-    #: Class-level fallback so checkpoints pickled before the
-    #: multi-object service existed unpickle into single-object systems
-    #: (``self.evader`` keeps working; ``objects`` is rebuilt lazily).
-    objects = None
     #: Optional :class:`~repro.energy.EnergyLedger` (set by ``build``
-    #: when the config carries an energy model).  Class-level fallback
-    #: keeps pre-energy checkpoints unpickling into unmetered systems.
+    #: when the config carries an energy model).
     energy_ledger = None
+    #: Whether the event queue drains once the drive is over.  Runs "to
+    #: quiescence" (:func:`repro.sim.sharded.core.run_script`) refuse a
+    #: system whose timers re-arm forever.
+    quiesces = True
 
     def __init__(
         self,
@@ -183,9 +179,6 @@ class VineStalk:
     def attach_object(self, object_id: int, evader: Evader) -> None:
         """Attach one tracked object to lane ``object_id``."""
         objects = self.objects
-        if objects is None:
-            objects = {}
-            self.objects = objects
         if object_id in objects or (object_id == 0 and self.evader is not None):
             raise RuntimeError(
                 f"an evader is already attached for object {object_id}"

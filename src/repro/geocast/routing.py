@@ -11,13 +11,12 @@ physically for the emulated layer and for layer benchmarks.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Dict, List
 
 from ..geometry.regions import RegionId
 from ..geometry.tiling import Tiling
 from ..sim.engine import Simulator
-from ..topo import cache_enabled, topology_cache
+from ..topo import topology_cache
 
 
 class GeocastRouter:
@@ -38,10 +37,7 @@ class GeocastRouter:
     source, layered by the frozen down-set) instead of per-call BFS.
     Down-set changes bump :attr:`down_epoch` and switch the table layer;
     shrinking back to a previously seen down-set (e.g. a blackout
-    lifting) reuses the earlier layer with no rebuild.  With the
-    topology cache bypassed (``REPRO_TOPO_CACHE=0``), the legacy
-    per-call BFS path below is used instead — both produce
-    byte-identical routes.
+    lifting) reuses the earlier layer with no rebuild.
     """
 
     def __init__(self, sim: Simulator, tiling: Tiling, delta: float) -> None:
@@ -51,7 +47,6 @@ class GeocastRouter:
         self.tiling = tiling
         self.delta = delta
         self._receivers: Dict[RegionId, Callable[[Any, RegionId], None]] = {}
-        self._route_cache: Dict[tuple, List[RegionId]] = {}
         self._down: set = set()
         self._down_key: frozenset = frozenset()
         self.down_epoch = 0
@@ -65,13 +60,13 @@ class GeocastRouter:
     def set_region_down(self, region: RegionId, down: bool = True) -> None:
         """Mark a region as unable to forward (its VSA is failed).
 
-        Any change to the down-set bumps the epoch and invalidates the
-        legacy route cache: the underlying geocast is self-stabilizing,
-        so fresh sends must not keep following a cached shortest path
-        through a failed region (nor keep detouring around a recovered
-        one).  The precomputed route table needs no invalidation — its
-        layers are keyed by the frozen down-set, so the epoch bump just
-        selects a different (possibly already computed) layer.
+        Any change to the down-set bumps the epoch: the underlying
+        geocast is self-stabilizing, so fresh sends must not keep
+        following a shortest path through a failed region (nor keep
+        detouring around a recovered one).  The precomputed route table
+        needs no invalidation — its layers are keyed by the frozen
+        down-set, so the epoch bump just selects a different (possibly
+        already computed) layer.
         """
         changed = (region not in self._down) if down else (region in self._down)
         if down:
@@ -81,7 +76,6 @@ class GeocastRouter:
         if changed:
             self.down_epoch += 1
             self._down_key = frozenset(self._down)
-            self._route_cache.clear()
 
     def route(self, src: RegionId, dest: RegionId) -> List[RegionId]:
         """Shortest live path from ``src`` to ``dest`` (inclusive of both).
@@ -92,40 +86,7 @@ class GeocastRouter:
         the message is dropped at the failed hop — matching the physical
         behavior of forwarding into a dead region.
         """
-        if cache_enabled():
-            return topology_cache().routes(self.tiling).path(
-                src, dest, self._down_key
-            )
-        key = (src, dest)
-        if key not in self._route_cache:
-            try:
-                path = self._bfs_path(src, dest, avoid=self._down)
-            except ValueError:
-                path = self._bfs_path(src, dest)
-            self._route_cache[key] = path
-        return list(self._route_cache[key])
-
-    def _bfs_path(
-        self, src: RegionId, dest: RegionId, avoid: frozenset = frozenset()
-    ) -> List[RegionId]:
-        if src in avoid or dest in avoid:
-            raise ValueError(f"endpoint down: no live route {src!r} -> {dest!r}")
-        if src == dest:
-            return [src]
-        parent: Dict[RegionId, RegionId] = {src: src}
-        frontier = deque([src])
-        while frontier:
-            cur = frontier.popleft()
-            for nxt in self.tiling.neighbors(cur):
-                if nxt not in parent and nxt not in avoid:
-                    parent[nxt] = cur
-                    if nxt == dest:
-                        path = [dest]
-                        while path[-1] != src:
-                            path.append(parent[path[-1]])
-                        return list(reversed(path))
-                    frontier.append(nxt)
-        raise ValueError(f"no route from {src!r} to {dest!r}")
+        return topology_cache().routes(self.tiling).path(src, dest, self._down_key)
 
     def send(self, src: RegionId, dest: RegionId, message: Any) -> None:
         """Forward ``message`` from ``src`` to ``dest`` hop by hop."""

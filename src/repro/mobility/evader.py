@@ -41,9 +41,6 @@ class Evader:
     periodic relocations, or drive single steps with :meth:`step`.
     """
 
-    #: Class-level fallback for evaders pickled before multi-object.
-    object_id = 0
-
     def __init__(
         self,
         sim: Simulator,

@@ -14,9 +14,8 @@ when asked, and report trace statistics alongside the §VI verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, Optional, Union
 
 from .limits import SpeedLimits, check_trace, touched_level
 from .presets import preset, preset_names
@@ -93,7 +92,11 @@ class GeneratedWalk:
 
 @dataclass(frozen=True)
 class MobilityRegimeResult:
-    """Picklable result of one regime run (E-series row)."""
+    """One regime's trace statistics around its plain-engine run (E-series row).
+
+    What the engine measured (events, work, finds, fingerprints) is read
+    through to ``run``, the :class:`~repro.sim.sharded.core.RunRecord`.
+    """
 
     regime: str
     r: int
@@ -102,25 +105,20 @@ class MobilityRegimeResult:
     n_objects: int
     n_moves: int
     steps_scripted: int
-    finds_issued: int
-    finds_completed: int
-    events: int
-    messages_sent: int
-    moves_observed: int
-    move_work: float
-    find_work: float
-    now: float
-    wall_s: float
-    canonical_fingerprint: str
-    exact_fingerprint: str
     min_dwell: float
     mean_dwell: float
     speed_ok: bool
     speed_violation: Optional[str]
     touched_levels: Dict[int, int]
+    run: Any
     shards: int = 1
     sharded_fingerprint: Optional[str] = None
     fingerprint_match: Optional[bool] = None
+
+    def __getattr__(self, name: str) -> Any:
+        if name == "run" or name.startswith("__"):
+            raise AttributeError(name)  # unpickling probes before ``run`` is set
+        return getattr(self.run, name)
 
 
 def run_mobility_regime(
@@ -142,10 +140,8 @@ def run_mobility_regime(
     ``shards >= 1`` additionally runs the same frozen script on the
     K-sharded engine and records the cross-engine fingerprint verdict.
     """
-    from ...sim.sharded.context import ShardContext
-    from ...sim.sharded.core import ShardedSimulator, _tiling_for, canonical_fingerprint
-    from ...sim.sharded.plan import strip_plan
     from ...scenario import ScenarioConfig
+    from ...sim.sharded.core import run_script
     from ...topo.cache import shared_grid_hierarchy
     from ...workload import materialize
 
@@ -167,12 +163,7 @@ def run_mobility_regime(
     config = ScenarioConfig(
         r=r, max_level=max_level, delta=delta, e=e, seed=seed, shards=1
     )
-
-    wall0 = perf_counter()
-    context = ShardContext(config, strip_plan(_tiling_for(config), 1), 0, workload)
-    context.sim.run()
-    wall = perf_counter() - wall0
-    report = context.report()
+    run = run_script(config, workload, "plain")
 
     hierarchy = shared_grid_hierarchy(r, max_level)
     limits = SpeedLimits.for_hierarchy(hierarchy, delta=delta, e=e, mode=mode)
@@ -193,11 +184,10 @@ def run_mobility_regime(
     sharded_fp = None
     match = None
     if shards >= 1:
-        sharded = ShardedSimulator(
-            config.with_(shards=shards), workload, backend="serial"
-        ).run()
-        sharded_fp = sharded.canonical_fingerprint
-        match = sharded_fp == canonical_fingerprint(report["send_lines"])
+        sharded_fp = run_script(
+            config.with_(shards=shards), workload, "serial"
+        ).canonical_fingerprint
+        match = sharded_fp == run.canonical_fingerprint
 
     return MobilityRegimeResult(
         regime=name,
@@ -207,23 +197,13 @@ def run_mobility_regime(
         n_objects=len(traces),
         n_moves=n_moves,
         steps_scripted=sum(len(tr.steps) for tr in traces),
-        finds_issued=len(report["finds"]),
-        finds_completed=sum(1 for f in report["finds"].values() if f["completed"]),
-        events=report["events"],
-        messages_sent=report["messages_sent"],
-        moves_observed=report["moves_observed"],
-        move_work=report["move_work"],
-        find_work=report["find_work"],
-        now=report["now"],
-        wall_s=wall,
-        canonical_fingerprint=canonical_fingerprint(report["send_lines"]),
-        exact_fingerprint=f"{report['exact_crc']:08x}",
         min_dwell=min(dwells) if dwells else 0.0,
         mean_dwell=sum(dwells) / len(dwells) if dwells else 0.0,
         speed_ok=violation is None,
         speed_violation=violation,
         touched_levels=levels,
-        shards=max(shards, 1) if shards >= 1 else 1,
+        run=run,
+        shards=max(shards, 1),
         sharded_fingerprint=sharded_fp,
         fingerprint_match=match,
     )

@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, Optional, Union
 
 from .faults.plan import FaultPlan
 from .obs import span as obs_span
+from .topo import charge_setup, topology_cache
 
 #: Registry keys of the message-level (simulator-driven) systems.
 MESSAGE_SYSTEMS = (
@@ -360,25 +361,21 @@ def build(config: ScenarioConfig) -> Scenario:
     ``(r, max_level)`` builds the cluster hierarchy and tiling neighbor
     graph once per process and shares them across scenarios (hierarchies
     are immutable after construction, so sharing is trace-identical to
-    rebuilding).  ``REPRO_TOPO_CACHE=0`` restores a fresh build per
-    scenario.  Wall time spent in here is charged to the topo layer's
+    rebuilding).  Wall time spent in here is charged to the topo layer's
     setup accumulator, which the sweep runner reads to split per-job
     wall into setup vs run.
     """
-    from .topo import cache_enabled, charge_setup, topology_cache
-
     if config.resume_from is not None:
         return _build_resumed(config)
     with charge_setup():
         with obs_span("scenario.build", phase="build"):
-            return _build_timed(config, cache_enabled(), topology_cache())
+            return _build_timed(config)
 
 
 def _build_resumed(config: ScenarioConfig) -> Scenario:
     """The ``resume_from`` path: restore a checkpoint's continuation."""
     # Lazy: repro.ckpt imports this module.
     from .ckpt import CkptCompatError, Snapshot, load, restore_scenario
-    from .topo import charge_setup
 
     source = config.resume_from
     with charge_setup():
@@ -395,17 +392,10 @@ def _build_resumed(config: ScenarioConfig) -> Scenario:
             return restore_scenario(snapshot).scenario
 
 
-def _build_timed(
-    config: ScenarioConfig, cache_on: bool, topo_cache: Any
-) -> Scenario:
+def _build_timed(config: ScenarioConfig) -> Scenario:
     hierarchy = config.hierarchy
     if hierarchy is None:
-        if cache_on:
-            hierarchy = topo_cache.grid(config.r, config.max_level)
-        else:
-            from .hierarchy.grid import grid_hierarchy
-
-            hierarchy = grid_hierarchy(config.r, config.max_level)
+        hierarchy = topology_cache().grid(config.r, config.max_level)
 
     mobility_spec = None
     mobility_model = None

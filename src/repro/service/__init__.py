@@ -9,7 +9,7 @@ adds the service front-end on top:
   :class:`~repro.workload.Workload` protocol;
 * :class:`~repro.service.service.TrackingService` — admits a workload
   against either engine (``plain`` single-loop or ``sharded`` PDES) and
-  returns a :class:`~repro.service.service.ServiceRunResult` with
+  returns the run's :class:`~repro.sim.sharded.core.RunRecord` with
   per-find records, per-object handover counts and latency metrics.
 
 Its speed is measured by the ``service-m2k`` / ``armed-m1k`` /
@@ -18,12 +18,11 @@ Its speed is measured by the ``service-m2k`` / ``armed-m1k`` /
 
 from .load import ARRIVALS, LoadGenerator
 from .metrics import latency_percentiles, service_metrics
-from .service import ServiceRunResult, TrackingService
+from .service import TrackingService
 
 __all__ = [
     "ARRIVALS",
     "LoadGenerator",
-    "ServiceRunResult",
     "TrackingService",
     "latency_percentiles",
     "service_metrics",

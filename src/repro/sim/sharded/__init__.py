@@ -11,18 +11,14 @@ See DESIGN.md §8 for the barrier protocol and determinism argument.
 
 from .context import RemoteMessage, ShardContext, canonical_send_line
 from .core import (
+    RunRecord,
     ShardedRunError,
-    ShardedRunResult,
     ShardedSimulator,
     canonical_fingerprint,
+    run_script,
 )
 from .plan import ShardPlan, strip_plan
-from .runner import (
-    ShardedWalkResult,
-    run_reference_walk,
-    run_sharded_walk,
-    walk_fault_plan,
-)
+from .runner import run_reference_walk, run_sharded_walk, walk_fault_plan
 from .workload import (
     EvaderEnter,
     EvaderStep,
@@ -37,17 +33,17 @@ __all__ = [
     "EvaderStep",
     "IssueFind",
     "RemoteMessage",
+    "RunRecord",
     "ScriptedWorkload",
     "ShardContext",
     "ShardPlan",
     "ShardedRunError",
-    "ShardedRunResult",
     "ShardedSimulator",
-    "ShardedWalkResult",
     "canonical_fingerprint",
     "canonical_send_line",
     "make_walk_workload",
     "run_reference_walk",
+    "run_script",
     "run_sharded_walk",
     "schedule_workload",
     "strip_plan",

@@ -127,10 +127,14 @@ class ShardContext:
         self.owned = plan.owned_set(shard_id)
         self.scenario = build(config.with_(shards=1))
         self.system = self.scenario.system
+        if not getattr(self.system, "quiesces", True):
+            raise ValueError(
+                f"system {config.system!r} ({type(self.system).__name__}) "
+                "never quiesces, and a script runs until the queue drains"
+            )
         self.sim = self.system.sim
         self.outbox: List[RemoteMessage] = []
         self._seq = 0
-        self.windows = 0
         self.busy_s = 0.0
         self.send_lines: List[str] = []
         # Memoised pieces of the canonical send line (_observe_send):
@@ -264,7 +268,6 @@ class ShardContext:
         t0 = perf_counter()
         fired = self.sim.run_window(barrier)
         self.busy_s += perf_counter() - t0
-        self.windows += 1
         return fired
 
     def drain_outbox(self) -> List[RemoteMessage]:
@@ -299,10 +302,7 @@ class ShardContext:
         if summarize is not None:
             preconfig = summarize()
         return {
-            "shard_id": self.shard_id,
-            "owned_regions": len(self.owned),
             "events": self.sim.events_fired,
-            "windows": self.windows,
             "busy_s": self.busy_s,
             "now": self.sim.now,
             "messages_sent": self.system.cgcast.messages_sent,

@@ -32,15 +32,21 @@ reference semantics, and the honest fallback on 1-core boxes);
 window computation — the throughput path measured by the
 ``sharded-k2`` workload of ``benchmarks/perf`` against its serial twin
 ``service-m2k``.
+
+:func:`run_script` is the one place a script is run — on the plain loop
+or on either backend — and every path ends in the one :func:`_merge`
+and returns the one :class:`RunRecord`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional
 
+from ...energy.ledger import merge_energy
 from ...obs import span as obs_span
+from ...topo import topology_cache
 from .context import RemoteMessage, ShardContext, fold_crc
 from .plan import ShardPlan, strip_plan
 from .workload import ScriptedWorkload
@@ -53,16 +59,18 @@ class ShardedRunError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ShardedRunResult:
-    """Merged outcome of one sharded run (picklable).
+class RunRecord:
+    """What one run of a script did, on whichever engine (picklable).
 
     Work totals are exact sums over shards (each dispatch happens in
     exactly one shard); crash/blackout/GPS fault counters come from
     shard 0 (those event streams fire identically in every replica),
-    while message-perturbation counters are summed.
+    while message-perturbation counters are summed.  A plain run is the
+    one-shard case with no windows and hence no barrier wait.
     """
 
     shards: int
+    #: ``"plain"``, ``"serial"`` or ``"processes"``.
     backend: str
     windows: int
     events: int
@@ -72,26 +80,48 @@ class ShardedRunResult:
     find_work: float
     other_work: float
     moves_observed: int
-    finds_issued: int
-    finds_completed: int
     cross_shard_messages: int
     canonical_fingerprint: str
+    #: Dispatch-order CRC; only a single world has one order (K=1).
     exact_fingerprint: Optional[str]
+    #: Engine clock at quiescence: the last event's time on the plain
+    #: loop, the last barrier (up to δ later) on a windowed run.
     now: float
     wall_s: float
+    #: Host seconds the shards spent inside windows.
     busy_s: float
     barrier_wait_s: float
     fault_events: Optional[Dict[str, int]]
-    region_counts: tuple
     #: find_id -> merged per-find record (origin repr, object_id,
     #: issued_at, deadline, completed, latency, work, deadline_missed).
-    finds: Optional[Dict[int, dict]] = None
+    finds: Dict[int, dict]
     #: object_id -> cluster-originated Grow dispatches (handover count).
-    handovers: Optional[Dict[int, int]] = None
+    handovers: Dict[int, int]
     #: Merged ``energy/1`` ledger payload (None without an energy model).
-    energy: Optional[Dict[str, Any]] = None
+    energy: Optional[Dict[str, Any]]
     #: Merged pre-configuration counters (predictive systems only).
-    preconfig: Optional[Dict[str, int]] = None
+    preconfig: Optional[Dict[str, int]]
+    #: The :func:`~repro.service.metrics.service_metrics` block, attached
+    #: by :class:`~repro.service.service.TrackingService`.
+    metrics: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def finds_issued(self) -> int:
+        return len(self.finds)
+
+    @property
+    def finds_completed(self) -> int:
+        return sum(1 for f in self.finds.values() if f["completed"])
+
+    @property
+    def work(self) -> Dict[str, float]:
+        """Message work in the accountant's buckets."""
+        return {
+            "move": self.move_work,
+            "find": self.find_work,
+            "other": self.other_work,
+            "total": self.total_cost,
+        }
 
 
 def canonical_fingerprint(send_lines: List[str]) -> str:
@@ -134,7 +164,7 @@ class ShardedSimulator:
         self.backend = backend if self.plan.k > 1 else "serial"
         self.max_windows = max_windows
 
-    def run(self) -> ShardedRunResult:
+    def run(self) -> RunRecord:
         """Run the workload to quiescence and merge the shard reports."""
         k = self.plan.k
         delta = self.config.delta
@@ -170,7 +200,7 @@ class ShardedSimulator:
         finally:
             transport.close()
         wall = perf_counter() - wall0
-        return self._merge(reports, windows, cross, wall)
+        return _merge(reports, self.plan, self.backend, windows, cross, wall)
 
     # ------------------------------------------------------------------
     # Internals
@@ -181,100 +211,6 @@ class ShardedSimulator:
 
             return ProcessTransport(self.config, self.plan, self.workload)
         return SerialTransport(self.config, self.plan, self.workload)
-
-    def _merge(
-        self, reports: List[dict], windows: int, cross: int, wall: float
-    ) -> ShardedRunResult:
-        lines: List[str] = []
-        finds: Dict[int, dict] = {}
-        for report in reports:
-            lines.extend(report["send_lines"])
-            for find_id, info in report["finds"].items():
-                # Every shard carries a record (the `found` output fires
-                # at the evader's region, which any shard may own):
-                # completion/latency come from the shard that saw the
-                # output, per-find work sums over shards.
-                merged = finds.get(find_id)
-                if merged is None:
-                    finds[find_id] = dict(info)
-                else:
-                    merged["work"] += info["work"]
-                    if info["completed"]:
-                        # Clients in several regions (hence shards) may
-                        # respond; the service answer is the earliest
-                        # response anywhere — exactly what the plain
-                        # engine's first-response-wins rule records.
-                        if not merged["completed"]:
-                            merged["completed"] = True
-                            merged["latency"] = info["latency"]
-                        elif info["latency"] < merged["latency"]:
-                            merged["latency"] = info["latency"]
-        for info in finds.values():
-            deadline = info.get("deadline")
-            info["deadline_missed"] = deadline is not None and (
-                not info["completed"] or info["latency"] > deadline
-            )
-        handovers: Dict[int, int] = {}
-        for report in reports:
-            for oid, count in report.get("handovers", {}).items():
-                handovers[oid] = handovers.get(oid, 0) + count
-        from ...energy.ledger import merge_energy
-
-        energy = merge_energy(r.get("energy") for r in reports)
-        preconfig: Optional[Dict[str, int]] = None
-        for report in reports:
-            partial = report.get("preconfig")
-            if partial is None:
-                continue
-            if preconfig is None:
-                preconfig = dict(partial)
-            else:
-                for key, value in partial.items():
-                    preconfig[key] = preconfig.get(key, 0) + value
-        fault_events = None
-        if reports[0]["fault_stats"] is not None:
-            fault_events = dict(reports[0]["fault_stats"])
-            for key in (
-                "messages_dropped", "messages_duplicated", "messages_delayed"
-            ):
-                fault_events[key] = sum(
-                    r["fault_stats"][key] for r in reports
-                )
-        busy = [r["busy_s"] for r in reports]
-        total_busy = sum(busy)
-        # Serial: everything outside shard windows is driver overhead.
-        # Processes: windows overlap, so the wait is wall minus the
-        # critical path (the busiest worker) — an honest lower bound.
-        overlap = max(busy, default=0.0) if self.backend == "processes" else total_busy
-        return ShardedRunResult(
-            shards=self.plan.k,
-            backend=self.backend,
-            windows=windows,
-            events=sum(r["events"] for r in reports),
-            messages_sent=sum(r["messages_sent"] for r in reports),
-            total_cost=sum(r["total_cost"] for r in reports),
-            move_work=sum(r["move_work"] for r in reports),
-            find_work=sum(r["find_work"] for r in reports),
-            other_work=sum(r["other_work"] for r in reports),
-            moves_observed=max(r["moves_observed"] for r in reports),
-            finds_issued=len(finds),
-            finds_completed=sum(1 for f in finds.values() if f["completed"]),
-            cross_shard_messages=cross,
-            canonical_fingerprint=canonical_fingerprint(lines),
-            exact_fingerprint=(
-                f"{reports[0]['exact_crc']:08x}" if self.plan.k == 1 else None
-            ),
-            now=max(r["now"] for r in reports),
-            wall_s=wall,
-            busy_s=total_busy,
-            barrier_wait_s=max(0.0, wall - overlap),
-            fault_events=fault_events,
-            region_counts=tuple(self.plan.counts()),
-            finds=finds,
-            handovers=handovers,
-            energy=energy,
-            preconfig=preconfig,
-        )
 
 
 class SerialTransport:
@@ -311,10 +247,122 @@ def _tiling_for(config) -> Any:
     """The region tiling ``config`` describes, without building a world."""
     if config.hierarchy is not None:
         return config.hierarchy.tiling
-    from ...topo import cache_enabled, topology_cache
+    return topology_cache().grid(config.r, config.max_level).tiling
 
-    if cache_enabled():
-        return topology_cache().grid(config.r, config.max_level).tiling
-    from ...hierarchy.grid import grid_hierarchy
 
-    return grid_hierarchy(config.r, config.max_level).tiling
+def _merge(
+    reports: List[dict],
+    plan: ShardPlan,
+    backend: str,
+    windows: int,
+    cross: int,
+    wall: float,
+) -> RunRecord:
+    """Fold the per-shard reports of one run into its :class:`RunRecord`."""
+    lines: List[str] = []
+    finds: Dict[int, dict] = {}
+    for report in reports:
+        # Popped: the trace is the run's largest object, held once here.
+        lines.extend(report.pop("send_lines"))
+        for find_id, info in report["finds"].items():
+            # Every shard carries a record (the `found` output fires
+            # at the evader's region, which any shard may own):
+            # completion/latency come from the shard that saw the
+            # output, per-find work sums over shards.
+            merged = finds.get(find_id)
+            if merged is None:
+                finds[find_id] = dict(info)
+            else:
+                merged["work"] += info["work"]
+                if info["completed"]:
+                    # Clients in several regions (hence shards) may
+                    # respond; the service answer is the earliest
+                    # response anywhere — exactly what the plain
+                    # engine's first-response-wins rule records.
+                    if not merged["completed"]:
+                        merged["completed"] = True
+                        merged["latency"] = info["latency"]
+                    elif info["latency"] < merged["latency"]:
+                        merged["latency"] = info["latency"]
+    for info in finds.values():
+        deadline = info.get("deadline")
+        info["deadline_missed"] = deadline is not None and (
+            not info["completed"] or info["latency"] > deadline
+        )
+    handovers: Dict[int, int] = {}
+    for report in reports:
+        for oid, count in report["handovers"].items():
+            handovers[oid] = handovers.get(oid, 0) + count
+    energy = merge_energy(r["energy"] for r in reports)
+    preconfig: Optional[Dict[str, int]] = None
+    for report in reports:
+        partial = report["preconfig"]
+        if partial is None:
+            continue
+        if preconfig is None:
+            preconfig = dict(partial)
+        else:
+            for key, value in partial.items():
+                preconfig[key] = preconfig.get(key, 0) + value
+    fault_events = None
+    if reports[0]["fault_stats"] is not None:
+        fault_events = dict(reports[0]["fault_stats"])
+        for key in (
+            "messages_dropped", "messages_duplicated", "messages_delayed"
+        ):
+            fault_events[key] = sum(
+                r["fault_stats"][key] for r in reports
+            )
+    busy = [r["busy_s"] for r in reports]
+    total_busy = sum(busy)
+    # Serial: everything outside shard windows is driver overhead.
+    # Processes: windows overlap, so the wait is wall minus the
+    # critical path (the busiest worker) — an honest lower bound.
+    overlap = max(busy, default=0.0) if backend == "processes" else total_busy
+    return RunRecord(
+        shards=plan.k,
+        backend=backend,
+        windows=windows,
+        events=sum(r["events"] for r in reports),
+        messages_sent=sum(r["messages_sent"] for r in reports),
+        total_cost=sum(r["total_cost"] for r in reports),
+        move_work=sum(r["move_work"] for r in reports),
+        find_work=sum(r["find_work"] for r in reports),
+        other_work=sum(r["other_work"] for r in reports),
+        moves_observed=max(r["moves_observed"] for r in reports),
+        cross_shard_messages=cross,
+        canonical_fingerprint=canonical_fingerprint(lines),
+        exact_fingerprint=(
+            f"{reports[0]['exact_crc']:08x}" if plan.k == 1 else None
+        ),
+        now=max(r["now"] for r in reports),
+        wall_s=wall,
+        busy_s=total_busy,
+        # No windows, no barriers to wait at (the plain loop).
+        barrier_wait_s=max(0.0, wall - overlap) if windows else 0.0,
+        fault_events=fault_events,
+        finds=finds,
+        handovers=handovers,
+        energy=energy,
+        preconfig=preconfig,
+    )
+
+
+def run_script(config, workload: ScriptedWorkload, backend: str = "plain") -> RunRecord:
+    """Run ``workload`` to quiescence: the one place a script is run.
+
+    ``backend`` is ``"plain"`` — the single event loop, whatever
+    ``config.shards`` says — or one of :data:`BACKENDS` at
+    ``config.shards`` shards.
+    """
+    if backend != "plain":
+        return ShardedSimulator(config, workload, backend).run()
+    config = config.with_(shards=1)
+    plan = strip_plan(_tiling_for(config), 1)
+    wall0 = perf_counter()
+    # A K=1 context installs no hooks; driving it with a plain
+    # ``sim.run()`` is exactly the pre-sharding engine path.
+    context = ShardContext(config, plan, 0, workload)
+    context.sim.run()
+    reports = [context.report()]
+    return _merge(reports, plan, "plain", 0, 0, perf_counter() - wall0)

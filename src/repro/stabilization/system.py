@@ -22,6 +22,9 @@ from .stabilizing_tracker import StabilizationConfig, StabilizingTracker
 class StabilizingVineStalk(VineStalk):
     """VINESTALK whose trackers self-stabilize through heartbeats."""
 
+    #: Heartbeat timers re-arm forever: the queue never drains.
+    quiesces = False
+
     def __init__(
         self,
         hierarchy: ClusterHierarchy,

@@ -31,10 +31,6 @@ class Timer:
     ``Tracker._rearm_wheel``).
     """
 
-    #: Class-level fallback so timers pickled before the priority knob
-    #: existed unpickle into default-ordered timers.
-    _priority = 0
-
     def __init__(self, owner: TimedAutomaton, tag: str, priority: int = 0) -> None:
         self._owner = owner
         self._tag = tag

@@ -14,29 +14,26 @@ result:
 * :class:`~repro.topo.routes.RouteTable` — per-source BFS parent trees
   over a tiling, keyed by the frozen down-set, giving shortest paths,
   distances and next hops without per-call BFS.  Paths are byte-for-byte
-  the ones the legacy per-call BFS produced.
+  the ones a per-call BFS produces (the reference BFS under
+  ``tests/geocast/`` is the oracle).
 * :class:`~repro.topo.distances.DistanceTable` — all-pairs region
   distances as flat dense-indexed rows with derived distance
   partitions, one shared table per tiling (the find hot path queries
   these instead of per-call BFS/scan).
 * :class:`~repro.topo.cache.TopologyCache` — the per-process cache:
   memoized hierarchy construction, one shared :class:`RouteTable` per
-  tiling, and regions-at-distance partitions.  ``REPRO_TOPO_CACHE=0``
-  (or :func:`~repro.topo.cache.bypass`) disables it, restoring the
-  legacy build-everything-fresh behavior for A/B golden comparisons.
+  tiling, and regions-at-distance partitions.
 
 The cache changes *when* topology quantities are computed, never *what*
-they are — goldens with the cache on are bit-identical to the bypass.
+they are — goldens through the cache are bit-identical to the same runs
+on a freshly built ``ScenarioConfig(hierarchy=...)`` world.
 """
 
 from .cache import (
     TopologyCache,
     add_setup_seconds,
-    bypass,
-    cache_enabled,
     charge_setup,
     reset_topology_cache,
-    set_cache_enabled,
     setup_seconds_total,
     shared_grid_hierarchy,
     shared_strip_hierarchy,
@@ -52,14 +49,11 @@ __all__ = [
     "TopologyCache",
     "TopologyKey",
     "add_setup_seconds",
-    "bypass",
-    "cache_enabled",
     "charge_setup",
     "distance_table",
     "grid_key",
     "key_for_config",
     "reset_topology_cache",
-    "set_cache_enabled",
     "setup_seconds_total",
     "shared_grid_hierarchy",
     "shared_strip_hierarchy",

@@ -20,10 +20,10 @@ job used to redo from scratch:
 a sweep's distinct topology keys — the pool-worker initializer calls it
 so forked/spawned workers start hot.
 
-Switches: the cache is enabled unless ``REPRO_TOPO_CACHE=0`` is set in
-the environment when the process starts; :func:`set_cache_enabled` and
-the :func:`bypass` context manager flip it at runtime (the golden A/B
-tests compare a bypassed run against a cached one).
+The cache changes *when* topology work happens, never *what* a run
+computes: the golden A/B tests compare a cached run against the same
+run on an explicit ``ScenarioConfig(hierarchy=grid_hierarchy(...))`` —
+a world the cache never saw.
 
 This module also hosts the setup-wall accumulator
 (:func:`add_setup_seconds` / :func:`setup_seconds_total`):
@@ -34,7 +34,6 @@ setup vs run.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -42,34 +41,6 @@ from typing import Any, Dict, Iterable, List
 
 from .keys import TopologyKey
 from .routes import RouteTable
-
-# ----------------------------------------------------------------------
-# Enabled flag
-# ----------------------------------------------------------------------
-_ENABLED = os.environ.get("REPRO_TOPO_CACHE", "").strip() != "0"
-
-
-def cache_enabled() -> bool:
-    """Whether topology caching is currently on in this process."""
-    return _ENABLED
-
-
-def set_cache_enabled(enabled: bool) -> None:
-    """Turn the cache on/off (affects subsequent builds, not past ones)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-@contextmanager
-def bypass():
-    """Context manager: run with the cache disabled (legacy behavior)."""
-    previous = _ENABLED
-    set_cache_enabled(False)
-    try:
-        yield
-    finally:
-        set_cache_enabled(previous)
-
 
 # ----------------------------------------------------------------------
 # Setup-wall accounting
@@ -233,21 +204,13 @@ def _build_hierarchy(key: TopologyKey) -> Any:
 
 
 def shared_grid_hierarchy(r: int, max_level: int) -> Any:
-    """Grid hierarchy via the process cache when enabled, else fresh."""
-    if cache_enabled():
-        return topology_cache().grid(r, max_level)
-    from ..hierarchy.grid import grid_hierarchy
-
-    return grid_hierarchy(r, max_level)
+    """The process cache's (shared) grid hierarchy."""
+    return topology_cache().grid(r, max_level)
 
 
 def shared_strip_hierarchy(r: int, max_level: int) -> Any:
-    """Strip hierarchy via the process cache when enabled, else fresh."""
-    if cache_enabled():
-        return topology_cache().strip(r, max_level)
-    from ..hierarchy.strip import strip_hierarchy
-
-    return strip_hierarchy(r, max_level)
+    """The process cache's (shared) strip hierarchy."""
+    return topology_cache().strip(r, max_level)
 
 
 # ----------------------------------------------------------------------

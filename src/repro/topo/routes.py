@@ -9,10 +9,10 @@ when the down-set shrinks back.
 
 Determinism: BFS explores ``tiling.neighbors(cur)`` in the tilings'
 sorted order and records the first discoverer of each region as its
-parent.  Early termination (the legacy per-call BFS stopped at the
-destination) cannot change any parent assigned before the stop, so the
-path reconstructed from a full tree is byte-for-byte the path the
-legacy BFS returned — goldens are unaffected.
+parent.  Early termination (a per-call BFS stops at the destination)
+cannot change any parent assigned before the stop, so the path
+reconstructed from a full tree is byte-for-byte the path a per-call BFS
+returns — the reference BFS in ``tests/geocast/`` checks exactly that.
 """
 
 from __future__ import annotations

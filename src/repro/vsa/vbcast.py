@@ -35,10 +35,6 @@ ShardRouter = Callable[[RegionId, Any, Tuple[RegionId, ...], float], None]
 class VBcast:
     """Reliable single-hop broadcast between clients and VSAs."""
 
-    #: Class-level fallbacks so checkpoints pickled before the sharding
-    #: hooks existed unpickle into a working (unhooked) instance.
-    owned_filter: Optional[Callable[[RegionId], bool]] = None
-    shard_router: Optional[ShardRouter] = None
     #: Optional :class:`~repro.energy.EnergyLedger`: tx charged once per
     #: broadcast at the source, rx once per endpoint delivery (both
     #: happen in exactly one shard, so sums stay K-invariant).

@@ -1,10 +1,13 @@
-"""Golden A/B: topology cache on vs bypassed ⇒ identical executions.
+"""Golden A/B: cached world vs freshly built world ⇒ identical executions.
 
 The cache's contract is that it changes *when* topology work happens,
-never *what* any simulation computes.  Two end-to-end checks:
+never *what* any simulation computes.  The fresh side runs on
+``ScenarioConfig(hierarchy=grid_hierarchy(r, M))`` — a hierarchy, tiling,
+route table and distance table the cache never saw.  Two end-to-end
+checks:
 
-* the full E1 move-cost experiment returns an equal result object with
-  the cache enabled and with it bypassed;
+* the full E1 move-cost experiment returns an equal result object on
+  the cached world and on a fresh one;
 * a seeded tracked-walk workload (moves + a find, trace enabled)
   produces an identical event fingerprint — final sim time, events
   fired, the full trace-kind histogram, the evader position and every
@@ -16,9 +19,10 @@ import random
 import pytest
 
 from repro.analysis.experiments import run_move_walk
+from repro.hierarchy.grid import grid_hierarchy
 from repro.mobility import RandomNeighborWalk
 from repro.scenario import ScenarioConfig, build
-from repro.topo import bypass, cache_enabled, reset_topology_cache
+from repro.topo import reset_topology_cache, topology_cache
 
 
 @pytest.fixture(autouse=True)
@@ -28,9 +32,16 @@ def fresh_cache():
     reset_topology_cache()
 
 
-def run_workload():
+def fresh(config):
+    """``config`` on a world built here, outside the cache."""
+    return config.with_(hierarchy=grid_hierarchy(config.r, config.max_level))
+
+
+def run_workload(world=lambda config: config):
     """Seeded E1-style workload: 5 scheduled moves, one find, t=70."""
-    scenario = build(ScenarioConfig(r=2, max_level=2, seed=5, trace=True))
+    scenario = build(
+        world(ScenarioConfig(r=2, max_level=2, seed=5, trace=True))
+    )
     system = scenario.system
     regions = system.hierarchy.tiling.regions()
     center = regions[len(regions) // 2]
@@ -67,19 +78,23 @@ def fingerprint(scenario, evader):
     )
 
 
-def test_e1_move_walk_identical_with_and_without_cache():
-    assert cache_enabled()
+def test_e1_move_walk_identical_with_and_without_cache(monkeypatch):
     cached = run_move_walk(r=2, max_level=3, n_moves=40, seed=11)
-    with bypass():
-        legacy = run_move_walk(r=2, max_level=3, n_moves=40, seed=11)
-    assert cached == legacy
+    assert topology_cache().stats.hierarchy_misses == 1
+    # The same runner, its world swapped for a fresh one at build time.
+    monkeypatch.setattr(
+        "repro.analysis.experiments.build", lambda config: build(fresh(config))
+    )
+    uncached = run_move_walk(r=2, max_level=3, n_moves=40, seed=11)
+    assert topology_cache().stats.hierarchy_hits == 0
+    assert cached == uncached
 
 
 def test_workload_fingerprint_identical_with_and_without_cache():
     cached = fingerprint(*run_workload())
-    with bypass():
-        legacy = fingerprint(*run_workload())
-    assert cached == legacy
+    uncached = fingerprint(*run_workload(fresh))
+    assert topology_cache().stats.hierarchy_hits == 0
+    assert cached == uncached
 
 
 def test_repeated_cached_runs_share_state_but_not_results():

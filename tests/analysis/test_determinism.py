@@ -174,19 +174,6 @@ class TestSweepRunnerDeterminism:
         parallel = SweepRunner(workers=2, mode="parallel").run_values(jobs)
         assert parallel == serial
 
-    def test_env_zero_forces_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "0")
-        assert SweepRunner().workers == 1
-        monkeypatch.setenv("REPRO_PARALLEL", "3")
-        assert SweepRunner().workers == 3
-        monkeypatch.setenv("REPRO_PARALLEL", "")
-        assert SweepRunner().workers == 1
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "many")
-        with pytest.raises(ValueError):
-            SweepRunner()
-
     def test_unknown_runner_fails_before_forking(self):
         with pytest.raises(KeyError):
             SweepRunner(workers=2).run([job("no_such_runner")])

@@ -175,6 +175,14 @@ class TestJsonEnvelope:
             (["baselines", "--trackers", ""], "empty --trackers"),
             (["baselines", "--presets", ""], "empty --presets"),
             (["mobility", "--regimes", ""], "empty --regimes"),
+            # Rejected deeper down (config, topology key, ckpt loader,
+            # variant parser): the same single error path in main().
+            (["sharded", "--shards", "0"], "shards must be >= 1"),
+            (["chaos", "--system", "bogus"], "unknown system 'bogus'"),
+            (["service", "--objects", "0"], "n_objects must be >= 1"),
+            (["find", "--r", "1"], "r must be >= 2"),
+            (["resume", "/nonexistent.ckpt"], "/nonexistent.ckpt"),
+            (["bisect", "--a", "obs:maybe"], "obs must be on/off"),
         ],
     )
     def test_bad_selection_rejected(self, capsys, argv, needle):
@@ -183,8 +191,17 @@ class TestJsonEnvelope:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert needle in captured.err and not captured.out
+        assert "Traceback" not in captured.err
         assert main([*argv, "--json"]) == 2
         assert needle in self.unwrap(capsys, argv[0])["error"]
+
+    def test_corrupt_checkpoint_rejected(self, capsys, tmp_path):
+        # The ckpt loader's typed refusal takes the same path (its types
+        # are looked up lazily: repro.ckpt needs cloudpickle).
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"garbage")
+        assert main(["resume", str(path), "--json"]) == 2
+        assert "bad magic" in self.unwrap(capsys, "resume")["error"]
 
 
 class TestReportModule:

@@ -1,9 +1,8 @@
-"""Behavior of the topology cache and the SweepRunner auto heuristic.
+"""Behavior of the topology cache and the SweepRunner's one pool rule.
 
-Covers the cache's sharing/bypass semantics, the legacy-equivalence of
-the distance partitions, worker pre-warming, topology-key derivation
-from job lists, the per-job setup/run wall split, and the runner's
-serial-fallback / kill-switch logic.
+Covers the cache's sharing semantics, the full-scan equivalence of the
+distance partitions, worker pre-warming, topology-key derivation from
+job lists, the per-job setup/run wall split, and when the runner forks.
 """
 
 import pytest
@@ -21,12 +20,9 @@ from repro.geometry import GridTiling
 from repro.scenario import ScenarioConfig, build
 from repro.topo import (
     TopologyKey,
-    bypass,
-    cache_enabled,
     grid_key,
     key_for_config,
     reset_topology_cache,
-    set_cache_enabled,
     shared_grid_hierarchy,
     strip_key,
     topology_cache,
@@ -41,12 +37,10 @@ TINY_JOBS = [
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    """Isolate every test behind its own empty cache, cache enabled."""
+    """Isolate every test behind its own empty cache."""
     reset_topology_cache()
-    set_cache_enabled(True)
     yield
     reset_topology_cache()
-    set_cache_enabled(True)
 
 
 # ----------------------------------------------------------------------
@@ -84,19 +78,8 @@ class TestHierarchySharing:
         assert stats.hierarchy_misses == 1
         assert stats.hierarchy_hits == 1
 
-    def test_bypass_builds_fresh_worlds(self):
-        with bypass():
-            assert not cache_enabled()
-            first = build(ScenarioConfig(r=2, max_level=2, seed=1))
-            second = build(ScenarioConfig(r=2, max_level=2, seed=2))
-        assert cache_enabled()
-        assert first.hierarchy is not second.hierarchy
-        assert topology_cache().stats.hierarchy_misses == 0
-
     def test_shared_helpers_memoize(self):
         assert shared_grid_hierarchy(3, 2) is shared_grid_hierarchy(3, 2)
-        with bypass():
-            assert shared_grid_hierarchy(3, 2) is not shared_grid_hierarchy(3, 2)
 
 
 # ----------------------------------------------------------------------
@@ -156,8 +139,22 @@ class TestWarm:
 
 
 # ----------------------------------------------------------------------
-# SweepRunner: wall split, auto heuristic, kill-switch
+# SweepRunner: wall split, the one pool rule
 # ----------------------------------------------------------------------
+@pytest.fixture
+def pool_runs(monkeypatch):
+    """Job lists handed to the pool, recorded around the real ``_run_pool``."""
+    runs = []
+    run_pool = SweepRunner._run_pool
+
+    def recording(self, jobs, workers):
+        runs.append((list(jobs), workers))
+        return run_pool(self, jobs, workers)
+
+    monkeypatch.setattr(SweepRunner, "_run_pool", recording)
+    return runs
+
+
 class TestSweepRunner:
     def test_setup_plus_run_splits_wall(self):
         results = SweepRunner(workers=1).run(TINY_JOBS)
@@ -167,75 +164,22 @@ class TestSweepRunner:
             total = result.setup_seconds + result.run_seconds
             assert total == pytest.approx(result.wall_seconds, abs=1e-6)
 
-    def test_auto_falls_back_on_single_core(self, monkeypatch):
-        monkeypatch.setattr("repro.analysis.parallel.os.cpu_count", lambda: 1)
-        runner = SweepRunner(workers=4)
-        results = runner.run(TINY_JOBS)
-        assert runner.last_mode == "serial-fallback"
-        assert len(results) == len(TINY_JOBS)
+    def test_serial_mode_never_forks(self, pool_runs):
+        SweepRunner(workers=4, mode="serial").run(TINY_JOBS)
+        SweepRunner().run(TINY_JOBS)  # the default is one worker
+        SweepRunner(workers=4).run(TINY_JOBS[:1])  # nothing to overlap
+        assert pool_runs == []
 
-    def test_auto_falls_back_on_tiny_sweeps(self, monkeypatch):
-        # Plenty of cores, but the probe job shows the sweep is far too
-        # small to amortize a pool: stay in-process.
-        monkeypatch.setattr("repro.analysis.parallel.os.cpu_count", lambda: 8)
-        runner = SweepRunner(workers=4)
-        results = runner.run(TINY_JOBS)
-        assert runner.last_mode == "serial-fallback"
+    def test_forced_parallel_matches_serial(self, pool_runs):
         serial = SweepRunner(workers=1, mode="serial").run(TINY_JOBS)
-        assert [r.value for r in results] == [r.value for r in serial]
-
-    def test_kill_switch_beats_explicit_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "0")
-        runner = SweepRunner(workers=4, mode="parallel")
-        runner.run(TINY_JOBS)
-        assert runner.last_mode == "serial"
-        assert "kill-switch" in runner.last_mode_reason
-
-    def test_env_request_forces_pool_past_fallbacks(self, monkeypatch):
-        # REPRO_PARALLEL=2 is an explicit operator request: auto mode
-        # must skip both the cpu-count and probe fallbacks and fork,
-        # even on a single-core box with a tiny sweep.
-        monkeypatch.setattr("repro.analysis.parallel.os.cpu_count", lambda: 1)
-        monkeypatch.setenv("REPRO_PARALLEL", "2")
-        runner = SweepRunner()
-        serial = SweepRunner(workers=1, mode="serial").run(TINY_JOBS)
-        results = runner.run(TINY_JOBS)
-        assert runner.last_mode == "processes"
-        assert "forces the pool" in runner.last_mode_reason
-        assert [r.value for r in results] == [r.value for r in serial]
-
-    def test_env_one_does_not_force(self, monkeypatch):
-        monkeypatch.setattr("repro.analysis.parallel.os.cpu_count", lambda: 1)
-        monkeypatch.setenv("REPRO_PARALLEL", "1")
-        runner = SweepRunner()
-        runner.run(TINY_JOBS)
-        assert runner.last_mode == "serial"
-
-    def test_fallback_reasons_recorded(self, monkeypatch):
-        monkeypatch.setattr("repro.analysis.parallel.os.cpu_count", lambda: 1)
-        runner = SweepRunner(workers=4)
-        runner.run(TINY_JOBS)
-        assert runner.last_mode == "serial-fallback"
-        assert "cpu_count=1" in runner.last_mode_reason
-
-        monkeypatch.setattr("repro.analysis.parallel.os.cpu_count", lambda: 8)
-        runner = SweepRunner(workers=4)
-        runner.run(TINY_JOBS)
-        assert runner.last_mode == "serial-fallback"
-        assert "probe extrapolation" in runner.last_mode_reason
-
-    def test_serial_mode_never_forks(self):
-        runner = SweepRunner(workers=4, mode="serial")
-        runner.run(TINY_JOBS)
-        assert runner.last_mode == "serial"
-
-    def test_forced_parallel_matches_serial(self):
-        serial = SweepRunner(workers=1, mode="serial").run(TINY_JOBS)
-        runner = SweepRunner(workers=2, mode="parallel")
-        parallel = runner.run(TINY_JOBS)
-        assert runner.last_mode == "processes"
+        parallel = SweepRunner(workers=2, mode="parallel").run(TINY_JOBS)
+        assert pool_runs == [(TINY_JOBS, 2)]
         assert [r.value for r in parallel] == [r.value for r in serial]
         assert [r.events for r in parallel] == [r.events for r in serial]
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            SweepRunner(mode="auto")
 
 
 # ----------------------------------------------------------------------

@@ -83,14 +83,6 @@ class TestBisect:
         )
         assert small.event_index == large.event_index
 
-    def test_cache_toggle_is_divergence_free(self):
-        """The topology cache's own golden contract, via the bisector."""
-        report = bisect_divergence(
-            CONFIG, Variant.parse("cache:on"), Variant.parse("cache:off"),
-            window=64,
-        )
-        assert not report.diverged
-
     def test_obs_toggle_is_divergence_free(self):
         report = bisect_divergence(
             CONFIG, Variant.parse("base"), Variant.parse("obs:on"), window=64
@@ -107,8 +99,8 @@ class TestBisect:
 
 class TestVariantParse:
     def test_parse_roundtrip(self):
-        v = Variant.parse("cache:off,obs:on,seed:6,loss:0.3")
-        assert v == Variant(cache=False, obs=True, seed=6, loss=0.3)
+        v = Variant.parse("obs:on,seed:6,loss:0.3")
+        assert v == Variant(obs=True, seed=6, loss=0.3)
         assert Variant.parse(v.describe()) == v
 
     def test_base_is_empty(self):
@@ -120,7 +112,7 @@ class TestVariantParse:
         import pytest
 
         with pytest.raises(ValueError):
-            Variant.parse("cache:maybe")
+            Variant.parse("obs:maybe")
         with pytest.raises(ValueError):
             Variant.parse("nonsense:1")
         with pytest.raises(ValueError):
