@@ -11,7 +11,7 @@ experiment runners measure per-move or per-phase increments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from ..geocast.cgcast import SendRecord
 from ..core.messages import TrackerMessage, is_find_message, is_move_message
@@ -66,31 +66,33 @@ class WorkAccountant:
         # Message class → _classify() result: the classification depends
         # on the payload's class alone, so it is made once per class.
         self._classes: Dict[type, Tuple[str, int]] = {}
+        self._cgcast = None  # the attached service, for epoch()'s flush
 
     def attach(self, cgcast) -> "WorkAccountant":
         """Subscribe to a C-gcast service; returns self for chaining."""
         cgcast.observe(self.observe)
+        self._cgcast = cgcast
         return self
 
-    def observe(self, record: SendRecord) -> None:
-        payload = record.payload
-        cost = record.cost
-        self.messages += 1
-        classified = self._classes.get(type(payload))
-        if classified is None:
-            classified = self._classes[type(payload)] = _classify(payload)
-        kind, bucket = classified
-        self.by_kind[kind] = self.by_kind.get(kind, 0.0) + cost
-        self.count_by_kind[kind] = self.count_by_kind.get(kind, 0) + 1
-        if bucket == _MOVE:
-            self.move_work += cost
-        elif bucket == _FIND:
-            self.find_work += cost
-        else:
-            self.other_work += cost
+    def observe(self, records: List[SendRecord]) -> None:
+        """Fold a batch of send records, in dispatch order."""
+        classes, by_kind, counts = self._classes, self.by_kind, self.count_by_kind
+        work = [self.move_work, self.find_work, self.other_work]  # by bucket
+        for _time, _src, _dest, payload, cost, _delay in records:
+            classified = classes.get(type(payload))
+            if classified is None:
+                classified = classes[type(payload)] = _classify(payload)
+            kind, bucket = classified
+            by_kind[kind] = by_kind.get(kind, 0.0) + cost
+            counts[kind] = counts.get(kind, 0) + 1
+            work[bucket] += cost
+        self.move_work, self.find_work, self.other_work = work
+        self.messages += len(records)
 
     def epoch(self) -> WorkSnapshot:
-        """Snapshot of the cumulative totals."""
+        """Snapshot of the cumulative totals (current inside an event too)."""
+        if self._cgcast is not None:
+            self._cgcast.flush()
         return WorkSnapshot(
             self.move_work, self.find_work, self.other_work, self.messages
         )

@@ -28,7 +28,8 @@ Grouped exports:
   :class:`ShardedSimulator`, the :func:`run_reference_walk` /
   :func:`run_sharded_walk` one-call runners, and :class:`RunRecord` —
   the one record every scripted run returns, on either engine, from the
-  runners and from :class:`TrackingService` alike;
+  runners and from :class:`TrackingService` alike (``cgcast.observe``
+  callbacks take *lists* of send records, complete whenever the loop is idle);
 * **checkpoint / replay** — :func:`snapshot_scenario`, :func:`save`,
   :func:`load`, :func:`restore_scenario`, :func:`bisect_divergence`,
   :class:`Variant`;

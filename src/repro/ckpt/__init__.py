@@ -1,4 +1,4 @@
-"""Checkpoint/restore and deterministic replay (the ``ckpt/2`` format).
+"""Checkpoint/restore and deterministic replay (the ``ckpt/3`` format).
 
 The subsystem in one paragraph: :func:`snapshot_scenario` captures a
 built scenario between two events as a versioned, picklable

@@ -1,4 +1,4 @@
-"""The versioned ``ckpt/2`` snapshot format.
+"""The versioned ``ckpt/3`` snapshot format.
 
 A :class:`Snapshot` captures a built scenario — event queue with
 tie-break counters, every RNG stream position, tracker/VSA/client
@@ -40,10 +40,10 @@ from .codec import dumps_graph, loads_graph
 
 #: Schema tag of the snapshot format.  Bump on any envelope or payload
 #: layout change; :func:`load` refuses other schemas outright.
-#: ``ckpt/2``: the payload's C-gcast state changed layout (compiled
-#: routes, the keyed transit registry, bound-method delivery events),
-#: so ``ckpt/1`` payloads no longer restore into a working ``CGcast``.
-CKPT_SCHEMA = "ckpt/2"
+#: ``ckpt/3``: ``CGcast`` holds pending send records, ``Simulator`` its
+#: loop-exit hooks and a public ``running``, and ``Tracker`` restores
+#: its lane scheduling state as pickled; ``ckpt/2`` payloads have none.
+CKPT_SCHEMA = "ckpt/3"
 
 #: First bytes of every checkpoint file.
 CKPT_MAGIC = b"repro-ckpt\n"
@@ -101,7 +101,7 @@ class SnapshotMeta:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """One ``ckpt/2`` checkpoint, ready to restore, fork or save."""
+    """One ``ckpt/3`` checkpoint, ready to restore, fork or save."""
 
     meta: SnapshotMeta
     config: Any  # ScenarioConfig (typed loosely to avoid an import cycle)
@@ -141,7 +141,7 @@ def snapshot_scenario(
             snapshot is only well-defined on the inter-event boundary.
     """
     sim = scenario.sim
-    if sim is not None and sim._running:
+    if sim is not None and sim.running:
         from ..sim.engine import SimulationError
 
         raise SimulationError("cannot snapshot while the simulator loop is running")
@@ -178,7 +178,7 @@ def restore_scenario(snapshot: Snapshot) -> Restored:
 # On-disk envelope
 # ----------------------------------------------------------------------
 def save(snapshot: Snapshot, path: Union[str, Path]) -> None:
-    """Write the snapshot to ``path`` in the ``ckpt/2`` envelope."""
+    """Write the snapshot to ``path`` in the ``ckpt/3`` envelope."""
     config_blob, _ = dumps_graph(snapshot.config)
     header = json.dumps(
         {**snapshot.meta.as_json_dict(),
@@ -195,7 +195,7 @@ def save(snapshot: Snapshot, path: Union[str, Path]) -> None:
 
 
 def load(path: Union[str, Path], allow_python_mismatch: bool = False) -> Snapshot:
-    """Read a ``ckpt/2`` file with strict format and compat checks.
+    """Read a ``ckpt/3`` file with strict format and compat checks.
 
     Raises:
         CkptFormatError: bad magic, wrong schema, truncated sections or

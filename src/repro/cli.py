@@ -8,7 +8,7 @@ Commands:
 * ``report``   — regenerate the EXPERIMENTS.md content (to stdout or a file);
 * ``validate`` — run the full §II-B hierarchy validation for a world;
 * ``snapshot`` — run the canonical tracked walk to a cut point and write
-  a ``ckpt/2`` checkpoint file;
+  a ``ckpt/3`` checkpoint file;
 * ``resume``   — restore a checkpoint and run its continuation to the end
   (bit-identical to the uninterrupted run);
 * ``bisect``   — replay two run variants in lockstep and report the first
@@ -164,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "resume", parents=[jsonf],
         help="restore a checkpoint and run it to completion",
     )
-    resume.add_argument("path", help="a ckpt/2 file written by 'repro snapshot'")
+    resume.add_argument("path", help="a ckpt/3 file written by 'repro snapshot'")
     resume.add_argument("--until", type=float, default=None,
                         help="sim time to run to (default: the walk horizon)")
 

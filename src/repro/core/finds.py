@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 from ..geometry.regions import RegionId
 from ..geocast.cgcast import SendRecord
 from ..sim.engine import Simulator
-from .messages import is_find_message
+from .messages import FIND_MESSAGE_TYPES
 
 
 class FindIdCollisionError(ValueError):
@@ -123,7 +123,7 @@ class FindCoordinator:
         record.completed_at = self.sim.now
         record.found_region = region
 
-    def observe_send(self, record: SendRecord) -> None:
+    def observe_send(self, records: List[SendRecord]) -> None:
         """C-gcast observer: attribute find-message work to its find.
 
         Every send carrying the find's id counts, including the
@@ -132,13 +132,12 @@ class FindCoordinator:
         gating on it would make per-find work depend on the shard
         layout rather than on the (K-invariant) send set.
         """
-        payload = record.payload
-        if not is_find_message(payload):
-            return
-        find_id = getattr(payload, "find_id", 0)
-        find = self.records.get(find_id)
-        if find is not None:
-            find.work += record.cost
+        finds = self.records
+        for _time, _src, _dest, payload, cost, _delay in records:
+            if isinstance(payload, FIND_MESSAGE_TYPES):
+                find = finds.get(getattr(payload, "find_id", 0))
+                if find is not None:
+                    find.work += cost
 
     # -- results -----------------------------------------------------------
     def completed_records(self) -> List[FindRecord]:

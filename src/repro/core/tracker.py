@@ -55,7 +55,7 @@ enable an action through a deadline, which is always in the heap.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Dict, List, Optional
 
 from ..hierarchy.cluster import ClusterId
@@ -306,48 +306,6 @@ class Tracker(TimedAutomaton):
         # pending.
         self._rearm_wheel()
 
-    def __setstate__(self, state) -> None:
-        """Restore a pickled tracker, rebuilding the lane bookkeeping.
-
-        The dirty set and deadline heap are derived state: rebuilding
-        them conservatively (every lane dirty, one heap entry per armed
-        deadline) is cheap and makes snapshots from before the O(active)
-        scheduler — whose lanes also predate ``LaneDeadline._object_id``
-        — restore into working trackers.  A conservatively dirty lane
-        with no enabled action is dropped by the first drain without
-        emitting anything, so resumed traces stay bit-identical.
-        """
-        if isinstance(state, tuple):  # (dict, slots) protocol-2 shape
-            mapping, slots = state
-            if mapping:
-                self.__dict__.update(mapping)
-            if slots:
-                for key, value in slots.items():
-                    setattr(self, key, value)
-        else:
-            self.__dict__.update(state)
-        self._rebuild_lane_index()
-
-    def _rebuild_lane_index(self) -> None:
-        lanes = self._lanes
-        # ``_timeout_pending`` need not be preserved across a snapshot:
-        # a pending lane's nbrtimeout is still armed at its (now past)
-        # deadline, so the rebuilt heap re-pends it at the next service.
-        self._timeout_pending = set()
-        if not lanes:
-            self._dirty = set()
-            self._deadline_heap = []
-            return
-        self._dirty = set(lanes)
-        heap = []
-        for oid, lane in lanes.items():
-            for deadline_obj in (lane.timer, lane.nbrtimeout):
-                deadline_obj._object_id = oid  # heal pre-§9.5 pickles
-                if deadline_obj.deadline != INFINITY:
-                    heap.append((deadline_obj.deadline, oid))
-        heapify(heap)
-        self._deadline_heap = heap
-
     # ------------------------------------------------------------------
     # Object lanes
     # ------------------------------------------------------------------
@@ -356,21 +314,11 @@ class Tracker(TimedAutomaton):
         if object_id == 0:
             return self
         lanes = self._lanes
-        if lanes is None:
-            lanes = {}
-            self._lanes = lanes
         lane = lanes.get(object_id)
         if lane is None:
             lane = ObjectLane(object_id, self)
             lanes[object_id] = lane
         return lane
-
-    def object_ids(self) -> tuple:
-        """Object ids with lane state at this tracker (lane 0 always)."""
-        lanes = self._lanes
-        if not lanes:
-            return (0,)
-        return (0,) + tuple(sorted(lanes))
 
     def _service_heap(self) -> float:
         """Pop due/stale deadline-heap entries; return the next live one.

@@ -72,6 +72,7 @@ class EnergyLedger:
         self.sense_energy = 0.0
         # (src, dest) endpoints of a dispatch -> the regions hosting them.
         self._pair_regions: Dict[tuple, tuple] = {}
+        self._cgcast = None  # the attached service, for _settle()
 
     # ------------------------------------------------------------------
     # Wiring
@@ -79,9 +80,19 @@ class EnergyLedger:
     def attach(self, cgcast, vbcast: Optional[Any] = None) -> "EnergyLedger":
         """Subscribe to ``cgcast`` dispatches (and ``vbcast`` if given)."""
         cgcast.observe(self.observe_send)
+        self._cgcast = cgcast
         if vbcast is not None:
             vbcast.energy_ledger = self
         return self
+
+    def _settle(self) -> None:
+        """Charge the sends still pending in the attached C-gcast first.
+
+        What runs inside an event (a V-bcast charge, the rate policy's
+        read) must find the dispatches before it already on the ledger.
+        """
+        if self._cgcast is not None:
+            self._cgcast.flush()
 
     def region_of(self, endpoint: Any):
         """The region physically hosting a dispatch endpoint."""
@@ -98,25 +109,30 @@ class EnergyLedger:
     # ------------------------------------------------------------------
     # Charge points
     # ------------------------------------------------------------------
-    def observe_send(self, record) -> None:
-        """One C-gcast dispatch: tx at the sender, rx at the receiver."""
-        model = self.model
-        tx = model.tx_cost * record.cost
-        rx = model.rx_cost * record.cost
-        pair = (record.src, record.dest)
-        regions = self._pair_regions.get(pair)
-        if regions is None:
-            regions = self._pair_regions[pair] = (
-                self.region_of(pair[0]), self.region_of(pair[1])
-            )
-        src, dst = regions
-        self.tx[src] = self.tx.get(src, 0.0) + tx
-        self.rx[dst] = self.rx.get(dst, 0.0) + rx
-        self.dispatches += 1
-        self.dispatch_energy += tx + rx
+    def observe_send(self, records) -> None:
+        """A batch of C-gcast dispatches: tx at each sender, rx at each receiver."""
+        tx_cost, rx_cost = self.model.tx_cost, self.model.rx_cost
+        pair_regions = self._pair_regions
+        tx_by, rx_by = self.tx, self.rx
+        energy = self.dispatch_energy
+        for _time, src, dest, _payload, cost, _delay in records:
+            tx = tx_cost * cost
+            rx = rx_cost * cost
+            regions = pair_regions.get((src, dest))
+            if regions is None:
+                regions = pair_regions[(src, dest)] = (
+                    self.region_of(src), self.region_of(dest)
+                )
+            src, dst = regions
+            tx_by[src] = tx_by.get(src, 0.0) + tx
+            rx_by[dst] = rx_by.get(dst, 0.0) + rx
+            energy += tx + rx
+        self.dispatches += len(records)
+        self.dispatch_energy = energy
 
     def charge_vbcast(self, source_region) -> None:
         """One V-bcast transmission (unit work at the source region)."""
+        self._settle()
         tx = self.model.tx_cost
         self.tx[source_region] = self.tx.get(source_region, 0.0) + tx
         self.vbcasts += 1
@@ -124,6 +140,7 @@ class EnergyLedger:
 
     def charge_vbcast_rx(self, region) -> None:
         """One V-bcast endpoint delivery (unit listening work)."""
+        self._settle()
         rx = self.model.rx_cost
         self.rx[region] = self.rx.get(region, 0.0) + rx
         self.vbcast_deliveries += 1
@@ -149,6 +166,7 @@ class EnergyLedger:
 
     def max_region_charge(self) -> float:
         """The hottest region's charge (0.0 on an untouched ledger)."""
+        self._settle()
         regions = set(self.tx) | set(self.rx) | set(self.sense)
         if not regions:
             return 0.0

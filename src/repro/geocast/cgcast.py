@@ -42,8 +42,8 @@ from ..tioa.automaton import TimedAutomaton
 class SendRecord(NamedTuple):
     """One routed message, as seen by accounting subscribers.
 
-    A named tuple: one is built per send, and a frozen dataclass costs
-    three times as much to construct.
+    A named tuple: one is built per send (by ``tuple.__new__``, which
+    skips the generated ``__new__``'s extra frame).
 
     Attributes:
         time: Send time.
@@ -62,8 +62,12 @@ class SendRecord(NamedTuple):
     delay: float
 
 
-# Subscriber for accounting: receives each SendRecord.
-SendObserver = Callable[[SendRecord], None]
+# Subscriber for accounting: gets the records in batches (CGcast.observe).
+SendObserver = Callable[[List[SendRecord]], None]
+
+#: Pending records are handed over once this many wait: ``fold_crc``'s
+#: chunk size, so they never outweigh what ``report()`` peaks at anyway.
+_BATCH = 4096
 
 # Fault interposition hook (see repro.faults): called once per dispatch
 # with (src, dest, payload, delay); returns the per-copy delivery delays
@@ -119,6 +123,9 @@ class CGcast:
         self._cluster_intern: Dict[ClusterId, ClusterId] = {}
         self._client_sinks: Dict[RegionId, List[Callable[[Any], None]]] = {}
         self._observers: List[SendObserver] = []
+        # Records dispatched but not yet shown to the observers.
+        self._pending: List[SendRecord] = []
+        sim.add_loop_exit(self.flush)
         #: Optional fault-injection interposition point (repro.faults).
         #: When None (the default) dispatch is exactly the §II-C.3 path.
         self.fault_filter: Optional[FaultFilter] = None
@@ -164,7 +171,26 @@ class CGcast:
         self._client_sinks.setdefault(region, []).append(sink)
 
     def observe(self, observer: SendObserver) -> None:
+        """Subscribe ``observer(records)`` to the send records.
+
+        It gets lists of :class:`SendRecord` in dispatch order, each
+        record exactly once, at every :meth:`flush`: when ``_BATCH``
+        records wait, when the event loop returns, and at once for a
+        send made while the loop is idle.  So whenever the loop is not
+        running every observer has seen every record; only code inside
+        an event must :meth:`flush` before it reads what an observer
+        keeps.  A late subscriber starts after the records sent so far.
+        """
+        self.flush()
         self._observers.append(observer)
+
+    def flush(self) -> None:
+        """Hand the pending records to every observer, as one list."""
+        pending = self._pending
+        if pending:
+            self._pending = []
+            for observer in self._observers:
+                observer(pending)
 
     def in_transit(self) -> List[tuple]:
         """Snapshot of undelivered messages: ``(src, dest, payload, time)``."""
@@ -288,12 +314,16 @@ class CGcast:
         spanning = _OBS.spans_enabled
         if spanning:
             t0 = perf_counter()
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         self.messages_sent += 1
         self.total_cost += cost
-        record = SendRecord(now, src, dest, payload, cost, delay)
-        for observer in self._observers:
-            observer(record)
+        pending = self._pending
+        pending.append(
+            tuple.__new__(SendRecord, (now, src, dest, payload, cost, delay))
+        )
+        if len(pending) >= _BATCH or not sim.running:
+            self.flush()
         # A filter returning None leaves the exact single-delivery
         # schedule in place; an empty list drops the message.
         delays = None

@@ -114,17 +114,18 @@ class ReplicatedVineStalk(VineStalk):
         self.sync_work = 0.0
         self.cgcast.observe(self._charge_sync)
 
-    def _charge_sync(self, record) -> None:
-        payload = record.payload
-        if not isinstance(payload, TrackerMessage) or not is_move_message(payload):
-            return
-        if not isinstance(record.dest, ClusterId):
-            return
-        slots = self.slots[record.dest]
-        extra = slots.replication_factor - 1
-        if extra > 0:
-            self.sync_messages += extra
-            self.sync_work += extra * slots.spread(self.hierarchy)
+    def _charge_sync(self, records) -> None:
+        """C-gcast observer: m−1 sync messages per state-changing send."""
+        for _time, _src, dest, payload, _cost, _delay in records:
+            if not isinstance(payload, TrackerMessage) or not is_move_message(payload):
+                continue
+            if not isinstance(dest, ClusterId):
+                continue
+            slots = self.slots[dest]
+            extra = slots.replication_factor - 1
+            if extra > 0:
+                self.sync_messages += extra
+                self.sync_work += extra * slots.spread(self.hierarchy)
 
     # ------------------------------------------------------------------
     # Fault injection at region granularity

@@ -82,7 +82,7 @@ class ScenarioConfig:
         fault_plan: Optional :class:`~repro.faults.plan.FaultPlan`; when
             set, :func:`build` arms a fault injector seeded by ``seed``.
         resume_from: A :class:`~repro.ckpt.Snapshot` (or a path to a
-            saved ``ckpt/2`` file); :func:`build` then restores the
+            saved ``ckpt/3`` file); :func:`build` then restores the
             snapshot's continuation instead of constructing a fresh
             world.  Every other field must either match the snapshot's
             own config or be left at its default — a checkpoint cannot

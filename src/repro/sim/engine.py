@@ -51,12 +51,14 @@ class Simulator:
         self.trace: TraceLog = trace if trace is not None else TraceLog()
         self._queue = EventQueue()
         self._events_fired = 0
-        self._running = False
+        #: True while an event callback runs (``run*`` or ``step``).
+        self.running = False
         self._stop_requested = False
         # After-event hooks (obs conformance sampling).  None — the
         # overwhelmingly common case — costs one identity check per
         # fired event on the fast lane.
         self._after_event: Optional[List[Callable[[], None]]] = None
+        self._loop_exit: List[Callable[[], None]] = []  # see add_loop_exit
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -134,6 +136,15 @@ class Simulator:
         if not hooks:
             self._after_event = None
 
+    def add_loop_exit(self, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` whenever the event loop returns control.
+
+        That is at the end of every ``run*``/``step`` call, also when an
+        event raised: work deferred during events (C-gcast's pending
+        send records) is settled before anything outside one can look.
+        """
+        self._loop_exit.append(fn)
+
     def step(self, until: Optional[float] = None) -> bool:
         """Fire the single earliest event.  Returns False if none remain.
 
@@ -142,21 +153,7 @@ class Simulator:
         recorder uses to interleave per-event observation with normal
         execution.
         """
-        global _EVENTS_FIRED_TOTAL
-        event = self._queue.pop_next_before(until)
-        if event is None:
-            return False
-        if event.time < self.now:  # pragma: no cover - defensive
-            raise SimulationError("event queue produced an event in the past")
-        self.now = event.time
-        self._events_fired += 1
-        _EVENTS_FIRED_TOTAL += 1
-        event.fn()
-        hooks = self._after_event
-        if hooks is not None:
-            for hook in hooks:
-                hook()
-        return True
+        return self._loop(until=until, max_events=1) == 1
 
     # ------------------------------------------------------------------
     # Snapshot / restore (repro.ckpt engine hook)
@@ -173,7 +170,7 @@ class Simulator:
         Raises:
             SimulationError: when called from inside a running loop.
         """
-        if self._running:
+        if self.running:
             raise SimulationError("cannot snapshot while the loop is running")
         return {
             "now": self.now,
@@ -187,7 +184,7 @@ class Simulator:
         Raises:
             SimulationError: when called from inside a running loop.
         """
-        if self._running:
+        if self.running:
             raise SimulationError("cannot restore while the loop is running")
         self.now = state["now"]
         self._events_fired = state["events_fired"]
@@ -251,9 +248,9 @@ class Simulator:
         seq)`` order of the queue, exactly as before.
         """
         global _EVENTS_FIRED_TOTAL
-        if self._running:
+        if self.running:
             raise SimulationError("Simulator.run is not reentrant")
-        self._running = True
+        self.running = True
         self._stop_requested = False
         fired = 0
         pop_next_before = self._queue.pop_next_before
@@ -298,10 +295,14 @@ class Simulator:
                 if self._stop_requested:
                     break
         finally:
-            self._running = False
+            self.running = False
             _EVENTS_FIRED_TOTAL += fired
             if gc_was_enabled:
                 gc.enable()
-            if span is not None:
-                span.__exit__(None, None, None)
+            try:
+                for hook in self._loop_exit:
+                    hook()
+            finally:
+                if span is not None:
+                    span.__exit__(None, None, None)
         return fired

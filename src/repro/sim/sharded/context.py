@@ -137,13 +137,8 @@ class ShardContext:
         self._seq = 0
         self.busy_s = 0.0
         self.send_lines: List[str] = []
-        # Memoised pieces of the canonical send line (_observe_send):
-        # the last time object and the last payload object with their
-        # reprs, and per (src, dest) ``(cost, delay, prefix, suffix)``.
-        self._line_time: Optional[float] = None
-        self._line_time_repr = ""
-        self._line_payload: Any = None
-        self._line_payload_repr = ""
+        # Memoised piece of the canonical send line (_observe_send):
+        # per (src, dest) ``(cost, delay, prefix, suffix)``.
         self._line_pairs: Dict[tuple, Tuple[float, float, str, str]] = {}
         # object_id -> cluster-originated Grow dispatches (handovers).
         # Each dispatch is observed in exactly one shard, so per-object
@@ -165,40 +160,44 @@ class ShardContext:
     # ------------------------------------------------------------------
     # Routing hooks
     # ------------------------------------------------------------------
-    def _observe_send(self, record) -> None:
-        """Fold one send into the fingerprints and the handover counts.
+    def _observe_send(self, records) -> None:
+        """Fold a batch of sends into the fingerprints and handover counts.
 
-        The line is byte for byte :func:`canonical_send_line` of the
+        Each line is byte for byte :func:`canonical_send_line` of its
         record, assembled from memoised pieces: the sends of one event
         carry one time object, a tracker fans one payload object out to
         all its neighbors, and cost and delay are functions of (src,
         dest) — a record that deviates from the pair's cached cost or
-        delay is formatted in full.
+        delay is formatted in full.  The time and payload memos live for
+        one batch, whose records keep the memoised objects alive.
         """
-        time, src, dest, payload, cost, delay = record
-        # Identity, not equality: 3 == 3.0 but they print differently.
-        if time is not self._line_time:
-            self._line_time = time
-            self._line_time_repr = repr(time)
-        if payload is not self._line_payload:
-            self._line_payload = payload
-            self._line_payload_repr = repr(payload)
-        pair = self._line_pairs.get((src, dest))
-        if pair is None:
-            # Interned: a world has few distinct (cost, delay) suffixes.
-            pair = self._line_pairs[(src, dest)] = (
-                cost, delay, f"|{src!r}|{dest!r}|", intern(f"|{cost!r}|{delay!r}"),
-            )
-        if pair[0] == cost and pair[1] == delay:
-            line = (
-                f"{self._line_time_repr}{pair[2]}{self._line_payload_repr}{pair[3]}"
-            )
-        else:
-            line = canonical_send_line(record)
-        self.send_lines.append(line)
-        if isinstance(payload, Grow) and isinstance(src, ClusterId):
-            oid = getattr(payload, "object_id", 0)
-            self.handovers[oid] = self.handovers.get(oid, 0) + 1
+        pairs = self._line_pairs
+        handovers = self.handovers
+        append = self.send_lines.append
+        last_time = last_payload = pairs  # matches no time or payload
+        time_repr = payload_repr = ""
+        for record in records:
+            time, src, dest, payload, cost, delay = record
+            # Identity, not equality: 3 == 3.0 but they print differently.
+            if time is not last_time:
+                last_time = time
+                time_repr = repr(time)
+            if payload is not last_payload:
+                last_payload = payload
+                payload_repr = repr(payload)
+            pair = pairs.get((src, dest))
+            if pair is None:
+                # Interned: a world has few distinct (cost, delay) suffixes.
+                pair = pairs[(src, dest)] = (
+                    cost, delay, f"|{src!r}|{dest!r}|", intern(f"|{cost!r}|{delay!r}"),
+                )
+            if pair[0] == cost and pair[1] == delay:
+                append(f"{time_repr}{pair[2]}{payload_repr}{pair[3]}")
+            else:
+                append(canonical_send_line(record))
+            if isinstance(payload, Grow) and isinstance(src, ClusterId):
+                oid = getattr(payload, "object_id", 0)
+                handovers[oid] = handovers.get(oid, 0) + 1
 
     def _route_cgcast(self, src, dest, dest_region, payload, deliver_time) -> bool:
         shard = self.plan.shard_of(dest_region)

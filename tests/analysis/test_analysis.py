@@ -35,9 +35,9 @@ def record(payload, cost=1.0):
 class TestAccounting:
     def test_classification(self):
         acc = WorkAccountant()
-        acc.observe(record(Grow(cid=CID), 3.0))
-        acc.observe(record(Find(cid=CID), 2.0))
-        acc.observe(record("raw", 1.0))
+        acc.observe([record(Grow(cid=CID), 3.0)])
+        acc.observe([record(Find(cid=CID), 2.0)])
+        acc.observe([record("raw", 1.0)])
         assert acc.move_work == 3.0
         assert acc.find_work == 2.0
         assert acc.other_work == 1.0
@@ -46,16 +46,16 @@ class TestAccounting:
 
     def test_by_kind(self):
         acc = WorkAccountant()
-        acc.observe(record(Grow(cid=CID), 3.0))
-        acc.observe(record(Grow(cid=CID), 2.0))
+        acc.observe([record(Grow(cid=CID), 3.0)])
+        acc.observe([record(Grow(cid=CID), 2.0)])
         assert acc.by_kind == {"grow": 5.0}
         assert acc.count_by_kind == {"grow": 2}
 
     def test_epoch_delta(self):
         acc = WorkAccountant()
-        acc.observe(record(Grow(cid=CID), 3.0))
+        acc.observe([record(Grow(cid=CID), 3.0)])
         mark = acc.epoch()
-        acc.observe(record(Grow(cid=CID), 4.0))
+        acc.observe([record(Grow(cid=CID), 4.0)])
         delta = acc.delta_since(mark)
         assert delta.move_work == 4.0
         assert delta.messages == 1

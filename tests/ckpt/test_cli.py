@@ -18,7 +18,7 @@ class TestSnapshotResume:
         path = str(tmp_path / "walk.ckpt")
         assert main(["snapshot", "--out", path]) == 0
         out = capsys.readouterr().out
-        assert "ckpt/2" in out and path in out
+        assert "ckpt/3" in out and path in out
 
         assert main(["resume", path]) == 0
         out = capsys.readouterr().out

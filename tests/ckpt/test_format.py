@@ -1,4 +1,4 @@
-"""The ``ckpt/2`` envelope: strict format and compatibility checks.
+"""The ``ckpt/3`` envelope: strict format and compatibility checks.
 
 Every corruption mode must be caught *before* any pickle byte is
 trusted: bad magic, truncated header, wrong schema, short payload,
@@ -64,7 +64,7 @@ class TestRoundTrip:
         assert loaded.payload == snapshot.payload
 
     def test_meta_is_readable_without_unpickling(self, snapshot):
-        assert snapshot.meta.schema == "ckpt/2"
+        assert snapshot.meta.schema == "ckpt/3"
         assert snapshot.meta.sim_time == 25.0
         assert snapshot.meta.note == "format-test"
         assert snapshot.meta.fingerprint.startswith("sha256:")

@@ -1,4 +1,4 @@
-"""The committed ``ckpt/2`` golden artifact must stay loadable on HEAD.
+"""The committed ``ckpt/3`` golden artifact must stay loadable on HEAD.
 
 ``tests/ckpt/golden/walk-r2-M2.ckpt`` is a checkpoint of the canonical
 tracked walk (r=2, MAX=2, seed=7) cut at t=25, committed to the repo.
@@ -42,7 +42,7 @@ def snapshot():
 
 def test_meta_matches_the_committed_workload(snapshot):
     meta = snapshot.meta
-    assert meta.schema == "ckpt/2"
+    assert meta.schema == "ckpt/3"
     assert meta.sim_time == 25.0
     assert meta.events_fired > 0
     assert "tracked-walk" in meta.note

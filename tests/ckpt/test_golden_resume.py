@@ -65,8 +65,13 @@ def _uninterrupted(config):
 def _cut_and_resume(config, cut_at):
     scenario = build_tracked_walk(config)
     scenario.sim.run_until(cut_at)
+    # The loop is idle: no send record awaits its observers, so the
+    # capture holds none (and needs no special case for them).
+    assert scenario.system.cgcast.messages_sent > 0
+    assert scenario.system.cgcast._pending == []
     snapshot = snapshot_scenario(scenario)
     resumed = restore_scenario(snapshot).scenario
+    assert resumed.system.cgcast._pending == []
     resumed.sim.run_until(HORIZON)
     return snapshot, trace_fingerprint(resumed)
 

@@ -48,13 +48,13 @@ class TestFindCoordinator:
     def test_work_attribution_by_find_id(self, coordinator):
         fid = coordinator.new_find((0, 0))
         coordinator.observe_send(
-            SendRecord(0.0, CID, CID, Find(cid=CID, find_id=fid), 3.0, 3.0)
+            [SendRecord(0.0, CID, CID, Find(cid=CID, find_id=fid), 3.0, 3.0)]
         )
         coordinator.observe_send(
-            SendRecord(0.0, CID, CID, Find(cid=CID, find_id=999), 5.0, 5.0)
+            [SendRecord(0.0, CID, CID, Find(cid=CID, find_id=999), 5.0, 5.0)]
         )
         coordinator.observe_send(
-            SendRecord(0.0, CID, CID, Grow(cid=CID), 7.0, 7.0)  # move message
+            [SendRecord(0.0, CID, CID, Grow(cid=CID), 7.0, 7.0)]  # move message
         )
         assert coordinator.records[fid].work == 3.0
 
@@ -66,7 +66,7 @@ class TestFindCoordinator:
         fid = coordinator.new_find((0, 0))
         coordinator.client_found(fid, (1, 1), client_id=0)
         coordinator.observe_send(
-            SendRecord(0.0, CID, CID, Found(find_id=fid), 2.0, 2.0)
+            [SendRecord(0.0, CID, CID, Found(find_id=fid), 2.0, 2.0)]
         )
         assert coordinator.records[fid].work == 2.0
 
@@ -192,7 +192,7 @@ class TestClientEdgeCases:
         )
         system.run_to_quiescence()
         records = []
-        system.cgcast.observe(records.append)
+        system.cgcast.observe(records.extend)
         client = system.clients[(0, 0)]
         client.fail()
         client.restart()

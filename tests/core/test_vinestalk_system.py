@@ -131,7 +131,7 @@ class TestClientAlgorithm:
     def test_move_sends_grow_with_self_cid(self, h):
         system = VineStalk(h)
         records = []
-        system.cgcast.observe(records.append)
+        system.cgcast.observe(records.extend)
         evader = system.make_evader(FixedPath([(2, 2)]), dwell=1e12, start=(2, 2))
         grows = [r for r in records if r.payload.kind == "grow"]
         assert len(grows) == 1
@@ -141,7 +141,7 @@ class TestClientAlgorithm:
     def test_left_sends_shrink(self, h):
         system = VineStalk(h)
         records = []
-        system.cgcast.observe(records.append)
+        system.cgcast.observe(records.extend)
         evader = system.make_evader(
             FixedPath([(2, 2), (3, 3)]), dwell=1e12, start=(2, 2)
         )

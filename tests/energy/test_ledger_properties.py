@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.energy import EnergyLedger, EnergyModel, merge_energy
+from repro.geocast.cgcast import SendRecord
 
 #: Integer-valued costs keep every float sum exact.
 MODEL = EnergyModel(
@@ -33,18 +34,10 @@ charges = st.lists(
 )
 
 
-class _Record:
-    """Stand-in for a C-gcast SendRecord (src, dest, cost)."""
-
-    def __init__(self, src, dest, cost):
-        self.src = src
-        self.dest = dest
-        self.cost = cost
-
-
 def _apply(ledger, op):
     if op[0] == "send":
-        ledger.observe_send(_Record(op[1], op[2], float(op[3])))
+        cost = float(op[3])
+        ledger.observe_send([SendRecord(0.0, op[1], op[2], None, cost, cost)])
     elif op[0] == "vb_tx":
         ledger.charge_vbcast(op[1])
     elif op[0] == "vb_rx":

@@ -166,7 +166,7 @@ class TestIntrospection:
         dest = h.cluster((3, 0), 1)
         register(executor, cgcast, dest)
         records = []
-        cgcast.observe(records.append)
+        cgcast.observe(records.extend)
         cgcast.send_vsa(src, dest, "m")
         assert len(records) == 1
         assert records[0].cost == 5.0
@@ -215,7 +215,7 @@ class TestDispatchPipeline:
         dest = h.cluster((3, 0), 1)
         sink = register(executor, cgcast, dest)
         records = []
-        cgcast.observe(records.append)
+        cgcast.observe(records.extend)
         cgcast.send_vsa(src, dest, "first")
         cgcast.send_vsa(src, dest, "second")
         sim.run()

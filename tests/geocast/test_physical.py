@@ -151,7 +151,7 @@ class TestDispatchAccountingShared:
         )
         system.sim.trace.enabled = False
         records = []
-        system.cgcast.observe(records.append)
+        system.cgcast.observe(records.extend)
         with obs.observed(spans=False, events=True, max_events=100_000) as seen:
             evader = system.make_evader(
                 RandomNeighborWalk(start=(4, 4)), dwell=1e12, start=(4, 4),

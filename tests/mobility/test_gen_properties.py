@@ -17,7 +17,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, assume, given, settings, strategies as st  # noqa: E402
 
 from repro.mobility.gen import (  # noqa: E402
     Compose,
@@ -107,9 +107,16 @@ spec_trees = st.recursive(leaves, _wrap, max_leaves=4)
 
 def _traces(spec, world, seed, mode="concurrent", fork=None, n_moves=7):
     hierarchy = shared_grid_hierarchy(*world)
-    return hierarchy, generate(
-        spec, hierarchy, n_moves, seed=seed, mode=mode, fork=fork
-    )
+    try:
+        return hierarchy, generate(
+            spec, hierarchy, n_moves, seed=seed, mode=mode, fork=fork
+        )
+    except ValueError as exc:
+        # An obstacle mask can leave the 2x2 world fewer regions than a
+        # WaypointGraph(k=4) wants waypoints (Obstacles(WaypointGraph(k=4),
+        # 0.25) on (2, 1), seed 0): an infeasible draw, not a failing trace.
+        assume("cannot sample" not in str(exc))
+        raise
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The equivalences the send→deliver pipeline's speed rests on.
 
-``ShardContext._observe_send`` assembles each canonical send line from
-memoised pieces (the instant's repr, the payload object's repr, a per
-``(src, dest)`` prefix and suffix) instead of formatting six reprs per
-send, and ``CGcast._dispatch`` skips its interpositions when none is
+``ShardContext._observe_send`` folds a batch of send records, assembling
+each canonical send line from memoised pieces (the instant's repr, the
+payload object's repr, a per ``(src, dest)`` prefix and suffix) instead
+of formatting six reprs per send, and ``CGcast._dispatch`` skips its interpositions when none is
 installed.  Neither shortcut may be observable:
 
 * every memoised line equals :func:`canonical_send_line` of the record
@@ -63,7 +63,7 @@ class TestMemoisedLinesAreCanonical:
     def test_every_line_and_both_fingerprints(self, n_moves, n_finds, fault_plan):
         context = _context(n_moves, n_finds, seed=23, fault_plan=fault_plan)
         records = []
-        context.system.cgcast.observe(records.append)
+        context.system.cgcast.observe(records.extend)
         context.sim.run()
         assert len(records) == context.system.cgcast.messages_sent > 100
         kinds = {(type(r.src).__name__, type(r.dest).__name__) for r in records}
@@ -96,8 +96,7 @@ class TestIdentityMemo:
 
     def _observe(self, context, *records):
         del context.send_lines[:]
-        for record in records:
-            context._observe_send(record)
+        context._observe_send(list(records))
         assert context.send_lines == [canonical_send_line(r) for r in records]
         return context.send_lines
 

@@ -131,3 +131,57 @@ def test_run_not_reentrant():
     sim.call_at(1.0, bad)
     sim.run()
     assert len(errors) == 1
+
+
+@pytest.mark.parametrize(
+    "misuse",
+    [
+        lambda sim: sim.snapshot(),
+        lambda sim: sim.restore({"now": 0.0, "events_fired": 0, "queue": None}),
+        lambda sim: sim.run(),
+        lambda sim: sim.run_until(5.0),
+        lambda sim: sim.step(),
+    ],
+    ids=["snapshot", "restore", "run", "run_until", "step"],
+)
+@pytest.mark.parametrize("drive", ["step", "run"])
+def test_an_event_cannot_reenter_the_loop_however_it_was_fired(drive, misuse):
+    # step() is how ckpt.bisect drives the loop: a snapshot taken from
+    # inside a stepped event would silently lack the event being fired.
+    sim = Simulator()
+    fired = []
+
+    def bad():
+        fired.append("bad")
+        assert sim.running
+        misuse(sim)
+
+    sim.call_at(1.0, bad)
+    sim.call_at(2.0, lambda: fired.append("next"))
+    with pytest.raises(SimulationError):
+        sim.step() if drive == "step" else sim.run()
+    assert fired == ["bad"] and not sim.running
+    # The refusal leaves the simulator usable, by step() and by run().
+    assert sim.snapshot()["now"] == 1.0
+    assert sim.step() is True and fired == ["bad", "next"]
+    assert sim.step() is False and sim.run() == 0
+
+
+def test_loop_exit_hooks_run_whenever_control_returns():
+    sim = Simulator()
+    exits = []
+    sim.add_loop_exit(lambda: exits.append((sim.events_fired, sim.running)))
+
+    def boom():
+        raise RuntimeError("boom")
+
+    for when in (1.0, 2.0, 3.0, 4.0):
+        sim.call_at(when, lambda: None)
+    sim.call_at(5.0, boom)
+    sim.step()
+    sim.run(max_events=1)
+    sim.run_until(3.5)
+    sim.run_window(4.0)  # fires nothing: the bound is strict
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert exits == [(1, False), (2, False), (3, False), (3, False), (5, False)]

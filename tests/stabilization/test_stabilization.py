@@ -166,7 +166,7 @@ class TestHeartbeatMessages:
         h, system, evader = make_system()
         seen = []
         system.cgcast.observe(
-            lambda rec: seen.append(type(rec.payload).__name__)
+            lambda recs: seen.extend(type(rec.payload).__name__ for rec in recs)
         )
         system.run(CONFIG.period(0) * 2 + 5)
         assert "Heartbeat" in seen
