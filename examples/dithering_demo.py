@@ -11,7 +11,7 @@ Run:  python examples/dithering_demo.py
 
 from repro import grid_hierarchy
 from repro.api import ScenarioConfig, build
-from repro.analysis import format_table
+from repro.analysis import render_table
 from repro.mobility import BoundaryOscillator, worst_boundary_pair
 
 OSCILLATIONS = 16
@@ -44,7 +44,7 @@ def main() -> None:
         (k + 1, w, wo)
         for k, (w, wo) in enumerate(zip(with_laterals, without))
     ]
-    print(format_table(
+    print(render_table(
         ["move", "VINESTALK work", "no-lateral work"],
         rows,
         title="per-move tracking work",

@@ -13,7 +13,7 @@ Run:  python examples/irregular_map.py
 import random
 
 from repro.api import ScenarioConfig, build
-from repro.analysis import format_table
+from repro.analysis import render_table
 from repro.core import uniform_schedule
 from repro.geometry import HexTiling
 from repro.hierarchy import build_agglomerative_hierarchy
@@ -58,7 +58,7 @@ def main() -> None:
             str(record.found_region),
         ))
     print()
-    print(format_table(
+    print(render_table(
         ["origin", "distance", "find work", "found at"],
         rows,
         title="finds from the rim of the hex map",

@@ -12,7 +12,7 @@ Run:  python examples/multi_pursuit.py
 """
 
 from repro import grid_hierarchy
-from repro.analysis import format_table
+from repro.analysis import render_table
 from repro.coordination import PursuitGame
 
 KWARGS = dict(
@@ -40,7 +40,7 @@ def main() -> None:
             result.find_work,
             result.pursuer_distance,
         ))
-    print(format_table(
+    print(render_table(
         ["strategy", "rounds", "catches (round)", "find work", "distance"],
         rows,
         title="3 pursuers (clustered) vs 3 evaders (spread), 16x16 world",

@@ -1,4 +1,4 @@
-"""Work accounting, bound formulas, experiment runners and reporting."""
+"""Work accounting, bound formulas, experiment runners and the report registry."""
 
 from .accounting import WorkAccountant, WorkSnapshot
 from .bounds import (
@@ -30,7 +30,6 @@ from .parallel import (
     JobSpec,
     SweepRunner,
     chaos_jobs,
-    derive_seed,
     e1_jobs,
     e2_jobs,
     e8_jobs,
@@ -40,13 +39,7 @@ from .parallel import (
 )
 from .fitting import GROWTH_MODELS, best_growth_model, fit_scale, growth_ratio
 from .recovery import ChaosResult, run_chaos
-from .reporting import (
-    build_report,
-    format_series,
-    format_table,
-    render_table,
-    sparkline,
-)
+from .reporting import build_report, render_table
 
 __all__ = [
     "ChaosResult",
@@ -67,8 +60,6 @@ __all__ = [
     "find_time_bound",
     "find_work_bound",
     "fit_scale",
-    "format_series",
-    "format_table",
     "grid_find_work_bound",
     "grid_move_work_bound",
     "growth_ratio",
@@ -85,14 +76,12 @@ __all__ = [
     "run_scale_probe",
     "render_table",
     "chaos_jobs",
-    "derive_seed",
     "e1_jobs",
     "e2_jobs",
     "e8_jobs",
     "job",
     "scale_jobs",
     "search_level_for_distance",
-    "sparkline",
 ]
 
 from .render import render_grid_world, render_path, render_pointer_stats  # noqa: E402

@@ -1,21 +1,14 @@
-"""Experiment runners behind the benchmark harness (E1–E8, SVC).
+"""Experiment runners: the simulations behind every EXPERIMENTS.md table.
 
-Each runner builds a fresh world, drives it, and returns a small result
-record; the ``benchmarks/`` files and EXPERIMENTS.md generation call
-these.  All runners are deterministic for a fixed seed.
-
-Two driving styles coexist here:
-
-* the **interactive** loops (E1–E9): call ``evader.step()``, run to
-  quiescence, sample an accountant epoch, repeat — required whenever a
-  measurement must interpose *between* moves (per-move work, settle
-  times, mid-flight probes);
-* the **workload protocol** (:mod:`repro.workload`): experiments whose
-  drive is a pure timed event stream go through ``Workload.events(seed)``
-  — one frozen script that runs bit-identically on the plain engine and
-  the any-K sharded engine.  :func:`run_service_mk` (the M×K service
-  scaling table) is the canonical protocol-driven experiment; new
-  experiments should prefer this style unless they need interposition.
+Each runner builds a fresh world, drives it and returns a small result
+record; the experiment registry (:mod:`repro.analysis.reporting`) calls
+them, renders what they return and checks it.  All runners are
+deterministic for a fixed seed.  Most drive *interactively* — step the
+evader, run to quiescence, sample an accountant epoch, repeat — because
+they measure between moves (per-move work, settle times, mid-flight
+probes); a pure timed event stream goes through the workload protocol
+instead (:mod:`repro.workload`, as :func:`run_service_mk` does), which
+runs bit-identically on the plain and the sharded engine.
 """
 
 from __future__ import annotations
@@ -25,9 +18,18 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.consistency import check_consistent
 from ..core.invariants import InvariantMonitor
+from ..core.path import check_tracking_path
+from ..core.state import capture_snapshot
 from ..core.vinestalk import VineStalk
-from ..mobility.models import BoundaryOscillator, RandomNeighborWalk, worst_boundary_pair
+from ..mobility.models import (
+    BoundaryOscillator,
+    FixedPath,
+    RandomNeighborWalk,
+    worst_boundary_pair,
+)
+from ..mobility.speed import concurrent_dwell
 from ..scenario import ScenarioConfig, build
 from ..topo import topology_cache
 from .bounds import (
@@ -35,6 +37,26 @@ from .bounds import (
     move_work_bound_per_distance,
     search_level_for_distance,
 )
+
+
+def _settled_walker(system, rng=None, start=None, dwell: float = 1e12):
+    """Enter a random-neighbor walker at ``start`` (default: the middle
+    region) and run its entry to quiescence; ``rng`` draws the walk."""
+    if start is None:
+        regions = system.hierarchy.tiling.regions()
+        start = regions[len(regions) // 2]
+    evader = system.make_evader(
+        RandomNeighborWalk(start=start), dwell=dwell, start=start, rng=rng
+    )
+    system.run_to_quiescence()
+    return evader
+
+
+def _walk(system, evader, n_moves: int) -> None:
+    """``n_moves`` atomic moves: step, then run to quiescence."""
+    for _ in range(n_moves):
+        evader.step()
+        system.run_to_quiescence()
 
 
 # ----------------------------------------------------------------------
@@ -59,21 +81,18 @@ def run_move_walk(
     max_level: int,
     n_moves: int,
     seed: int = 0,
-    delta: float = 1.0,
-    e: float = 0.5,
-    system_cls=VineStalk,
+    schedule=None,
 ) -> MoveCostResult:
-    """Random neighbor walk with atomic (settled) moves; measures move work."""
+    """Random neighbor walk with atomic (settled) moves; measures move work.
+
+    ``schedule`` overrides the corollary's geometric timer schedule (the
+    E1 ablation passes the flat Eq. (1)-safe one).
+    """
     system, accountant = build(
-        ScenarioConfig(r=r, max_level=max_level, delta=delta, e=e, system=system_cls)
+        ScenarioConfig(r=r, max_level=max_level, schedule=schedule)
     ).parts()
     hierarchy = system.hierarchy
-    rng = random.Random(seed)
-    center = hierarchy.tiling.regions()[len(hierarchy.tiling.regions()) // 2]
-    evader = system.make_evader(
-        RandomNeighborWalk(start=center), dwell=1e12, start=center, rng=rng
-    )
-    system.run_to_quiescence()
+    evader = _settled_walker(system, random.Random(seed))
     baseline = accountant.epoch()
 
     per_move_work: List[float] = []
@@ -147,35 +166,16 @@ def run_find_at_distance(
     )
 
 
-def _warm_find_sweep_system(
-    r: int, max_level: int, delta: float, e: float
-) -> VineStalk:
-    """The seed-independent prefix of :func:`run_find_sweep`.
-
-    Build, settle an evader at the center, run to quiescence.  No seeded
-    draw happens before quiescence.
-    """
-    system = build(ScenarioConfig(r=r, max_level=max_level, delta=delta, e=e)).system
-    tiling = system.hierarchy.tiling
-    center = tiling.regions()[len(tiling.regions()) // 2]
-    system.make_evader(RandomNeighborWalk(start=center), dwell=1e12, start=center)
-    system.run_to_quiescence()
-    return system
-
-
 def run_find_sweep(
     r: int,
     max_level: int,
     distances: List[int],
     seed: int = 0,
-    delta: float = 1.0,
-    e: float = 0.5,
     finds_per_distance: int = 3,
 ) -> List[FindCostResult]:
     """Finds at a sweep of distances from a settled evader at the center."""
-    system = _warm_find_sweep_system(r, max_level, delta, e)
-    tiling = system.hierarchy.tiling
-    center = tiling.regions()[len(tiling.regions()) // 2]
+    system = build(ScenarioConfig(r=r, max_level=max_level)).system
+    center = _settled_walker(system).region
     rng = random.Random(seed)
 
     results: List[FindCostResult] = []
@@ -188,13 +188,33 @@ def run_find_sweep(
 
 
 def mean_find_work_by_distance(
-    results: List[FindCostResult],
+    results: List[FindCostResult], field: str = "work"
 ) -> List[Tuple[int, float]]:
-    """Aggregate a find sweep into (distance, mean work) pairs."""
+    """Aggregate a find sweep into (distance, mean work) pairs.
+
+    ``field="latency"`` averages the finds' latency instead.
+    """
     groups: Dict[int, List[float]] = {}
     for result in results:
-        groups.setdefault(result.distance, []).append(result.work)
+        groups.setdefault(result.distance, []).append(getattr(result, field))
     return [(d, sum(v) / len(v)) for d, v in sorted(groups.items())]
+
+
+def analytic_find_work(side: int, distances: List[int]):
+    """``(d, flooding work, home-agent work)`` per distance, for finds from
+    the center of a ``side``×``side`` grid: the two §I cost models an
+    E2 sweep is set against."""
+    from ..baselines import FloodingFinder, HomeAgentLocator
+    from ..geometry import GridTiling
+
+    flood, home = FloodingFinder(GridTiling(side)), HomeAgentLocator(GridTiling(side))
+    center = (side // 2, side // 2)
+    rows = []
+    for d in distances:
+        target = (min(center[0] + d, side - 1), center[1])
+        home.move(target)
+        rows.append((d, flood.find(center, target).work, home.find(center).work))
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -215,18 +235,12 @@ class DitheringResult:
         return self.work_without_laterals / self.work_with_laterals
 
 
-def run_dithering(
-    r: int,
-    max_level: int,
-    oscillations: int,
-    delta: float = 1.0,
-    e: float = 0.5,
-) -> DitheringResult:
+def run_dithering(r: int, max_level: int, oscillations: int) -> DitheringResult:
     """Boundary oscillation: VINESTALK vs the no-lateral baseline."""
     totals = {}
     for label, system_key in (("with", "vinestalk"), ("without", "no-lateral")):
         system, accountant = build(
-            ScenarioConfig(r=r, max_level=max_level, delta=delta, e=e, system=system_key)
+            ScenarioConfig(r=r, max_level=max_level, system=system_key)
         ).parts()
         a, b = worst_boundary_pair(system.hierarchy)
         evader = system.make_evader(
@@ -234,9 +248,7 @@ def run_dithering(
         )
         system.run_to_quiescence()
         baseline = accountant.epoch()
-        for _ in range(oscillations):
-            evader.step()
-            system.run_to_quiescence()
+        _walk(system, evader, oscillations)
         totals[label] = accountant.epoch().minus(baseline).move_work
     return DitheringResult(
         oscillations=oscillations,
@@ -269,17 +281,15 @@ def run_invariant_watch(
     system = build(ScenarioConfig(r=r, max_level=max_level)).system
     system.sim.trace.enabled = True  # monitor needs the trace
     system.sim.trace.capacity = 1  # but not its history
-    rng = random.Random(seed)
-    center = system.hierarchy.tiling.regions()[0]
+    corner = system.hierarchy.tiling.regions()[0]
     evader = system.make_evader(
-        RandomNeighborWalk(start=center), dwell=1e12, start=center, rng=rng
+        RandomNeighborWalk(start=corner), dwell=1e12, start=corner,
+        rng=random.Random(seed),
     )
     monitor = InvariantMonitor(system).watch()
     try:
         system.run_to_quiescence()
-        for _ in range(n_moves):
-            evader.step()
-            system.run_to_quiescence()
+        _walk(system, evader, n_moves)
     finally:
         monitor.stop()  # never leak the trace subscription across jobs
     return InvariantResult(
@@ -305,27 +315,6 @@ class ComparisonRow:
         return self.move_work + self.find_work
 
 
-def _warm_baseline_state(
-    r: int, max_level: int, seed: int, start_corner: bool
-) -> Tuple[Any, Any, Any]:
-    """The settled pre-measurement world of :func:`run_baseline_comparison`.
-
-    The evader's walk RNG is seeded here, so unlike the find-sweep
-    prefix this state is seed-specific.
-    """
-    config = ScenarioConfig(r=r, max_level=max_level)
-    system, accountant = build(config).parts()
-    tiling = system.hierarchy.tiling
-    regions = tiling.regions()
-    center = regions[0] if start_corner else regions[len(regions) // 2]
-    evader = system.make_evader(
-        RandomNeighborWalk(start=center), dwell=1e12, start=center,
-        rng=random.Random(seed),
-    )
-    system.run_to_quiescence()
-    return system, accountant, evader
-
-
 def run_baseline_comparison(
     r: int,
     max_level: int,
@@ -333,63 +322,54 @@ def run_baseline_comparison(
     n_finds: int,
     find_distance: int,
     seed: int = 0,
-    start_corner: bool = True,
 ) -> List[ComparisonRow]:
     """Same workload across VINESTALK, home-agent, flooding and A–P.
 
     The workload: ``n_moves`` random-walk steps, with ``n_finds`` finds
     issued from regions at ``find_distance`` spread across the run.
 
-    By default the evader roams a corner of the world while the
-    home-agent rendezvous sits at the center — fixed rendezvous services
-    cannot co-locate with activity, which is exactly the non-locality
-    the locality-aware services are designed to avoid.
+    The evader roams a corner of the world while the home-agent
+    rendezvous sits at the center — fixed rendezvous services cannot
+    co-locate with activity, which is exactly the non-locality the
+    locality-aware services are designed to avoid.
     """
-    rows: List[ComparisonRow] = []
-
-    # --- VINESTALK (message-level) -------------------------------------
-    system, accountant, evader = _warm_baseline_state(r, max_level, seed, start_corner)
     config = ScenarioConfig(r=r, max_level=max_level)
+    system, accountant = build(config).parts()
     tiling = system.hierarchy.tiling
-    rng = random.Random(seed)
-    base = accountant.epoch()
-    find_every = max(1, n_moves // max(1, n_finds))
-    finds_done = 0
-    path = [evader.region]
-    for step in range(n_moves):
-        evader.step()
-        path.append(evader.region)
-        system.run_to_quiescence()
-        if step % find_every == 0 and finds_done < n_finds:
-            result = run_find_at_distance(system, evader.region, find_distance, rng)
-            finds_done += 1
-    used = accountant.epoch().minus(base)
-    rows.append(ComparisonRow("vinestalk", used.move_work, used.find_work))
-
-    # --- analytic baselines replay the identical trajectory -------------
+    # The analytic cost models replay the message-level run's trajectory
+    # and find origins as it goes.
     analytic = config.with_(hierarchy=system.hierarchy)
     home = build(analytic.with_(system="home-agent")).system
     ap = build(analytic.with_(system="awerbuch-peleg")).system
     flood = build(analytic.with_(system="flooding")).system
-    ap.publish(path[0])
-    home.move(path[0])
-    flood_work = 0.0
-    home_find = ap_find = 0.0
+    evader = _settled_walker(
+        system, random.Random(seed), start=tiling.regions()[0]
+    )
+    ap.publish(evader.region)
+    home.move(evader.region)
+    rng = random.Random(seed)
+    base = accountant.epoch()
+    find_every = max(1, n_moves // max(1, n_finds))
     finds_done = 0
-    find_rng = random.Random(seed)
-    for step, region in enumerate(path[1:]):
-        home.move(region)
-        ap.move(region)
+    home_find = ap_find = flood_work = 0.0
+    for step in range(n_moves):
+        _walk(system, evader, 1)
+        home.move(evader.region)
+        ap.move(evader.region)
         if step % find_every == 0 and finds_done < n_finds:
+            finds_done += 1
             candidates = topology_cache().regions_at_distance(
-                tiling, region, find_distance
+                tiling, evader.region, find_distance
             )
             if candidates:
-                origin = find_rng.choice(candidates)
+                origin = rng.choice(candidates)
+                system.issue_find(origin)
+                system.run_to_quiescence()
                 home_find += home.find(origin).work
                 ap_find += ap.find(origin).work
-                flood_work += flood.find(origin, region).work
-            finds_done += 1
+                flood_work += flood.find(origin, evader.region).work
+    used = accountant.epoch().minus(base)
+    rows = [ComparisonRow("vinestalk", used.move_work, used.find_work)]
     rows.append(ComparisonRow("home-agent", home.total_move_work, home_find))
     rows.append(ComparisonRow("awerbuch-peleg", ap.total_move_work, ap_find))
     rows.append(ComparisonRow("flooding", 0.0, flood_work))
@@ -424,9 +404,6 @@ def run_concurrent(
     n_moves: int,
     n_finds: int,
     seed: int = 0,
-    delta: float = 1.0,
-    e: float = 0.5,
-    settle_level: int = 1,
 ) -> ConcurrentResult:
     """Moves with the §VI speed restriction, finds issued mid-flight.
 
@@ -434,22 +411,14 @@ def run_concurrent(
     trajectory executed atomically, and the search-level overshoot of
     each find relative to the atomic-case minimum level.
     """
-    from ..core.messages import FindQuery
-    from ..mobility.speed import concurrent_dwell
-
     # --- concurrent execution ------------------------------------------
-    config = ScenarioConfig(r=r, max_level=max_level, delta=delta, e=e)
+    config = ScenarioConfig(r=r, max_level=max_level)
     system, accountant = build(config).parts()
     tiling = system.hierarchy.tiling
     params = system.hierarchy.params
-    dwell = concurrent_dwell(system.schedule, params, delta, e, settle_level)
+    dwell = concurrent_dwell(system.schedule, params, system.delta, system.e)
     rng = random.Random(seed)
-    center = tiling.regions()[len(tiling.regions()) // 2]
-    evader = system.make_evader(
-        RandomNeighborWalk(start=center), dwell=dwell, start=center,
-        rng=random.Random(seed),
-    )
-    system.run_to_quiescence()
+    evader = _settled_walker(system, random.Random(seed), dwell=dwell)
     base = accountant.epoch()
 
     # Track per-find max query level through a trace subscriber.
@@ -494,15 +463,9 @@ def run_concurrent(
 
     # --- atomic replay of the same trajectory ---------------------------
     atomic_system, atomic_acc = build(config).parts()
-    atomic_evader = atomic_system.make_evader(
-        RandomNeighborWalk(start=center), dwell=1e12, start=center,
-        rng=random.Random(seed),
-    )
-    atomic_system.run_to_quiescence()
+    atomic_evader = _settled_walker(atomic_system, random.Random(seed))
     atomic_base = atomic_acc.epoch()
-    for _ in range(trajectory_moves):
-        atomic_evader.step()
-        atomic_system.run_to_quiescence()
+    _walk(atomic_system, atomic_evader, trajectory_moves)
     atomic_work = atomic_acc.epoch().minus(atomic_base).move_work
 
     return ConcurrentResult(
@@ -551,16 +514,11 @@ def run_emulation_recovery(
         )
     )
     system, hierarchy = scenario.system, scenario.hierarchy
-    rng = random.Random(seed)
-    center = hierarchy.tiling.regions()[len(hierarchy.tiling.regions()) // 2]
-    evader = system.make_evader(
-        RandomNeighborWalk(start=center), dwell=1e12, start=center, rng=rng
-    )
-    system.run_to_quiescence()
+    evader = _settled_walker(system, random.Random(seed))
     assert system.path_is_intact()
 
     # Kill the VSA hosting the evader's level-1 cluster process.
-    level1_head = hierarchy.head(hierarchy.cluster(center, 1))
+    level1_head = hierarchy.head(hierarchy.cluster(evader.region, 1))
     system.kill_region(level1_head)
     system.run_to_quiescence()
     broken = not system.path_is_intact()
@@ -604,19 +562,13 @@ def run_equivalence_check(
     ``(states_checked, mismatches)``.
     """
     from ..core.atomic_model import atomic_move_seq
-    from ..core.consistency import check_consistent
     from ..core.lookahead import look_ahead
-    from ..core.state import capture_snapshot
 
     scenario = build(ScenarioConfig(r=r, max_level=max_level, seed=seed))
     system, hierarchy = scenario.system, scenario.hierarchy
-    rng = random.Random(seed)
-    start = hierarchy.tiling.regions()[len(hierarchy.tiling.regions()) // 2]
-    evader = system.make_evader(
-        RandomNeighborWalk(start=start), dwell=1e12, start=start, rng=rng
-    )
-    system.run_to_quiescence()
-    seq = [start]
+    rng = random.Random(seed)  # one stream: the walk and the probe times
+    evader = _settled_walker(system, rng)
+    seq = [evader.region]
     checked = mismatches = 0
     for _ in range(n_moves):
         evader.step()
@@ -639,95 +591,176 @@ def run_equivalence_check(
 
 
 # ----------------------------------------------------------------------
+# E7: secondary-pointer coverage (Theorem 5.1)
+# ----------------------------------------------------------------------
+def run_coverage_audit(
+    r: int, max_level: int, n_moves: int, seed: int = 0
+) -> Tuple[int, List[str]]:
+    """Audit Theorem 5.1 on the settled state after an ``n_moves`` walk.
+
+    Every region within q(l) of the evader must have its level-l cluster
+    or a neighbor of it on the tracking path or holding a secondary
+    pointer.  Returns ``(region × level pairs audited, problems)``.
+    """
+    system = build(ScenarioConfig(r=r, max_level=max_level)).system
+    hierarchy = system.hierarchy
+    evader = _settled_walker(system, random.Random(seed))
+    _walk(system, evader, n_moves)
+    snapshot = capture_snapshot(system)
+    path, problems = check_tracking_path(snapshot, hierarchy, evader.region)
+    on_path = set(path or ())
+
+    def has_handle(cluster) -> bool:
+        pointers = snapshot.pointers[cluster]
+        return (cluster in on_path or pointers.nbrptup is not None
+                or pointers.nbrptdown is not None)
+
+    audited = 0
+    for region in hierarchy.tiling.regions():
+        distance = hierarchy.tiling.distance(region, evader.region)
+        for level in range(hierarchy.max_level + 1):
+            if distance <= hierarchy.params.q(level):
+                audited += 1
+                cluster = hierarchy.cluster(region, level)
+                if not any(map(has_handle, [cluster] + hierarchy.nbrs(cluster))):
+                    problems.append(f"region {region} level {level}: no handle")
+    return audited, problems
+
+
+# ----------------------------------------------------------------------
+# X1–X4: the §VII extensions, all on the r=3, MAX=2 grid (center (4, 4))
+# ----------------------------------------------------------------------
+def run_corruption_storm(severity: int, seed: int) -> float:
+    """Time for a stabilizing world to reconverge after ``severity`` random
+    pointer corruptions under a static evader; ``inf`` if it never does."""
+    from ..stabilization import StabilizationConfig
+
+    stabilization = StabilizationConfig(period_base=20.0, scale=2.0, miss_limit=3)
+    system = build(ScenarioConfig(
+        r=3, max_level=2, system="stabilizing", stabilization=stabilization
+    )).system
+    system.make_evader(FixedPath([(4, 4)]), dwell=1e12, start=(4, 4))
+    system.start_anchor_refresh()
+    system.run(stabilization.period(0) * 5)
+    system.corrupt(random.Random(seed), severity)
+    elapsed = system.time_to_converge(max_time=5000.0, probe=7.0)
+    return float("inf") if elapsed is None else elapsed
+
+
+def run_replication_overhead(m: int, n_moves: int, seed: int) -> Tuple[float, float]:
+    """``(base work, sync work)`` of a walk with ``m`` head slots per cluster."""
+    system = build(ScenarioConfig(
+        r=3, max_level=2, system="replicated", replication_factor=m
+    )).system
+    _walk(system, _settled_walker(system, random.Random(seed)), n_moves)
+    return system.cgcast.total_cost, system.sync_work
+
+
+def run_replication_survival(m: int) -> float:
+    """Fraction of single-region VSA failures after which a find completes.
+
+    Fails every fourth region in turn under a static evader — except the
+    evader's own, which no replication covers — and queries from a corner
+    whose level-0 VSA is alive.
+    """
+    config = ScenarioConfig(
+        r=3, max_level=2, system="replicated", replication_factor=m
+    )
+    outcomes = []
+    for region in build(config).hierarchy.tiling.regions()[::4]:
+        if region == (4, 4):
+            continue
+        system = build(config).system
+        system.make_evader(FixedPath([(4, 4)]), dwell=1e12, start=(4, 4))
+        system.run_to_quiescence()
+        system.fail_region(region)
+        find_id = system.issue_find((0, 0) if region != (0, 0) else (8, 0))
+        system.run_to_quiescence()
+        outcomes.append(system.finds.records[find_id].completed)
+    return sum(outcomes) / len(outcomes)
+
+
+def run_pursuit(seed: int, coordinated: bool):
+    """One pursuit game on 16×16: 3 cornered pursuers, 3 spread evaders."""
+    from ..coordination import PursuitGame
+
+    return PursuitGame(
+        topology_cache().grid(2, 4), coordinated=coordinated, seed=seed,
+        n_evaders=3, n_pursuers=3, evader_dwell=50.0, pursuer_speed=2,
+        evader_starts=[(2, 13), (13, 13), (13, 2)],
+        pursuer_starts=[(0, 0), (1, 0), (0, 1)],
+    ).play(max_rounds=80, round_period=50.0)
+
+
+def run_speed_violation(
+    dwell_factor: float, seed: int, burst_moves: int, budget: int
+) -> Tuple[bool, Optional[int]]:
+    """A burst of moves at ``dwell_factor`` × the atomic dwell, then recovery.
+
+    Returns ``(consistent after the burst, lawful moves until a
+    cross-world find lands on the evader)``; the count is ``None`` when
+    ``budget`` moves did not restore a usable structure.
+    """
+    system = build(ScenarioConfig(r=3, max_level=2, seed=seed)).system
+    dwell = max(0.5, dwell_factor * system.settle_time())
+    evader = _settled_walker(system, random.Random(seed), dwell=dwell)
+    evader.start()
+    system.run(burst_moves * dwell)
+    evader.stop()
+    system.run_to_quiescence()
+    consistent = not check_consistent(
+        capture_snapshot(system), system.hierarchy, evader.region
+    )
+    for moves in range(budget + 1):
+        find_id = system.issue_find((0, 0))
+        system.run_to_quiescence()
+        record = system.finds.records[find_id]
+        if record.completed and record.found_region == evader.region:
+            return consistent, moves
+        _walk(system, evader, 1)
+    return consistent, None
+
+
+# ----------------------------------------------------------------------
 # SVC: multi-object service scaling (DESIGN.md §9)
 # ----------------------------------------------------------------------
-@dataclass
-class ServiceScaleRow:
-    """One M×K cell of the service scaling table."""
-
-    objects: int
-    clients: int
-    finds: int
-    shards: int
-    completion_rate: float
-    p50: float
-    p95: float
-    p99: float
-    throughput: float
-    deadline_miss_rate: float
-    handovers: int
-    fingerprint_match: bool
-
-
 def run_service_mk(
     cells: List[Tuple[int, int, int]],
-    r: int = 2,
-    max_level: int = 2,
-    seed: int = 7,
-    shards: int = 2,
-    arrival: str = "poisson",
-    rate: float = 2.0,
-    deadline: float = 60.0,
-    moves_per_object: int = 2,
-) -> List[ServiceScaleRow]:
+) -> List[Tuple[int, int, Dict[str, Any], bool]]:
     """The M×K service scaling sweep, one row per ``(M, K, finds)`` cell.
 
     Protocol-driven: each cell is one :class:`~repro.service.LoadGenerator`
-    workload (an ``events(seed)`` stream) admitted through
-    :class:`~repro.service.TrackingService` on **both** engines — the
-    plain single loop and the K-sharded PDES core — so every row also
-    re-checks service-level K-invariance (``fingerprint_match``).
-    Metrics are read from the plain engine; the gate guarantees the
-    sharded engine reports the same sim-time values.
+    workload admitted through :class:`~repro.service.TrackingService` on
+    **both** engines, the plain single loop and the 2-shard PDES core.
+    A row is ``(M, K, the plain engine's service metrics, whether the
+    canonical fingerprints match)``; a match means the sharded engine
+    reports the same sim-time metrics.
     """
     from ..service import LoadGenerator, TrackingService
     from ..sim.sharded.core import _tiling_for
 
-    rows: List[ServiceScaleRow] = []
+    rows = []
     for n_objects, n_clients, n_finds in cells:
         config = ScenarioConfig(
-            r=r,
-            max_level=max_level,
-            seed=seed,
-            shards=shards,
-            n_objects=n_objects,
-            find_clients=n_clients,
+            r=2, max_level=2, seed=7, shards=2,
+            n_objects=n_objects, find_clients=n_clients,
         )
         load = LoadGenerator(
-            tiling=_tiling_for(config),
-            n_objects=n_objects,
-            n_finds=n_finds,
-            find_clients=n_clients,
-            arrival=arrival,
-            rate=rate,
-            moves_per_object=moves_per_object,
-            deadline=deadline,
+            tiling=_tiling_for(config), n_objects=n_objects, n_finds=n_finds,
+            find_clients=n_clients, arrival="poisson", rate=2.0,
+            moves_per_object=2, deadline=60.0,
         )
         plain = TrackingService(config, engine="plain").run(load)
         sharded = TrackingService(config, engine="sharded").run(load)
-        metrics = plain.metrics
-        latency = metrics["latency"]
-        rows.append(ServiceScaleRow(
-            objects=n_objects,
-            clients=n_clients,
-            finds=metrics["finds_issued"],
-            shards=sharded.shards,
-            completion_rate=metrics["completion_rate"],
-            p50=latency["p50"] or 0.0,
-            p95=latency["p95"] or 0.0,
-            p99=latency["p99"] or 0.0,
-            throughput=metrics["throughput_per_time"],
-            deadline_miss_rate=metrics["deadline_miss_rate"] or 0.0,
-            handovers=metrics["handovers_total"],
-            fingerprint_match=(
-                plain.canonical_fingerprint == sharded.canonical_fingerprint
-            ),
+        rows.append((
+            n_objects, n_clients, plain.metrics,
+            plain.canonical_fingerprint == sharded.canonical_fingerprint,
         ))
     return rows
 
 
 # ----------------------------------------------------------------------
-# Scale probe (benchmarks/bench_scale.py)
+# Scale probe
 # ----------------------------------------------------------------------
 def run_scale_probe(
     max_level: int,
@@ -738,8 +771,8 @@ def run_scale_probe(
     """Build a large world, drive a short walk and one cross-world find.
 
     Measures world build time, amortized per-move work and the cost of a
-    find launched from the far corner; the scalability benchmark and
-    the ``paper-sweep`` workload of ``benchmarks/perf`` both call this.
+    find launched from the far corner; the E1 scale table and the
+    ``paper-sweep`` workload of ``benchmarks/perf`` both call this.
     """
     start_build = time.perf_counter()
     scenario = build(ScenarioConfig(r=r, max_level=max_level, seed=seed))
@@ -747,18 +780,9 @@ def run_scale_probe(
     system, accountant = scenario.parts()
     hierarchy = scenario.hierarchy
     regions = hierarchy.tiling.regions()
-    center = regions[len(regions) // 2]
-    evader = system.make_evader(
-        RandomNeighborWalk(start=center),
-        dwell=1e12,
-        start=center,
-        rng=random.Random(seed),
-    )
-    system.run_to_quiescence()
+    evader = _settled_walker(system, random.Random(seed))
     mark = accountant.epoch()
-    for _ in range(n_moves):
-        evader.step()
-        system.run_to_quiescence()
+    _walk(system, evader, n_moves)
     move_work = accountant.delta_since(mark).move_work / max(1, n_moves)
     find_id = system.issue_find(regions[0])
     system.run_to_quiescence()

@@ -1,37 +1,27 @@
-"""Process-parallel experiment sweeps.
+"""Process-parallel experiment sweeps and the canonical job sets.
 
 Each experiment runner in :mod:`repro.analysis.experiments` builds a
 fresh world from an explicit seed, so a sweep (many runner calls with
-different parameters) is embarrassingly parallel.  This module fans such
-sweeps out over a :class:`concurrent.futures.ProcessPoolExecutor`:
+different parameters) is embarrassingly parallel:
 
 * :class:`JobSpec` — one picklable runner invocation (registry name +
   kwargs).  Specs carry names, not callables, so workers resolve the
   runner themselves and nothing non-picklable crosses the process
   boundary.
-* :class:`SweepRunner` — executes a job list and returns
-  :class:`JobResult` records **in submission order**, each with the
-  runner's return value, per-job wall-clock and the number of simulator
-  events the job fired.
-* Canonical job sets (:func:`e1_jobs`, :func:`e2_jobs`, :func:`e8_jobs`,
-  :func:`scale_jobs`) mirror the benchmark sweeps byte-for-byte.
-
-The serial path is a plain in-process loop over the same jobs in the
-same order, so for a fixed seed its results are identical to the
-historical hand-written sweep loops, and (because runners derive
-everything from their explicit seed) identical to the pool's too.
-
-Worker warm-up: before forking, the runner collects the sweep's distinct
-:class:`~repro.topo.keys.TopologyKey`\\ s and hands them to a pool
-initializer that pre-builds the hierarchies (and their cluster
-adjacency) in each worker — jobs then start against a hot per-process
-topology cache instead of rebuilding their world from scratch.
+* :class:`SweepRunner` — executes a job list, in process or over a
+  :class:`~concurrent.futures.ProcessPoolExecutor` of pre-warmed
+  workers, and returns :class:`JobResult` records **in submission
+  order**; serial and pool values are identical.
+* The canonical job sets (:func:`e1_jobs`, :func:`e2_jobs`,
+  :func:`e8_jobs`, :func:`chaos_jobs`, :func:`scale_jobs`) are the one
+  place those sweeps' parameters are written down: the experiment
+  registry (:mod:`repro.analysis.reporting`) runs them as they are, the
+  ``paper-sweep`` workload of ``benchmarks/perf`` scales them up.
 """
 
 from __future__ import annotations
 
 import time
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import import_module
@@ -71,27 +61,12 @@ def resolve_runner(name: str) -> Callable[..., Any]:
     return getattr(import_module(module_name), attr)
 
 
-def derive_seed(base: int, *parts: Any) -> int:
-    """Stable per-job seed from a sweep-level base seed and job labels.
-
-    Uses CRC32 over the repr of the parts (never :func:`hash`, whose str
-    hashing is salted per process), so the same job gets the same seed in
-    the parent, in any worker, and across runs.
-    """
-    text = repr((base, parts)).encode()
-    return (base * 1_000_003 + zlib.crc32(text)) % (2**31)
-
-
 @dataclass(frozen=True)
 class JobSpec:
     """One picklable runner invocation."""
 
     runner: str
     kwargs: Dict[str, Any] = field(default_factory=dict)
-
-    def label(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.kwargs.items())
-        return f"{self.runner}({args})"
 
 
 def job(runner: str, **kwargs: Any) -> JobSpec:
@@ -124,12 +99,6 @@ class JobResult:
     setup_seconds: float = 0.0
     run_seconds: float = 0.0
     phases: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def events_per_sec(self) -> float:
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        return self.events / self.wall_seconds
 
 
 def _execute(spec: JobSpec) -> JobResult:
@@ -252,7 +221,7 @@ class SweepRunner:
 
 
 # ----------------------------------------------------------------------
-# Canonical sweep job sets (mirroring benchmarks/bench_*.py)
+# Canonical sweep job sets
 # ----------------------------------------------------------------------
 def e1_jobs(moves: int = 40, seed: int = 11) -> List[JobSpec]:
     """E1 move-cost sweep: r=2 and r=3 diameter series plus burstiness."""

@@ -64,19 +64,6 @@ class ChaosResult:
             return float("inf") if self.work_faulted else 1.0
         return self.work_faulted / self.work_golden
 
-    def as_row(self) -> Dict[str, object]:
-        return {
-            "system": self.system,
-            "loss_rate": self.loss_rate,
-            "crash_rate": self.crash_rate,
-            "finds": f"{self.finds_completed}/{self.finds_issued}",
-            "success": self.find_success_rate,
-            "retries": self.find_retries,
-            "recovered": self.recovered,
-            "t_reconsist": self.reconsistency_time,
-            "overhead": self.work_overhead,
-        }
-
 
 def _consistent(system) -> bool:
     """Whether the tracking structure is consistent right now."""

@@ -20,8 +20,8 @@ Grouped exports:
 
 * **scenario** — :class:`ScenarioConfig`, :class:`Scenario`,
   :func:`build`;
-* **workload protocol** — :class:`Workload`, :class:`WalkWorkload`,
-  :class:`ScriptedWorkload`, :func:`materialize`, :func:`drive`;
+* **workload protocol** — :class:`Workload`, :class:`ScriptedWorkload`,
+  :func:`materialize`;
 * **service** — :class:`LoadGenerator`, :class:`TrackingService`,
   :func:`service_metrics`, :func:`latency_percentiles`;
 * **engines** — :class:`Simulator` (plain event loop),
@@ -123,13 +123,7 @@ from .sim.sharded import (
     run_reference_walk,
     run_sharded_walk,
 )
-from .workload import (
-    ScriptedWorkload,
-    WalkWorkload,
-    Workload,
-    drive,
-    materialize,
-)
+from .workload import ScriptedWorkload, Workload, materialize
 
 __all__ = [
     # scenario
@@ -139,9 +133,7 @@ __all__ = [
     "build",
     # workload protocol
     "ScriptedWorkload",
-    "WalkWorkload",
     "Workload",
-    "drive",
     "materialize",
     # service
     "LoadGenerator",

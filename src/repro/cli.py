@@ -5,7 +5,8 @@ Commands:
 * ``demo``     — run a tracked random walk and print the structure + costs;
 * ``find``     — sweep find costs by distance on a chosen world;
 * ``chaos``    — run the fault-injection harness and print recovery metrics;
-* ``report``   — regenerate the EXPERIMENTS.md content (to stdout or a file);
+* ``report``   — run the experiment registry and regenerate EXPERIMENTS.md
+  (to stdout or a file); exits 1 when any of its checks failed;
 * ``validate`` — run the full §II-B hierarchy validation for a world;
 * ``snapshot`` — run the canonical tracked walk to a cut point and write
   a ``ckpt/3`` checkpoint file;
@@ -124,7 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fault window / workload length (sim time)")
 
     report = sub.add_parser(
-        "report", parents=[jsonf], help="regenerate EXPERIMENTS.md content"
+        "report", parents=[jsonf],
+        help="regenerate EXPERIMENTS.md; exit 1 if a check fails"
     )
     report.add_argument("--out", default=None, help="output path (default stdout)")
     report.add_argument(
@@ -415,21 +417,22 @@ def cmd_report(args) -> int:
         return _report_obs(args)
     from .analysis.reporting import build_report
 
-    text = build_report(
+    text, failed = build_report(
         progress=lambda name: print(f"running {name} ...", file=sys.stderr)
     )
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)
-        if args.json:
-            _emit("report", {"out": args.out, "length": len(text)})
-        else:
-            print(f"wrote {args.out}", file=sys.stderr)
-    elif args.json:
-        _emit("report", {"out": None, "length": len(text), "report": text})
+    data = {"out": args.out, "length": len(text), "failed": failed}
+    if args.json:
+        _emit("report", data if args.out else {**data, "report": text})
+    elif args.out:
+        print(f"wrote {args.out}", file=sys.stderr)
     else:
         print(text)
-    return 0
+    for key, statement in failed:
+        print(f"FAILED {key}: {statement}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _report_obs(args) -> int:
@@ -440,13 +443,11 @@ def _report_obs(args) -> int:
     payload = run_obs_probe(stride=args.obs_stride)
     if args.out:
         write_obs_artifact(args.out, payload)
-        if args.json:
-            _emit("report", {"out": args.out, "obs": payload})
-            return 0
+    if args.json:
+        _emit("report", {"out": args.out, "obs": payload})
+    elif args.out:
         print(render_obs_summary(payload))
         print(f"wrote {args.out}", file=sys.stderr)
-    elif args.json:
-        _emit("report", {"out": None, "obs": payload})
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
         print(render_obs_summary(payload), file=sys.stderr)
@@ -901,6 +902,7 @@ def cmd_baselines(args) -> int:
     import json as json_mod
 
     from .analysis.crossbase import ALL_TRACKERS, PRESETS, run_cross_baselines
+    from .analysis.reporting import CrossBaselines
     from .mobility.gen import preset_names
 
     trackers = _selection("trackers", args.trackers, ALL_TRACKERS, ALL_TRACKERS)
@@ -926,26 +928,7 @@ def cmd_baselines(args) -> int:
         f"(moves={args.moves} finds={args.finds} seed={args.seed} "
         f"K={args.shards})"
     )
-    header = (
-        f"{'tracker':<16} {'preset':<16} {'latency':>8} {'work':>8} "
-        f"{'handover':>8} {'energy':>9}  engines"
-    )
-    print(header)
-    for cell in payload["cells"]:
-        latency = cell["find_latency"]["mean"]
-        latency_s = "-" if latency is None else f"{latency:.1f}"
-        energy = cell["energy"]["total_energy"]
-        if cell["fingerprint_match"] is None:
-            engines = "analytic"
-        elif cell["fingerprint_match"]:
-            engines = "MATCH"
-        else:
-            engines = "DIVERGED"
-        print(
-            f"{cell['tracker']:<16} {cell['preset']:<16} {latency_s:>8} "
-            f"{cell['message_work']['total']:>8.0f} "
-            f"{cell['handovers']['total']:>8} {energy:>9.1f}  {engines}"
-        )
+    print(*CrossBaselines().tables(payload), sep="\n\n")
     verdict = "MATCH" if payload["all_classic_match"] else "DIVERGED"
     print(f"classic cross-engine fingerprints: {verdict}")
     return 0 if payload["all_classic_match"] else 1

@@ -117,7 +117,7 @@ def uniform_schedule(
 
     Sets every ``s(l)`` to ``margin · (δ+e) · n(MAX−1)`` so even the final
     prefix sum clears the largest bound.  Simple, but much slower than
-    the geometric schedule at low levels — used by the ablation bench.
+    the geometric schedule at low levels — used by the E1 timer ablation.
     """
     if margin <= 1.0:
         raise TimerScheduleError("margin must exceed 1.0")

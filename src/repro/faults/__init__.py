@@ -1,9 +1,8 @@
 """Deterministic, seed-driven fault injection (`repro.faults`).
 
 Declare *what* goes wrong as a :class:`FaultPlan` of composable
-:class:`FaultRule` values; :class:`FaultInjector` (or
-:func:`inject`) arms the plan against a built system through the
-explicit hooks each layer exposes.  Same seed + same plan ⇒
+:class:`FaultRule` values; :class:`FaultInjector` arms the plan
+against a built system through the explicit hooks each layer exposes.  Same seed + same plan ⇒
 bit-identical execution; a null plan ⇒ the unperturbed execution.
 
 Quick start::
@@ -20,7 +19,7 @@ Quick start::
                                     system="stabilizing", fault_plan=plan))
 """
 
-from .injector import FaultInjector, FaultStats, inject
+from .injector import FaultInjector, FaultStats
 from .plan import (
     CHANNEL_BOTH,
     CHANNEL_CGCAST,
@@ -53,5 +52,4 @@ __all__ = [
     "RegionBlackout",
     "VsaCrashes",
     "default_plan",
-    "inject",
 ]

@@ -443,8 +443,3 @@ class FaultInjector:
                     lambda r=region: self._bring_up(r),
                     tag="fault-blackout-restore",
                 )
-
-
-def inject(system, plan: FaultPlan, seed: int = 0) -> FaultInjector:
-    """Build and arm a :class:`FaultInjector` in one call."""
-    return FaultInjector(system, plan, seed=seed).arm()

@@ -3,14 +3,16 @@
 :func:`obs_payload` serializes a collector (plus an optional
 conformance sampler) to a schema-versioned, JSON-safe dict;
 :func:`write_obs_artifact` writes it;
-:func:`render_obs_summary` renders the short human table the CLI prints.
+:func:`render_obs_summary` renders the short human table the CLI prints
+(:func:`render_obs_counts` is its host-time-free part, which the
+EXPERIMENTS.md OBS section embeds).
 ``benchmarks/check_obs_report.py`` validates the artifact.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from .events import OBS_EVENT_SCHEMA, event_dict
 
@@ -74,22 +76,12 @@ def write_obs_artifact(path: str, payload: Dict[str, Any]) -> None:
         handle.write("\n")
 
 
-def render_obs_summary(payload: Dict[str, Any]) -> str:
-    """Short human-readable summary of an ``obs/1`` payload."""
+def render_obs_counts(payload: Dict[str, Any]) -> List[str]:
+    """The summary's run-invariant tables: event counts, then conformance."""
     from ..analysis.reporting import render_table
 
-    phase_rows = [
-        (phase, f"{seconds:.4f}")
-        for phase, seconds in sorted(payload["phases"].items())
-    ]
     event_rows = sorted(payload["events"]["by_kind"].items())
-    lines = [
-        f"obs artifact (schema {payload['schema']}, "
-        f"event schema v{payload['event_schema']})",
-        "",
-        render_table(["phase", "self seconds"], phase_rows,
-                     title="phase breakdown"),
-        "",
+    tables = [
         render_table(["event kind", "count"], event_rows,
                      title=f"typed events ({payload['events']['seen']} total)"),
     ]
@@ -100,12 +92,26 @@ def render_obs_summary(payload: Dict[str, Any]) -> str:
              conformance["checks_run"].get(check, 0))
             for check, violated in sorted(conformance["verdicts"].items())
         ]
-        lines += [
-            "",
-            render_table(
-                ["check", "verdict", "samples"], verdict_rows,
-                title=(f"conformance (stride {conformance['stride']}, "
-                       f"{conformance['violations_total']} violations)"),
-            ),
-        ]
-    return "\n".join(lines)
+        tables.append(render_table(
+            ["check", "verdict", "samples"], verdict_rows,
+            title=(f"conformance (stride {conformance['stride']}, "
+                   f"{conformance['violations_total']} violations)"),
+        ))
+    return tables
+
+
+def render_obs_summary(payload: Dict[str, Any]) -> str:
+    """Short human-readable summary of an ``obs/1`` payload."""
+    from ..analysis.reporting import render_table
+
+    phase_rows = [
+        (phase, f"{seconds:.4f}")
+        for phase, seconds in sorted(payload["phases"].items())
+    ]
+    return "\n\n".join([
+        f"obs artifact (schema {payload['schema']}, "
+        f"event schema v{payload['event_schema']})",
+        render_table(["phase", "self seconds"], phase_rows,
+                     title="phase breakdown"),
+        *render_obs_counts(payload),
+    ])

@@ -81,16 +81,6 @@ class ScriptedWorkload:
         """Workload protocol: a script is its own (seed-free) stream."""
         return self.actions
 
-    def find_count(self) -> int:
-        return sum(1 for a in self.actions if isinstance(a, IssueFind))
-
-    def move_count(self) -> int:
-        return sum(1 for a in self.actions if isinstance(a, EvaderStep))
-
-    def object_ids(self) -> Tuple[int, ...]:
-        """Distinct tracked-object ids this script drives, ascending."""
-        return tuple(sorted({getattr(a, "object_id", 0) for a in self.actions}))
-
 
 def make_walk_workload(
     tiling,

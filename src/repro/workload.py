@@ -1,24 +1,15 @@
 """The unified workload protocol (DESIGN.md §9).
 
-Historically the repo had two ways to drive a system: the picklable
-:class:`~repro.sim.sharded.workload.ScriptedWorkload` scripts used by
-the sharded engine, and ad-hoc imperative loops in
-:mod:`repro.analysis.experiments` (call ``evader.step()``, run to
-quiescence, repeat).  This module unifies them behind one tiny
-protocol:
-
     a **workload** is anything with ``events(seed) -> iterable of
     timed actions``
 
-where the actions are the existing frozen dataclasses
-(:class:`EvaderEnter`, :class:`EvaderStep`, :class:`IssueFind`).
-:func:`materialize` turns any workload into a canonical
-:class:`ScriptedWorkload` — time-sorted (stable) and picklable — which
-both the plain engine (via :func:`schedule_workload` /
-:func:`drive`) and the sharded engine (via
-:class:`~repro.sim.sharded.core.ShardedSimulator`) consume.  Because
-both paths execute the *same* materialized script, a workload's event
-stream is bit-identical on the plain and any-K sharded engines.
+where the actions are the frozen dataclasses :class:`EvaderEnter`,
+:class:`EvaderStep` and :class:`IssueFind`.  :func:`materialize` turns
+any workload into a canonical :class:`ScriptedWorkload` — time-sorted
+(stable) and picklable — which :func:`~repro.sim.sharded.run_script`
+executes on the plain engine or the sharded one.  Because both engines
+execute the *same* materialized script, a workload's event stream is
+bit-identical on the plain and any-K sharded engines.
 
 :class:`~repro.service.load.LoadGenerator` is just another workload:
 its ``events(seed)`` emits the open-loop arrival script for M objects
@@ -27,17 +18,14 @@ and K client origins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
-from .geometry.regions import RegionId
 from .sim.sharded.workload import (
     EvaderEnter,
     EvaderStep,
     IssueFind,
     ScriptedWorkload,
     WorkloadAction,
-    make_walk_workload,
     schedule_workload,
 )
 
@@ -48,9 +36,7 @@ __all__ = [
     "ScriptedWorkload",
     "WorkloadAction",
     "Workload",
-    "WalkWorkload",
     "materialize",
-    "drive",
     "schedule_workload",
 ]
 
@@ -78,42 +64,3 @@ def materialize(workload: Workload, seed: int = 0) -> ScriptedWorkload:
         raise ValueError("workload produced no actions")
     horizon = max(a.time for a in actions)
     return ScriptedWorkload(actions=actions, horizon=horizon)
-
-
-@dataclass(frozen=True)
-class WalkWorkload:
-    """The classic random-neighbor-walk drive as a protocol workload.
-
-    Same generator as :func:`make_walk_workload` (identical scripts for
-    identical parameters); the seed moves into :meth:`events`, so one
-    ``WalkWorkload`` value describes a *family* of runs.
-    """
-
-    tiling: object
-    n_moves: int
-    n_finds: int
-    dwell: float = 40.0
-    start: Optional[RegionId] = None
-
-    def events(self, seed: int = 0) -> Iterable[WorkloadAction]:
-        return make_walk_workload(
-            self.tiling,
-            self.n_moves,
-            self.n_finds,
-            seed,
-            dwell=self.dwell,
-            start=self.start,
-        ).actions
-
-
-def drive(system, workload: Workload, seed: int = 0) -> ScriptedWorkload:
-    """Run ``workload`` on a plain (unsharded) system to quiescence.
-
-    Materializes the script, schedules every action and runs until the
-    simulator drains.  Returns the materialized script so callers can
-    hand the *same* frozen stream to a sharded run for comparison.
-    """
-    script = materialize(workload, seed)
-    schedule_workload(system, script, owns=None)
-    system.run_to_quiescence()
-    return script

@@ -10,15 +10,13 @@ from repro.analysis import (
     find_time_bound,
     find_work_bound,
     fit_scale,
-    format_series,
-    format_table,
     grid_find_work_bound,
     grid_move_work_bound,
     growth_ratio,
     move_time_bound_per_distance,
     move_work_bound_per_distance,
+    render_table,
     search_level_for_distance,
-    sparkline,
 )
 from repro.core import Grow, Find, grid_schedule
 from repro.geocast.cgcast import SendRecord
@@ -140,7 +138,7 @@ class TestFitting:
 
 class TestReporting:
     def test_format_table_alignment(self):
-        table = format_table(["a", "bb"], [[1, 2.5], [10, 3.25]], title="T")
+        table = render_table(["a", "bb"], [[1, 2.5], [10, 3.25]], title="T")
         lines = table.splitlines()
         assert lines[0] == "T"
         assert "a" in lines[1] and "bb" in lines[1]
@@ -148,16 +146,4 @@ class TestReporting:
 
     def test_row_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            format_table(["a"], [[1, 2]])
-
-    def test_format_series(self):
-        out = format_series([1, 2], [10.0, 20.0], "d", "work")
-        assert "d" in out and "work" in out and "20.00" in out
-
-    def test_sparkline(self):
-        line = sparkline([0.0, 1.0, 2.0, 3.0])
-        assert len(line) == 4
-        assert line[0] == "▁" and line[-1] == "█"
-
-    def test_sparkline_empty(self):
-        assert sparkline([]) == ""
+            render_table(["a"], [[1, 2]])

@@ -202,21 +202,3 @@ class TestJsonEnvelope:
         path.write_bytes(b"garbage")
         assert main(["resume", str(path), "--json"]) == 2
         assert "bad magic" in self.unwrap(capsys, "resume")["error"]
-
-
-class TestReportModule:
-    def test_section_builders_render_markdown(self):
-        # e3 and e7 are the cheap ones; the rest are covered by the
-        # benchmark suite and the report generation script.
-        from repro.analysis.reporting import e3, e7
-
-        for section in (e3(), e7()):
-            assert section.startswith("## E")
-            assert "**Paper:**" in section
-
-    def test_build_report_lists_all_sections(self):
-        from repro.analysis.reporting import ALL_SECTIONS
-
-        assert [f.__name__ for f in ALL_SECTIONS] == [
-            f"e{i}" for i in range(1, 10)
-        ]

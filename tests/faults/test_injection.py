@@ -215,11 +215,11 @@ class TestNonzeroPlanDeterminism:
 
 
 class TestTimelineRules:
-    """Blackouts through :func:`inject`: hooks, stats and typed events."""
+    """Blackouts through an armed injector: hooks, stats and typed events."""
 
     def test_blackout_takes_regions_down_once_and_restores_them(self):
         import repro.obs as obs
-        from repro.faults import inject
+        from repro.faults import FaultInjector
 
         scenario = build(ScenarioConfig(r=2, max_level=2, seed=5))
         system = scenario.system
@@ -230,7 +230,7 @@ class TestTimelineRules:
             RegionBlackout(at=7.0, duration=10.0, count=2),
         )
         with obs.observed(spans=False, events=True) as collector:
-            injector = inject(system, plan, seed=5)
+            injector = FaultInjector(system, plan, seed=5).arm()
             with pytest.raises(RuntimeError):
                 injector.arm()
             system.sim.run_until(6.5)

@@ -20,8 +20,8 @@ from repro.scenario import ScenarioConfig
 from repro.service import ARRIVALS, LoadGenerator, TrackingService
 from repro.sim.sharded import run_reference_walk
 from repro.sim.sharded.core import _tiling_for
-from repro.sim.sharded.workload import IssueFind
-from repro.workload import WalkWorkload, materialize
+from repro.sim.sharded.workload import IssueFind, make_walk_workload
+from repro.workload import materialize
 
 
 def config(**overrides):
@@ -49,7 +49,7 @@ class TestGoldenAB:
         # engine: same trace, byte for byte (exact CRC, not just the
         # order-insensitive canonical fingerprint).
         cfg = config(r=2, max_level=3, seed=11, shards=1)
-        walk = WalkWorkload(tiling=_tiling_for(cfg), n_moves=8, n_finds=4)
+        walk = make_walk_workload(_tiling_for(cfg), 8, 4, seed=cfg.seed)
         service = TrackingService(cfg, engine="plain").run(walk)
         reference = run_reference_walk(
             r=2, max_level=3, seed=11, n_moves=8, n_finds=4

@@ -118,6 +118,21 @@ def test_events_fired_counter():
     assert sim.events_fired == 5
 
 
+def test_self_rescheduling_chain_fires_every_event():
+    sim = Simulator()
+    sim.trace.enabled = False
+    fired = [0]
+
+    def tick():
+        fired[0] += 1
+        if fired[0] < 50_000:
+            sim.call_after(0.001, tick)
+
+    sim.call_after(0.0, tick)
+    sim.run()
+    assert fired[0] == sim.events_fired == 50_000
+
+
 def test_run_not_reentrant():
     sim = Simulator()
     errors = []

@@ -178,7 +178,7 @@ class TestHeartbeatMessages:
 
         h, system, evader = make_system()
         accountant = WorkAccountant().attach(system.cgcast)
-        system.run(20 * CONFIG.period(0))
-        per_period = accountant.other_work / 20
+        system.run(25 * CONFIG.period(0))
+        per_period = accountant.other_work / 25
         # 2 path processes beat (levels 0 and 1) + re-announcements.
         assert per_period < 200
