@@ -25,21 +25,15 @@ at the same seed):
 Fault cells (message loss with stable draws) run message trackers only —
 the analytic models have no channel to perturb.
 
-Default (full) mode is the committed ``BENCH_baselines.json``;
-``--quick`` shrinks the walk and drops the fault axis.
-
-Usage::
-
-    PYTHONPATH=src python -m repro.analysis.crossbase [--quick] [--out PATH]
+The one entry point is ``repro baselines``; the committed
+``BENCH_baselines.json`` is its ``--faults none,loss --moves 10
+--finds 5 --out BENCH_baselines.json`` run, and
+``tests/analysis/test_crossbase.py`` holds the file to a regeneration.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 SCHEMA = "bench-baselines/1"
 
@@ -52,19 +46,14 @@ ALL_TRACKERS = MESSAGE_TRACKERS + ANALYTIC_TRACKERS
 #: The shared mobility grid (registered generator presets).
 PRESETS = ("uniform-walk", "convoy-line", "dither")
 
-#: Fault axis: ``none`` everywhere; ``loss`` (message trackers only)
-#: adds 5% stable-draw message loss in full mode.
-FULL_FAULTS = ("none", "loss")
-QUICK_FAULTS = ("none",)
+#: Fault axis: ``none`` is the fault-free grid; ``loss`` (message
+#: trackers only) adds 5% stable-draw message loss.
+FAULTS = ("none", "loss")
 
 LOSS_RATE = 0.05
 
 #: Grid world: small enough that the full grid stays CI-friendly.
 GRID = {"r": 2, "max_level": 2}
-FULL_WALK = {"n_moves": 10, "n_finds": 5}
-QUICK_WALK = {"n_moves": 6, "n_finds": 3}
-DEFAULT_SEED = 7
-DEFAULT_SHARDS = 2
 
 
 def default_energy_model():
@@ -121,7 +110,7 @@ def run_message_cell(
     """One (tracker, preset, fault) cell on both engines."""
     from ..energy import energy_metrics
     from ..scenario import ScenarioConfig
-    from ..service.service import TrackingService
+    from ..service.service import cross_check
 
     model = default_energy_model()
     config = ScenarioConfig(
@@ -129,15 +118,14 @@ def run_message_cell(
         max_level=GRID["max_level"],
         system=tracker,
         seed=seed,
+        shards=shards,
         energy=model,
         fault_plan=_fault_plan(fault),
         stable_fault_draws=fault != "none",
     )
-    walk = _walk(preset, n_moves, n_finds)
-    plain = TrackingService(config, engine="plain").run(walk)
-    sharded = TrackingService(
-        config.with_(shards=shards), engine="sharded"
-    ).run(walk)
+    plain, sharded, match = cross_check(
+        config, _walk(preset, n_moves, n_finds)
+    )
     n_regions = _n_regions()
     energy = dict(
         energy_metrics(plain.energy, model, plain.now, n_regions)
@@ -168,9 +156,7 @@ def run_message_cell(
             "shards": sharded.shards,
             "sharded_energy_total": sharded_energy_total,
         },
-        "fingerprint_match": (
-            plain.canonical_fingerprint == sharded.canonical_fingerprint
-        ),
+        "fingerprint_match": match,
     }
 
 
@@ -310,12 +296,11 @@ def run_analytic_cell(
 def run_cross_baselines(
     trackers: Sequence[str] = ALL_TRACKERS,
     presets: Sequence[str] = PRESETS,
-    faults: Sequence[str] = QUICK_FAULTS,
-    n_moves: int = QUICK_WALK["n_moves"],
-    n_finds: int = QUICK_WALK["n_finds"],
-    seed: int = DEFAULT_SEED,
-    shards: int = DEFAULT_SHARDS,
-    progress: bool = False,
+    faults: Sequence[str] = ("none",),
+    n_moves: int = 6,
+    n_finds: int = 3,
+    seed: int = 7,
+    shards: int = 2,
 ) -> Dict[str, Any]:
     """Run the (tracker × preset × fault) grid; the artifact payload."""
     unknown = [t for t in trackers if t not in ALL_TRACKERS]
@@ -338,15 +323,6 @@ def run_cross_baselines(
                         tracker, preset, fault, n_moves, n_finds, seed, shards
                     )
                 cells.append(cell)
-                if progress:
-                    latency = cell["find_latency"]["mean"]
-                    mean = "-" if latency is None else f"{latency:.1f}"
-                    print(
-                        f"{tracker:>14} × {preset:<16} fault={fault}: "
-                        f"work={cell['message_work']['total']:.0f} "
-                        f"latency.mean={mean}",
-                        file=sys.stderr,
-                    )
     classic = [
         c for c in cells
         if c["tracker"] == "vinestalk" and c["fingerprint_match"] is not None
@@ -373,42 +349,3 @@ def run_cross_baselines(
         "cells": cells,
         "all_classic_match": all(c["fingerprint_match"] for c in classic),
     }
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="generate BENCH_baselines.json"
-    )
-    parser.add_argument("--out", default="BENCH_baselines.json")
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="smaller walk, no fault axis",
-    )
-    args = parser.parse_args(argv)
-    walk = QUICK_WALK if args.quick else FULL_WALK
-    faults = QUICK_FAULTS if args.quick else FULL_FAULTS
-    payload = run_cross_baselines(
-        faults=faults,
-        n_moves=walk["n_moves"],
-        n_finds=walk["n_finds"],
-        progress=True,
-    )
-    payload["mode"] = "quick" if args.quick else "full"
-    payload["host"] = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-    }
-    with open(args.out, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    verdict = "MATCH" if payload["all_classic_match"] else "DIVERGED"
-    print(
-        f"{len(payload['cells'])} cells, classic fingerprints {verdict}; "
-        f"wrote {args.out}",
-        file=sys.stderr,
-    )
-    return 0 if payload["all_classic_match"] else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -730,13 +730,12 @@ def run_service_mk(
     """The M×K service scaling sweep, one row per ``(M, K, finds)`` cell.
 
     Protocol-driven: each cell is one :class:`~repro.service.LoadGenerator`
-    workload admitted through :class:`~repro.service.TrackingService` on
-    **both** engines, the plain single loop and the 2-shard PDES core.
-    A row is ``(M, K, the plain engine's service metrics, whether the
-    canonical fingerprints match)``; a match means the sharded engine
-    reports the same sim-time metrics.
+    workload put through :func:`~repro.service.cross_check` — the plain
+    single loop and the 2-shard PDES core on one script.  A row is
+    ``(M, K, the plain engine's service metrics, the verdict)``; a match
+    means the sharded engine reports the same sim-time metrics.
     """
-    from ..service import LoadGenerator, TrackingService
+    from ..service import LoadGenerator, cross_check
     from ..sim.sharded.core import _tiling_for
 
     rows = []
@@ -750,12 +749,8 @@ def run_service_mk(
             find_clients=n_clients, arrival="poisson", rate=2.0,
             moves_per_object=2, deadline=60.0,
         )
-        plain = TrackingService(config, engine="plain").run(load)
-        sharded = TrackingService(config, engine="sharded").run(load)
-        rows.append((
-            n_objects, n_clients, plain.metrics,
-            plain.canonical_fingerprint == sharded.canonical_fingerprint,
-        ))
+        plain, _, match = cross_check(config, load)
+        rows.append((n_objects, n_clients, plain.metrics, match))
     return rows
 
 

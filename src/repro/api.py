@@ -23,7 +23,9 @@ Grouped exports:
 * **workload protocol** — :class:`Workload`, :class:`ScriptedWorkload`,
   :func:`materialize`;
 * **service** — :class:`LoadGenerator`, :class:`TrackingService`,
-  :func:`service_metrics`, :func:`latency_percentiles`;
+  :func:`service_metrics`, :func:`latency_percentiles`, and
+  :func:`cross_check` — the plain ≡ sharded verdict: one materialized
+  script on both engines, ``(plain, sharded, match)``;
 * **engines** — :class:`Simulator` (plain event loop),
   :class:`ShardedSimulator`, the :func:`run_reference_walk` /
   :func:`run_sharded_walk` one-call runners, and :class:`RunRecord` —
@@ -113,6 +115,7 @@ from .scenario import Scenario, ScenarioConfig, build
 from .service import (
     LoadGenerator,
     TrackingService,
+    cross_check,
     latency_percentiles,
     service_metrics,
 )
@@ -138,6 +141,7 @@ __all__ = [
     # service
     "LoadGenerator",
     "TrackingService",
+    "cross_check",
     "latency_percentiles",
     "service_metrics",
     # engines

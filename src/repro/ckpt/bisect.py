@@ -314,6 +314,11 @@ def bisect_divergence(
     the first diverging event (0-based global index) with each side's
     view of it.
     """
+    if window < 1 or max_events < 1:
+        # A zero-event window compares nothing and reports "no divergence".
+        raise ValueError(
+            f"window and max_events must be >= 1, got {window} and {max_events}"
+        )
     if until is None:
         until = walk_horizon(moves)
     side_a = _Side(config, variant_a, moves)

@@ -1,43 +1,17 @@
-"""Command-line interface: ``python -m repro <command>``.
+"""Command-line interface: ``python -m repro <command> [--json]``.
 
-Commands:
-
-* ``demo``     — run a tracked random walk and print the structure + costs;
-* ``find``     — sweep find costs by distance on a chosen world;
-* ``chaos``    — run the fault-injection harness and print recovery metrics;
-* ``report``   — run the experiment registry and regenerate EXPERIMENTS.md
-  (to stdout or a file); exits 1 when any of its checks failed;
-* ``validate`` — run the full §II-B hierarchy validation for a world;
-* ``snapshot`` — run the canonical tracked walk to a cut point and write
-  a ``ckpt/3`` checkpoint file;
-* ``resume``   — restore a checkpoint and run its continuation to the end
-  (bit-identical to the uninterrupted run);
-* ``bisect``   — replay two run variants in lockstep and report the first
-  diverging event;
-* ``sharded``  — run the region-sharded PDES core on a scripted walk,
-  compare its trace fingerprint at K shards against the single-loop
-  reference engine, and report the determinism verdict (CI's
-  smoke-sharded job runs this with ``--json``);
-* ``service``  — run one multi-object :class:`~repro.service.LoadGenerator`
-  workload through :class:`~repro.service.TrackingService` on both
-  engines and report per-find latency metrics plus the cross-engine
-  fingerprint verdict (CI's smoke-cli job runs this with ``--json``);
-* ``mobility`` — run the E-series tracked walk across generated mobility
-  regimes (:mod:`repro.mobility.gen` presets): per-regime work, §VI
-  speed verdict and trace fingerprints, with an optional sharded-engine
-  cross-check (CI's smoke-mobility job runs this with ``--json``);
-* ``baselines`` — run the cross-baseline grid
-  (:mod:`repro.analysis.crossbase`): every registered tracker over a
-  shared mobility-preset grid on both engines, scoring find latency,
-  message work, handovers and energy (CI's smoke-cli job runs this
-  with ``--json``).
-
-The world-shape flags (``--r``, ``--max-level``, ``--seed``) are shared
-by every world-building command via a common parent parser; each command
-keeps its historical defaults.  **Every** subcommand accepts ``--json``
-(a second shared parent): machine output is one schema-versioned
-envelope ``{"schema": "repro-cli/1", "command": <name>, "data": {...}}``
-so scripts and CI never parse per-command shapes.
+:data:`COMMANDS` is the whole surface, one :class:`Command` row per
+subcommand (``python -m repro --help`` prints them).  :func:`main` is the
+only place that parses, checks every flag against its :class:`Domain`,
+runs the command and prints the result.  ``run`` describes a result
+once, as a dict; it goes out as the one schema-versioned envelope
+``{"schema": "repro-cli/1", "command": <name>, "data": {...}}`` under
+``--json``, which every command takes, or else as ``text(view)`` — the
+same dict laid over the parsed flags it answers (``_``-prefixed keys are
+for ``text`` only and stay out of the envelope).  Rejected input — a
+value outside its flag's domain, or a typed refusal from deeper down —
+exits 2 with one stderr line, or the envelope with ``data.error``.
+Progress and written files are noted on stderr in either mode.
 """
 
 from __future__ import annotations
@@ -46,456 +20,296 @@ import argparse
 import json
 import random
 import sys
-from typing import Any, Dict, List, Optional
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Envelope schema for all ``--json`` output.
 CLI_SCHEMA = "repro-cli/1"
 
 
-def _emit(command: str, data: Dict[str, Any]) -> None:
-    """Print the one ``repro-cli/1`` JSON envelope for ``command``."""
-    print(json.dumps(
-        {"schema": CLI_SCHEMA, "command": command, "data": data},
-        sort_keys=True,
-    ))
+@dataclass(frozen=True)
+class Domain:
+    """A flag's legal values: how argparse reads one, what ``main`` checks.
 
-
-def _common_flags(
-    r: int, max_level: int, seed: Optional[int] = None
-) -> argparse.ArgumentParser:
-    """A fresh parent parser with the world-shape flags and defaults.
-
-    Each subcommand gets its **own** parent instance: argparse parents
-    share action objects, so a single shared parent plus per-subparser
-    ``set_defaults`` silently gives every command the defaults of
-    whichever subparser was registered last.
+    ``type`` converts the raw string (``None``: an on/off switch); ``ok``
+    says whether a parsed value is legal and ``says`` words the refusal;
+    ``choices`` is a closed set argparse itself enforces.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--r", type=int, default=r, help="grid base")
-    common.add_argument("--max-level", type=int, default=max_level,
-                        help="hierarchy MAX")
-    common.add_argument("--seed", type=int, default=seed,
-                        help="root RNG seed")
-    return common
+
+    type: Optional[Callable[[str], Any]] = None
+    ok: Optional[Callable[[Any], bool]] = None
+    says: str = ""
+    choices: Optional[Tuple[str, ...]] = None
 
 
-def _json_flags() -> argparse.ArgumentParser:
-    """Parent parser holding the ``--json`` flag every command takes."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--json", action="store_true",
-        help='emit one {"schema": "repro-cli/1", ...} JSON envelope',
-    )
-    return parent
+def _at_least(floor: int) -> Domain:
+    return Domain(int, lambda value: value >= floor, f"must be >= {floor}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="VINESTALK reproduction (Nolte & Lynch, ICDCS 2007)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    jsonf = _json_flags()
-
-    demo = sub.add_parser(
-        "demo", parents=[_common_flags(r=3, max_level=2, seed=7), jsonf],
-        help="tracked random walk with finds",
-    )
-    demo.add_argument("--moves", type=int, default=20)
-    demo.add_argument("--finds", type=int, default=4)
-
-    find = sub.add_parser(
-        "find", parents=[_common_flags(r=2, max_level=4, seed=21), jsonf],
-        help="find-cost sweep by distance",
-    )
-
-    chaos = sub.add_parser(
-        "chaos", parents=[_common_flags(r=2, max_level=2, seed=7), jsonf],
-        help="fault injection: loss/crash chaos + recovery metrics",
-    )
-    chaos.add_argument(
-        "--system", default="stabilizing",
-        help="scenario system key (default stabilizing; try vinestalk)",
-    )
-    chaos.add_argument("--loss", type=float, default=0.05,
-                       help="per-message loss probability")
-    chaos.add_argument("--crash", type=float, default=0.0,
-                       help="per-tick per-VSA crash probability")
-    chaos.add_argument("--duration", type=float, default=150.0,
-                       help="fault window / workload length (sim time)")
-
-    report = sub.add_parser(
-        "report", parents=[jsonf],
-        help="regenerate EXPERIMENTS.md; exit 1 if a check fails"
-    )
-    report.add_argument("--out", default=None, help="output path (default stdout)")
-    report.add_argument(
-        "--obs", action="store_true",
-        help="emit the obs/1 JSON artifact of one instrumented default-"
-             "scenario run (spans, typed events, conformance sampling) "
-             "instead of the experiments report",
-    )
-    report.add_argument(
-        "--obs-stride", type=int, default=64,
-        help="conformance-sampler event stride for --obs (default 64)",
-    )
-
-    validate = sub.add_parser(
-        "validate", parents=[_common_flags(r=3, max_level=2), jsonf],
-        help="validate a hierarchy (§II-B)",
-    )
-    validate.add_argument("--strip", action="store_true", help="strip world")
-    validate.add_argument(
-        "--skip-proximity", action="store_true", help="skip the proximity check"
-    )
-
-    snapshot = sub.add_parser(
-        "snapshot", parents=[_common_flags(r=2, max_level=2, seed=7), jsonf],
-        help="checkpoint the canonical tracked walk at a cut point",
-    )
-    snapshot.add_argument("--at", type=float, default=25.0,
-                          help="sim time of the cut point (default 25)")
-    snapshot.add_argument("--moves", type=int, default=5,
-                          help="scheduled walk moves (default 5)")
-    snapshot.add_argument("--loss", type=float, default=None,
-                          help="arm a message-loss fault plan at this rate")
-    snapshot.add_argument("--out", default="walk.ckpt",
-                          help="checkpoint path (default walk.ckpt)")
-
-    resume = sub.add_parser(
-        "resume", parents=[jsonf],
-        help="restore a checkpoint and run it to completion",
-    )
-    resume.add_argument("path", help="a ckpt/3 file written by 'repro snapshot'")
-    resume.add_argument("--until", type=float, default=None,
-                        help="sim time to run to (default: the walk horizon)")
-
-    bisect = sub.add_parser(
-        "bisect", parents=[_common_flags(r=2, max_level=2, seed=7), jsonf],
-        help="locate the first diverging event between two run variants",
-    )
-    bisect.add_argument("--a", default="base", dest="variant_a",
-                        help='variant A, e.g. "base" or "seed:8,loss:0.3"')
-    bisect.add_argument("--b", default="base", dest="variant_b",
-                        help='variant B, e.g. "seed:8" or "obs:on"')
-    bisect.add_argument("--moves", type=int, default=5)
-    bisect.add_argument("--window", type=int, default=256,
-                        help="events per lockstep window (default 256)")
-
-    sharded = sub.add_parser(
-        "sharded", parents=[_common_flags(r=2, max_level=3, seed=11), jsonf],
-        help="sharded PDES run vs single-loop reference (determinism check)",
-    )
-    sharded.add_argument("--shards", type=int, default=2,
-                         help="region shard count K (default 2)")
-    sharded.add_argument("--backend", choices=("serial", "processes"),
-                         default="serial",
-                         help="shard execution backend (default serial)")
-    sharded.add_argument("--moves", type=int, default=8)
-    sharded.add_argument("--finds", type=int, default=4)
-    sharded.add_argument("--loss", type=float, default=0.0,
-                         help="arm a message-loss rule at this rate")
-    sharded.add_argument("--jitter", type=float, default=0.0,
-                         help="arm a message-jitter rule at this rate")
-
-    service = sub.add_parser(
-        "service", parents=[_common_flags(r=2, max_level=2, seed=7), jsonf],
-        help="multi-object tracking service: one load-generator workload "
-             "on both engines + fingerprint verdict",
-    )
-    service.add_argument("--objects", type=int, default=6,
-                         help="tracked objects M (default 6)")
-    service.add_argument("--finds", type=int, default=40,
-                         help="total find arrivals (default 40)")
-    service.add_argument("--clients", type=int, default=4,
-                         help="client origin pool size (default 4)")
-    service.add_argument("--arrival", choices=("poisson", "burst", "uniform"),
-                         default="poisson",
-                         help="find arrival process (default poisson)")
-    service.add_argument("--rate", type=float, default=1.0,
-                         help="poisson arrivals per sim time unit")
-    service.add_argument("--deadline", type=float, default=60.0,
-                         help="per-find latency budget (sim time)")
-    service.add_argument("--moves-per-object", type=int, default=2,
-                         help="walk steps per object (default 2)")
-    service.add_argument("--shards", type=int, default=2,
-                         help="shard count K for the sharded engine")
-    service.add_argument("--profile", action="store_true",
-                         help="run each engine with obs spans enabled and "
-                              "report per-phase self-time")
-
-    mobility = sub.add_parser(
-        "mobility", parents=[_common_flags(r=2, max_level=2, seed=11), jsonf],
-        help="tracked walk across generated mobility regimes "
-             "(repro.mobility.gen presets)",
-    )
-    mobility.add_argument(
-        "--regimes", default="all",
-        help='comma-separated preset names, or "all" (the full registry)',
-    )
-    mobility.add_argument("--list", action="store_true", dest="list_regimes",
-                          help="list registered regime presets and exit")
-    mobility.add_argument("--moves", type=int, default=8,
-                          help="generated moves per object (default 8)")
-    mobility.add_argument("--finds", type=int, default=4,
-                          help="finds issued during the walk (default 4)")
-    mobility.add_argument("--objects", type=int, default=1,
-                          help="tracked objects (convoys expand on top)")
-    mobility.add_argument("--shards", type=int, default=0,
-                          help="also run at K shards and cross-check the "
-                               "fingerprint (0 = reference engine only)")
-    mobility.add_argument("--mode", choices=("concurrent", "atomic"),
-                          default="concurrent",
-                          help="§VI speed-restriction mode (default concurrent)")
-
-    baselines = sub.add_parser(
-        "baselines", parents=[jsonf],
-        help="cross-baseline grid: all trackers x mobility presets, "
-             "both engines, latency/work/handover/energy scoring",
-    )
-    baselines.add_argument(
-        "--trackers", default="all",
-        help='comma-separated tracker keys, or "all" (the full registry)',
-    )
-    baselines.add_argument(
-        "--presets", default="all",
-        help='comma-separated mobility presets, or "all" (the grid default)',
-    )
-    baselines.add_argument("--seed", type=int, default=7, help="root RNG seed")
-    baselines.add_argument("--moves", type=int, default=6,
-                           help="generated moves per object (default 6)")
-    baselines.add_argument("--finds", type=int, default=3,
-                           help="finds issued during the walk (default 3)")
-    baselines.add_argument("--shards", type=int, default=2,
-                           help="shard count K for the sharded engine")
-    baselines.add_argument("--out", default=None,
-                           help="also write the bench-baselines/1 payload here")
-    return parser
+COUNT, POSITIVE = _at_least(0), _at_least(1)
+PROBABILITY = Domain(float, lambda value: 0.0 <= value <= 1.0, "must be in [0, 1]")
+#: A sim time or a length of sim time (0 is the initial instant).
+TIME = Domain(float, lambda value: value >= 0.0, "must be >= 0")
+RATE = Domain(float, lambda value: value > 0.0, "must be > 0")
+INT, TEXT, SWITCH = Domain(int), Domain(str), Domain()
+#: A comma-list of names :func:`_selection` looks up under the flag's name.
+SELECTION = Domain(str, says="must name registered entries")
 
 
-def cmd_demo(args) -> int:
+@dataclass(frozen=True)
+class Flag:
+    """One option (``--name``) or positional (bare ``name``) of a command."""
+
+    name: str
+    domain: Domain
+    default: Any = None
+    help: Optional[str] = None
+    #: The config field the flag sets, where its own name is not that:
+    #: names the parsed attribute and, in a refusal, the value at fault.
+    dest: Optional[str] = None
+
+    @property
+    def key(self) -> str:
+        return self.dest or self.name.lstrip("-").replace("-", "_")
+
+
+JSON = Flag("--json", SWITCH,
+            help='emit one {"schema": "repro-cli/1", ...} JSON envelope')
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: what it takes, how it runs, how its result reads.
+
+    ``world`` holds the ``(r, max_level, seed)`` defaults of a command that
+    builds a world; ``run(args)`` returns ``(data, exit_code)`` and
+    ``text(view)`` the stdout text (``None``: nothing for stdout).
+    """
+
+    name: str
+    help: str
+    world: Optional[Tuple[int, int, Optional[int]]]
+    run: Callable[[argparse.Namespace], Tuple[Dict[str, Any], int]]
+    text: Callable[[Dict[str, Any]], Optional[str]]
+    flags: Tuple[Flag, ...]
+
+    def all_flags(self) -> Tuple[Flag, ...]:
+        """World-shape flags, ``--json``, then the command's own."""
+        if self.world is None:
+            return (JSON, *self.flags)
+        r, max_level, seed = self.world
+        return (
+            Flag("--r", _at_least(2), r, "grid base"),
+            Flag("--max-level", POSITIVE, max_level, "hierarchy MAX"),
+            Flag("--seed", INT, seed, "root RNG seed"),
+            JSON, *self.flags,
+        )
+
+
+def _note(message: str) -> None:
+    print(message, file=sys.stderr)
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as handle:
+        handle.write(text)
+    _note(f"wrote {path}")
+
+
+def _pick(source: Any, *names: str) -> Dict[str, Any]:
+    """Project the named attributes of ``source`` into result fields."""
+    return {name: getattr(source, name) for name in names}
+
+
+def _region(cell: Optional[Sequence[int]]) -> Optional[tuple]:
+    """A region as the library prints it (results carry it as a list)."""
+    return None if cell is None else tuple(cell)
+
+
+def _verdict(match: bool) -> str:
+    return "MATCH" if match else "DIVERGED"
+
+
+def _demo(args):
+    from .analysis.experiments import _settled_walker, _walk
     from .analysis.render import render_grid_world, render_path, render_pointer_stats
-    from .mobility.models import RandomNeighborWalk
     from .scenario import ScenarioConfig, build
 
-    scenario = build(ScenarioConfig(r=args.r, max_level=args.max_level,
-                                    seed=args.seed))
+    scenario = build(ScenarioConfig(**_pick(args, "r", "max_level", "seed")))
     system, accountant = scenario.parts()
-    hierarchy = scenario.hierarchy
+    hierarchy, tiling = scenario.hierarchy, scenario.hierarchy.tiling
     rng = random.Random(args.seed)
-    regions = hierarchy.tiling.regions()
-    start = regions[len(regions) // 2]
-    evader = system.make_evader(
-        RandomNeighborWalk(start=start), dwell=1e12, start=start, rng=rng
-    )
-    system.run_to_quiescence()
-    for _ in range(args.moves):
-        evader.step()
-        system.run_to_quiescence()
+    evader = _settled_walker(system, rng)
+    _walk(system, evader, args.moves)
     finds = []
     snapshot = system.snapshot()
     for _ in range(args.finds):
-        origin = rng.choice(regions)
+        origin = rng.choice(tiling.regions())
         find_id = system.issue_find(origin)
         system.run_to_quiescence()
-        record = system.finds.records[find_id]
         finds.append({
             "origin": list(origin),
-            "distance": hierarchy.tiling.distance(origin, evader.region),
-            "work": record.work,
-            "latency": record.latency,
+            "distance": tiling.distance(origin, evader.region),
+            **_pick(system.finds.records[find_id], "work", "latency"),
         })
-    if args.json:
-        _emit("demo", {
-            "r": args.r,
-            "max_level": args.max_level,
-            "seed": args.seed,
-            "width": hierarchy.tiling.width,
-            "height": hierarchy.tiling.height,
-            "moves": args.moves,
-            "evader_region": list(evader.region),
-            "move_work": accountant.move_work,
-            "finds": finds,
-        })
-        return 0
-    print(
-        f"world {hierarchy.tiling.width}x{hierarchy.tiling.height} "
-        f"(r={args.r}, MAX={args.max_level}), {args.moves} moves, "
-        f"evader at {evader.region}"
-    )
-    print(render_grid_world(hierarchy, snapshot, evader.region))
-    print(render_path(hierarchy, snapshot))
-    print(render_pointer_stats(snapshot))
-    print(f"move work: {accountant.move_work:.0f} "
-          f"({accountant.move_work / max(1, args.moves):.1f} per move)")
-    for info in finds:
-        print(f"find from {tuple(info['origin'])} (d={info['distance']}): "
-              f"work {info['work']:.0f}, latency {info['latency']:.1f}")
-    return 0
+    return {
+        **_pick(args, "r", "max_level", "seed", "moves"),
+        **_pick(tiling, "width", "height"),
+        "evader_region": list(evader.region),
+        "move_work": accountant.move_work,
+        "finds": finds,
+        "_art": "\n".join([
+            render_grid_world(hierarchy, snapshot, evader.region),
+            render_path(hierarchy, snapshot),
+            render_pointer_stats(snapshot),
+        ]),
+    }, 0
 
 
-def cmd_find(args) -> int:
+def _demo_text(v):
+    return "\n".join([
+        "world {width}x{height} (r={r}, MAX={max_level}), {moves} moves, "
+        "evader at {at}\n{_art}\nmove work: {move_work:.0f} ({each:.1f} per move)"
+        .format_map({**v, "at": _region(v["evader_region"]),
+                     "each": v["move_work"] / max(1, v["moves"])}),
+        *(
+            f"find from {_region(find['origin'])} (d={find['distance']}): "
+            f"work {find['work']:.0f}, latency {find['latency']:.1f}"
+            for find in v["finds"]
+        ),
+    ])
+
+
+def _find(args):
     from .analysis.experiments import mean_find_work_by_distance, run_find_sweep
-    from .analysis.reporting import render_table
 
     diameter = args.r**args.max_level - 1
     distances = sorted({1, 2, 3, 4, max(1, diameter // 4), max(1, diameter // 2)})
     results = run_find_sweep(
         args.r, args.max_level, distances, seed=args.seed, finds_per_distance=4
     )
-    pairs = mean_find_work_by_distance(results)
-    if args.json:
-        _emit("find", {
-            "r": args.r,
-            "max_level": args.max_level,
-            "seed": args.seed,
-            "sweep": [
-                {"distance": d, "mean_find_work": w} for d, w in pairs
-            ],
-        })
-        return 0
-    print(render_table(
-        ["d", "mean find work"], pairs,
-        title=f"find cost by distance (r={args.r}, MAX={args.max_level})",
-    ))
-    return 0
+    sweep = [
+        {"distance": d, "mean_find_work": w}
+        for d, w in mean_find_work_by_distance(results)
+    ]
+    return {**_pick(args, "r", "max_level", "seed"), "sweep": sweep}, 0
 
 
-def cmd_chaos(args) -> int:
+def _find_text(v):
+    from .analysis.reporting import render_table
+
+    return render_table(
+        ["d", "mean find work"],
+        [(row["distance"], row["mean_find_work"]) for row in v["sweep"]],
+        title=f"find cost by distance (r={v['r']}, MAX={v['max_level']})",
+    )
+
+
+def _chaos(args):
     from .analysis.recovery import run_chaos
 
     result = run_chaos(
-        r=args.r,
-        max_level=args.max_level,
-        seed=args.seed,
-        system=args.system,
-        loss_rate=args.loss,
-        crash_rate=args.crash,
-        duration=args.duration,
+        **_pick(args, "r", "max_level", "seed", "system", "duration"),
+        loss_rate=args.loss, crash_rate=args.crash,
     )
-    if args.json:
-        _emit("chaos", {
-            "system": result.system,
-            "loss_rate": result.loss_rate,
-            "crash_rate": result.crash_rate,
-            "seed": result.seed,
-            "moves": result.moves,
-            "finds_issued": result.finds_issued,
-            "finds_completed": result.finds_completed,
-            "find_success_rate": result.find_success_rate,
-            "find_retries": result.find_retries,
-            "recovered": result.recovered,
-            "reconsistency_time": result.reconsistency_time,
-            "work_overhead": result.work_overhead,
-            "fault_events": result.fault_events,
-        })
-        return 0
-    print(
-        f"chaos: system={result.system} r={args.r} MAX={args.max_level} "
-        f"seed={result.seed} loss={result.loss_rate} crash={result.crash_rate} "
-        f"duration={result.duration:.0f}"
-    )
-    events = ", ".join(f"{k}={v}" for k, v in result.fault_events.items() if v)
-    print(f"fault events: {events or 'none'}")
-    print(f"moves: {result.moves}")
-    print(
-        f"finds: {result.finds_completed}/{result.finds_issued} completed "
-        f"(success rate {result.find_success_rate:.2f}, "
-        f"{result.find_retries} retries)"
-    )
-    if result.recovered:
-        print(f"recovered: yes (time to reconsistency "
-              f"{result.reconsistency_time:.1f} after fault horizon)")
-    else:
-        print("recovered: NO (structure still inconsistent at wait budget)")
-    print(f"work overhead vs golden run: {result.work_overhead:.2f}x")
-    return 0
+    return _pick(
+        result, "system", "loss_rate", "crash_rate", "seed", "moves",
+        "finds_issued", "finds_completed", "find_success_rate",
+        "find_retries", "recovered", "reconsistency_time", "work_overhead",
+        "fault_events",
+    ), 0
 
 
-def cmd_report(args) -> int:
+def _chaos_text(v):
+    events = ", ".join(f"{k}={n}" for k, n in v["fault_events"].items() if n)
+    recovered = "NO (structure still inconsistent at wait budget)"
+    if v["recovered"]:
+        recovered = ("yes (time to reconsistency {reconsistency_time:.1f} "
+                     "after fault horizon)")
+    return (
+        "chaos: system={system} r={r} MAX={max_level} seed={seed} "
+        "loss={loss_rate} crash={crash_rate} duration={duration:.0f}\n"
+        "fault events: {events}\n"
+        "moves: {moves}\n"
+        "finds: {finds_completed}/{finds_issued} completed "
+        "(success rate {find_success_rate:.2f}, {find_retries} retries)\n"
+        f"recovered: {recovered}\n"
+        "work overhead vs golden run: {work_overhead:.2f}x"
+    ).format_map({**v, "events": events or "none"})
+
+
+def _report(args):
     if args.obs:
-        return _report_obs(args)
+        from .obs.export import write_obs_artifact
+        from .obs.probe import run_obs_probe
+
+        payload = run_obs_probe(stride=args.obs_stride)
+        if args.out:
+            write_obs_artifact(args.out, payload)
+            _note(f"wrote {args.out}")
+        return {"out": args.out, "obs": payload}, 0
     from .analysis.reporting import build_report
 
-    text, failed = build_report(
-        progress=lambda name: print(f"running {name} ...", file=sys.stderr)
-    )
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+    text, failed = build_report(progress=lambda name: _note(f"running {name} ..."))
     data = {"out": args.out, "length": len(text), "failed": failed}
-    if args.json:
-        _emit("report", data if args.out else {**data, "report": text})
-    elif args.out:
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(text)
-    for key, statement in failed:
-        print(f"FAILED {key}: {statement}", file=sys.stderr)
-    return 1 if failed else 0
-
-
-def _report_obs(args) -> int:
-    """``repro report --obs``: one observed run → obs/1 JSON artifact."""
-    from .obs.export import render_obs_summary, write_obs_artifact
-    from .obs.probe import run_obs_probe
-
-    payload = run_obs_probe(stride=args.obs_stride)
     if args.out:
-        write_obs_artifact(args.out, payload)
-    if args.json:
-        _emit("report", {"out": args.out, "obs": payload})
-    elif args.out:
-        print(render_obs_summary(payload))
-        print(f"wrote {args.out}", file=sys.stderr)
+        _write(args.out, text)
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        print(render_obs_summary(payload), file=sys.stderr)
-    return 0
+        data["report"] = text
+    for key, statement in failed:
+        _note(f"FAILED {key}: {statement}")
+    return data, 1 if failed else 0
 
 
-def cmd_validate(args) -> int:
+def _report_text(v):
+    if not v["obs"]:  # the unset flag: no payload laid over it
+        return v.get("report")  # absent: --out took the text
+    from .obs.export import render_obs_summary
+
+    summary = render_obs_summary(v["obs"])
+    if v["out"]:
+        return summary
+    _note(summary)
+    return json.dumps(v["obs"], indent=2, sort_keys=True)
+
+
+def _validate(args):
     from .hierarchy.validation import HierarchyValidationError, validate_hierarchy
     from .topo import shared_grid_hierarchy, shared_strip_hierarchy
 
-    if args.strip:
-        hierarchy = shared_strip_hierarchy(args.r, args.max_level)
-        kind = "strip"
-    else:
-        hierarchy = shared_grid_hierarchy(args.r, args.max_level)
-        kind = "grid"
+    shared = shared_strip_hierarchy if args.strip else shared_grid_hierarchy
+    hierarchy = shared(args.r, args.max_level)
     error: Optional[str] = None
     try:
         validate_hierarchy(hierarchy, proximity=not args.skip_proximity)
     except HierarchyValidationError as exc:
         error = str(exc)
-    if args.json:
-        _emit("validate", {
-            "kind": kind,
-            "r": args.r,
-            "max_level": args.max_level,
-            "regions": len(hierarchy.tiling.regions()),
-            "diameter": hierarchy.tiling.diameter(),
-            "valid": error is None,
-            "error": error,
-        })
-        return 0 if error is None else 1
-    if error is not None:
-        print(f"INVALID: {error}")
-        return 1
-    print(
-        f"{kind} hierarchy r={args.r} MAX={args.max_level} "
-        f"({len(hierarchy.tiling.regions())} regions, "
-        f"D={hierarchy.tiling.diameter()}): all §II-B requirements hold"
-    )
-    return 0
+    return {
+        "kind": "strip" if args.strip else "grid",
+        **_pick(args, "r", "max_level"),
+        "regions": len(hierarchy.tiling.regions()),
+        "diameter": hierarchy.tiling.diameter(),
+        "valid": error is None,
+        "error": error,
+    }, 0 if error is None else 1
 
 
-def cmd_snapshot(args) -> int:
+def _validate_text(v):
+    if not v["valid"]:
+        return f"INVALID: {v['error']}"
+    return (
+        "{kind} hierarchy r={r} MAX={max_level} ({regions} regions, "
+        "D={diameter}): all §II-B requirements hold"
+    ).format_map(v)
+
+
+def _snapshot(args):
+    # repro.ckpt needs cloudpickle, which most commands run without: import late.
     from .ckpt import build_tracked_walk, save, snapshot_scenario
     from .scenario import ScenarioConfig
 
-    config = ScenarioConfig(r=args.r, max_level=args.max_level, seed=args.seed)
+    config = ScenarioConfig(**_pick(args, "r", "max_level", "seed"))
     if args.loss is not None:
         from .faults.plan import CHANNEL_BOTH, FaultPlan, MessageLoss
 
@@ -504,277 +318,214 @@ def cmd_snapshot(args) -> int:
         )
     scenario = build_tracked_walk(config, moves=args.moves)
     scenario.sim.run_until(args.at)
-    snapshot = snapshot_scenario(
-        scenario, note=f"tracked-walk moves={args.moves}"
-    )
+    snapshot = snapshot_scenario(scenario, note=f"tracked-walk moves={args.moves}")
     save(snapshot, args.out)
-    meta = snapshot.meta
-    if args.json:
-        _emit("snapshot", {
-            "out": args.out,
-            "schema": meta.schema,
-            "sim_time": meta.sim_time,
-            "events_fired": meta.events_fired,
-            "payload_bytes": len(snapshot.payload),
-            "topo_keys": [
-                {"kind": k.kind, "r": k.r, "max_level": k.max_level}
-                for k in meta.topo_keys
-            ],
-        })
-        return 0
-    print(
-        f"wrote {args.out}: schema {meta.schema}, t={meta.sim_time:g}, "
-        f"{meta.events_fired} events fired, "
-        f"{len(snapshot.payload)} payload bytes, "
-        f"topo keys {[f'{k.kind}(r={k.r},M={k.max_level})' for k in meta.topo_keys]}"
-    )
-    return 0
+    return {
+        "out": args.out,
+        **_pick(snapshot.meta, "schema", "sim_time", "events_fired"),
+        "payload_bytes": len(snapshot.payload),
+        "topo_keys": [
+            _pick(key, "kind", "r", "max_level") for key in snapshot.meta.topo_keys
+        ],
+    }, 0
+
+
+def _snapshot_text(v):
+    keys = ["{kind}(r={r},M={max_level})".format_map(k) for k in v["topo_keys"]]
+    return (
+        "wrote {out}: schema {schema}, t={sim_time:g}, {events_fired} events "
+        "fired, {payload_bytes} payload bytes, topo keys {keys}"
+    ).format_map({**v, "keys": keys})
 
 
 def _note_moves(note: str, default: int = 5) -> int:
-    """Moves count embedded in a snapshot note by ``cmd_snapshot``."""
-    for token in note.split():
-        if token.startswith("moves="):
-            try:
-                return int(token[len("moves="):])
-            except ValueError:
-                break
-    return default
+    """Moves count embedded in a snapshot note by ``repro snapshot``."""
+    counts = [token[6:] for token in note.split() if token.startswith("moves=")]
+    return int(counts[0]) if counts and counts[0].isdigit() else default
 
 
-def cmd_resume(args) -> int:
+def _resume(args):
     from .ckpt import load, trace_fingerprint, walk_horizon
     from .scenario import build
 
     snapshot = load(args.path)
     until = args.until
-    if until is None:
+    if until is None:  # the horizon of the walk the note says was snapshot
         until = walk_horizon(_note_moves(snapshot.meta.note))
     scenario = build(snapshot.config.with_(resume_from=snapshot))
     scenario.sim.run_until(until)
     fp = trace_fingerprint(scenario)
     finds = scenario.system.finds.records.values()
-    if args.json:
-        _emit("resume", {
-            "resumed_from_t": snapshot.meta.sim_time,
-            "ran_until": until,
-            "sim_time": fp[0],
-            "events_fired": fp[1],
-            "trace_records": fp[2],
-            "trace_crc": fp[3],
-            "evader_region": list(fp[4]) if fp[4] is not None else None,
-            "finds_completed": sum(1 for r in finds if r.completed),
-        })
-        return 0
-    print(
-        f"resumed {args.path} from t={snapshot.meta.sim_time:g} to "
-        f"t={fp[0]:g}: {fp[1]} events fired, {fp[2]} trace records "
-        f"(crc {fp[3]:#010x}), evader at {fp[4]}"
-    )
-    return 0
+    return {
+        "resumed_from_t": snapshot.meta.sim_time,
+        "ran_until": until,
+        **dict(zip(("sim_time", "events_fired", "trace_records", "trace_crc"), fp)),
+        "evader_region": list(fp[4]) if fp[4] is not None else None,
+        "finds_completed": sum(1 for r in finds if r.completed),
+    }, 0
 
 
-def cmd_bisect(args) -> int:
+def _resume_text(v):
+    return (
+        "resumed {path} from t={resumed_from_t:g} to t={sim_time:g}: "
+        "{events_fired} events fired, {trace_records} trace records "
+        "(crc {trace_crc:#010x}), evader at {at}"
+    ).format_map({**v, "at": _region(v["evader_region"])})
+
+
+def _bisect(args):
     from .ckpt import Variant, bisect_divergence
     from .scenario import ScenarioConfig
 
-    report = bisect_divergence(
-        ScenarioConfig(r=args.r, max_level=args.max_level, seed=args.seed),
-        Variant.parse(args.variant_a),
-        Variant.parse(args.variant_b),
-        moves=args.moves,
-        window=args.window,
-    )
-    if args.json:
-        _emit("bisect", report.as_dict())
-        return 0
-    print(f"bisect [{report.variant_a}] vs [{report.variant_b}]: {report.note}")
-    if report.diverged:
-        for label, info in (("A", report.event_a), ("B", report.event_b)):
-            if info is None:
-                print(f"  side {label}: (no event — side had already drained)")
-                continue
-            print(f"  side {label}: event at t={info.time:g}, "
-                  f"{len(info.records)} trace records")
-            for rec in info.records[:4]:
-                print(f"    {rec}")
-    return 0
+    return bisect_divergence(
+        ScenarioConfig(**_pick(args, "r", "max_level", "seed")),
+        Variant.parse(args.variant_a), Variant.parse(args.variant_b),
+        **_pick(args, "moves", "window"),
+    ).as_dict(), 0
 
 
-def cmd_sharded(args) -> int:
-    from .sim.sharded import run_reference_walk, run_sharded_walk
-
-    kwargs = dict(
-        r=args.r,
-        max_level=args.max_level,
-        seed=args.seed,
-        n_moves=args.moves,
-        n_finds=args.finds,
-        loss_rate=args.loss,
-        jitter_rate=args.jitter,
-    )
-    reference = run_reference_walk(**kwargs)
-    sharded = run_sharded_walk(
-        shards=args.shards, backend=args.backend, **kwargs
-    )
-    match = sharded.canonical_fingerprint == reference.canonical_fingerprint
-    bit_identical = (
-        sharded.exact_fingerprint is not None
-        and sharded.exact_fingerprint == reference.exact_fingerprint
-    )
-    if args.json:
-        _emit("sharded", {
-            "shards": sharded.shards,
-            "backend": sharded.backend,
-            "events": sharded.events,
-            "windows": sharded.windows,
-            "cross_shard_messages": sharded.cross_shard_messages,
-            "messages_sent": sharded.messages_sent,
-            "finds_issued": sharded.finds_issued,
-            "finds_completed": sharded.finds_completed,
-            "canonical_fingerprint": sharded.canonical_fingerprint,
-            "reference_fingerprint": reference.canonical_fingerprint,
-            "fingerprint_match": match,
-            "bit_identical": bit_identical,
-            "wall_s": sharded.wall_s,
-            "barrier_wait_s": sharded.barrier_wait_s,
-            "fault_events": sharded.fault_events,
-        })
-        return 0 if match else 1
-    print(
-        f"sharded: K={sharded.shards} backend={sharded.backend} "
-        f"r={args.r} MAX={args.max_level} seed={args.seed} "
-        f"moves={args.moves} finds={args.finds}"
-    )
-    print(
-        f"events: {sharded.events} over {sharded.windows} windows, "
-        f"{sharded.cross_shard_messages} cross-shard messages, "
-        f"finds {sharded.finds_completed}/{sharded.finds_issued} completed"
-    )
-    print(
-        f"fingerprint: {sharded.canonical_fingerprint} "
-        f"(reference {reference.canonical_fingerprint}) -> "
-        f"{'MATCH' if match else 'DIVERGED'}"
-        + (", bit-identical at K=1" if bit_identical else "")
-    )
-    print(
-        f"wall {sharded.wall_s:.3f}s (reference {reference.wall_s:.3f}s), "
-        f"barrier wait {sharded.barrier_wait_s:.3f}s"
-    )
-    return 0 if match else 1
+def _bisect_text(v):
+    lines = ["bisect [{variant_a}] vs [{variant_b}]: {note}".format_map(v)]
+    for side in ("A", "B") if v["diverged"] else ():
+        info = v[f"event_{side.lower()}"]
+        if info is None:
+            lines.append(f"  side {side}: (no event — side had already drained)")
+            continue
+        records = info["trace_records"]
+        lines.append(f"  side {side}: event at t={info['time']:g}, "
+                     f"{len(records)} trace records")
+        lines += [f"    {tuple(record)}" for record in records[:4]]
+    return "\n".join(lines)
 
 
-def cmd_service(args) -> int:
+def _sharded(args):
+    from .service import cross_check
+    from .sim.sharded import walk_scenario
+
+    config, walk = walk_scenario(
+        **_pick(args, "r", "max_level", "shards", "seed"),
+        n_moves=args.moves, n_finds=args.finds,
+        loss_rate=args.loss, jitter_rate=args.jitter,
+    )
+    reference, sharded, match = cross_check(config, walk, backend=args.backend)
+    exact = sharded.exact_fingerprint  # a K=1 run has one dispatch order
+    return {
+        **_pick(
+            sharded, "shards", "backend", "events", "windows",
+            "cross_shard_messages", "messages_sent", "finds_issued",
+            "finds_completed", "canonical_fingerprint", "wall_s",
+            "barrier_wait_s", "fault_events",
+        ),
+        "reference_fingerprint": reference.canonical_fingerprint,
+        "fingerprint_match": match,
+        "bit_identical": exact is not None and exact == reference.exact_fingerprint,
+        "_reference_wall_s": reference.wall_s,
+    }, 0 if match else 1
+
+
+def _sharded_text(v):
+    return (
+        "sharded: K={shards} backend={backend} r={r} MAX={max_level} "
+        "seed={seed} moves={moves} finds={finds}\n"
+        "events: {events} over {windows} windows, {cross_shard_messages} "
+        "cross-shard messages, finds {finds_completed}/{finds_issued} completed\n"
+        "fingerprint: {canonical_fingerprint} (reference "
+        "{reference_fingerprint}) -> {verdict}{exact}\n"
+        "wall {wall_s:.3f}s (reference {_reference_wall_s:.3f}s), "
+        "barrier wait {barrier_wait_s:.3f}s"
+    ).format_map({
+        **v, "verdict": _verdict(v["fingerprint_match"]),
+        "exact": ", bit-identical at K=1" if v["bit_identical"] else "",
+    })
+
+
+def _service(args):
     from .scenario import ScenarioConfig
-    from .service import LoadGenerator, TrackingService
+    from .service import LoadGenerator, cross_check
     from .sim.sharded.core import _tiling_for
 
-    config = ScenarioConfig(
-        r=args.r,
-        max_level=args.max_level,
-        seed=args.seed,
-        shards=args.shards,
-        n_objects=args.objects,
-        find_clients=args.clients,
-    )
+    sizes = _pick(args, "n_objects", "find_clients")
+    config = ScenarioConfig(**_pick(args, "r", "max_level", "seed", "shards"), **sizes)
     load = LoadGenerator(
-        tiling=_tiling_for(config),
-        n_objects=args.objects,
-        n_finds=args.finds,
-        find_clients=args.clients,
-        arrival=args.arrival,
-        rate=args.rate,
-        moves_per_object=args.moves_per_object,
-        deadline=args.deadline,
+        tiling=_tiling_for(config), n_finds=args.finds, **sizes,
+        **_pick(args, "arrival", "rate", "moves_per_object", "deadline"),
     )
-    profiles = {}
+    profiles: Dict[str, Dict[str, float]] = {}
 
-    def run_engine(engine: str):
-        service = TrackingService(config, engine=engine)
-        if not args.profile:
-            return service.run(load)
+    @contextmanager
+    def profiled(engine: str):
         import repro.obs as obs
 
         with obs.observed(spans=True, events=False) as collector:
-            result = service.run(load)
+            yield
         profiles[engine] = {
             phase: round(seconds, 6)
             for phase, seconds in sorted(collector.phase_totals.items())
         }
-        return result
 
-    plain = run_engine("plain")
-    sharded = run_engine("sharded")
-    match = plain.canonical_fingerprint == sharded.canonical_fingerprint
-    if args.json:
-        _emit("service", {
-            "objects": args.objects,
-            "finds": args.finds,
-            "clients": args.clients,
-            "arrival": args.arrival,
-            "shards": sharded.shards,
-            "plain": {
-                "canonical_fingerprint": plain.canonical_fingerprint,
-                "events": plain.events,
-                "messages_sent": plain.messages_sent,
-                "metrics": plain.metrics,
-            },
-            "sharded": {
-                "canonical_fingerprint": sharded.canonical_fingerprint,
-                "events": sharded.events,
-                "messages_sent": sharded.messages_sent,
-                "windows": sharded.windows,
-                "cross_shard_messages": sharded.cross_shard_messages,
-                "metrics": sharded.metrics,
-            },
-            "fingerprint_match": match,
-            **({"profile": profiles} if args.profile else {}),
-        })
-        return 0 if match else 1
-    metrics = sharded.metrics
-    latency = metrics["latency"]
-    print(
-        f"service: M={args.objects} finds={args.finds} "
-        f"clients={args.clients} arrival={args.arrival} "
-        f"r={args.r} MAX={args.max_level} seed={args.seed} K={sharded.shards}"
+    plain, sharded, match = cross_check(
+        config, load, **({"around": profiled} if args.profile else {})
     )
-    print(
-        f"finds: {metrics['finds_completed']}/{metrics['finds_issued']} "
-        f"completed (rate {metrics['completion_rate']:.2f}), "
-        f"deadline misses {metrics['deadlines_missed']}/{metrics['deadlines_set']}"
-    )
-    if latency["p50"] is not None:
-        print(
-            f"latency: p50={latency['p50']:.1f} p95={latency['p95']:.1f} "
-            f"p99={latency['p99']:.1f} jitter={latency['jitter']:.2f}"
+    shared = ("canonical_fingerprint", "events", "messages_sent", "metrics")
+    return {
+        "objects": args.n_objects,
+        "clients": args.find_clients,
+        **_pick(args, "finds", "arrival"),
+        "shards": sharded.shards,
+        "plain": _pick(plain, *shared),
+        "sharded": _pick(sharded, *shared, "windows", "cross_shard_messages"),
+        "fingerprint_match": match,
+        **({"profile": profiles} if args.profile else {}),
+    }, 0 if match else 1
+
+
+def _service_text(v):
+    metrics = v["sharded"]["metrics"]
+    lines = [
+        "service: M={objects} finds={finds} clients={clients} arrival={arrival} "
+        "r={r} MAX={max_level} seed={seed} K={shards}".format_map(v),
+        "finds: {finds_completed}/{finds_issued} completed (rate "
+        "{completion_rate:.2f}), deadline misses "
+        "{deadlines_missed}/{deadlines_set}".format_map(metrics),
+    ]
+    if metrics["latency"]["p50"] is not None:
+        lines.append(
+            "latency: p50={p50:.1f} p95={p95:.1f} p99={p99:.1f} "
+            "jitter={jitter:.2f}".format_map(metrics["latency"])
         )
-    print(
-        f"throughput: {metrics['throughput_per_time']:.3f} finds/time, "
-        f"handovers {metrics['handovers_total']}"
-    )
-    print(
-        f"fingerprint: plain {plain.canonical_fingerprint} vs "
-        f"K={sharded.shards} {sharded.canonical_fingerprint} -> "
-        f"{'MATCH' if match else 'DIVERGED'}"
-    )
-    if args.profile:
-        phases = sorted(set(profiles["plain"]) | set(profiles["sharded"]))
-        print("profile: per-phase self-time (seconds)")
-        print(f"  {'phase':<12} {'plain':>10} {'sharded':>10}")
-        for phase in phases:
-            print(
-                f"  {phase:<12} {profiles['plain'].get(phase, 0.0):>10.4f} "
-                f"{profiles['sharded'].get(phase, 0.0):>10.4f}"
-            )
-    return 0 if match else 1
+    lines += [
+        "throughput: {throughput_per_time:.3f} finds/time, "
+        "handovers {handovers_total}".format_map(metrics),
+        f"fingerprint: plain {v['plain']['canonical_fingerprint']} vs "
+        f"K={v['shards']} {v['sharded']['canonical_fingerprint']} -> "
+        f"{_verdict(v['fingerprint_match'])}",
+    ]
+    if v["profile"]:
+        plain, sharded = v["profile"]["plain"], v["profile"]["sharded"]
+        lines += [
+            "profile: per-phase self-time (seconds)",
+            f"  {'phase':<12} {'plain':>10} {'sharded':>10}",
+            *(
+                f"  {phase:<12} {plain.get(phase, 0.0):>10.4f} "
+                f"{sharded.get(phase, 0.0):>10.4f}"
+                for phase in sorted(set(plain) | set(sharded))
+            ),
+        ]
+    return "\n".join(lines)
 
 
-def _selection(what: str, raw: str, default, known) -> tuple:
-    """Parse a comma-separated ``--<what>`` value against ``known`` names.
+def _selection(what: str, raw: str) -> tuple:
+    """Parse a comma-separated ``--<what>`` value against its registry."""
+    from .analysis.crossbase import ALL_TRACKERS, FAULTS, PRESETS
+    from .mobility.gen import preset_names
 
-    Raises ``ValueError`` on an unknown name or an empty selection (an
-    empty grid would pass every gate vacuously).
-    """
+    # what "all" selects, every legal name
+    default, known = {
+        "regimes": (preset_names(), preset_names()),
+        "trackers": (ALL_TRACKERS, ALL_TRACKERS),
+        "presets": (PRESETS, preset_names()),
+        "faults": (FAULTS, FAULTS),
+    }[what]
     if raw == "all":
         return tuple(default)
     names = tuple(name.strip() for name in raw.split(",") if name.strip())
@@ -784,154 +535,234 @@ def _selection(what: str, raw: str, default, known) -> tuple:
             f"unknown {what}: {', '.join(unknown)}; "
             f"registered: {', '.join(known)}"
         )
-    if not names:
+    if not names:  # an empty grid would pass every gate vacuously
         raise ValueError(f"empty --{what} selection")
     return names
 
 
-def _usage_error(args, exc: Exception) -> int:
-    """Report rejected input (error envelope under ``--json``); exit 2."""
-    if args.json:
-        _emit(args.command, {"error": str(exc)})
-    else:
-        print(exc, file=sys.stderr)
-    return 2
-
-
-def cmd_mobility(args) -> int:
+def _mobility(args):
     from .mobility.gen import preset_names, run_mobility_regime
 
-    known = preset_names()
     if args.list_regimes:
-        if args.json:
-            _emit("mobility", {"regimes": list(known)})
-        else:
-            for name in known:
-                print(name)
-        return 0
-    regimes = _selection("regimes", args.regimes, known, known)
-    rows = []
-    for name in regimes:
-        result = run_mobility_regime(
-            regime=name,
-            r=args.r,
-            max_level=args.max_level,
-            seed=args.seed,
-            n_moves=args.moves,
-            n_finds=args.finds,
-            n_objects=args.objects,
-            shards=args.shards,
-            mode=args.mode,
+        return {"regimes": list(preset_names())}, 0
+    rows = [
+        run_mobility_regime(
+            regime=name, n_moves=args.moves, n_finds=args.finds,
+            **_pick(args, "r", "max_level", "seed", "n_objects", "shards", "mode"),
         )
-        rows.append(result)
+        for name in args.regimes
+    ]
     all_speed_ok = all(row.speed_ok for row in rows)
     all_match = all(
         row.fingerprint_match for row in rows if row.fingerprint_match is not None
     )
-    if args.json:
-        _emit("mobility", {
-            "r": args.r,
-            "max_level": args.max_level,
-            "seed": args.seed,
-            "moves": args.moves,
-            "finds": args.finds,
-            "mode": args.mode,
-            "shards": args.shards,
-            "all_speed_ok": all_speed_ok,
-            "all_fingerprints_match": all_match,
-            "regimes": [
-                {
-                    "regime": row.regime,
-                    "objects": row.n_objects,
-                    "steps_scripted": row.steps_scripted,
-                    "finds_completed": row.finds_completed,
-                    "finds_issued": row.finds_issued,
-                    "events": row.events,
-                    "messages_sent": row.messages_sent,
-                    "moves_observed": row.moves_observed,
-                    "move_work": row.move_work,
-                    "find_work": row.find_work,
-                    "min_dwell": row.min_dwell,
-                    "mean_dwell": row.mean_dwell,
-                    "speed_ok": row.speed_ok,
-                    "speed_violation": row.speed_violation,
-                    "touched_levels": {
-                        str(level): count
-                        for level, count in sorted(row.touched_levels.items())
-                    },
-                    "canonical_fingerprint": row.canonical_fingerprint,
-                    "sharded_fingerprint": row.sharded_fingerprint,
-                    "fingerprint_match": row.fingerprint_match,
-                }
-                for row in rows
-            ],
-        })
-        return 0 if (all_speed_ok and all_match) else 1
-    print(
-        f"mobility: {len(rows)} regimes, r={args.r} MAX={args.max_level} "
-        f"seed={args.seed} moves={args.moves} finds={args.finds} "
-        f"mode={args.mode}"
-        + (f" K={args.shards}" if args.shards else "")
-    )
-    header = (
+    return {
+        **_pick(args, "r", "max_level", "seed", "moves", "finds", "mode", "shards"),
+        "all_speed_ok": all_speed_ok,
+        "all_fingerprints_match": all_match,
+        "regimes": [row.as_dict() for row in rows],
+    }, 0 if (all_speed_ok and all_match) else 1
+
+
+def _mobility_text(v):
+    rows = v["regimes"]
+    if v["list_regimes"]:
+        return "\n".join(rows)
+    sharded = bool(v["shards"])
+    lines = [
+        "mobility: {n} regimes, r={r} MAX={max_level} seed={seed} moves={moves} "
+        "finds={finds} mode={mode}".format_map({**v, "n": len(rows)})
+        + (f" K={v['shards']}" if sharded else ""),
         f"{'regime':<20} {'obj':>3} {'moves':>5} {'finds':>5} "
         f"{'move work':>10} {'find work':>10} {'min dwell':>9} {'§VI':>4}"
-        + ("  engine" if args.shards else "")
-    )
-    print(header)
+        + ("  engine" if sharded else ""),
+    ]
     for row in rows:
-        line = (
-            f"{row.regime:<20} {row.n_objects:>3} {row.moves_observed:>5} "
-            f"{row.finds_completed:>2}/{row.finds_issued:<2} "
-            f"{row.move_work:>10.0f} {row.find_work:>10.0f} "
-            f"{row.min_dwell:>9.2f} {'ok' if row.speed_ok else 'VIOL':>4}"
-        )
-        if args.shards:
-            line += "  " + (
-                "MATCH" if row.fingerprint_match else "DIVERGED"
+        lines.append(
+            "{regime:<20} {objects:>3} {moves_observed:>5} "
+            "{finds_completed:>2}/{finds_issued:<2} {move_work:>10.0f} "
+            "{find_work:>10.0f} {min_dwell:>9.2f} {speed:>4}".format_map(
+                {**row, "speed": "ok" if row["speed_ok"] else "VIOL"}
             )
-        print(line)
-    if not all_speed_ok:
-        for row in rows:
-            if row.speed_violation:
-                print(f"  {row.regime}: {row.speed_violation}")
-    return 0 if (all_speed_ok and all_match) else 1
+            + ("  " + _verdict(row["fingerprint_match"]) if sharded else "")
+        )
+    lines += [
+        "  {regime}: {speed_violation}".format_map(row)
+        for row in rows if row["speed_violation"]
+    ]
+    return "\n".join(lines)
 
 
-def cmd_baselines(args) -> int:
-    import json as json_mod
+def _baselines(args):
+    from .analysis.crossbase import run_cross_baselines
 
-    from .analysis.crossbase import ALL_TRACKERS, PRESETS, run_cross_baselines
-    from .analysis.reporting import CrossBaselines
-    from .mobility.gen import preset_names
-
-    trackers = _selection("trackers", args.trackers, ALL_TRACKERS, ALL_TRACKERS)
-    presets = _selection("presets", args.presets, PRESETS, preset_names())
     payload = run_cross_baselines(
-        trackers=trackers,
-        presets=presets,
-        n_moves=args.moves,
-        n_finds=args.finds,
-        seed=args.seed,
-        shards=args.shards,
+        n_moves=args.moves, n_finds=args.finds,
+        **_pick(args, "trackers", "presets", "faults", "seed", "shards"),
     )
     if args.out:
-        with open(args.out, "w") as handle:
-            json_mod.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.json:
-        _emit("baselines", payload)
-        return 0 if payload["all_classic_match"] else 1
-    print(
-        f"baselines: {len(trackers)} trackers x {len(presets)} presets "
-        f"(moves={args.moves} finds={args.finds} seed={args.seed} "
-        f"K={args.shards})"
+        _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return payload, 0 if payload["all_classic_match"] else 1
+
+
+def _baselines_text(v):
+    from .analysis.reporting import CrossBaselines
+
+    grid = v["grid"]
+    return "\n".join([
+        f"baselines: {len(grid['trackers'])} trackers x "
+        f"{len(grid['presets'])} presets (moves={grid['n_moves']} "
+        f"finds={grid['n_finds']} seed={grid['seed']} K={grid['shards']})",
+        "\n\n".join(CrossBaselines().tables(v)),
+        f"classic cross-engine fingerprints: {_verdict(v['all_classic_match'])}",
+    ])
+
+
+COMMANDS: Tuple[Command, ...] = (
+    Command("demo", "tracked random walk with finds", (3, 2, 7), _demo, _demo_text, (
+        Flag("--moves", COUNT, 20),
+        Flag("--finds", COUNT, 4),
+    )),
+    Command("find", "find-cost sweep by distance", (2, 4, 21), _find, _find_text, ()),
+    Command("chaos", "fault injection: loss/crash chaos + recovery metrics",
+            (2, 2, 7), _chaos, _chaos_text, (
+        Flag("--system", TEXT, "stabilizing",
+             "scenario system key (default stabilizing; try vinestalk)"),
+        Flag("--loss", PROBABILITY, 0.05, "per-message loss probability"),
+        Flag("--crash", PROBABILITY, 0.0, "per-tick per-VSA crash probability"),
+        Flag("--duration", TIME, 150.0, "fault window / workload length (sim time)"),
+    )),
+    Command("report", "regenerate EXPERIMENTS.md; exit 1 if a check fails",
+            None, _report, _report_text, (
+        Flag("--out", TEXT, None, "output path (default stdout)"),
+        Flag("--obs", SWITCH, help=(
+            "emit the obs/1 JSON artifact of one instrumented default-"
+            "scenario run (spans, typed events, conformance sampling) "
+            "instead of the experiments report"
+        )),
+        Flag("--obs-stride", POSITIVE, 64,
+             "conformance-sampler event stride for --obs (default 64)"),
+    )),
+    Command("validate", "validate a hierarchy (§II-B)",
+            (3, 2, None), _validate, _validate_text, (
+        Flag("--strip", SWITCH, help="strip world"),
+        Flag("--skip-proximity", SWITCH, help="skip the proximity check"),
+    )),
+    Command("snapshot", "checkpoint the canonical tracked walk at a cut point",
+            (2, 2, 7), _snapshot, _snapshot_text, (
+        Flag("--at", TIME, 25.0, "sim time of the cut point (default 25)"),
+        Flag("--moves", COUNT, 5, "scheduled walk moves (default 5)"),
+        Flag("--loss", PROBABILITY, None, "arm a message-loss fault plan at this rate"),
+        Flag("--out", TEXT, "walk.ckpt", "checkpoint path (default walk.ckpt)"),
+    )),
+    Command("resume", "restore a checkpoint and run it to completion",
+            None, _resume, _resume_text, (
+        Flag("path", TEXT, help="a ckpt/3 file written by 'repro snapshot'"),
+        Flag("--until", TIME, None, "sim time to run to (default: the walk horizon)"),
+    )),
+    Command("bisect", "locate the first diverging event between two run variants",
+            (2, 2, 7), _bisect, _bisect_text, (
+        Flag("--a", TEXT, "base",
+             'variant A, e.g. "base" or "seed:8,loss:0.3"', "variant_a"),
+        Flag("--b", TEXT, "base", 'variant B, e.g. "seed:8" or "obs:on"', "variant_b"),
+        Flag("--moves", COUNT, 5),
+        Flag("--window", POSITIVE, 256, "events per lockstep window (default 256)"),
+    )),
+    Command("sharded", "sharded PDES run vs single-loop reference (determinism check)",
+            (2, 3, 11), _sharded, _sharded_text, (
+        Flag("--shards", POSITIVE, 2, "region shard count K (default 2)"),
+        Flag("--backend", Domain(str, choices=("serial", "processes")), "serial",
+             "shard execution backend (default serial)"),
+        Flag("--moves", COUNT, 8),
+        Flag("--finds", COUNT, 4),
+        Flag("--loss", PROBABILITY, 0.0, "arm a message-loss rule at this rate"),
+        Flag("--jitter", PROBABILITY, 0.0, "arm a message-jitter rule at this rate"),
+    )),
+    Command("service",
+            "multi-object tracking service: one load-generator workload "
+            "on both engines + fingerprint verdict",
+            (2, 2, 7), _service, _service_text, (
+        Flag("--objects", POSITIVE, 6, "tracked objects M (default 6)", "n_objects"),
+        Flag("--finds", COUNT, 40, "total find arrivals (default 40)"),
+        Flag("--clients", POSITIVE, 4, "client origin pool size (default 4)",
+             "find_clients"),
+        Flag("--arrival", Domain(str, choices=("poisson", "burst", "uniform")),
+             "poisson", "find arrival process (default poisson)"),
+        Flag("--rate", RATE, 1.0, "poisson arrivals per sim time unit"),
+        Flag("--deadline", TIME, 60.0, "per-find latency budget (sim time)"),
+        Flag("--moves-per-object", COUNT, 2, "walk steps per object (default 2)"),
+        Flag("--shards", POSITIVE, 2, "shard count K for the sharded engine"),
+        Flag("--profile", SWITCH, help=(
+            "run each engine with obs spans enabled and "
+            "report per-phase self-time"
+        )),
+    )),
+    Command("mobility",
+            "tracked walk across generated mobility regimes "
+            "(repro.mobility.gen presets)",
+            (2, 2, 11), _mobility, _mobility_text, (
+        Flag("--regimes", SELECTION, "all",
+             'comma-separated preset names, or "all" (the full registry)'),
+        Flag("--list", SWITCH, help="list registered regime presets and exit",
+             dest="list_regimes"),
+        Flag("--moves", POSITIVE, 8, "generated moves per object (default 8)"),
+        Flag("--finds", COUNT, 4, "finds issued during the walk (default 4)"),
+        Flag("--objects", POSITIVE, 1, "tracked objects (convoys expand on top)",
+             "n_objects"),
+        Flag("--shards", COUNT, 0,
+             "also run at K shards and cross-check the "
+             "fingerprint (0 = reference engine only)"),
+        Flag("--mode", Domain(str, choices=("concurrent", "atomic")), "concurrent",
+             "§VI speed-restriction mode (default concurrent)"),
+    )),
+    Command("baselines",
+            "cross-baseline grid: all trackers x mobility presets, "
+            "both engines, latency/work/handover/energy scoring",
+            None, _baselines, _baselines_text, (
+        Flag("--trackers", SELECTION, "all",
+             'comma-separated tracker keys, or "all" (the full registry)'),
+        Flag("--presets", SELECTION, "all",
+             'comma-separated mobility presets, or "all" (the grid default)'),
+        Flag("--faults", SELECTION, "none",
+             'comma-separated fault-axis values, or "all" (default none)'),
+        Flag("--seed", INT, 7, "root RNG seed"),
+        Flag("--moves", POSITIVE, 6, "generated moves per object (default 6)"),
+        Flag("--finds", COUNT, 3, "finds issued during the walk (default 3)"),
+        Flag("--shards", POSITIVE, 2, "shard count K for the sharded engine"),
+        Flag("--out", TEXT, None, "also write the bench-baselines/1 payload here"),
+    )),
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="VINESTALK reproduction (Nolte & Lynch, ICDCS 2007)",
     )
-    print(*CrossBaselines().tables(payload), sep="\n\n")
-    verdict = "MATCH" if payload["all_classic_match"] else "DIVERGED"
-    print(f"classic cross-engine fingerprints: {verdict}")
-    return 0 if payload["all_classic_match"] else 1
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in COMMANDS:
+        child = sub.add_parser(command.name, help=command.help)
+        for flag in command.all_flags():
+            domain, spec = flag.domain, {"help": flag.help}
+            if flag.name.startswith("-"):  # a positional takes neither
+                spec.update(dest=flag.key, default=flag.default)
+            if domain.type is None:
+                spec.update(action="store_true", default=False)
+            else:
+                spec.update(type=domain.type, choices=domain.choices)
+            child.add_argument(flag.name, **spec)
+    return parser
+
+
+def _check(flag: Flag, args: argparse.Namespace) -> None:
+    """Hold one parsed flag to its domain (a selection becomes its names)."""
+    value, domain = getattr(args, flag.key), flag.domain
+    if value is None:
+        return  # optional and not given
+    if domain is SELECTION:
+        setattr(args, flag.key, _selection(flag.name.lstrip("-"), value))
+    elif domain.ok is not None and not domain.ok(value):
+        raise ValueError(f"{flag.key} {domain.says}, got {value}")
 
 
 def _rejected_input() -> tuple:
@@ -945,27 +776,25 @@ def _rejected_input() -> tuple:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run one subcommand; rejected input exits 2 through one error path."""
+    """Run one subcommand: the one result path and the one error path."""
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "demo": cmd_demo,
-        "find": cmd_find,
-        "chaos": cmd_chaos,
-        "report": cmd_report,
-        "validate": cmd_validate,
-        "snapshot": cmd_snapshot,
-        "resume": cmd_resume,
-        "bisect": cmd_bisect,
-        "sharded": cmd_sharded,
-        "service": cmd_service,
-        "mobility": cmd_mobility,
-        "baselines": cmd_baselines,
-    }
+    command = next(row for row in COMMANDS if row.name == args.command)
+    rejected: Optional[Exception] = None
     try:
-        return handlers[args.command](args)
+        for flag in command.all_flags():
+            _check(flag, args)
+        data, code = command.run(args)
     except _rejected_input() as exc:  # evaluated when something is raised
-        return _usage_error(args, exc)
+        rejected, data, code = exc, {"error": str(exc)}, 2
+    if args.json:
+        data = {k: v for k, v in data.items() if not k.startswith("_")}
+        envelope = {"schema": CLI_SCHEMA, "command": command.name, "data": data}
+        print(json.dumps(envelope, sort_keys=True))
+    elif rejected is not None:
+        _note(str(rejected))
+    else:
+        text = command.text({**vars(args), **data})
+        if text is not None:
+            print(text)
+    return code
 
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

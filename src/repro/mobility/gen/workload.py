@@ -120,6 +120,23 @@ class MobilityRegimeResult:
             raise AttributeError(name)  # unpickling probes before ``run`` is set
         return getattr(self.run, name)
 
+    def as_dict(self) -> Dict[str, Any]:
+        """The JSON-safe E-series row ``repro mobility --json`` emits."""
+        row = {
+            name: getattr(self, name)
+            for name in (
+                "regime", "steps_scripted", "finds_completed", "finds_issued",
+                "events", "messages_sent", "moves_observed", "move_work",
+                "find_work", "min_dwell", "mean_dwell", "speed_ok",
+                "speed_violation", "canonical_fingerprint",
+                "sharded_fingerprint", "fingerprint_match",
+            )
+        }
+        levels = sorted(self.touched_levels.items())
+        row["touched_levels"] = {str(level): count for level, count in levels}
+        row["objects"] = self.n_objects
+        return row
+
 
 def run_mobility_regime(
     regime: Union[str, GeneratorSpec] = "uniform-walk",
@@ -141,10 +158,11 @@ def run_mobility_regime(
     K-sharded engine and records the cross-engine fingerprint verdict.
     """
     from ...scenario import ScenarioConfig
-    from ...sim.sharded.core import run_script
+    from ...service.service import TrackingService, cross_check
     from ...topo.cache import shared_grid_hierarchy
-    from ...workload import materialize
 
+    if shards < 0:
+        raise ValueError(f"shards must be >= 0, got {shards}")
     spec = resolve_spec(regime)
     name = regime if isinstance(regime, str) else type(regime).__name__
     walk = GeneratedWalk(
@@ -159,11 +177,16 @@ def run_mobility_regime(
         mode=mode,
         base_dwell=base_dwell,
     )
-    workload = materialize(walk, seed)
     config = ScenarioConfig(
-        r=r, max_level=max_level, delta=delta, e=e, seed=seed, shards=1
+        r=r, max_level=max_level, delta=delta, e=e, seed=seed,
+        shards=max(shards, 1),
     )
-    run = run_script(config, workload, "plain")
+    sharded_fp = match = None
+    if shards >= 1:
+        run, sharded, match = cross_check(config, walk)
+        sharded_fp = sharded.canonical_fingerprint
+    else:
+        run = TrackingService(config).run(walk)
 
     hierarchy = shared_grid_hierarchy(r, max_level)
     limits = SpeedLimits.for_hierarchy(hierarchy, delta=delta, e=e, mode=mode)
@@ -180,14 +203,6 @@ def run_mobility_regime(
         for u, v in zip(path, path[1:]):
             level = touched_level(hierarchy, u, v)
             levels[level] = levels.get(level, 0) + 1
-
-    sharded_fp = None
-    match = None
-    if shards >= 1:
-        sharded_fp = run_script(
-            config.with_(shards=shards), workload, "serial"
-        ).canonical_fingerprint
-        match = sharded_fp == run.canonical_fingerprint
 
     return MobilityRegimeResult(
         regime=name,

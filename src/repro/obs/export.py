@@ -32,7 +32,6 @@ def obs_payload(
     extra: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Serialize ``collector`` (and optionally a sampler) to ``obs/1``."""
-    state = collector.metrics.state()
     retained = list(collector.events)
     payload: Dict[str, Any] = {
         "schema": OBS_SCHEMA,
@@ -53,8 +52,7 @@ def obs_payload(
                 for s in collector.spans[:SPAN_SAMPLE_LIMIT]
             ],
         },
-        "counters": state["counters"],
-        "histograms": state["histograms"],
+        "counters": collector.metrics.state()["counters"],
         "events": {
             "seen": collector.events_seen,
             "retained": len(retained),

@@ -90,6 +90,14 @@ class LoadGenerator:
             raise ValueError("n_objects must be >= 1")
         if self.find_clients < 1:
             raise ValueError("find_clients must be >= 1")
+        if self.n_finds < 0 or self.moves_per_object < 0:
+            raise ValueError("n_finds and moves_per_object must be >= 0")
+        if self.burst_size < 1:
+            raise ValueError("burst_size must be >= 1")
+        if not (self.rate > 0 and self.dwell > 0):
+            # expovariate(0) divides by zero; a negative rate schedules
+            # finds before the warm-up, at negative sim times.
+            raise ValueError("rate and dwell must be > 0")
 
     @property
     def horizon(self) -> float:

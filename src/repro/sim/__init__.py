@@ -2,7 +2,7 @@
 
 from .engine import SimulationError, Simulator
 from .event_queue import Event, EventQueue
-from .metrics import Counter, MetricsRegistry, Series, summarize
+from .metrics import Counter, MetricsRegistry
 from .rng import RngRegistry, choice_excluding
 from .trace import TraceLog, TraceRecord
 
@@ -12,11 +12,9 @@ __all__ = [
     "EventQueue",
     "MetricsRegistry",
     "RngRegistry",
-    "Series",
     "SimulationError",
     "Simulator",
     "TraceLog",
     "TraceRecord",
     "choice_excluding",
-    "summarize",
 ]

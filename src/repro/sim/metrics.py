@@ -1,35 +1,19 @@
-"""Counters, histograms and time-series for experiment instrumentation.
+"""Named counters for instrumentation.
 
-The :class:`MetricsRegistry` stays small on purpose — components bump
-counters/histograms by name; experiment runners and the obs exporter
-read totals afterwards — but it is a real aggregation substrate:
-
-* :meth:`MetricsRegistry.merge` folds another registry in (the
-  worker-pool reduction path) — counter and histogram merges are
-  associative and order-independent, which the Hypothesis property
-  suite in ``tests/sim/test_metrics_properties.py`` enforces;
-* :meth:`MetricsRegistry.state` / :meth:`MetricsRegistry.restore`
-  round-trip a registry through a plain JSON-safe dict (and therefore
-  through pickling across process boundaries).
+The :class:`MetricsRegistry` is what the obs collector counts typed
+events and conformance violations in: components bump counters by name,
+the ``obs/1`` exporter reads :meth:`MetricsRegistry.state` afterwards.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
-
-#: Default histogram bucket upper bounds: decades from 1µ to 1M, which
-#: covers both sub-second span durations and work/cost magnitudes.
-DEFAULT_BUCKETS: Tuple[float, ...] = tuple(
-    10.0 ** exp for exp in range(-6, 7)
-)
+from dataclasses import dataclass
+from typing import Any, Dict
 
 
 @dataclass
 class Counter:
-    """Monotone counter with an optional running sum of weights."""
+    """Monotone counter with a running sum of weights."""
 
     name: str
     count: int = 0
@@ -39,217 +23,26 @@ class Counter:
         self.count += 1
         self.total += weight
 
-    def merge(self, other: "Counter") -> None:
-        """Fold another counter in (associative, order-independent)."""
-        self.count += other.count
-        self.total += other.total
-
-
-@dataclass
-class Histogram:
-    """Fixed-bucket histogram with count/total/min/max sidecars.
-
-    ``bounds`` are the bucket *upper* bounds; values land in the first
-    bucket whose bound is ``>= value``, with one implicit overflow
-    bucket past the last bound (``len(counts) == len(bounds) + 1``).
-    """
-
-    name: str
-    bounds: Tuple[float, ...] = DEFAULT_BUCKETS
-    counts: List[int] = field(default_factory=list)
-    count: int = 0
-    total: float = 0.0
-    min: Optional[float] = None
-    max: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        self.bounds = tuple(self.bounds)
-        if list(self.bounds) != sorted(self.bounds):
-            raise ValueError("histogram bounds must be sorted ascending")
-        if not self.counts:
-            self.counts = [0] * (len(self.bounds) + 1)
-        elif len(self.counts) != len(self.bounds) + 1:
-            raise ValueError("counts length must be len(bounds) + 1")
-
-    def observe(self, value: float) -> None:
-        """Record one value."""
-        self.counts[bisect_right(self.bounds, value)] += 1
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram in (requires identical bounds)."""
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histograms with different bounds "
-                f"({self.name!r} vs {other.name!r})"
-            )
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        self.count += other.count
-        self.total += other.total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-        }
-
-
-@dataclass
-class Series:
-    """A time-series of ``(time, value)`` samples."""
-
-    name: str
-    samples: list = field(default_factory=list)
-
-    def add(self, time: float, value: float) -> None:
-        self.samples.append((time, value))
-
-    def values(self) -> list:
-        return [v for _, v in self.samples]
-
-    def max(self) -> float:
-        return max(self.values()) if self.samples else 0.0
-
-    def last(self) -> Optional[float]:
-        return self.samples[-1][1] if self.samples else None
-
 
 class MetricsRegistry:
-    """Named counters, histograms and series, created on first use."""
+    """Named counters, created on first use."""
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._histograms: dict[str, Histogram] = {}
-        self._series: dict[str, Series] = {}
+        self._counters: Dict[str, Counter] = {}
 
     def counter(self, name: str) -> Counter:
         if name not in self._counters:
             self._counters[name] = Counter(name)
         return self._counters[name]
 
-    def histogram(
-        self, name: str, bounds: Optional[Iterable[float]] = None
-    ) -> Histogram:
-        existing = self._histograms.get(name)
-        if existing is None:
-            existing = Histogram(
-                name, tuple(bounds) if bounds is not None else DEFAULT_BUCKETS
-            )
-            self._histograms[name] = existing
-        elif bounds is not None and tuple(bounds) != existing.bounds:
-            raise ValueError(f"histogram {name!r} already has different bounds")
-        return existing
-
-    def series(self, name: str) -> Series:
-        if name not in self._series:
-            self._series[name] = Series(name)
-        return self._series[name]
-
-    def counters(self) -> dict:
+    def counters(self) -> Dict[str, Counter]:
         return dict(self._counters)
 
-    def histograms(self) -> dict:
-        return dict(self._histograms)
-
-    def snapshot(self) -> dict:
-        """Plain-dict snapshot: counter name -> (count, total)."""
-        return {n: (c.count, c.total) for n, c in self._counters.items()}
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` into this registry; returns self.
-
-        Counters and histograms add up (associative, order-independent);
-        series merge as sorted sample multisets, so a merge never
-        depends on which worker's samples arrived first.
-        """
-        for name, counter in other._counters.items():
-            self.counter(name).merge(counter)
-        for name, histogram in other._histograms.items():
-            self.histogram(name, histogram.bounds).merge(histogram)
-        for name, series in other._series.items():
-            mine = self.series(name)
-            mine.samples = sorted(mine.samples + list(series.samples))
-        return self
-
     def state(self) -> Dict[str, Any]:
-        """Full JSON-safe state (the :meth:`restore` input)."""
+        """JSON-safe state: counter name -> count and total, sorted."""
         return {
             "counters": {
                 n: {"count": c.count, "total": c.total}
                 for n, c in sorted(self._counters.items())
             },
-            "histograms": {
-                n: h.as_dict() for n, h in sorted(self._histograms.items())
-            },
-            # Sorted-multiset view: sample *order* is not part of a
-            # series' identity (merge interleaves worker samples by
-            # time), so the canonical state — and therefore equality —
-            # must not depend on insertion order either.
-            "series": {
-                n: [list(sample) for sample in sorted(s.samples)]
-                for n, s in sorted(self._series.items())
-            },
         }
-
-    @classmethod
-    def restore(cls, state: Dict[str, Any]) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`state` output."""
-        registry = cls()
-        for name, c in state.get("counters", {}).items():
-            registry._counters[name] = Counter(
-                name, count=c["count"], total=c["total"]
-            )
-        for name, h in state.get("histograms", {}).items():
-            registry._histograms[name] = Histogram(
-                name,
-                bounds=tuple(h["bounds"]),
-                counts=list(h["counts"]),
-                count=h["count"],
-                total=h["total"],
-                min=h["min"],
-                max=h["max"],
-            )
-        for name, samples in state.get("series", {}).items():
-            registry._series[name] = Series(
-                name, samples=[tuple(sample) for sample in samples]
-            )
-        return registry
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MetricsRegistry):
-            return NotImplemented
-        return self.state() == other.state()
-
-    __hash__ = None  # mutable container
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._histograms.clear()
-        self._series.clear()
-
-
-def summarize(values: Iterable[float]) -> dict:
-    """Mean / min / max / stddev summary of a value collection."""
-    vals = list(values)
-    if not vals:
-        return {"n": 0, "mean": 0.0, "min": 0.0, "max": 0.0, "std": 0.0}
-    n = len(vals)
-    mean = sum(vals) / n
-    var = sum((v - mean) ** 2 for v in vals) / n
-    return {"n": n, "mean": mean, "min": min(vals), "max": max(vals), "std": math.sqrt(var)}

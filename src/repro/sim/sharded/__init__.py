@@ -18,7 +18,12 @@ from .core import (
     run_script,
 )
 from .plan import ShardPlan, strip_plan
-from .runner import run_reference_walk, run_sharded_walk, walk_fault_plan
+from .runner import (
+    run_reference_walk,
+    run_sharded_walk,
+    walk_fault_plan,
+    walk_scenario,
+)
 from .workload import (
     EvaderEnter,
     EvaderStep,
@@ -48,4 +53,5 @@ __all__ = [
     "schedule_workload",
     "strip_plan",
     "walk_fault_plan",
+    "walk_scenario",
 ]

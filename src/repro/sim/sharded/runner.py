@@ -1,10 +1,11 @@
 """High-level sharded runs: reference path, sweep runner, fault plans.
 
-:func:`run_sharded_walk` is the one-call entry point used by the CLI,
-the benchmarks, the CI smoke job and the SweepRunner registry
-(``job("sharded_walk", ...)``): build a scripted walk workload, run it
-at K shards through :func:`~repro.sim.sharded.core.run_script`, return
-its :class:`~repro.sim.sharded.core.RunRecord`.
+:func:`walk_scenario` builds the scripted walk (config at K shards plus
+frozen script) that ``repro sharded`` cross-checks; :func:`run_sharded_walk`
+is the one-call entry point of tests and the SweepRunner registry
+(``job("sharded_walk", ...)``): run that walk at K shards through
+:func:`~repro.sim.sharded.core.run_script`, return its
+:class:`~repro.sim.sharded.core.RunRecord`.
 
 :func:`run_reference_walk` runs the *same* workload on the plain
 single-loop :class:`~repro.sim.engine.Simulator` (no windows, no
@@ -51,7 +52,7 @@ def walk_fault_plan(
     return FaultPlan(rules=rules, horizon=horizon)
 
 
-def run_sharded_walk(
+def walk_scenario(
     r: int = 2,
     max_level: int = 3,
     shards: int = 2,
@@ -61,12 +62,11 @@ def run_sharded_walk(
     delta: float = 1.0,
     e: float = 0.5,
     dwell: float = 40.0,
-    backend: str = "serial",
     loss_rate: float = 0.0,
     duplication_rate: float = 0.0,
     jitter_rate: float = 0.0,
-) -> RunRecord:
-    """Run the scripted walk workload at ``shards`` shards."""
+):
+    """The scripted walk as ``(config at K shards, its frozen script)``."""
     from ...scenario import ScenarioConfig
 
     fault_plan = walk_fault_plan(loss_rate, duplication_rate, jitter_rate)
@@ -85,6 +85,29 @@ def run_sharded_walk(
     )
     workload = make_walk_workload(
         _tiling_for(config), n_moves, n_finds, seed, dwell=dwell
+    )
+    return config, workload
+
+
+def run_sharded_walk(
+    r: int = 2,
+    max_level: int = 3,
+    shards: int = 2,
+    n_moves: int = 8,
+    n_finds: int = 4,
+    seed: int = 11,
+    delta: float = 1.0,
+    e: float = 0.5,
+    dwell: float = 40.0,
+    backend: str = "serial",
+    loss_rate: float = 0.0,
+    duplication_rate: float = 0.0,
+    jitter_rate: float = 0.0,
+) -> RunRecord:
+    """Run the scripted walk workload at ``shards`` shards."""
+    config, workload = walk_scenario(
+        r, max_level, shards, n_moves, n_finds, seed, delta, e, dwell,
+        loss_rate, duplication_rate, jitter_rate,
     )
     return run_script(config, workload, backend)
 

@@ -1,15 +1,21 @@
 """The cross-baseline harness: grid shape, cell schema, classic gate."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.crossbase import (
     ALL_TRACKERS,
     ANALYTIC_TRACKERS,
+    FAULTS,
     MESSAGE_TRACKERS,
     PRESETS,
     SCHEMA,
     run_cross_baselines,
 )
+
+COMMITTED = Path(__file__).resolve().parents[2] / "BENCH_baselines.json"
 
 #: Every cell must position its tracker on all four score axes.
 CELL_KEYS = (
@@ -125,3 +131,17 @@ def test_grid_is_seed_deterministic():
     first = run_cross_baselines(**kwargs)
     second = run_cross_baselines(**kwargs)
     assert first["cells"] == second["cells"]
+
+
+def test_committed_grid_is_the_regenerated_one():
+    # On a mismatch: python -m repro baselines --faults none,loss
+    #   --moves 10 --finds 5 --out BENCH_baselines.json
+    committed = json.loads(COMMITTED.read_text())
+    grid = committed["grid"]
+    assert tuple(grid["faults"]) == FAULTS
+    regenerated = run_cross_baselines(
+        trackers=grid["trackers"], presets=grid["presets"],
+        faults=grid["faults"], n_moves=grid["n_moves"],
+        n_finds=grid["n_finds"], seed=grid["seed"], shards=grid["shards"],
+    )
+    assert json.loads(json.dumps(regenerated)) == committed

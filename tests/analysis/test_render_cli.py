@@ -111,28 +111,27 @@ class TestJsonEnvelope:
         return envelope["data"]
 
     def test_every_subcommand_has_the_json_flag(self):
-        from repro.cli import _build_parser
+        from repro.cli import COMMANDS, JSON
 
-        parser = _build_parser()
-        subactions = parser._subparsers._group_actions[0]
-        for name, subparser in subactions.choices.items():
-            assert any(
-                action.dest == "json" for action in subparser._actions
-            ), f"{name} lacks --json"
+        assert all(JSON in command.all_flags() for command in COMMANDS)
 
     def test_per_command_defaults_survive_shared_parents(self):
         # Regression: a single shared parent parser plus per-subparser
         # set_defaults silently gave every command the defaults of the
         # subparser registered last (argparse parents share actions).
-        from repro.cli import _build_parser
+        from repro.cli import COMMANDS, _build_parser
 
         parser = _build_parser()
-        demo = parser.parse_args(["demo"])
-        find = parser.parse_args(["find"])
-        sharded = parser.parse_args(["sharded"])
-        assert (demo.r, demo.max_level, demo.seed) == (3, 2, 7)
-        assert (find.r, find.max_level, find.seed) == (2, 4, 21)
-        assert (sharded.r, sharded.max_level, sharded.seed) == (2, 3, 11)
+        worlds = {
+            command.name: command.world
+            for command in COMMANDS if command.world is not None
+        }
+        for name, world in worlds.items():
+            args = parser.parse_args([name])
+            assert (args.r, args.max_level, args.seed) == world
+        assert worlds["demo"] == (3, 2, 7)
+        assert worlds["find"] == (2, 4, 21)
+        assert worlds["sharded"] == (2, 3, 11)
 
     def test_validate_envelope(self, capsys):
         assert main(["validate", "--r", "2", "--max-level", "2", "--json"]) == 0
@@ -175,14 +174,26 @@ class TestJsonEnvelope:
             (["baselines", "--trackers", ""], "empty --trackers"),
             (["baselines", "--presets", ""], "empty --presets"),
             (["mobility", "--regimes", ""], "empty --regimes"),
-            # Rejected deeper down (config, topology key, ckpt loader,
-            # variant parser): the same single error path in main().
+            # Rejected by the flag's domain or deeper down (system
+            # registry, ckpt loader, variant parser): one error path.
             (["sharded", "--shards", "0"], "shards must be >= 1"),
             (["chaos", "--system", "bogus"], "unknown system 'bogus'"),
             (["service", "--objects", "0"], "n_objects must be >= 1"),
             (["find", "--r", "1"], "r must be >= 2"),
             (["resume", "/nonexistent.ckpt"], "/nonexistent.ckpt"),
             (["bisect", "--a", "obs:maybe"], "obs must be on/off"),
+            (["baselines", "--faults", "nope"], "unknown faults: nope"),
+            (["baselines", "--faults", ""], "empty --faults"),
+            # Out of the flag's declared domain: each of these ran to
+            # exit 0 (or a traceback) before the table stated domains.
+            (["bisect", "--a", "base", "--b", "seed:8", "--window", "0"],
+             "window must be >= 1"),
+            (["service", "--rate", "0"], "rate must be > 0"),
+            (["service", "--rate", "-1"], "rate must be > 0"),
+            (["mobility", "--shards", "-1"], "shards must be >= 0"),
+            (["demo", "--moves", "-3"], "moves must be >= 0"),
+            (["snapshot", "--moves", "-1"], "moves must be >= 0"),
+            (["sharded", "--finds", "-1"], "finds must be >= 0"),
         ],
     )
     def test_bad_selection_rejected(self, capsys, argv, needle):

@@ -1,9 +1,10 @@
 """The experiment registry: EXPERIMENTS.md is what it computes.
 
-One module-scoped ``build_report()`` runs every experiment once; the
-paper's claims are thereby checked on every run of the suite, by the
-code that writes the document.  The doctored-result tests show each
-kind of verdict can fail: the mark turns and ``repro report`` exits 1.
+One session-scoped ``build_report()`` (``tests/conftest.py``) runs every
+experiment once; the paper's claims are thereby checked on every run of
+the suite, by the code that writes the document.  The doctored-result
+tests show each kind of verdict can fail: the mark turns and ``repro
+report`` exits 1.
 """
 
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import reporting
-from repro.analysis.reporting import EXPERIMENTS, build_report
+from repro.analysis.reporting import EXPERIMENTS
 from repro.cli import CLI_SCHEMA, main
 
 COMMITTED = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
@@ -20,8 +21,8 @@ BY_KEY = {experiment.key: experiment for experiment in EXPERIMENTS}
 
 
 @pytest.fixture(scope="module")
-def report():
-    return build_report()
+def report(built_report):
+    return built_report
 
 
 class TestRegistry:

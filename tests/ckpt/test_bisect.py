@@ -8,6 +8,8 @@ while doing only windowed comparisons plus one checkpoint replay.
 
 import zlib
 
+import pytest
+
 from repro.ckpt import Variant, bisect_divergence, build_tracked_walk, walk_horizon
 from repro.ckpt.bisect import _first_mismatch
 from repro.scenario import ScenarioConfig
@@ -82,6 +84,15 @@ class TestBisect:
             CONFIG, Variant.parse("base"), Variant.parse("seed:8"), window=512
         )
         assert small.event_index == large.event_index
+
+    @pytest.mark.parametrize("bad", [{"window": 0}, {"window": -5}, {"max_events": 0}])
+    def test_an_empty_comparison_is_refused(self, bad):
+        # window=0 compared nothing and reported "no divergence" for a
+        # pair that does diverge.
+        with pytest.raises(ValueError):
+            bisect_divergence(
+                CONFIG, Variant.parse("base"), Variant.parse("seed:8"), **bad
+            )
 
     def test_obs_toggle_is_divergence_free(self):
         report = bisect_divergence(

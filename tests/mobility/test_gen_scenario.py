@@ -108,6 +108,12 @@ def test_run_mobility_regime_accepts_spec_objects():
     assert result.speed_ok
 
 
+def test_run_mobility_regime_rejects_a_negative_shard_count():
+    # shards=-1 used to run, skip the cross-check and report DIVERGED.
+    with pytest.raises(ValueError):
+        run_mobility_regime("dither", n_moves=4, n_finds=2, shards=-1)
+
+
 def test_mobility_jobs_sweep_covers_every_preset():
     from repro.analysis.parallel import SweepRunner
 

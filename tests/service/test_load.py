@@ -132,3 +132,13 @@ class TestArrivalProcesses:
             make_load(tiling, n_objects=0)
         with pytest.raises(ValueError):
             make_load(tiling, find_clients=0)
+
+    @pytest.mark.parametrize("bad", [
+        {"rate": 0.0}, {"rate": -1.0}, {"rate": float("nan")}, {"n_finds": -1},
+        {"moves_per_object": -1}, {"burst_size": 0}, {"dwell": 0.0},
+    ])
+    def test_out_of_range_shape_rejected(self, tiling, bad):
+        # rate=0 used to die in expovariate (ZeroDivisionError), rate<0 to
+        # schedule finds before the warm-up, at negative sim times.
+        with pytest.raises(ValueError):
+            make_load(tiling, **bad)

@@ -1,8 +1,10 @@
 """Unit tests for trace log, metrics registry and RNG streams."""
 
+import json
+
 import pytest
 
-from repro.sim import MetricsRegistry, RngRegistry, TraceLog, summarize
+from repro.sim import MetricsRegistry, RngRegistry, TraceLog
 from repro.sim.rng import choice_excluding
 
 
@@ -89,31 +91,14 @@ class TestMetrics:
         assert c.count == 2
         assert c.total == 3.5
 
-    def test_series(self):
+    def test_state_is_sorted_and_json_safe(self):
         reg = MetricsRegistry()
-        s = reg.series("load")
-        s.add(1.0, 10.0)
-        s.add(2.0, 30.0)
-        assert s.values() == [10.0, 30.0]
-        assert s.max() == 30.0
-        assert s.last() == 30.0
-
-    def test_snapshot_and_reset(self):
-        reg = MetricsRegistry()
-        reg.counter("x").add(4.0)
-        assert reg.snapshot() == {"x": (1, 4.0)}
-        reg.reset()
-        assert reg.snapshot() == {}
-
-    def test_summarize(self):
-        stats = summarize([1.0, 2.0, 3.0])
-        assert stats["n"] == 3
-        assert stats["mean"] == pytest.approx(2.0)
-        assert stats["min"] == 1.0
-        assert stats["max"] == 3.0
-
-    def test_summarize_empty(self):
-        assert summarize([])["n"] == 0
+        reg.counter("b").add(4.0)
+        reg.counter("a").add()
+        state = reg.state()
+        assert list(state["counters"]) == ["a", "b"]
+        assert state["counters"]["b"] == {"count": 1, "total": 4.0}
+        assert json.loads(json.dumps(state)) == state
 
 
 class TestRng:
