@@ -36,16 +36,11 @@ from ..topo.keys import TopologyKey, grid_key
 RUNNERS: Dict[str, str] = {
     "move_walk": "repro.analysis.experiments:run_move_walk",
     "find_sweep": "repro.analysis.experiments:run_find_sweep",
-    "find_at_distance": "repro.analysis.experiments:run_find_at_distance",
     "baseline_comparison": "repro.analysis.experiments:run_baseline_comparison",
-    "dithering": "repro.analysis.experiments:run_dithering",
     "invariant_watch": "repro.analysis.experiments:run_invariant_watch",
-    "equivalence_check": "repro.analysis.experiments:run_equivalence_check",
     "scale_probe": "repro.analysis.experiments:run_scale_probe",
     "chaos": "repro.analysis.recovery:run_chaos",
     "sharded_walk": "repro.sim.sharded.runner:run_sharded_walk",
-    "reference_walk": "repro.sim.sharded.runner:run_reference_walk",
-    "mobility_regime": "repro.mobility.gen.workload:run_mobility_regime",
 }
 
 

@@ -574,8 +574,11 @@ class Coordination(Experiment):
     title = "X3 — Multi-pursuit coordination (§VII extension)"
     claim = """command-center VSAs "direct finders to particular targets to
         eliminate as much overlap in pursuit as possible." """
-    caption = """3 clustered pursuers vs 3 spread evaders, 16×16; every lookup
-        is a real VINESTALK find"""
+    caption = """3 clustered pursuers vs 3 spread evaders on lanes 1..3 of one
+        16×16 system; every lookup is a real VINESTALK find. Lanes ≥ 1 settle
+        search-phase acks by arbitration at the timeout, lane 0 by first
+        arrival (DESIGN §9), so the same find can land on a different region at
+        a different cost on lane k than on lane 0"""
 
     def run(self):
         return [

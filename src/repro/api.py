@@ -36,8 +36,7 @@ Grouped exports:
   :func:`load`, :func:`restore_scenario`, :func:`bisect_divergence`,
   :class:`Variant`;
 * **experiment sweeps** — :func:`run_find_sweep`, :func:`run_move_walk`,
-  :func:`run_service_mk`, :func:`run_chaos`, :func:`run_mobility_regime`,
-  :func:`mobility_jobs`;
+  :func:`run_service_mk`, :func:`run_chaos`, :func:`run_mobility_regime`;
 * **mobility generation** — :class:`GeneratorSpec` and the combinators
   (:class:`Walk`, :class:`WaypointGraph`, :class:`Obstacles`,
   :class:`Convoy`, :class:`Hotspots`, :class:`Dither`, :class:`Replay`,
@@ -105,7 +104,6 @@ from .mobility.gen import (
     TraceRecorder,
     Walk,
     WaypointGraph,
-    mobility_jobs,
     run_mobility_regime,
 )
 from .mobility.gen import generate as generate_traces
@@ -164,7 +162,6 @@ __all__ = [
     "run_move_walk",
     "run_service_mk",
     "run_mobility_regime",
-    "mobility_jobs",
     # mobility generation (DESIGN.md §10)
     "GeneratorSpec",
     "Walk",

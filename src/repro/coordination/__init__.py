@@ -2,12 +2,10 @@
 
 from .command_center import CommandCenter, Sighting
 from .game import GameResult, Pursuer, PursuitGame
-from .multi import MultiVineStalk
 
 __all__ = [
     "CommandCenter",
     "GameResult",
-    "MultiVineStalk",
     "Pursuer",
     "PursuitGame",
     "Sighting",

@@ -1,8 +1,9 @@
 """The multi-pursuit game (§VII extension).
 
-Several pursuers must overtake several evaders.  Each decision round a
-pursuer asks VINESTALK where its assigned evader is (a find in that
-evader's tracking plane, paying real find work) and takes up to
+Several pursuers must overtake several evaders, tracked on lanes
+``1..n`` of one :class:`~repro.core.vinestalk.VineStalk` (DESIGN.md §9).
+Each decision round a pursuer asks VINESTALK where its assigned evader
+is (a find on that evader's lane, paying real find work) and takes up to
 ``pursuer_speed`` greedy steps toward the answer.  Targets come either
 from the command center's overlap-free assignment or from the naive
 "everyone chases the nearest" strategy — the benchmark compares the two.
@@ -16,9 +17,10 @@ from typing import Dict, List, Optional
 
 from ..geometry.regions import RegionId
 from ..hierarchy.hierarchy import ClusterHierarchy
+from ..mobility.evader import Evader
 from ..mobility.models import RandomNeighborWalk
+from ..scenario import ScenarioConfig, build
 from .command_center import CommandCenter
-from .multi import MultiVineStalk
 
 
 @dataclass
@@ -55,7 +57,7 @@ class GameResult:
 
 
 class PursuitGame:
-    """Drives pursuers against a :class:`MultiVineStalk` of evaders.
+    """Drives pursuers against the evaders of one VINESTALK system.
 
     Args:
         hierarchy: The world.
@@ -84,7 +86,11 @@ class PursuitGame:
         self.coordinated = coordinated
         self.pursuer_speed = pursuer_speed
         self.rng = random.Random(seed)
-        self.system = MultiVineStalk(hierarchy)
+        self.system, self.accountant = build(
+            ScenarioConfig(hierarchy=hierarchy)
+        ).parts()
+        #: The evaders still at large, by id; ``evader-k`` is on lane k+1.
+        self.evaders: Dict[str, Evader] = {}
         regions = self.tiling.regions()
         center_region = regions[len(regions) // 2]
         self.center = CommandCenter(self.system.sim, self.tiling, center_region)
@@ -95,16 +101,16 @@ class PursuitGame:
                 start = evader_starts[index % len(evader_starts)]
             else:
                 start = self.rng.choice(regions)
-            self.system.add_evader(
-                evader_id,
+            self.evaders[evader_id] = self.system.make_evader(
                 RandomNeighborWalk(start=start),
-                dwell=evader_dwell,
-                start=start,
+                evader_dwell,
                 rng=random.Random(seed * 101 + index),
+                start=start,
+                object_id=index + 1,
             )
         self.system.run_to_quiescence()
-        for evader_id in self.system.evader_ids():
-            self.system.evaders[evader_id].start()
+        for evader in self.evaders.values():
+            evader.start()
 
         self.pursuers: Dict[str, Pursuer] = {}
         for index in range(n_pursuers):
@@ -118,8 +124,8 @@ class PursuitGame:
     # ------------------------------------------------------------------
     def _refresh_sightings(self) -> None:
         """Tracking VSAs report each evader's region to the center."""
-        for evader_id in self.system.evader_ids():
-            self.center.report(evader_id, self.system.evader_region(evader_id))
+        for evader_id in sorted(self.evaders):
+            self.center.report(evader_id, self.evaders[evader_id].region)
 
     def _assign_targets(self) -> Dict[str, Optional[str]]:
         positions = {p.pursuer_id: p.region for p in self.pursuers.values()}
@@ -132,13 +138,14 @@ class PursuitGame:
 
     def _locate(self, evader_id: str, origin: RegionId) -> Optional[RegionId]:
         """A real VINESTALK find for the assigned evader."""
-        find_id = self.system.issue_find(evader_id, origin)
-        deadline = self.system.sim.now + 500.0
-        record = self.system.find_record(evader_id, find_id)
-        while not record.completed and self.system.sim.now < deadline:
-            if self.system.sim.run_until(self.system.sim.now + 10.0) == 0 and (
-                self.system.sim.pending_events == 0
-            ):
+        sim = self.system.sim
+        find_id = self.system.issue_find(
+            origin, object_id=self.evaders[evader_id].object_id
+        )
+        deadline = sim.now + 500.0
+        record = self.system.finds.records[find_id]
+        while not record.completed and sim.now < deadline:
+            if sim.run_until(sim.now + 10.0) == 0 and sim.pending_events == 0:
                 break
         return record.found_region if record.completed else None
 
@@ -147,32 +154,30 @@ class PursuitGame:
         caught: List[str] = []
         catch_rounds: Dict[str, int] = {}
         for round_number in range(1, max_rounds + 1):
-            if not self.system.evader_ids():
+            if not self.evaders:
                 break
             self._refresh_sightings()
             assignment = self._assign_targets()
             for pursuer in sorted(self.pursuers.values(), key=lambda p: p.pursuer_id):
                 target = assignment.get(pursuer.pursuer_id)
-                if target is None or target not in self.system.evaders:
+                if target is None or target not in self.evaders:
                     continue
                 pursuer.target = target
                 sighting = self._locate(target, pursuer.region)
                 if sighting is None:
                     sighting = self.center.last_sighting(target).region
                 pursuer.step_toward(self.tiling, sighting, self.pursuer_speed)
-                if target in self.system.evaders and (
-                    pursuer.region == self.system.evader_region(target)
-                ):
+                if pursuer.region == self.evaders[target].region:
                     caught.append(target)
                     catch_rounds[target] = round_number
                     self.center.forget(target)
-                    self.system.remove_evader(target)
+                    self.evaders.pop(target).stop()
             self.system.run(round_period)
         return GameResult(
             rounds=round_number,
             caught=caught,
-            all_caught=not self.system.evader_ids(),
-            find_work=self.system.total_find_work(),
+            all_caught=not self.evaders,
+            find_work=self.accountant.find_work,
             report_work=self.center.report_work,
             pursuer_distance=sum(p.distance_walked for p in self.pursuers.values()),
             catch_rounds=catch_rounds,

@@ -150,11 +150,3 @@ class FindCoordinator:
         if not self.records:
             return 1.0
         return len(self.completed_records()) / len(self.records)
-
-    def records_for(self, object_id: int) -> List[FindRecord]:
-        """All records targeting one tracked object (script order)."""
-        return [
-            r
-            for r in self.records.values()
-            if getattr(r, "object_id", 0) == object_id
-        ]

@@ -172,10 +172,6 @@ class VineStalk:
         evader.enter(start)
         return evader
 
-    def attach_evader(self, evader: Evader) -> None:
-        """Attach the legacy single evader (object id 0)."""
-        self.attach_object(0, evader)
-
     def attach_object(self, object_id: int, evader: Evader) -> None:
         """Attach one tracked object to lane ``object_id``."""
         objects = self.objects

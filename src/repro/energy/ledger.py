@@ -9,10 +9,11 @@ work accountant and the sharded trace already use:
   destination's region from the record keeps per-region sums exact
   under sharding (the same shard-sum-exactness argument as the work
   counters, DESIGN.md §8);
-* :attr:`~repro.vsa.vbcast.VBcast.energy_ledger` — a broadcast charges
-  tx once at the source (the bcast call fires in the owning shard) and
-  rx once per endpoint delivery (each delivery lands in exactly one
-  shard, either locally or via ``apply_remote``);
+* :meth:`EnergyLedger.charge_vbcast` / :meth:`~EnergyLedger.charge_vbcast_rx`
+  — the per-broadcast charges of the update model: tx once at the
+  source, rx once per endpoint delivery.  No built system broadcasts
+  through :class:`~repro.vsa.vbcast.VBcast`, so no run calls them and
+  the ``vbcast*`` payload fields read 0 (ROADMAP items 2, 5);
 * :meth:`~repro.core.vinestalk.VineStalk._deliver_evader_event` — one
   sense charge per delivered ``move``, behind the client filter.
 
@@ -77,12 +78,10 @@ class EnergyLedger:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def attach(self, cgcast, vbcast: Optional[Any] = None) -> "EnergyLedger":
-        """Subscribe to ``cgcast`` dispatches (and ``vbcast`` if given)."""
+    def attach(self, cgcast) -> "EnergyLedger":
+        """Subscribe to ``cgcast`` dispatches."""
         cgcast.observe(self.observe_send)
         self._cgcast = cgcast
-        if vbcast is not None:
-            vbcast.energy_ledger = self
         return self
 
     def _settle(self) -> None:

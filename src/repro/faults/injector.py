@@ -5,8 +5,9 @@ into a built system through the explicit hooks each layer exposes — no
 monkey-patching:
 
 * :attr:`CGcast.fault_filter <repro.geocast.cgcast.CGcast.fault_filter>`
-  and :attr:`VBcast.fault_filter <repro.vsa.vbcast.VBcast.fault_filter>`
-  for message loss / duplication / jitter / lag spikes;
+  for message loss / duplication / jitter / lag spikes — C-gcast is the
+  one message channel a built system has, so a rule on ``"both"`` means
+  it and a rule on ``"vbcast"`` alone is refused by :meth:`arm`;
 * :attr:`VineStalk.gps_fault_delay
   <repro.core.vinestalk.VineStalk.gps_fault_delay>` and
   :attr:`GpsOracle.fault_delay <repro.physical.gps.GpsOracle.fault_delay>`
@@ -22,11 +23,10 @@ so the same seed and the same plan reproduce the same execution
 bit for bit, which the golden tests enforce.
 
 The message rules are compiled once, in :meth:`FaultInjector.arm`, into
-one program per channel that :meth:`FaultInjector._perturb` runs for
-every message.  The definition of a draw is frozen: every golden
-fingerprint in the repo depends on it, and
-``tests/faults/_reference_perturb.py`` holds the interpreter that
-defines it.
+the program that :meth:`FaultInjector._perturb` runs for every message.
+The definition of a draw is frozen: every golden fingerprint in the
+repo depends on it, and ``tests/faults/_reference_perturb.py`` holds the
+interpreter that defines it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from ..obs.events import FaultCrash, FaultRestore, MessagesPerturbed
 from ..sim.rng import RngRegistry
 from .plan import (
     CHANNEL_CGCAST,
-    CHANNEL_VBCAST,
     FaultPlan,
     GpsStaleness,
     LagSpike,
@@ -123,7 +122,7 @@ class FaultInjector:
             scenario seed so "same seed + same plan" pins the whole run.
         stable_draws: Message-rule perturbations (loss / duplication /
             jitter) draw from a per-message stream keyed on ``(seed,
-            rule, channel, time, src, dest, payload type, occurrence)``
+            rule, time, src, dest, payload type, occurrence)``
             instead of the rule's sequential stream.  The draw for a
             given message then no longer depends on how many other
             messages the filter saw first — which is what the sharded
@@ -162,8 +161,8 @@ class FaultInjector:
         # random.Random: the injector is part of every ckpt snapshot and
         # a bare _random.Random does not pickle.
         self._draw_rng = random.Random(0)
-        # channel -> (key tag, program rows), compiled by arm().
-        self._programs: Dict[str, Tuple[str, tuple]] = {}
+        # The message program's rows, compiled by arm().
+        self._program: tuple = ()
         self._armed = False
         # Regions currently held down by this injector (so overlapping
         # crash/blackout rules never double-fail or double-restore).
@@ -179,20 +178,18 @@ class FaultInjector:
     # Arming
     # ------------------------------------------------------------------
     def arm(self) -> "FaultInjector":
-        """Install the hooks and schedule the plan's timeline rules."""
+        """Install the hooks and schedule the plan's timeline rules.
+
+        Raises ``ValueError`` for a non-null message rule whose channel
+        the system does not have (``"vbcast"`` alone): it would perturb
+        nothing and report zeros.
+        """
         if self._armed:
             raise RuntimeError("injector already armed")
+        self._program = self._compile()
         self._armed = True
-        self._programs = {
-            CHANNEL_CGCAST: ("cg", self._compile(CHANNEL_CGCAST)),
-            CHANNEL_VBCAST: ("vb", self._compile(CHANNEL_VBCAST)),
-        }
-        if self._programs[CHANNEL_CGCAST][1]:
+        if self._program:
             self.system.cgcast.fault_filter = self._cgcast_filter
-        if self._programs[CHANNEL_VBCAST][1]:
-            vbcast = getattr(self.system.network, "vbcast", None)
-            if vbcast is not None:
-                vbcast.fault_filter = self._vbcast_filter
         if any(isinstance(a.rule, GpsStaleness) and not a.rule.is_null()
                for a in self._armed_rules):
             self.system.gps_fault_delay = self._gps_delay
@@ -222,9 +219,10 @@ class FaultInjector:
         horizon = self.plan.horizon
         return horizon is None or self.sim.now < horizon
 
-    def _compile(self, channel: str) -> tuple:
-        """The message program of ``channel``: one row per rule that can
-        perturb it, in plan order.
+    def _compile(self) -> tuple:
+        """The message program: one row per rule that can perturb a
+        C-gcast message, in plan order.  A message rule that cannot —
+        its channel is one no built system has — is refused.
 
         A row is ``(op, rate, param, source)``.  ``source`` is where the
         rule's draws come from: its sequential stream, or in stable-draws
@@ -236,8 +234,13 @@ class FaultInjector:
         for armed in self._armed_rules:
             rule = armed.rule
             compiled = _message_op(rule)
-            if compiled is None or rule.is_null() or not rule.applies_to(channel):
+            if compiled is None or rule.is_null():
                 continue
+            if not rule.applies_to(CHANNEL_CGCAST):
+                raise ValueError(
+                    f"fault rule {armed.index} ({rule!r}) perturbs no message "
+                    f"channel of the system: C-gcast is the only one"
+                )
             source = armed.rng
             if self.stable_draws:
                 source = crc32(f"{self._root_seed}|{armed.index}|".encode())
@@ -245,9 +248,9 @@ class FaultInjector:
         return tuple(rows)
 
     def _perturb(
-        self, channel: str, delay: float, edge: Optional[str] = None
+        self, delay: float, edge: Optional[str] = None
     ) -> Optional[List[float]]:
-        """Apply the channel rules in plan order to one message.
+        """Apply the message rules in plan order to one message.
 
         ``edge`` is the part of the message key after the time (None in
         sequential mode).  Returns the per-copy delivery delays (empty =
@@ -256,12 +259,11 @@ class FaultInjector:
 
         The seed of a stable draw is ``crc32(material) ^ (seed << 32)``
         with material ``"<seed>|<rule index>|<key>|<occurrence>"`` and
-        key ``"<tag>|<repr(now)><edge>"``.
+        key ``"cg|<repr(now)><edge>"``.
         """
         if not self._within_horizon():
             return None
         now = self.sim.now
-        tag, program = self._programs[channel]
         tail = None
         if edge is not None:
             if now is not self._key_time:
@@ -269,7 +271,7 @@ class FaultInjector:
                     self._edge_counts.clear()
                 self._key_time = now
                 self._key_time_repr = repr(now)
-            key = f"{tag}|{self._key_time_repr}{edge}"
+            key = f"cg|{self._key_time_repr}{edge}"
             counts = self._edge_counts
             occurrence = counts.get(key, 0)
             counts[key] = occurrence + 1
@@ -282,7 +284,7 @@ class FaultInjector:
         single = delay
         copies: Optional[List[float]] = None
         dropped = duplicated = delayed = 0
-        for op, rate, param, source in program:
+        for op, rate, param, source in self._program:
             if op == _LAG:
                 if param.active_at(now):
                     # extra_e per §II-C.3 distance unit the message covers.
@@ -341,24 +343,18 @@ class FaultInjector:
         stats.messages_duplicated += duplicated
         stats.messages_delayed += delayed
         if _OBS.events_enabled:
-            _OBS.emit(MessagesPerturbed(now, channel, dropped, duplicated, delayed))
+            _OBS.emit(
+                MessagesPerturbed(now, CHANNEL_CGCAST, dropped, duplicated, delayed)
+            )
         return [single] if copies is None else copies
 
     def _cgcast_filter(self, src, dest, payload, delay) -> Optional[List[float]]:
         if not self.stable_draws:
-            return self._perturb(CHANNEL_CGCAST, delay)
+            return self._perturb(delay)
         edge = self._cgcast_edges.get((src, dest))
         if edge is None:
             edge = self._cgcast_edges[(src, dest)] = f"|{src!r}|{dest!r}|"
-        return self._perturb(CHANNEL_CGCAST, delay, edge + type(payload).__name__)
-
-    def _vbcast_filter(self, source_region, message, delay, from_vsa):
-        if not self.stable_draws:
-            return self._perturb(CHANNEL_VBCAST, delay)
-        return self._perturb(
-            CHANNEL_VBCAST, delay,
-            f"|{source_region!r}|{type(message).__name__}|{from_vsa}",
-        )
+        return self._perturb(delay, edge + type(payload).__name__)
 
     # ------------------------------------------------------------------
     # GPS staleness

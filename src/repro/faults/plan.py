@@ -19,8 +19,8 @@ on:
   outages of chosen regions), both strictly stronger than the built-in
   empty-region failure of §II-C.2;
 * **Communication** — :class:`MessageLoss`, :class:`MessageDuplication`
-  and :class:`MessageJitter` perturb the C-gcast / V-bcast delivery the
-  §II-C.3 delay table otherwise provides by fiat, and
+  and :class:`MessageJitter` perturb the C-gcast delivery the §II-C.3
+  delay table otherwise provides by fiat, and
   :class:`LagSpike` models a burst of emulation lag (``e`` growing for
   a window);
 * **Sensing** — :class:`GpsStaleness` delays the augmented GPS
@@ -32,7 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-#: Channel selectors for message-perturbing rules.
+#: Channel selectors for message-perturbing rules.  Built systems have
+#: the C-gcast channel only: ``"both"`` means every channel the system
+#: has, and ``FaultInjector.arm`` refuses a rule on ``"vbcast"`` alone.
 CHANNEL_CGCAST = "cgcast"
 CHANNEL_VBCAST = "vbcast"
 CHANNEL_BOTH = "both"

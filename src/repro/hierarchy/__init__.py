@@ -2,7 +2,7 @@
 
 from .builder import build_agglomerative_hierarchy
 from .cluster import ClusterId
-from .grid import GridHierarchy, diameter_of, grid_hierarchy
+from .grid import GridHierarchy, grid_hierarchy
 from .hierarchy import (
     ClusterHierarchy,
     ExplicitHierarchy,
@@ -29,7 +29,6 @@ __all__ = [
     "StripHierarchy",
     "build_agglomerative_hierarchy",
     "default_head",
-    "diameter_of",
     "grid_hierarchy",
     "grid_params",
     "singleton_level_map",
@@ -40,22 +39,4 @@ __all__ = [
     "validate_hierarchy",
     "validate_proximity",
     "validate_structure",
-]
-
-from .serialization import (  # noqa: E402
-    hierarchy_from_dict,
-    hierarchy_to_dict,
-    load_hierarchy,
-    save_hierarchy,
-    tiling_from_dict,
-    tiling_to_dict,
-)
-
-__all__ += [
-    "hierarchy_from_dict",
-    "hierarchy_to_dict",
-    "load_hierarchy",
-    "save_hierarchy",
-    "tiling_from_dict",
-    "tiling_to_dict",
 ]

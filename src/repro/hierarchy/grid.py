@@ -110,7 +110,3 @@ def grid_hierarchy(r: int, max_level: int) -> GridHierarchy:
     tiling = GridTiling(r**max_level)
     return GridHierarchy(tiling, r)
 
-
-def diameter_of(hierarchy: GridHierarchy) -> int:
-    """Network diameter ``D`` of the hierarchy's world."""
-    return hierarchy.tiling.diameter()

@@ -4,11 +4,8 @@ from .evader import Evader, EvaderObserver
 from .models import (
     BoundaryOscillator,
     FixedPath,
-    Lawnmower,
     MobilityModel,
     RandomNeighborWalk,
-    Stationary,
-    WaypointWalk,
     worst_boundary_pair,
 )
 from .speed import atomic_dwell, concurrent_dwell, level_update_time
@@ -18,11 +15,8 @@ __all__ = [
     "Evader",
     "EvaderObserver",
     "FixedPath",
-    "Lawnmower",
     "MobilityModel",
     "RandomNeighborWalk",
-    "Stationary",
-    "WaypointWalk",
     "atomic_dwell",
     "concurrent_dwell",
     "level_update_time",

@@ -105,7 +105,7 @@ class Evader:
         """Place the evader into the space, emitting the first ``move``.
 
         The mobility model's ``start_region`` is always invoked so that
-        stateful models (Lawnmower, FixedPath) initialise; an explicit
+        stateful models (FixedPath) initialise; an explicit
         ``region`` overrides where the evader is actually placed.
         """
         if self.region is not None:

@@ -1,4 +1,4 @@
-"""``repro.mobility.gen`` — composable trajectory & deployment generation.
+"""``repro.mobility.gen`` — composable trajectory generation.
 
 The generator framework (DESIGN.md §10) describes mobility regimes as
 small frozen combinator trees (:mod:`~repro.mobility.gen.spec`),
@@ -8,18 +8,9 @@ unchanged, and emits seeded-deterministic, §VI-speed-legal traces
 (:mod:`~repro.mobility.gen.trace`) that export to the unified workload
 protocol — so every regime runs bit-identically on the plain and
 sharded engines.  Named regimes live in
-:mod:`~repro.mobility.gen.presets`; non-uniform node placement in
-:mod:`~repro.mobility.gen.deploy`.
+:mod:`~repro.mobility.gen.presets`.
 """
 
-from .deploy import (
-    DeploymentSpec,
-    HotspotNodes,
-    MaskedNodes,
-    ScatterNodes,
-    UniformNodes,
-    place,
-)
 from .limits import MODES, SpeedLimits, check_trace, touched_level
 from .models import GeneratedModel, MobilityContractError, masked_tiling
 from .presets import preset, preset_names, register_preset
@@ -49,7 +40,6 @@ from .trace import (
 from .workload import (
     GeneratedWalk,
     MobilityRegimeResult,
-    mobility_jobs,
     resolve_spec,
     run_mobility_regime,
 )
@@ -89,17 +79,9 @@ __all__ = [
     "GeneratedModel",
     "MobilityContractError",
     "masked_tiling",
-    # deployments
-    "DeploymentSpec",
-    "UniformNodes",
-    "ScatterNodes",
-    "HotspotNodes",
-    "MaskedNodes",
-    "place",
     # workloads / runner
     "GeneratedWalk",
     "MobilityRegimeResult",
     "resolve_spec",
     "run_mobility_regime",
-    "mobility_jobs",
 ]

@@ -1,8 +1,8 @@
 """Registry-named mobility regimes (the DSL's vocabulary).
 
 A preset is a frozen :class:`~repro.mobility.gen.spec.GeneratorSpec`
-tree under a stable name; ``ScenarioConfig(mobility="dither")``, the
-``repro mobility`` CLI and the sweep runner all resolve names here.
+tree under a stable name; ``GeneratedWalk(mobility="dither")`` and the
+``repro mobility`` CLI resolve names here.
 Presets avoid explicit region ids so every regime works on any grid
 size — placement choices are sampled at resolve time from the seeded
 stream.

@@ -21,8 +21,8 @@ Grammar (each node is a frozen dataclass; children nest freely)::
           | Switch(parts, every)
           | TimeSlice(parts, boundaries)
 
-``ScenarioConfig(mobility=...)`` accepts a spec or a registry preset
-name (:mod:`repro.mobility.gen.presets`) and resolves it in ``build()``.
+``GeneratedWalk(mobility=...)`` accepts a spec or a registry preset name
+(:mod:`repro.mobility.gen.presets`).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Generator workloads, the regime runner and the sweep job set.
+"""Generator workloads and the regime runner.
 
 :class:`GeneratedWalk` adapts a generator spec (or preset name) to the
 unified workload protocol (DESIGN.md §9): ``events(seed)`` generates
@@ -7,18 +7,18 @@ engines consume, so any mobility regime runs bit-identically on the
 plain reference engine and the K-sharded PDES engine.
 
 :func:`run_mobility_regime` is the one-call E-series entry point behind
-the ``repro mobility`` CLI subcommand and the ``"mobility_regime"``
-sweep runner: reference-run one regime, cross-check the sharded engine
-when asked, and report trace statistics alongside the §VI verdict.
+the ``repro mobility`` CLI subcommand: reference-run one regime,
+cross-check the sharded engine when asked, and report trace statistics
+alongside the §VI verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from .limits import SpeedLimits, check_trace, touched_level
-from .presets import preset, preset_names
+from .presets import preset
 from .spec import GeneratorSpec
 from .trace import generate, trace_workload
 
@@ -223,30 +223,3 @@ def run_mobility_regime(
         fingerprint_match=match,
     )
 
-
-def mobility_jobs(
-    regimes: Optional[Iterable[str]] = None,
-    r: int = 2,
-    max_level: int = 2,
-    seed: int = 11,
-    n_moves: int = 8,
-    n_finds: int = 4,
-    shards: int = 0,
-):
-    """The canonical regime sweep: one job per registered preset."""
-    from ...analysis.parallel import job
-
-    names = tuple(regimes) if regimes is not None else preset_names()
-    return [
-        job(
-            "mobility_regime",
-            regime=name,
-            r=r,
-            max_level=max_level,
-            seed=seed,
-            n_moves=n_moves,
-            n_finds=n_finds,
-            shards=shards,
-        )
-        for name in names
-    ]

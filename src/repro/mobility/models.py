@@ -11,20 +11,16 @@ Models provided:
 * :class:`RandomNeighborWalk` — uniform neighbor each step.
 * :class:`BoundaryOscillator` — ping-pongs between two adjacent regions;
   used with :func:`worst_boundary_pair` to provoke the dithering problem.
-* :class:`Lawnmower` — boustrophedon sweep of a grid.
-* :class:`WaypointWalk` — greedy neighbor steps toward a random waypoint,
-  re-drawn on arrival.
 * :class:`FixedPath` — replays an explicit region sequence.
-* :class:`Stationary` — never moves.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..geometry.regions import RegionId
-from ..geometry.tiling import GridTiling, Tiling
+from ..geometry.tiling import Tiling
 from ..hierarchy.hierarchy import ClusterHierarchy
 
 
@@ -54,21 +50,6 @@ class MobilityModel:
     ) -> RegionId:
         """The next region: a neighbor of ``current``, or ``current`` to idle."""
         raise NotImplementedError
-
-
-class Stationary(MobilityModel):
-    """Stays in the start region forever."""
-
-    def __init__(self, region: Optional[RegionId] = None) -> None:
-        self.region = region
-
-    def start_region(self, tiling: Tiling, rng: random.Random) -> RegionId:
-        if self.region is not None:
-            return self.region
-        return super().start_region(tiling, rng)
-
-    def next_region(self, current, tiling, rng):
-        return current
 
 
 class RandomNeighborWalk(MobilityModel):
@@ -102,67 +83,6 @@ class BoundaryOscillator(MobilityModel):
         return self.b if current == self.a else self.a
 
 
-class Lawnmower(MobilityModel):
-    """Boustrophedon sweep of a :class:`GridTiling`.
-
-    Sweeps right, then left, row by row; on reaching the last region it
-    bounces and retraces the sweep backwards, so every step is a
-    neighbor move and the sweep repeats forever.
-    """
-
-    def __init__(self) -> None:
-        self._order: List[RegionId] = []
-        self._index = 0
-        self._direction = 1
-
-    def start_region(self, tiling: Tiling, rng: random.Random) -> RegionId:
-        if not isinstance(tiling, GridTiling):
-            raise TypeError("Lawnmower requires a GridTiling")
-        self._order = []
-        for row in range(tiling.height):
-            cols = range(tiling.width)
-            if row % 2 == 1:
-                cols = reversed(cols)
-            self._order.extend((col, row) for col in cols)
-        self._index = 0
-        self._direction = 1
-        return self._order[0]
-
-    def next_region(self, current, tiling, rng):
-        if len(self._order) <= 1:
-            return current
-        nxt = self._index + self._direction
-        if nxt < 0 or nxt >= len(self._order):
-            self._direction *= -1
-            nxt = self._index + self._direction
-        self._index = nxt
-        return self._order[self._index]
-
-
-class WaypointWalk(MobilityModel):
-    """Greedy neighbor steps toward a waypoint, re-drawn on arrival."""
-
-    def __init__(self, start: Optional[RegionId] = None) -> None:
-        self.start = start
-        self._waypoint: Optional[RegionId] = None
-
-    def start_region(self, tiling: Tiling, rng: random.Random) -> RegionId:
-        if self.start is not None:
-            return self.start
-        return super().start_region(tiling, rng)
-
-    def next_region(self, current, tiling, rng):
-        if self._waypoint is None or self._waypoint == current:
-            self._waypoint = rng.choice(tiling.regions())
-        if self._waypoint == current:
-            return current
-        best = min(
-            tiling.neighbors(current),
-            key=lambda nb: (tiling.distance(nb, self._waypoint), nb),
-        )
-        return best
-
-
 class FixedPath(MobilityModel):
     """Replays an explicit sequence of regions, then idles at the end.
 
@@ -189,7 +109,8 @@ class FixedPath(MobilityModel):
 
 
 def worst_boundary_pair(hierarchy: ClusterHierarchy) -> Tuple[RegionId, RegionId]:
-    """Two adjacent regions separated at every hierarchy level below MAX.
+    """Two adjacent regions separated at every hierarchy level below MAX
+    (at the most levels, where no pair is separated at every one).
 
     Such a pair exists on any grid hierarchy (e.g. the central vertical
     boundary).  Oscillating across it makes every move cross a
@@ -212,8 +133,4 @@ def worst_boundary_pair(hierarchy: ClusterHierarchy) -> Tuple[RegionId, RegionId
                 best = (split_below, u, v)
     if best is None:
         raise ValueError("hierarchy world has a single region")
-    split, u, v = best
-    if split < hierarchy.max_level:
-        # No pair separated at *every* level below MAX; return the best.
-        pass
-    return (u, v)
+    return best[1:]

@@ -1,16 +1,12 @@
-"""Physical substrate: mobile nodes, radio, GPS oracle, deployments (§II-C.1)."""
+"""Physical substrate: mobile nodes, GPS oracle, the dense deployment (§II-C.1)."""
 
-from .deployment import one_per_region, per_region_density, uniform_random
+from .deployment import per_region_density
 from .gps import GpsOracle
 from .node import NodeObserver, PhysicalNode
-from .radio import Radio
 
 __all__ = [
     "GpsOracle",
     "NodeObserver",
     "PhysicalNode",
-    "Radio",
-    "one_per_region",
     "per_region_density",
-    "uniform_random",
 ]

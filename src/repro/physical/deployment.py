@@ -1,104 +1,18 @@
-"""Node deployment generators.
+"""The node deployment of the emulated regime.
 
-Helpers that place :class:`~repro.physical.node.PhysicalNode` fleets
-over a tiling: one node per region (guaranteeing every VSA is
-emulatable), a uniformly random scatter, a density-based deployment, or
-— via :func:`generated` — any declarative
-:class:`~repro.mobility.gen.deploy.DeploymentSpec` (hotspot
-concentrations, obstacle-masked placements) from the generator
-framework (DESIGN.md §10).
+:func:`per_region_density` places a :class:`~repro.physical.node.PhysicalNode`
+fleet over a tiling, the same count in every region, so every VSA is
+emulatable from the start.
 """
 
 from __future__ import annotations
 
-import random
 from typing import List, Optional
 
 from ..geometry.tiling import Tiling
 from ..mobility.models import MobilityModel
 from ..sim.engine import Simulator
 from .node import PhysicalNode
-
-
-def one_per_region(
-    sim: Simulator,
-    tiling: Tiling,
-    model: Optional[MobilityModel] = None,
-    dwell: float = 1.0,
-    start_id: int = 0,
-) -> List[PhysicalNode]:
-    """One (static by default) node in every region."""
-    nodes = []
-    for offset, region in enumerate(tiling.regions()):
-        nodes.append(
-            PhysicalNode(
-                start_id + offset,
-                sim,
-                tiling,
-                region,
-                model=model,
-                dwell=dwell,
-            )
-        )
-    return nodes
-
-
-def uniform_random(
-    sim: Simulator,
-    tiling: Tiling,
-    count: int,
-    rng: random.Random,
-    model: Optional[MobilityModel] = None,
-    dwell: float = 1.0,
-    start_id: int = 0,
-) -> List[PhysicalNode]:
-    """``count`` nodes placed in uniformly random regions."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    regions = tiling.regions()
-    return [
-        PhysicalNode(
-            start_id + i,
-            sim,
-            tiling,
-            rng.choice(regions),
-            model=model,
-            dwell=dwell,
-            rng=random.Random(rng.random()),
-        )
-        for i in range(count)
-    ]
-
-
-def generated(
-    sim: Simulator,
-    tiling: Tiling,
-    spec,
-    rng: random.Random,
-    model: Optional[MobilityModel] = None,
-    dwell: float = 1.0,
-    start_id: int = 0,
-) -> List[PhysicalNode]:
-    """Deploy nodes per a :class:`~repro.mobility.gen.deploy.DeploymentSpec`.
-
-    Placement randomness draws from ``rng`` (pass a registry stream for
-    reproducible deployments); node ids follow region-sorted placement
-    order, so the fleet layout is a pure function of ``(spec, rng)``.
-    """
-    from ..mobility.gen.deploy import place
-
-    return [
-        PhysicalNode(
-            start_id + i,
-            sim,
-            tiling,
-            region,
-            model=model,
-            dwell=dwell,
-            rng=random.Random(rng.random()) if model is not None else None,
-        )
-        for i, region in enumerate(place(spec, tiling, rng))
-    ]
 
 
 def per_region_density(

@@ -103,15 +103,6 @@ class ScenarioConfig:
             (DESIGN.md §9); this knob parameterizes load generation.
         find_clients: Service scenarios: how many distinct client
             origin regions the load generator draws finds from.
-        mobility: Optional mobility regime — a registry preset name
-            (:func:`repro.mobility.gen.preset_names`) or a picklable
-            :class:`~repro.mobility.gen.spec.GeneratorSpec` tree.
-            ``build`` resolves it against the world's hierarchy using
-            the ``"mobility"`` stream of ``RngRegistry(seed)`` and
-            exposes the result on ``Scenario.mobility_model`` (plus the
-            resolved spec on ``Scenario.mobility_spec``), ready to hand
-            to ``system.make_evader``.  ``None`` keeps the classic
-            caller-supplied-model path.
         energy: Optional :class:`~repro.energy.EnergyModel`; when set,
             :func:`build` attaches an :class:`~repro.energy.EnergyLedger`
             to the message-level system's dispatch hooks (exposed as
@@ -139,7 +130,6 @@ class ScenarioConfig:
     stable_fault_draws: bool = False
     n_objects: int = 1
     find_clients: int = 4
-    mobility: Optional[Any] = None
     energy: Optional[Any] = None
 
     def __post_init__(self) -> None:
@@ -167,12 +157,6 @@ class ScenarioConfig:
             raise ValueError(
                 f"find_clients must be >= 1, got {self.find_clients}"
             )
-        if self.mobility is not None:
-            from .mobility.gen.workload import resolve_spec
-
-            # Validates eagerly: unknown preset names and malformed
-            # spec trees fail at config time, not inside build().
-            resolve_spec(self.mobility)
         if self.energy is not None:
             from .energy.model import EnergyModel
 
@@ -202,11 +186,6 @@ class Scenario:
         accountant: Attached work accountant (None for analytic
             baselines).
         injector: Armed fault injector (None without a fault plan).
-        mobility_spec: The resolved generator spec when the config named
-            a mobility regime (None otherwise).
-        mobility_model: A fresh mobility model resolved from
-            ``mobility_spec`` (seeded from ``config.seed``), ready for
-            ``system.make_evader(model=...)``.
         energy_ledger: The attached :class:`~repro.energy.EnergyLedger`
             when the config carries an energy model (None otherwise).
     """
@@ -216,8 +195,6 @@ class Scenario:
     hierarchy: Any
     accountant: Optional[Any] = None
     injector: Optional[Any] = None
-    mobility_spec: Optional[Any] = None
-    mobility_model: Optional[Any] = None
     energy_ledger: Optional[Any] = None
 
     @property
@@ -397,30 +374,13 @@ def _build_timed(config: ScenarioConfig) -> Scenario:
     if hierarchy is None:
         hierarchy = topology_cache().grid(config.r, config.max_level)
 
-    mobility_spec = None
-    mobility_model = None
-    if config.mobility is not None:
-        from .mobility.gen.workload import resolve_spec
-        from .sim.rng import RngRegistry
-
-        mobility_spec = resolve_spec(config.mobility)
-        mobility_model = mobility_spec.resolve(
-            hierarchy, RngRegistry(config.seed).stream("mobility")
-        )
-
     if isinstance(config.system, type):
         system = _build_class(config, hierarchy)
     else:
         system = SYSTEM_BUILDERS[config.system](config, hierarchy)
 
     if config.is_analytic:
-        return Scenario(
-            config=config,
-            system=system,
-            hierarchy=hierarchy,
-            mobility_spec=mobility_spec,
-            mobility_model=mobility_model,
-        )
+        return Scenario(config=config, system=system, hierarchy=hierarchy)
 
     system.sim.trace.enabled = config.trace
     # Lazy: repro.analysis imports repro.analysis.experiments, which
@@ -432,9 +392,7 @@ def _build_timed(config: ScenarioConfig) -> Scenario:
     if config.energy is not None:
         from .energy.ledger import EnergyLedger
 
-        energy_ledger = EnergyLedger(config.energy, hierarchy).attach(
-            system.cgcast, vbcast=getattr(system.network, "vbcast", None)
-        )
+        energy_ledger = EnergyLedger(config.energy, hierarchy).attach(system.cgcast)
         system.energy_ledger = energy_ledger
         if hasattr(system, "attach_energy"):
             system.attach_energy(energy_ledger)
@@ -454,8 +412,6 @@ def _build_timed(config: ScenarioConfig) -> Scenario:
         hierarchy=hierarchy,
         accountant=accountant,
         injector=injector,
-        mobility_spec=mobility_spec,
-        mobility_model=mobility_model,
         energy_ledger=energy_ledger,
     )
 

@@ -2,7 +2,7 @@
 
 Partitions the grid hierarchy into K region shards, runs each shard's
 event loop independently (in-process or in forked workers), and
-exchanges boundary-crossing cgcast/vbcast traffic at conservative
+exchanges boundary-crossing C-gcast traffic at conservative
 δ-width time barriers in a canonical order — seed-deterministic
 regardless of worker scheduling, with a bit-identical K=1 mode.
 

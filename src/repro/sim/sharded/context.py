@@ -5,13 +5,11 @@ Design: rather than splitting the object graph, every shard builds the
 pure and topo-cached) and then executes only the events its regions
 own.  All inter-automaton interaction in this codebase flows through
 messages (the TIOA model), so non-owned replica state simply never
-advances — it exists only so object references resolve.  Three hooks
+advances — it exists only so object references resolve.  Two hooks
 enforce ownership:
 
 * :attr:`CGcast.shard_router` — a dispatch whose destination region is
   foreign is outboxed instead of scheduled locally;
-* :attr:`VBcast.owned_filter` / :attr:`VBcast.shard_router` — broadcast
-  copies split into locally delivered and outboxed target regions;
 * :attr:`VineStalk.client_filter` — augmented-GPS move/left inputs
   reach only owned regions' clients (the evader itself is replicated
   state: every shard applies every scripted evader action).
@@ -32,7 +30,6 @@ from time import perf_counter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ...core.messages import Grow
-from ...geometry.regions import RegionId
 from ...hierarchy.cluster import ClusterId
 from .plan import ShardPlan
 from .workload import ScriptedWorkload, schedule_workload
@@ -40,26 +37,20 @@ from .workload import ScriptedWorkload, schedule_workload
 
 @dataclass(frozen=True)
 class RemoteMessage:
-    """One boundary-crossing message copy, as exchanged at barriers.
+    """One boundary-crossing C-gcast copy, as exchanged at barriers.
 
     Attributes:
-        kind: ``"cgcast"`` (point delivery) or ``"vbcast"`` (broadcast
-            copy into ``regions``).
         send_time: Dispatch time in the sending shard.
         deliver_time: Scheduled delivery time (>= send_time + δ by the
             conservative lookahead).
-        src: Sender id (cluster / region, per channel semantics).
-        dest: C-gcast destination (cluster or ``("clients", region)``);
-            ``None`` for vbcast copies.
+        src: Sender id (cluster, or region for a client sender).
+        dest: Destination (cluster or ``("clients", region)``).
         payload: The message object (picklable).
-        dest_shard: Shard owning the destination region(s).
+        dest_shard: Shard owning the destination region.
         src_shard: Sending shard.
         seq: Sender-shard dispatch sequence — the canonical tiebreak.
-        regions: vbcast only — foreign target regions of this copy
-            owned by ``dest_shard``.
     """
 
-    kind: str
     send_time: float
     deliver_time: float
     src: Any
@@ -68,7 +59,6 @@ class RemoteMessage:
     dest_shard: int
     src_shard: int
     seq: int
-    regions: Tuple[RegionId, ...] = ()
 
     def sort_key(self) -> Tuple[float, int, int]:
         return (self.deliver_time, self.src_shard, self.seq)
@@ -148,10 +138,6 @@ class ShardContext:
         sharded = plan.k > 1
         if sharded:
             self.system.cgcast.shard_router = self._route_cgcast
-            vbcast = getattr(self.system.network, "vbcast", None)
-            if vbcast is not None:
-                vbcast.owned_filter = self.owned.__contains__
-                vbcast.shard_router = self._route_vbcast
             if hasattr(self.system, "client_filter"):
                 self.system.client_filter = self.owned.__contains__
         owns = self.owned.__contains__ if sharded else None
@@ -205,7 +191,6 @@ class ShardContext:
             return False
         self._seq += 1
         self.outbox.append(RemoteMessage(
-            kind="cgcast",
             send_time=self.sim.now,
             deliver_time=deliver_time,
             src=src,
@@ -217,25 +202,6 @@ class ShardContext:
         ))
         return True
 
-    def _route_vbcast(self, source_region, message, remote_regions, deliver_time) -> None:
-        groups: Dict[int, List[RegionId]] = {}
-        for region in remote_regions:
-            groups.setdefault(self.plan.shard_of(region), []).append(region)
-        for shard in sorted(groups):
-            self._seq += 1
-            self.outbox.append(RemoteMessage(
-                kind="vbcast",
-                send_time=self.sim.now,
-                deliver_time=deliver_time,
-                src=source_region,
-                dest=None,
-                payload=message,
-                dest_shard=shard,
-                src_shard=self.shard_id,
-                seq=self._seq,
-                regions=tuple(groups[shard]),
-            ))
-
     # ------------------------------------------------------------------
     # Stepping (driver interface)
     # ------------------------------------------------------------------
@@ -244,23 +210,13 @@ class ShardContext:
 
     def inject(self, message: RemoteMessage) -> None:
         """Schedule an incoming cross-shard message for local delivery."""
-        if message.kind == "cgcast":
-            self.sim.call_at(
-                message.deliver_time,
-                lambda m=message: self.system.cgcast.apply_remote(
-                    m.src, m.dest, m.payload
-                ),
-                tag="xshard:cgcast",
-            )
-        elif message.kind == "vbcast":
-            vbcast = self.system.network.vbcast
-            self.sim.call_at(
-                message.deliver_time,
-                lambda m=message: vbcast.apply_remote(m.src, m.payload, m.regions),
-                tag="xshard:vbcast",
-            )
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown remote message kind {message.kind!r}")
+        self.sim.call_at(
+            message.deliver_time,
+            lambda m=message: self.system.cgcast.apply_remote(
+                m.src, m.dest, m.payload
+            ),
+            tag="xshard:cgcast",
+        )
 
     def run_window(self, barrier: float) -> int:
         """Run all local events strictly before ``barrier``."""

@@ -11,7 +11,7 @@
    them into the canonical ``(deliver_time, src_shard, seq)`` order,
    and hand each to its destination shard for injection.
 
-**Safety** (no causality violation): every cgcast/vbcast delay is at
+**Safety** (no causality violation): every C-gcast delay is at
 least δ (the §II-C.3 table bottoms out at the client→cluster rule (e)
 delay δ; fault rules only add delay or drop copies).  An event firing
 at ``s ∈ [min, b)`` therefore cannot produce a cross-shard delivery

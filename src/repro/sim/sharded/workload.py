@@ -158,11 +158,7 @@ def schedule_workload(
     # — so no draw can depend on their order.
     rng = random.Random(0)
 
-    def evader_of(object_id: int):
-        finder = getattr(system, "object_evader", None)
-        if finder is not None:
-            return finder(object_id)
-        return system.evader if object_id == 0 else None
+    evader_of = system.object_evader
 
     def ensure_evader(region: RegionId, object_id: int = 0) -> None:
         evader = evader_of(object_id)
@@ -176,14 +172,8 @@ def schedule_workload(
                 name="evader" if object_id == 0 else f"evader:{object_id}",
                 object_id=object_id,
             )
-            attach = getattr(system, "attach_object", None)
-            if attach is not None:
-                attach(object_id, evader)
-            else:
-                system.attach_evader(evader)
-            evader.enter(region)
-        else:
-            evader.enter(region)
+            system.attach_object(object_id, evader)
+        evader.enter(region)
 
     scheduled = 0
     for action in workload.actions:

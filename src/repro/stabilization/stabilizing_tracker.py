@@ -269,6 +269,3 @@ class StabilizingTracker(Tracker):
             self.child_heard = self.now
             if self.lvl == 0 and message.cid == self.clust:
                 self.anchor_heard = self.now
-
-    def pointer_repairs(self) -> int:
-        return self.repairs

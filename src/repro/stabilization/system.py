@@ -62,9 +62,6 @@ class StabilizingVineStalk(VineStalk):
         self._refresh_running = True
         self._schedule_refresh()
 
-    def stop_anchor_refresh(self) -> None:
-        self._refresh_running = False
-
     def _refresh_interval(self) -> float:
         return self.stabilization.period(0) * self.stabilization.refresh_periods
 
@@ -73,8 +70,6 @@ class StabilizingVineStalk(VineStalk):
                             tag="anchor-refresh")
 
     def _refresh_tick(self) -> None:
-        if not self._refresh_running:
-            return
         if self.evader is not None and self.evader.region is not None:
             client = self.clients.get(self.evader.region)
             if client is not None and not client.failed and client.evader_here:

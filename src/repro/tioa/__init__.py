@@ -2,7 +2,6 @@
 
 from .actions import Action, ActionKind
 from .automaton import AutomatonError, TimedAutomaton
-from .composition import Composition
 from .executor import Executor
 from .timers import INFINITY, Timer
 
@@ -10,7 +9,6 @@ __all__ = [
     "Action",
     "ActionKind",
     "AutomatonError",
-    "Composition",
     "Executor",
     "INFINITY",
     "TimedAutomaton",

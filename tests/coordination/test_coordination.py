@@ -1,13 +1,12 @@
 """Tests for multi-object tracking and pursuit coordination (§VII)."""
 
-import random
-
 import pytest
 
-from repro.coordination import CommandCenter, MultiVineStalk, PursuitGame
+from repro.coordination import CommandCenter, PursuitGame
 from repro.geometry import GridTiling
 from repro.hierarchy import grid_hierarchy
-from repro.mobility import FixedPath, RandomNeighborWalk
+from repro.mobility import FixedPath
+from repro.scenario import ScenarioConfig, build
 from repro.sim import Simulator
 
 
@@ -17,50 +16,72 @@ def h():
 
 
 class TestMultiVineStalk:
+    """Several evaders on lanes ``1..n`` of one ``VineStalk`` (DESIGN §9),
+    the one multi-object mechanism ``PursuitGame`` runs on."""
+
+    @staticmethod
+    def system_on(h):
+        return build(ScenarioConfig(hierarchy=h)).parts()
+
     def test_planes_track_independently(self, h):
-        system = MultiVineStalk(h)
-        system.add_evader("a", FixedPath([(0, 0)]), dwell=1e12, start=(0, 0))
-        system.add_evader("b", FixedPath([(8, 8)]), dwell=1e12, start=(8, 8))
+        system, _ = self.system_on(h)
+        system.make_evader(FixedPath([(0, 0)]), 1e12, start=(0, 0), object_id=1)
+        system.make_evader(FixedPath([(8, 8)]), 1e12, start=(8, 8), object_id=2)
         system.run_to_quiescence()
-        fa = system.issue_find("a", (4, 4))
-        fb = system.issue_find("b", (4, 4))
+        fa = system.issue_find((4, 4), object_id=1)
+        fb = system.issue_find((4, 4), object_id=2)
         system.run_to_quiescence()
-        assert system.find_record("a", fa).found_region == (0, 0)
-        assert system.find_record("b", fb).found_region == (8, 8)
+        assert system.finds.records[fa].found_region == (0, 0)
+        assert system.finds.records[fb].found_region == (8, 8)
 
     def test_duplicate_evader_id_rejected(self, h):
-        system = MultiVineStalk(h)
-        system.add_evader("a", FixedPath([(0, 0)]), dwell=1e12, start=(0, 0))
-        with pytest.raises(ValueError):
-            system.add_evader("a", FixedPath([(1, 1)]), dwell=1e12, start=(1, 1))
+        system, _ = self.system_on(h)
+        system.make_evader(FixedPath([(0, 0)]), 1e12, start=(0, 0), object_id=1)
+        with pytest.raises(RuntimeError):
+            system.make_evader(FixedPath([(1, 1)]), 1e12, start=(1, 1), object_id=1)
 
     def test_remove_evader(self, h):
-        system = MultiVineStalk(h)
-        system.add_evader("a", FixedPath([(0, 0)]), dwell=1e12, start=(0, 0))
-        system.remove_evader("a")
-        assert system.evader_ids() == []
-        system.remove_evader("a")  # idempotent
+        """A caught evader is ``stop()``ped: it stays put, the others go on."""
+        system, _ = self.system_on(h)
+        a = system.make_evader(
+            FixedPath([(0, 0), (1, 1), (2, 2)]), 5.0, start=(0, 0), object_id=1
+        )
+        b = system.make_evader(
+            FixedPath([(8, 8), (7, 7), (6, 6)]), 5.0, start=(8, 8), object_id=2
+        )
+        a.start()
+        b.start()
+        system.run(7.0)
+        a.stop()
+        a.stop()  # idempotent
+        system.run(100.0)
+        assert (a.region, b.region) == ((1, 1), (6, 6))
+        find = system.issue_find((4, 4), object_id=2)
+        system.run(200.0)
+        assert system.finds.records[find].found_region == (6, 6)
 
     def test_shared_clock(self, h):
-        system = MultiVineStalk(h)
-        system.add_evader("a", FixedPath([(0, 0)]), dwell=5.0, start=(0, 0))
-        system.add_evader("b", FixedPath([(8, 8)]), dwell=5.0, start=(8, 8))
+        system, _ = self.system_on(h)
+        a = system.make_evader(FixedPath([(0, 0), (1, 1)]), 5.0, start=(0, 0), object_id=1)
+        b = system.make_evader(FixedPath([(8, 8), (7, 7)]), 5.0, start=(8, 8), object_id=2)
+        a.start()
+        b.start()
         system.run(10.0)
         assert system.sim.now == 10.0
+        assert (a.region, b.region) == ((1, 1), (7, 7))
 
     def test_per_plane_accounting(self, h):
-        system = MultiVineStalk(h)
-        system.add_evader("a", FixedPath([(0, 0), (1, 1)]), dwell=1e12, start=(0, 0))
-        system.add_evader("b", FixedPath([(8, 8)]), dwell=1e12, start=(8, 8))
+        """One accountant serves every lane; a lane's moves add only its work."""
+        system, accountant = self.system_on(h)
+        a = system.make_evader(FixedPath([(0, 0), (1, 1)]), 1e12, start=(0, 0), object_id=1)
+        system.make_evader(FixedPath([(8, 8)]), 1e12, start=(8, 8), object_id=2)
         system.run_to_quiescence()
-        system.evaders["a"].step()
+        setup = accountant.epoch()
+        a.step()
         system.run_to_quiescence()
-        move_a = system.accountants["a"].move_work
-        move_b = system.accountants["b"].move_work
-        assert move_a > move_b  # only a moved after setup
-        assert system.total_work() == pytest.approx(
-            sum(acc.total_work for acc in system.accountants.values())
-        )
+        moved = accountant.epoch()
+        assert moved.move_work > setup.move_work
+        assert moved.find_work == setup.find_work == 0
 
 
 class TestCommandCenter:

@@ -12,7 +12,7 @@ must agree with this class on every delay list, counter and event
 
 :class:`ReferenceInjector` inherits construction, arming and the
 crash / blackout / GPS rules from :class:`FaultInjector`; ``arm()``
-installs the filters below because they are looked up on ``self``.
+installs the filter below because it is looked up on ``self``.
 """
 
 import random
@@ -22,7 +22,6 @@ from typing import List, Optional
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     CHANNEL_CGCAST,
-    CHANNEL_VBCAST,
     LagSpike,
     MessageDuplication,
     MessageJitter,
@@ -117,12 +116,3 @@ class ReferenceInjector(FaultInjector):
                 f"cg|{self.sim.now!r}|{src!r}|{dest!r}|{type(payload).__name__}"
             )
         return self._perturb(CHANNEL_CGCAST, delay, key)
-
-    def _vbcast_filter(self, source_region, message, delay, from_vsa):
-        key = None
-        if self.stable_draws:
-            key = (
-                f"vb|{self.sim.now!r}|{source_region!r}|"
-                f"{type(message).__name__}|{from_vsa}"
-            )
-        return self._perturb(CHANNEL_VBCAST, delay, key)

@@ -1,8 +1,8 @@
 """The compiled message program draws exactly what the interpreter drew.
 
-``FaultInjector.arm`` compiles the plan's message rules into one program
-per channel; :class:`~tests.faults._reference_perturb.ReferenceInjector`
-is the per-message interpreter that defines the draws.  Three contracts:
+``FaultInjector.arm`` compiles the plan's message rules into one program;
+:class:`~tests.faults._reference_perturb.ReferenceInjector` is the
+per-message interpreter that defines the draws.  Four contracts:
 
 1. **Differential** — random plans, seeds and message streams, stable
    and sequential mode: identical delay lists, ``FaultStats``, stream
@@ -11,6 +11,8 @@ is the per-message interpreter that defines the draws.  Three contracts:
    than the current instant sent messages.
 3. **Checkpoint** — a stable-draws world cut in the middle of an
    instant whose counters are already above one resumes bit-identically.
+4. **Fail closed** — a rule on a channel no system has is refused by
+   ``arm()``; ``"both"`` means the system's one channel, draw for draw.
 """
 
 from types import SimpleNamespace
@@ -40,7 +42,8 @@ from repro.faults import (  # noqa: E402
     MessageJitter,
     MessageLoss,
 )
-from repro.scenario import ScenarioConfig  # noqa: E402
+from repro.scenario import MESSAGE_SYSTEMS, ScenarioConfig, build  # noqa: E402
+from repro.sim.sharded import make_walk_workload, run_script  # noqa: E402
 from tests.faults._reference_perturb import ReferenceInjector  # noqa: E402
 
 
@@ -61,13 +64,12 @@ def fake_system():
     return SimpleNamespace(
         sim=SimpleNamespace(now=0),
         cgcast=SimpleNamespace(fault_filter=None),
-        network=SimpleNamespace(vbcast=SimpleNamespace(fault_filter=None)),
         delta=1.0,
         e=0.5,
     )
 
 
-channels = st.sampled_from([CHANNEL_CGCAST, CHANNEL_VBCAST, CHANNEL_BOTH])
+channels = st.sampled_from([CHANNEL_CGCAST, CHANNEL_BOTH])
 rates = st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0])
 
 rules = st.one_of(
@@ -102,23 +104,21 @@ seeds = st.sampled_from([0, 1, 7, -1, -(2 ** 33) - 5, 2 ** 32, 2 ** 40 + 3])
 #: 3.0 (or back): equal times that print differently, hence other keys.
 messages = st.tuples(
     st.sampled_from([0, 0, "fresh", 0.5, 1, 1.0, "retype"]),
-    st.sampled_from(["cg", "vb"]),
     st.integers(min_value=0, max_value=len(ENDPOINTS) - 1),
     st.integers(min_value=0, max_value=len(ENDPOINTS) - 1),
     st.integers(min_value=0, max_value=len(PAYLOADS) - 1),
     st.sampled_from([1.0, 1.5, 4]),
-    st.booleans(),
 )
 
 
 def replay(injector_class, plan, seed, stable, stream):
-    """Feed ``stream`` through an armed injector's filters."""
+    """Feed ``stream`` through an armed injector's C-gcast filter."""
     system = fake_system()
     sim = system.sim
     injector = injector_class(system, plan, seed=seed, stable_draws=stable).arm()
     out = []
     with obs.observed(spans=False, events=True) as collector:
-        for advance, channel, src, dest, payload, delay, from_vsa in stream:
+        for advance, src, dest, payload, delay in stream:
             if advance == "fresh":
                 sim.now = type(sim.now)(repr(sim.now))
             elif advance == "retype":
@@ -128,12 +128,8 @@ def replay(injector_class, plan, seed, stable, stream):
                 )
             elif advance:
                 sim.now = sim.now + advance
-            if channel == "cg":
-                filt = system.cgcast.fault_filter
-                args = (ENDPOINTS[src], ENDPOINTS[dest], PAYLOADS[payload], delay)
-            else:
-                filt = system.network.vbcast.fault_filter
-                args = (ENDPOINTS[src], PAYLOADS[payload], delay, from_vsa)
+            filt = system.cgcast.fault_filter
+            args = (ENDPOINTS[src], ENDPOINTS[dest], PAYLOADS[payload], delay)
             out.append(None if filt is None else filt(*args))
         events = list(collector.events)
     return out, injector.stats.as_dict(), injector.streams.state(), events
@@ -147,35 +143,92 @@ def test_compiled_program_equals_the_interpreter(plan, seed, stable, stream):
     assert replay(FaultInjector, plan, seed, stable, stream) == expected
 
 
+def drive_walk(injector_class, plan, stable):
+    """The tracked walk on a built system with ``injector_class`` armed,
+    recording what the installed filter returned for every send."""
+    scenario = build_tracked_walk(ScenarioConfig(r=2, max_level=2, seed=7))
+    system = scenario.system
+    injector = injector_class(system, plan, seed=7, stable_draws=stable).arm()
+    installed, sends = system.cgcast.fault_filter, []
+
+    def recording(*args):
+        delays = installed(*args)
+        sends.append((system.sim.now, delays))
+        return delays
+
+    system.cgcast.fault_filter = recording
+    with obs.observed(spans=False, events=True) as collector:
+        system.sim.run_until(walk_horizon(5))
+        events = [e for e in collector.events if e.kind == "messages-perturbed"]
+    return sends, injector.stats.as_dict(), injector.streams.state(), events
+
+
 def test_every_op_and_both_channels_are_exercised():
-    """A fixed stream through all four ops, multi-copy branches included:
-    duplication first, so loss, jitter and the lag spike all see lists."""
+    """A built system's walk through all four ops under ``"both"``,
+    multi-copy branches included: duplication first, so loss, jitter and
+    the lag spike all see lists."""
     plan = FaultPlan.of(
         MessageDuplication(rate=0.9, channel=CHANNEL_BOTH, copies=2),
         MessageLoss(rate=0.4, channel=CHANNEL_BOTH),
         MessageDuplication(rate=0.5, channel=CHANNEL_BOTH, copies=1),
         MessageJitter(rate=0.5, channel=CHANNEL_BOTH, max_extra=2.0),
         LagSpike(at=0.0, duration=50.0, extra_e=0.5),
-        horizon=60.0,
+        horizon=45.0,
     )
-    stream = [
-        (0.5, channel, k % 4, (k + 1) % 4, k % 2, 1.5, bool(k % 2))
-        for k in range(150)
-        for channel in ("cg", "vb")
-    ]
     for stable in (True, False):
-        expected = replay(ReferenceInjector, plan, 7, stable, stream)
-        actual = replay(FaultInjector, plan, 7, stable, stream)
+        expected = drive_walk(ReferenceInjector, plan, stable)
+        actual = drive_walk(FaultInjector, plan, stable)
         assert actual == expected
-        delays, stats, _, events = actual
+        sends, stats, _, events = actual
         assert stats["messages_dropped"] > 0
         assert stats["messages_duplicated"] > 0
         assert stats["messages_delayed"] > 0
-        assert any(d is not None and len(d) > 3 for d in delays)
-        assert any(d == [] for d in delays)
-        assert {e.channel for e in events} == {CHANNEL_CGCAST, CHANNEL_VBCAST}
-        # t = 60 is past the horizon: the tail of the stream is untouched.
-        assert all(d is None for d in delays[-60:])
+        assert any(d is not None and len(d) > 3 for _, d in sends)
+        assert any(d == [] for _, d in sends)
+        assert events and {e.channel for e in events} == {CHANNEL_CGCAST}
+        # Past the horizon the sends are untouched: the last move and the find.
+        late = [d for t, d in sends if t >= 45.0]
+        assert late and all(d is None for d in late)
+
+
+@pytest.mark.parametrize("system", MESSAGE_SYSTEMS)
+@pytest.mark.parametrize(
+    "rule",
+    [
+        MessageLoss(rate=0.9, channel=CHANNEL_VBCAST),
+        MessageDuplication(rate=0.5, channel=CHANNEL_VBCAST),
+        MessageJitter(rate=0.5, channel=CHANNEL_VBCAST, max_extra=1.0),
+    ],
+    ids=lambda rule: type(rule).__name__,
+)
+def test_a_rule_on_a_channel_no_system_has_is_refused(system, rule):
+    config = ScenarioConfig(r=2, max_level=2, system=system)
+    with pytest.raises(ValueError, match=type(rule).__name__):
+        build(config.with_(fault_plan=FaultPlan.of(rule)))
+    # A null rule perturbs nothing on any channel: it arms as before.
+    null = type(rule)(rate=0.0, channel=CHANNEL_VBCAST)
+    assert build(config.with_(fault_plan=FaultPlan.of(null))).injector is not None
+
+
+def test_both_is_the_one_channel_draw_for_draw():
+    """One script under ``"both"`` and under ``"cgcast"``: same run."""
+    config = ScenarioConfig(r=2, max_level=2, seed=7, stable_fault_draws=True)
+    script = make_walk_workload(build(config).hierarchy.tiling, 6, 4, seed=7)
+    runs = [
+        run_script(
+            config.with_(fault_plan=FaultPlan.of(
+                MessageLoss(rate=0.1, channel=channel),
+                MessageDuplication(rate=0.3, channel=channel),
+                MessageJitter(rate=0.3, channel=channel, max_extra=1.0),
+            )),
+            script,
+            "plain",
+        )
+        for channel in (CHANNEL_BOTH, CHANNEL_CGCAST)
+    ]
+    assert sum(runs[0].fault_events.values()) > 0
+    assert runs[0].exact_fingerprint == runs[1].exact_fingerprint
+    assert runs[0].fault_events == runs[1].fault_events
 
 
 def test_occurrence_counters_hold_one_instant_only():

@@ -7,12 +7,7 @@ import pytest
 from repro import EmulatedVineStalk, VineStalk, grid_hierarchy
 from repro.analysis import WorkAccountant
 from repro.core import capture_snapshot, check_consistent
-from repro.mobility import (
-    Lawnmower,
-    RandomNeighborWalk,
-    WaypointWalk,
-    concurrent_dwell,
-)
+from repro.mobility import FixedPath, RandomNeighborWalk
 
 
 def test_long_lawnmower_sweep_stays_consistent():
@@ -20,7 +15,12 @@ def test_long_lawnmower_sweep_stays_consistent():
     h = grid_hierarchy(2, 3)
     system = VineStalk(h)
     system.sim.trace.enabled = False
-    evader = system.make_evader(Lawnmower(), dwell=1e12, start=(0, 0))
+    sweep = [
+        (col, row)
+        for row in range(8)
+        for col in (range(8) if row % 2 == 0 else reversed(range(8)))
+    ]
+    evader = system.make_evader(FixedPath(sweep), dwell=1e12, start=(0, 0))
     system.run_to_quiescence()
     for _ in range(63):  # cover all 64 regions
         evader.step()
@@ -35,9 +35,15 @@ def test_waypoint_walk_with_periodic_finds():
     system = VineStalk(h)
     system.sim.trace.enabled = False
     rng = random.Random(17)
-    evader = system.make_evader(
-        WaypointWalk(start=(0, 0)), dwell=1e12, start=(0, 0), rng=rng
-    )
+    tiling = h.tiling
+    path = [(0, 0)]
+    for waypoint in [(8, 8), (0, 8), (4, 4), (8, 0), (0, 0)]:
+        while path[-1] != waypoint:  # greedy neighbor steps to the waypoint
+            path.append(min(
+                tiling.neighbors(path[-1]),
+                key=lambda nb: (tiling.distance(nb, waypoint), nb),
+            ))
+    evader = system.make_evader(FixedPath(path), dwell=1e12, start=(0, 0))
     system.run_to_quiescence()
     for step in range(30):
         evader.step()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.geometry import GridTiling
 from repro.mobility import Evader, FixedPath, RandomNeighborWalk
-from repro.mobility.models import MobilityContractError, MobilityModel, Stationary
+from repro.mobility.models import MobilityContractError, MobilityModel
 from repro.sim import Simulator
 
 
@@ -117,7 +117,7 @@ def test_invalid_dwell_rejected(rig):
 # ----------------------------------------------------------------------
 def test_permissive_stay_burns_the_dwell_without_emitting(rig):
     sim, tiling = rig
-    evader = Evader(sim, tiling, Stationary(region=(1, 1)), 1.0)
+    evader = Evader(sim, tiling, FixedPath([(1, 1)]), 1.0)
     events = []
     evader.enter()
     evader.observe(lambda ev, region: events.append(ev))
@@ -129,7 +129,7 @@ def test_permissive_stay_burns_the_dwell_without_emitting(rig):
 
 def test_periodic_stays_accumulate_without_moves(rig):
     sim, tiling = rig
-    evader = Evader(sim, tiling, Stationary(region=(2, 2)), 2.0)
+    evader = Evader(sim, tiling, FixedPath([(2, 2)]), 2.0)
     evader.enter()
     evader.start()
     sim.run_until(6.5)

@@ -2,8 +2,8 @@
 
 The property suite (``test_gen_properties.py``) pins the global §VI
 contract over random combinator trees; these tests pin the individual
-pieces — spec validation, masked tilings, model mechanics, deployment
-apportionment, the preset registry and trace/workload edge cases.
+pieces — spec validation, masked tilings, model mechanics, the preset
+registry and trace/workload edge cases.
 """
 
 import random
@@ -18,24 +18,19 @@ from repro.mobility.gen import (
     Dither,
     GeneratorSpec,
     Hotspots,
-    HotspotNodes,
-    MaskedNodes,
     MobilityContractError,
     MobilityTrace,
     Obstacles,
     Replay,
-    ScatterNodes,
     SpeedLimits,
     Switch,
     TimeSlice,
     TraceRecorder,
-    UniformNodes,
     Walk,
     WaypointGraph,
     check_trace,
     generate,
     masked_tiling,
-    place,
     preset,
     preset_names,
     register_preset,
@@ -323,73 +318,6 @@ def test_trace_workload_without_hierarchy_uses_visited_regions(world):
 def test_trace_recorder_requires_events():
     with pytest.raises(ValueError, match="no enter/move events"):
         TraceRecorder().trace()
-
-
-# ----------------------------------------------------------------------
-# Deployment specs
-# ----------------------------------------------------------------------
-def test_uniform_nodes_cover_every_region(world):
-    placements = place(UniformNodes(per_region=2), world.tiling, random.Random(0))
-    assert len(placements) == 2 * len(list(world.tiling.regions()))
-    assert placements == sorted(placements)
-
-
-def test_scatter_nodes_conserve_the_total(world):
-    counts = ScatterNodes(total=10).counts(world.tiling, random.Random(1))
-    assert sum(counts.values()) == 10
-
-
-def test_hotspot_nodes_concentrate_near_the_centers(world):
-    spec = HotspotNodes(total=12, hotspots=((0, 0),), falloff=3.0)
-    counts = spec.counts(world.tiling, random.Random(0))
-    assert sum(counts.values()) == 12
-    far = max(
-        world.tiling.regions(), key=lambda r: world.tiling.distance(r, (0, 0))
-    )
-    assert counts[(0, 0)] > counts[far]
-    with pytest.raises(ValueError, match="hotspots not in the tiling"):
-        HotspotNodes(hotspots=((9, 9),)).counts(world.tiling, random.Random(0))
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: UniformNodes(per_region=0),
-        lambda: ScatterNodes(total=0),
-        lambda: HotspotNodes(total=0),
-        lambda: HotspotNodes(falloff=1.0),
-        lambda: MaskedNodes(inner=UniformNodes()),
-    ],
-)
-def test_malformed_deployments_fail_at_construction(build):
-    with pytest.raises(ValueError):
-        build()
-
-
-def test_hotspot_nodes_sample_centers_when_unpinned(world):
-    spec = HotspotNodes(total=8, k=2)
-    counts_a = spec.counts(world.tiling, random.Random(5))
-    counts_b = spec.counts(world.tiling, random.Random(5))
-    assert counts_a == counts_b  # placement is a pure function of the rng
-    assert sum(counts_a.values()) == 8
-
-
-def test_place_rejects_an_empty_deployment(world):
-    from repro.mobility.gen.deploy import DeploymentSpec
-
-    class Nothing(DeploymentSpec):
-        def counts(self, tiling, rng):
-            return {}
-
-    with pytest.raises(ValueError, match="placed no nodes"):
-        place(Nothing(), world.tiling, random.Random(0))
-
-
-def test_masked_nodes_zero_the_obstacles(world):
-    spec = MaskedNodes(inner=UniformNodes(), regions=((0, 0), (3, 3)))
-    counts = spec.counts(world.tiling, random.Random(0))
-    assert counts[(0, 0)] == 0 and counts[(3, 3)] == 0
-    assert sum(counts.values()) == len(list(world.tiling.regions())) - 2
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,7 @@ from repro.hierarchy import grid_hierarchy
 from repro.mobility import (
     BoundaryOscillator,
     FixedPath,
-    Lawnmower,
     RandomNeighborWalk,
-    Stationary,
-    WaypointWalk,
     worst_boundary_pair,
 )
 
@@ -25,17 +22,6 @@ def tiling():
 @pytest.fixture()
 def rng():
     return random.Random(7)
-
-
-class TestStationary:
-    def test_never_moves(self, tiling, rng):
-        model = Stationary(region=(1, 1))
-        assert model.start_region(tiling, rng) == (1, 1)
-        assert model.next_region((1, 1), tiling, rng) == (1, 1)
-
-    def test_random_start_when_unpinned(self, tiling, rng):
-        model = Stationary()
-        assert model.start_region(tiling, rng) in tiling.regions()
 
 
 class TestRandomNeighborWalk:
@@ -72,52 +58,6 @@ class TestBoundaryOscillator:
         model = BoundaryOscillator((0, 0), (3, 3))
         with pytest.raises(ValueError):
             model.start_region(tiling, rng)
-
-
-class TestLawnmower:
-    def test_sweeps_every_region(self, tiling, rng):
-        model = Lawnmower()
-        current = model.start_region(tiling, rng)
-        seen = {current}
-        for _ in range(15):
-            current = model.next_region(current, tiling, rng)
-            seen.add(current)
-        assert seen == set(tiling.regions())
-
-    def test_moves_are_neighbor_steps(self, tiling, rng):
-        model = Lawnmower()
-        current = model.start_region(tiling, rng)
-        for _ in range(30):
-            nxt = model.next_region(current, tiling, rng)
-            if nxt != current:
-                assert tiling.are_neighbors(current, nxt)
-            current = nxt
-
-    def test_requires_grid(self, rng):
-        from repro.geometry import line_tiling
-
-        with pytest.raises(TypeError):
-            Lawnmower().start_region(line_tiling(3), rng)
-
-
-class TestWaypointWalk:
-    def test_steps_are_neighbor_moves(self, tiling, rng):
-        model = WaypointWalk(start=(0, 0))
-        current = model.start_region(tiling, rng)
-        for _ in range(50):
-            nxt = model.next_region(current, tiling, rng)
-            assert nxt == current or tiling.are_neighbors(current, nxt)
-            current = nxt
-
-    def test_reaches_waypoints(self, tiling):
-        rng = random.Random(3)
-        model = WaypointWalk(start=(0, 0))
-        current = model.start_region(tiling, rng)
-        visited = set()
-        for _ in range(200):
-            current = model.next_region(current, tiling, rng)
-            visited.add(current)
-        assert len(visited) > 5  # roams broadly
 
 
 class TestFixedPath:

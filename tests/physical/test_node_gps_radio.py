@@ -1,19 +1,10 @@
-"""Unit tests for the physical substrate: nodes, GPS oracle, radio, deployment."""
-
-import random
+"""Unit tests for the physical substrate: nodes, GPS oracle, deployment."""
 
 import pytest
 
 from repro.geometry import GridTiling
-from repro.mobility import Evader, FixedPath, RandomNeighborWalk
-from repro.physical import (
-    GpsOracle,
-    PhysicalNode,
-    Radio,
-    one_per_region,
-    per_region_density,
-    uniform_random,
-)
+from repro.mobility import Evader, FixedPath
+from repro.physical import GpsOracle, PhysicalNode, per_region_density
 from repro.sim import Simulator
 
 
@@ -139,70 +130,7 @@ class TestGpsOracle:
             gps.attach_evader(Evader(sim, tiling, FixedPath([(0, 0)]), 1.0))
 
 
-class TestRadio:
-    def test_broadcast_reaches_neighborhood_after_delta(self, rig):
-        sim, tiling = rig
-        radio = Radio(sim, tiling, delta=2.0)
-        received = []
-        for i, region in enumerate([(0, 0), (1, 1), (2, 2)]):
-            node = PhysicalNode(i, sim, tiling, region)
-            radio.register(node, lambda msg, src, i=i: received.append((i, sim.now)))
-        radio.broadcast((0, 0), "hello")
-        sim.run()
-        # (0,0) and (1,1) are in the neighborhood of (0,0); (2,2) is not.
-        assert received == [(0, 2.0), (1, 2.0)]
-
-    def test_dead_node_does_not_receive(self, rig):
-        sim, tiling = rig
-        radio = Radio(sim, tiling, delta=1.0)
-        received = []
-        node = PhysicalNode(0, sim, tiling, (0, 0))
-        radio.register(node, lambda msg, src: received.append(msg))
-        node.fail()
-        radio.broadcast((0, 0), "x")
-        sim.run()
-        assert received == []
-
-    def test_node_arriving_in_flight_receives(self, rig):
-        sim, tiling = rig
-        radio = Radio(sim, tiling, delta=2.0)
-        received = []
-        node = PhysicalNode(0, sim, tiling, (2, 2))
-        radio.register(node, lambda msg, src: received.append(msg))
-        radio.broadcast((0, 0), "x")
-        sim.call_at(1.0, lambda: node.move_to((1, 1)))
-        sim.run()
-        assert received == ["x"]
-
-    def test_counts(self, rig):
-        sim, tiling = rig
-        radio = Radio(sim, tiling, delta=1.0)
-        node = PhysicalNode(0, sim, tiling, (0, 0))
-        radio.register(node, lambda msg, src: None)
-        radio.broadcast((0, 0), "x")
-        sim.run()
-        assert radio.broadcasts_sent == 1
-        assert radio.deliveries == 1
-
-    def test_nodes_in(self, rig):
-        sim, tiling = rig
-        radio = Radio(sim, tiling, delta=1.0)
-        a = PhysicalNode(0, sim, tiling, (0, 0))
-        b = PhysicalNode(1, sim, tiling, (0, 0))
-        radio.register(a, lambda m, s: None)
-        radio.register(b, lambda m, s: None)
-        b.fail()
-        assert [n.node_id for n in radio.nodes_in((0, 0))] == [0]
-
-
 class TestDeployment:
-    def test_one_per_region(self, rig):
-        sim, tiling = rig
-        nodes = one_per_region(sim, tiling)
-        assert len(nodes) == 9
-        assert sorted(n.region for n in nodes) == tiling.regions()
-        assert len({n.node_id for n in nodes}) == 9
-
     def test_per_region_density(self, rig):
         sim, tiling = rig
         nodes = per_region_density(sim, tiling, 3)
@@ -212,15 +140,7 @@ class TestDeployment:
             per_region[node.region] = per_region.get(node.region, 0) + 1
         assert all(count == 3 for count in per_region.values())
 
-    def test_uniform_random_deterministic(self, rig):
-        sim, tiling = rig
-        a = uniform_random(sim, tiling, 10, random.Random(1))
-        b = uniform_random(sim, tiling, 10, random.Random(1))
-        assert [n.region for n in a] == [n.region for n in b]
-
     def test_negative_count_rejected(self, rig):
         sim, tiling = rig
-        with pytest.raises(ValueError):
-            uniform_random(sim, tiling, -1, random.Random(1))
         with pytest.raises(ValueError):
             per_region_density(sim, tiling, -1)

@@ -1,6 +1,6 @@
 """Property test: the δ-lookahead contract the barrier protocol rests on.
 
-Conservative windowing is only safe because no cgcast/vbcast copy can
+Conservative windowing is only safe because no C-gcast copy can
 be delivered earlier than δ after its send (§II-C.3 delay table bottoms
 out at δ; faults only add delay or drop copies).  Randomized scenarios
 — world shapes, seeds, shard counts, δ values, jitter on or off — must
@@ -78,7 +78,7 @@ def test_cross_shard_delivery_never_beats_delta(
     assert result.events > 0
     for message in exchanged:
         assert message.deliver_time >= message.send_time + delta - 1e-9, (
-            f"{message.kind} message sent at {message.send_time} delivered "
+            f"message sent at {message.send_time} delivered "
             f"at {message.deliver_time} < send + delta={delta}"
         )
 

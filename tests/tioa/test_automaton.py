@@ -7,7 +7,6 @@ from repro.tioa import (
     Action,
     ActionKind,
     AutomatonError,
-    Composition,
     Executor,
     TimedAutomaton,
     Timer,
@@ -232,30 +231,3 @@ class TestTimer:
         sim.run()
         assert alarm.beeps == []
 
-
-class TestComposition:
-    def test_bind_name_routes_output_to_input(self, rig):
-        sim, ex = rig
-        a = ex.register(Echo("a"))
-        b = ex.register(Echo("b"))
-        comp = Composition(ex)
-        comp.bind_name("pong", b, input_name="ping", delay=1.0)
-        ex.deliver(a, Action.input("ping", value=42))
-        sim.run()
-        assert b.received == [42]
-        # b's own pong must not loop back into itself.
-        assert len(b.sent) == 1
-
-    def test_custom_binding(self, rig):
-        sim, ex = rig
-        a = ex.register(Echo("a"))
-        b = ex.register(Echo("b"))
-        comp = Composition(ex)
-        comp.bind(
-            lambda src, act: [(b, Action.input("ping", value=act.get("value") * 2), 0.0)]
-            if src.name == "a" and act.name == "pong"
-            else []
-        )
-        ex.deliver(a, Action.input("ping", value=10))
-        sim.run()
-        assert b.received == [20]
