@@ -15,7 +15,6 @@ modelling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
 
 from ..geometry.regions import RegionId
 from ..geometry.tiling import Tiling
@@ -37,35 +36,10 @@ class FloodingFinder:
     def __init__(self, tiling: Tiling, delta: float = 1.0) -> None:
         self.tiling = tiling
         self.delta = delta
-        self._regions = len(tiling.regions())
-        # center -> ball sizes for radius 0, 1, ... as far as yet flooded.
-        self._balls: Dict[RegionId, List[int]] = {}
 
     def ball_size(self, center: RegionId, radius: int) -> int:
-        """Number of regions within ``radius`` of ``center``.
-
-        Counted as the flood spreads — breadth-first, stopping at
-        ``radius`` — so a small ball costs its size, not a world scan.
-        """
-        if radius < 0:
-            return 0
-        sizes = self._balls.get(center)
-        if sizes is None or (len(sizes) <= radius and sizes[-1] < self._regions):
-            # A wider radius floods again from the centre: with doubling
-            # radii that is at most a third on top of the widest ball.
-            neighbors = self.tiling.neighbors
-            reached = {center}
-            ring = [center]
-            sizes = self._balls[center] = [1]
-            while ring and len(sizes) <= radius:
-                inner, ring = ring, []
-                for region in inner:
-                    for nbr in neighbors(region):
-                        if nbr not in reached:
-                            reached.add(nbr)
-                            ring.append(nbr)
-                sizes.append(len(reached))
-        return sizes[min(radius, len(sizes) - 1)]
+        """Number of regions within ``radius`` of ``center``: one broadcast each."""
+        return self.tiling.ball_size(center, radius)
 
     def find(self, origin: RegionId, target: RegionId) -> FloodResult:
         """Search for an object at ``target`` from ``origin``.

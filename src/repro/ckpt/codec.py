@@ -14,7 +14,7 @@ reference** — its :class:`~repro.topo.keys.TopologyKey` — instead of by
 value.  Restoring resolves the key through the restoring process's own
 cache, rebuilding on a cold cache.  That keeps payloads small and, more
 importantly, never re-serializes the precomputed route tables and
-distance partitions riding on cached tilings: they are derived data the
+distance rows riding on cached tilings: they are derived data the
 target process can recompute (or already has).
 
 Hierarchies handed in explicitly (``ScenarioConfig(hierarchy=...)``) are

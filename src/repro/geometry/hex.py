@@ -25,6 +25,7 @@ class HexTiling(Tiling):
     def __init__(self, radius: int) -> None:
         if radius < 1:
             raise ValueError("radius must be >= 1")
+        super().__init__()
         self.radius = radius
         self._regions: Dict[RegionId, Region] = {}
         for q in range(-radius, radius + 1):

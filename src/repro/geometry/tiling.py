@@ -7,14 +7,18 @@ Two tilings are provided:
   neighbors, so the region-graph distance is the Chebyshev distance and
   the diameter of a ``k × k`` board is ``k − 1``.
 * :class:`GraphTiling` — an arbitrary connected region graph given by an
-  adjacency mapping; distances come from BFS (cached per source).
+  adjacency mapping; distances come from the base class's BFS rows.
 
 Both expose the same interface, which the hierarchy and communication
-layers program against.
+layers program against.  Besides the pairwise ``distance``, a tiling
+answers the three bulk questions its consumers ask — ``distance_row``,
+``ring`` and ``ball_size`` — by one breadth-first walk on the base class
+and in closed form where the shape allows (:class:`GridTiling`).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Dict, Iterable, List, Optional
 
@@ -24,6 +28,12 @@ from .regions import Region, RegionId
 
 class Tiling:
     """Abstract base: a finite connected set of regions plus ``nbr``."""
+
+    def __init__(self) -> None:
+        #: Distance rows this tiling has computed, by BFS or closed form
+        #: (what :class:`~repro.topo.cache.TopologyCache` counts as misses).
+        self.rows_computed = 0
+        self._rows: Dict[RegionId, array] = {}
 
     def regions(self) -> List[RegionId]:
         """All region ids, in a stable order."""
@@ -47,6 +57,42 @@ class Tiling:
     def diameter(self) -> int:
         """Maximum distance between any two regions (``D`` in the paper)."""
         raise NotImplementedError
+
+    def distance_row(self, src: RegionId) -> array:
+        """Distances from ``src`` to every region, dense in ``regions()`` order.
+
+        One BFS over the neighbor graph, memoised per source (callers
+        share the row and must not write to it); a region ``src`` cannot
+        reach reads ``-1``.  Raises ``KeyError`` for an unknown ``src``.
+        """
+        row = self._rows.get(src)
+        if row is None:
+            index = {rid: i for i, rid in enumerate(self.regions())}
+            row = array("i", [-1]) * len(index)
+            row[index[src]] = 0
+            frontier = deque((src,))
+            while frontier:
+                cur = frontier.popleft()
+                step = row[index[cur]] + 1
+                for nxt in self.neighbors(cur):
+                    j = index[nxt]
+                    if row[j] < 0:
+                        row[j] = step
+                        frontier.append(nxt)
+            self._rows[src] = row
+            self.rows_computed += 1
+        return row
+
+    def ring(self, center: RegionId, d: int) -> List[RegionId]:
+        """Regions at distance exactly ``d`` from ``center``, in ``regions()`` order."""
+        row = self.distance_row(center)
+        if d < 0:
+            return []
+        return [rid for rid, dist in zip(self.regions(), row) if dist == d]
+
+    def ball_size(self, center: RegionId, radius: int) -> int:
+        """Number of regions within ``radius`` of ``center``."""
+        return sum(1 for dist in self.distance_row(center) if 0 <= dist <= radius)
 
     def region_of_point(self, point: Point) -> RegionId:
         """Region containing ``point`` (minimum id wins on boundaries)."""
@@ -73,16 +119,8 @@ class Tiling:
             for other in nbrs:
                 if rid not in self.neighbors(other):
                     raise ValueError(f"nbr not symmetric between {rid!r}, {other!r}")
-        # Connectivity via BFS from an arbitrary region.
-        seen = {ids[0]}
-        frontier = deque([ids[0]])
-        while frontier:
-            cur = frontier.popleft()
-            for nxt in self.neighbors(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        if len(seen) != len(ids):
+        # The walk itself, whatever the shape: this checks ``neighbors``.
+        if -1 in Tiling.distance_row(self, ids[0]):
             raise ValueError("region graph is not connected")
 
 
@@ -99,6 +137,7 @@ class GridTiling(Tiling):
             height = width
         if width < 1 or height < 1:
             raise ValueError("grid dimensions must be positive")
+        super().__init__()
         self.width = width
         self.height = height
         self._regions: Dict[RegionId, Region] = {}
@@ -149,6 +188,43 @@ class GridTiling(Tiling):
     def diameter(self) -> int:
         return max(self.width, self.height) - 1
 
+    # Closed forms: the 8-neighborhood BFS distance *is* Chebyshev, so
+    # rows, rings and balls need no walk (and no memo).
+    def distance_row(self, src: RegionId) -> array:
+        if src not in self._regions:
+            raise KeyError(src)
+        col0, row0 = src
+        dcols = [abs(col - col0) for col in range(self.width)]
+        drows = [abs(row - row0) for row in range(self.height)]
+        self.rows_computed += 1
+        return array("i", [dc if dc > dr else dr for dc in dcols for dr in drows])
+
+    def ring(self, center: RegionId, d: int) -> List[RegionId]:
+        if center not in self._regions:
+            raise KeyError(center)
+        if not 0 <= d <= self.diameter():
+            return []
+        col0, row0 = center
+        # The square's perimeter, clipped per axis, in (col, row) order:
+        # the two end columns whole, the others' top and bottom cells.
+        rows = range(max(0, row0 - d), min(self.height - 1, row0 + d) + 1)
+        ends = [row for row in (row0 - d, row0 + d) if 0 <= row < self.height]
+        return [
+            (col, row)
+            for col in range(max(0, col0 - d), min(self.width - 1, col0 + d) + 1)
+            for row in (rows if abs(col - col0) == d else ends)
+        ]
+
+    def ball_size(self, center: RegionId, radius: int) -> int:
+        if center not in self._regions:
+            raise KeyError(center)
+        if radius < 0:
+            return 0
+        col0, row0 = center
+        cols = min(self.width - 1, col0 + radius) - max(0, col0 - radius) + 1
+        rows = min(self.height - 1, row0 + radius) - max(0, row0 - radius) + 1
+        return cols * rows
+
     def region_of_point(self, point: Point) -> RegionId:
         # Closed-form: boundary points belong to the minimum-id region,
         # which for (col,row) ordering is the lower-left candidate square.
@@ -186,6 +262,7 @@ class GraphTiling(Tiling):
         adjacency: Dict[RegionId, Iterable[RegionId]],
         centers: Optional[Dict[RegionId, Point]] = None,
     ) -> None:
+        super().__init__()
         self._adj: Dict[RegionId, set] = {rid: set() for rid in adjacency}
         for rid, nbrs in adjacency.items():
             for other in nbrs:
@@ -196,11 +273,11 @@ class GraphTiling(Tiling):
                 self._adj[rid].add(other)
                 self._adj[other].add(rid)
         self._order = sorted(self._adj)
+        self._index = {rid: idx for idx, rid in enumerate(self._order)}
         self._regions = {}
-        for idx, rid in enumerate(self._order):
+        for rid, idx in self._index.items():
             point = centers[rid] if centers and rid in centers else Point(float(idx), 0.0)
             self._regions[rid] = Region(rid, center=point)
-        self._dist_cache: Dict[RegionId, Dict[RegionId, int]] = {}
         self._diameter: Optional[int] = None
 
     def regions(self) -> List[RegionId]:
@@ -218,36 +295,17 @@ class GraphTiling(Tiling):
         except KeyError:
             raise KeyError(f"unknown region {rid!r}") from None
 
-    def _bfs(self, source: RegionId) -> Dict[RegionId, int]:
-        cached = self._dist_cache.get(source)
-        if cached is not None:
-            return cached
-        dist = {source: 0}
-        frontier = deque([source])
-        while frontier:
-            cur = frontier.popleft()
-            for nxt in self._adj[cur]:
-                if nxt not in dist:
-                    dist[nxt] = dist[cur] + 1
-                    frontier.append(nxt)
-        self._dist_cache[source] = dist
-        return dist
-
     def distance(self, a: RegionId, b: RegionId) -> int:
         if a not in self._adj or b not in self._adj:
             raise KeyError(f"unknown region in distance({a!r}, {b!r})")
-        dist = self._bfs(a)
-        if b not in dist:
+        dist = self.distance_row(a)[self._index[b]]
+        if dist < 0:
             raise ValueError(f"regions {a!r} and {b!r} are disconnected")
-        return dist[b]
+        return dist
 
     def diameter(self) -> int:
         if self._diameter is None:
-            best = 0
-            for rid in self._order:
-                dist = self._bfs(rid)
-                best = max(best, max(dist.values()))
-            self._diameter = best
+            self._diameter = max(max(self.distance_row(rid)) for rid in self._order)
         return self._diameter
 
 

@@ -10,12 +10,12 @@ closed forms ``MAX = ⌈log_r(D+1)⌉``, ``n(l) = 2r^l − 1``,
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, List, Optional
 
 from ..geometry.regions import RegionId
 from ..geometry.tiling import GridTiling
 from .cluster import ClusterId
-from .hierarchy import ExplicitHierarchy, singleton_level_map
+from .hierarchy import ExplicitHierarchy
 from .params import grid_params
 
 
@@ -45,14 +45,35 @@ class GridHierarchy(ExplicitHierarchy):
         if max_level < 1:
             raise ValueError("side must be at least r (MAX > 0)")
         self.r = r
+        self.tiling = tiling
+        self.max_level = max_level
+        self.params = grid_params(r, max_level)
 
-        level_maps: List[Dict[RegionId, Hashable]] = [singleton_level_map(tiling)]
-        for level in range(1, max_level + 1):
+        # What ``ExplicitHierarchy.__init__`` derives from the level maps
+        # ``u -> (u[0] // r^l, u[1] // r^l)`` — sorted members, sorted
+        # clusters per level, the member nearest the block's centroid
+        # (ties to the minimum id) as head — written block by block.
+        self._assignment: Dict[tuple, ClusterId] = {}
+        self._members: Dict[ClusterId, List[RegionId]] = {}
+        self._by_level: Dict[int, List[ClusterId]] = {}
+        self._heads: Dict[ClusterId, RegionId] = {}
+        regions = tiling.regions()  # (col, row)-sorted: (c, w) sits at c * side + w
+        for level in range(max_level + 1):
             block = r**level
-            level_maps.append(
-                {u: (u[0] // block, u[1] // block) for u in tiling.regions()}
-            )
-        super().__init__(tiling, level_maps, grid_params(r, max_level))
+            mid = (block - 1) // 2
+            clusters = self._by_level[level] = []
+            for col in range(0, side, block):
+                for row in range(0, side, block):
+                    cid = ClusterId(level, (col // block, row // block))
+                    clusters.append(cid)
+                    self._heads[cid] = regions[(col + mid) * side + row + mid]
+                    members = self._members[cid] = []
+                    for start in range(col * side + row, (col + block) * side, side):
+                        members += regions[start : start + block]
+                    for u in members:
+                        self._assignment[(u, level)] = cid
+        self._nbrs_cache: Dict[ClusterId, List[ClusterId]] = {}
+        self._children_cache: Dict[ClusterId, List[ClusterId]] = {}
 
     # Closed-form overrides (the generic versions are correct but slower).
     def cluster(self, u: RegionId, level: int) -> ClusterId:

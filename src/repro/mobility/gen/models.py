@@ -21,7 +21,6 @@ evader's neighbor validation still holds.
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...geometry.regions import RegionId
@@ -72,18 +71,11 @@ def masked_tiling(tiling: Tiling, obstacles: Sequence[RegionId]) -> GraphTiling:
     adjacency = {
         r: [n for n in tiling.neighbors(r) if n not in blocked] for r in allowed
     }
-    seen = {allowed[0]}
-    frontier = deque([allowed[0]])
-    while frontier:
-        cur = frontier.popleft()
-        for nxt in adjacency[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    if len(seen) != len(allowed):
-        raise ValueError("obstacle field disconnects the tiling")
     centers = {r: tiling.region(r).center for r in allowed}
-    return GraphTiling(adjacency, centers)
+    remainder = GraphTiling(adjacency, centers)
+    if -1 in remainder.distance_row(allowed[0]):
+        raise ValueError("obstacle field disconnects the tiling")
+    return remainder
 
 
 def _greedy_step(

@@ -17,12 +17,11 @@ result:
   the ones a per-call BFS produces (the reference BFS under
   ``tests/geocast/`` is the oracle).
 * :class:`~repro.topo.distances.DistanceTable` — all-pairs region
-  distances as flat dense-indexed rows with derived distance
-  partitions, one shared table per tiling (the find hot path queries
-  these instead of per-call BFS/scan).
+  distances as flat dense-indexed rows (each made by the tiling's own
+  ``distance_row``), one shared table per tiling.
 * :class:`~repro.topo.cache.TopologyCache` — the per-process cache:
   memoized hierarchy construction, one shared :class:`RouteTable` per
-  tiling, and regions-at-distance partitions.
+  tiling, and the hit/miss count of regions-at-distance queries.
 
 The cache changes *when* topology quantities are computed, never *what*
 they are — goldens through the cache are bit-identical to the same runs

@@ -1,8 +1,8 @@
 """The per-process topology cache.
 
 One :class:`TopologyCache` lives per process (:func:`topology_cache`).
-It memoizes the three expensive, purely-topological computations every
-job used to redo from scratch:
+It memoizes the expensive, purely-topological computations every job
+used to redo from scratch, and counts the one the tilings now own:
 
 * **hierarchy construction** — ``hierarchy(key)`` builds the grid/strip
   hierarchy for a :class:`~repro.topo.keys.TopologyKey` once; later
@@ -12,9 +12,9 @@ job used to redo from scratch:
 * **route tables** — ``routes(tiling)`` hands out one shared
   :class:`~repro.topo.routes.RouteTable` per tiling object, so every
   geocast router over the same world amortizes the same BFS trees.
-* **distance partitions** — ``regions_at_distance(tiling, center, d)``
-  groups regions by distance from a center once per (tiling, center),
-  replacing the full-scan filter the find experiments ran per query.
+* **distance rings** — ``regions_at_distance(tiling, center, d)`` asks
+  the tiling for its ring (closed form on a grid, one memoised BFS row
+  per centre elsewhere) and counts which of the two happened.
 
 ``warm(keys)`` pre-builds hierarchies (and their cluster adjacency) for
 a sweep's distinct topology keys — the pool-worker initializer calls it
@@ -92,7 +92,7 @@ class CacheStats:
 
 @dataclass
 class TopologyCache:
-    """Content-addressed store of hierarchies, route tables, partitions."""
+    """Content-addressed store of hierarchies and route tables."""
 
     stats: CacheStats = field(default_factory=CacheStats)
 
@@ -138,24 +138,24 @@ class TopologyCache:
             tiling._repro_route_table = table
         return table
 
-    # -- distance partitions --------------------------------------------
+    # -- distance rings -------------------------------------------------
     def regions_at_distance(self, tiling: Any, center: Any, distance: int) -> List:
         """Regions exactly ``distance`` from ``center``, in region order.
 
-        Byte-identical to the legacy full scan
+        Byte-identical to the full scan
         ``[u for u in tiling.regions() if tiling.distance(u, center) == d]``
-        (same membership, same order).  Backed by the tiling's shared
-        flat :class:`~repro.topo.distances.DistanceTable`: one BFS row
-        per center, partitions derived from it in region order.
+        (same membership, same order): the tiling's own
+        :meth:`~repro.geometry.tiling.Tiling.ring`.  A query for which
+        the tiling had to compute a distance row is a miss, any other a
+        hit — on a grid every query is a hit.
         """
-        from .distances import distance_table
-
-        table = distance_table(tiling)
-        if table.index.get(center) in table._partitions:
-            self.stats.partition_hits += 1
-        else:
+        computed = tiling.rows_computed
+        ring = tiling.ring(center, distance)
+        if tiling.rows_computed > computed:
             self.stats.partition_misses += 1
-        return list(table.partitions(center).get(distance, ()))
+        else:
+            self.stats.partition_hits += 1
+        return ring
 
     # -- warm-up --------------------------------------------------------
     def warm(self, keys: Iterable[TopologyKey]) -> int:
@@ -182,7 +182,7 @@ class TopologyCache:
     def clear(self) -> None:
         """Drop the hierarchy store and reset counters.
 
-        Route tables and distance partitions live on their tiling objects
+        Route tables and distance rows live on their tiling objects
         and are dropped with them (clearing hierarchies releases the
         cached tilings).
         """

@@ -1,32 +1,26 @@
 """Flat region-distance tables, shared content-addressed per tiling.
 
-The find path queries region-graph distances in two places: the
-C-gcast delay/cost fallback (``head_distance`` between cluster heads
-outside the enumerated §II-C.3 relations) and the distance-partition
-lookups of the find experiments (``regions_at_distance``).  Both used
-to bottom out in :meth:`~repro.geometry.tiling.Tiling.distance` — a
-closed form for grids but a per-source BFS with dict-of-dict caching
-for graph tilings, re-run per consumer.
+The C-gcast delay/cost fallback (``head_distance`` between cluster heads
+outside the enumerated §II-C.3 relations) asks for region-graph
+distances pair by pair, on the send path.  :class:`DistanceTable` keeps
+one *row* per source region — the flat ``array('i')`` the tiling's own
+:meth:`~repro.geometry.tiling.Tiling.distance_row` returns, indexed by
+the dense region index (position in ``tiling.regions()`` order) — so a
+warm lookup is two dict reads and an array index whatever the tiling's
+shape.  How a row is made (one BFS, or a closed form) is the tiling's
+business; nothing here walks a graph.
 
-:class:`DistanceTable` precomputes one *row* per source region — a flat
-``array('i')`` indexed by the dense region index (position in
-``tiling.regions()`` order) — and derives the distance partitions from
-it.  Like route tables (:meth:`~repro.topo.cache.TopologyCache.routes`)
-the table rides on the tiling object itself, so every consumer of the
-same world shares one table and it dies with the tiling; content
-addressing comes for free because tilings themselves are shared via the
-topology cache.
-
-Rows are BFS over the neighbor graph, so values are identical to
-``tiling.distance`` for every tiling type (the grid closed form *is*
-the 8-neighborhood BFS distance), which the equivalence test pins.
+Like route tables (:meth:`~repro.topo.cache.TopologyCache.routes`) the
+table rides on the tiling object itself, so every consumer of the same
+world shares one table and it dies with the tiling; content addressing
+comes for free because tilings themselves are shared via the topology
+cache.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict
 
 
 class DistanceTable:
@@ -37,67 +31,27 @@ class DistanceTable:
             ``regions()`` order fixes the dense index.
     """
 
-    __slots__ = ("_tiling", "order", "index", "_rows", "_partitions")
+    __slots__ = ("_tiling", "index", "_rows")
 
     def __init__(self, tiling: Any) -> None:
         self._tiling = tiling
-        #: Dense index → region id, in ``tiling.regions()`` order.
-        self.order: Tuple[Any, ...] = tuple(tiling.regions())
         #: Region id → dense index.
         self.index: Dict[Any, int] = {
-            rid: i for i, rid in enumerate(self.order)
+            rid: i for i, rid in enumerate(tiling.regions())
         }
         self._rows: Dict[int, array] = {}
-        self._partitions: Dict[int, Dict[int, tuple]] = {}
-
-    def __len__(self) -> int:
-        return len(self.order)
 
     def row(self, src: Any) -> array:
         """Distances from ``src`` to every region, dense-indexed."""
         i = self.index[src]
         row = self._rows.get(i)
         if row is None:
-            row = self._bfs_row(src)
-            self._rows[i] = row
+            row = self._rows[i] = self._tiling.distance_row(src)
         return row
 
     def distance(self, a: Any, b: Any) -> int:
         """Region-graph distance (== ``tiling.distance(a, b)``)."""
         return self.row(a)[self.index[b]]
-
-    def partitions(self, center: Any) -> Dict[int, tuple]:
-        """Regions grouped by distance from ``center``.
-
-        Each group preserves ``tiling.regions()`` order — byte-identical
-        membership and order to the legacy full-scan filter.
-        """
-        i = self.index[center]
-        partition = self._partitions.get(i)
-        if partition is None:
-            row = self.row(center)
-            groups: Dict[int, List[Any]] = {}
-            for j, rid in enumerate(self.order):
-                groups.setdefault(row[j], []).append(rid)
-            partition = {d: tuple(rids) for d, rids in groups.items()}
-            self._partitions[i] = partition
-        return partition
-
-    def _bfs_row(self, src: Any) -> array:
-        tiling = self._tiling
-        index = self.index
-        row = array("i", [-1] * len(self.order))
-        row[index[src]] = 0
-        queue = deque((src,))
-        while queue:
-            u = queue.popleft()
-            du = row[index[u]]
-            for v in tiling.neighbors(u):
-                j = index[v]
-                if row[j] < 0:
-                    row[j] = du + 1
-                    queue.append(v)
-        return row
 
 
 def distance_table(tiling: Any) -> DistanceTable:

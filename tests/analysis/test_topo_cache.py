@@ -16,7 +16,7 @@ from repro.analysis import (
     scale_jobs,
     topology_keys_of,
 )
-from repro.geometry import GridTiling
+from repro.geometry import GridTiling, line_tiling
 from repro.scenario import ScenarioConfig, build
 from repro.topo import (
     TopologyKey,
@@ -97,13 +97,51 @@ class TestDistancePartitions:
             assert cache.regions_at_distance(tiling, center, d) == legacy
 
     def test_counts_hits_per_center(self):
+        # A miss is a distance row the tiling computed: one per centre
+        # on a graph tiling, whose BFS rows are memoised ...
+        tiling = line_tiling(6)
+        cache = topology_cache()
+        cache.regions_at_distance(tiling, 0, 1)
+        cache.regions_at_distance(tiling, 0, 2)
+        cache.regions_at_distance(tiling, 3, 1)
+        assert cache.stats.partition_misses == 2
+        assert cache.stats.partition_hits == 1
+
+    def test_grid_rings_compute_no_row(self):
+        # ... and none on a grid, whose rings are a closed form.
         tiling = GridTiling(4)
         cache = topology_cache()
         cache.regions_at_distance(tiling, (0, 0), 1)
         cache.regions_at_distance(tiling, (0, 0), 2)
         cache.regions_at_distance(tiling, (1, 1), 1)
-        assert cache.stats.partition_misses == 2
-        assert cache.stats.partition_hits == 1
+        assert cache.stats.partition_misses == 0
+        assert cache.stats.partition_hits == 3
+        assert tiling.rows_computed == 0
+
+    def test_grid_experiments_take_the_closed_forms(self, monkeypatch):
+        """E2 and E8 on a grid world never reach the generic walk, nor
+        the generic constructor's centroid-scored head choice."""
+        from repro.analysis.experiments import (
+            run_baseline_comparison,
+            run_find_sweep,
+        )
+        from repro.geometry import Tiling
+        from repro.hierarchy import hierarchy
+
+        def generic(*args, **kwargs):
+            raise AssertionError("a grid world took the generic path")
+
+        monkeypatch.setattr(Tiling, "distance_row", generic)
+        monkeypatch.setattr(hierarchy, "default_head", generic)
+        finds = run_find_sweep(
+            r=2, max_level=4, distances=[1, 4, 12], seed=21, finds_per_distance=2
+        )
+        assert len(finds) == 6 and all(f.completed for f in finds)
+        rows = run_baseline_comparison(
+            r=2, max_level=3, n_moves=6, n_finds=3, find_distance=2, seed=61
+        )
+        assert rows[-1].algorithm == "flooding" and rows[-1].find_work > 0
+        assert topology_cache().stats.partition_misses == 0
 
 
 # ----------------------------------------------------------------------

@@ -154,3 +154,48 @@ def test_are_cluster_neighbors(h2):
     assert h2.are_cluster_neighbors(a, b)  # diagonal blocks touch at a corner
     assert not h2.are_cluster_neighbors(a, a)
     assert not h2.are_cluster_neighbors(a, h2.root())
+
+
+# ----------------------------------------------------------------------
+# Closed-form construction ≡ the generic constructor
+# ----------------------------------------------------------------------
+def generic_twin(h):
+    """The generic hierarchy over the level maps a grid hierarchy states."""
+    from repro.hierarchy.hierarchy import ExplicitHierarchy
+
+    regions = h.tiling.regions()
+    level_maps = [
+        {u: u if level == 0 else (u[0] // h.r**level, u[1] // h.r**level) for u in regions}
+        for level in h.levels()
+    ]
+    return ExplicitHierarchy(h.tiling, level_maps, h.params)
+
+
+@pytest.mark.parametrize(
+    "r, max_level",
+    [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4), (4, 2)],
+)
+def test_closed_form_construction_equals_generic(r, max_level):
+    h = grid_hierarchy(r, max_level)
+    generic = generic_twin(h)
+    assert h.max_level == generic.max_level == max_level
+    regions = h.tiling.regions()
+    for level in h.levels():
+        clusters = h.clusters_at_level(level)
+        assert clusters == generic.clusters_at_level(level)
+        interned = {c: c for c in clusters}
+        for u in regions:
+            cid = h.cluster(u, level)
+            assert cid == generic.cluster(u, level)
+            assert cid is interned[cid]  # one object per (level, key)
+        for c in clusters:
+            assert h.members(c) == generic.members(c)
+            # ... the tiling's own id objects, as the generic maps hold:
+            assert all(a is b for a, b in zip(h.members(c), generic.members(c)))
+            assert h.head(c) == generic.head(c)
+            assert h.parent(c) == generic.parent(c)
+            if level < max_level:
+                assert h.parent(c) is h.cluster(h.members(c)[0], level + 1)
+            assert h.children(c) == generic.children(c)
+            assert h.nbrs(c) == generic.nbrs(c)
+            assert all(n is interned[n] for n in h.nbrs(c))
