@@ -3,17 +3,18 @@
 
 Runs one evader move on the real simulator and shows:
 
-1. the message timeline of the update cascade (grow racing shrink);
-2. that interrupting the execution at *any* point and applying
+1. that interrupting the execution at *any* point and applying
    ``lookAhead`` (Fig. 3) lands exactly on ``atomicMoveSeq``'s
    consistent state — Theorem 4.8;
+2. the move's update cascade (grow racing shrink), as the typed obs
+   events it emitted: every C-gcast dispatch and every grow/shrink sent;
 3. the consistency checker accepting the settled state.
 
 Run:  python examples/verify_model.py
 """
 
+import repro.obs as obs
 from repro.api import ScenarioConfig, build
-from repro.analysis.timeline import extract_timeline, format_timeline
 from repro.core import (
     atomic_move_seq,
     capture_snapshot,
@@ -21,11 +22,23 @@ from repro.core import (
     look_ahead,
 )
 from repro.mobility import FixedPath
+from repro.obs import GrowSent, MessageDispatched, ShrinkSent
+
+
+def describe(event, start: float) -> str:
+    """One line of the cascade, times relative to the move."""
+    at = f"  t={event.time - start:6.2f}  "
+    if isinstance(event, MessageDispatched):
+        return (f"{at}{event.payload:<8} {event.src!r} -> {event.dest!r}, "
+                f"arrives +{event.delay:g}")
+    if isinstance(event, GrowSent):
+        how = "lateral" if event.lateral else "vertical"
+        return f"{at}grow-sent   {event.cluster!r} -> {event.parent!r} ({how})"
+    return f"{at}shrink-sent {event.cluster!r} -> {event.parent!r}"
 
 
 def main() -> None:
-    # trace=True keeps the simulator trace for the timeline below
-    scenario = build(ScenarioConfig(r=3, max_level=2, trace=True))
+    scenario = build(ScenarioConfig(r=3, max_level=2))
     system, hierarchy = scenario.system, scenario.hierarchy
     moves = [(4, 4), (5, 5)]
     evader = system.make_evader(FixedPath(moves), dwell=1e12, start=moves[0])
@@ -33,24 +46,22 @@ def main() -> None:
 
     print("=== one evader move, event by event ===")
     move_start = system.sim.now
-    evader.step()
-
     checks = 0
     want = atomic_move_seq(hierarchy, moves).pointer_map()
-    while system.sim.pending_events > 0:
-        system.sim.run(max_events=1)
-        snapshot = capture_snapshot(system)
-        assert look_ahead(snapshot, hierarchy).pointer_map() == want
-        checks += 1
+    with obs.observed(spans=False) as collector:
+        evader.step()
+        while system.sim.pending_events > 0:
+            system.sim.run(max_events=1)
+            snapshot = capture_snapshot(system)
+            assert look_ahead(snapshot, hierarchy).pointer_map() == want
+            checks += 1
     print(f"lookAhead == atomicMoveSeq held at every one of the "
           f"{checks} events of the move.  (Theorem 4.8)\n")
 
-    timeline = extract_timeline(
-        system.sim.trace,
-        since=move_start,
-        kinds=("rcv", "grow-sent", "shrink-sent"),
-    )
-    print(format_timeline(timeline, title="update cascade of the move"))
+    print(f"update cascade of the move (t0 = {move_start}):")
+    for event in collector.events:
+        if isinstance(event, (MessageDispatched, GrowSent, ShrinkSent)):
+            print(describe(event, move_start))
 
     problems = check_consistent(capture_snapshot(system), hierarchy, evader.region)
     print(f"\nsettled state consistent: {not problems} "

@@ -85,12 +85,8 @@ __all__ = [
 ]
 
 from .render import render_grid_world, render_path, render_pointer_stats  # noqa: E402
-from .timeline import TimelineEntry, extract_timeline, format_timeline  # noqa: E402
 
 __all__ += [
-    "TimelineEntry",
-    "extract_timeline",
-    "format_timeline",
     "render_grid_world",
     "render_path",
     "render_pointer_stats",

@@ -18,8 +18,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from .. import obs
 from ..core.consistency import check_consistent
-from ..core.invariants import InvariantMonitor
 from ..core.path import check_tracking_path
 from ..core.state import capture_snapshot
 from ..core.vinestalk import VineStalk
@@ -30,6 +30,7 @@ from ..mobility.models import (
     worst_boundary_pair,
 )
 from ..mobility.speed import concurrent_dwell
+from ..obs.events import FindQueryIssued
 from ..scenario import ScenarioConfig, build
 from ..topo import topology_cache
 from .bounds import (
@@ -277,27 +278,32 @@ def run_invariant_watch(
     n_moves: int,
     seed: int = 0,
 ) -> InvariantResult:
-    """Random walk with the Lemma 4.1/4.2 monitor sampling every event."""
+    """Random walk with the conformance sampler checking every event.
+
+    Lemma 4.2 reads the typed ``GrowSent`` events, so the walk runs
+    under its own obs collector (spans off).
+    """
     system = build(ScenarioConfig(r=r, max_level=max_level)).system
-    system.sim.trace.enabled = True  # monitor needs the trace
-    system.sim.trace.capacity = 1  # but not its history
     corner = system.hierarchy.tiling.regions()[0]
     evader = system.make_evader(
         RandomNeighborWalk(start=corner), dwell=1e12, start=corner,
         rng=random.Random(seed),
     )
-    monitor = InvariantMonitor(system).watch()
-    try:
-        system.run_to_quiescence()
-        _walk(system, evader, n_moves)
-    finally:
-        monitor.stop()  # never leak the trace subscription across jobs
+    with obs.observed(spans=False):
+        sampler = obs.ConformanceSampler(system, stride=1).attach()
+        try:
+            system.run_to_quiescence()
+            _walk(system, evader, n_moves)
+        finally:
+            sampler.detach()  # never leak a hook across sweep jobs
     return InvariantResult(
         moves=n_moves,
-        max_grow_outstanding=monitor.max_grow_outstanding,
-        max_shrink_outstanding=monitor.max_shrink_outstanding,
-        lateral_sends=monitor.lateral_sends_total(),
-        violations=monitor.violations,
+        max_grow_outstanding=sampler.max_grow_outstanding,
+        max_shrink_outstanding=sampler.max_shrink_outstanding,
+        lateral_sends=sampler.checks_run["lemma-4.2"],
+        violations=[
+            f"{v.check} at t={v.time}: {v.detail}" for v in sampler.violations
+        ],
     )
 
 
@@ -421,18 +427,15 @@ def run_concurrent(
     evader = _settled_walker(system, random.Random(seed), dwell=dwell)
     base = accountant.epoch()
 
-    # Track per-find max query level through a trace subscriber.
-    system.sim.trace.enabled = True
-    system.sim.trace.capacity = 1
+    # Per-find max query level, from the typed FindQueryIssued events.
     max_query_level: Dict[int, int] = {}
 
-    def watch_queries(record) -> None:
-        if record.kind == "findquery":
-            level = int(record.source.split(":")[1])
-            find_id = record.detail
-            max_query_level[find_id] = max(max_query_level.get(find_id, 0), level)
-
-    system.sim.trace.subscribe(watch_queries)
+    def watch_queries(event) -> None:
+        if type(event) is FindQueryIssued:
+            find_id = event.find_id
+            max_query_level[find_id] = max(
+                max_query_level.get(find_id, 0), event.level
+            )
 
     evader.start()
     issue_times = sorted(rng.uniform(0, n_moves * dwell) for _ in range(n_finds))
@@ -447,9 +450,11 @@ def run_concurrent(
     start_time = system.sim.now
     for t in issue_times:
         system.sim.call_at(start_time + t, issue_find)
-    system.sim.run_until(start_time + n_moves * dwell)
-    evader.stop()
-    system.run_to_quiescence()
+    with obs.observed(spans=False) as collector:
+        collector.subscribe(watch_queries)
+        system.sim.run_until(start_time + n_moves * dwell)
+        evader.stop()
+        system.run_to_quiescence()
     concurrent_work = accountant.epoch().minus(base).move_work
     trajectory_moves = evader.moves_made
 

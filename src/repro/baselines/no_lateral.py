@@ -31,7 +31,6 @@ class NoLateralTracker(Tracker):
         lane.p = par
         self._send(par, Grow(cid=self.clust, object_id=object_id))
         self._queue_to_nbrs(GrowPar(cid=self.clust, object_id=object_id))
-        self.trace("grow-sent", (par, "vertical"))
 
 
 class NoLateralVineStalk(VineStalk):

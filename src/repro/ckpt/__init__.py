@@ -1,4 +1,4 @@
-"""Checkpoint/restore and deterministic replay (the ``ckpt/3`` format).
+"""Checkpoint/restore and deterministic replay (schema ``CKPT_SCHEMA``).
 
 The subsystem in one paragraph: :func:`snapshot_scenario` captures a
 built scenario between two events as a versioned, picklable
@@ -27,9 +27,9 @@ from .snapshot import (
     SnapshotMeta,
     load,
     restore_scenario,
+    run_fingerprint,
     save,
     snapshot_scenario,
-    trace_fingerprint,
 )
 from .workload import (
     FIND_AT,
@@ -59,9 +59,9 @@ __all__ = [
     "load",
     "loads_graph",
     "restore_scenario",
+    "run_fingerprint",
     "save",
     "schedule_tracked_walk",
     "snapshot_scenario",
-    "trace_fingerprint",
     "walk_horizon",
 ]

@@ -10,12 +10,16 @@ When a window's fingerprints disagree, the first diverging event inside
 it is binary-searched from the recorded fingerprints, both sides are
 **restored from the last agreeing checkpoint** and stepped to the exact
 boundary, and the report carries the diverging event's time, tag and
-trace records from each side — live state at the split, not a log dump.
+C-gcast send lines from each side — live state at the split, not a log
+dump.
 
-Rolling fingerprint: per fired event, fold the post-event clock and
-every trace record the event emitted into a CRC.  Equal prefixes ⇒
-equal CRC sequences; after the first divergence the CRCs stay different
-(rolling), which is what makes the binary search valid.
+Rolling fingerprint: per fired event, fold the post-event clock and the
+world's send CRC (:class:`~repro.sim.sharded.context.SendFold`, which
+every send the event made has just entered) into a CRC.  Equal prefixes
+⇒ equal CRC sequences; after the first divergence the CRCs stay
+different (rolling), which is what makes the binary search valid.  A
+side costs O(1) per event and its checkpoints stay the size of the
+world, not of the run.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..faults.plan import CHANNEL_BOTH, FaultPlan, MessageLoss
 from ..scenario import Scenario, ScenarioConfig
+from ..sim.sharded.context import canonical_send_line
 from .snapshot import Snapshot, restore_scenario, snapshot_scenario
 from .workload import build_tracked_walk, walk_horizon
 
@@ -147,13 +152,13 @@ class _EventInfo:
 
     time: float
     tag: Optional[str]
-    records: Tuple[tuple, ...]
+    send_lines: Tuple[str, ...]
 
     def as_dict(self) -> Dict[str, Any]:
         return {
             "time": self.time,
             "tag": self.tag,
-            "trace_records": [list(rec) for rec in self.records],
+            "send_lines": list(self.send_lines),
         }
 
 
@@ -172,7 +177,6 @@ class _Side:
         self.crc = 0
         self.window_fps: List[int] = []
         self.events = 0
-        self._trace_pos = 0
         self.checkpoint: Snapshot = self._snapshot()
         self.checkpoint_events = 0
         self.checkpoints_taken = 1
@@ -181,18 +185,8 @@ class _Side:
         return snapshot_scenario(self.scenario)
 
     def _fold_event(self) -> None:
-        sim = self.scenario.sim
-        crc = zlib.crc32(repr(sim.now).encode("utf-8"), self.crc)
-        records = list(sim.trace)
-        for rec in records[self._trace_pos:]:
-            crc = zlib.crc32(
-                repr((rec.time, rec.source, rec.kind, rec.detail)).encode(
-                    "utf-8"
-                ),
-                crc,
-            )
-        self._trace_pos = len(records)
-        self.crc = crc
+        send_crc = self.scenario.send_fold.crc
+        self.crc = zlib.crc32(f"{self.scenario.sim.now!r}|{send_crc}".encode(), self.crc)
 
     def run_window(self, window: int, until: float) -> int:
         """Fire up to ``window`` events under this side's env.
@@ -225,20 +219,17 @@ class _Side:
         """
         restored = restore_scenario(self.checkpoint).scenario
         sim = restored.sim
-        info: Optional[_EventInfo] = None
+        sends: list = []
+        restored.system.cgcast.observe(sends.extend)
         with self.env:
-            for k in range(offset + 1):
-                trace_before = len(sim.trace)
-                head = sim._queue.peek_time()
-                if head is None or not sim.step():
-                    break
-                if k == offset:
-                    records = tuple(
-                        (rec.time, rec.source, rec.kind, repr(rec.detail))
-                        for rec in list(sim.trace)[trace_before:]
-                    )
-                    info = _EventInfo(time=sim.now, tag=None, records=records)
-        return restored, info
+            for _ in range(offset + 1):
+                event = sim._queue.peek()
+                if event is None:
+                    return restored, None
+                sends.clear()
+                sim.step()
+        lines = tuple(canonical_send_line(record) for record in sends)
+        return restored, _EventInfo(time=sim.now, tag=event.tag, send_lines=lines)
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,10 @@ A simulation checkpoint must capture closures: the event queue holds
 lambdas and bound methods whose cells reference trackers, injectors and
 evaders.  Plain :mod:`pickle` refuses lambdas, so the codec pickles with
 :mod:`cloudpickle` — function objects travel by value, and the pickle
-memo keeps every shared object (the simulator, the trace, each tracker)
-a single instance in the restored graph.
+memo keeps every shared object (the simulator, the send fold, each
+tracker) a single instance in the restored graph.  cloudpickle is
+imported on the first pickling, not with the package, so importing
+:mod:`repro.ckpt` (the CLI does) needs no cloudpickle.
 
 On top of that, the codec teaches the pickler about the content-addressed
 topology layer: a hierarchy (or its tiling) that lives in the per-process
@@ -25,9 +27,8 @@ from __future__ import annotations
 
 import io
 import pickle
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
-
-import cloudpickle
 
 from ..topo import topology_cache
 from ..topo.keys import TopologyKey
@@ -54,22 +55,27 @@ def _cache_identity_map() -> Dict[int, Tuple[str, TopologyKey]]:
     return mapping
 
 
-class _GraphPickler(cloudpickle.CloudPickler):
-    """CloudPickler emitting topo-cache persistent references."""
+@lru_cache(maxsize=None)
+def _graph_pickler() -> type:
+    """The CloudPickler subclass emitting topo-cache persistent references."""
+    import cloudpickle
 
-    def __init__(self, file: io.BytesIO) -> None:
-        super().__init__(file, protocol=pickle.DEFAULT_PROTOCOL)
-        self._topo_identity = _cache_identity_map()
-        self.topo_keys: List[TopologyKey] = []
+    class GraphPickler(cloudpickle.CloudPickler):
+        def __init__(self, file: io.BytesIO) -> None:
+            super().__init__(file, protocol=pickle.DEFAULT_PROTOCOL)
+            self._topo_identity = _cache_identity_map()
+            self.topo_keys: List[TopologyKey] = []
 
-    def persistent_id(self, obj: Any) -> Optional[tuple]:
-        tag = self._topo_identity.get(id(obj))
-        if tag is None:
-            return None
-        kind, key = tag
-        if key not in self.topo_keys:
-            self.topo_keys.append(key)
-        return ("repro.topo", kind, key)
+        def persistent_id(self, obj: Any) -> Optional[tuple]:
+            tag = self._topo_identity.get(id(obj))
+            if tag is None:
+                return None
+            kind, key = tag
+            if key not in self.topo_keys:
+                self.topo_keys.append(key)
+            return ("repro.topo", kind, key)
+
+    return GraphPickler
 
 
 class _GraphUnpickler(pickle.Unpickler):
@@ -95,7 +101,7 @@ def dumps_graph(graph: Any) -> Tuple[bytes, Tuple[TopologyKey, ...]]:
     paths pre-build before restore).
     """
     buffer = io.BytesIO()
-    pickler = _GraphPickler(buffer)
+    pickler = _graph_pickler()(buffer)
     try:
         pickler.dump(graph)
     except Exception as exc:

@@ -1,9 +1,9 @@
-"""The versioned ``ckpt/3`` snapshot format.
+"""The versioned snapshot format (tag :data:`CKPT_SCHEMA`).
 
 A :class:`Snapshot` captures a built scenario — event queue with
 tie-break counters, every RNG stream position, tracker/VSA/client
 automata state, fault-injector arming, geocast in-flight messages, the
-trace — between two simulation events, as one
+send fold — between two simulation events, as one
 :func:`~repro.ckpt.codec.dumps_graph` payload plus a small typed header:
 
 * ``meta`` — schema tag, simulation time, events fired, the topology
@@ -19,7 +19,7 @@ payload fingerprint *before* unpickling anything, and raises a typed
 error on any mismatch.
 
 The golden guarantee (enforced by ``tests/ckpt``): *snapshot at t, then
-resume* produces a run bit-identical — :func:`trace_fingerprint` and
+resume* produces a run bit-identical — :func:`run_fingerprint` and
 result objects — to the uninterrupted run, with observability on or off.
 """
 
@@ -29,21 +29,23 @@ import hashlib
 import json
 import struct
 import sys
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
+from ..core.tracker import BOTTOM
 from ..scenario import Scenario
 from ..topo.keys import TopologyKey
 from .codec import dumps_graph, loads_graph
 
 #: Schema tag of the snapshot format.  Bump on any envelope or payload
 #: layout change; :func:`load` refuses other schemas outright.
-#: ``ckpt/3``: ``CGcast`` holds pending send records, ``Simulator`` its
-#: loop-exit hooks and a public ``running``, and ``Tracker`` restores
-#: its lane scheduling state as pickled; ``ckpt/2`` payloads have none.
-CKPT_SCHEMA = "ckpt/3"
+#: ``ckpt/4``: the ``Scenario`` carries its ``SendFold`` and the
+#: ``Simulator`` no trace log; ``ckpt/3`` payloads have it the other way.
+CKPT_SCHEMA = "ckpt/4"
+
+#: A lane's pointers at a cluster that is off its path.
+_BOTTOMS = (BOTTOM,) * 4
 
 #: First bytes of every checkpoint file.
 CKPT_MAGIC = b"repro-ckpt\n"
@@ -101,7 +103,7 @@ class SnapshotMeta:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """One ``ckpt/3`` checkpoint, ready to restore, fork or save."""
+    """One checkpoint, ready to restore, fork or save."""
 
     meta: SnapshotMeta
     config: Any  # ScenarioConfig (typed loosely to avoid an import cycle)
@@ -178,7 +180,7 @@ def restore_scenario(snapshot: Snapshot) -> Restored:
 # On-disk envelope
 # ----------------------------------------------------------------------
 def save(snapshot: Snapshot, path: Union[str, Path]) -> None:
-    """Write the snapshot to ``path`` in the ``ckpt/3`` envelope."""
+    """Write the snapshot to ``path`` in the :data:`CKPT_SCHEMA` envelope."""
     config_blob, _ = dumps_graph(snapshot.config)
     header = json.dumps(
         {**snapshot.meta.as_json_dict(),
@@ -195,7 +197,7 @@ def save(snapshot: Snapshot, path: Union[str, Path]) -> None:
 
 
 def load(path: Union[str, Path], allow_python_mismatch: bool = False) -> Snapshot:
-    """Read a ``ckpt/3`` file with strict format and compat checks.
+    """Read a :data:`CKPT_SCHEMA` file with strict format and compat checks.
 
     Raises:
         CkptFormatError: bad magic, wrong schema, truncated sections or
@@ -246,43 +248,42 @@ def load(path: Union[str, Path], allow_python_mismatch: bool = False) -> Snapsho
 # ----------------------------------------------------------------------
 # The canonical run fingerprint (the golden-guarantee comparator)
 # ----------------------------------------------------------------------
-def trace_fingerprint(scenario: Scenario) -> tuple:
+def run_fingerprint(scenario: Scenario) -> tuple:
     """Deterministic fingerprint of everything a run observably did.
 
-    Folds the full trace (every record, order-sensitive) into a CRC and
-    combines it with the clock, the events-fired count, the evader
-    position, the accountant totals and every find record.  Two runs
-    with equal fingerprints executed the same events with the same
-    outcomes; *snapshot then resume* must match the uninterrupted run's
-    fingerprint exactly.
+    ``(clock, events fired, sends, send CRC, accountant totals, finds,
+    pointers)``: the send CRC is the scenario's
+    :class:`~repro.sim.sharded.context.SendFold` — every C-gcast send in
+    dispatch order, as its canonical line — and the pointers are each
+    lane's non-⊥ ``(c, p, nbrptup, nbrptdown)`` per cluster at the end.
+    Two runs with equal fingerprints sent the same messages at the same
+    times and ended in the same state; *snapshot then resume* must match
+    the uninterrupted run's fingerprint exactly.
     """
     system = scenario.system
     sim = system.sim
-    crc = 0
-    for rec in sim.trace:
-        crc = zlib.crc32(
-            repr((rec.time, rec.source, rec.kind, rec.detail)).encode("utf-8"),
-            crc,
-        )
+    accountant = scenario.accountant
     finds = tuple(
         (find_id, record.completed, record.latency, record.work, record.retries)
         for find_id, record in system.finds.records.items()
     )
-    accountant = scenario.accountant
-    evader = getattr(system, "evader", None)
+    pointers = tuple(
+        (object_id, clust, state)
+        for object_id in sorted({0, *system.objects})
+        for clust, tracker in system.trackers.items()
+        if (state := tracker.pointer_state(object_id)) != _BOTTOMS
+    )
     return (
         sim.now,
         sim.events_fired,
-        len(sim.trace),
-        crc,
-        None if evader is None else evader.region,
-        None
-        if accountant is None
-        else (
+        system.cgcast.messages_sent,
+        scenario.send_fold.crc,
+        (
             accountant.move_work,
             accountant.find_work,
             accountant.other_work,
             accountant.messages,
         ),
         finds,
+        pointers,
     )

@@ -1,16 +1,17 @@
 """The canonical replayable workload behind ``repro snapshot/resume/bisect``.
 
 One seeded, fully scheduled tracked walk: moves on a fixed timer, one
-find late in the run, everything placed on the event queue up front so
-the *entire* remaining workload is part of any snapshot taken mid-run.
-The golden suites and the CLI replay tooling all drive this shape, so a
-``repro snapshot`` taken at any cut point resumes through ``repro
-resume`` with no out-of-band driver state.
+find late in the run, all of it on the event queue so the *entire*
+remaining workload is part of any snapshot taken mid-run.  The golden
+suites and the CLI replay tooling all drive this shape, so a ``repro
+snapshot`` taken at any cut point resumes through ``repro resume`` with
+no out-of-band driver state.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Optional
 
 from ..mobility.models import RandomNeighborWalk
@@ -34,6 +35,12 @@ def schedule_tracked_walk(
     Moves fire at ``move_every * k`` (k = 1..moves); when ``find_at`` is
     given, a find from the corner region is scheduled there.  The walk
     RNG is seeded from ``scenario.config.seed``.  Returns the evader.
+
+    The moves are one chain — each schedules the next — so a snapshot
+    holds the rest of the walk as one event, whatever its length (a
+    bisection checkpoints every window).  Priority -1 makes each move the
+    first event of its instant, as it is when every move is queued at
+    build time, so the chain runs the same run.
     """
     system = scenario.system
     regions = system.hierarchy.tiling.regions()
@@ -44,8 +51,19 @@ def schedule_tracked_walk(
         start=center,
         rng=random.Random(scenario.config.seed),
     )
-    for k in range(1, moves + 1):
-        system.sim.call_at(move_every * k, evader.step, tag="walk-move")
+
+    def move(k: int) -> None:
+        evader.step()
+        if k < moves:
+            schedule(k + 1)
+
+    def schedule(k: int) -> None:
+        system.sim.call_at(
+            move_every * k, partial(move, k), priority=-1, tag="walk-move"
+        )
+
+    if moves > 0:
+        schedule(1)
     if find_at is not None:
         system.sim.call_at(
             find_at, lambda: system.issue_find(regions[0]), tag="walk-find"
@@ -59,7 +77,7 @@ def walk_horizon(moves: int, move_every: float = MOVE_EVERY) -> float:
 
 
 def build_tracked_walk(config: ScenarioConfig, moves: int = 5) -> Scenario:
-    """Build ``config`` (trace forced on) with the walk scheduled."""
-    scenario = build(config.with_(trace=True))
+    """Build ``config`` with the walk scheduled."""
+    scenario = build(config)
     schedule_tracked_walk(scenario, moves=moves)
     return scenario

@@ -24,6 +24,20 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from .ckpt import (
+    CKPT_SCHEMA,
+    CkptCompatError,
+    CkptFormatError,
+    Variant,
+    bisect_divergence,
+    build_tracked_walk,
+    load,
+    run_fingerprint,
+    save,
+    snapshot_scenario,
+    walk_horizon,
+)
+
 #: Envelope schema for all ``--json`` output.
 CLI_SCHEMA = "repro-cli/1"
 
@@ -305,8 +319,6 @@ def _validate_text(v):
 
 
 def _snapshot(args):
-    # repro.ckpt needs cloudpickle, which most commands run without: import late.
-    from .ckpt import build_tracked_walk, save, snapshot_scenario
     from .scenario import ScenarioConfig
 
     config = ScenarioConfig(**_pick(args, "r", "max_level", "seed"))
@@ -345,7 +357,6 @@ def _note_moves(note: str, default: int = 5) -> int:
 
 
 def _resume(args):
-    from .ckpt import load, trace_fingerprint, walk_horizon
     from .scenario import build
 
     snapshot = load(args.path)
@@ -354,27 +365,27 @@ def _resume(args):
         until = walk_horizon(_note_moves(snapshot.meta.note))
     scenario = build(snapshot.config.with_(resume_from=snapshot))
     scenario.sim.run_until(until)
-    fp = trace_fingerprint(scenario)
-    finds = scenario.system.finds.records.values()
+    fp = run_fingerprint(scenario)
+    system = scenario.system
+    evader = system.evader
     return {
         "resumed_from_t": snapshot.meta.sim_time,
         "ran_until": until,
-        **dict(zip(("sim_time", "events_fired", "trace_records", "trace_crc"), fp)),
-        "evader_region": list(fp[4]) if fp[4] is not None else None,
-        "finds_completed": sum(1 for r in finds if r.completed),
+        **dict(zip(("sim_time", "events_fired", "sends", "send_crc"), fp)),
+        "evader_region": None if evader is None else list(evader.region),
+        "finds_completed": sum(1 for r in system.finds.records.values() if r.completed),
     }, 0
 
 
 def _resume_text(v):
     return (
         "resumed {path} from t={resumed_from_t:g} to t={sim_time:g}: "
-        "{events_fired} events fired, {trace_records} trace records "
-        "(crc {trace_crc:#010x}), evader at {at}"
+        "{events_fired} events fired, {sends} sends "
+        "(crc {send_crc:#010x}), evader at {at}"
     ).format_map({**v, "at": _region(v["evader_region"])})
 
 
 def _bisect(args):
-    from .ckpt import Variant, bisect_divergence
     from .scenario import ScenarioConfig
 
     return bisect_divergence(
@@ -391,10 +402,10 @@ def _bisect_text(v):
         if info is None:
             lines.append(f"  side {side}: (no event — side had already drained)")
             continue
-        records = info["trace_records"]
-        lines.append(f"  side {side}: event at t={info['time']:g}, "
-                     f"{len(records)} trace records")
-        lines += [f"    {tuple(record)}" for record in records[:4]]
+        sends = info["send_lines"]
+        lines.append(f"  side {side}: event {info['tag']} at t={info['time']:g}, "
+                     f"{len(sends)} sends")
+        lines += [f"    {line}" for line in sends[:4]]
     return "\n".join(lines)
 
 
@@ -657,7 +668,7 @@ COMMANDS: Tuple[Command, ...] = (
     )),
     Command("resume", "restore a checkpoint and run it to completion",
             None, _resume, _resume_text, (
-        Flag("path", TEXT, help="a ckpt/3 file written by 'repro snapshot'"),
+        Flag("path", TEXT, help=f"a {CKPT_SCHEMA} file written by 'repro snapshot'"),
         Flag("--until", TIME, None, "sim time to run to (default: the walk horizon)"),
     )),
     Command("bisect", "locate the first diverging event between two run variants",
@@ -765,14 +776,8 @@ def _check(flag: Flag, args: argparse.Namespace) -> None:
         raise ValueError(f"{flag.key} {domain.says}, got {value}")
 
 
-def _rejected_input() -> tuple:
-    """The exception types that mean "rejected input", not "bug"."""
-    # repro.ckpt needs cloudpickle: only the commands that can raise its
-    # typed refusals import it, so look it up instead of importing it.
-    ckpt = sys.modules.get(f"{__package__}.ckpt")
-    if ckpt is None:
-        return (ValueError, OSError)
-    return (ValueError, OSError, ckpt.CkptFormatError, ckpt.CkptCompatError)
+#: The exception types that mean "rejected input", not "bug".
+_REJECTED_INPUT = (ValueError, OSError, CkptFormatError, CkptCompatError)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -784,7 +789,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for flag in command.all_flags():
             _check(flag, args)
         data, code = command.run(args)
-    except _rejected_input() as exc:  # evaluated when something is raised
+    except _REJECTED_INPUT as exc:
         rejected, data, code = exc, {"error": str(exc)}, 2
     if args.json:
         data = {k: v for k, v in data.items() if not k.startswith("_")}

@@ -11,7 +11,6 @@ from .client_tracking import TrackingClient
 from .consistency import check_consistent, is_consistent
 from .emulated import EmulatedVineStalk
 from .finds import FindCoordinator, FindRecord
-from .invariants import InvariantMonitor
 from .lookahead import LookAheadError, look_ahead
 from .messages import (
     Find,
@@ -51,7 +50,6 @@ __all__ = [
     "Grow",
     "GrowNbr",
     "GrowPar",
-    "InvariantMonitor",
     "LookAheadError",
     "PointerState",
     "Shrink",

@@ -114,6 +114,5 @@ class TrackingClient(Client):
             getattr(message, "object_id", 0)
         ):
             self.founds_output += 1
-            self.trace("found-output", message.find_id)
             for observer in self._found_observers:
                 observer(message.find_id, self.region, self.node_id)

@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple
 from ..hierarchy.cluster import ClusterId
 
 #: Field-name tuples by concrete message class: ``__repr__`` runs once
-#: per send on the trace path, and ``dataclasses.fields`` re-resolves
+#: per send on the send-fold path, and ``dataclasses.fields`` re-resolves
 #: the class metadata on every call.
 _REPR_FIELDS: Dict[type, Tuple[str, ...]] = {}
 
@@ -48,7 +48,7 @@ class TrackerMessage:
 
     def __repr__(self) -> str:
         # ``object_id=0`` (the single-evader lane of the original
-        # paper) renders in the legacy pre-service form: trace lines
+        # paper) renders in the legacy pre-service form: send lines
         # and their pinned fingerprints are built from these reprs, and
         # lane-0 runs must stay bit-identical to the seed engine.
         cls = type(self)

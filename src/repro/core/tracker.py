@@ -422,7 +422,6 @@ class Tracker(TimedAutomaton):
             if handler is None:
                 raise TypeError(f"{self.name}: unhandled message {message!r}")
             self._recv_handlers[type(message)] = handler
-        self.trace("rcv", message)
         # getattr: extension message types (e.g. heartbeats) may not
         # carry an object_id; they belong to lane 0.
         object_id = getattr(message, "object_id", 0)
@@ -690,12 +689,6 @@ class Tracker(TimedAutomaton):
             else GrowPar(cid=self.clust, object_id=object_id)
         )
         self._queue_to_nbrs(update)
-        # Lane 0 keeps the exact legacy detail shape (bit-identity);
-        # extra lanes append their object id so per-object monitors can
-        # attribute lateral sends.
-        mode = "lateral" if lateral else "vertical"
-        detail = (par, mode) if object_id == 0 else (par, mode, object_id)
-        self.trace("grow-sent", detail)
         if _OBS.events_enabled:
             _OBS.emit(
                 GrowSent(
@@ -712,7 +705,6 @@ class Tracker(TimedAutomaton):
         lane.p = BOTTOM
         self._send(par, Shrink(cid=self.clust, object_id=object_id))
         self._queue_to_nbrs(ShrinkUpd(cid=self.clust, object_id=object_id))
-        self.trace("shrink-sent", par)
         if _OBS.events_enabled:
             _OBS.emit(
                 ShrinkSent(self.now, self.clust, self.lvl, par, object_id=object_id)
@@ -726,7 +718,6 @@ class Tracker(TimedAutomaton):
         for nbr in self.nbr_clusters:
             self.sendq.append((nbr, found))
         lane.finding = False
-        self.trace("found", lane.find_id)
         if _OBS.events_enabled:
             _OBS.emit(
                 FoundAnnounced(self.now, self.clust, lane.find_id, object_id=object_id)
@@ -736,7 +727,6 @@ class Tracker(TimedAutomaton):
         lane = self.lane(object_id)
         lane.finding = False
         self._send(dest, Find(cid=self.clust, find_id=lane.find_id, object_id=object_id))
-        self.trace("find-forward", dest)
         if _OBS.events_enabled:
             _OBS.emit(
                 FindForwarded(self.now, self.clust, self.lvl, dest, object_id=object_id)
@@ -747,7 +737,6 @@ class Tracker(TimedAutomaton):
         lane.nbrtimeout.arm(self.now + self._query_roundtrip())
         query = FindQuery(cid=self.clust, find_id=lane.find_id, object_id=object_id)
         self._queue_to_nbrs(query, exclude=lane.p)
-        self.trace("findquery", lane.find_id)
         if _OBS.events_enabled:
             _OBS.emit(
                 FindQueryIssued(

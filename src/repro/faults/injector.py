@@ -386,8 +386,6 @@ class FaultInjector:
             emulation.blackout(region)
         else:
             host.fail()
-        if self.sim.trace.enabled:
-            self.sim.trace.record(self.sim.now, f"fault:{region}", "fault-crash", None)
         if _OBS.events_enabled:
             _OBS.emit(FaultCrash(self.sim.now, region))
         return True
@@ -402,8 +400,6 @@ class FaultInjector:
         else:
             self.system.network.hosts[region].restart()
         self.stats.restores += 1
-        if self.sim.trace.enabled:
-            self.sim.trace.record(self.sim.now, f"fault:{region}", "fault-restore", None)
         if _OBS.events_enabled:
             _OBS.emit(FaultRestore(self.sim.now, region))
 

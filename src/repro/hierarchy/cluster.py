@@ -49,7 +49,7 @@ class ClusterId:
 
     def __repr__(self) -> str:
         # Ids are interned and every send formats its endpoints into a
-        # trace line, so the string is cached on first use.
+        # send line, so the string is cached on first use.
         cached = self.__dict__.get("_repr")
         if cached is None:
             cached = f"C{self.level}:{self.key}"

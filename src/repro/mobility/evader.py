@@ -85,7 +85,6 @@ class Evader:
         return len(self._observers)
 
     def _emit(self, event: str, region: RegionId) -> None:
-        self.sim.trace.record(self.sim.now, self.name, event, region)
         if OBS.events_enabled:
             OBS.emit(
                 EvaderMoved(

@@ -6,8 +6,7 @@ The layer has four legs (DESIGN.md §6):
   whose self time is charged to named phases (``build``, ``events``,
   ``geocast``, ``lookahead``, ``barrier``);
 * **typed events** (:mod:`repro.obs.events`) — schema-versioned
-  dataclass records emitted by the hot paths next to (never instead of)
-  the legacy trace strings;
+  dataclass records emitted by the hot paths: the trace of a run;
 * **export** (:mod:`repro.obs.export`) — the ``obs/1`` JSON artifact
   behind ``repro report --obs``;
 * **conformance** (:mod:`repro.obs.conformance`) — an online sampler

@@ -12,7 +12,7 @@ paths produce while observability is enabled:
   :class:`~repro.sim.metrics.MetricsRegistry` (so event counts survive
   deque eviction);
 * **subscribers** — synchronous callbacks invoked per event (the
-  conformance sampler's Lemma 4.2 feed).
+  conformance sampler's Lemma 4.2 feed, E6's search-level watch).
 
 The collector is plain state — it never touches the simulation — which
 is what the golden A/B test relies on.

@@ -1,18 +1,19 @@
 """Online conformance sampling: the paper's proofs as runtime checks.
 
-The test-suite checks Lemmas 4.1/4.2 and Theorem 4.8 after the fact;
-:class:`ConformanceSampler` runs the same checks *during* any run, on a
-configurable event-count stride, recording violations as structured
-:class:`~repro.obs.events.ConformanceViolation` events instead of
-failing the run.
+:class:`ConformanceSampler` is the one checker of Lemmas 4.1/4.2 and
+Theorem 4.8: it runs them *during* any run, on a configurable
+event-count stride (E3 runs it on every event), recording violations
+as structured :class:`~repro.obs.events.ConformanceViolation` events
+instead of failing the run.
 
 Checks (each a pure read of simulation state — sampling never draws
 from an RNG or schedules an event, so it cannot perturb the run):
 
 * ``lemma-4.1-grow`` / ``lemma-4.1-shrink`` — at most one grow/shrink
-  outstanding, via :class:`~repro.core.invariants.InvariantMonitor`'s
-  counting methods (the monitor is used as a calculator only; it is
-  never subscribed to the trace);
+  outstanding (:func:`grow_outstanding` / :func:`shrink_outstanding`):
+  cluster-originated messages in transit plus processes with a pending
+  timer, ``c ≠ ⊥ ∧ p = ⊥`` (grow) or ``c = ⊥ ∧ p ≠ ⊥`` (shrink), below
+  MAX;
 * ``lemma-4.2`` — at most one lateral grow per level per move epoch,
   fed by the typed :class:`~repro.obs.events.GrowSent` events (runs
   only while ``OBS.events_enabled`` routes them to a collector);
@@ -35,14 +36,45 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.atomic_model import AtomicModelError, atomic_move, init_state
-from ..core.invariants import InvariantMonitor
 from ..core.lookahead import LookAheadError, look_ahead
+from ..core.messages import Grow, Shrink
 from ..core.state import capture_snapshot
+from ..hierarchy.cluster import ClusterId
 from ._state import OBS
 from .events import ConformanceViolation, GrowSent
 
 #: Check identifiers, in reporting order.
 CHECKS = ("lemma-4.1-grow", "lemma-4.1-shrink", "lemma-4.2", "theorem-4.8")
+
+
+def _outstanding(system, object_id: int, message_type: type, pending) -> int:
+    in_transit = sum(
+        1
+        for src, _dest, payload, _t in system.cgcast.in_transit()
+        if isinstance(payload, message_type)
+        and isinstance(src, ClusterId)
+        and getattr(payload, "object_id", 0) == object_id
+    )
+    max_level = system.hierarchy.max_level
+    return in_transit + sum(
+        1
+        for tracker in system.trackers.values()
+        if tracker.lvl != max_level and pending(*tracker.pointer_state(object_id))
+    )
+
+
+def grow_outstanding(system, object_id: int = 0) -> int:
+    """Lane ``object_id``'s cluster grows in transit + pending-grow processes."""
+    return _outstanding(
+        system, object_id, Grow, lambda c, p, _up, _down: c is not None and p is None
+    )
+
+
+def shrink_outstanding(system, object_id: int = 0) -> int:
+    """Lane ``object_id``'s cluster shrinks in transit + pending-shrink processes."""
+    return _outstanding(
+        system, object_id, Shrink, lambda c, p, _up, _down: c is None and p is not None
+    )
 
 
 class ConformanceSampler:
@@ -85,8 +117,6 @@ class ConformanceSampler:
         self.object_id = object_id
         self.collector = collector if collector is not None else OBS.collector
         self.max_recorded = max_recorded
-        # Counting only, not watched; scoped to this sampler's lane.
-        self.monitor = InvariantMonitor(system, object_id=object_id)
         self.checks_run: Dict[str, int] = {check: 0 for check in CHECKS}
         self.violation_counts: Dict[str, int] = {check: 0 for check in CHECKS}
         self.violations: List[ConformanceViolation] = []
@@ -182,8 +212,8 @@ class ConformanceSampler:
     # ------------------------------------------------------------------
     def check_now(self) -> None:
         """Run the Lemma 4.1 and Theorem 4.8 checks on the current state."""
-        grow = self.monitor.grow_outstanding()
-        shrink = self.monitor.shrink_outstanding()
+        grow = grow_outstanding(self.system, self.object_id)
+        shrink = shrink_outstanding(self.system, self.object_id)
         self.max_grow_outstanding = max(self.max_grow_outstanding, grow)
         self.max_shrink_outstanding = max(self.max_shrink_outstanding, shrink)
         self.checks_run["lemma-4.1-grow"] += 1

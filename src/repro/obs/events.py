@@ -1,17 +1,16 @@
 """Typed structured trace events (schema-versioned dataclass records).
 
-These are the machine-readable counterpart of the free-form
-:class:`~repro.sim.trace.TraceRecord` strings on the hot paths of
-:mod:`repro.core.tracker`, :mod:`repro.geocast.cgcast` and
-:mod:`repro.faults.injector`.  Each event is a frozen dataclass with a
-class-level ``kind`` tag; :func:`event_dict` renders any event to a
-JSON-safe dict stamped with :data:`OBS_EVENT_SCHEMA`.
+These are the trace of a run: the hot paths of
+:mod:`repro.core.tracker`, :mod:`repro.geocast.cgcast`,
+:mod:`repro.mobility.evader` and :mod:`repro.faults.injector` emit them
+and nothing else.  Each event is a frozen dataclass with a class-level
+``kind`` tag; :func:`event_dict` renders any event to a JSON-safe dict
+stamped with :data:`OBS_EVENT_SCHEMA`.
 
-The legacy ``TraceLog`` records are kept untouched (the golden
-determinism tests and the invariant monitor parse their exact shapes);
-typed events flow through a *parallel* channel gated by
-``OBS.events_enabled``, so enabling them never perturbs a simulation
-and disabling them costs one boolean check per site.
+Events are gated by ``OBS.events_enabled``, so enabling them never
+perturbs a simulation and disabling them costs one boolean check per
+site.  What a run *did* is fingerprinted without them, from its C-gcast
+sends (:func:`repro.ckpt.run_fingerprint`).
 """
 
 from __future__ import annotations

@@ -66,7 +66,6 @@ class PhysicalNode:
         self._observers.append(observer)
 
     def _emit(self, event: str, region: RegionId) -> None:
-        self.sim.trace.record(self.sim.now, self.name, event, region)
         for observer in self._observers:
             observer(self, event, region)
 

@@ -10,8 +10,9 @@ through the same two names:
   :class:`~repro.faults.plan.FaultPlan`;
 * :func:`build` — the factory that turns a config into a
   :class:`Scenario`: the built system, its hierarchy, an attached
-  :class:`~repro.analysis.accounting.WorkAccountant` and (when the
-  config carries a fault plan) an armed
+  :class:`~repro.analysis.accounting.WorkAccountant`, the
+  :class:`~repro.sim.sharded.context.SendFold` of its C-gcast sends
+  and (when the config carries a fault plan) an armed
   :class:`~repro.faults.injector.FaultInjector`.
 
 Registry keys: ``vinestalk``, ``no-lateral``, ``stabilizing``,
@@ -69,7 +70,6 @@ class ScenarioConfig:
             the conventional seed for the caller's workload RNGs.
         system: Registry key (see module docstring) or a VineStalk-like
             class (``cls(hierarchy, delta=..., e=...)``).
-        trace: Whether the simulator trace stays enabled.
         nodes_per_region: Emulated regime: physical nodes per region.
         t_restart: Emulated regime: continuous-occupancy restart time.
         physical_routing: Emulated regime: route C-gcast hop-by-hop.
@@ -82,7 +82,7 @@ class ScenarioConfig:
         fault_plan: Optional :class:`~repro.faults.plan.FaultPlan`; when
             set, :func:`build` arms a fault injector seeded by ``seed``.
         resume_from: A :class:`~repro.ckpt.Snapshot` (or a path to a
-            saved ``ckpt/3`` file); :func:`build` then restores the
+            saved checkpoint file); :func:`build` then restores the
             snapshot's continuation instead of constructing a fresh
             world.  Every other field must either match the snapshot's
             own config or be left at its default — a checkpoint cannot
@@ -116,7 +116,6 @@ class ScenarioConfig:
     e: float = 0.5
     seed: int = 0
     system: Union[str, type] = "vinestalk"
-    trace: bool = False
     nodes_per_region: int = 2
     t_restart: float = 5.0
     physical_routing: bool = False
@@ -188,6 +187,8 @@ class Scenario:
         injector: Armed fault injector (None without a fault plan).
         energy_ledger: The attached :class:`~repro.energy.EnergyLedger`
             when the config carries an energy model (None otherwise).
+        send_fold: The :class:`~repro.sim.sharded.context.SendFold` of
+            the system's C-gcast sends (None for analytic baselines).
     """
 
     config: ScenarioConfig
@@ -196,6 +197,7 @@ class Scenario:
     accountant: Optional[Any] = None
     injector: Optional[Any] = None
     energy_ledger: Optional[Any] = None
+    send_fold: Optional[Any] = None
 
     @property
     def sim(self):
@@ -319,10 +321,10 @@ SYSTEM_BUILDERS: Dict[str, Callable[[ScenarioConfig, Any], Any]] = {
 def build(config: ScenarioConfig) -> Scenario:
     """Build the world ``config`` describes.
 
-    Message-level systems get the simulator trace set per
-    ``config.trace``, an attached work accountant, and — when the config
-    carries a fault plan — an armed fault injector seeded by
-    ``config.seed``.  Analytic baselines get neither (they have no
+    Message-level systems get an attached work accountant, a send fold
+    (the send half of :func:`repro.ckpt.run_fingerprint`) and — when the
+    config carries a fault plan — an armed fault injector seeded by
+    ``config.seed``.  Analytic baselines get none of these (they have no
     simulator to perturb).
 
     A config with ``resume_from`` set restores that checkpoint's
@@ -382,12 +384,13 @@ def _build_timed(config: ScenarioConfig) -> Scenario:
     if config.is_analytic:
         return Scenario(config=config, system=system, hierarchy=hierarchy)
 
-    system.sim.trace.enabled = config.trace
     # Lazy: repro.analysis imports repro.analysis.experiments, which
     # imports this module — a top-level import here would cycle.
     from .analysis.accounting import WorkAccountant
+    from .sim.sharded.context import SendFold
 
     accountant = WorkAccountant().attach(system.cgcast)
+    send_fold = SendFold().attach(system.cgcast)
     energy_ledger = None
     if config.energy is not None:
         from .energy.ledger import EnergyLedger
@@ -413,6 +416,7 @@ def _build_timed(config: ScenarioConfig) -> Scenario:
         accountant=accountant,
         injector=injector,
         energy_ledger=energy_ledger,
+        send_fold=send_fold,
     )
 
 

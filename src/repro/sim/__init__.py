@@ -1,10 +1,9 @@
-"""Discrete-event simulation substrate (engine, queue, RNG, trace, metrics)."""
+"""Discrete-event simulation substrate (engine, queue, RNG, metrics)."""
 
 from .engine import SimulationError, Simulator
 from .event_queue import Event, EventQueue
 from .metrics import Counter, MetricsRegistry
 from .rng import RngRegistry, choice_excluding
-from .trace import TraceLog, TraceRecord
 
 __all__ = [
     "Counter",
@@ -14,7 +13,5 @@ __all__ = [
     "RngRegistry",
     "SimulationError",
     "Simulator",
-    "TraceLog",
-    "TraceRecord",
     "choice_excluding",
 ]

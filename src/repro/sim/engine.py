@@ -21,7 +21,6 @@ from typing import Any, Callable, List, Optional
 from ..obs._state import OBS as _OBS
 from ..obs.spans import Span
 from .event_queue import Event, EventQueue
-from .trace import TraceLog
 
 #: Process-wide count of events fired by every Simulator instance.  The
 #: parallel sweep runner samples this around a job to compute events/sec
@@ -43,12 +42,10 @@ class Simulator:
 
     Attributes:
         now: Current simulation time.  Starts at 0.0.
-        trace: Structured trace log shared by all simulation components.
     """
 
-    def __init__(self, trace: Optional[TraceLog] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self.trace: TraceLog = trace if trace is not None else TraceLog()
         self._queue = EventQueue()
         self._events_fired = 0
         #: True while an event callback runs (``run*`` or ``step``).
@@ -255,7 +252,7 @@ class Simulator:
         fired = 0
         pop_next_before = self._queue.pop_next_before
         hooks = self._after_event
-        # The loop allocates heavily (messages, closures, trace lines)
+        # The loop allocates heavily (messages, closures, send records)
         # but creates no reference cycles, so the generational collector
         # finds nothing — yet its gen-2 passes scan the *entire* live
         # graph, which grows with the tracked-object count M.  That is

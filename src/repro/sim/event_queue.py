@@ -123,6 +123,11 @@ class EventQueue:
             return None
         return self._heap[0][0]
 
+    def peek(self) -> Optional[Event]:
+        """The earliest live event, left in place, or ``None`` if empty."""
+        self._drop_cancelled()
+        return self._heap[0][3] if self._heap else None
+
     def pop(self) -> Event:
         """Remove and return the earliest live event.
 

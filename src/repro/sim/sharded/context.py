@@ -18,6 +18,10 @@ Cross-shard messages travel as :class:`RemoteMessage` — plain picklable
 data with the sender's dispatch sequence number, which gives the driver
 a canonical ``(deliver_time, src_shard, seq)`` injection order
 independent of worker scheduling.
+
+Every world, sharded or not, folds its C-gcast sends through one
+:class:`SendFold` into the :func:`canonical_send_line` stream both
+engines fingerprint.
 """
 
 from __future__ import annotations
@@ -70,6 +74,75 @@ def canonical_send_line(record) -> str:
         f"{record.time!r}|{record.src!r}|{record.dest!r}|"
         f"{record.payload!r}|{record.cost!r}|{record.delay!r}"
     )
+
+
+class SendFold:
+    """The C-gcast send stream of one world, folded as it is dispatched.
+
+    :func:`repro.scenario.build` attaches one to every message-level
+    system.  Each send becomes its :func:`canonical_send_line`, and the
+    lines fold in dispatch order into ``crc`` — :func:`fold_crc` of all
+    of them, kept in O(1) — which is the send half of
+    :func:`repro.ckpt.run_fingerprint` and of the bisect fold.  A
+    cluster-originated ``Grow`` is a handover, counted per object.
+    ``lines`` stays ``None`` unless a reader wants the lines themselves:
+    the sharded engine sorts them into its K-invariant fingerprint.
+
+    A line is assembled from memoised pieces: the sends of one event
+    carry one time object, a tracker fans one payload object out to all
+    its neighbors, and cost and delay are functions of (src, dest) — a
+    record that deviates from the pair's cached cost or delay is
+    formatted in full.  The time and payload memos live for one batch,
+    whose records keep the memoised objects alive.
+    """
+
+    def __init__(self) -> None:
+        self.crc = 0
+        #: object_id -> cluster-originated Grow dispatches.  Each dispatch
+        #: is observed in exactly one shard, so per-object sums across
+        #: shards are exact and K-invariant.
+        self.handovers: Dict[int, int] = {}
+        self.lines: Optional[List[str]] = None
+        # Per (src, dest): ``(cost, delay, prefix, suffix)``.
+        self._pairs: Dict[tuple, Tuple[float, float, str, str]] = {}
+
+    def attach(self, cgcast) -> "SendFold":
+        cgcast.observe(self.observe)
+        return self
+
+    def observe(self, records) -> None:
+        """Fold one batch of send records (a ``CGcast.observe`` callback)."""
+        pairs = self._pairs
+        handovers = self.handovers
+        batch: List[str] = []
+        append = batch.append
+        last_time = last_payload = pairs  # matches no time or payload
+        time_repr = payload_repr = ""
+        for record in records:
+            time, src, dest, payload, cost, delay = record
+            # Identity, not equality: 3 == 3.0 but they print differently.
+            if time is not last_time:
+                last_time = time
+                time_repr = repr(time)
+            if payload is not last_payload:
+                last_payload = payload
+                payload_repr = repr(payload)
+            pair = pairs.get((src, dest))
+            if pair is None:
+                # Interned: a world has few distinct (cost, delay) suffixes.
+                pair = pairs[(src, dest)] = (
+                    cost, delay, f"|{src!r}|{dest!r}|", intern(f"|{cost!r}|{delay!r}"),
+                )
+            if pair[0] == cost and pair[1] == delay:
+                append(f"{time_repr}{pair[2]}{payload_repr}{pair[3]}")
+            else:
+                append(canonical_send_line(record))
+            if isinstance(payload, Grow) and isinstance(src, ClusterId):
+                oid = getattr(payload, "object_id", 0)
+                handovers[oid] = handovers.get(oid, 0) + 1
+        self.crc = zlib.crc32("".join(batch).encode(), self.crc)
+        if self.lines is not None:
+            self.lines += batch
 
 
 def fold_crc(lines: Iterable[str], sep: str = "") -> int:
@@ -126,15 +199,11 @@ class ShardContext:
         self.outbox: List[RemoteMessage] = []
         self._seq = 0
         self.busy_s = 0.0
+        # The world's send fold, told to keep its lines for report().
         self.send_lines: List[str] = []
-        # Memoised piece of the canonical send line (_observe_send):
-        # per (src, dest) ``(cost, delay, prefix, suffix)``.
-        self._line_pairs: Dict[tuple, Tuple[float, float, str, str]] = {}
-        # object_id -> cluster-originated Grow dispatches (handovers).
-        # Each dispatch is observed in exactly one shard, so per-object
-        # sums across shards are exact and K-invariant.
-        self.handovers: Dict[int, int] = {}
-        self.system.cgcast.observe(self._observe_send)
+        self.send_fold = self.scenario.send_fold
+        self.send_fold.lines = self.send_lines
+        self.handovers = self.send_fold.handovers
         sharded = plan.k > 1
         if sharded:
             self.system.cgcast.shard_router = self._route_cgcast
@@ -146,45 +215,6 @@ class ShardContext:
     # ------------------------------------------------------------------
     # Routing hooks
     # ------------------------------------------------------------------
-    def _observe_send(self, records) -> None:
-        """Fold a batch of sends into the fingerprints and handover counts.
-
-        Each line is byte for byte :func:`canonical_send_line` of its
-        record, assembled from memoised pieces: the sends of one event
-        carry one time object, a tracker fans one payload object out to
-        all its neighbors, and cost and delay are functions of (src,
-        dest) — a record that deviates from the pair's cached cost or
-        delay is formatted in full.  The time and payload memos live for
-        one batch, whose records keep the memoised objects alive.
-        """
-        pairs = self._line_pairs
-        handovers = self.handovers
-        append = self.send_lines.append
-        last_time = last_payload = pairs  # matches no time or payload
-        time_repr = payload_repr = ""
-        for record in records:
-            time, src, dest, payload, cost, delay = record
-            # Identity, not equality: 3 == 3.0 but they print differently.
-            if time is not last_time:
-                last_time = time
-                time_repr = repr(time)
-            if payload is not last_payload:
-                last_payload = payload
-                payload_repr = repr(payload)
-            pair = pairs.get((src, dest))
-            if pair is None:
-                # Interned: a world has few distinct (cost, delay) suffixes.
-                pair = pairs[(src, dest)] = (
-                    cost, delay, f"|{src!r}|{dest!r}|", intern(f"|{cost!r}|{delay!r}"),
-                )
-            if pair[0] == cost and pair[1] == delay:
-                append(f"{time_repr}{pair[2]}{payload_repr}{pair[3]}")
-            else:
-                append(canonical_send_line(record))
-            if isinstance(payload, Grow) and isinstance(src, ClusterId):
-                oid = getattr(payload, "object_id", 0)
-                handovers[oid] = handovers.get(oid, 0) + 1
-
     def _route_cgcast(self, src, dest, dest_region, payload, deliver_time) -> bool:
         shard = self.plan.shard_of(dest_region)
         if shard == self.shard_id:
@@ -234,7 +264,7 @@ class ShardContext:
     # ------------------------------------------------------------------
     def exact_crc(self) -> int:
         """CRC of the send lines in dispatch order (order-sensitive)."""
-        return fold_crc(self.send_lines)
+        return self.send_fold.crc
 
     def report(self) -> dict:
         """Picklable end-of-run summary for the driver to merge."""

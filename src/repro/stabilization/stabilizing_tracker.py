@@ -140,7 +140,6 @@ class StabilizingTracker(Tracker):
         #    periodic client grows; a stale anchor dissolves like a shrink.
         if self.lvl == 0 and self.c == self.clust:
             if self.anchor_heard is not None and self.now - self.anchor_heard > timeout:
-                self.trace("stabilize-drop-anchor", self.clust)
                 self.repairs += 1
                 self.c = BOTTOM
                 self.anchor_heard = None
@@ -157,7 +156,6 @@ class StabilizingTracker(Tracker):
         # 2. Child liveness: a silent child is stale — drop it like a shrink.
         if self.c not in (BOTTOM, self.clust):
             if self.child_heard is not None and self.now - self.child_heard > timeout:
-                self.trace("stabilize-drop-child", self.c)
                 self.repairs += 1
                 self.c = BOTTOM
                 self.child_heard = None
@@ -171,7 +169,6 @@ class StabilizingTracker(Tracker):
         #    grow timer re-arms exactly as for a fresh grow).
         if self.p is not BOTTOM:
             if self.parent_heard is not None and self.now - self.parent_heard > timeout:
-                self.trace("stabilize-drop-parent", self.p)
                 self.repairs += 1
                 self.p = BOTTOM
                 self.parent_heard = None
@@ -183,7 +180,6 @@ class StabilizingTracker(Tracker):
         # 4. Secondary-pointer leases.
         if self.nbrptup is not BOTTOM:
             if self.nbrptup_heard is not None and self.now - self.nbrptup_heard > timeout:
-                self.trace("stabilize-expire-nbrptup", self.nbrptup)
                 self.nbrptup = BOTTOM
                 self.nbrptup_heard = None
             elif self.nbrptup_heard is None:
@@ -193,7 +189,6 @@ class StabilizingTracker(Tracker):
                 self.nbrptdown_heard is not None
                 and self.now - self.nbrptdown_heard > timeout
             ):
-                self.trace("stabilize-expire-nbrptdown", self.nbrptdown)
                 self.nbrptdown = BOTTOM
                 self.nbrptdown_heard = None
             elif self.nbrptdown_heard is None:
@@ -213,7 +208,6 @@ class StabilizingTracker(Tracker):
         if self.parent_cluster is not None:
             valid_p.add(self.parent_cluster)
         if self.p is not BOTTOM and self.p not in valid_p:
-            self.trace("stabilize-type-p", self.p)
             self.repairs += 1
             self.p = BOTTOM
         children = set(h.children(self.clust))
@@ -221,19 +215,16 @@ class StabilizingTracker(Tracker):
         if self.lvl == 0:
             valid_c.add(self.clust)
         if self.c is not BOTTOM and self.c not in valid_c:
-            self.trace("stabilize-type-c", self.c)
             self.repairs += 1
             self.c = BOTTOM
         lateral = self.p is not BOTTOM and self.p in self.nbr_clusters
         if lateral and self.c is not BOTTOM and self.c not in children:
             if not (self.lvl == 0 and self.c == self.clust):
-                self.trace("stabilize-type-lateral-c", self.c)
                 self.repairs += 1
                 self.c = BOTTOM
         for attr in ("nbrptup", "nbrptdown"):
             value = getattr(self, attr)
             if value is not BOTTOM and value not in self.nbr_clusters:
-                self.trace(f"stabilize-type-{attr}", value)
                 setattr(self, attr, BOTTOM)
 
     # ------------------------------------------------------------------

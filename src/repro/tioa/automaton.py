@@ -17,7 +17,7 @@ until none remain.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import List, Optional
 
 from .actions import Action, ActionKind
 
@@ -34,7 +34,7 @@ class TimedAutomaton:
     """Base class for all timed automata in the system.
 
     Attributes:
-        name: Unique name within one executor (used for tracing/routing).
+        name: Unique name within one executor (used for routing).
         failed: Stopping-failure flag.  A failed automaton ignores inputs
             and enables no locally controlled actions until restarted.
     """
@@ -68,14 +68,6 @@ class TimedAutomaton:
         if executor is None:
             raise AutomatonError(f"automaton {self.name!r} is not attached")
         return executor.sim.now
-
-    def trace(self, kind: str, detail: Any = None) -> None:
-        executor = self._executor
-        if executor is None:
-            raise AutomatonError(f"automaton {self.name!r} is not attached")
-        trace = executor.sim.trace
-        if trace.enabled:
-            trace.record(executor.sim.now, self.name, kind, detail)
 
     # ------------------------------------------------------------------
     # Failure model (stopping failures + restart, §II-C.1/2)

@@ -18,7 +18,7 @@ The executor realises TIOA semantics operationally:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..sim.engine import Simulator
 from ..sim.event_queue import Event
@@ -62,11 +62,6 @@ class Executor:
     def now(self) -> float:
         return self.sim.now
 
-    def trace(self, automaton: TimedAutomaton, kind: str, detail: Any = None) -> None:
-        trace = self.sim.trace
-        if trace.enabled:
-            trace.record(self.sim.now, automaton.name, kind, detail)
-
     # ------------------------------------------------------------------
     # Output observation
     # ------------------------------------------------------------------
@@ -89,7 +84,6 @@ class Executor:
         def fire() -> None:
             if target.failed:
                 return
-            self.trace(target, "input", action)
             target.handle_input(action)
             self._drain(target)
 
@@ -118,7 +112,6 @@ class Executor:
 
     def _drain(self, automaton: TimedAutomaton) -> None:
         """Fire enabled locally controlled actions until quiescent."""
-        trace = self.sim.trace
         subscribers = self._subscribers
         enabled_outputs = automaton.enabled_outputs
         perform = automaton.perform
@@ -129,8 +122,6 @@ class Executor:
             if not enabled:
                 return
             action = enabled[0]
-            if trace.enabled:
-                trace.record(self.sim.now, automaton.name, "perform", action)
             perform(action)
             for subscriber in subscribers:
                 subscriber(automaton, action)

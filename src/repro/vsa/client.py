@@ -66,7 +66,6 @@ class Client(TimedAutomaton):
             raise RuntimeError(f"{self.name} has no GPS fix yet")
         if dest is None:
             dest = self.local_cluster()
-        self.trace("cTOBsend", (payload, dest))
         self.cgcast.send_from_client(self.region, dest, payload)
 
     def input_cTOBrcv(self, message: Any) -> None:

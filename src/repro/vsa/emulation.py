@@ -105,7 +105,6 @@ class VsaEmulation:
         self._populated_since[region] = None
         host = self.hosts[region]
         if not host.failed:
-            self.sim.trace.record(self.sim.now, f"vsa:{region}", "vsa-fail", None)
             host.fail()
 
     def _region_maybe_populated(self, region: RegionId) -> None:
@@ -132,7 +131,6 @@ class VsaEmulation:
             return  # emptied (and possibly re-populated) in the meantime
         host = self.hosts[region]
         if host.failed:
-            self.sim.trace.record(self.sim.now, f"vsa:{region}", "vsa-restart", None)
             host.restart()
 
     # ------------------------------------------------------------------
@@ -151,7 +149,6 @@ class VsaEmulation:
         self._blacked_out.add(region)
         host = self.hosts[region]
         if not host.failed:
-            self.sim.trace.record(self.sim.now, f"vsa:{region}", "vsa-fail", None)
             host.fail()
 
     def lift_blackout(self, region: RegionId) -> None:

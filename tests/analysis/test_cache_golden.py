@@ -8,17 +8,19 @@ checks:
 
 * the full E1 move-cost experiment returns an equal result object on
   the cached world and on a fresh one;
-* a seeded tracked-walk workload (moves + a find, trace enabled)
-  produces an identical event fingerprint — final sim time, events
-  fired, the full trace-kind histogram, the evader position and every
-  accountant total — either way.
+* a seeded tracked-walk workload (moves + a find) produces an identical
+  fingerprint — events fired, :func:`repro.ckpt.run_fingerprint` and
+  the typed-event histogram — either way, equal to the pin.
 """
 
 import random
+import zlib
 
 import pytest
 
+import repro.obs as obs
 from repro.analysis.experiments import run_move_walk
+from repro.ckpt import run_fingerprint
 from repro.hierarchy.grid import grid_hierarchy
 from repro.mobility import RandomNeighborWalk
 from repro.scenario import ScenarioConfig, build
@@ -37,44 +39,48 @@ def fresh(config):
     return config.with_(hierarchy=grid_hierarchy(config.r, config.max_level))
 
 
+#: The workload's (events fired, run fingerprint digest, typed-event
+#: kinds), computed on the commit that fingerprinted the string trace.
+GOLDEN = (
+    118,
+    "d699d0df",
+    (
+        ("evader-moved", 11),
+        ("find-forward", 4),
+        ("findquery", 1),
+        ("found", 1),
+        ("grow-sent", 8),
+        ("message-dispatched", 112),
+        ("shrink-sent", 4),
+    ),
+)
+
+
 def run_workload(world=lambda config: config):
     """Seeded E1-style workload: 5 scheduled moves, one find, t=70."""
-    scenario = build(
-        world(ScenarioConfig(r=2, max_level=2, seed=5, trace=True))
-    )
+    scenario = build(world(ScenarioConfig(r=2, max_level=2, seed=5)))
     system = scenario.system
     regions = system.hierarchy.tiling.regions()
     center = regions[len(regions) // 2]
-    evader = system.make_evader(
-        RandomNeighborWalk(start=center), dwell=1e12, start=center,
-        rng=random.Random(5),
-    )
-    for k in range(1, 6):
-        system.sim.call_at(10.0 * k, evader.step, tag="test-move")
-    system.sim.call_at(
-        55.0, lambda: system.issue_find(regions[0]), tag="test-find"
-    )
-    system.sim.run_until(70.0)
-    return scenario, evader
+    with obs.observed(spans=False) as collector:
+        evader = system.make_evader(
+            RandomNeighborWalk(start=center), dwell=1e12, start=center,
+            rng=random.Random(5),
+        )
+        for k in range(1, 6):
+            system.sim.call_at(10.0 * k, evader.step, tag="test-move")
+        system.sim.call_at(
+            55.0, lambda: system.issue_find(regions[0]), tag="test-find"
+        )
+        system.sim.run_until(70.0)
+    return fingerprint(scenario, collector)
 
 
-def fingerprint(scenario, evader):
-    system = scenario.system
-    accountant = scenario.accountant
-    finds = tuple(
-        (record.completed, record.latency, record.work, record.retries)
-        for record in system.finds.records.values()
-    )
+def fingerprint(scenario, collector):
     return (
-        system.sim.now,
-        system.sim.events_fired,
-        tuple(sorted(system.sim.trace.kinds().items())),
-        evader.region,
-        accountant.move_work,
-        accountant.find_work,
-        accountant.other_work,
-        accountant.messages,
-        finds,
+        scenario.sim.events_fired,
+        f"{zlib.crc32(repr(run_fingerprint(scenario)).encode()):08x}",
+        tuple(sorted(collector.events_by_kind().items())),
     )
 
 
@@ -91,15 +97,15 @@ def test_e1_move_walk_identical_with_and_without_cache(monkeypatch):
 
 
 def test_workload_fingerprint_identical_with_and_without_cache():
-    cached = fingerprint(*run_workload())
-    uncached = fingerprint(*run_workload(fresh))
+    cached = run_workload()
+    uncached = run_workload(fresh)
     assert topology_cache().stats.hierarchy_hits == 0
-    assert cached == uncached
+    assert cached == uncached == GOLDEN
 
 
 def test_repeated_cached_runs_share_state_but_not_results():
     # Two cached runs share one hierarchy object yet stay bit-identical
     # to each other — the shared structures are read-only to workloads.
-    first = fingerprint(*run_workload())
-    second = fingerprint(*run_workload())
+    first = run_workload()
+    second = run_workload()
     assert first == second

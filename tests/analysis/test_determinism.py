@@ -2,15 +2,17 @@
 
 The golden numbers below were captured on the pre-fast-lane event loop;
 the tuple-keyed queue, fused pop and hot-path caches must reproduce them
-bit-for-bit — same seed, same work totals, same trace histogram, same
-simulated clock.  A serial and a process-parallel sweep over the same
-jobs must also agree exactly.
+bit-for-bit — same seed, same work totals, same typed-event histogram,
+same run fingerprint, same simulated clock.  A serial and a
+process-parallel sweep over the same jobs must also agree exactly.
 """
 
 import random
+import zlib
 
 import pytest
 
+import repro.obs as obs
 from repro.analysis import (
     SweepRunner,
     job,
@@ -19,6 +21,7 @@ from repro.analysis import (
     run_move_walk,
 )
 from repro.analysis.parallel import RUNNERS
+from repro.ckpt import run_fingerprint
 from repro.mobility import RandomNeighborWalk
 from repro.scenario import ScenarioConfig, build
 
@@ -26,20 +29,20 @@ from repro.scenario import ScenarioConfig, build
 GOLDEN_E1_PER_MOVE_WORK = [
     8.0, 35.0, 8.0, 14.0, 14.0, 53.0, 11.0, 117.0, 11.0, 47.0,
 ]
-GOLDEN_TRACE_KINDS = {
-    "move": 6,
-    "cTOBsend": 12,
-    "rcv": 132,
-    "perform": 122,
+# Typed-event kinds and the run fingerprint of the walk below, computed
+# on the commit whose string trace this histogram replaced (its
+# "move"/"grow-sent"/… counts agree with these events one for one).
+GOLDEN_EVENT_KINDS = {
+    "evader-moved": 11,
+    "message-dispatched": 141,
     "grow-sent": 9,
-    "left": 5,
     "shrink-sent": 4,
-    "input": 1,
     "findquery": 1,
     "find-forward": 4,
     "found": 1,
-    "found-output": 1,
 }
+#: ``crc32(repr(run_fingerprint(...)))`` and its send CRC.
+GOLDEN_RUN_FINGERPRINT = ("a6bac7dc", 0x1E261AB6)
 GOLDEN_E8_ROWS = [
     ("vinestalk", 145.0, 82.0),
     ("home-agent", 21.0, 14.0),
@@ -70,24 +73,28 @@ class TestGoldenValues:
         assert res.max_settle_time == 40.0
 
     def test_trace_kind_histogram_and_accountant(self):
-        system, accountant = build(
-            ScenarioConfig(r=2, max_level=3, trace=True)
-        ).parts()
+        scenario = build(ScenarioConfig(r=2, max_level=3))
+        system, accountant = scenario.parts()
         regions = system.hierarchy.tiling.regions()
         center = regions[len(regions) // 2]
-        evader = system.make_evader(
-            RandomNeighborWalk(start=center),
-            dwell=1e12,
-            start=center,
-            rng=random.Random(7),
-        )
-        system.run_to_quiescence()
-        for _ in range(5):
-            evader.step()
+        with obs.observed(spans=False) as collector:
+            evader = system.make_evader(
+                RandomNeighborWalk(start=center),
+                dwell=1e12,
+                start=center,
+                rng=random.Random(7),
+            )
             system.run_to_quiescence()
-        system.issue_find(regions[0])
-        system.run_to_quiescence()
-        assert system.sim.trace.kinds() == GOLDEN_TRACE_KINDS
+            for _ in range(5):
+                evader.step()
+                system.run_to_quiescence()
+            system.issue_find(regions[0])
+            system.run_to_quiescence()
+        assert collector.events_by_kind() == GOLDEN_EVENT_KINDS
+        fingerprint = run_fingerprint(scenario)
+        assert (
+            f"{zlib.crc32(repr(fingerprint).encode()):08x}", fingerprint[3]
+        ) == GOLDEN_RUN_FINGERPRINT
         assert accountant.move_work == 168.0
         assert accountant.find_work == 29.0
         assert accountant.other_work == 0.0

@@ -13,7 +13,6 @@ from repro.mobility import FixedPath
 def world():
     h = grid_hierarchy(3, 2)
     system = VineStalk(h)
-    system.sim.trace.enabled = False
     # Step once so the evader cell differs from the cluster heads at the
     # block center (which render as level digits).
     evader = system.make_evader(
@@ -207,8 +206,7 @@ class TestJsonEnvelope:
         assert needle in self.unwrap(capsys, argv[0])["error"]
 
     def test_corrupt_checkpoint_rejected(self, capsys, tmp_path):
-        # The ckpt loader's typed refusal takes the same path (its types
-        # are looked up lazily: repro.ckpt needs cloudpickle).
+        # The ckpt loader's typed refusal takes the same path.
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"garbage")
         assert main(["resume", str(path), "--json"]) == 2

@@ -78,6 +78,7 @@ class TestBuild:
             scenario = build(ScenarioConfig(r=2, max_level=2, system=key))
             assert scenario.sim is not None
             assert scenario.accountant is not None
+            assert scenario.send_fold is not None
 
     def test_every_analytic_system_builds_bare(self):
         for key in ANALYTIC_SYSTEMS:
@@ -85,15 +86,12 @@ class TestBuild:
             assert scenario.sim is None
             assert scenario.accountant is None
             assert scenario.injector is None
+            assert scenario.send_fold is None
 
     def test_class_system_builds(self):
         scenario = build(ScenarioConfig(r=2, max_level=2, system=VineStalk))
         assert isinstance(scenario.system, VineStalk)
         assert scenario.system.delta == 1.0
-
-    def test_trace_flag_respected(self):
-        assert not build(ScenarioConfig(r=2, max_level=2)).sim.trace.enabled
-        assert build(ScenarioConfig(r=2, max_level=2, trace=True)).sim.trace.enabled
 
     def test_explicit_hierarchy_overrides_grid_params(self):
         donor = build(ScenarioConfig(r=2, max_level=3))

@@ -20,7 +20,6 @@ class TestNoLateral:
     def test_path_has_no_lateral_links(self):
         h = grid_hierarchy(3, 2)
         system = NoLateralVineStalk(h)
-        system.sim.trace.enabled = False
         evader = system.make_evader(
             FixedPath([(4, 4), (4, 5), (5, 5), (5, 4)]), dwell=1e12, start=(4, 4)
         )
@@ -36,7 +35,6 @@ class TestNoLateral:
     def test_finds_still_work(self):
         h = grid_hierarchy(3, 2)
         system = NoLateralVineStalk(h)
-        system.sim.trace.enabled = False
         system.make_evader(FixedPath([(4, 4)]), dwell=1e12, start=(4, 4))
         system.run_to_quiescence()
         find_id = system.issue_find((0, 0))

@@ -1,35 +1,49 @@
 """Divergence bisection: the report must pinpoint the first split.
 
 Ground truth for the seeded case is computed here the slow way — two
-full runs, first differing trace-affecting event by index — and
-:func:`repro.ckpt.bisect_divergence` must land on exactly that event
-while doing only windowed comparisons plus one checkpoint replay.
+full runs, each event's clock and send lines folded as they come, first
+differing event by index — and :func:`repro.ckpt.bisect_divergence`
+must land on exactly that event while doing only windowed comparisons
+plus one checkpoint replay.
 """
 
 import zlib
 
 import pytest
 
-from repro.ckpt import Variant, bisect_divergence, build_tracked_walk, walk_horizon
+from repro.ckpt import (
+    Variant,
+    bisect_divergence,
+    build_tracked_walk,
+    snapshot_scenario,
+    walk_horizon,
+)
 from repro.ckpt.bisect import _first_mismatch
 from repro.scenario import ScenarioConfig
+from repro.sim.sharded.context import canonical_send_line
 
 CONFIG = ScenarioConfig(r=2, max_level=2, seed=7)
 
 
-def _event_crcs(config):
-    """Per-event rolling CRCs of a full run (the reference sequence)."""
+def _event_sends(config):
+    """Per event of a full run: (clock, send lines, tag) — the reference."""
     scenario = build_tracked_walk(config)
     sim = scenario.sim
-    crcs, crc, seen = [], 0, 0
-    while sim.step(until=walk_horizon(5)):
-        crc = zlib.crc32(repr(sim.now).encode(), crc)
-        records = list(sim.trace)
-        for rec in records[seen:]:
-            crc = zlib.crc32(
-                repr((rec.time, rec.source, rec.kind, rec.detail)).encode(), crc
-            )
-        seen = len(records)
+    sends = []
+    scenario.system.cgcast.observe(sends.extend)
+    events = []
+    while (event := sim._queue.peek()) is not None and sim.step(until=walk_horizon(5)):
+        events.append((sim.now, [canonical_send_line(r) for r in sends], event.tag))
+        sends.clear()
+    return events
+
+
+def _event_crcs(events):
+    """The rolling per-event fingerprints of :func:`_event_sends`."""
+    crcs, crc, sent = [], 0, 0
+    for now, lines, _tag in events:
+        sent = zlib.crc32("".join(lines).encode(), sent)
+        crc = zlib.crc32(f"{now!r}|{sent}".encode(), crc)
         crcs.append(crc)
     return crcs
 
@@ -58,8 +72,9 @@ class TestBisect:
         assert report.events_compared > 0
 
     def test_seed_divergence_is_pinpointed_exactly(self):
-        ref_a = _event_crcs(CONFIG)
-        ref_b = _event_crcs(CONFIG.with_(seed=8))
+        events_a = _event_sends(CONFIG)
+        events_b = _event_sends(CONFIG.with_(seed=8))
+        ref_a, ref_b = _event_crcs(events_a), _event_crcs(events_b)
         truth = next(
             i for i, (x, y) in enumerate(zip(ref_a, ref_b)) if x != y
         )
@@ -73,7 +88,12 @@ class TestBisect:
         assert report.fingerprint_a != report.fingerprint_b
         assert report.event_a is not None and report.event_b is not None
         assert report.event_a.time == report.event_b.time  # same scheduled slot
-        assert report.event_a.records != report.event_b.records
+        assert report.event_a.send_lines != report.event_b.send_lines
+        # The report replays the diverging event itself: its tag and lines.
+        for info, events in ((report.event_a, events_a), (report.event_b, events_b)):
+            now, lines, tag = events[truth]
+            assert (info.time, list(info.send_lines), info.tag) == (now, lines, tag)
+            assert info.tag
         assert report.checkpoints >= 2
 
     def test_window_size_does_not_change_the_verdict(self):
@@ -106,6 +126,25 @@ class TestBisect:
         )
         assert report.diverged
         assert report.as_dict()["event_index"] == report.event_index
+
+
+class TestCheckpointSize:
+    def test_tracked_walk_snapshot_does_not_grow_with_events(self):
+        """A window checkpoint holds the world, not the run so far.
+
+        On a 4-region world the walk has sent over every route by t=105;
+        from there, 7x the events fired leave the payload within 1 % —
+        what a run records about itself is O(1) (the send CRC), and the
+        rest of the walk is one queued event, not one per move.
+        """
+        scenario = build_tracked_walk(CONFIG.with_(max_level=1), moves=80)
+        sizes = {}
+        for t in (105.0, 795.0):
+            scenario.sim.run_until(t)
+            sizes[scenario.sim.events_fired] = len(snapshot_scenario(scenario).payload)
+        (early, small), (late, large) = sorted(sizes.items())
+        assert late >= 7 * early
+        assert large <= small * 1.01, sizes
 
 
 class TestVariantParse:

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.ckpt import CKPT_SCHEMA
 from repro.cli import CLI_SCHEMA, main
 
 
@@ -18,7 +19,7 @@ class TestSnapshotResume:
         path = str(tmp_path / "walk.ckpt")
         assert main(["snapshot", "--out", path]) == 0
         out = capsys.readouterr().out
-        assert "ckpt/3" in out and path in out
+        assert CKPT_SCHEMA in out and path in out
 
         assert main(["resume", path]) == 0
         out = capsys.readouterr().out

@@ -10,8 +10,8 @@ into an exact resume for every index.
 from repro.ckpt import (
     build_tracked_walk,
     fork_scenario,
+    run_fingerprint,
     snapshot_scenario,
-    trace_fingerprint,
     walk_horizon,
 )
 from repro.faults.plan import CHANNEL_BOTH, FaultPlan, MessageLoss
@@ -34,7 +34,7 @@ def _snapshot_at(config, t):
 def _run_fork(snapshot, index):
     forked = fork_scenario(snapshot, index).scenario
     forked.sim.run_until(HORIZON)
-    return trace_fingerprint(forked)
+    return run_fingerprint(forked)
 
 
 def test_same_index_is_bit_identical():
@@ -62,8 +62,8 @@ def test_fork_without_registries_is_an_exact_resume():
     golden = build_tracked_walk(plain)
     golden.sim.run_until(HORIZON)
     snapshot = _snapshot_at(plain, 25.0)
-    assert _run_fork(snapshot, 0) == trace_fingerprint(golden)
-    assert _run_fork(snapshot, 9) == trace_fingerprint(golden)
+    assert _run_fork(snapshot, 0) == run_fingerprint(golden)
+    assert _run_fork(snapshot, 9) == run_fingerprint(golden)
 
 
 def test_extras_registries_fork_too():

@@ -13,6 +13,7 @@ import pytest
 
 from repro.ckpt import (
     CKPT_MAGIC,
+    CKPT_SCHEMA,
     CkptCompatError,
     CkptFormatError,
     build_tracked_walk,
@@ -64,7 +65,7 @@ class TestRoundTrip:
         assert loaded.payload == snapshot.payload
 
     def test_meta_is_readable_without_unpickling(self, snapshot):
-        assert snapshot.meta.schema == "ckpt/3"
+        assert snapshot.meta.schema == CKPT_SCHEMA
         assert snapshot.meta.sim_time == 25.0
         assert snapshot.meta.note == "format-test"
         assert snapshot.meta.fingerprint.startswith("sha256:")
@@ -126,8 +127,8 @@ class TestResumeFromCompat:
     def test_defaults_config_resumes_anything(self, snapshot):
         scenario = build(ScenarioConfig(resume_from=snapshot))
         assert scenario.sim.now == 25.0
-        # the snapshot's config wins (the walk builder forces trace on)
-        assert scenario.config == CONFIG.with_(trace=True)
+        # the snapshot's config wins
+        assert scenario.config == CONFIG
 
     def test_matching_config_resumes(self, snapshot):
         scenario = build(snapshot.config.with_(resume_from=snapshot))

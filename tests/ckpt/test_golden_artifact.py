@@ -1,4 +1,4 @@
-"""The committed ``ckpt/3`` golden artifact must stay loadable on HEAD.
+"""The committed golden artifact must stay loadable on HEAD.
 
 ``tests/ckpt/golden/walk-r2-M2.ckpt`` is a checkpoint of the canonical
 tracked walk (r=2, MAX=2, seed=7) cut at t=25, committed to the repo.
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.ckpt import load, restore_scenario, walk_horizon
+from repro.ckpt import CKPT_SCHEMA, load, restore_scenario, walk_horizon
 from repro.ckpt.snapshot import _python_tag
 
 ARTIFACT = Path(__file__).parent / "golden" / "walk-r2-M2.ckpt"
@@ -42,7 +42,7 @@ def snapshot():
 
 def test_meta_matches_the_committed_workload(snapshot):
     meta = snapshot.meta
-    assert meta.schema == "ckpt/3"
+    assert meta.schema == CKPT_SCHEMA
     assert meta.sim_time == 25.0
     assert meta.events_fired > 0
     assert "tracked-walk" in meta.note
@@ -71,10 +71,10 @@ def test_artifact_restores_and_resumes(snapshot):
 
 
 def test_artifact_forks_deterministically(snapshot):
-    from repro.ckpt import fork_scenario, trace_fingerprint
+    from repro.ckpt import fork_scenario, run_fingerprint
 
     a = fork_scenario(snapshot, 1).scenario
     b = fork_scenario(snapshot, 1).scenario
     a.sim.run_until(walk_horizon(5))
     b.sim.run_until(walk_horizon(5))
-    assert trace_fingerprint(a) == trace_fingerprint(b)
+    assert run_fingerprint(a) == run_fingerprint(b)

@@ -2,9 +2,10 @@
 
 Each case runs the canonical tracked walk twice — once straight through,
 once cut at a chosen simulation time, snapshotted, restored and resumed
-— and requires :func:`repro.ckpt.trace_fingerprint` equality: same
-trace (every record), same clock, same event count, same evader
-position, same accountant totals, same find records.
+— and requires :func:`repro.ckpt.run_fingerprint` equality: same
+C-gcast sends (every one, in order), same clock, same event count, same
+accountant totals, same find records, same final pointers.  The walk is
+a default :func:`~repro.scenario.build`: nothing is switched on for it.
 
 Cut points cover the three phases where in-flight state is richest:
 
@@ -20,14 +21,16 @@ is global state outside the snapshot, and resuming under it must not
 perturb the simulation.
 """
 
+import random
+
 import pytest
 
 import repro.obs as obs
 from repro.ckpt import (
     build_tracked_walk,
     restore_scenario,
+    run_fingerprint,
     snapshot_scenario,
-    trace_fingerprint,
     walk_horizon,
 )
 from repro.faults.plan import (
@@ -36,7 +39,8 @@ from repro.faults.plan import (
     MessageLoss,
     RegionBlackout,
 )
-from repro.scenario import ScenarioConfig
+from repro.mobility import RandomNeighborWalk
+from repro.scenario import ScenarioConfig, build
 
 HORIZON = walk_horizon(5)  # t=70: every scheduled move + find has settled
 
@@ -59,7 +63,7 @@ CASES = [
 def _uninterrupted(config):
     scenario = build_tracked_walk(config)
     scenario.sim.run_until(HORIZON)
-    return trace_fingerprint(scenario)
+    return run_fingerprint(scenario)
 
 
 def _cut_and_resume(config, cut_at):
@@ -73,7 +77,7 @@ def _cut_and_resume(config, cut_at):
     resumed = restore_scenario(snapshot).scenario
     assert resumed.system.cgcast._pending == []
     resumed.sim.run_until(HORIZON)
-    return snapshot, trace_fingerprint(resumed)
+    return snapshot, run_fingerprint(resumed)
 
 
 @pytest.mark.parametrize("config, cut_at", CASES)
@@ -100,7 +104,7 @@ def test_snapshot_does_not_perturb_the_original():
     scenario.sim.run_until(25.0)
     snapshot_scenario(scenario)
     scenario.sim.run_until(HORIZON)
-    assert trace_fingerprint(scenario) == golden
+    assert run_fingerprint(scenario) == golden
 
 
 def test_restores_are_independent_continuations():
@@ -113,12 +117,40 @@ def test_restores_are_independent_continuations():
     first.sim.run_until(HORIZON)  # driving one must not advance the other
     assert second.sim.now == 30.0
     second.sim.run_until(HORIZON)
-    assert trace_fingerprint(first) == trace_fingerprint(second)
+    assert run_fingerprint(first) == run_fingerprint(second)
+
+
+def test_fingerprint_tells_runs_apart():
+    """A default build folds its sends: seeds and fault plans show."""
+    plain = _uninterrupted(PLAIN)
+    assert plain[2] > 0 and plain[3] != 0  # sends, send CRC
+    assert _uninterrupted(PLAIN.with_(seed=8)) != plain
+    assert _uninterrupted(BLACKOUT) != plain  # armed vs unarmed
+
+
+@pytest.mark.parametrize("config", [PLAIN, BLACKOUT], ids=["plain", "blackout"])
+def test_chained_walk_runs_as_a_walk_queued_in_full(config):
+    """The walk's moves form a chain on the queue (one pending event);
+    queued all at build time instead, every move is the first event of
+    its instant too, so both runs are the same run."""
+    queued = build(config)
+    system = queued.system
+    regions = system.hierarchy.tiling.regions()
+    center = regions[len(regions) // 2]
+    evader = system.make_evader(
+        RandomNeighborWalk(start=center), dwell=1e12, start=center,
+        rng=random.Random(config.seed),
+    )
+    for k in range(1, 6):
+        system.sim.call_at(10.0 * k, evader.step, tag="walk-move")
+    system.sim.call_at(55.0, lambda: system.issue_find(regions[0]), tag="walk-find")
+    queued.sim.run_until(HORIZON)
+    assert run_fingerprint(queued) == _uninterrupted(config)
 
 
 def test_finds_complete_after_resume():
     """The resumed mid-find run actually finishes its find."""
     _, resumed_fp = _cut_and_resume(PLAIN, 55.5)
-    finds = resumed_fp[-1]
+    finds = resumed_fp[5]
     assert len(finds) == 1
     assert finds[0][1] is True  # completed

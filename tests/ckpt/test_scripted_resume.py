@@ -8,7 +8,7 @@ already placed and evaders yet to be created on the same generator.
 
 import pytest
 
-from repro.ckpt import restore_scenario, snapshot_scenario, trace_fingerprint
+from repro.ckpt import restore_scenario, run_fingerprint, snapshot_scenario
 from repro.scenario import ScenarioConfig, build
 from repro.sim.sharded.workload import (
     EvaderEnter,
@@ -34,7 +34,7 @@ SCRIPT = ScriptedWorkload(
 
 
 def _scripted():
-    scenario = build(ScenarioConfig(r=2, max_level=2, seed=7, n_objects=3, trace=True))
+    scenario = build(ScenarioConfig(r=2, max_level=2, seed=7, n_objects=3))
     schedule_workload(scenario.system, SCRIPT)
     return scenario
 
@@ -43,7 +43,7 @@ def _outcome(scenario):
     system = scenario.system
     evaders = [system.object_evader(i) for i in range(3)]
     return (
-        trace_fingerprint(scenario),
+        run_fingerprint(scenario),
         [(e.region, e.moves_made) for e in evaders],
         len({id(e.rng) for e in evaders}),
     )

@@ -35,7 +35,6 @@ def test_moving_evader_tracked_continuously():
     """Finds issued against a continuously moving evader still succeed."""
     h = grid_hierarchy(3, 2)
     system = VineStalk(h)
-    system.sim.trace.enabled = False
     dwell = concurrent_dwell(system.schedule, h.params, system.delta, system.e)
     rng = random.Random(4)
     evader = system.make_evader(
@@ -65,7 +64,6 @@ def test_faster_than_allowed_evader_still_usable():
     the service must remain usable — finds keep completing."""
     h = grid_hierarchy(3, 2)
     system = VineStalk(h)
-    system.sim.trace.enabled = False
     rng = random.Random(6)
     evader = system.make_evader(
         RandomNeighborWalk(start=(4, 4)), dwell=1.0, start=(4, 4), rng=rng

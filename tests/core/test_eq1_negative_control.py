@@ -44,7 +44,6 @@ def run_oscillation(schedule):
             TimerSchedule.validate = original
     else:
         system = VineStalk(h)
-    system.sim.trace.enabled = False
     accountant = WorkAccountant().attach(system.cgcast)
     pair = worst_boundary_pair(h)
     evader = system.make_evader(

@@ -12,7 +12,6 @@ class TestFindRetry:
         """A find that dies with a failed VSA is recovered by re-issue."""
         h = grid_hierarchy(3, 2)
         system = EmulatedVineStalk(h, nodes_per_region=1, t_restart=2.0)
-        system.sim.trace.enabled = False
         system.make_evader(FixedPath([(4, 4)]), dwell=1e12, start=(4, 4))
         system.run_to_quiescence()
         # Fail the querier's level-1 head so the search escalation dies.
@@ -31,7 +30,6 @@ class TestFindRetry:
     def test_no_retry_after_completion(self):
         h = grid_hierarchy(3, 2)
         system = VineStalk(h)
-        system.sim.trace.enabled = False
         system.make_evader(FixedPath([(4, 4)]), dwell=1e12, start=(4, 4))
         system.run_to_quiescence()
         find_id = system.issue_find((0, 0), retry_after=100.0, max_retries=5)
@@ -44,7 +42,6 @@ class TestFindRetry:
     def test_retries_capped(self):
         h = grid_hierarchy(3, 2)
         system = EmulatedVineStalk(h, nodes_per_region=1, t_restart=1e6)
-        system.sim.trace.enabled = False
         system.make_evader(FixedPath([(4, 4)]), dwell=1e12, start=(4, 4))
         system.run_to_quiescence()
         system.kill_region((4, 4))  # the terminus VSA: find cannot finish
@@ -66,7 +63,6 @@ class TestGoldenCosts:
     def canonical(self):
         h = grid_hierarchy(3, 2)
         system = VineStalk(h)  # δ=1, e=0.5, grid schedule
-        system.sim.trace.enabled = False
         from repro.analysis import WorkAccountant
 
         accountant = WorkAccountant().attach(system.cgcast)

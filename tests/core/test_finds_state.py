@@ -124,7 +124,6 @@ class TestSnapshotCapture:
     def system(self):
         h = grid_hierarchy(2, 2)
         system = VineStalk(h)
-        system.sim.trace.enabled = False
         system.make_evader(FixedPath([(0, 0), (1, 1)]), dwell=1e12, start=(0, 0))
         return h, system
 
@@ -186,7 +185,6 @@ class TestClientEdgeCases:
         """A restarted client that missed the move does not send shrink."""
         h = grid_hierarchy(2, 2)
         system = VineStalk(h)
-        system.sim.trace.enabled = False
         evader = system.make_evader(
             FixedPath([(0, 0), (1, 1)]), dwell=1e12, start=(0, 0)
         )

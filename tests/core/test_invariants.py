@@ -1,13 +1,15 @@
-"""Lemma 4.1 / 4.2 invariant tests over real executions."""
+"""Lemma 4.1 / 4.2 invariant tests over real executions.
 
-import random
+The one checker is :class:`~repro.obs.conformance.ConformanceSampler`;
+its negative controls live beside it in ``tests/obs/test_conformance.py``.
+"""
 
-import pytest
-
+import repro.obs as obs
 from repro.analysis import run_invariant_watch
-from repro.core import InvariantMonitor, VineStalk
+from repro.core import VineStalk
 from repro.hierarchy import grid_hierarchy
 from repro.mobility import BoundaryOscillator, RandomNeighborWalk, worst_boundary_pair
+from repro.obs.conformance import grow_outstanding, shrink_outstanding
 
 
 def test_lemma_4_1_random_walk():
@@ -31,35 +33,23 @@ def test_lemma_4_2_one_lateral_per_level_per_move():
     """Boundary oscillation maximises laterals; still ≤ 1 per move/level."""
     h = grid_hierarchy(2, 3)
     system = VineStalk(h)
-    system.sim.trace.enabled = True
-    system.sim.trace.capacity = 1
     a, b = worst_boundary_pair(h)
     evader = system.make_evader(BoundaryOscillator(a, b), dwell=1e12, start=a)
-    monitor = InvariantMonitor(system)
-    monitor.watch()
-    system.run_to_quiescence()
-    for _ in range(12):
-        evader.step()
+    with obs.observed(spans=False):
+        sampler = obs.ConformanceSampler(system, stride=1).attach()
         system.run_to_quiescence()
-    assert monitor.violations == []
-    assert monitor.lateral_sends_total() >= 1  # laterals actually used
+        for _ in range(12):
+            evader.step()
+            system.run_to_quiescence()
+        sampler.detach()
+    assert sampler.total_violations() == 0, sampler.violations
+    assert sampler.checks_run["lemma-4.2"] >= 1  # laterals actually used
 
 
 def test_monitor_counts_quiescent_state_as_zero():
     h = grid_hierarchy(2, 2)
     system = VineStalk(h)
-    system.sim.trace.enabled = False
     system.make_evader(RandomNeighborWalk(start=(0, 0)), dwell=1e12, start=(0, 0))
     system.run_to_quiescence()
-    monitor = InvariantMonitor(system)
-    assert monitor.grow_outstanding() == 0
-    assert monitor.shrink_outstanding() == 0
-
-
-def test_assert_clean_raises_on_violation():
-    h = grid_hierarchy(2, 2)
-    system = VineStalk(h)
-    monitor = InvariantMonitor(system)
-    monitor.violations.append("synthetic")
-    with pytest.raises(AssertionError):
-        monitor.assert_clean()
+    assert grow_outstanding(system) == 0
+    assert shrink_outstanding(system) == 0

@@ -29,7 +29,6 @@ def run_walk(h, seq, partial_settle=None):
     With ``partial_settle`` the last move only runs that long (mid-flight).
     """
     system = VineStalk(h)
-    system.sim.trace.enabled = False
     evader = system.make_evader(FixedPath(seq), dwell=1e12, start=seq[0])
     system.run_to_quiescence()
     for index in range(1, len(seq)):
@@ -108,7 +107,6 @@ class TestMidFlightEquality:
         """Drain the move event by event; the equation holds at each step."""
         seq = [(4, 4), (3, 3)]
         system = VineStalk(h)
-        system.sim.trace.enabled = False
         evader = system.make_evader(FixedPath(seq), dwell=1e12, start=seq[0])
         system.run_to_quiescence()
         evader.step()

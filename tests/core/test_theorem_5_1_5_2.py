@@ -30,7 +30,6 @@ def settled():
     """A settled system after a 25-step walk (module-scoped: read-only tests)."""
     h = grid_hierarchy(3, 2)
     system = VineStalk(h)
-    system.sim.trace.enabled = False
     rng = random.Random(9)
     evader = system.make_evader(
         RandomNeighborWalk(start=(4, 4)), dwell=1e12, start=(4, 4), rng=rng

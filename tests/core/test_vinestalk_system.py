@@ -74,7 +74,6 @@ class TestAssembly:
 class TestTrackingServiceSpec:
     def test_every_find_followed_by_found(self, h):
         system = VineStalk(h)
-        system.sim.trace.enabled = False
         rng = random.Random(3)
         evader = system.make_evader(
             RandomNeighborWalk(start=(4, 4)), dwell=1e12, start=(4, 4), rng=rng
@@ -90,7 +89,6 @@ class TestTrackingServiceSpec:
 
     def test_found_occurs_at_evader_region(self, h):
         system = VineStalk(h)
-        system.sim.trace.enabled = False
         evader = system.make_evader(
             FixedPath([(4, 4), (5, 5)]), dwell=1e12, start=(4, 4)
         )
@@ -105,7 +103,6 @@ class TestTrackingServiceSpec:
     def test_found_responds_to_prior_find_only(self, h):
         """Clients not hosting the evader never output found."""
         system = VineStalk(h)
-        system.sim.trace.enabled = False
         system.make_evader(FixedPath([(4, 4)]), dwell=1e12, start=(4, 4))
         system.run_to_quiescence()
         system.issue_find((0, 0))
@@ -118,7 +115,6 @@ class TestTrackingServiceSpec:
 
     def test_concurrent_finds_all_complete(self, h):
         system = VineStalk(h)
-        system.sim.trace.enabled = False
         system.make_evader(FixedPath([(4, 4)]), dwell=1e12, start=(4, 4))
         system.run_to_quiescence()
         ids = [system.issue_find(origin) for origin in [(0, 0), (8, 8), (0, 8), (8, 0)]]
@@ -170,7 +166,6 @@ class TestClientAlgorithm:
 class TestEmulatedSystem:
     def test_kill_and_recover(self, h):
         system = EmulatedVineStalk(h, nodes_per_region=1, t_restart=2.0)
-        system.sim.trace.enabled = False
         evader = system.make_evader(
             RandomNeighborWalk(start=(4, 4)), dwell=1e12, start=(4, 4),
             rng=random.Random(1),
@@ -196,7 +191,6 @@ class TestEmulatedSystem:
 
     def test_random_churn_bookkeeping(self, h):
         system = EmulatedVineStalk(h, nodes_per_region=1, t_restart=1.0)
-        system.sim.trace.enabled = False
         rng = random.Random(5)
         outcome = system.random_churn(rng, kill_probability=0.3, revive_probability=0.5)
         assert outcome["killed"] > 0
@@ -204,7 +198,6 @@ class TestEmulatedSystem:
 
     def test_finds_still_work_away_from_failures(self, h):
         system = EmulatedVineStalk(h, nodes_per_region=1, t_restart=2.0)
-        system.sim.trace.enabled = False
         system.make_evader(FixedPath([(4, 4)]), dwell=1e12, start=(4, 4))
         system.run_to_quiescence()
         system.kill_region((0, 8))  # far corner, not on the path

@@ -27,8 +27,8 @@ import repro.obs as obs  # noqa: E402
 from repro.ckpt import (  # noqa: E402
     build_tracked_walk,
     restore_scenario,
+    run_fingerprint,
     snapshot_scenario,
-    trace_fingerprint,
     walk_horizon,
 )
 from repro.faults import (  # noqa: E402
@@ -277,11 +277,11 @@ def test_snapshot_inside_an_instant_resumes_bit_identically():
     resumed = restore_scenario(snapshot).scenario
     assert resumed.injector._edge_counts == counts
     resumed.sim.run_until(horizon)
-    assert trace_fingerprint(resumed) == trace_fingerprint(golden)
+    assert run_fingerprint(resumed) == run_fingerprint(golden)
     assert resumed.injector.stats == golden.injector.stats
 
     # The counters are load-bearing: forgetting them changes the run.
     amnesiac = restore_scenario(snapshot).scenario
     amnesiac.injector._edge_counts.clear()
     amnesiac.sim.run_until(horizon)
-    assert trace_fingerprint(amnesiac) != trace_fingerprint(golden)
+    assert run_fingerprint(amnesiac) != run_fingerprint(golden)

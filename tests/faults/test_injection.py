@@ -3,9 +3,9 @@
 Two properties protect the repo's bit-for-bit reproducibility invariant:
 
 1. **Null plans are provable no-ops** — arming any plan whose rules are
-   all null must leave the execution trace-identical to the fault-free
-   run (the interposition hooks fall through to the exact original
-   delivery path).  Checked property-style over the null-rule
+   all null must leave the execution identical to the fault-free run —
+   same run fingerprint, same typed events (the interposition hooks fall
+   through to the exact original delivery path).  Checked property-style over the null-rule
    vocabulary with hypothesis.
 2. **Nonzero plans are deterministic** — same seed + same plan ⇒ the
    same execution, bit for bit, pinned by golden numbers captured from
@@ -13,6 +13,7 @@ Two properties protect the repo's bit-for-bit reproducibility invariant:
 """
 
 import random
+import zlib
 
 import pytest
 
@@ -34,49 +35,41 @@ from repro.faults import (  # noqa: E402
     VsaCrashes,
     default_plan,
 )
+import repro.obs as obs  # noqa: E402
+from repro.ckpt import run_fingerprint  # noqa: E402
 from repro.mobility import RandomNeighborWalk  # noqa: E402
 from repro.scenario import ScenarioConfig, build  # noqa: E402
 
 
 def run_workload(plan=None):
-    """A fixed seeded workload: 5 scheduled moves, one find, run to t=70."""
-    scenario = build(ScenarioConfig(
-        r=2, max_level=2, seed=5, trace=True, fault_plan=plan
-    ))
+    """A fixed seeded workload: 5 scheduled moves, one find, run to t=70.
+
+    Returns the scenario and the obs collector that saw its typed events.
+    """
+    scenario = build(ScenarioConfig(r=2, max_level=2, seed=5, fault_plan=plan))
     system = scenario.system
     regions = system.hierarchy.tiling.regions()
     center = regions[len(regions) // 2]
-    evader = system.make_evader(
-        RandomNeighborWalk(start=center), dwell=1e12, start=center,
-        rng=random.Random(5),
-    )
-    for k in range(1, 6):
-        system.sim.call_at(10.0 * k, evader.step, tag="test-move")
-    system.sim.call_at(
-        55.0, lambda: system.issue_find(regions[0]), tag="test-find"
-    )
-    system.sim.run_until(70.0)
-    return scenario, evader
+    with obs.observed(spans=False) as collector:
+        evader = system.make_evader(
+            RandomNeighborWalk(start=center), dwell=1e12, start=center,
+            rng=random.Random(5),
+        )
+        for k in range(1, 6):
+            system.sim.call_at(10.0 * k, evader.step, tag="test-move")
+        system.sim.call_at(
+            55.0, lambda: system.issue_find(regions[0]), tag="test-find"
+        )
+        system.sim.run_until(70.0)
+    return scenario, collector
 
 
-def fingerprint(scenario, evader):
-    """Everything observable about the execution, as one comparable value."""
-    system = scenario.system
-    accountant = scenario.accountant
-    finds = tuple(
-        (record.completed, record.latency, record.work, record.retries)
-        for record in system.finds.records.values()
-    )
+def fingerprint(scenario, collector):
+    """(events fired, run fingerprint digest, typed-event kinds)."""
     return (
-        system.sim.now,
-        system.sim.events_fired,
-        tuple(sorted(system.sim.trace.kinds().items())),
-        evader.region,
-        accountant.move_work,
-        accountant.find_work,
-        accountant.other_work,
-        accountant.messages,
-        finds,
+        scenario.sim.events_fired,
+        f"{zlib.crc32(repr(run_fingerprint(scenario)).encode()):08x}",
+        tuple(sorted(collector.events_by_kind().items())),
     )
 
 
@@ -132,10 +125,10 @@ class TestNullPlansAreNoOps:
     @given(plan=null_plans)
     def test_armed_null_plan_is_trace_identical(self, plan, baseline):
         assert plan.is_null()
-        scenario, evader = run_workload(plan=plan)
+        scenario, collector = run_workload(plan=plan)
         assert scenario.injector is not None  # armed, not skipped
         assert scenario.injector.stats.total_events() == 0
-        assert fingerprint(scenario, evader) == baseline
+        assert fingerprint(scenario, collector) == baseline
 
     def test_default_plan_with_zero_knobs_is_trace_identical(self, baseline):
         plan = default_plan(loss_rate=0.0, crash_rate=0.0)
@@ -143,37 +136,29 @@ class TestNullPlansAreNoOps:
         assert fingerprint(*run_workload(plan=plan)) == baseline
 
 
-# Golden fingerprint of the nonzero chaos plan below, captured from the
-# current implementation.  Any change to RNG stream derivation, hook
-# order or the interposition path shows up here as a diff.
+# Golden fingerprint of the nonzero chaos plan below, computed on the
+# commit that fingerprinted the string trace.  Any change to RNG stream
+# derivation, hook order or the interposition path shows up here as a
+# diff.
 CHAOS_PLAN = default_plan(
     loss_rate=0.15, crash_rate=0.05, jitter_rate=0.2, jitter_max=4.0,
     gps_rate=0.25, gps_delay=3.0, crash_period=20.0, crash_downtime=15.0,
     horizon=60.0,
 )
 GOLDEN_CHAOS_FINGERPRINT = (
-    70.0,
     103,
+    "45299591",
     (
-        ("cTOBsend", 12),
+        ("evader-moved", 11),
         ("fault-crash", 4),
         ("fault-restore", 4),
         ("find-forward", 2),
         ("findquery", 2),
         ("grow-sent", 7),
-        ("input", 1),
-        ("left", 5),
-        ("move", 6),
-        ("perform", 80),
-        ("rcv", 75),
+        ("message-dispatched", 90),
+        ("messages-perturbed", 31),
         ("shrink-sent", 5),
     ),
-    (2, 1),
-    128.0,
-    18.0,
-    0.0,
-    90,
-    ((False, None, 18.0, 0),),
 )
 
 
@@ -189,17 +174,13 @@ class TestNonzeroPlanDeterminism:
         )
 
     def test_chaos_plan_actually_perturbs(self, baseline):
-        scenario, evader = run_workload(plan=CHAOS_PLAN)
+        scenario, collector = run_workload(plan=CHAOS_PLAN)
         assert scenario.injector.stats.total_events() > 0
-        assert fingerprint(scenario, evader) != baseline
+        assert fingerprint(scenario, collector) != baseline
 
     def test_different_seed_diverges(self):
-        base = build(ScenarioConfig(
-            r=2, max_level=2, seed=5, trace=True, fault_plan=CHAOS_PLAN
-        ))
-        other = build(ScenarioConfig(
-            r=2, max_level=2, seed=6, trace=True, fault_plan=CHAOS_PLAN
-        ))
+        base = build(ScenarioConfig(r=2, max_level=2, seed=5, fault_plan=CHAOS_PLAN))
+        other = build(ScenarioConfig(r=2, max_level=2, seed=6, fault_plan=CHAOS_PLAN))
         for scenario in (base, other):
             regions = scenario.system.hierarchy.tiling.regions()
             center = regions[len(regions) // 2]

@@ -22,7 +22,7 @@ from repro.sim.sharded.core import canonical_fingerprint
 
 
 class ReferenceFingerprint:
-    """``ShardContext``'s send lines and handover counts, per record."""
+    """``SendFold``'s send lines and handover counts, per record."""
 
     def __init__(self):
         self.send_lines = []

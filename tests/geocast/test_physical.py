@@ -100,7 +100,6 @@ class TestEmulatedPhysicalRouting:
         system = EmulatedVineStalk(
             h, nodes_per_region=1, t_restart=3.0, physical_routing=True
         )
-        system.sim.trace.enabled = False
         rng = random.Random(4)
         evader = system.make_evader(
             RandomNeighborWalk(start=(4, 4)), dwell=1e12, start=(4, 4), rng=rng
@@ -117,7 +116,6 @@ class TestEmulatedPhysicalRouting:
         system = EmulatedVineStalk(
             h, nodes_per_region=1, t_restart=3.0, physical_routing=True
         )
-        system.sim.trace.enabled = False
         system.make_evader(
             RandomNeighborWalk(start=(4, 4)), dwell=1e12, start=(4, 4),
             rng=random.Random(4),
@@ -149,7 +147,6 @@ class TestDispatchAccountingShared:
             h, nodes_per_region=1, t_restart=3.0,
             physical_routing=physical_routing,
         )
-        system.sim.trace.enabled = False
         records = []
         system.cgcast.observe(records.extend)
         with obs.observed(spans=False, events=True, max_events=100_000) as seen:

@@ -64,7 +64,6 @@ class TestVineStalkOnHex:
         h = build_agglomerative_hierarchy(tiling, ratio=3)
         schedule = uniform_schedule(h.params, 1.0, 0.5)
         system = VineStalk(h, schedule=schedule)
-        system.sim.trace.enabled = False
         rng = random.Random(2)
         evader = system.make_evader(
             RandomNeighborWalk(start=(0, 0)), dwell=1e12, start=(0, 0), rng=rng

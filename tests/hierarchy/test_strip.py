@@ -72,7 +72,6 @@ class TestVineStalkOnStrip:
     def test_moves_match_atomic_model(self):
         h = strip_hierarchy(3, 2)  # 9-region corridor
         system = VineStalk(h)
-        system.sim.trace.enabled = False
         rng = random.Random(6)
         evader = system.make_evader(
             RandomNeighborWalk(start=4), dwell=1e12, start=4, rng=rng
@@ -90,7 +89,6 @@ class TestVineStalkOnStrip:
     def test_finds_work_along_the_corridor(self):
         h = strip_hierarchy(3, 3)  # 27-region corridor
         system = VineStalk(h)
-        system.sim.trace.enabled = False
         system.make_evader(FixedPath([20]), dwell=1e12, start=20)
         system.run_to_quiescence()
         for origin in (0, 5, 13, 26):
@@ -103,7 +101,6 @@ class TestVineStalkOnStrip:
     def test_find_work_scales_with_distance(self):
         h = strip_hierarchy(2, 4)  # corridor of 16 regions
         system = VineStalk(h)
-        system.sim.trace.enabled = False
         system.make_evader(FixedPath([0]), dwell=1e12, start=0)
         system.run_to_quiescence()
         works = []
@@ -116,7 +113,6 @@ class TestVineStalkOnStrip:
     def test_end_to_end_sweep(self):
         h = strip_hierarchy(2, 3)
         system = VineStalk(h)
-        system.sim.trace.enabled = False
         evader = system.make_evader(
             FixedPath(list(range(8))), dwell=1e12, start=0
         )

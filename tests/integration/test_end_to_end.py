@@ -14,7 +14,6 @@ def test_long_lawnmower_sweep_stays_consistent():
     """A full boustrophedon sweep of a 8x8 world, checked every move."""
     h = grid_hierarchy(2, 3)
     system = VineStalk(h)
-    system.sim.trace.enabled = False
     sweep = [
         (col, row)
         for row in range(8)
@@ -33,7 +32,6 @@ def test_long_lawnmower_sweep_stays_consistent():
 def test_waypoint_walk_with_periodic_finds():
     h = grid_hierarchy(3, 2)
     system = VineStalk(h)
-    system.sim.trace.enabled = False
     rng = random.Random(17)
     tiling = h.tiling
     path = [(0, 0)]
@@ -58,7 +56,6 @@ def test_waypoint_walk_with_periodic_finds():
 def test_work_accounting_matches_cgcast_totals():
     h = grid_hierarchy(3, 2)
     system = VineStalk(h)
-    system.sim.trace.enabled = False
     accountant = WorkAccountant().attach(system.cgcast)
     evader = system.make_evader(
         RandomNeighborWalk(start=(4, 4)), dwell=1e12, start=(4, 4),
@@ -81,8 +78,6 @@ def test_two_systems_share_nothing():
     h = grid_hierarchy(2, 2)
     a = VineStalk(h)
     b = VineStalk(h)
-    a.sim.trace.enabled = False
-    b.sim.trace.enabled = False
     evader_a = a.make_evader(RandomNeighborWalk(start=(0, 0)), dwell=1e12,
                              start=(0, 0), rng=random.Random(1))
     a.run_to_quiescence()
@@ -99,7 +94,6 @@ def test_deterministic_replay():
     def run():
         h = grid_hierarchy(3, 2)
         system = VineStalk(h)
-        system.sim.trace.enabled = False
         accountant = WorkAccountant().attach(system.cgcast)
         evader = system.make_evader(
             RandomNeighborWalk(start=(4, 4)), dwell=1e12, start=(4, 4),
@@ -127,7 +121,6 @@ def test_emulated_layer_under_continuous_churn():
     """Random VSA churn away from the action; tracking keeps working."""
     h = grid_hierarchy(3, 2)
     system = EmulatedVineStalk(h, nodes_per_region=1, t_restart=2.0)
-    system.sim.trace.enabled = False
     rng = random.Random(8)
     evader = system.make_evader(
         RandomNeighborWalk(start=(4, 4)), dwell=1e12, start=(4, 4), rng=rng
@@ -155,7 +148,6 @@ def test_grid_bases_agree_on_semantics():
     for r, max_level in [(2, 3), (3, 2)]:
         h = grid_hierarchy(r, max_level)
         system = VineStalk(h)
-        system.sim.trace.enabled = False
         start = h.tiling.regions()[0]
         evader = system.make_evader(
             RandomNeighborWalk(start=start), dwell=1e12, start=start,

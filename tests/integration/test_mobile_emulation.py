@@ -21,7 +21,6 @@ def system():
     h = grid_hierarchy(3, 2)
     # Dense population: 3 static nodes per region from the deployment.
     sys_ = EmulatedVineStalk(h, nodes_per_region=3, t_restart=2.0)
-    sys_.sim.trace.enabled = False
     return h, sys_
 
 
@@ -50,7 +49,6 @@ def test_node_wandering_between_populated_regions_is_harmless(system):
 def test_region_drained_by_departures_fails_its_vsa():
     h = grid_hierarchy(2, 2)
     sys_ = EmulatedVineStalk(h, nodes_per_region=1, t_restart=2.0)
-    sys_.sim.trace.enabled = False
     sys_.make_evader(FixedPath([(0, 0)]), dwell=1e12, start=(0, 0))
     sys_.run_to_quiescence()
     # Walk the single node out of (3,3): its VSA dies; the destination
@@ -64,7 +62,6 @@ def test_region_drained_by_departures_fails_its_vsa():
 def test_node_arrival_restarts_vsa_after_t_restart():
     h = grid_hierarchy(2, 2)
     sys_ = EmulatedVineStalk(h, nodes_per_region=1, t_restart=2.0)
-    sys_.sim.trace.enabled = False
     sys_.make_evader(FixedPath([(0, 0)]), dwell=1e12, start=(0, 0))
     sys_.run_to_quiescence()
     victim = next(n for n in sys_.nodes if n.region == (3, 3))

@@ -9,6 +9,9 @@ Key behaviours under test:
   check, so both judge the same final state);
 * a strict-mode :class:`LookAheadError` surfaces as a structured
   ``theorem-4.8`` violation event — it never escapes the event loop;
+* negative controls: at stride 1 a planted second pending grow is a
+  ``lemma-4.1-grow`` violation and a doctored second lateral grow in one
+  move epoch a ``lemma-4.2`` one;
 * attach/detach leaves no hook behind (after-event, evader observer,
   collector subscription).
 """
@@ -19,8 +22,9 @@ import pytest
 
 import repro.obs as obs
 from repro.faults.plan import CHANNEL_BOTH, FaultPlan, MessageLoss
-from repro.mobility import RandomNeighborWalk
-from repro.obs import ConformanceViolation
+from repro.hierarchy import grid_hierarchy
+from repro.mobility import BoundaryOscillator, RandomNeighborWalk, worst_boundary_pair
+from repro.obs import ConformanceViolation, GrowSent
 from repro.obs.conformance import CHECKS, ConformanceSampler
 from repro.scenario import ScenarioConfig, build
 
@@ -137,6 +141,50 @@ def test_strict_lookahead_error_becomes_violation_event_not_crash():
     emitted = [e for e in collector.events
                if isinstance(e, ConformanceViolation)]
     assert any("lookAhead error" in e.detail for e in emitted)
+
+
+def test_two_pending_grows_are_a_lemma_4_1_violation():
+    scenario = build(ScenarioConfig(r=2, max_level=2, seed=7))
+    system = scenario.system
+    regions = system.hierarchy.tiling.regions()
+    system.make_evader(
+        RandomNeighborWalk(start=regions[0]), dwell=1e12,
+        start=regions[0], rng=random.Random(7),
+    )
+    system.run_to_quiescence()
+    sampler = ConformanceSampler(system, stride=1).attach()
+    system.sim.call_at(system.sim.now + 1.0, lambda: None, tag="noop")
+    system.sim.run()
+    assert sampler.total_violations() == 0  # clean until planted
+    corrupt_two_idle_trackers(system)
+    system.sim.call_at(system.sim.now + 1.0, lambda: None, tag="noop")
+    system.sim.run()
+    sampler.detach()
+    assert sampler.violation_counts["lemma-4.1-grow"] > 0
+    assert sampler.violation_counts["lemma-4.1-shrink"] == 0
+    assert sampler.max_grow_outstanding == 2
+
+
+def test_a_second_lateral_grow_in_one_move_is_a_lemma_4_2_violation():
+    h = grid_hierarchy(2, 3)
+    scenario = build(ScenarioConfig(hierarchy=h))
+    system = scenario.system
+    a, b = worst_boundary_pair(h)
+    evader = system.make_evader(BoundaryOscillator(a, b), dwell=1e12, start=a)
+    with obs.observed(spans=False) as collector:
+        sampler = ConformanceSampler(system, stride=1).attach()
+        system.run_to_quiescence()
+        laterals = []
+        while not laterals:
+            evader.step()
+            system.run_to_quiescence()
+            laterals = [e for e in collector.events if type(e) is GrowSent and e.lateral]
+        assert sampler.violation_counts["lemma-4.2"] == 0
+        collector.emit(laterals[-1])  # the same level's lateral grow, again
+        sampler.detach()
+    assert sampler.violation_counts["lemma-4.2"] == 1
+    (violation,) = [v for v in sampler.violations if v.check == "lemma-4.2"]
+    assert f"level {laterals[-1].level} sent 2 lateral grows" in violation.detail
 
 
 def test_non_strict_sampler_reports_mismatch_instead_of_error():

@@ -1,12 +1,14 @@
 """Typed structured events: gating, emission, schema, retention.
 
-The typed channel is *parallel* to the legacy trace strings — it must
-appear when the gate is on, stay completely silent when off, and every
-record must serialize to schema-versioned JSON via :func:`event_dict`.
+The typed events are the trace of a run — they must appear when the
+gate is on, stay completely silent when off, and every record must
+serialize to schema-versioned JSON via :func:`event_dict`.
 """
 
 import json
 import random
+import runpy
+from pathlib import Path
 
 import repro.obs as obs
 from repro.faults.plan import CHANNEL_BOTH, FaultPlan, MessageLoss
@@ -100,3 +102,14 @@ def test_subscribe_unsubscribe_round_trip():
                                 parent=None, lateral=False))
     assert len(seen) == 1
     assert collector.subscriber_count == 0
+
+
+def test_verify_model_example_prints_the_cascade_from_events(capsys):
+    example = Path(__file__).parents[2] / "examples" / "verify_model.py"
+    runpy.run_path(str(example), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "lookAhead == atomicMoveSeq held at every one of the 12 events" in out
+    cascade = out.split("update cascade of the move")[1].splitlines()
+    assert any("grow-sent   C0:(5, 5) -> C0:(4, 4) (lateral)" in line for line in cascade)
+    assert sum("GrowNbr" in line for line in cascade) == 8
+    assert "settled state consistent: True" in out

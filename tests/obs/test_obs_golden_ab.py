@@ -2,22 +2,41 @@
 
 The obs layer's contract mirrors the topology cache's: it may watch a
 run, never steer one.  Spans only read the wall clock, typed events are
-emitted next to (not instead of) the legacy trace, and the conformance
-sampler is a pure read of simulation state — so the same seeded
-workload must produce an identical fingerprint either way.
+records of what already happened, and the conformance sampler is a pure
+read of simulation state — so the same seeded workload must produce an
+identical :func:`repro.ckpt.run_fingerprint` either way, equal to the
+pin, and the instrumented run's typed events must match theirs.
 """
 
 import random
+import zlib
 
 import repro.obs as obs
 from repro.analysis.experiments import run_move_walk
+from repro.ckpt import run_fingerprint
 from repro.mobility import RandomNeighborWalk
 from repro.scenario import ScenarioConfig, build
+
+#: (events fired, run fingerprint digest, typed-event kinds) of the
+#: workload, computed on the commit that fingerprinted the string trace.
+GOLDEN = (
+    118,
+    "d699d0df",
+    (
+        ("evader-moved", 11),
+        ("find-forward", 4),
+        ("findquery", 1),
+        ("found", 1),
+        ("grow-sent", 8),
+        ("message-dispatched", 112),
+        ("shrink-sent", 4),
+    ),
+)
 
 
 def run_workload(sample_conformance=False):
     """Seeded E1-style workload: 5 scheduled moves, one find, t=70."""
-    scenario = build(ScenarioConfig(r=2, max_level=2, seed=5, trace=True))
+    scenario = build(ScenarioConfig(r=2, max_level=2, seed=5))
     system = scenario.system
     regions = system.hierarchy.tiling.regions()
     center = regions[len(regions) // 2]
@@ -42,44 +61,30 @@ def run_workload(sample_conformance=False):
         # prove it does not perturb the run.
         sampler.detach()
         assert sampler.checks_run["theorem-4.8"] > 0
-    return scenario, evader
+    return run_fingerprint(scenario)
 
 
-def fingerprint(scenario, evader):
-    system = scenario.system
-    accountant = scenario.accountant
-    finds = tuple(
-        (record.completed, record.latency, record.work, record.retries)
-        for record in system.finds.records.values()
-    )
-    return (
-        system.sim.now,
-        system.sim.events_fired,
-        tuple(sorted(system.sim.trace.kinds().items())),
-        evader.region,
-        accountant.move_work,
-        accountant.find_work,
-        accountant.other_work,
-        accountant.messages,
-        finds,
-    )
+def digest(fingerprint):
+    return fingerprint[1], f"{zlib.crc32(repr(fingerprint).encode()):08x}"
 
 
 def test_workload_fingerprint_identical_with_obs_on():
-    baseline = fingerprint(*run_workload())
+    baseline = run_workload()
     with obs.observed() as collector:
-        instrumented = fingerprint(*run_workload())
+        instrumented = run_workload()
     assert instrumented == baseline
-    # the instrumented run actually observed something
-    assert collector.events_seen > 0
+    assert (*digest(baseline), tuple(sorted(collector.events_by_kind().items()))) == (
+        GOLDEN
+    )
     assert collector.phase_totals["events"] > 0.0
 
 
 def test_workload_fingerprint_identical_with_conformance_sampler():
-    baseline = fingerprint(*run_workload())
+    baseline = run_workload()
     with obs.observed():
-        sampled = fingerprint(*run_workload(sample_conformance=True))
+        sampled = run_workload(sample_conformance=True)
     assert sampled == baseline
+    assert digest(baseline) == GOLDEN[:2]
 
 
 def test_e1_move_walk_identical_with_obs_on():

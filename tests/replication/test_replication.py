@@ -39,7 +39,6 @@ class TestSlotSelection:
 class TestFailover:
     def make(self, h, m=2):
         system = ReplicatedVineStalk(h, replication_factor=m)
-        system.sim.trace.enabled = False
         evader = system.make_evader(FixedPath([(4, 4)]), dwell=1e12, start=(4, 4))
         system.run_to_quiescence()
         return system, evader
@@ -59,7 +58,6 @@ class TestFailover:
         # pure failover (level-0 clusters are single regions and cannot be
         # replicated — killing the evader's own region is always fatal).
         system = ReplicatedVineStalk(h, replication_factor=2)
-        system.sim.trace.enabled = False
         system.make_evader(FixedPath([(3, 3)]), dwell=1e12, start=(3, 3))
         system.run_to_quiescence()
         clust = h.cluster((3, 3), 1)
@@ -119,7 +117,6 @@ class TestFailover:
 class TestOverhead:
     def run_walk(self, h, m, n_moves=10):
         system = ReplicatedVineStalk(h, replication_factor=m)
-        system.sim.trace.enabled = False
         evader = system.make_evader(
             RandomNeighborWalk(start=(4, 4)), dwell=1e12, start=(4, 4),
             rng=random.Random(3),

@@ -30,7 +30,6 @@ class _BareSystem:
 
     def __init__(self, tiling):
         self.sim = Simulator()
-        self.sim.trace.enabled = False
         self.hierarchy = SimpleNamespace(tiling=tiling)
         self.objects = {}
 

@@ -1,6 +1,6 @@
 """The equivalences the send→deliver pipeline's speed rests on.
 
-``ShardContext._observe_send`` folds a batch of send records, assembling
+``SendFold.observe`` folds a batch of send records, assembling
 each canonical send line from memoised pieces (the instant's repr, the
 payload object's repr, a per ``(src, dest)`` prefix and suffix) instead
 of formatting six reprs per send, and ``CGcast._dispatch`` skips its interpositions when none is
@@ -96,7 +96,7 @@ class TestIdentityMemo:
 
     def _observe(self, context, *records):
         del context.send_lines[:]
-        context._observe_send(list(records))
+        context.send_fold.observe(list(records))
         assert context.send_lines == [canonical_send_line(r) for r in records]
         return context.send_lines
 

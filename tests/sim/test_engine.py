@@ -120,7 +120,6 @@ def test_events_fired_counter():
 
 def test_self_rescheduling_chain_fires_every_event():
     sim = Simulator()
-    sim.trace.enabled = False
     fired = [0]
 
     def tick():

@@ -28,7 +28,6 @@ CONFIG = StabilizationConfig(period_base=20.0, scale=2.0, miss_limit=3)
 def make_system(max_level=2, r=3, start=(4, 4)):
     h = grid_hierarchy(r, max_level)
     system = StabilizingVineStalk(h, stabilization=CONFIG)
-    system.sim.trace.enabled = False
     evader = system.make_evader(FixedPath([start]), dwell=1e12, start=start)
     # The anchor refresh must run from the start: without it the anchor
     # lease (correctly) dissolves the level-0 self-pointer.
@@ -142,7 +141,6 @@ class TestConvergence:
     def test_converges_while_evader_moves(self):
         h = grid_hierarchy(3, 2)
         system = StabilizingVineStalk(h, stabilization=CONFIG)
-        system.sim.trace.enabled = False
         rng = random.Random(4)
         evader = system.make_evader(
             RandomNeighborWalk(start=(4, 4)), dwell=1e12, start=(4, 4), rng=rng

@@ -72,8 +72,8 @@ DEFAULTS = {
     ),
     "resume": (
         {"evader_region", "events_fired", "finds_completed", "ran_until",
-         "resumed_from_t", "sim_time", "trace_crc", "trace_records"},
-        ("events_fired", "trace_records"),
+         "resumed_from_t", "send_crc", "sends", "sim_time"},
+        ("events_fired", "sends"),
     ),
     "bisect": (
         {"checkpoints", "diverged", "event_a", "event_b", "event_index",
@@ -329,6 +329,9 @@ class TestSmokeEnvelopes:
         assert report["diverged"] is True, report
         assert isinstance(report["event_index"], int), report
         assert report["event_a"]["time"] is not None
+        for side in ("event_a", "event_b"):
+            assert isinstance(report[side]["tag"], str) and report[side]["tag"], report
+            assert report[side]["send_lines"], report
 
     def test_sharded_across_shard_counts_and_backends(self, capsys):
         code1, k1 = run_json(capsys, "sharded", "--shards", "1")
