@@ -283,14 +283,14 @@ class Invariants(Experiment):
         return [render_table(
             ["world", "max grows", "max shrinks", "laterals", "violations"],
             [(world, res.max_grow_outstanding, res.max_shrink_outstanding,
-              res.lateral_sends, len(res.violations)) for world, res in result],
+              res.lateral_sends, res.violations) for world, res in result],
         )]
 
     def checks(self, result):
         watches = [res for _, res in result]
         return [
             ("no Lemma 4.1/4.2 violation in any world",
-             all(res.violations == [] for res in watches)),
+             all(res.violations == 0 for res in watches)),
             ("the most grows ever outstanding is exactly 1 in every world",
              all(res.max_grow_outstanding == 1 for res in watches)),
             ("the most shrinks ever outstanding is exactly 1 in every world",

@@ -39,8 +39,15 @@ def schedule_tracked_walk(
     The moves are one chain — each schedules the next — so a snapshot
     holds the rest of the walk as one event, whatever its length (a
     bisection checkpoints every window).  Priority -1 makes each move the
-    first event of its instant, as it is when every move is queued at
-    build time, so the chain runs the same run.
+    first event of its instant.  Queued all at once after ``build()``, a
+    move would instead follow the events ``build()`` itself queued for
+    its instant — a fault plan's first blackout or crash tick — so the
+    chain reorders a move against those.  The two schedules run the same
+    run where the move and the fault commute, as they do when the fault
+    takes down the move's destination region.  They do not commute when
+    the fault lifts at the very instant one of the move's messages lands:
+    the restore and the delivery then swap too.
+    ``tests/ckpt/test_golden_resume.py`` pins both cases.
     """
     system = scenario.system
     regions = system.hierarchy.tiling.regions()

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
+from inspect import unwrap
 from itertools import count
 from time import perf_counter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -183,6 +184,15 @@ class CGcast:
         """
         self.flush()
         self._observers.append(observer)
+
+    def unobserve(self, observer: SendObserver) -> None:
+        """Unsubscribe ``observer`` once it has seen every record so far.
+
+        A wrapper subscribed in its place — one that names it through
+        ``__wrapped__``, as :func:`functools.wraps` does — goes too.
+        """
+        self.flush()
+        self._observers = [o for o in self._observers if unwrap(o) != observer]
 
     def flush(self) -> None:
         """Hand the pending records to every observer, as one list."""

@@ -199,11 +199,17 @@ class ShardContext:
         self.outbox: List[RemoteMessage] = []
         self._seq = 0
         self.busy_s = 0.0
-        # The world's send fold, told to keep its lines for report().
+        # The world's send fold, told to keep its lines for report().  The
+        # replica owns it: the fold's subscription becomes the replica's
+        # own, so a profile of the engine (benchmarks/perf names observer
+        # layers by the owner's class) books the fold to the engine.
         self.send_lines: List[str] = []
         self.send_fold = self.scenario.send_fold
         self.send_fold.lines = self.send_lines
         self.handovers = self.send_fold.handovers
+        cgcast = self.system.cgcast
+        cgcast.unobserve(self.send_fold.observe)
+        cgcast.observe(self._observe_send)
         sharded = plan.k > 1
         if sharded:
             self.system.cgcast.shard_router = self._route_cgcast
@@ -213,8 +219,11 @@ class ShardContext:
         schedule_workload(self.system, workload, owns=owns)
 
     # ------------------------------------------------------------------
-    # Routing hooks
+    # Send observer and routing hook
     # ------------------------------------------------------------------
+    def _observe_send(self, records) -> None:
+        self.send_fold.observe(records)
+
     def _route_cgcast(self, src, dest, dest_region, payload, deliver_time) -> bool:
         shard = self.plan.shard_of(dest_region)
         if shard == self.shard_id:

@@ -69,7 +69,7 @@ class TestOtherRunners:
 
     def test_invariant_watch_clean(self):
         result = run_invariant_watch(2, 2, n_moves=10, seed=8)
-        assert result.violations == []
+        assert result.violations == 0
         assert result.max_grow_outstanding == 1
 
     def test_equivalence_check_zero_mismatches(self):

@@ -38,6 +38,7 @@ from repro.faults.plan import (
     FaultPlan,
     MessageLoss,
     RegionBlackout,
+    VsaCrashes,
 )
 from repro.mobility import RandomNeighborWalk
 from repro.scenario import ScenarioConfig, build
@@ -128,11 +129,17 @@ def test_fingerprint_tells_runs_apart():
     assert _uninterrupted(BLACKOUT) != plain  # armed vs unarmed
 
 
-@pytest.mark.parametrize("config", [PLAIN, BLACKOUT], ids=["plain", "blackout"])
-def test_chained_walk_runs_as_a_walk_queued_in_full(config):
-    """The walk's moves form a chain on the queue (one pending event);
-    queued all at build time instead, every move is the first event of
-    its instant too, so both runs are the same run."""
+#: Where seed 7's second move (t=20) takes the evader.
+MOVE_2_DEST = (1, 2)
+
+
+def _at_move_2(rule):
+    return PLAIN.with_(fault_plan=FaultPlan.of(rule, horizon=60.0))
+
+
+def _queued_in_full(config):
+    """The walk with every move queued after ``build()``: its fingerprint
+    and where each move took the evader."""
     queued = build(config)
     system = queued.system
     regions = system.hierarchy.tiling.regions()
@@ -141,11 +148,47 @@ def test_chained_walk_runs_as_a_walk_queued_in_full(config):
         RandomNeighborWalk(start=center), dwell=1e12, start=center,
         rng=random.Random(config.seed),
     )
+    path = []
+
+    def move():
+        path.append((system.sim.now, evader.step()))
+
     for k in range(1, 6):
-        system.sim.call_at(10.0 * k, evader.step, tag="walk-move")
+        system.sim.call_at(10.0 * k, move, tag="walk-move")
     system.sim.call_at(55.0, lambda: system.issue_find(regions[0]), tag="walk-find")
     queued.sim.run_until(HORIZON)
-    assert run_fingerprint(queued) == _uninterrupted(config)
+    return run_fingerprint(queued), path
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        PLAIN,
+        BLACKOUT,
+        _at_move_2(RegionBlackout(at=20.0, duration=20.0, regions=(MOVE_2_DEST,))),
+        _at_move_2(VsaCrashes(rate=1.0, period=100.0, downtime=20.0, start=20.0)),
+    ],
+    ids=["plain", "blackout", "blackout-of-destination", "crash-of-every-vsa"],
+)
+def test_chained_walk_runs_as_a_walk_queued_in_full(config):
+    """The walk's moves form a chain on the queue (one pending event).
+    Queued all at build time instead, a move follows a fault queued by
+    ``build()`` for its instant; where the two commute — here the fault
+    takes the move's destination down — both runs are the same run."""
+    queued, path = _queued_in_full(config)
+    assert path[1] == (20.0, MOVE_2_DEST)
+    assert queued == _uninterrupted(config)
+
+
+def test_chained_walk_departs_when_a_fault_lifts_as_a_move_lands():
+    """A fault lifting δ after the move, as the client's message reaches
+    its VSA: the restore and that delivery swap with the move and the
+    fault, so the two schedules run different runs."""
+    config = _at_move_2(
+        RegionBlackout(at=20.0, duration=PLAIN.delta, regions=(MOVE_2_DEST,))
+    )
+    queued, _ = _queued_in_full(config)
+    assert queued != _uninterrupted(config)
 
 
 def test_finds_complete_after_resume():

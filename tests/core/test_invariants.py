@@ -14,7 +14,7 @@ from repro.obs.conformance import grow_outstanding, shrink_outstanding
 
 def test_lemma_4_1_random_walk():
     result = run_invariant_watch(3, 2, n_moves=30, seed=1)
-    assert result.violations == []
+    assert result.violations == 0
     assert result.max_grow_outstanding <= 1
     assert result.max_shrink_outstanding <= 1
     # the walk exercised the machinery
@@ -24,9 +24,33 @@ def test_lemma_4_1_random_walk():
 
 def test_lemma_4_1_r2_deep_hierarchy():
     result = run_invariant_watch(2, 3, n_moves=25, seed=2)
-    assert result.violations == []
+    assert result.violations == 0
     assert result.max_grow_outstanding <= 1
     assert result.max_shrink_outstanding <= 1
+
+
+def test_e3_counts_every_lemma_violation_and_only_those(monkeypatch):
+    """E3's violation column counts past the sampler's record cap, and
+    leaves Theorem 4.8 (E5's claim) out."""
+    captured = []
+
+    class Failing(obs.ConformanceSampler):
+        def attach(self):
+            captured.append(self)
+            return super().attach()
+
+        def check_now(self):
+            super().check_now()
+            self._violate("lemma-4.1-grow", "doctored")
+            self._violate("theorem-4.8", "doctored")
+
+    monkeypatch.setattr(obs, "ConformanceSampler", Failing)
+    result = run_invariant_watch(2, 2, n_moves=5, seed=8)
+    (sampler,) = captured
+    checks = sampler.checks_run["lemma-4.1-grow"]
+    assert checks > sampler.max_recorded
+    assert len(sampler.violations) == sampler.max_recorded
+    assert result.violations == checks
 
 
 def test_lemma_4_2_one_lateral_per_level_per_move():

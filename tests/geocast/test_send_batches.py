@@ -22,6 +22,8 @@ lockstep with the folds:
   the run by it (the energy rate policy) reads it current.
 """
 
+from functools import wraps
+from inspect import unwrap
 from itertools import count
 from unittest import mock
 
@@ -259,6 +261,57 @@ class TestLoopExit:
         sim.call_after(7.0, probe)
         sim.run()
         assert marks[0].messages == 1 and marks[0].find_work == 1.0
+
+
+class TestSubscription:
+    def test_unobserve_flushes_then_removes_the_observer_and_its_wrappers(self):
+        context = _context()
+        cgcast = context.system.cgcast
+        plain, wrapped = _Tap(cgcast), _Tap(cgcast)
+
+        @wraps(wrapped)
+        def wrapper(records):
+            wrapped(records)
+
+        cgcast.observe(plain)
+        cgcast.observe(wrapper)
+        origin = list(context.system.hierarchy.tiling.regions())[0]
+        sent = []
+
+        def send_then_unobserve():
+            _client_find(context.system, origin, 1000)
+            assert cgcast._pending  # not shown to anyone yet
+            cgcast.unobserve(plain)
+            cgcast.unobserve(wrapped)
+            cgcast.unobserve(wrapped)  # absent: a no-op
+            sent.append(cgcast.messages_sent)
+
+        context.sim.call_at(1.0, send_then_unobserve)
+        context.sim.run()
+        assert cgcast.messages_sent > sent[0]
+        assert len(plain.records) == len(wrapped.records) == sent[0]
+
+    def test_the_replica_owns_its_world_fold(self):
+        # A wrapping observe(), as a profiler installs one, still leaves
+        # exactly one subscription folding the sends: the replica's.
+        original = cgcast_module.CGcast.observe
+
+        def wrapping_observe(cgcast, observer):
+            @wraps(observer)
+            def wrapper(records):
+                observer(records)
+
+            return original(cgcast, wrapper)
+
+        with mock.patch.object(cgcast_module.CGcast, "observe", wrapping_observe):
+            context = _context()
+        owners = [
+            getattr(unwrap(o), "__self__", None)
+            for o in context.system.cgcast._observers
+        ]
+        assert context in owners and context.send_fold not in owners
+        context.sim.run()
+        assert len(context.send_lines) == context.system.cgcast.messages_sent
 
 
 class TestInEventReaders:
