@@ -48,7 +48,7 @@ def main() -> None:
     move_start = system.sim.now
     checks = 0
     want = atomic_move_seq(hierarchy, moves).pointer_map()
-    with obs.observed(spans=False) as collector:
+    with obs.observed() as collector:
         evader.step()
         while system.sim.pending_events > 0:
             system.sim.run(max_events=1)

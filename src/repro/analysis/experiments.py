@@ -283,7 +283,7 @@ def run_invariant_watch(
     """Random walk with the conformance sampler checking every event.
 
     Lemma 4.2 reads the typed ``GrowSent`` events, so the walk runs
-    under its own obs collector (spans off).
+    under its own obs collector.
     """
     system = build(ScenarioConfig(r=r, max_level=max_level)).system
     corner = system.hierarchy.tiling.regions()[0]
@@ -291,7 +291,7 @@ def run_invariant_watch(
         RandomNeighborWalk(start=corner), dwell=1e12, start=corner,
         rng=random.Random(seed),
     )
-    with obs.observed(spans=False):
+    with obs.observed():
         sampler = obs.ConformanceSampler(system, stride=1).attach()
         try:
             system.run_to_quiescence()
@@ -451,7 +451,7 @@ def run_concurrent(
     start_time = system.sim.now
     for t in issue_times:
         system.sim.call_at(start_time + t, issue_find)
-    with obs.observed(spans=False) as collector:
+    with obs.observed() as collector:
         collector.subscribe(watch_queries)
         system.sim.run_until(start_time + n_moves * dwell)
         evader.stop()

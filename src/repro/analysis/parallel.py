@@ -79,12 +79,6 @@ class JobResult:
     ``run_seconds`` (everything else: driving the simulation and
     measuring).  A warm topology cache shrinks the setup share; the run
     share is the irreducible per-job work.
-
-    ``phases`` is the :mod:`repro.obs` phase breakdown (phase name →
-    self-time seconds) accumulated while the job ran.  Empty when
-    observability is off in the executing process — pool workers start
-    with it off, so parallel sweeps report phases only for jobs that
-    enable observability themselves.
     """
 
     spec: JobSpec
@@ -93,33 +87,21 @@ class JobResult:
     events: int
     setup_seconds: float = 0.0
     run_seconds: float = 0.0
-    phases: Dict[str, float] = field(default_factory=dict)
 
 
 def _execute(spec: JobSpec) -> JobResult:
     """Run one job in the current process (parent or pool worker)."""
-    from ..obs._state import OBS
     from ..sim import engine
     from ..topo import setup_seconds_total
 
     fn = resolve_runner(spec.runner)
     events_before = engine.events_fired_total()
     setup_before = setup_seconds_total()
-    obs_collector = OBS.collector
-    phases_before = (
-        obs_collector.phase_snapshot() if obs_collector is not None else None
-    )
     start = time.perf_counter()
     value = fn(**spec.kwargs)
     wall = time.perf_counter() - start
     events = engine.events_fired_total() - events_before
     setup = min(wall, setup_seconds_total() - setup_before)
-    phases: Dict[str, float] = {}
-    if phases_before is not None and OBS.collector is obs_collector:
-        for phase, total in obs_collector.phase_totals.items():
-            delta = total - phases_before.get(phase, 0.0)
-            if delta > 0.0:
-                phases[phase] = delta
     return JobResult(
         spec=spec,
         value=value,
@@ -127,7 +109,6 @@ def _execute(spec: JobSpec) -> JobResult:
         events=events,
         setup_seconds=setup,
         run_seconds=max(0.0, wall - setup),
-        phases=phases,
     )
 
 

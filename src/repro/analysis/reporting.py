@@ -689,7 +689,7 @@ class Observability(Experiment):
         conformance sampler that re-checks the bounds every few simulator
         events during *any* run."""
     caption = """one instrumented default-scenario run; `repro report --obs`
-        adds the host-time phase breakdown"""
+        writes the same run as the `obs/2` JSON artifact"""
 
     def run(self):
         return run_obs_probe()

@@ -119,17 +119,15 @@ class _Env:
     def __enter__(self) -> "_Env":
         from ..obs._state import OBS
 
-        self._saved = (OBS.spans_enabled, OBS.events_enabled, OBS.collector)
+        self._saved = (OBS.events_enabled, OBS.collector)
         if self.variant.obs:
             if self._collector is None:
                 from ..obs.collector import ObsCollector
 
                 self._collector = ObsCollector()
-            OBS.spans_enabled = True
             OBS.events_enabled = True
             OBS.collector = self._collector
         else:
-            OBS.spans_enabled = False
             OBS.events_enabled = False
             OBS.collector = None
         return self
@@ -137,10 +135,7 @@ class _Env:
     def __exit__(self, *exc) -> None:
         from ..obs._state import OBS
 
-        spans, events, collector = self._saved
-        OBS.spans_enabled = spans
-        OBS.events_enabled = events
-        OBS.collector = collector
+        OBS.events_enabled, OBS.collector = self._saved
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ import argparse
 import json
 import random
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -461,22 +460,7 @@ def _service(args):
         tiling=_tiling_for(config), n_finds=args.finds, **sizes,
         **_pick(args, "arrival", "rate", "moves_per_object", "deadline"),
     )
-    profiles: Dict[str, Dict[str, float]] = {}
-
-    @contextmanager
-    def profiled(engine: str):
-        import repro.obs as obs
-
-        with obs.observed(spans=True, events=False) as collector:
-            yield
-        profiles[engine] = {
-            phase: round(seconds, 6)
-            for phase, seconds in sorted(collector.phase_totals.items())
-        }
-
-    plain, sharded, match = cross_check(
-        config, load, **({"around": profiled} if args.profile else {})
-    )
+    plain, sharded, match = cross_check(config, load)
     shared = ("canonical_fingerprint", "events", "messages_sent", "metrics")
     return {
         "objects": args.n_objects,
@@ -486,7 +470,6 @@ def _service(args):
         "plain": _pick(plain, *shared),
         "sharded": _pick(sharded, *shared, "windows", "cross_shard_messages"),
         "fingerprint_match": match,
-        **({"profile": profiles} if args.profile else {}),
     }, 0 if match else 1
 
 
@@ -511,17 +494,6 @@ def _service_text(v):
         f"K={v['shards']} {v['sharded']['canonical_fingerprint']} -> "
         f"{_verdict(v['fingerprint_match'])}",
     ]
-    if v["profile"]:
-        plain, sharded = v["profile"]["plain"], v["profile"]["sharded"]
-        lines += [
-            "profile: per-phase self-time (seconds)",
-            f"  {'phase':<12} {'plain':>10} {'sharded':>10}",
-            *(
-                f"  {phase:<12} {plain.get(phase, 0.0):>10.4f} "
-                f"{sharded.get(phase, 0.0):>10.4f}"
-                for phase in sorted(set(plain) | set(sharded))
-            ),
-        ]
     return "\n".join(lines)
 
 
@@ -647,8 +619,8 @@ COMMANDS: Tuple[Command, ...] = (
             None, _report, _report_text, (
         Flag("--out", TEXT, None, "output path (default stdout)"),
         Flag("--obs", SWITCH, help=(
-            "emit the obs/1 JSON artifact of one instrumented default-"
-            "scenario run (spans, typed events, conformance sampling) "
+            "emit the obs/2 JSON artifact of one instrumented default-"
+            "scenario run (typed events, conformance sampling) "
             "instead of the experiments report"
         )),
         Flag("--obs-stride", POSITIVE, 64,
@@ -703,10 +675,6 @@ COMMANDS: Tuple[Command, ...] = (
         Flag("--deadline", TIME, 60.0, "per-find latency budget (sim time)"),
         Flag("--moves-per-object", COUNT, 2, "walk steps per object (default 2)"),
         Flag("--shards", POSITIVE, 2, "shard count K for the sharded engine"),
-        Flag("--profile", SWITCH, help=(
-            "run each engine with obs spans enabled and "
-            "report per-phase self-time"
-        )),
     )),
     Command("mobility",
             "tracked walk across generated mobility regimes "

@@ -20,8 +20,6 @@ clarifications (DESIGN.md):
 from __future__ import annotations
 
 from ..hierarchy.hierarchy import ClusterHierarchy
-from ..obs._state import OBS as _OBS
-from ..obs.spans import Span
 from .messages import Grow, GrowNbr, GrowPar, Shrink, ShrinkUpd
 from .state import SystemSnapshot
 
@@ -45,17 +43,6 @@ def look_ahead(
             multiple pending updates are processed in deterministic
             (sorted) order — used for exploratory concurrent-state checks.
     """
-    if _OBS.spans_enabled:
-        with Span("core.look_ahead", "lookahead", _OBS.collector):
-            return _look_ahead(snapshot, hierarchy, strict)
-    return _look_ahead(snapshot, hierarchy, strict)
-
-
-def _look_ahead(
-    snapshot: SystemSnapshot,
-    hierarchy: ClusterHierarchy,
-    strict: bool,
-) -> SystemSnapshot:
     state = snapshot.copy()
     ptr = state.pointers
     max_level = hierarchy.max_level

@@ -27,7 +27,6 @@ from dataclasses import replace
 from functools import partial
 from inspect import unwrap
 from itertools import count
-from time import perf_counter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..geometry.regions import RegionId
@@ -319,11 +318,6 @@ class CGcast:
         ``fire(key, *args)`` is the terminal delivery of one copy; it
         runs at the copy's delivery time with the copy's transit key.
         """
-        # Per-message obs gating: two boolean checks when off; timing
-        # uses charge() (no Span allocation) on this hottest path.
-        spanning = _OBS.spans_enabled
-        if spanning:
-            t0 = perf_counter()
         sim = self.sim
         now = sim.now
         self.messages_sent += 1
@@ -355,8 +349,6 @@ class CGcast:
             key = next(self._transit_keys)
             self._in_transit[key] = (src, dest, payload, when)
             self._transport(src, dest, when, partial(fire, key, *args))
-        if spanning:
-            _OBS.collector.charge("geocast", perf_counter() - t0)
 
     def _transport(
         self, src: Any, dest: Any, when: float, deliver: Callable[[], None]

@@ -1,13 +1,10 @@
 """``repro.obs`` — structured observability for any run.
 
-The layer has four legs (DESIGN.md §6):
+The layer has three legs (DESIGN.md §6):
 
-* **spans** (:mod:`repro.obs.spans`) — context-managed timed regions
-  whose self time is charged to named phases (``build``, ``events``,
-  ``geocast``, ``lookahead``, ``barrier``);
 * **typed events** (:mod:`repro.obs.events`) — schema-versioned
   dataclass records emitted by the hot paths: the trace of a run;
-* **export** (:mod:`repro.obs.export`) — the ``obs/1`` JSON artifact
+* **export** (:mod:`repro.obs.export`) — the ``obs/2`` JSON artifact
   behind ``repro report --obs``;
 * **conformance** (:mod:`repro.obs.conformance`) — an online sampler
   running the Lemma 4.1/4.2 and Theorem 4.8 (``lookAhead``) checks on
@@ -22,7 +19,10 @@ path is one boolean attribute check per site.  Typical use::
     with obs.observed() as collector:
         scenario = build(ScenarioConfig(...))
         ...
-    print(collector.phase_totals)
+    print(collector.events_by_kind())
+
+Host-time attribution is not this package's job: the bench tracer
+(``benchmarks/perf/run.py --trace 1``) reports per-layer self times.
 
 The gate and collector are per-process: sweep workers run with
 observability off unless a job enables it itself.
@@ -49,7 +49,6 @@ from .events import (
     ShrinkSent,
     event_dict,
 )
-from .spans import NULL_SPAN, Span, SpanRecord, span
 
 __all__ = [
     "OBS",
@@ -58,10 +57,6 @@ __all__ = [
     "disable",
     "observed",
     "collector",
-    "span",
-    "Span",
-    "SpanRecord",
-    "NULL_SPAN",
     "EVENT_TYPES",
     "OBS_EVENT_SCHEMA",
     "event_dict",
@@ -79,28 +74,21 @@ __all__ = [
 ]
 
 
-def enable(
-    spans: bool = True,
-    events: bool = True,
-    max_events: int = 10_000,
-    max_spans: int = 2_000,
-) -> ObsCollector:
-    """Turn observability on; returns the fresh active collector.
+def enable(max_events: int = 10_000) -> ObsCollector:
+    """Turn typed events on; returns the fresh active collector.
 
     Re-enabling replaces the previous collector (a run's telemetry is
     one collector's lifetime).
     """
-    new = ObsCollector(max_events=max_events, max_spans=max_spans)
+    new = ObsCollector(max_events=max_events)
     OBS.collector = new
-    OBS.spans_enabled = bool(spans)
-    OBS.events_enabled = bool(events)
+    OBS.events_enabled = True
     return new
 
 
 def disable() -> Optional[ObsCollector]:
     """Turn observability off; returns the collector that was active."""
     previous = OBS.collector
-    OBS.spans_enabled = False
     OBS.events_enabled = False
     OBS.collector = None
     return previous
@@ -116,21 +104,30 @@ class observed:
 
     Enables on entry, disables on exit, restoring whatever gate state
     was active before (so nested/overlapping use degrades sanely).
+
+    ``spans=False, events=True`` are the only accepted values of the
+    two legacy keywords, kept because the speed bench passes them
+    literally; any other value raises :class:`ValueError`.  They go
+    when the bench's call drops them (ROADMAP item 2).
     """
 
-    def __init__(self, spans: bool = True, events: bool = True,
-                 max_events: int = 10_000, max_spans: int = 2_000) -> None:
-        self._args = (spans, events, max_events, max_spans)
+    def __init__(self, *, max_events: int = 10_000,
+                 spans: bool = False, events: bool = True) -> None:
+        if spans is not False or events is not True:
+            raise ValueError(
+                "observed() records typed events only: spans=False and "
+                f"events=True are the sole values (got spans={spans!r}, "
+                f"events={events!r})"
+            )
+        self._max_events = max_events
         self._saved = None
 
     def __enter__(self) -> ObsCollector:
-        self._saved = (OBS.spans_enabled, OBS.events_enabled, OBS.collector)
-        spans, events, max_events, max_spans = self._args
-        return enable(spans=spans, events=events,
-                      max_events=max_events, max_spans=max_spans)
+        self._saved = (OBS.events_enabled, OBS.collector)
+        return enable(max_events=self._max_events)
 
     def __exit__(self, *exc) -> bool:
-        OBS.spans_enabled, OBS.events_enabled, OBS.collector = self._saved
+        OBS.events_enabled, OBS.collector = self._saved
         return False
 
 

@@ -1,7 +1,7 @@
 """The observability gate — the only obs name hot paths import.
 
-Hot modules (:mod:`repro.sim.engine`, :mod:`repro.core.tracker`,
-:mod:`repro.geocast.cgcast`, :mod:`repro.faults.injector`) guard every
+Hot modules (:mod:`repro.core.tracker`, :mod:`repro.geocast.cgcast`,
+:mod:`repro.faults.injector`) guard every
 obs action behind one attribute check on the module-level :data:`OBS`
 singleton::
 
@@ -12,8 +12,8 @@ With observability off (the default) the guard is a single boolean
 attribute load per site — no allocation, no call — which is what keeps
 the obs-off overhead within the ≤2% budget on the ``benchmarks/perf``
 ``events_per_s`` number.  This module deliberately imports nothing from the
-rest of the package so the hot paths never pull in the collector,
-metrics or export machinery.
+rest of the package so the hot paths never pull in the collector or
+export machinery.
 
 The gate is per-process (like the topology cache and the events-fired
 counter): sweep workers start with observability off unless their job
@@ -29,16 +29,14 @@ class ObsGate:
     """Mutable per-process switchboard for the observability layer.
 
     Attributes:
-        spans_enabled: Gate for span timing / phase charging.
         events_enabled: Gate for typed structured events.
         collector: The active :class:`~repro.obs.collector.ObsCollector`
             (None when observability is off).
     """
 
-    __slots__ = ("spans_enabled", "events_enabled", "collector")
+    __slots__ = ("events_enabled", "collector")
 
     def __init__(self) -> None:
-        self.spans_enabled = False
         self.events_enabled = False
         self.collector: Optional[Any] = None
 

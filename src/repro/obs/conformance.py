@@ -244,7 +244,6 @@ class ConformanceSampler:
         collector = self.collector
         if collector is not None:
             collector.emit(event)
-            collector.metrics.counter("conformance.violations").add()
 
     # ------------------------------------------------------------------
     # Reporting

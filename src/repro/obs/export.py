@@ -1,11 +1,12 @@
-"""The obs JSON artifact (schema ``obs/1``) and its human summary.
+"""The obs JSON artifact (schema ``obs/2``) and its human summary.
 
 :func:`obs_payload` serializes a collector (plus an optional
 conformance sampler) to a schema-versioned, JSON-safe dict;
 :func:`write_obs_artifact` writes it;
 :func:`render_obs_summary` renders the short human table the CLI prints
-(:func:`render_obs_counts` is its host-time-free part, which the
-EXPERIMENTS.md OBS section embeds).
+(:func:`render_obs_counts` is its tables, which the EXPERIMENTS.md
+OBS section embeds).  The artifact holds no host time: per-layer
+timing is the bench tracer's (``benchmarks/perf/run.py --trace 1``).
 ``benchmarks/check_obs_report.py`` validates the artifact.
 """
 
@@ -17,13 +18,10 @@ from typing import Any, Dict, List, Optional
 from .events import OBS_EVENT_SCHEMA, event_dict
 
 #: Artifact schema tag.  Bump on any payload shape change.
-OBS_SCHEMA = "obs/1"
+OBS_SCHEMA = "obs/2"
 
 #: Newest events inlined in the artifact (counts stay exact).
 EVENT_SAMPLE_LIMIT = 50
-
-#: Span records inlined in the artifact.
-SPAN_SAMPLE_LIMIT = 200
 
 
 def obs_payload(
@@ -31,28 +29,14 @@ def obs_payload(
     conformance: Optional[Any] = None,
     extra: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Serialize ``collector`` (and optionally a sampler) to ``obs/1``."""
+    """Serialize ``collector`` (and optionally a sampler) to ``obs/2``."""
     retained = list(collector.events)
     payload: Dict[str, Any] = {
         "schema": OBS_SCHEMA,
         "event_schema": OBS_EVENT_SCHEMA,
-        "phases": {k: round(v, 9) for k, v in collector.phase_totals.items()},
-        "spans": {
-            "count": len(collector.spans) + collector.spans_dropped,
-            "dropped": collector.spans_dropped,
-            "records": [
-                {
-                    "name": s.name,
-                    "phase": s.phase,
-                    "start_s": round(s.start_s, 9),
-                    "duration_s": round(s.duration_s, 9),
-                    "self_s": round(s.self_s, 9),
-                    "depth": s.depth,
-                }
-                for s in collector.spans[:SPAN_SAMPLE_LIMIT]
-            ],
+        "counters": {
+            f"events.{kind}": n for kind, n in sorted(collector.counts.items())
         },
-        "counters": collector.metrics.state()["counters"],
         "events": {
             "seen": collector.events_seen,
             "retained": len(retained),
@@ -99,17 +83,9 @@ def render_obs_counts(payload: Dict[str, Any]) -> List[str]:
 
 
 def render_obs_summary(payload: Dict[str, Any]) -> str:
-    """Short human-readable summary of an ``obs/1`` payload."""
-    from ..analysis.reporting import render_table
-
-    phase_rows = [
-        (phase, f"{seconds:.4f}")
-        for phase, seconds in sorted(payload["phases"].items())
-    ]
+    """Short human-readable summary of an ``obs/2`` payload."""
     return "\n\n".join([
         f"obs artifact (schema {payload['schema']}, "
         f"event schema v{payload['event_schema']})",
-        render_table(["phase", "self seconds"], phase_rows,
-                     title="phase breakdown"),
         *render_obs_counts(payload),
     ])

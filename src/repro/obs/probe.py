@@ -1,8 +1,8 @@
 """The instrumented default-scenario probe behind ``repro report --obs``.
 
 Runs one fully observed E1-style workload — build the default world,
-walk the evader, issue a find — with spans, typed events and the online
-conformance sampler all enabled, and returns the ``obs/1`` payload.
+walk the evader, issue a find — with typed events and the online
+conformance sampler enabled, and returns the ``obs/2`` payload.
 The default scenario is fault-free and respects the atomic-move timing
 bound, so the sampler must report **zero** Lemma 4.1/4.2 / Theorem 4.8
 violations; ``benchmarks/check_obs_report.py`` gates on exactly that.
@@ -26,11 +26,11 @@ def run_obs_probe(
     stride: int = 64,
     strict: bool = True,
 ) -> Dict[str, Any]:
-    """One observed run; returns the serialized ``obs/1`` payload."""
+    """One observed run; returns the serialized ``obs/2`` payload."""
     from ..mobility.models import RandomNeighborWalk
     from ..scenario import ScenarioConfig, build
 
-    collector = enable(spans=True, events=True)
+    collector = enable()
     try:
         scenario = build(ScenarioConfig(r=r, max_level=max_level, seed=seed))
         system = scenario.system

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Optional, Union
 
 from .faults.plan import FaultPlan
-from .obs import span as obs_span
 from .topo import charge_setup, topology_cache
 
 #: Registry keys of the message-level (simulator-driven) systems.
@@ -347,8 +346,7 @@ def build(config: ScenarioConfig) -> Scenario:
     if config.resume_from is not None:
         return _build_resumed(config)
     with charge_setup():
-        with obs_span("scenario.build", phase="build"):
-            return _build_timed(config)
+        return _build_timed(config)
 
 
 def _build_resumed(config: ScenarioConfig) -> Scenario:
@@ -358,17 +356,16 @@ def _build_resumed(config: ScenarioConfig) -> Scenario:
 
     source = config.resume_from
     with charge_setup():
-        with obs_span("scenario.resume", phase="build"):
-            snapshot = source if isinstance(source, Snapshot) else load(source)
-            caller = config.with_(resume_from=None)
-            if caller != ScenarioConfig() and caller != snapshot.config:
-                raise CkptCompatError(
-                    "resume_from config mismatch: the other ScenarioConfig "
-                    "fields must equal the snapshot's config (or all stay "
-                    f"at defaults); got {caller!r} vs snapshot "
-                    f"{snapshot.config!r}"
-                )
-            return restore_scenario(snapshot).scenario
+        snapshot = source if isinstance(source, Snapshot) else load(source)
+        caller = config.with_(resume_from=None)
+        if caller != ScenarioConfig() and caller != snapshot.config:
+            raise CkptCompatError(
+                "resume_from config mismatch: the other ScenarioConfig "
+                "fields must equal the snapshot's config (or all stay "
+                f"at defaults); got {caller!r} vs snapshot "
+                f"{snapshot.config!r}"
+            )
+        return restore_scenario(snapshot).scenario
 
 
 def _build_timed(config: ScenarioConfig) -> Scenario:

@@ -21,9 +21,8 @@ computed: the four cross-engine commands and the SVC experiment ask it.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import replace
-from typing import Callable, ContextManager, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..sim.sharded.core import RunRecord, run_script
 from ..workload import Workload, materialize
@@ -76,7 +75,6 @@ def cross_check(
     workload: Workload,
     seed: Optional[int] = None,
     backend: str = "serial",
-    around: Callable[[str], ContextManager] = nullcontext,
 ) -> Tuple[RunRecord, RunRecord, bool]:
     """Whether ``workload`` runs the same on the plain and sharded engines.
 
@@ -84,16 +82,13 @@ def cross_check(
     ``config.seed``), runs it on the plain loop and on ``backend`` at
     ``config.shards`` shards, and returns ``(plain, sharded, match)``:
     both records with ``metrics`` attached, and the verdict — equal
-    canonical fingerprints.  ``around(engine)`` wraps each run, so
-    ``repro service --profile`` can observe the engines apart.
+    canonical fingerprints.
     """
     if seed is None:
         seed = config.seed
     script = materialize(workload, seed)
-    with around("plain"):
-        plain = _run(config, script, "plain")
-    with around("sharded"):
-        sharded = _run(config, script, backend)
+    plain = _run(config, script, "plain")
+    sharded = _run(config, script, backend)
     return plain, sharded, (
         plain.canonical_fingerprint == sharded.canonical_fingerprint
     )

@@ -1,15 +1,12 @@
-"""Discrete-event simulation substrate (engine, queue, RNG, metrics)."""
+"""Discrete-event simulation substrate (engine, queue, RNG)."""
 
 from .engine import SimulationError, Simulator
 from .event_queue import Event, EventQueue
-from .metrics import Counter, MetricsRegistry
 from .rng import RngRegistry, choice_excluding
 
 __all__ = [
-    "Counter",
     "Event",
     "EventQueue",
-    "MetricsRegistry",
     "RngRegistry",
     "SimulationError",
     "Simulator",

@@ -18,8 +18,6 @@ from __future__ import annotations
 import gc
 from typing import Any, Callable, List, Optional
 
-from ..obs._state import OBS as _OBS
-from ..obs.spans import Span
 from .event_queue import Event, EventQueue
 
 #: Process-wide count of events fired by every Simulator instance.  The
@@ -263,14 +261,6 @@ class Simulator:
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
-        span = None
-        if _OBS.spans_enabled:
-            # One span per loop call (not per event) charges the loop's
-            # self time to the "events" phase; geocast/lookahead work
-            # inside event handlers charges its own phase and is
-            # subtracted via the span's child-time accounting.
-            span = Span("sim.run", "events", _OBS.collector)
-            span.__enter__()
         try:
             while True:
                 if max_events is not None and fired >= max_events:
@@ -296,10 +286,6 @@ class Simulator:
             _EVENTS_FIRED_TOTAL += fired
             if gc_was_enabled:
                 gc.enable()
-            try:
-                for hook in self._loop_exit:
-                    hook()
-            finally:
-                if span is not None:
-                    span.__exit__(None, None, None)
+            for hook in self._loop_exit:
+                hook()
         return fired

@@ -45,7 +45,6 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional
 
 from ...energy.ledger import merge_energy
-from ...obs import span as obs_span
 from ...topo import topology_cache
 from .context import RemoteMessage, ShardContext, fold_crc
 from .plan import ShardPlan, strip_plan
@@ -173,30 +172,29 @@ class ShardedSimulator:
         windows = 0
         transport = self._make_transport()
         try:
-            with obs_span("sharded.run", phase="barrier"):
-                next_times = transport.start()
-                inboxes: List[List[RemoteMessage]] = [[] for _ in range(k)]
-                while True:
-                    candidates = [t for t in next_times if t is not None]
-                    candidates.extend(
-                        m.deliver_time for box in inboxes for m in box
+            next_times = transport.start()
+            inboxes: List[List[RemoteMessage]] = [[] for _ in range(k)]
+            while True:
+                candidates = [t for t in next_times if t is not None]
+                candidates.extend(
+                    m.deliver_time for box in inboxes for m in box
+                )
+                if not candidates:
+                    break
+                if windows >= self.max_windows:
+                    raise ShardedRunError(
+                        f"exceeded max_windows={self.max_windows}"
                     )
-                    if not candidates:
-                        break
-                    if windows >= self.max_windows:
-                        raise ShardedRunError(
-                            f"exceeded max_windows={self.max_windows}"
-                        )
-                    barrier = min(candidates) + delta
-                    outboxes, next_times = transport.step_all(barrier, inboxes)
-                    windows += 1
-                    exchanged = [m for box in outboxes for m in box]
-                    exchanged.sort(key=RemoteMessage.sort_key)
-                    cross += len(exchanged)
-                    inboxes = [[] for _ in range(k)]
-                    for message in exchanged:
-                        inboxes[message.dest_shard].append(message)
-                reports = transport.finish()
+                barrier = min(candidates) + delta
+                outboxes, next_times = transport.step_all(barrier, inboxes)
+                windows += 1
+                exchanged = [m for box in outboxes for m in box]
+                exchanged.sort(key=RemoteMessage.sort_key)
+                cross += len(exchanged)
+                inboxes = [[] for _ in range(k)]
+                for message in exchanged:
+                    inboxes[message.dest_shard].append(message)
+            reports = transport.finish()
         finally:
             transport.close()
         wall = perf_counter() - wall0

@@ -62,7 +62,7 @@ def run_workload(world=lambda config: config):
     system = scenario.system
     regions = system.hierarchy.tiling.regions()
     center = regions[len(regions) // 2]
-    with obs.observed(spans=False) as collector:
+    with obs.observed() as collector:
         evader = system.make_evader(
             RandomNeighborWalk(start=center), dwell=1e12, start=center,
             rng=random.Random(5),

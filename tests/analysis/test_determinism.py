@@ -77,7 +77,7 @@ class TestGoldenValues:
         system, accountant = scenario.parts()
         regions = system.hierarchy.tiling.regions()
         center = regions[len(regions) // 2]
-        with obs.observed(spans=False) as collector:
+        with obs.observed() as collector:
             evader = system.make_evader(
                 RandomNeighborWalk(start=center),
                 dwell=1e12,

@@ -43,7 +43,7 @@ def hooks(system, collector):
 
 def test_stop_restores_subscriber_and_observer_counts():
     system, _ = tracked_system()
-    with obs.observed(spans=False) as collector:
+    with obs.observed() as collector:
         baseline = hooks(system, collector)
         sampler = ConformanceSampler(system, stride=1).attach()
         assert hooks(system, collector) == (1, 2, 1)
@@ -54,7 +54,7 @@ def test_stop_restores_subscriber_and_observer_counts():
 
 def test_stop_is_idempotent_and_safe_before_watch():
     system, _ = tracked_system()
-    with obs.observed(spans=False) as collector:
+    with obs.observed() as collector:
         ConformanceSampler(system).detach()  # never attached: no-op
 
         sampler = ConformanceSampler(system).attach()
@@ -70,7 +70,7 @@ def test_stop_is_idempotent_and_safe_before_watch():
 
 def test_watch_is_idempotent():
     system, _ = tracked_system()
-    with obs.observed(spans=False) as collector:
+    with obs.observed() as collector:
         sampler = ConformanceSampler(system)
         sampler.attach()
         sampler.attach()

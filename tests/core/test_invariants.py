@@ -59,7 +59,7 @@ def test_lemma_4_2_one_lateral_per_level_per_move():
     system = VineStalk(h)
     a, b = worst_boundary_pair(h)
     evader = system.make_evader(BoundaryOscillator(a, b), dwell=1e12, start=a)
-    with obs.observed(spans=False):
+    with obs.observed():
         sampler = obs.ConformanceSampler(system, stride=1).attach()
         system.run_to_quiescence()
         for _ in range(12):

@@ -117,7 +117,7 @@ def replay(injector_class, plan, seed, stable, stream):
     sim = system.sim
     injector = injector_class(system, plan, seed=seed, stable_draws=stable).arm()
     out = []
-    with obs.observed(spans=False, events=True) as collector:
+    with obs.observed() as collector:
         for advance, src, dest, payload, delay in stream:
             if advance == "fresh":
                 sim.now = type(sim.now)(repr(sim.now))
@@ -157,7 +157,7 @@ def drive_walk(injector_class, plan, stable):
         return delays
 
     system.cgcast.fault_filter = recording
-    with obs.observed(spans=False, events=True) as collector:
+    with obs.observed() as collector:
         system.sim.run_until(walk_horizon(5))
         events = [e for e in collector.events if e.kind == "messages-perturbed"]
     return sends, injector.stats.as_dict(), injector.streams.state(), events

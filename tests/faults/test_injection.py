@@ -50,7 +50,7 @@ def run_workload(plan=None):
     system = scenario.system
     regions = system.hierarchy.tiling.regions()
     center = regions[len(regions) // 2]
-    with obs.observed(spans=False) as collector:
+    with obs.observed() as collector:
         evader = system.make_evader(
             RandomNeighborWalk(start=center), dwell=1e12, start=center,
             rng=random.Random(5),
@@ -210,7 +210,7 @@ class TestTimelineRules:
             RegionBlackout(at=6.0, duration=2.0, regions=(regions[0],)),
             RegionBlackout(at=7.0, duration=10.0, count=2),
         )
-        with obs.observed(spans=False, events=True) as collector:
+        with obs.observed() as collector:
             injector = FaultInjector(system, plan, seed=5).arm()
             with pytest.raises(RuntimeError):
                 injector.arm()

@@ -149,7 +149,7 @@ class TestDispatchAccountingShared:
         )
         records = []
         system.cgcast.observe(records.extend)
-        with obs.observed(spans=False, events=True, max_events=100_000) as seen:
+        with obs.observed(max_events=100_000) as seen:
             evader = system.make_evader(
                 RandomNeighborWalk(start=(4, 4)), dwell=1e12, start=(4, 4),
                 rng=random.Random(4),

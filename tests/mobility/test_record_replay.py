@@ -114,7 +114,7 @@ def test_obs_round_trip_dispatch_fingerprint_is_bit_identical():
         traces, n_finds=3, hierarchy=hierarchy, seed=23, settle=100.0
     )
 
-    with obs.observed(events=True) as collector:
+    with obs.observed() as collector:
         original_fp, report = _run_script(workload, seed=23)
     # moves_observed counts the enter as the first observed relocation.
     assert report["moves_observed"] == len(traces[0].steps)
@@ -146,7 +146,7 @@ def test_trace_from_obs_requires_matching_object():
     hierarchy = shared_grid_hierarchy(2, 1)
     traces = generate(Walk(), hierarchy, 3, seed=1)
     workload = trace_workload(traces, hierarchy=hierarchy, seed=1)
-    with obs.observed(events=True) as collector:
+    with obs.observed() as collector:
         _run_script(workload, max_level=1, seed=1)
     with pytest.raises(ValueError):
         trace_from_obs(collector.events, object_id=5)

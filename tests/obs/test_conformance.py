@@ -171,7 +171,7 @@ def test_a_second_lateral_grow_in_one_move_is_a_lemma_4_2_violation():
     system = scenario.system
     a, b = worst_boundary_pair(h)
     evader = system.make_evader(BoundaryOscillator(a, b), dwell=1e12, start=a)
-    with obs.observed(spans=False) as collector:
+    with obs.observed() as collector:
         sampler = ConformanceSampler(system, stride=1).attach()
         system.run_to_quiescence()
         laterals = []

@@ -38,7 +38,10 @@ def run_tracked_walk(n_moves=4, fault_plan=None, seed=6):
 
 
 def test_no_events_recorded_when_gate_off():
-    collector = obs.enable(spans=False, events=False)
+    # A collector attached with the gate down hears nothing: the hot
+    # paths test ``events_enabled``, not the collector.
+    collector = obs.ObsCollector()
+    obs.OBS.collector = collector
     try:
         run_tracked_walk()
     finally:
@@ -86,6 +89,20 @@ def test_retention_cap_bounds_memory_not_counts():
     assert len(collector.events) == 5
     assert collector.events_seen > 5
     assert sum(collector.events_by_kind().values()) == collector.events_seen
+
+
+def test_observed_context_restores_previous_gate():
+    outer = obs.enable()
+    try:
+        with obs.observed() as inner:
+            assert obs.OBS.collector is inner
+            assert obs.OBS.events_enabled
+        assert obs.OBS.collector is outer
+        assert obs.OBS.events_enabled
+    finally:
+        obs.disable()
+    assert obs.OBS.collector is None
+    assert not obs.OBS.events_enabled
 
 
 def test_subscribe_unsubscribe_round_trip():

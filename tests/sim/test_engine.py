@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.scenario import ScenarioConfig, build
 from repro.sim import SimulationError, Simulator
 
 
@@ -199,3 +200,24 @@ def test_loop_exit_hooks_run_whenever_control_returns():
     with pytest.raises(RuntimeError, match="boom"):
         sim.run()
     assert exits == [(1, False), (2, False), (3, False), (3, False), (5, False)]
+
+
+class TestAfterEventHooks:
+    """Simulator.add_after_event / remove_after_event mechanics."""
+
+    def test_hook_fires_per_event_and_removes(self):
+        scenario = build(ScenarioConfig(r=2, max_level=2, seed=1))
+        sim = scenario.system.sim
+        fired = []
+        hook = sim.add_after_event(lambda: fired.append(sim.now))
+        scenario.system.run_to_quiescence()
+        assert len(fired) == sim.events_fired
+        sim.remove_after_event(hook)
+        before = len(fired)
+        sim.call_at(sim.now + 1.0, lambda: None, tag="noop")
+        sim.run_until(sim.now + 2.0)
+        assert len(fired) == before
+
+    def test_remove_unknown_hook_is_noop(self):
+        scenario = build(ScenarioConfig(r=2, max_level=2, seed=1))
+        scenario.system.sim.remove_after_event(lambda: None)

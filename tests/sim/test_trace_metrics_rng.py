@@ -1,30 +1,9 @@
-"""Unit tests for the metrics registry and RNG streams."""
-
-import json
+"""Unit tests for the RNG streams."""
 
 import pytest
 
-from repro.sim import MetricsRegistry, RngRegistry
+from repro.sim import RngRegistry
 from repro.sim.rng import choice_excluding
-
-
-class TestMetrics:
-    def test_counter_add(self):
-        reg = MetricsRegistry()
-        reg.counter("msgs").add()
-        reg.counter("msgs").add(2.5)
-        c = reg.counter("msgs")
-        assert c.count == 2
-        assert c.total == 3.5
-
-    def test_state_is_sorted_and_json_safe(self):
-        reg = MetricsRegistry()
-        reg.counter("b").add(4.0)
-        reg.counter("a").add()
-        state = reg.state()
-        assert list(state["counters"]) == ["a", "b"]
-        assert state["counters"]["b"] == {"count": 1, "total": 4.0}
-        assert json.loads(json.dumps(state)) == state
 
 
 class TestRng:

@@ -302,6 +302,13 @@ class TestSmokeEnvelopes:
         assert code == 2
         assert data["error"], data
 
+    def test_service_has_no_profile_flag(self, capsys):
+        # Host-time attribution is the bench tracer's, not the CLI's.
+        with pytest.raises(SystemExit) as exited:
+            main(["service", "--profile"])
+        assert exited.value.code == 2
+        assert "--profile" in capsys.readouterr().err
+
     def test_baselines(self, capsys):
         code, data = run_json(capsys, "baselines", "--moves", "4", "--finds", "2")
         assert code == 0
