@@ -1,15 +1,16 @@
 """Checkpoint/restore and deterministic replay (schema ``CKPT_SCHEMA``).
 
-The subsystem in one paragraph: :func:`snapshot_scenario` captures a
-built scenario between two events as a versioned, picklable
-:class:`Snapshot` whose payload references the content-addressed
-topology cache instead of re-serializing route tables;
+The subsystem in one paragraph: :func:`snapshot_scenario` — the one
+way a world is captured — pickles a built scenario between two events
+as a versioned :class:`Snapshot` whose payload references the
+content-addressed topology cache instead of re-serializing route tables;
 :func:`restore_scenario` (and the on-disk :func:`save`/:func:`load`
 envelope) turns it back into a fresh continuation that resumes
 bit-identically to the uninterrupted run; :func:`fork_scenario` spins N
 deterministic divergent continuations off one snapshot; and
 :func:`~repro.ckpt.bisect.bisect_divergence` localizes the first
-diverging event between two run variants via interleaved checkpoints.
+diverging event between two run variants by scanning both live runs in
+lockstep, with no checkpoint at all.
 
 See ``DESIGN.md`` §7 for the guarantees and the format layout.
 """

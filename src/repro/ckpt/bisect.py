@@ -2,36 +2,30 @@
 
 A golden mismatch ("obs-on differs from obs-off", "these two seeds
 should match") historically meant staring at full traces.
-:func:`bisect_divergence` turns it into one call: it replays the
-canonical tracked walk under two :class:`Variant` environments in
-interleaved windows, folding a rolling per-event fingerprint on each
-side and checkpointing at every window boundary.
-When a window's fingerprints disagree, the first diverging event inside
-it is binary-searched from the recorded fingerprints, both sides are
-**restored from the last agreeing checkpoint** and stepped to the exact
-boundary, and the report carries the diverging event's time, tag and
-C-gcast send lines from each side — live state at the split, not a log
-dump.
+:func:`bisect_divergence` turns it into one call: it runs the canonical
+tracked walk under two :class:`Variant` environments in lockstep, one
+event per side at a time, folding a rolling per-event fingerprint on
+each side.  At the first event whose fingerprints disagree it stops,
+and the report carries that event's time, queue tag and C-gcast send
+lines from each live run — state at the split, with no checkpoint and
+no replay.
 
 Rolling fingerprint: per fired event, fold the post-event clock and the
 world's send CRC (:class:`~repro.sim.sharded.context.SendFold`, which
 every send the event made has just entered) into a CRC.  Equal prefixes
-⇒ equal CRC sequences; after the first divergence the CRCs stay
-different (rolling), which is what makes the binary search valid.  A
-side costs O(1) per event and its checkpoints stay the size of the
-world, not of the run.
+⇒ equal CRC sequences, so the first unequal pair is the first event at
+which the two executions differ.  A side costs O(1) per event.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 from ..faults.plan import CHANNEL_BOTH, FaultPlan, MessageLoss
 from ..scenario import Scenario, ScenarioConfig
 from ..sim.sharded.context import canonical_send_line
-from .snapshot import Snapshot, restore_scenario, snapshot_scenario
 from .workload import build_tracked_walk, walk_horizon
 
 
@@ -107,39 +101,33 @@ class Variant:
 class _Env:
     """Per-side global toggles, activated only while that side steps.
 
-    The obs gate is a process global, so interleaved windows swap it in
-    and out around each side's turn.
+    The obs gate is a process global, so the lockstep scan swaps it in
+    and out around each side's event.
     """
 
     def __init__(self, variant: Variant) -> None:
-        self.variant = variant
-        self._saved: Optional[tuple] = None
-        self._collector = None
-
-    def __enter__(self) -> "_Env":
         from ..obs._state import OBS
 
-        self._saved = (OBS.events_enabled, OBS.collector)
-        if self.variant.obs:
-            if self._collector is None:
-                from ..obs.collector import ObsCollector
+        self._obs = OBS
+        self._gate: tuple = (False, None)
+        if variant.obs:
+            from ..obs.collector import ObsCollector
 
-                self._collector = ObsCollector()
-            OBS.events_enabled = True
-            OBS.collector = self._collector
-        else:
-            OBS.events_enabled = False
-            OBS.collector = None
+            self._gate = (True, ObsCollector())
+        self._saved: Optional[tuple] = None
+
+    def __enter__(self) -> "_Env":
+        obs = self._obs
+        self._saved = (obs.events_enabled, obs.collector)
+        obs.events_enabled, obs.collector = self._gate
         return self
 
     def __exit__(self, *exc) -> None:
-        from ..obs._state import OBS
-
-        OBS.events_enabled, OBS.collector = self._saved
+        self._obs.events_enabled, self._obs.collector = self._saved
 
 
 # ----------------------------------------------------------------------
-# One recorded side
+# One live side
 # ----------------------------------------------------------------------
 @dataclass
 class _EventInfo:
@@ -158,77 +146,46 @@ class _EventInfo:
 
 
 class _Side:
-    """One variant's run: stepping, rolling CRCs, window checkpoints."""
+    """One variant's live run, stepped and folded one event at a time."""
 
     def __init__(
         self, config: ScenarioConfig, variant: Variant, moves: int
     ) -> None:
         self.env = _Env(variant)
-        self.variant = variant
         with self.env:
             self.scenario: Scenario = build_tracked_walk(
                 variant.apply(config), moves=moves
             )
         self.crc = 0
-        self.window_fps: List[int] = []
-        self.events = 0
-        self.checkpoint: Snapshot = self._snapshot()
-        self.checkpoint_events = 0
-        self.checkpoints_taken = 1
+        self.tag: Optional[str] = None
+        self.sends: list = []
+        self.scenario.system.cgcast.observe(self.sends.extend)
 
-    def _snapshot(self) -> Snapshot:
-        return snapshot_scenario(self.scenario)
+    def step(self, until: float) -> bool:
+        """Fire and fold one event; False, firing nothing, when none is left.
 
-    def _fold_event(self) -> None:
-        send_crc = self.scenario.send_fold.crc
-        self.crc = zlib.crc32(f"{self.scenario.sim.now!r}|{send_crc}".encode(), self.crc)
-
-    def run_window(self, window: int, until: float) -> int:
-        """Fire up to ``window`` events under this side's env.
-
-        Appends one rolling fingerprint per fired event to
-        ``window_fps`` (cleared first) and returns how many fired.
+        Afterwards ``tag`` and ``sends`` describe the event just fired:
+        the loop hands C-gcast's pending send records to their observers
+        as it returns.
         """
-        self.window_fps.clear()
         sim = self.scenario.sim
+        event = sim._queue.peek()
+        self.sends.clear()
         with self.env:
-            for _ in range(window):
-                if not sim.step(until=until):
-                    break
-                self._fold_event()
-                self.window_fps.append(self.crc)
-        self.events += len(self.window_fps)
-        return len(self.window_fps)
+            if not sim.step(until=until):
+                return False
+        self.tag = event.tag
+        send_crc = self.scenario.send_fold.crc
+        self.crc = zlib.crc32(f"{sim.now!r}|{send_crc}".encode(), self.crc)
+        return True
 
-    def take_checkpoint(self) -> None:
-        self.checkpoint = self._snapshot()
-        self.checkpoint_events = self.events
-        self.checkpoints_taken += 1
-
-    def replay_to(self, offset: int) -> Tuple[Scenario, Optional[_EventInfo]]:
-        """Restore the window checkpoint and step ``offset + 1`` events.
-
-        Returns the restored scenario positioned right after the event
-        at ``offset`` (0-based within the window) plus that event's
-        :class:`_EventInfo`.
-        """
-        restored = restore_scenario(self.checkpoint).scenario
-        sim = restored.sim
-        sends: list = []
-        restored.system.cgcast.observe(sends.extend)
-        with self.env:
-            for _ in range(offset + 1):
-                event = sim._queue.peek()
-                if event is None:
-                    return restored, None
-                sends.clear()
-                sim.step()
-        lines = tuple(canonical_send_line(record) for record in sends)
-        return restored, _EventInfo(time=sim.now, tag=event.tag, send_lines=lines)
+    def last_event(self) -> _EventInfo:
+        lines = tuple(canonical_send_line(record) for record in self.sends)
+        return _EventInfo(time=self.scenario.sim.now, tag=self.tag, send_lines=lines)
 
 
 # ----------------------------------------------------------------------
-# The bisection
+# The scan
 # ----------------------------------------------------------------------
 @dataclass
 class DivergenceReport:
@@ -239,8 +196,6 @@ class DivergenceReport:
     variant_b: str
     event_index: Optional[int] = None
     events_compared: int = 0
-    checkpoints: int = 0
-    window: int = 0
     event_a: Optional[_EventInfo] = None
     event_b: Optional[_EventInfo] = None
     fingerprint_a: int = 0
@@ -254,8 +209,6 @@ class DivergenceReport:
             "variant_b": self.variant_b,
             "event_index": self.event_index,
             "events_compared": self.events_compared,
-            "checkpoints": self.checkpoints,
-            "window": self.window,
             "event_a": None if self.event_a is None else self.event_a.as_dict(),
             "event_b": None if self.event_b is None else self.event_b.as_dict(),
             "fingerprint_a": self.fingerprint_a,
@@ -264,46 +217,26 @@ class DivergenceReport:
         }
 
 
-def _first_mismatch(a: List[int], b: List[int], n: int) -> int:
-    """Binary-search the first index < n where the CRC sequences differ.
-
-    Valid because a rolling CRC sequence is prefix-stable: once the
-    sides diverge, every later fingerprint differs too — mismatch is a
-    monotone predicate over the index.
-    """
-    lo, hi = 0, n - 1  # invariant: mismatch exists in [lo, hi]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if a[mid] != b[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def bisect_divergence(
     config: ScenarioConfig,
     variant_a: Variant,
     variant_b: Variant,
     moves: int = 5,
     until: Optional[float] = None,
-    window: int = 256,
     max_events: int = 1_000_000,
 ) -> DivergenceReport:
-    """Replay ``config`` under two variants and localize their split.
+    """Run ``config`` under two variants in lockstep and localize their split.
 
     Both sides run the canonical tracked walk to ``until`` (default:
-    the walk's settle horizon).  Execution interleaves in ``window``-
-    event slices with a checkpoint at each window boundary; the first
-    window whose fingerprints disagree is bisected, both sides are
-    restored from their last agreeing checkpoint, and the report pins
-    the first diverging event (0-based global index) with each side's
-    view of it.
+    the walk's settle horizon), one event each at a time, for at most
+    ``max_events`` compared events.  The report pins the first
+    diverging event (0-based index) with each side's view of it — none
+    for a side that had already drained.
     """
-    if window < 1 or max_events < 1:
-        # A zero-event window compares nothing and reports "no divergence".
+    if max_events < 1 or (until is not None and until < 0):
+        # Either compares nothing and reports "no divergence".
         raise ValueError(
-            f"window and max_events must be >= 1, got {window} and {max_events}"
+            f"max_events must be >= 1 and until >= 0, got {max_events} and {until}"
         )
     if until is None:
         until = walk_horizon(moves)
@@ -313,63 +246,30 @@ def bisect_divergence(
         diverged=False,
         variant_a=variant_a.describe(),
         variant_b=variant_b.describe(),
-        window=window,
     )
 
-    while side_a.events < max_events:
-        fired_a = side_a.run_window(window, until)
-        fired_b = side_b.run_window(window, until)
-        compared = min(fired_a, fired_b)
-        report.events_compared += compared
-        fps_a, fps_b = side_a.window_fps, side_b.window_fps
-        if fps_a[:compared] != fps_b[:compared]:
-            offset = _first_mismatch(fps_a, fps_b, compared)
-            scenario_a, event_a = side_a.replay_to(offset)
-            scenario_b, event_b = side_b.replay_to(offset)
-            report.diverged = True
-            report.event_index = side_a.events - fired_a + offset
-            report.checkpoints = (
-                side_a.checkpoints_taken + side_b.checkpoints_taken
-            )
-            report.event_a = event_a
-            report.event_b = event_b
-            report.fingerprint_a = fps_a[offset]
-            report.fingerprint_b = fps_b[offset]
-            report.note = (
-                f"first divergence at event {report.event_index} "
-                f"(window offset {offset}); replayed from checkpoints at "
-                f"event {side_a.checkpoint_events}"
-            )
-            return report
-        if fired_a != fired_b:
-            # Equal prefixes but one side ran out of events first: the
-            # divergence is the extra event itself.
-            longer = side_a if fired_a > fired_b else side_b
-            offset = compared
-            scenario_x, event_x = longer.replay_to(offset)
-            report.diverged = True
-            report.event_index = longer.events - max(fired_a, fired_b) + offset
-            report.checkpoints = (
-                side_a.checkpoints_taken + side_b.checkpoints_taken
-            )
-            if longer is side_a:
-                report.event_a = event_x
-            else:
-                report.event_b = event_x
-            report.note = (
-                f"sides fired different event counts "
-                f"({fired_a} vs {fired_b} in the final window)"
-            )
-            return report
-        if fired_a == 0:
+    while report.events_compared < max_events:
+        fired_a = side_a.step(until)
+        fired_b = side_b.step(until)
+        if not (fired_a or fired_b):
             break  # both drained, no divergence
-        side_a.take_checkpoint()
-        side_b.take_checkpoint()
+        index = report.events_compared
+        report.events_compared += 1
+        if fired_a and fired_b and side_a.crc == side_b.crc:
+            continue
+        report.diverged = True
+        report.event_index = index
+        report.event_a = side_a.last_event() if fired_a else None
+        report.event_b = side_b.last_event() if fired_b else None
+        report.note = f"first divergence at event {index}"
+        if not (fired_a and fired_b):
+            report.note += f": side {'B' if fired_a else 'A'} had already drained"
+        break
 
-    report.checkpoints = side_a.checkpoints_taken + side_b.checkpoints_taken
     report.fingerprint_a = side_a.crc
     report.fingerprint_b = side_b.crc
-    report.note = (
-        f"no divergence over {report.events_compared} compared events"
-    )
+    if not report.diverged:
+        report.note = (
+            f"no divergence over {report.events_compared} compared events"
+        )
     return report

@@ -37,8 +37,8 @@ def schedule_tracked_walk(
     RNG is seeded from ``scenario.config.seed``.  Returns the evader.
 
     The moves are one chain — each schedules the next — so a snapshot
-    holds the rest of the walk as one event, whatever its length (a
-    bisection checkpoints every window).  Priority -1 makes each move the
+    holds the rest of the walk as one event, whatever its length, and a
+    ``repro snapshot`` payload stays flat.  Priority -1 makes each move the
     first event of its instant.  Queued all at once after ``build()``, a
     move would instead follow the events ``build()`` itself queued for
     its instant — a fault plan's first blackout or crash tick — so the

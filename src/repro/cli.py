@@ -359,16 +359,18 @@ def _resume(args):
     from .scenario import build
 
     snapshot = load(args.path)
-    until = args.until
+    cut, until = snapshot.meta.sim_time, args.until
     if until is None:  # the horizon of the walk the note says was snapshot
-        until = walk_horizon(_note_moves(snapshot.meta.note))
+        until = max(walk_horizon(_note_moves(snapshot.meta.note)), cut)
+    elif until < cut:
+        raise ValueError(f"until {until:g} is before the snapshot's t={cut:g}")
     scenario = build(snapshot.config.with_(resume_from=snapshot))
     scenario.sim.run_until(until)
     fp = run_fingerprint(scenario)
     system = scenario.system
     evader = system.evader
     return {
-        "resumed_from_t": snapshot.meta.sim_time,
+        "resumed_from_t": cut,
         "ran_until": until,
         **dict(zip(("sim_time", "events_fired", "sends", "send_crc"), fp)),
         "evader_region": None if evader is None else list(evader.region),
@@ -389,8 +391,7 @@ def _bisect(args):
 
     return bisect_divergence(
         ScenarioConfig(**_pick(args, "r", "max_level", "seed")),
-        Variant.parse(args.variant_a), Variant.parse(args.variant_b),
-        **_pick(args, "moves", "window"),
+        Variant.parse(args.variant_a), Variant.parse(args.variant_b), args.moves,
     ).as_dict(), 0
 
 
@@ -641,7 +642,8 @@ COMMANDS: Tuple[Command, ...] = (
     Command("resume", "restore a checkpoint and run it to completion",
             None, _resume, _resume_text, (
         Flag("path", TEXT, help=f"a {CKPT_SCHEMA} file written by 'repro snapshot'"),
-        Flag("--until", TIME, None, "sim time to run to (default: the walk horizon)"),
+        Flag("--until", TIME, None,
+             "sim time to run to, not before the cut (default: the walk horizon)"),
     )),
     Command("bisect", "locate the first diverging event between two run variants",
             (2, 2, 7), _bisect, _bisect_text, (
@@ -649,7 +651,6 @@ COMMANDS: Tuple[Command, ...] = (
              'variant A, e.g. "base" or "seed:8,loss:0.3"', "variant_a"),
         Flag("--b", TEXT, "base", 'variant B, e.g. "seed:8" or "obs:on"', "variant_b"),
         Flag("--moves", COUNT, 5),
-        Flag("--window", POSITIVE, 256, "events per lockstep window (default 256)"),
     )),
     Command("sharded", "sharded PDES run vs single-loop reference (determinism check)",
             (2, 3, 11), _sharded, _sharded_text, (

@@ -144,47 +144,10 @@ class Simulator:
         """Fire the single earliest event.  Returns False if none remain.
 
         With ``until`` given, an event beyond that time is left in the
-        queue and False is returned — the bounded single-step the replay
-        recorder uses to interleave per-event observation with normal
-        execution.
+        queue and False is returned — the bounded single-step the
+        bisector's lockstep scan uses to compare two runs event by event.
         """
         return self._loop(until=until, max_events=1) == 1
-
-    # ------------------------------------------------------------------
-    # Snapshot / restore (repro.ckpt engine hook)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """Capture the simulator's own state as plain data.
-
-        Covers the clock, the fired-event counter and the full event
-        queue (via :meth:`EventQueue.snapshot`).  Callbacks are held by
-        reference — making the capture portable across processes is the
-        :mod:`repro.ckpt` codec's job.  Refuses to run mid-event: a
-        snapshot is only meaningful on the inter-event boundary.
-
-        Raises:
-            SimulationError: when called from inside a running loop.
-        """
-        if self.running:
-            raise SimulationError("cannot snapshot while the loop is running")
-        return {
-            "now": self.now,
-            "events_fired": self._events_fired,
-            "queue": self._queue.snapshot(),
-        }
-
-    def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot` capture onto this simulator.
-
-        Raises:
-            SimulationError: when called from inside a running loop.
-        """
-        if self.running:
-            raise SimulationError("cannot restore while the loop is running")
-        self.now = state["now"]
-        self._events_fired = state["events_fired"]
-        self._stop_requested = False
-        self._queue.restore(state["queue"])
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the queue drains (or ``max_events`` fire).

@@ -171,51 +171,6 @@ class EventQueue:
         self._heap.clear()
         self._live = 0
 
-    # ------------------------------------------------------------------
-    # Snapshot / restore (repro.ckpt engine hook)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """Capture the queue's full ordering state as plain data.
-
-        The capture carries every pending entry — time, priority, the
-        tie-breaking sequence number, the callback, the tag and the
-        cancellation flag — plus the next sequence number, so a restored
-        queue pops the exact same events in the exact same ``(time,
-        priority, seq)`` order and assigns future pushes the same
-        sequence numbers the original would have.  Callbacks are held by
-        reference; cross-process portability is the
-        :mod:`repro.ckpt` codec's job, not this method's.
-        """
-        return {
-            "entries": [
-                (time, priority, seq, event.fn, event.tag, event._cancelled)
-                for (time, priority, seq, event) in self._heap
-            ],
-            "next_seq": self._next_seq,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot` capture.
-
-        Fresh :class:`Event` handles are built for every entry, so the
-        restored queue shares no mutable state with the snapshot (or
-        with handles returned by pushes before the snapshot — those
-        handles no longer control the restored queue's entries).
-        """
-        heap: list[tuple] = []
-        live = 0
-        for time, priority, seq, fn, tag, cancelled in state["entries"]:
-            event = Event(time, priority, seq, fn, tag)
-            if cancelled:
-                event._cancelled = True
-            else:
-                live += 1
-            heap.append((time, priority, seq, event))
-        heapq.heapify(heap)
-        self._heap = heap
-        self._live = live
-        self._next_seq = state["next_seq"]
-
     def _drop_cancelled(self) -> None:
         heap = self._heap
         while heap and heap[0][3]._cancelled:

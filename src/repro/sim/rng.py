@@ -60,35 +60,6 @@ class RngRegistry:
     def names(self) -> list[str]:
         return sorted(self._streams)
 
-    # ------------------------------------------------------------------
-    # Snapshot / restore / fork (repro.ckpt engine hook)
-    # ------------------------------------------------------------------
-    def state(self) -> dict:
-        """Capture the registry — root seed, fork path and the exact
-        mid-sequence position of every stream — as plain picklable data."""
-        return {
-            "seed": self.seed,
-            "fork_path": self._fork_path,
-            "streams": {
-                name: rng.getstate() for name, rng in self._streams.items()
-            },
-        }
-
-    def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`state` capture.
-
-        Streams absent from the capture are dropped; restored streams
-        continue their sequences from the captured position, so a
-        restore-then-draw matches the original draw bit for bit.
-        """
-        self.seed = state["seed"]
-        self._fork_path = tuple(state["fork_path"])
-        self._streams = {}
-        for name, rng_state in state["streams"].items():
-            rng = random.Random()
-            rng.setstate(rng_state)
-            self._streams[name] = rng
-
     def fork(self, index: int) -> "RngRegistry":
         """Extend the fork path by ``index`` and re-derive every stream.
 

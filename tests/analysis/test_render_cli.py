@@ -185,8 +185,8 @@ class TestJsonEnvelope:
             (["baselines", "--faults", ""], "empty --faults"),
             # Out of the flag's declared domain: each of these ran to
             # exit 0 (or a traceback) before the table stated domains.
-            (["bisect", "--a", "base", "--b", "seed:8", "--window", "0"],
-             "window must be >= 1"),
+            (["bisect", "--a", "base", "--b", "seed:8", "--moves", "-1"],
+             "moves must be >= 0"),
             (["service", "--rate", "0"], "rate must be > 0"),
             (["service", "--rate", "-1"], "rate must be > 0"),
             (["mobility", "--shards", "-1"], "shards must be >= 0"),

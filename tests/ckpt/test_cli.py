@@ -50,8 +50,7 @@ class TestBisect:
         assert "no divergence" in capsys.readouterr().out
 
     def test_seed_divergence_reported(self, capsys):
-        assert main(["bisect", "--a", "base", "--b", "seed:8",
-                     "--window", "32"]) == 0
+        assert main(["bisect", "--a", "base", "--b", "seed:8"]) == 0
         out = capsys.readouterr().out
         assert "first divergence at event" in out
         assert "side A" in out and "side B" in out

@@ -1,9 +1,9 @@
-"""The ``ckpt/3`` envelope: strict format and compatibility checks.
+"""The checkpoint envelope: strict format and compatibility checks.
 
 Every corruption mode must be caught *before* any pickle byte is
 trusted: bad magic, truncated header, wrong schema, short payload,
 fingerprint mismatch, foreign Python tag.  Plus the ``resume_from``
-config-compatibility gate.
+config-compatibility gate and the payload's size over a long run.
 """
 
 import json
@@ -145,6 +145,25 @@ class TestResumeFromCompat:
         save(snapshot, path)
         scenario = build(ScenarioConfig(resume_from=str(path)))
         assert scenario.sim.now == 25.0
+
+
+class TestCheckpointSize:
+    def test_tracked_walk_snapshot_does_not_grow_with_events(self):
+        """A ``repro snapshot`` payload holds the world, not the run so far.
+
+        On a 4-region world the walk has sent over every route by t=105;
+        from there, 7x the events fired leave the payload within 1 % —
+        what a run records about itself is O(1) (the send CRC), and the
+        rest of the walk is one queued event, not one per move.
+        """
+        scenario = build_tracked_walk(CONFIG.with_(max_level=1), moves=80)
+        sizes = {}
+        for t in (105.0, 795.0):
+            scenario.sim.run_until(t)
+            sizes[scenario.sim.events_fired] = len(snapshot_scenario(scenario).payload)
+        (early, small), (late, large) = sorted(sizes.items())
+        assert late >= 7 * early
+        assert large <= small * 1.01, sizes
 
 
 def test_snapshot_refuses_mid_event_capture():

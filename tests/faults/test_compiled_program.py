@@ -111,6 +111,13 @@ messages = st.tuples(
 )
 
 
+def stream_positions(registry):
+    """A registry's root seed, fork path and every stream's position."""
+    return registry.seed, registry.fork_path, {
+        name: registry.stream(name).getstate() for name in registry.names()
+    }
+
+
 def replay(injector_class, plan, seed, stable, stream):
     """Feed ``stream`` through an armed injector's C-gcast filter."""
     system = fake_system()
@@ -132,7 +139,7 @@ def replay(injector_class, plan, seed, stable, stream):
             args = (ENDPOINTS[src], ENDPOINTS[dest], PAYLOADS[payload], delay)
             out.append(None if filt is None else filt(*args))
         events = list(collector.events)
-    return out, injector.stats.as_dict(), injector.streams.state(), events
+    return out, injector.stats.as_dict(), stream_positions(injector.streams), events
 
 
 @settings(max_examples=300, deadline=None)
@@ -160,7 +167,7 @@ def drive_walk(injector_class, plan, stable):
     with obs.observed() as collector:
         system.sim.run_until(walk_horizon(5))
         events = [e for e in collector.events if e.kind == "messages-perturbed"]
-    return sends, injector.stats.as_dict(), injector.streams.state(), events
+    return sends, injector.stats.as_dict(), stream_positions(injector.streams), events
 
 
 def test_every_op_and_both_channels_are_exercised():

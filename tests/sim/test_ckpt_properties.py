@@ -1,18 +1,18 @@
-"""Property-based round-trip suites for the repro.ckpt engine hooks.
+"""Property-based round trips through the checkpoint codec.
 
-Two state carriers must survive snapshot/restore bit-identically for
-checkpoints to resume bit-identically:
+A checkpoint pickles the live object graph (``repro.ckpt.codec``), so
+two state carriers must survive ``loads_graph(dumps_graph(x)[0])``
+bit-identically for checkpoints to resume bit-identically:
 
-* :class:`~repro.sim.rng.RngRegistry` — ``state()`` → ``restore()``
-  must put every named stream back mid-sequence, so the restored
-  registry's future draws equal the original's;
-* :class:`~repro.sim.event_queue.EventQueue` — ``snapshot()`` →
-  ``restore()`` must preserve pop order (including ``(time, priority,
-  seq)`` tie-breaking), cancellation flags, and the sequence counter so
-  post-restore pushes tie-break exactly as post-snapshot pushes would.
+* :class:`~repro.sim.rng.RngRegistry` — every named stream must come
+  back mid-sequence, so the copy's future draws equal the original's;
+* :class:`~repro.sim.event_queue.EventQueue` — pop order (including
+  ``(time, priority, seq)`` tie-breaking), cancellation flags and the
+  sequence counter must survive, so later pushes tie-break exactly as
+  they would have in the original.
 
-Both are exercised under random interleavings, with the restored object
-run in lockstep against the original.
+Both are exercised under random interleavings, with the copy run in
+lockstep against the original.
 """
 
 import pytest
@@ -21,11 +21,18 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repro.ckpt import dumps_graph, loads_graph  # noqa: E402
 from repro.sim.event_queue import EventQueue  # noqa: E402
 from repro.sim.rng import RngRegistry  # noqa: E402
 
+
+def _clone(graph):
+    """The path every checkpoint takes: one codec round trip."""
+    return loads_graph(dumps_graph(graph)[0])
+
+
 # ----------------------------------------------------------------------
-# RngRegistry state()/restore()
+# RngRegistry
 # ----------------------------------------------------------------------
 stream_names = st.sampled_from(
     ["fault.0.MessageLoss", "fault.1.RegionBlackout", "walk", "alpha", "b"]
@@ -34,17 +41,20 @@ stream_names = st.sampled_from(
 rng_ops = st.lists(st.tuples(stream_names, st.integers(0, 3)), max_size=60)
 
 
+def _warmed(seed, warmup):
+    registry = RngRegistry(seed)
+    for name, draws in warmup:
+        stream = registry.stream(name)
+        for _ in range(draws):
+            stream.random()
+    return registry
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), warmup=rng_ops, after=rng_ops)
 def test_rng_registry_roundtrip_mid_sequence(seed, warmup, after):
-    original = RngRegistry(seed)
-    for name, draws in warmup:
-        stream = original.stream(name)
-        for _ in range(draws):
-            stream.random()
-
-    clone = RngRegistry(seed + 1)  # wrong seed on purpose: restore must fix it
-    clone.restore(original.state())
+    original = _warmed(seed, warmup)
+    clone = _clone(original)
     assert clone.seed == original.seed
     assert clone.fork_path == original.fork_path
     assert clone.names() == original.names()
@@ -58,16 +68,9 @@ def test_rng_registry_roundtrip_mid_sequence(seed, warmup, after):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), warmup=rng_ops, index=st.integers(0, 5))
 def test_rng_registry_fork_from_restored_state(seed, warmup, index):
-    """Restoring a state then forking equals forking the original."""
-    original = RngRegistry(seed)
-    for name, draws in warmup:
-        stream = original.stream(name)
-        for _ in range(draws):
-            stream.random()
-    state = original.state()
-
-    clone = RngRegistry(0)
-    clone.restore(state)
+    """Forking a round-tripped registry equals forking the original."""
+    original = _warmed(seed, warmup)
+    clone = _clone(original)
     original.fork(index)
     clone.fork(index)
     assert original.fork_path == clone.fork_path
@@ -78,10 +81,7 @@ def test_rng_registry_fork_from_restored_state(seed, warmup, index):
 @given(seed=st.integers(0, 2**32 - 1), a=st.integers(0, 5), b=st.integers(0, 5))
 @settings(max_examples=30, deadline=None)
 def test_rng_registry_forks_diverge_iff_index_differs(seed, a, b):
-    state = RngRegistry(seed).state()
-    x, y = RngRegistry(0), RngRegistry(0)
-    x.restore(state)
-    y.restore(state)
+    x, y = RngRegistry(seed), RngRegistry(seed)
     draws_x = [x.fork(a).stream("s").random() for _ in range(3)]
     draws_y = [y.fork(b).stream("s").random() for _ in range(3)]
     if a == b:
@@ -91,7 +91,7 @@ def test_rng_registry_forks_diverge_iff_index_differs(seed, a, b):
 
 
 # ----------------------------------------------------------------------
-# EventQueue snapshot()/restore()
+# EventQueue
 # ----------------------------------------------------------------------
 times = st.floats(
     min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -129,50 +129,25 @@ def _apply(queue, handles, op):
 @settings(max_examples=80, deadline=None)
 @given(before=queue_ops, after=queue_ops)
 def test_event_queue_roundtrip_under_interleaving(before, after):
-    """snapshot → restore → identical behavior under any continuation.
+    """Round trip → identical behavior under any continuation.
 
-    The original runs ``before`` ops, gets snapshotted into a fresh
-    queue, and both then run ``after`` in lockstep — every pop must
-    return the same ``(time, priority, seq)`` key on both sides, and
-    post-restore pushes must receive identical sequence numbers.
+    The original runs ``before`` ops and is round-tripped together with
+    its handles (a checkpoint carries the objects that hold them); both
+    then run ``after`` in lockstep — every pop must return the same
+    ``(time, priority, seq)`` key on both sides, cancels through the
+    copied handles must act on the copy, and later pushes must receive
+    identical sequence numbers.
     """
     original = EventQueue()
     handles = []
     for op in before:
         _apply(original, handles, op)
 
-    restored = EventQueue()
-    restored.restore(original.snapshot())
+    restored, restored_handles = _clone((original, handles))
     assert len(restored) == len(original)
 
-    # The restored queue built fresh handles; map by seq for cancels.
-    restored_handles = {
-        entry[3].seq: entry[3] for entry in restored._heap
-    }
-
     for op in after:
-        expected = _apply(original, handles, op)
-        if op[0] == "cancel":
-            # Mirror the cancel onto the restored twin by seq.
-            if handles:
-                twin = restored_handles.get(handles[op[1] % len(handles)].seq)
-                if twin is not None:
-                    restored.cancel(twin)
-            continue
-        if op[0] == "push":
-            _, time, priority = op
-            event = restored.push(time, fn=lambda: None, priority=priority)
-            restored_handles[event.seq] = event
-            assert ("pushed", event.seq) == expected
-            continue
-        until = None if op[0] == "pop" else op[1]
-        event = restored.pop_next_before(until)
-        got = (
-            ("none",)
-            if event is None
-            else ("popped", event.time, event.priority, event.seq, event.tag)
-        )
-        assert got == expected
+        assert _apply(restored, restored_handles, op) == _apply(original, handles, op)
         assert len(restored) == len(original)
 
     # Full drain must agree too (covers entries `after` never reached).
@@ -188,12 +163,12 @@ def test_event_queue_roundtrip_under_interleaving(before, after):
 @settings(max_examples=40, deadline=None)
 @given(ops=queue_ops)
 def test_event_queue_snapshot_is_inert(ops):
-    """Taking a snapshot never perturbs the queue it captures."""
+    """Pickling a queue never perturbs the queue it captures."""
     queue = EventQueue()
     handles = []
     results = []
     for op in ops:
-        queue.snapshot()
+        dumps_graph(queue)
         results.append(_apply(queue, handles, op))
 
     twin = EventQueue()

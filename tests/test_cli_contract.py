@@ -76,9 +76,8 @@ DEFAULTS = {
         ("events_fired", "sends"),
     ),
     "bisect": (
-        {"checkpoints", "diverged", "event_a", "event_b", "event_index",
-         "events_compared", "fingerprint_a", "fingerprint_b", "note",
-         "variant_a", "variant_b", "window"},
+        {"diverged", "event_a", "event_b", "event_index", "events_compared",
+         "fingerprint_a", "fingerprint_b", "note", "variant_a", "variant_b"},
         ("variant_a", "variant_b", "note"),
     ),
     "sharded": (
@@ -328,13 +327,33 @@ class TestSmokeEnvelopes:
         assert result["ran_until"] == 70.0, result
         assert result["finds_completed"] == 1, result
 
-    def test_bisect(self, capsys):
-        code, report = run_json(
-            capsys, "bisect", "--a", "base", "--b", "seed:8", "--window", "64"
+    def test_resume_refuses_an_until_before_the_snapshot(self, capsys):
+        # Ran to exit 0 reporting ran_until 3 beside sim_time 25.
+        code, data = run_json(capsys, "resume", GOLDEN_CKPT, "--until", "3")
+        assert code == 2
+        assert set(data) == {"error"} and "t=25" in data["error"], data
+        assert main(["resume", GOLDEN_CKPT, "--until", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == data["error"] + "\n" and not captured.out
+
+    def test_resume_runs_a_snapshot_cut_past_its_walk(self, capsys, tmp_path):
+        # The default horizon of a 0-move walk (t=20) lies before a cut
+        # at 50: the run must still reach the cut, not end before it.
+        path = str(tmp_path / "late.ckpt")
+        code, _ = run_json(
+            capsys, "snapshot", "--moves", "0", "--at", "50", "--out", path
         )
+        assert code == 0
+        code, data = run_json(capsys, "resume", path)
+        assert code == 0
+        assert data["ran_until"] == data["sim_time"] == data["resumed_from_t"] == 50.0
+
+    def test_bisect(self, capsys):
+        code, report = run_json(capsys, "bisect", "--a", "base", "--b", "seed:8")
         assert code == 0
         assert report["diverged"] is True, report
         assert isinstance(report["event_index"], int), report
+        assert report["events_compared"] == report["event_index"] + 1, report
         assert report["event_a"]["time"] is not None
         for side in ("event_a", "event_b"):
             assert isinstance(report[side]["tag"], str) and report[side]["tag"], report
