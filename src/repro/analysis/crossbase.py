@@ -22,7 +22,7 @@ at the same seed):
   with energy derived from the same cost model applied to their
   move/find work and detection counts.
 
-Fault cells (message loss with stable draws) run message trackers only —
+Fault cells (message loss) run message trackers only —
 the analytic models have no channel to perturb.
 
 The one entry point is ``repro baselines``; the committed
@@ -47,7 +47,7 @@ ALL_TRACKERS = MESSAGE_TRACKERS + ANALYTIC_TRACKERS
 PRESETS = ("uniform-walk", "convoy-line", "dither")
 
 #: Fault axis: ``none`` is the fault-free grid; ``loss`` (message
-#: trackers only) adds 5% stable-draw message loss.
+#: trackers only) adds 5% message loss.
 FAULTS = ("none", "loss")
 
 LOSS_RATE = 0.05
@@ -121,7 +121,6 @@ def run_message_cell(
         shards=shards,
         energy=model,
         fault_plan=_fault_plan(fault),
-        stable_fault_draws=fault != "none",
     )
     plain, sharded, match = cross_check(
         config, _walk(preset, n_moves, n_finds)

@@ -23,7 +23,6 @@ from .snapshot import (
     CKPT_SCHEMA,
     CkptCompatError,
     CkptFormatError,
-    Restored,
     Snapshot,
     SnapshotMeta,
     load,
@@ -49,7 +48,6 @@ __all__ = [
     "DivergenceReport",
     "FIND_AT",
     "MOVE_EVERY",
-    "Restored",
     "Snapshot",
     "SnapshotMeta",
     "Variant",

@@ -23,7 +23,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from ..faults.plan import CHANNEL_BOTH, FaultPlan, MessageLoss
+from ..faults.plan import default_plan
 from ..scenario import Scenario, ScenarioConfig
 from ..sim.sharded.context import canonical_send_line
 from .workload import build_tracked_walk, walk_horizon
@@ -80,11 +80,7 @@ class Variant:
         if self.seed is not None:
             config = config.with_(seed=self.seed)
         if self.loss is not None:
-            config = config.with_(
-                fault_plan=FaultPlan.of(
-                    MessageLoss(rate=self.loss, channel=CHANNEL_BOTH)
-                )
-            )
+            config = config.with_(fault_plan=default_plan(loss_rate=self.loss))
         return config
 
     def describe(self) -> str:

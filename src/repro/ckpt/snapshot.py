@@ -3,20 +3,19 @@
 A :class:`Snapshot` captures a built scenario — event queue with
 tie-break counters, every RNG stream position, tracker/VSA/client
 automata state, fault-injector arming, geocast in-flight messages, the
-send fold — between two simulation events, as one
-:func:`~repro.ckpt.codec.dumps_graph` payload plus a small typed header:
+send fold, the config it was built from — between two simulation
+events, as one :func:`~repro.ckpt.codec.dumps_graph` payload plus a
+small typed header (:class:`SnapshotMeta`): schema tag, simulation
+time, events fired, the topology keys the payload references instead
+of embedding, the Python version the payload's code objects target, a
+free-text note, and a SHA-256 digest over all of those fields and the
+payload.
 
-* ``meta`` — schema tag, simulation time, events fired, the topology
-  keys the payload references instead of embedding, a SHA-256 payload
-  fingerprint and the Python version the payload's code objects target;
-* ``config`` — the :class:`~repro.scenario.ScenarioConfig` the world was
-  built from, readable without touching the payload (compat checks);
-* ``payload`` — the pickled object graph: ``(scenario, extras)``.
-
-The on-disk envelope is a magic line, a JSON header and the two pickle
-sections; :func:`load` verifies magic, schema, Python version and the
-payload fingerprint *before* unpickling anything, and raises a typed
-error on any mismatch.
+The on-disk envelope is a magic line, a 4-byte header length, the JSON
+header and the payload.  :func:`load` verifies magic, schema, header
+shape, length and digest *before* unpickling anything: a file that
+differs from what :func:`save` wrote in any byte raises
+:class:`CkptFormatError` or loads as the same snapshot.
 
 The golden guarantee (enforced by ``tests/ckpt``): *snapshot at t, then
 resume* produces a run bit-identical — :func:`run_fingerprint` and
@@ -29,26 +28,39 @@ import hashlib
 import json
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 from ..core.tracker import BOTTOM
 from ..scenario import Scenario
 from ..topo.keys import TopologyKey
-from .codec import dumps_graph, loads_graph
+from .codec import CkptCodecError, dumps_graph, loads_graph
 
 #: Schema tag of the snapshot format.  Bump on any envelope or payload
 #: layout change; :func:`load` refuses other schemas outright.
-#: ``ckpt/4``: the ``Scenario`` carries its ``SendFold`` and the
-#: ``Simulator`` no trace log; ``ckpt/3`` payloads have it the other way.
-CKPT_SCHEMA = "ckpt/4"
+#: ``ckpt/5``: one header whose digest covers every field and the
+#: payload; ``ckpt/4`` digested the payload only, beside a separately
+#: pickled config section.
+CKPT_SCHEMA = "ckpt/5"
 
 #: A lane's pointers at a cluster that is off its path.
 _BOTTOMS = (BOTTOM,) * 4
 
 #: First bytes of every checkpoint file.
 CKPT_MAGIC = b"repro-ckpt\n"
+
+#: The on-disk header's keys and the JSON types of their values.
+_HEADER_TYPES: Dict[str, Any] = {
+    "schema": str,
+    "sim_time": (int, float),
+    "events_fired": int,
+    "topo_keys": list,
+    "fingerprint": str,
+    "python": str,
+    "note": str,
+    "payload_bytes": int,
+}
 
 
 class CkptFormatError(RuntimeError):
@@ -97,7 +109,7 @@ class SnapshotMeta:
             ),
             fingerprint=data["fingerprint"],
             python=data["python"],
-            note=data.get("note", ""),
+            note=data["note"],
         )
 
 
@@ -106,37 +118,23 @@ class Snapshot:
     """One checkpoint, ready to restore, fork or save."""
 
     meta: SnapshotMeta
-    config: Any  # ScenarioConfig (typed loosely to avoid an import cycle)
     payload: bytes = field(repr=False)
 
 
-@dataclass
-class Restored:
-    """A restored continuation: the scenario plus its snapshot extras."""
-
-    scenario: Scenario
-    extras: Dict[str, Any] = field(default_factory=dict)
-
-
-def _payload_fingerprint(payload: bytes) -> str:
-    return "sha256:" + hashlib.sha256(payload).hexdigest()
+def _digest(meta: SnapshotMeta, payload: bytes) -> str:
+    """SHA-256 over every header field but the digest, then the payload."""
+    fields = meta.as_json_dict()
+    del fields["fingerprint"]
+    head = json.dumps(fields, sort_keys=True).encode("utf-8")
+    return "sha256:" + hashlib.sha256(head + b"\0" + payload).hexdigest()
 
 
 def _python_tag() -> str:
     return f"{sys.version_info.major}.{sys.version_info.minor}"
 
 
-def snapshot_scenario(
-    scenario: Scenario,
-    extras: Optional[Dict[str, Any]] = None,
-    note: str = "",
-) -> Snapshot:
-    """Capture ``scenario`` (and optional extra handles) as a snapshot.
-
-    ``extras`` is a dict of additional picklable objects to carry along
-    — typically evader handles or workload RNGs that are not reachable
-    from the scenario itself.  Objects shared between the scenario and
-    the extras stay shared in the restored graph (one pickle memo).
+def snapshot_scenario(scenario: Scenario, note: str = "") -> Snapshot:
+    """Capture ``scenario`` as a snapshot.
 
     Raises:
         SimulationError: when the simulator loop is mid-event — a
@@ -147,33 +145,40 @@ def snapshot_scenario(
         from ..sim.engine import SimulationError
 
         raise SimulationError("cannot snapshot while the simulator loop is running")
-    payload, topo_keys = dumps_graph((scenario, dict(extras or {})))
+    payload, topo_keys = dumps_graph(scenario)
     meta = SnapshotMeta(
         schema=CKPT_SCHEMA,
         sim_time=0.0 if sim is None else sim.now,
         events_fired=0 if sim is None else sim.events_fired,
         topo_keys=topo_keys,
-        fingerprint=_payload_fingerprint(payload),
+        fingerprint="",
         python=_python_tag(),
         note=note,
     )
-    return Snapshot(meta=meta, config=scenario.config, payload=payload)
+    meta = replace(meta, fingerprint=_digest(meta, payload))
+    return Snapshot(meta=meta, payload=payload)
 
 
-def restore_scenario(snapshot: Snapshot) -> Restored:
+def restore_scenario(snapshot: Snapshot) -> Scenario:
     """Restore a snapshot into a fresh, independent continuation.
 
     Every restore unpickles the payload anew, so N restores give N
     disjoint object graphs (fork-ready); topology references resolve
     through this process's content-addressed cache, rebuilding on a
-    cold cache.
+    cold cache.  The scenario carries the config it was built from.
+
+    Raises:
+        CkptFormatError: another schema, or a payload that does not
+            decode.
     """
     if snapshot.meta.schema != CKPT_SCHEMA:
         raise CkptFormatError(
             f"snapshot schema {snapshot.meta.schema!r} != {CKPT_SCHEMA!r}"
         )
-    scenario, extras = loads_graph(snapshot.payload)
-    return Restored(scenario=scenario, extras=extras)
+    try:
+        return loads_graph(snapshot.payload)
+    except CkptCodecError as exc:
+        raise CkptFormatError(str(exc)) from exc
 
 
 # ----------------------------------------------------------------------
@@ -181,30 +186,39 @@ def restore_scenario(snapshot: Snapshot) -> Restored:
 # ----------------------------------------------------------------------
 def save(snapshot: Snapshot, path: Union[str, Path]) -> None:
     """Write the snapshot to ``path`` in the :data:`CKPT_SCHEMA` envelope."""
-    config_blob, _ = dumps_graph(snapshot.config)
     header = json.dumps(
-        {**snapshot.meta.as_json_dict(),
-         "config_bytes": len(config_blob),
-         "payload_bytes": len(snapshot.payload)},
+        {**snapshot.meta.as_json_dict(), "payload_bytes": len(snapshot.payload)},
         sort_keys=True,
     ).encode("utf-8")
     with open(path, "wb") as handle:
         handle.write(CKPT_MAGIC)
         handle.write(struct.pack(">I", len(header)))
         handle.write(header)
-        handle.write(config_blob)
         handle.write(snapshot.payload)
 
 
-def load(path: Union[str, Path], allow_python_mismatch: bool = False) -> Snapshot:
+def _read_meta(path: Union[str, Path], header: Any) -> SnapshotMeta:
+    """The typed meta of a parsed header dict; any other shape is refused."""
+    if set(header) != set(_HEADER_TYPES):
+        raise CkptFormatError(f"{path}: header keys are not {sorted(_HEADER_TYPES)}")
+    for key, kind in _HEADER_TYPES.items():
+        if not isinstance(header[key], kind) or isinstance(header[key], bool):
+            raise CkptFormatError(f"{path}: header {key!r} has the wrong type")
+    try:
+        return SnapshotMeta.from_json_dict(header)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CkptFormatError(f"{path}: malformed header: {exc!r}") from exc
+
+
+def load(path: Union[str, Path]) -> Snapshot:
     """Read a :data:`CKPT_SCHEMA` file with strict format and compat checks.
 
     Raises:
-        CkptFormatError: bad magic, wrong schema, truncated sections or
-            a payload that fails its fingerprint.
+        CkptFormatError: bad magic, wrong schema, a malformed header,
+            truncated sections or a header or payload that fails the
+            digest.
         CkptCompatError: the payload was written by a different Python
-            minor version (its by-value code objects may not load) —
-            pass ``allow_python_mismatch=True`` to try anyway.
+            minor version (its by-value code objects may not load).
     """
     data = Path(path).read_bytes()
     if not data.startswith(CKPT_MAGIC):
@@ -219,30 +233,28 @@ def load(path: Union[str, Path], allow_python_mismatch: bool = False) -> Snapsho
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CkptFormatError(f"{path}: unreadable header: {exc}") from exc
     offset += header_len
-    if header.get("schema") != CKPT_SCHEMA:
+    schema = header.get("schema") if isinstance(header, dict) else None
+    if schema != CKPT_SCHEMA:
         raise CkptFormatError(
-            f"{path}: schema {header.get('schema')!r} != {CKPT_SCHEMA!r} "
+            f"{path}: schema {schema!r} != {CKPT_SCHEMA!r} "
             "(no cross-version compatibility is promised)"
         )
-    meta = SnapshotMeta.from_json_dict(header)
-    config_bytes = header["config_bytes"]
-    payload_bytes = header["payload_bytes"]
-    if len(data) != offset + config_bytes + payload_bytes:
+    meta = _read_meta(path, header)
+    if len(data) != offset + header["payload_bytes"]:
         raise CkptFormatError(
-            f"{path}: expected {offset + config_bytes + payload_bytes} bytes, "
+            f"{path}: expected {offset + header['payload_bytes']} bytes, "
             f"file has {len(data)}"
         )
-    config_blob = data[offset:offset + config_bytes]
-    payload = data[offset + config_bytes:]
-    if _payload_fingerprint(payload) != meta.fingerprint:
-        raise CkptFormatError(f"{path}: payload fails its fingerprint check")
-    if meta.python != _python_tag() and not allow_python_mismatch:
+    payload = data[offset:]
+    if _digest(meta, payload) != meta.fingerprint:
+        raise CkptFormatError(f"{path}: header or payload fails its fingerprint check")
+    if meta.python != _python_tag():
         raise CkptCompatError(
             f"{path}: written under Python {meta.python}, this is "
-            f"{_python_tag()} — by-value code objects may not load "
-            "(pass allow_python_mismatch=True to try)"
+            f"{_python_tag()} — by-value code objects may not load; "
+            "regenerate the checkpoint"
         )
-    return Snapshot(meta=meta, config=loads_graph(config_blob), payload=payload)
+    return Snapshot(meta=meta, payload=payload)
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .ckpt import (
     bisect_divergence,
     build_tracked_walk,
     load,
+    restore_scenario,
     run_fingerprint,
     save,
     snapshot_scenario,
@@ -322,11 +323,9 @@ def _snapshot(args):
 
     config = ScenarioConfig(**_pick(args, "r", "max_level", "seed"))
     if args.loss is not None:
-        from .faults.plan import CHANNEL_BOTH, FaultPlan, MessageLoss
+        from .faults.plan import default_plan
 
-        config = config.with_(
-            fault_plan=FaultPlan.of(MessageLoss(rate=args.loss, channel=CHANNEL_BOTH))
-        )
+        config = config.with_(fault_plan=default_plan(loss_rate=args.loss))
     scenario = build_tracked_walk(config, moves=args.moves)
     scenario.sim.run_until(args.at)
     snapshot = snapshot_scenario(scenario, note=f"tracked-walk moves={args.moves}")
@@ -356,15 +355,13 @@ def _note_moves(note: str, default: int = 5) -> int:
 
 
 def _resume(args):
-    from .scenario import build
-
     snapshot = load(args.path)
     cut, until = snapshot.meta.sim_time, args.until
     if until is None:  # the horizon of the walk the note says was snapshot
         until = max(walk_horizon(_note_moves(snapshot.meta.note)), cut)
     elif until < cut:
         raise ValueError(f"until {until:g} is before the snapshot's t={cut:g}")
-    scenario = build(snapshot.config.with_(resume_from=snapshot))
+    scenario = restore_scenario(snapshot)
     scenario.sim.run_until(until)
     fp = run_fingerprint(scenario)
     system = scenario.system

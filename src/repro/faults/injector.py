@@ -16,11 +16,15 @@ monkey-patching:
   (emulated regime) or direct :class:`~repro.vsa.vsa.VsaHost`
   fail/restart (abstract regime) for crashes and blackouts.
 
-Determinism: every random draw comes from a per-rule stream
-(``fault.<index>.<RuleType>``) of a :class:`~repro.sim.rng.RngRegistry`
-seeded by the injector, and draws happen in simulation-event order —
-so the same seed and the same plan reproduce the same execution
-bit for bit, which the golden tests enforce.
+Determinism: a message rule's draw for one message is keyed on
+``(seed, rule, time, src, dest, payload type, occurrence)``, so it does
+not depend on which other messages the filter saw first — a sharded run,
+whose per-shard filters each see only their own dispatches, draws
+exactly what the plain run draws.  Crash / blackout / GPS rules draw
+from a per-rule stream (``fault.<index>.<RuleType>``) of a
+:class:`~repro.sim.rng.RngRegistry` seeded by the injector, on events
+that fire identically in every shard replica.  Same seed and same plan
+⇒ the same execution bit for bit, which the golden tests enforce.
 
 The message rules are compiled once, in :meth:`FaultInjector.arm`, into
 the program that :meth:`FaultInjector._perturb` runs for every message.
@@ -118,35 +122,21 @@ class FaultInjector:
     Args:
         system: A :class:`~repro.core.vinestalk.VineStalk` (or variant).
         plan: The fault plan to realise.
-        seed: Root seed of the injector's RNG streams.  Pass the
-            scenario seed so "same seed + same plan" pins the whole run.
-        stable_draws: Message-rule perturbations (loss / duplication /
-            jitter) draw from a per-message stream keyed on ``(seed,
-            rule, time, src, dest, payload type, occurrence)``
-            instead of the rule's sequential stream.  The draw for a
-            given message then no longer depends on how many other
-            messages the filter saw first — which is what the sharded
-            PDES core needs, since each shard's filter sees only its
-            own dispatches.  Crash / blackout / GPS rules keep their
-            sequential streams: their draws happen on events that fire
-            identically in every shard replica.
+        seed: Root seed of the message-keyed draws and of the RNG
+            streams.  Pass the scenario seed so "same seed + same plan"
+            pins the whole run.
     """
 
-    def __init__(
-        self,
-        system,
-        plan: FaultPlan,
-        seed: int = 0,
-        stable_draws: bool = False,
-    ) -> None:
+    def __init__(self, system, plan: FaultPlan, seed: int = 0) -> None:
         self.system = system
         self.plan = plan
         self.sim = system.sim
         self.streams = RngRegistry(seed)
         self.stats = FaultStats()
-        self.stable_draws = stable_draws
         self._root_seed = seed
-        # Stable-draws mode.  Per-message-key occurrence counters, so
+        # High word of every message draw's seed; fork() mixes its path in.
+        self._seed_high = seed << 32
+        # Per-message-key occurrence counters, so
         # identical back-to-back messages still get independent draws;
         # keys embed repr(sim.now), so the counters of an instant are
         # dead once the clock moves on and are cleared then.
@@ -157,7 +147,7 @@ class FaultInjector:
         self._key_time_repr = ""
         # (src, dest) -> "|src|dest|" piece of a C-gcast message key.
         self._cgcast_edges: Dict[tuple, str] = {}
-        # The one generator every stable draw reseeds.  It stays a
+        # The one generator every message draw reseeds.  It stays a
         # random.Random: the injector is part of every ckpt snapshot and
         # a bare _random.Random does not pickle.
         self._draw_rng = random.Random(0)
@@ -212,6 +202,13 @@ class FaultInjector:
                 )
         return self
 
+    def fork(self, index: int) -> None:
+        """Continue as fork ``index``: re-derive every stream and message
+        draw from the extended fork path (see :meth:`RngRegistry.fork`).
+        An unforked injector's message high word is ``seed << 32``."""
+        self.streams.fork(index)
+        self._seed_high = self.streams._derive("")
+
     # ------------------------------------------------------------------
     # Message interposition (loss / duplication / jitter / lag spikes)
     # ------------------------------------------------------------------
@@ -224,11 +221,9 @@ class FaultInjector:
         C-gcast message, in plan order.  A message rule that cannot —
         its channel is one no built system has — is refused.
 
-        A row is ``(op, rate, param, source)``.  ``source`` is where the
-        rule's draws come from: its sequential stream, or in stable-draws
-        mode the CRC of the ``"<seed>|<rule index>|"`` head of the
-        per-message seed material, which :meth:`_perturb` continues over
-        the message's own part.
+        A row is ``(op, rate, param, head)``: ``head`` is the CRC of the
+        ``"<seed>|<rule index>|"`` head of the per-message seed material,
+        which :meth:`_perturb` continues over the message's own part.
         """
         rows = []
         for armed in self._armed_rules:
@@ -241,50 +236,44 @@ class FaultInjector:
                     f"fault rule {armed.index} ({rule!r}) perturbs no message "
                     f"channel of the system: C-gcast is the only one"
                 )
-            source = armed.rng
-            if self.stable_draws:
-                source = crc32(f"{self._root_seed}|{armed.index}|".encode())
-            rows.append(compiled + (source,))
+            head = crc32(f"{self._root_seed}|{armed.index}|".encode())
+            rows.append(compiled + (head,))
         return tuple(rows)
 
-    def _perturb(
-        self, delay: float, edge: Optional[str] = None
-    ) -> Optional[List[float]]:
+    def _perturb(self, delay: float, edge: str) -> Optional[List[float]]:
         """Apply the message rules in plan order to one message.
 
-        ``edge`` is the part of the message key after the time (None in
-        sequential mode).  Returns the per-copy delivery delays (empty =
-        dropped), or ``None`` when untouched so callers keep the exact
-        original path.
+        ``edge`` is the part of the message key after the time.  Returns
+        the per-copy delivery delays (empty = dropped), or ``None`` when
+        untouched so callers keep the exact original path.
 
-        The seed of a stable draw is ``crc32(material) ^ (seed << 32)``
-        with material ``"<seed>|<rule index>|<key>|<occurrence>"`` and
-        key ``"cg|<repr(now)><edge>"``.
+        The seed of a draw is ``crc32(material) ^ (seed << 32)`` (in a
+        fork, the high word mixes in the fork path) with
+        material ``"<seed>|<rule index>|<key>|<occurrence>"`` and key
+        ``"cg|<repr(now)><edge>"``.
         """
         if not self._within_horizon():
             return None
         now = self.sim.now
-        tail = None
-        if edge is not None:
-            if now is not self._key_time:
-                if now != self._key_time:
-                    self._edge_counts.clear()
-                self._key_time = now
-                self._key_time_repr = repr(now)
-            key = f"cg|{self._key_time_repr}{edge}"
-            counts = self._edge_counts
-            occurrence = counts.get(key, 0)
-            counts[key] = occurrence + 1
-            tail = f"{key}|{occurrence}".encode()
-            rng = self._draw_rng
-            rand = rng.random
-            seed_high = self._root_seed << 32
+        if now is not self._key_time:
+            if now != self._key_time:
+                self._edge_counts.clear()
+            self._key_time = now
+            self._key_time_repr = repr(now)
+        key = f"cg|{self._key_time_repr}{edge}"
+        counts = self._edge_counts
+        occurrence = counts.get(key, 0)
+        counts[key] = occurrence + 1
+        tail = f"{key}|{occurrence}".encode()
+        rng = self._draw_rng
+        rand = rng.random
+        seed_high = self._seed_high
         # The copies of the message: the one delay ``single`` until a
         # rule drops or duplicates it, the list ``copies`` from then on.
         single = delay
         copies: Optional[List[float]] = None
         dropped = duplicated = delayed = 0
-        for op, rate, param, source in self._program:
+        for op, rate, param, head in self._program:
             if op == _LAG:
                 if param.active_at(now):
                     # extra_e per §II-C.3 distance unit the message covers.
@@ -296,10 +285,7 @@ class FaultInjector:
                         delayed += len(copies)
                         copies = [d + param.extra_e * units for d in copies]
                 continue
-            if tail is None:
-                rand = source.random
-            else:
-                _reseed(rng, crc32(tail, source) ^ seed_high)
+            _reseed(rng, crc32(tail, head) ^ seed_high)
             if op == _LOSS:
                 if copies is None:
                     if rand() < rate:
@@ -349,8 +335,6 @@ class FaultInjector:
         return [single] if copies is None else copies
 
     def _cgcast_filter(self, src, dest, payload, delay) -> Optional[List[float]]:
-        if not self.stable_draws:
-            return self._perturb(delay)
         edge = self._cgcast_edges.get((src, dest))
         if edge is None:
             edge = self._cgcast_edges[(src, dest)] = f"|{src!r}|{dest!r}|"

@@ -80,22 +80,14 @@ class ScenarioConfig:
         schedule: Explicit :class:`~repro.core.timers.TimerSchedule`.
         fault_plan: Optional :class:`~repro.faults.plan.FaultPlan`; when
             set, :func:`build` arms a fault injector seeded by ``seed``.
-        resume_from: A :class:`~repro.ckpt.Snapshot` (or a path to a
-            saved checkpoint file); :func:`build` then restores the
-            snapshot's continuation instead of constructing a fresh
-            world.  Every other field must either match the snapshot's
-            own config or be left at its default — a checkpoint cannot
-            be rebuilt under different knobs.
         shards: Number of region shards for the conservative PDES core
             (:mod:`repro.sim.sharded`).  ``1`` (the default) is the
             plain single-loop engine; ``build`` itself always
             constructs one world — the sharded driver builds one
             per-shard replica from ``config.with_(shards=1)``.
-        stable_fault_draws: Make per-message fault perturbations
-            (loss/duplication/jitter) draw from message-keyed streams
-            instead of the armed rule's sequential stream, so the draw
-            for a given message is independent of global dispatch order
-            — required for cross-K determinism under sharding.
+        stable_fault_draws: Always ``True`` (``False`` is refused):
+            message faults draw per message key, never in dispatch
+            order.  Kept only for callers that still pass it.
         n_objects: Service scenarios: how many independent tracked
             objects (M) the workload drives.  ``build`` constructs the
             same world either way — lanes materialize on first use
@@ -123,9 +115,8 @@ class ScenarioConfig:
     hierarchy: Optional[Any] = None
     schedule: Optional[Any] = None
     fault_plan: Optional[FaultPlan] = None
-    resume_from: Optional[Any] = None
     shards: int = 1
-    stable_fault_draws: bool = False
+    stable_fault_draws: bool = True
     n_objects: int = 1
     find_clients: int = 4
     energy: Optional[Any] = None
@@ -147,6 +138,11 @@ class ScenarioConfig:
             raise TypeError("system must be a registry key or a class")
         if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
             raise TypeError("fault_plan must be a FaultPlan")
+        if self.stable_fault_draws is not True:
+            raise ValueError(
+                "stable_fault_draws must be True: message faults draw "
+                "per message key only"
+            )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.n_objects < 1:
@@ -326,14 +322,6 @@ def build(config: ScenarioConfig) -> Scenario:
     ``config.seed``.  Analytic baselines get none of these (they have no
     simulator to perturb).
 
-    A config with ``resume_from`` set restores that checkpoint's
-    continuation instead (see :mod:`repro.ckpt`): the returned scenario
-    picks up at the snapshot's simulation time with its event queue, RNG
-    streams and automata state intact, and resumes bit-identically to
-    the uninterrupted run.  The caller's other fields must match the
-    snapshot's config (or all sit at their defaults) — mismatches raise
-    :class:`~repro.ckpt.CkptCompatError`.
-
     When no explicit ``hierarchy`` is given, the grid hierarchy comes
     from the per-process :mod:`repro.topo` cache: the same
     ``(r, max_level)`` builds the cluster hierarchy and tiling neighbor
@@ -343,29 +331,8 @@ def build(config: ScenarioConfig) -> Scenario:
     setup accumulator, which the sweep runner reads to split per-job
     wall into setup vs run.
     """
-    if config.resume_from is not None:
-        return _build_resumed(config)
     with charge_setup():
         return _build_timed(config)
-
-
-def _build_resumed(config: ScenarioConfig) -> Scenario:
-    """The ``resume_from`` path: restore a checkpoint's continuation."""
-    # Lazy: repro.ckpt imports this module.
-    from .ckpt import CkptCompatError, Snapshot, load, restore_scenario
-
-    source = config.resume_from
-    with charge_setup():
-        snapshot = source if isinstance(source, Snapshot) else load(source)
-        caller = config.with_(resume_from=None)
-        if caller != ScenarioConfig() and caller != snapshot.config:
-            raise CkptCompatError(
-                "resume_from config mismatch: the other ScenarioConfig "
-                "fields must equal the snapshot's config (or all stay "
-                f"at defaults); got {caller!r} vs snapshot "
-                f"{snapshot.config!r}"
-            )
-        return restore_scenario(snapshot).scenario
 
 
 def _build_timed(config: ScenarioConfig) -> Scenario:
@@ -400,12 +367,7 @@ def _build_timed(config: ScenarioConfig) -> Scenario:
     if config.fault_plan is not None:
         from .faults.injector import FaultInjector
 
-        injector = FaultInjector(
-            system,
-            config.fault_plan,
-            seed=config.seed,
-            stable_draws=config.stable_fault_draws,
-        ).arm()
+        injector = FaultInjector(system, config.fault_plan, seed=config.seed).arm()
     return Scenario(
         config=config,
         system=system,

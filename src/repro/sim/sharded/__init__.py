@@ -21,7 +21,6 @@ from .plan import ShardPlan, strip_plan
 from .runner import (
     run_reference_walk,
     run_sharded_walk,
-    walk_fault_plan,
     walk_scenario,
 )
 from .workload import (
@@ -52,6 +51,5 @@ __all__ = [
     "run_sharded_walk",
     "schedule_workload",
     "strip_plan",
-    "walk_fault_plan",
     "walk_scenario",
 ]

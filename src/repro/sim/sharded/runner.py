@@ -1,4 +1,4 @@
-"""High-level sharded runs: reference path, sweep runner, fault plans.
+"""High-level sharded runs: the scripted walk, its reference path, sweeps.
 
 :func:`walk_scenario` builds the scripted walk (config at K shards plus
 frozen script) that ``repro sharded`` cross-checks; :func:`run_sharded_walk`
@@ -15,41 +15,9 @@ fingerprint against the sharded K=1 run.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
-from ...faults.plan import (
-    CHANNEL_BOTH,
-    FaultPlan,
-    MessageDuplication,
-    MessageJitter,
-    MessageLoss,
-)
+from ...faults.plan import default_plan
 from .core import RunRecord, _tiling_for, run_script
 from .workload import make_walk_workload
-
-
-def walk_fault_plan(
-    loss_rate: float = 0.0,
-    duplication_rate: float = 0.0,
-    jitter_rate: float = 0.0,
-    jitter_max: float = 0.5,
-    horizon: Optional[float] = None,
-) -> Optional[FaultPlan]:
-    """A message-perturbation plan, or ``None`` when all rates are 0."""
-    rules: Tuple = ()
-    if loss_rate > 0.0:
-        rules += (MessageLoss(rate=loss_rate, channel=CHANNEL_BOTH),)
-    if duplication_rate > 0.0:
-        rules += (MessageDuplication(rate=duplication_rate, channel=CHANNEL_BOTH),)
-    if jitter_rate > 0.0:
-        rules += (
-            MessageJitter(
-                rate=jitter_rate, channel=CHANNEL_BOTH, max_extra=jitter_max
-            ),
-        )
-    if not rules:
-        return None
-    return FaultPlan(rules=rules, horizon=horizon)
 
 
 def walk_scenario(
@@ -69,7 +37,10 @@ def walk_scenario(
     """The scripted walk as ``(config at K shards, its frozen script)``."""
     from ...scenario import ScenarioConfig
 
-    fault_plan = walk_fault_plan(loss_rate, duplication_rate, jitter_rate)
+    plan = default_plan(
+        loss_rate=loss_rate, duplication_rate=duplication_rate,
+        jitter_rate=jitter_rate, jitter_max=0.5,
+    )
     config = ScenarioConfig(
         r=r,
         max_level=max_level,
@@ -77,11 +48,8 @@ def walk_scenario(
         e=e,
         seed=seed,
         shards=shards,
-        fault_plan=fault_plan,
-        # Message-fault draws must not depend on global dispatch order
-        # for cross-K fingerprints to agree; K=1 uses the same mode so
-        # comparisons stay apples-to-apples.
-        stable_fault_draws=fault_plan is not None,
+        # No injector for a null plan: the record's fault_events stay None.
+        fault_plan=None if plan.is_null() else plan,
     )
     workload = make_walk_workload(
         _tiling_for(config), n_moves, n_finds, seed, dwell=dwell

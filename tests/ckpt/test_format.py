@@ -1,9 +1,11 @@
 """The checkpoint envelope: strict format and compatibility checks.
 
 Every corruption mode must be caught *before* any pickle byte is
-trusted: bad magic, truncated header, wrong schema, short payload,
-fingerprint mismatch, foreign Python tag.  Plus the ``resume_from``
-config-compatibility gate and the payload's size over a long run.
+trusted: bad magic, truncated header, wrong schema, malformed header,
+short payload, fingerprint mismatch, foreign Python tag — and a flipped
+bit anywhere in the magic, length or header (or a sampled payload
+position) either fails closed or loads the same snapshot.  Plus the
+payload's size over a long run.
 """
 
 import json
@@ -16,13 +18,16 @@ from repro.ckpt import (
     CKPT_SCHEMA,
     CkptCompatError,
     CkptFormatError,
+    Snapshot,
+    SnapshotMeta,
     build_tracked_walk,
     load,
+    restore_scenario,
     save,
     snapshot_scenario,
 )
-from repro.ckpt.snapshot import _python_tag
-from repro.scenario import ScenarioConfig, build
+from repro.ckpt.snapshot import _digest, _python_tag
+from repro.scenario import ScenarioConfig
 
 CONFIG = ScenarioConfig(r=2, max_level=2, seed=7)
 
@@ -49,20 +54,22 @@ def _header_of(data):
     return json.loads(data[start:start + header_len]), start, header_len
 
 
-def _with_header(data, header, start, header_len):
+def _with_header(data, header, start, header_len, redigest=False):
+    payload = data[start + header_len:]
+    if redigest:  # a header that passes the digest check
+        header = dict(header, fingerprint=_digest(
+            SnapshotMeta.from_json_dict(header), payload
+        ))
     blob = json.dumps(header, sort_keys=True).encode()
-    return (
-        CKPT_MAGIC + struct.pack(">I", len(blob)) + blob
-        + data[start + header_len:]
-    )
+    return CKPT_MAGIC + struct.pack(">I", len(blob)) + blob + payload
 
 
 class TestRoundTrip:
     def test_load_returns_equivalent_snapshot(self, snapshot, ckpt_path):
         loaded = load(ckpt_path)
         assert loaded.meta == snapshot.meta
-        assert loaded.config == snapshot.config
         assert loaded.payload == snapshot.payload
+        assert restore_scenario(loaded).config == CONFIG
 
     def test_meta_is_readable_without_unpickling(self, snapshot):
         assert snapshot.meta.schema == CKPT_SCHEMA
@@ -116,35 +123,61 @@ class TestCorruption:
         header["python"] = "2.7"
         bad = tmp_path / "python.ckpt"
         bad.write_bytes(_with_header(data, header, start, header_len))
+        with pytest.raises(CkptFormatError, match="fingerprint"):
+            load(bad)  # the digest covers the tag
+        bad.write_bytes(_with_header(data, header, start, header_len, True))
         with pytest.raises(CkptCompatError, match="2.7"):
             load(bad)
-        # the escape hatch still loads (payload bytes are genuinely ours)
-        loaded = load(bad, allow_python_mismatch=True)
-        assert loaded.meta.python == "2.7"
 
+    @pytest.mark.parametrize("malform", [
+        lambda h: h.pop("note"), lambda h: h.update(extra=1),
+        lambda h: h.update(note=None), lambda h: h.update(sim_time="25.0"),
+        lambda h: h.update(events_fired=1.5),
+        lambda h: h.update(payload_bytes=True),
+        lambda h: h.update(topo_keys=[{"kind": "grid", "r": 2}]),
+        lambda h: h.update(topo_keys=["grid"]),
+    ], ids=["missing-key", "unknown-key", "null-note", "str-time",
+            "float-count", "bool-length", "short-topo-key", "str-topo-key"])
+    def test_malformed_header(self, ckpt_path, tmp_path, malform):
+        data = ckpt_path.read_bytes()
+        header, start, header_len = _header_of(data)
+        malform(header)
+        bad = tmp_path / "malformed.ckpt"
+        bad.write_bytes(_with_header(data, header, start, header_len))
+        with pytest.raises(CkptFormatError, match="header") as refused:
+            load(bad)
+        assert "fails its fingerprint" not in str(refused.value)  # refused first
 
-class TestResumeFromCompat:
-    def test_defaults_config_resumes_anything(self, snapshot):
-        scenario = build(ScenarioConfig(resume_from=snapshot))
-        assert scenario.sim.now == 25.0
-        # the snapshot's config wins
-        assert scenario.config == CONFIG
+    def test_every_flipped_bit_fails_closed_or_loads_the_same(
+        self, snapshot, ckpt_path, tmp_path
+    ):
+        """Every bit of magic, length and header, and every 97th payload
+        byte's low bit: :class:`CkptFormatError`, or the same snapshot."""
+        data = ckpt_path.read_bytes()
+        _, start, header_len = _header_of(data)
+        flips = [(pos, 1 << bit) for pos in range(start + header_len)
+                 for bit in range(8)]
+        flips += [(pos, 1) for pos in range(start + header_len, len(data), 97)]
+        bad, outcomes = tmp_path / "flipped.ckpt", {"refused": 0, "same": 0}
+        for pos, mask in flips:
+            flipped = bytearray(data)
+            flipped[pos] ^= mask
+            bad.write_bytes(bytes(flipped))
+            try:
+                loaded = load(bad)
+            except CkptFormatError:
+                outcomes["refused"] += 1
+                continue
+            assert (loaded.meta, loaded.payload) == (
+                snapshot.meta, snapshot.payload
+            ), (pos, mask)
+            outcomes["same"] += 1
+        assert outcomes["refused"] > 0.99 * len(flips), outcomes
 
-    def test_matching_config_resumes(self, snapshot):
-        scenario = build(snapshot.config.with_(resume_from=snapshot))
-        assert scenario.sim.now == 25.0
-
-    def test_mismatched_config_raises(self, snapshot):
-        with pytest.raises(CkptCompatError, match="mismatch"):
-            build(CONFIG.with_(seed=1234, resume_from=snapshot))
-        with pytest.raises(CkptCompatError, match="mismatch"):
-            build(ScenarioConfig(r=3, max_level=3, resume_from=snapshot))
-
-    def test_resume_from_path(self, snapshot, tmp_path):
-        path = tmp_path / "resume.ckpt"
-        save(snapshot, path)
-        scenario = build(ScenarioConfig(resume_from=str(path)))
-        assert scenario.sim.now == 25.0
+    def test_undecodable_payload_is_a_format_error(self, snapshot):
+        meta = snapshot.meta
+        with pytest.raises(CkptFormatError, match="corrupt"):
+            restore_scenario(Snapshot(meta=meta, payload=b"not a pickle"))
 
 
 class TestCheckpointSize:

@@ -47,9 +47,8 @@ def test_meta_matches_the_committed_workload(snapshot):
     assert meta.events_fired > 0
     assert "tracked-walk" in meta.note
     assert [k.kind for k in meta.topo_keys] == ["grid"]
-    assert snapshot.config.r == 2
-    assert snapshot.config.max_level == 2
-    assert snapshot.config.seed == 7
+    config = restore_scenario(snapshot).config
+    assert (config.r, config.max_level, config.seed) == (2, 2, 7)
 
 
 def test_artifact_python_tag_matches_ci():
@@ -61,7 +60,7 @@ def test_artifact_python_tag_matches_ci():
 
 
 def test_artifact_restores_and_resumes(snapshot):
-    scenario = restore_scenario(snapshot).scenario
+    scenario = restore_scenario(snapshot)
     assert scenario.sim.now == 25.0
     scenario.sim.run_until(walk_horizon(5))
     assert scenario.sim.now == walk_horizon(5)
@@ -73,8 +72,8 @@ def test_artifact_restores_and_resumes(snapshot):
 def test_artifact_forks_deterministically(snapshot):
     from repro.ckpt import fork_scenario, run_fingerprint
 
-    a = fork_scenario(snapshot, 1).scenario
-    b = fork_scenario(snapshot, 1).scenario
+    a = fork_scenario(snapshot, 1)
+    b = fork_scenario(snapshot, 1)
     a.sim.run_until(walk_horizon(5))
     b.sim.run_until(walk_horizon(5))
     assert run_fingerprint(a) == run_fingerprint(b)

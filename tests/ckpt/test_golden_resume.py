@@ -75,7 +75,7 @@ def _cut_and_resume(config, cut_at):
     assert scenario.system.cgcast.messages_sent > 0
     assert scenario.system.cgcast._pending == []
     snapshot = snapshot_scenario(scenario)
-    resumed = restore_scenario(snapshot).scenario
+    resumed = restore_scenario(snapshot)
     assert resumed.system.cgcast._pending == []
     resumed.sim.run_until(HORIZON)
     return snapshot, run_fingerprint(resumed)
@@ -113,8 +113,8 @@ def test_restores_are_independent_continuations():
     scenario = build_tracked_walk(BLACKOUT)
     scenario.sim.run_until(30.0)
     snapshot = snapshot_scenario(scenario)
-    first = restore_scenario(snapshot).scenario
-    second = restore_scenario(snapshot).scenario
+    first = restore_scenario(snapshot)
+    second = restore_scenario(snapshot)
     first.sim.run_until(HORIZON)  # driving one must not advance the other
     assert second.sim.now == 30.0
     second.sim.run_until(HORIZON)

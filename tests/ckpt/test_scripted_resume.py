@@ -55,7 +55,7 @@ def test_scripted_multi_object_resume_is_bit_identical(cut_at):
     straight.sim.run()
     scenario = _scripted()
     scenario.sim.run_until(cut_at)
-    resumed = restore_scenario(snapshot_scenario(scenario)).scenario
+    resumed = restore_scenario(snapshot_scenario(scenario))
     resumed.sim.run()
     assert _outcome(resumed) == _outcome(straight)
     assert _outcome(straight)[1:] == ([((1, 1), 1), ((2, 3), 1), ((1, 2), 1)], 1)

@@ -1,11 +1,11 @@
 """The interpreter that defines a message-fault draw (the test oracle).
 
 ``FaultInjector._perturb`` runs a program compiled once in ``arm()``;
-this is the per-message interpreter it replaced, kept verbatim: for
-every rule and every message ``is_null()`` / ``applies_to()``, an
-``isinstance`` chain, the whole key and seed-material strings formatted
-afresh, one new ``random.Random`` per stable draw and an occurrence
-dict that is never cleared.  The draw definition is frozen — every
+this is the per-message interpreter it replaced: for every rule and
+every message ``is_null()`` / ``applies_to()``, an ``isinstance`` chain,
+the whole key and seed-material strings formatted afresh, one new
+``random.Random`` per draw and an occurrence dict that is never
+cleared.  A draw is keyed on the message, never on dispatch order.  The draw definition is frozen — every
 golden fingerprint in the repo depends on it — so the compiled program
 must agree with this class on every delay list, counter and event
 (``test_compiled_program.py``).
@@ -34,15 +34,15 @@ from repro.obs.events import MessagesPerturbed
 class ReferenceInjector(FaultInjector):
     """:class:`FaultInjector` with the original message interpreter."""
 
-    def _stable_rng(self, rule_index: int, message_key: str, occurrence: int):
-        """A fresh RNG for one (rule, message) pair in stable-draws mode."""
+    def _keyed_rng(self, rule_index: int, message_key: str, occurrence: int):
+        """A fresh RNG for one (rule, message) pair."""
         material = f"{self._root_seed}|{rule_index}|{message_key}|{occurrence}"
         return random.Random(
             zlib.crc32(material.encode()) ^ (self._root_seed << 32)
         )
 
     def _perturb(
-        self, channel: str, delay: float, message_key: Optional[str] = None
+        self, channel: str, delay: float, message_key: str
     ) -> Optional[List[float]]:
         """Apply the channel rules in plan order to one message.
 
@@ -51,10 +51,8 @@ class ReferenceInjector(FaultInjector):
         """
         if not self._within_horizon():
             return None
-        stable = self.stable_draws and message_key is not None
-        if stable:
-            occurrence = self._edge_counts.get(message_key, 0)
-            self._edge_counts[message_key] = occurrence + 1
+        occurrence = self._edge_counts.get(message_key, 0)
+        self._edge_counts[message_key] = occurrence + 1
         delays = [delay]
         touched = False
         stats0 = (self.stats.messages_dropped, self.stats.messages_duplicated,
@@ -63,10 +61,7 @@ class ReferenceInjector(FaultInjector):
             rule = armed.rule
             if rule.is_null() or not rule.applies_to(channel):
                 continue
-            if stable:
-                rng = self._stable_rng(armed.index, message_key, occurrence)
-            else:
-                rng = armed.rng
+            rng = self._keyed_rng(armed.index, message_key, occurrence)
             if isinstance(rule, MessageLoss):
                 kept = [d for d in delays if rng.random() >= rule.rate]
                 if len(kept) != len(delays):
@@ -110,9 +105,5 @@ class ReferenceInjector(FaultInjector):
         return delays if touched else None
 
     def _cgcast_filter(self, src, dest, payload, delay) -> Optional[List[float]]:
-        key = None
-        if self.stable_draws:
-            key = (
-                f"cg|{self.sim.now!r}|{src!r}|{dest!r}|{type(payload).__name__}"
-            )
+        key = f"cg|{self.sim.now!r}|{src!r}|{dest!r}|{type(payload).__name__}"
         return self._perturb(CHANNEL_CGCAST, delay, key)

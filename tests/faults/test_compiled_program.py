@@ -2,17 +2,18 @@
 
 ``FaultInjector.arm`` compiles the plan's message rules into one program;
 :class:`~tests.faults._reference_perturb.ReferenceInjector` is the
-per-message interpreter that defines the draws.  Four contracts:
+per-message interpreter that defines the draws.  Five contracts:
 
-1. **Differential** — random plans, seeds and message streams, stable
-   and sequential mode: identical delay lists, ``FaultStats``, stream
-   positions and ``MessagesPerturbed`` events.
+1. **Differential** — random plans, seeds and message streams:
+   identical delay lists, ``FaultStats``, stream positions and
+   ``MessagesPerturbed`` events.
 2. **Bounded counters** — the occurrence dict never holds more keys
    than the current instant sent messages.
-3. **Checkpoint** — a stable-draws world cut in the middle of an
+3. **Checkpoint** — a fault-armed world cut in the middle of an
    instant whose counters are already above one resumes bit-identically.
 4. **Fail closed** — a rule on a channel no system has is refused by
    ``arm()``; ``"both"`` means the system's one channel, draw for draw.
+5. **Forks** — a forked injector's message draws follow its fork path.
 """
 
 from types import SimpleNamespace
@@ -118,11 +119,11 @@ def stream_positions(registry):
     }
 
 
-def replay(injector_class, plan, seed, stable, stream):
+def replay(injector_class, plan, seed, stream):
     """Feed ``stream`` through an armed injector's C-gcast filter."""
     system = fake_system()
     sim = system.sim
-    injector = injector_class(system, plan, seed=seed, stable_draws=stable).arm()
+    injector = injector_class(system, plan, seed=seed).arm()
     out = []
     with obs.observed() as collector:
         for advance, src, dest, payload, delay in stream:
@@ -143,19 +144,18 @@ def replay(injector_class, plan, seed, stable, stream):
 
 
 @settings(max_examples=300, deadline=None)
-@given(plan=plans, seed=seeds, stable=st.booleans(),
-       stream=st.lists(messages, max_size=40))
-def test_compiled_program_equals_the_interpreter(plan, seed, stable, stream):
-    expected = replay(ReferenceInjector, plan, seed, stable, stream)
-    assert replay(FaultInjector, plan, seed, stable, stream) == expected
+@given(plan=plans, seed=seeds, stream=st.lists(messages, max_size=40))
+def test_compiled_program_equals_the_interpreter(plan, seed, stream):
+    expected = replay(ReferenceInjector, plan, seed, stream)
+    assert replay(FaultInjector, plan, seed, stream) == expected
 
 
-def drive_walk(injector_class, plan, stable):
+def drive_walk(injector_class, plan):
     """The tracked walk on a built system with ``injector_class`` armed,
     recording what the installed filter returned for every send."""
     scenario = build_tracked_walk(ScenarioConfig(r=2, max_level=2, seed=7))
     system = scenario.system
-    injector = injector_class(system, plan, seed=7, stable_draws=stable).arm()
+    injector = injector_class(system, plan, seed=7).arm()
     installed, sends = system.cgcast.fault_filter, []
 
     def recording(*args):
@@ -182,20 +182,19 @@ def test_every_op_and_both_channels_are_exercised():
         LagSpike(at=0.0, duration=50.0, extra_e=0.5),
         horizon=45.0,
     )
-    for stable in (True, False):
-        expected = drive_walk(ReferenceInjector, plan, stable)
-        actual = drive_walk(FaultInjector, plan, stable)
-        assert actual == expected
-        sends, stats, _, events = actual
-        assert stats["messages_dropped"] > 0
-        assert stats["messages_duplicated"] > 0
-        assert stats["messages_delayed"] > 0
-        assert any(d is not None and len(d) > 3 for _, d in sends)
-        assert any(d == [] for _, d in sends)
-        assert events and {e.channel for e in events} == {CHANNEL_CGCAST}
-        # Past the horizon the sends are untouched: the last move and the find.
-        late = [d for t, d in sends if t >= 45.0]
-        assert late and all(d is None for d in late)
+    expected = drive_walk(ReferenceInjector, plan)
+    actual = drive_walk(FaultInjector, plan)
+    assert actual == expected
+    sends, stats, _, events = actual
+    assert stats["messages_dropped"] > 0
+    assert stats["messages_duplicated"] > 0
+    assert stats["messages_delayed"] > 0
+    assert any(d is not None and len(d) > 3 for _, d in sends)
+    assert any(d == [] for _, d in sends)
+    assert events and {e.channel for e in events} == {CHANNEL_CGCAST}
+    # Past the horizon the sends are untouched: the last move and the find.
+    late = [d for t, d in sends if t >= 45.0]
+    assert late and all(d is None for d in late)
 
 
 @pytest.mark.parametrize("system", MESSAGE_SYSTEMS)
@@ -219,7 +218,7 @@ def test_a_rule_on_a_channel_no_system_has_is_refused(system, rule):
 
 def test_both_is_the_one_channel_draw_for_draw():
     """One script under ``"both"`` and under ``"cgcast"``: same run."""
-    config = ScenarioConfig(r=2, max_level=2, seed=7, stable_fault_draws=True)
+    config = ScenarioConfig(r=2, max_level=2, seed=7)
     script = make_walk_workload(build(config).hierarchy.tiling, 6, 4, seed=7)
     runs = [
         run_script(
@@ -241,7 +240,7 @@ def test_both_is_the_one_channel_draw_for_draw():
 def test_occurrence_counters_hold_one_instant_only():
     plan = FaultPlan.of(MessageLoss(rate=0.5, channel=CHANNEL_BOTH))
     system = fake_system()
-    injector = FaultInjector(system, plan, seed=3, stable_draws=True).arm()
+    injector = FaultInjector(system, plan, seed=3).arm()
     filt = system.cgcast.fault_filter
     for instant in range(50):
         system.sim.now = float(instant)
@@ -256,8 +255,28 @@ def test_occurrence_counters_hold_one_instant_only():
     assert sum(injector._edge_counts.values()) == sent + 1
 
 
-STABLE_WALK = ScenarioConfig(
-    r=2, max_level=2, seed=7, stable_fault_draws=True,
+def test_a_fork_redraws_every_message():
+    """Forks fold their path into the message draws: equal indices draw
+    alike, different ones (and the unforked injector) differ."""
+    plan = FaultPlan.of(MessageLoss(rate=0.5, channel=CHANNEL_BOTH))
+    outcomes = []
+    for index in (None, 1, 1, 2):
+        system = fake_system()
+        injector = FaultInjector(system, plan, seed=7).arm()
+        if index is not None:
+            injector.fork(index)
+        filt = system.cgcast.fault_filter
+        outcomes.append([
+            filt(ENDPOINTS[k % len(ENDPOINTS)], ENDPOINTS[0], PAYLOADS[0], 1.0)
+            for k in range(40)
+        ])
+    unforked, one, again, two = outcomes
+    assert one == again
+    assert len({repr(unforked), repr(one), repr(two)}) == 3
+
+
+ARMED_WALK = ScenarioConfig(
+    r=2, max_level=2, seed=7,
     fault_plan=FaultPlan.of(
         MessageLoss(rate=0.1, channel=CHANNEL_BOTH),
         MessageDuplication(rate=0.4, channel=CHANNEL_BOTH, copies=2),
@@ -268,12 +287,12 @@ STABLE_WALK = ScenarioConfig(
 
 def test_snapshot_inside_an_instant_resumes_bit_identically():
     horizon = walk_horizon(5)
-    golden = build_tracked_walk(STABLE_WALK)
+    golden = build_tracked_walk(ARMED_WALK)
     golden.sim.run_until(horizon)
 
     # Cut between two events of one instant, after some key of that
     # instant was already sent twice: the next draws need the counters.
-    scenario = build_tracked_walk(STABLE_WALK)
+    scenario = build_tracked_walk(ARMED_WALK)
     sim, counts = scenario.sim, scenario.injector._edge_counts
     while not (
         counts and max(counts.values()) >= 2 and sim.next_event_time() == sim.now
@@ -281,14 +300,14 @@ def test_snapshot_inside_an_instant_resumes_bit_identically():
         assert sim.run(max_events=1) == 1, "no cut point inside an instant"
     snapshot = snapshot_scenario(scenario)
 
-    resumed = restore_scenario(snapshot).scenario
+    resumed = restore_scenario(snapshot)
     assert resumed.injector._edge_counts == counts
     resumed.sim.run_until(horizon)
     assert run_fingerprint(resumed) == run_fingerprint(golden)
     assert resumed.injector.stats == golden.injector.stats
 
     # The counters are load-bearing: forgetting them changes the run.
-    amnesiac = restore_scenario(snapshot).scenario
+    amnesiac = restore_scenario(snapshot)
     amnesiac.injector._edge_counts.clear()
     amnesiac.sim.run_until(horizon)
     assert run_fingerprint(amnesiac) != run_fingerprint(golden)

@@ -33,13 +33,13 @@ from hypothesis import strategies as st
 
 from repro.core.messages import Find
 from repro.energy import EnergyLedger, EnergyModel
+from repro.faults import default_plan
 from repro.geocast import cgcast as cgcast_module
 from repro.scenario import ScenarioConfig
 from repro.service.load import LoadGenerator
 from repro.sim.sharded.context import ShardContext
 from repro.sim.sharded.core import _tiling_for
 from repro.sim.sharded.plan import strip_plan
-from repro.sim.sharded.runner import walk_fault_plan
 from repro.sim.sharded.workload import make_walk_workload
 from repro.workload import materialize
 from tests.geocast._reference_observers import ReferenceWorld
@@ -119,7 +119,8 @@ class TestInterleavings:
         with mock.patch.object(cgcast_module, "_BATCH", batch):
             context = _context(
                 seed=seed, system="replicated", energy=ENERGY,
-                fault_plan=walk_fault_plan(0.05, 0.05, 0.2), stable_fault_draws=True,
+                fault_plan=default_plan(0.05, duplication_rate=0.05,
+                                        jitter_rate=0.2, jitter_max=0.5),
             )
             sim, cgcast = context.sim, context.system.cgcast
             reference = ReferenceWorld(context)
@@ -179,8 +180,9 @@ class TestShapes:
     @pytest.mark.parametrize(
         "n_moves, n_finds, config",
         [
-            (8, 6, dict(fault_plan=walk_fault_plan(0.1, 0.1, 0.3),
-                        stable_fault_draws=True, energy=ENERGY)),
+            (8, 6, dict(fault_plan=default_plan(0.1, duplication_rate=0.1,
+                                                jitter_rate=0.3, jitter_max=0.5),
+                        energy=ENERGY)),
             (3, 24, {}),  # client legs dominate: find storm on a short walk
         ],
         ids=["fault-armed-energy", "client-heavy"],

@@ -16,6 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repro.faults import default_plan  # noqa: E402
 from repro.scenario import ScenarioConfig  # noqa: E402
 from repro.sim.sharded import (  # noqa: E402
     ShardedSimulator,
@@ -24,7 +25,6 @@ from repro.sim.sharded import (  # noqa: E402
     run_sharded_walk,
 )
 from repro.sim.sharded.core import _tiling_for  # noqa: E402
-from repro.sim.sharded.runner import walk_fault_plan  # noqa: E402
 
 
 def _run_collecting(config, workload):
@@ -62,7 +62,6 @@ def _run_collecting(config, workload):
 def test_cross_shard_delivery_never_beats_delta(
     seed, shards, n_moves, n_finds, delta, jitter_rate
 ):
-    fault_plan = walk_fault_plan(jitter_rate=jitter_rate)
     config = ScenarioConfig(
         r=2,
         max_level=2,
@@ -70,8 +69,9 @@ def test_cross_shard_delivery_never_beats_delta(
         e=0.5,
         seed=seed,
         shards=shards,
-        fault_plan=fault_plan,
-        stable_fault_draws=fault_plan is not None,
+        fault_plan=default_plan(
+            loss_rate=0.0, jitter_rate=jitter_rate, jitter_max=0.5
+        ),
     )
     workload = make_walk_workload(_tiling_for(config), n_moves, n_finds, seed)
     result, exchanged = _run_collecting(config, workload)

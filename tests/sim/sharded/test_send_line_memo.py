@@ -26,18 +26,18 @@ from hypothesis import strategies as st
 
 from repro.core.messages import Find, Grow, GrowPar
 from repro.geocast.cgcast import SendRecord
+from repro.faults import default_plan
 from repro.scenario import ScenarioConfig
 from repro.sim.sharded.context import ShardContext, canonical_send_line
 from repro.sim.sharded.core import _tiling_for, canonical_fingerprint
 from repro.sim.sharded.plan import strip_plan
-from repro.sim.sharded.runner import walk_fault_plan
 from repro.sim.sharded.workload import ScriptedWorkload, make_walk_workload
 
 
 def _context(n_moves, n_finds, seed, fault_plan=None, r=2, max_level=2):
     config = ScenarioConfig(
         r=r, max_level=max_level, delta=1.0, e=0.5, seed=seed,
-        fault_plan=fault_plan, stable_fault_draws=fault_plan is not None,
+        fault_plan=fault_plan,
     )
     tiling = _tiling_for(config)
     workload = make_walk_workload(tiling, n_moves, n_finds, seed)
@@ -55,7 +55,9 @@ class TestMemoisedLinesAreCanonical:
     @pytest.mark.parametrize(
         "n_moves, n_finds, fault_plan",
         [
-            (8, 6, walk_fault_plan(0.1, 0.1, 0.3)),  # loss + duplication + jitter
+            # loss + duplication + jitter
+            (8, 6, default_plan(0.1, duplication_rate=0.1, jitter_rate=0.3,
+                                jitter_max=0.5)),
             (3, 24, None),  # client legs dominate: find storm on a short walk
         ],
         ids=["fault-armed", "client-heavy"],

@@ -13,6 +13,7 @@ Four things hold for every row of :data:`repro.cli.COMMANDS`:
 (iv)  the envelope assertions of CI's five CLI smoke jobs.
 """
 
+import itertools
 import json
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import pytest
 
 from repro.analysis import reporting
 from repro.cli import CLI_SCHEMA, COMMANDS, main
+from repro.core.vinestalk import VineStalk
 
 GOLDEN_CKPT = str(Path(__file__).parent / "ckpt" / "golden" / "walk-r2-M2.ckpt")
 
@@ -239,7 +241,6 @@ def smoke_inputs():
     yield "baselines", ScenarioConfig(
         r=2, max_level=2, system="predictive", seed=7, shards=2,
         energy=default_energy_model(), fault_plan=_fault_plan("loss"),
-        stable_fault_draws=True,
     ), _walk("dither", 4, 2)
 
 
@@ -262,18 +263,59 @@ def test_cross_check_materializes_once_and_agrees_with_two_runs(config, workload
     assert plain.shards == 1 and sharded.shards == config.shards
 
 
+class DispatchOrderLoss(VineStalk):
+    """Drops every seventh message this world dispatches — a draw keyed
+    on dispatch order, which a sharded run, whose replicas each dispatch
+    only their own share, cannot reproduce."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._dispatched = itertools.count(1)
+        self.cgcast.fault_filter = self._drop
+
+    def _drop(self, src, dest, payload, delay):
+        return [] if next(self._dispatched) % 7 == 0 else None
+
+
 def test_cross_check_reports_a_divergence():
-    # Unstable fault draws depend on global dispatch order, which a
-    # sharded run cannot reproduce: the verdict must say so.
     from repro.service import cross_check
     from repro.sim.sharded import walk_scenario
 
-    config, walk = walk_scenario(shards=2, loss_rate=0.3)
+    config, walk = walk_scenario(shards=2)
     plain, sharded, match = cross_check(
-        config.with_(stable_fault_draws=False), walk
+        config.with_(system=DispatchOrderLoss), walk
     )
     assert match is (plain.canonical_fingerprint == sharded.canonical_fingerprint)
     assert match is False
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+def test_a_default_fault_armed_run_is_k_invariant(shards):
+    """Every fault rule armed, nothing else set: plain ≡ K shards."""
+    from repro.faults import (
+        CHANNEL_BOTH, FaultPlan, LagSpike, MessageDuplication, MessageJitter,
+        MessageLoss, RegionBlackout, VsaCrashes,
+    )
+    from repro.service import cross_check
+    from repro.sim.sharded import walk_scenario
+
+    config, walk = walk_scenario(shards=shards)
+    config = config.with_(fault_plan=FaultPlan.of(
+        MessageLoss(rate=0.1, channel=CHANNEL_BOTH),
+        MessageDuplication(rate=0.1, channel=CHANNEL_BOTH),
+        MessageJitter(rate=0.2, channel=CHANNEL_BOTH, max_extra=0.5),
+        LagSpike(at=40.0, duration=60.0, extra_e=0.5),
+        VsaCrashes(rate=0.05, period=20.0, downtime=15.0),
+        RegionBlackout(at=60.0, duration=30.0, count=2),
+        horizon=200.0,
+    ))
+    plain, sharded, match = cross_check(config, walk)
+    assert match is True, (plain.canonical_fingerprint, sharded.canonical_fingerprint)
+    assert plain.fault_events == sharded.fault_events
+    armed = plain.fault_events
+    for kind in ("messages_dropped", "messages_duplicated", "messages_delayed",
+                 "crashes", "blackouts"):
+        assert armed[kind] > 0, armed
 
 
 # ----------------------------------------------------------------------
@@ -333,6 +375,19 @@ class TestSmokeEnvelopes:
         assert code == 2
         assert set(data) == {"error"} and "t=25" in data["error"], data
         assert main(["resume", GOLDEN_CKPT, "--until", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == data["error"] + "\n" and not captured.out
+
+    @pytest.mark.parametrize("where", ["header", "payload"])
+    def test_resume_refuses_a_corrupted_checkpoint(self, capsys, tmp_path, where):
+        data = bytearray(Path(GOLDEN_CKPT).read_bytes())
+        data[data.index(b"golden-artifact") if where == "header" else -1] ^= 1
+        path = tmp_path / "corrupted.ckpt"
+        path.write_bytes(bytes(data))
+        code, data = run_json(capsys, "resume", str(path))
+        assert code == 2
+        assert set(data) == {"error"} and "fingerprint" in data["error"], data
+        assert main(["resume", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err == data["error"] + "\n" and not captured.out
 
