@@ -2,8 +2,9 @@
 
 A golden mismatch ("obs-on differs from obs-off", "these two seeds
 should match") historically meant staring at full traces.
-:func:`bisect_divergence` turns it into one call: it runs the canonical
-tracked walk under two :class:`Variant` environments in lockstep, one
+:func:`bisect_divergence` turns it into one call: it runs the scripted
+walk of :func:`~repro.sim.sharded.walk_scenario` under two
+:class:`Variant` environments in lockstep, one
 event per side at a time, folding a rolling per-event fingerprint on
 each side.  At the first event whose fingerprints disagree it stops,
 and the report carries that event's time, queue tag and C-gcast send
@@ -24,9 +25,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..faults.plan import default_plan
-from ..scenario import Scenario, ScenarioConfig
+from ..scenario import Scenario, ScenarioConfig, build
 from ..sim.sharded.context import canonical_send_line
-from .workload import build_tracked_walk, walk_horizon
+from ..sim.sharded.runner import walk_scenario
+from ..sim.sharded.workload import schedule_workload
 
 
 # ----------------------------------------------------------------------
@@ -148,16 +150,19 @@ class _Side:
         self, config: ScenarioConfig, variant: Variant, moves: int
     ) -> None:
         self.env = _Env(variant)
+        config = variant.apply(config)
+        _, script = walk_scenario(
+            config.r, config.max_level, shards=1, n_moves=moves, seed=config.seed
+        )
         with self.env:
-            self.scenario: Scenario = build_tracked_walk(
-                variant.apply(config), moves=moves
-            )
+            self.scenario: Scenario = build(config)
+            schedule_workload(self.scenario.system, script)
         self.crc = 0
         self.tag: Optional[str] = None
         self.sends: list = []
         self.scenario.system.cgcast.observe(self.sends.extend)
 
-    def step(self, until: float) -> bool:
+    def step(self, until: Optional[float]) -> bool:
         """Fire and fold one event; False, firing nothing, when none is left.
 
         Afterwards ``tag`` and ``sends`` describe the event just fired:
@@ -223,8 +228,9 @@ def bisect_divergence(
 ) -> DivergenceReport:
     """Run ``config`` under two variants in lockstep and localize their split.
 
-    Both sides run the canonical tracked walk to ``until`` (default:
-    the walk's settle horizon), one event each at a time, for at most
+    Both sides run the scripted walk of ``moves`` moves, seeded by the
+    side's seed, to ``until`` (default: until no event is left), one
+    event each at a time, for at most
     ``max_events`` compared events.  The report pins the first
     diverging event (0-based index) with each side's view of it — none
     for a side that had already drained.
@@ -234,8 +240,6 @@ def bisect_divergence(
         raise ValueError(
             f"max_events must be >= 1 and until >= 0, got {max_events} and {until}"
         )
-    if until is None:
-        until = walk_horizon(moves)
     side_a = _Side(config, variant_a, moves)
     side_b = _Side(config, variant_b, moves)
     report = DivergenceReport(

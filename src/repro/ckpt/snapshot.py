@@ -1,19 +1,25 @@
-"""The versioned snapshot format (tag :data:`CKPT_SCHEMA`).
+"""The checkpoint format (tag :data:`CKPT_SCHEMA`): a run's inputs and its cut.
 
-A :class:`Snapshot` captures a built scenario — event queue with
-tie-break counters, every RNG stream position, tracker/VSA/client
-automata state, fault-injector arming, geocast in-flight messages, the
-send fold, the config it was built from — between two simulation
-events, as one :func:`~repro.ckpt.codec.dumps_graph` payload plus a
-small typed header (:class:`SnapshotMeta`): schema tag, simulation
-time, events fired, the topology keys the payload references instead
-of embedding, the Python version the payload's code objects target, a
-free-text note, and a SHA-256 digest over all of those fields and the
-payload.
+The systems are timed I/O automata, so a run of a built world is a
+function of its :class:`~repro.scenario.ScenarioConfig` and the scripts
+scheduled on it.  A :class:`Snapshot` therefore holds no live state: its
+payload is that config and those scripts as JSON, and its header
+(:class:`SnapshotMeta`) holds the schema tag, the cut (simulation time,
+events fired), a free-text note and a digest of
+``repr(run_fingerprint(...))`` at the cut.  :func:`restore_scenario`
+builds the config, schedules the scripts, replays to the cut and
+requires that digest, so a world also driven from Python outside its
+scripts, or a file whose run the current code no longer reproduces, is
+refused at its cut instead of resuming a different run.
 
-The on-disk envelope is a magic line, a 4-byte header length, the JSON
-header and the payload.  :func:`load` verifies magic, schema, header
-shape, length and digest *before* unpickling anything: a file that
+Values go through one closed table of frozen dataclasses
+(:data:`_TYPES`).  Decoding calls only those constructors, so their
+``__post_init__`` checks run on what the file holds, and no code or
+object graph is ever read from a file.
+
+On disk a checkpoint is two JSON lines: the header with a SHA-256
+``digest`` over every header field and the payload, then the payload.
+:func:`load` checks the header's shape, schema and digest: a file that
 differs from what :func:`save` wrote in any byte raises
 :class:`CkptFormatError` or loads as the same snapshot.
 
@@ -26,235 +32,267 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
-import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Dict, Tuple, Union
 
 from ..core.tracker import BOTTOM
-from ..scenario import Scenario
-from ..topo.keys import TopologyKey
-from .codec import CkptCodecError, dumps_graph, loads_graph
+from ..energy.model import EnergyModel
+from ..faults import plan as _plan
+from ..obs._state import OBS
+from ..scenario import Scenario, ScenarioConfig, build
+from ..sim.sharded.workload import (
+    EvaderEnter,
+    EvaderStep,
+    IssueFind,
+    ScriptedWorkload,
+    schedule_workload,
+)
+from ..stabilization.stabilizing_tracker import StabilizationConfig
 
-#: Schema tag of the snapshot format.  Bump on any envelope or payload
-#: layout change; :func:`load` refuses other schemas outright.
-#: ``ckpt/5``: one header whose digest covers every field and the
-#: payload; ``ckpt/4`` digested the payload only, beside a separately
-#: pickled config section.
-CKPT_SCHEMA = "ckpt/5"
+#: Schema tag of the snapshot format.  Bump on any change to the file
+#: layout or the value table; :func:`load` refuses other schemas
+#: outright.  ``ckpt/6``: config, scripts and cut as JSON, restored by
+#: replay; earlier schemas serialized the live world.
+CKPT_SCHEMA = "ckpt/6"
 
 #: A lane's pointers at a cluster that is off its path.
 _BOTTOMS = (BOTTOM,) * 4
 
-#: First bytes of every checkpoint file.
-CKPT_MAGIC = b"repro-ckpt\n"
+#: The value types a checkpoint can hold, by class name.
+_TYPES = {
+    cls.__name__: cls
+    for cls in (
+        ScenarioConfig,
+        _plan.FaultPlan,
+        _plan.MessageLoss,
+        _plan.MessageDuplication,
+        _plan.MessageJitter,
+        _plan.LagSpike,
+        _plan.VsaCrashes,
+        _plan.RegionBlackout,
+        _plan.GpsStaleness,
+        EnergyModel,
+        StabilizationConfig,
+        EvaderEnter,
+        EvaderStep,
+        IssueFind,
+        ScriptedWorkload,
+    )
+}
+_FIELDS = {name: tuple(f.name for f in fields(cls)) for name, cls in _TYPES.items()}
+_ACTIONS = (EvaderEnter, EvaderStep, IssueFind)
 
 #: The on-disk header's keys and the JSON types of their values.
 _HEADER_TYPES: Dict[str, Any] = {
     "schema": str,
     "sim_time": (int, float),
     "events_fired": int,
-    "topo_keys": list,
     "fingerprint": str,
-    "python": str,
     "note": str,
-    "payload_bytes": int,
+    "digest": str,
 }
 
 
 class CkptFormatError(RuntimeError):
-    """The file is not a readable checkpoint of this schema."""
-
-
-class CkptCompatError(RuntimeError):
-    """The checkpoint is readable but incompatible with this process."""
+    """The file is not a checkpoint of this schema, or its run does not replay."""
 
 
 @dataclass(frozen=True)
 class SnapshotMeta:
-    """Typed header of one snapshot (JSON-safe fields only)."""
+    """Typed header of one snapshot (JSON-safe fields only).
+
+    ``fingerprint`` is the SHA-256 of ``repr(run_fingerprint(...))`` of
+    the world at the cut.
+    """
 
     schema: str
     sim_time: float
     events_fired: int
-    topo_keys: Tuple[TopologyKey, ...]
     fingerprint: str
-    python: str
     note: str = ""
-
-    def as_json_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": self.schema,
-            "sim_time": self.sim_time,
-            "events_fired": self.events_fired,
-            "topo_keys": [
-                {"kind": k.kind, "r": k.r, "max_level": k.max_level}
-                for k in self.topo_keys
-            ],
-            "fingerprint": self.fingerprint,
-            "python": self.python,
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, Any]) -> "SnapshotMeta":
-        return cls(
-            schema=data["schema"],
-            sim_time=data["sim_time"],
-            events_fired=data["events_fired"],
-            topo_keys=tuple(
-                TopologyKey(k["kind"], k["r"], k["max_level"])
-                for k in data["topo_keys"]
-            ),
-            fingerprint=data["fingerprint"],
-            python=data["python"],
-            note=data["note"],
-        )
 
 
 @dataclass(frozen=True)
 class Snapshot:
-    """One checkpoint, ready to restore, fork or save."""
+    """One checkpoint: its header and its payload (config and scripts)."""
 
     meta: SnapshotMeta
     payload: bytes = field(repr=False)
 
-
-def _digest(meta: SnapshotMeta, payload: bytes) -> str:
-    """SHA-256 over every header field but the digest, then the payload."""
-    fields = meta.as_json_dict()
-    del fields["fingerprint"]
-    head = json.dumps(fields, sort_keys=True).encode("utf-8")
-    return "sha256:" + hashlib.sha256(head + b"\0" + payload).hexdigest()
-
-
-def _python_tag() -> str:
-    return f"{sys.version_info.major}.{sys.version_info.minor}"
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 over every header field, then the payload: what
+        :func:`save` writes beside the header and :func:`load` checks."""
+        head = json.dumps(asdict(self.meta), sort_keys=True).encode()
+        return "sha256:" + hashlib.sha256(head + b"\0" + self.payload).hexdigest()
 
 
+# ----------------------------------------------------------------------
+# Values
+# ----------------------------------------------------------------------
+def _encode(value: Any) -> Any:
+    """``value`` as JSON: tuples become lists, table types one-key dicts."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    name = type(value).__name__
+    if _TYPES.get(name) is not type(value):
+        raise ValueError(f"a checkpoint cannot hold a {name}")
+    encoded = {}
+    for key in _FIELDS[name]:
+        try:
+            encoded[key] = _encode(getattr(value, key))
+        except ValueError as exc:
+            raise ValueError(f"{name}.{key}: {exc}") from None
+    return {name: encoded}
+
+
+def _decode(data: Any) -> Any:
+    """Inverse of :func:`_encode`; builds only table types."""
+    if isinstance(data, list):
+        return tuple(_decode(item) for item in data)
+    if isinstance(data, dict):
+        ((name, values),) = data.items()
+        return _TYPES[name](**{key: _decode(item) for key, item in values.items()})
+    return data
+
+
+def _payload(config: ScenarioConfig, scripts: Tuple[ScriptedWorkload, ...]) -> bytes:
+    document = {"config": _encode(config), "scripts": _encode(scripts)}
+    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _config_and_scripts(payload: bytes) -> Tuple[ScenarioConfig, tuple]:
+    try:
+        document = json.loads(payload)
+        config = _decode(document.pop("config"))
+        scripts = _decode(document.pop("scripts"))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CkptFormatError(f"payload does not decode: {exc!r}") from exc
+    if not (
+        not document
+        and isinstance(config, ScenarioConfig)
+        and not config.is_analytic
+        and isinstance(scripts, tuple)
+        and all(
+            isinstance(script, ScriptedWorkload)
+            and isinstance(script.actions, tuple)
+            and all(isinstance(action, _ACTIONS) for action in script.actions)
+            for script in scripts
+        )
+    ):
+        raise CkptFormatError("payload is not a message-level config and its scripts")
+    return config, scripts
+
+
+def _fingerprint_digest(scenario: Scenario) -> str:
+    text = repr(run_fingerprint(scenario))
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
+# ----------------------------------------------------------------------
+# Capture and replay
+# ----------------------------------------------------------------------
 def snapshot_scenario(scenario: Scenario, note: str = "") -> Snapshot:
-    """Capture ``scenario`` as a snapshot.
+    """Capture ``scenario``'s config, scripts and cut as a snapshot.
 
     Raises:
         SimulationError: when the simulator loop is mid-event — a
             snapshot is only well-defined on the inter-event boundary.
+        ValueError: a config field the value table cannot hold (an
+            explicit ``hierarchy`` or ``schedule``, a class as
+            ``system``); the message names it.
     """
     sim = scenario.sim
-    if sim is not None and sim.running:
+    if sim.running:
         from ..sim.engine import SimulationError
 
         raise SimulationError("cannot snapshot while the simulator loop is running")
-    payload, topo_keys = dumps_graph(scenario)
+    payload = _payload(scenario.config, tuple(scenario.system.scripts))
     meta = SnapshotMeta(
         schema=CKPT_SCHEMA,
-        sim_time=0.0 if sim is None else sim.now,
-        events_fired=0 if sim is None else sim.events_fired,
-        topo_keys=topo_keys,
-        fingerprint="",
-        python=_python_tag(),
+        sim_time=sim.now,
+        events_fired=sim.events_fired,
+        fingerprint=_fingerprint_digest(scenario),
         note=note,
     )
-    meta = replace(meta, fingerprint=_digest(meta, payload))
     return Snapshot(meta=meta, payload=payload)
 
 
 def restore_scenario(snapshot: Snapshot) -> Scenario:
-    """Restore a snapshot into a fresh, independent continuation.
+    """Rebuild the snapshot's world and replay it to the cut.
 
-    Every restore unpickles the payload anew, so N restores give N
-    disjoint object graphs (fork-ready); topology references resolve
-    through this process's content-addressed cache, rebuilding on a
-    cold cache.  The scenario carries the config it was built from.
+    Builds the config, schedules the scripts and runs to the cut with
+    the obs gate closed, so a live collector sees only the continuation.
+    Every call builds a fresh world: N restores are independent.
 
     Raises:
-        CkptFormatError: another schema, or a payload that does not
-            decode.
+        CkptFormatError: another schema, a payload that does not decode,
+            or a replay whose run fingerprint at the cut differs.
     """
-    if snapshot.meta.schema != CKPT_SCHEMA:
-        raise CkptFormatError(
-            f"snapshot schema {snapshot.meta.schema!r} != {CKPT_SCHEMA!r}"
-        )
+    meta = snapshot.meta
+    if meta.schema != CKPT_SCHEMA:
+        raise CkptFormatError(f"snapshot schema {meta.schema!r} != {CKPT_SCHEMA!r}")
+    config, scripts = _config_and_scripts(snapshot.payload)
+    gate = OBS.events_enabled, OBS.collector
+    OBS.events_enabled, OBS.collector = False, None
     try:
-        return loads_graph(snapshot.payload)
-    except CkptCodecError as exc:
-        raise CkptFormatError(str(exc)) from exc
+        scenario = build(config)
+        for script in scripts:
+            schedule_workload(scenario.system, script)
+        scenario.sim.run_until(meta.sim_time, max_events=meta.events_fired)
+    finally:
+        OBS.events_enabled, OBS.collector = gate
+    if _fingerprint_digest(scenario) != meta.fingerprint:
+        raise CkptFormatError(
+            f"replay to the cut (t={meta.sim_time:g}, {meta.events_fired} "
+            "events) does not reproduce the snapshot's run fingerprint"
+        )
+    return scenario
 
 
 # ----------------------------------------------------------------------
 # On-disk envelope
 # ----------------------------------------------------------------------
 def save(snapshot: Snapshot, path: Union[str, Path]) -> None:
-    """Write the snapshot to ``path`` in the :data:`CKPT_SCHEMA` envelope."""
-    header = json.dumps(
-        {**snapshot.meta.as_json_dict(), "payload_bytes": len(snapshot.payload)},
-        sort_keys=True,
-    ).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(CKPT_MAGIC)
-        handle.write(struct.pack(">I", len(header)))
-        handle.write(header)
-        handle.write(snapshot.payload)
-
-
-def _read_meta(path: Union[str, Path], header: Any) -> SnapshotMeta:
-    """The typed meta of a parsed header dict; any other shape is refused."""
-    if set(header) != set(_HEADER_TYPES):
-        raise CkptFormatError(f"{path}: header keys are not {sorted(_HEADER_TYPES)}")
-    for key, kind in _HEADER_TYPES.items():
-        if not isinstance(header[key], kind) or isinstance(header[key], bool):
-            raise CkptFormatError(f"{path}: header {key!r} has the wrong type")
-    try:
-        return SnapshotMeta.from_json_dict(header)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CkptFormatError(f"{path}: malformed header: {exc!r}") from exc
+    """Write the header line, then the payload line."""
+    header = {**asdict(snapshot.meta), "digest": snapshot.digest}
+    line = json.dumps(header, sort_keys=True).encode()
+    Path(path).write_bytes(line + b"\n" + snapshot.payload + b"\n")
 
 
 def load(path: Union[str, Path]) -> Snapshot:
-    """Read a :data:`CKPT_SCHEMA` file with strict format and compat checks.
+    """Read a :data:`CKPT_SCHEMA` file with strict format checks.
 
     Raises:
-        CkptFormatError: bad magic, wrong schema, a malformed header,
-            truncated sections or a header or payload that fails the
-            digest.
-        CkptCompatError: the payload was written by a different Python
-            minor version (its by-value code objects may not load).
+        CkptFormatError: an unreadable or malformed header, another
+            schema, or a header or payload that fails the digest (a
+            truncated file does).
     """
-    data = Path(path).read_bytes()
-    if not data.startswith(CKPT_MAGIC):
-        raise CkptFormatError(f"{path}: not a repro checkpoint (bad magic)")
-    offset = len(CKPT_MAGIC)
-    if len(data) < offset + 4:
-        raise CkptFormatError(f"{path}: truncated header length")
-    (header_len,) = struct.unpack(">I", data[offset:offset + 4])
-    offset += 4
+    head, _, rest = Path(path).read_bytes().partition(b"\n")
     try:
-        header = json.loads(data[offset:offset + header_len].decode("utf-8"))
+        header = json.loads(head.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CkptFormatError(f"{path}: unreadable header: {exc}") from exc
-    offset += header_len
+        raise CkptFormatError(f"{path}: not a checkpoint: unreadable header: {exc}") from exc
     schema = header.get("schema") if isinstance(header, dict) else None
     if schema != CKPT_SCHEMA:
         raise CkptFormatError(
             f"{path}: schema {schema!r} != {CKPT_SCHEMA!r} "
             "(no cross-version compatibility is promised)"
         )
-    meta = _read_meta(path, header)
-    if len(data) != offset + header["payload_bytes"]:
-        raise CkptFormatError(
-            f"{path}: expected {offset + header['payload_bytes']} bytes, "
-            f"file has {len(data)}"
-        )
-    payload = data[offset:]
-    if _digest(meta, payload) != meta.fingerprint:
-        raise CkptFormatError(f"{path}: header or payload fails its fingerprint check")
-    if meta.python != _python_tag():
-        raise CkptCompatError(
-            f"{path}: written under Python {meta.python}, this is "
-            f"{_python_tag()} — by-value code objects may not load; "
-            "regenerate the checkpoint"
-        )
-    return Snapshot(meta=meta, payload=payload)
+    if set(header) != set(_HEADER_TYPES):
+        raise CkptFormatError(f"{path}: header keys are not {sorted(_HEADER_TYPES)}")
+    for key, kind in _HEADER_TYPES.items():
+        if not isinstance(header[key], kind) or isinstance(header[key], bool):
+            raise CkptFormatError(f"{path}: header {key!r} has the wrong type")
+    digest = header.pop("digest")
+    snapshot = Snapshot(SnapshotMeta(**header), rest.removesuffix(b"\n"))
+    if snapshot.digest != digest:
+        raise CkptFormatError(f"{path}: header or payload fails its digest check")
+    return snapshot
 
 
 # ----------------------------------------------------------------------

@@ -25,17 +25,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ckpt import (
     CKPT_SCHEMA,
-    CkptCompatError,
     CkptFormatError,
     Variant,
     bisect_divergence,
-    build_tracked_walk,
     load,
     restore_scenario,
     run_fingerprint,
     save,
     snapshot_scenario,
-    walk_horizon,
 )
 
 #: Envelope schema for all ``--json`` output.
@@ -319,56 +316,50 @@ def _validate_text(v):
 
 
 def _snapshot(args):
-    from .scenario import ScenarioConfig
+    from .scenario import build
+    from .sim.sharded import schedule_workload, walk_scenario
 
-    config = ScenarioConfig(**_pick(args, "r", "max_level", "seed"))
-    if args.loss is not None:
-        from .faults.plan import default_plan
-
-        config = config.with_(fault_plan=default_plan(loss_rate=args.loss))
-    scenario = build_tracked_walk(config, moves=args.moves)
+    config, script = walk_scenario(
+        **_pick(args, "r", "max_level", "seed"), shards=1,
+        n_moves=args.moves, loss_rate=args.loss or 0.0,
+    )
+    scenario = build(config)
+    schedule_workload(scenario.system, script)
     scenario.sim.run_until(args.at)
-    snapshot = snapshot_scenario(scenario, note=f"tracked-walk moves={args.moves}")
+    snapshot = snapshot_scenario(scenario, note=f"walk moves={args.moves}")
     save(snapshot, args.out)
     return {
         "out": args.out,
         **_pick(snapshot.meta, "schema", "sim_time", "events_fired"),
         "payload_bytes": len(snapshot.payload),
-        "topo_keys": [
-            _pick(key, "kind", "r", "max_level") for key in snapshot.meta.topo_keys
-        ],
     }, 0
 
 
 def _snapshot_text(v):
-    keys = ["{kind}(r={r},M={max_level})".format_map(k) for k in v["topo_keys"]]
     return (
         "wrote {out}: schema {schema}, t={sim_time:g}, {events_fired} events "
-        "fired, {payload_bytes} payload bytes, topo keys {keys}"
-    ).format_map({**v, "keys": keys})
-
-
-def _note_moves(note: str, default: int = 5) -> int:
-    """Moves count embedded in a snapshot note by ``repro snapshot``."""
-    counts = [token[6:] for token in note.split() if token.startswith("moves=")]
-    return int(counts[0]) if counts and counts[0].isdigit() else default
+        "fired, {payload_bytes} payload bytes"
+    ).format_map(v)
 
 
 def _resume(args):
     snapshot = load(args.path)
     cut, until = snapshot.meta.sim_time, args.until
-    if until is None:  # the horizon of the walk the note says was snapshot
-        until = max(walk_horizon(_note_moves(snapshot.meta.note)), cut)
-    elif until < cut:
+    if until is not None and until < cut:
         raise ValueError(f"until {until:g} is before the snapshot's t={cut:g}")
     scenario = restore_scenario(snapshot)
-    scenario.sim.run_until(until)
+    if until is None:  # to quiescence, as run_script runs a script
+        if not scenario.system.quiesces:
+            raise ValueError(f"{args.path}: this system never quiesces; give --until")
+        scenario.sim.run()
+    else:
+        scenario.sim.run_until(until)
     fp = run_fingerprint(scenario)
     system = scenario.system
     evader = system.evader
     return {
         "resumed_from_t": cut,
-        "ran_until": until,
+        "ran_until": fp[0] if until is None else until,
         **dict(zip(("sim_time", "events_fired", "sends", "send_crc"), fp)),
         "evader_region": None if evader is None else list(evader.region),
         "finds_completed": sum(1 for r in system.finds.records.values() if r.completed),
@@ -629,10 +620,10 @@ COMMANDS: Tuple[Command, ...] = (
         Flag("--strip", SWITCH, help="strip world"),
         Flag("--skip-proximity", SWITCH, help="skip the proximity check"),
     )),
-    Command("snapshot", "checkpoint the canonical tracked walk at a cut point",
+    Command("snapshot", "checkpoint the scripted walk at a cut point",
             (2, 2, 7), _snapshot, _snapshot_text, (
         Flag("--at", TIME, 25.0, "sim time of the cut point (default 25)"),
-        Flag("--moves", COUNT, 5, "scheduled walk moves (default 5)"),
+        Flag("--moves", COUNT, 5, "scripted walk moves (default 5)"),
         Flag("--loss", PROBABILITY, None, "arm a message-loss fault plan at this rate"),
         Flag("--out", TEXT, "walk.ckpt", "checkpoint path (default walk.ckpt)"),
     )),
@@ -640,7 +631,8 @@ COMMANDS: Tuple[Command, ...] = (
             None, _resume, _resume_text, (
         Flag("path", TEXT, help=f"a {CKPT_SCHEMA} file written by 'repro snapshot'"),
         Flag("--until", TIME, None,
-             "sim time to run to, not before the cut (default: the walk horizon)"),
+             "sim time to run to, not before the cut (default: until no "
+             "event is left)"),
     )),
     Command("bisect", "locate the first diverging event between two run variants",
             (2, 2, 7), _bisect, _bisect_text, (
@@ -743,7 +735,7 @@ def _check(flag: Flag, args: argparse.Namespace) -> None:
 
 
 #: The exception types that mean "rejected input", not "bug".
-_REJECTED_INPUT = (ValueError, OSError, CkptFormatError, CkptCompatError)
+_REJECTED_INPUT = (ValueError, OSError, CkptFormatError)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

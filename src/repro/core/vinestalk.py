@@ -19,7 +19,7 @@ experiments; the emulated regime lives in
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from ..geometry.regions import RegionId
 from ..hierarchy.cluster import ClusterId
@@ -124,6 +124,9 @@ class VineStalk:
         #: All tracked objects by id; ``objects[0] is evader`` when the
         #: legacy single evader is attached (DESIGN.md §9).
         self.objects: Dict[int, Evader] = {}
+        #: Every script ``schedule_workload`` queued here, in order: what
+        #: a checkpoint replays (:mod:`repro.ckpt`).
+        self.scripts: List[Any] = []
         self.moves_observed = 0
         #: Optional GPS-staleness hook (repro.faults): ``(event, region)
         #: -> extra delay``.  When None or 0.0, augmented-GPS delivery

@@ -134,7 +134,7 @@ class FaultInjector:
         self.streams = RngRegistry(seed)
         self.stats = FaultStats()
         self._root_seed = seed
-        # High word of every message draw's seed; fork() mixes its path in.
+        # High word of every message draw's seed.
         self._seed_high = seed << 32
         # Per-message-key occurrence counters, so
         # identical back-to-back messages still get independent draws;
@@ -147,9 +147,7 @@ class FaultInjector:
         self._key_time_repr = ""
         # (src, dest) -> "|src|dest|" piece of a C-gcast message key.
         self._cgcast_edges: Dict[tuple, str] = {}
-        # The one generator every message draw reseeds.  It stays a
-        # random.Random: the injector is part of every ckpt snapshot and
-        # a bare _random.Random does not pickle.
+        # The one generator every message draw reseeds.
         self._draw_rng = random.Random(0)
         # The message program's rows, compiled by arm().
         self._program: tuple = ()
@@ -202,13 +200,6 @@ class FaultInjector:
                 )
         return self
 
-    def fork(self, index: int) -> None:
-        """Continue as fork ``index``: re-derive every stream and message
-        draw from the extended fork path (see :meth:`RngRegistry.fork`).
-        An unforked injector's message high word is ``seed << 32``."""
-        self.streams.fork(index)
-        self._seed_high = self.streams._derive("")
-
     # ------------------------------------------------------------------
     # Message interposition (loss / duplication / jitter / lag spikes)
     # ------------------------------------------------------------------
@@ -247,8 +238,7 @@ class FaultInjector:
         the per-copy delivery delays (empty = dropped), or ``None`` when
         untouched so callers keep the exact original path.
 
-        The seed of a draw is ``crc32(material) ^ (seed << 32)`` (in a
-        fork, the high word mixes in the fork path) with
+        The seed of a draw is ``crc32(material) ^ (seed << 32)`` with
         material ``"<seed>|<rule index>|<key>|<occurrence>"`` and key
         ``"cg|<repr(now)><edge>"``.
         """

@@ -160,12 +160,18 @@ class Simulator:
     def run_until(self, until: float, max_events: Optional[int] = None) -> int:
         """Run events with ``time <= until`` and advance the clock to ``until``.
 
+        When ``max_events`` stops the run with an event at or before
+        ``until`` still pending, the clock stays at the last fired event:
+        moving it on would put that event in the past.
+
         Returns:
             Number of events fired by this call.
         """
         fired = self._loop(until=until, max_events=max_events)
         if not self._stop_requested and self.now < until:
-            self.now = until
+            pending = self._queue.peek_time()
+            if pending is None or pending > until:
+                self.now = until
         return fired
 
     def run_window(self, until: float) -> int:

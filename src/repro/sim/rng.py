@@ -21,9 +21,9 @@ class RngRegistry:
     mixed into every stream's seed derivation.  A freshly constructed
     registry has an empty fork path and derives seeds exactly as it
     always did; :meth:`fork` extends the path, deterministically
-    re-deriving every stream so N restored copies of one snapshot can
-    diverge reproducibly (fork ``k`` always yields the same streams for
-    the same root seed and path).
+    re-deriving every stream so N copies of one generator can diverge
+    reproducibly (fork ``k`` always yields the same streams for the
+    same root seed and path).
     """
 
     def __init__(self, seed: int = 0) -> None:

@@ -137,6 +137,9 @@ def schedule_workload(
 ) -> int:
     """Schedule ``workload``'s actions as events on ``system``'s simulator.
 
+    The script is appended to ``system.scripts``: a checkpoint of the
+    world records it there and replays it on restore.
+
     Args:
         system: A built VineStalk-like system (fresh: no evader yet).
         workload: The script to apply.
@@ -151,6 +154,7 @@ def schedule_workload(
     from ...mobility.evader import Evader
     from ...mobility.models import RandomNeighborWalk
 
+    system.scripts.append(workload)
     sim = system.sim
     tiling = system.hierarchy.tiling
     # Shared by the script's evaders (2.5 KB of Mersenne Twister each

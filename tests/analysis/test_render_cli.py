@@ -210,4 +210,4 @@ class TestJsonEnvelope:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"garbage")
         assert main(["resume", str(path), "--json"]) == 2
-        assert "bad magic" in self.unwrap(capsys, "resume")["error"]
+        assert "not a checkpoint" in self.unwrap(capsys, "resume")["error"]

@@ -11,8 +11,9 @@ import zlib
 
 import pytest
 
-from repro.ckpt import Variant, bisect_divergence, build_tracked_walk, walk_horizon
-from repro.scenario import ScenarioConfig
+from repro.ckpt import Variant, bisect_divergence
+from repro.scenario import ScenarioConfig, build
+from repro.sim.sharded import schedule_workload, walk_scenario
 from repro.sim.sharded.context import canonical_send_line
 
 CONFIG = ScenarioConfig(r=2, max_level=2, seed=7)
@@ -20,12 +21,14 @@ CONFIG = ScenarioConfig(r=2, max_level=2, seed=7)
 
 def _event_sends(config):
     """Per event of a full run: (clock, send lines, tag) — the reference."""
-    scenario = build_tracked_walk(config)
+    scenario = build(config)
+    _, script = walk_scenario(2, 2, shards=1, n_moves=5, seed=config.seed)
+    schedule_workload(scenario.system, script)
     sim = scenario.sim
     sends = []
     scenario.system.cgcast.observe(sends.extend)
     events = []
-    while (event := sim._queue.peek()) is not None and sim.step(until=walk_horizon(5)):
+    while (event := sim._queue.peek()) is not None and sim.step():
         events.append((sim.now, [canonical_send_line(r) for r in sends], event.tag))
         sends.clear()
     return events
@@ -75,7 +78,7 @@ class TestBisect:
 
     @pytest.mark.parametrize("cap", [1, 10, 11])
     def test_max_events_caps_the_comparison(self, cap):
-        # The seeds split at event 11, past every cap here; a cap that
+        # The seeds split at event 13, past every cap here; a cap that
         # is reached reports no divergence over exactly that many events.
         report = bisect_divergence(
             CONFIG, Variant.parse("base"), Variant.parse("seed:8"), max_events=cap

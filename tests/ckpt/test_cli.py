@@ -23,7 +23,7 @@ class TestSnapshotResume:
 
         assert main(["resume", path]) == 0
         out = capsys.readouterr().out
-        assert "resumed" in out and "t=70" in out
+        assert "resumed" in out and "t=207" in out  # the walk's quiescence
 
     def test_resume_json_is_stable_across_invocations(self, tmp_path, capsys):
         path = str(tmp_path / "walk.ckpt")
@@ -35,7 +35,7 @@ class TestSnapshotResume:
         second = unwrap(capsys.readouterr().out, "resume")
         assert first == second
         assert first["resumed_from_t"] == 12.5
-        assert first["ran_until"] == 70.0  # from the note's moves=5
+        assert first["ran_until"] == first["sim_time"] == 207.0  # quiescence
 
     def test_snapshot_with_loss_plan(self, tmp_path, capsys):
         path = str(tmp_path / "lossy.ckpt")

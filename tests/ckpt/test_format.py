@@ -1,40 +1,43 @@
-"""The checkpoint envelope: strict format and compatibility checks.
+"""The checkpoint file: strict format checks, and a cut that must replay.
 
-Every corruption mode must be caught *before* any pickle byte is
-trusted: bad magic, truncated header, wrong schema, malformed header,
-short payload, fingerprint mismatch, foreign Python tag — and a flipped
-bit anywhere in the magic, length or header (or a sampled payload
-position) either fails closed or loads the same snapshot.  Plus the
-payload's size over a long run.
+A checkpoint is two JSON lines, a header and the payload (config and
+scripts).  Every corruption mode must be caught by :func:`load`: an
+unreadable or malformed header, another schema, a header or payload
+that fails the digest — and a flipped bit anywhere
+in the file either fails closed or loads the same snapshot.  A payload
+that passes the digest but holds something outside the value table is
+refused by :func:`restore_scenario`.
 """
 
 import json
-import struct
 
 import pytest
 
 from repro.ckpt import (
-    CKPT_MAGIC,
     CKPT_SCHEMA,
-    CkptCompatError,
     CkptFormatError,
     Snapshot,
     SnapshotMeta,
-    build_tracked_walk,
     load,
     restore_scenario,
     save,
     snapshot_scenario,
 )
-from repro.ckpt.snapshot import _digest, _python_tag
-from repro.scenario import ScenarioConfig
+from repro.scenario import build
+from repro.sim.sharded import schedule_workload, walk_scenario
 
-CONFIG = ScenarioConfig(r=2, max_level=2, seed=7)
+CONFIG, SCRIPT = walk_scenario(2, 2, shards=1, n_moves=5, seed=7)
+
+
+def _walk():
+    scenario = build(CONFIG)
+    schedule_workload(scenario.system, SCRIPT)
+    return scenario
 
 
 @pytest.fixture(scope="module")
 def snapshot():
-    scenario = build_tracked_walk(CONFIG)
+    scenario = _walk()
     scenario.sim.run_until(25.0)
     return snapshot_scenario(scenario, note="format-test")
 
@@ -47,21 +50,15 @@ def ckpt_path(snapshot, tmp_path):
 
 
 def _header_of(data):
-    (header_len,) = struct.unpack(
-        ">I", data[len(CKPT_MAGIC):len(CKPT_MAGIC) + 4]
-    )
-    start = len(CKPT_MAGIC) + 4
-    return json.loads(data[start:start + header_len]), start, header_len
+    head, _, payload = data.partition(b"\n")
+    return json.loads(head), payload
 
 
-def _with_header(data, header, start, header_len, redigest=False):
-    payload = data[start + header_len:]
+def _with_header(header, payload, redigest=False):
     if redigest:  # a header that passes the digest check
-        header = dict(header, fingerprint=_digest(
-            SnapshotMeta.from_json_dict(header), payload
-        ))
-    blob = json.dumps(header, sort_keys=True).encode()
-    return CKPT_MAGIC + struct.pack(">I", len(blob)) + blob + payload
+        fields = {k: v for k, v in header.items() if k != "digest"}
+        header = dict(header, digest=Snapshot(SnapshotMeta(**fields), payload[:-1]).digest)
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + payload
 
 
 class TestRoundTrip:
@@ -71,138 +68,144 @@ class TestRoundTrip:
         assert loaded.payload == snapshot.payload
         assert restore_scenario(loaded).config == CONFIG
 
-    def test_meta_is_readable_without_unpickling(self, snapshot):
+    def test_meta_is_readable_without_unpickling(self, snapshot, ckpt_path):
         assert snapshot.meta.schema == CKPT_SCHEMA
         assert snapshot.meta.sim_time == 25.0
         assert snapshot.meta.note == "format-test"
         assert snapshot.meta.fingerprint.startswith("sha256:")
-        assert snapshot.meta.python == _python_tag()
-        keys = snapshot.meta.topo_keys
-        assert len(keys) == 1 and keys[0].kind == "grid"
+        header, payload = _header_of(ckpt_path.read_bytes())
+        assert header["schema"] == CKPT_SCHEMA
+        assert header["digest"].startswith("sha256:")
+        document = json.loads(payload)
+        assert document["config"]["ScenarioConfig"]["seed"] == 7
+        (script,) = document["scripts"]
+        assert len(script["ScriptedWorkload"]["actions"]) == len(SCRIPT.actions)
 
 
 class TestCorruption:
     def test_bad_magic(self, ckpt_path, tmp_path):
         bad = tmp_path / "bad-magic.ckpt"
         bad.write_bytes(b"not-a-ckpt\n" + ckpt_path.read_bytes())
-        with pytest.raises(CkptFormatError, match="bad magic"):
+        with pytest.raises(CkptFormatError, match="not a checkpoint"):
             load(bad)
 
     def test_truncated_header(self, ckpt_path, tmp_path):
         bad = tmp_path / "truncated.ckpt"
-        bad.write_bytes(ckpt_path.read_bytes()[:len(CKPT_MAGIC) + 2])
-        with pytest.raises(CkptFormatError, match="truncated"):
+        bad.write_bytes(ckpt_path.read_bytes()[:40])
+        with pytest.raises(CkptFormatError, match="unreadable header"):
             load(bad)
 
     def test_truncated_payload(self, ckpt_path, tmp_path):
         bad = tmp_path / "short.ckpt"
-        bad.write_bytes(ckpt_path.read_bytes()[:-10])
-        with pytest.raises(CkptFormatError, match="bytes"):
+        bad.write_bytes(ckpt_path.read_bytes()[:-10] + b"\n")
+        with pytest.raises(CkptFormatError, match="digest"):
             load(bad)
 
     def test_flipped_payload_byte_fails_fingerprint(self, ckpt_path, tmp_path):
         data = bytearray(ckpt_path.read_bytes())
-        data[-1] ^= 0xFF
+        data[-2] ^= 0x01
         bad = tmp_path / "flipped.ckpt"
         bad.write_bytes(bytes(data))
-        with pytest.raises(CkptFormatError, match="fingerprint"):
+        with pytest.raises(CkptFormatError, match="digest"):
             load(bad)
 
     def test_wrong_schema(self, ckpt_path, tmp_path):
-        data = ckpt_path.read_bytes()
-        header, start, header_len = _header_of(data)
-        header["schema"] = "ckpt/999"
+        header, payload = _header_of(ckpt_path.read_bytes())
+        header["schema"] = "ckpt/5"
         bad = tmp_path / "schema.ckpt"
-        bad.write_bytes(_with_header(data, header, start, header_len))
+        bad.write_bytes(_with_header(header, payload))
         with pytest.raises(CkptFormatError, match="schema"):
-            load(bad)
-
-    def test_python_mismatch_is_compat_error(self, ckpt_path, tmp_path):
-        data = ckpt_path.read_bytes()
-        header, start, header_len = _header_of(data)
-        header["python"] = "2.7"
-        bad = tmp_path / "python.ckpt"
-        bad.write_bytes(_with_header(data, header, start, header_len))
-        with pytest.raises(CkptFormatError, match="fingerprint"):
-            load(bad)  # the digest covers the tag
-        bad.write_bytes(_with_header(data, header, start, header_len, True))
-        with pytest.raises(CkptCompatError, match="2.7"):
             load(bad)
 
     @pytest.mark.parametrize("malform", [
         lambda h: h.pop("note"), lambda h: h.update(extra=1),
         lambda h: h.update(note=None), lambda h: h.update(sim_time="25.0"),
         lambda h: h.update(events_fired=1.5),
-        lambda h: h.update(payload_bytes=True),
-        lambda h: h.update(topo_keys=[{"kind": "grid", "r": 2}]),
-        lambda h: h.update(topo_keys=["grid"]),
+        lambda h: h.update(events_fired=True),
+        lambda h: h.update(fingerprint=["sha256:"]),
+        lambda h: h.update(digest=0),
     ], ids=["missing-key", "unknown-key", "null-note", "str-time",
-            "float-count", "bool-length", "short-topo-key", "str-topo-key"])
+            "float-count", "bool-count", "list-fingerprint", "int-digest"])
     def test_malformed_header(self, ckpt_path, tmp_path, malform):
-        data = ckpt_path.read_bytes()
-        header, start, header_len = _header_of(data)
+        header, payload = _header_of(ckpt_path.read_bytes())
         malform(header)
         bad = tmp_path / "malformed.ckpt"
-        bad.write_bytes(_with_header(data, header, start, header_len))
+        bad.write_bytes(_with_header(header, payload))
         with pytest.raises(CkptFormatError, match="header") as refused:
             load(bad)
-        assert "fails its fingerprint" not in str(refused.value)  # refused first
+        assert "digest check" not in str(refused.value)  # refused first
 
     def test_every_flipped_bit_fails_closed_or_loads_the_same(
         self, snapshot, ckpt_path, tmp_path
     ):
-        """Every bit of magic, length and header, and every 97th payload
-        byte's low bit: :class:`CkptFormatError`, or the same snapshot."""
+        """Every bit of every byte: :class:`CkptFormatError`, or the
+        same snapshot."""
         data = ckpt_path.read_bytes()
-        _, start, header_len = _header_of(data)
-        flips = [(pos, 1 << bit) for pos in range(start + header_len)
-                 for bit in range(8)]
-        flips += [(pos, 1) for pos in range(start + header_len, len(data), 97)]
         bad, outcomes = tmp_path / "flipped.ckpt", {"refused": 0, "same": 0}
-        for pos, mask in flips:
-            flipped = bytearray(data)
-            flipped[pos] ^= mask
-            bad.write_bytes(bytes(flipped))
-            try:
-                loaded = load(bad)
-            except CkptFormatError:
-                outcomes["refused"] += 1
-                continue
-            assert (loaded.meta, loaded.payload) == (
-                snapshot.meta, snapshot.payload
-            ), (pos, mask)
-            outcomes["same"] += 1
-        assert outcomes["refused"] > 0.99 * len(flips), outcomes
+        for pos in range(len(data)):
+            for bit in range(8):
+                flipped = bytearray(data)
+                flipped[pos] ^= 1 << bit
+                bad.write_bytes(bytes(flipped))
+                try:
+                    loaded = load(bad)
+                except CkptFormatError:
+                    outcomes["refused"] += 1
+                    continue
+                assert loaded == snapshot, (pos, bit)
+                outcomes["same"] += 1
+        assert outcomes["refused"] > 0.99 * 8 * len(data), outcomes
+
+    def test_a_recomputed_digest_does_not_move_the_cut(self, ckpt_path, tmp_path):
+        header, payload = _header_of(ckpt_path.read_bytes())
+        header["events_fired"] -= 1
+        bad = tmp_path / "moved.ckpt"
+        bad.write_bytes(_with_header(header, payload, redigest=True))
+        with pytest.raises(CkptFormatError, match="run fingerprint"):
+            restore_scenario(load(bad))
 
     def test_undecodable_payload_is_a_format_error(self, snapshot):
-        meta = snapshot.meta
-        with pytest.raises(CkptFormatError, match="corrupt"):
-            restore_scenario(Snapshot(meta=meta, payload=b"not a pickle"))
+        with pytest.raises(CkptFormatError, match="payload"):
+            restore_scenario(Snapshot(meta=snapshot.meta, payload=b"not json"))
+
+    @pytest.mark.parametrize("payload", [
+        b"[]",
+        b'{"config": {"ScenarioConfig": {"r": 2}}}',
+        b'{"config": {"ScenarioConfig": {"r": 2}}, "scripts": [], "x": 1}',
+        b'{"config": {"ScenarioConfig": {"n_objects": 0}}, "scripts": []}',
+        b'{"config": {"ScenarioConfig": {"bogus": 1}}, "scripts": []}',
+        b'{"config": {"Popen": {"args": "sh"}}, "scripts": []}',
+        b'{"config": {"FaultPlan": {}}, "scripts": []}',
+        b'{"config": {"ScenarioConfig": {"system": "flooding"}}, "scripts": []}',
+        b'{"config": {"ScenarioConfig": {}}, "scripts": [{"FaultPlan": {}}]}',
+        b'{"config": {"ScenarioConfig": {}}, "scripts": [{"ScriptedWorkload": '
+        b'{"actions": {"FaultPlan": {}}, "horizon": 1.0}}]}',
+        b'{"config": {"ScenarioConfig": {}}, "scripts": [{"ScriptedWorkload": '
+        b'{"actions": [{"FaultPlan": {}}], "horizon": 1.0}}]}',
+    ], ids=["list", "no-scripts", "extra-key", "bad-value", "unknown-field",
+            "unknown-type", "not-a-config", "analytic", "not-a-script",
+            "actions-not-a-list", "not-an-action"])
+    def test_a_payload_outside_the_value_table_is_refused(self, snapshot, payload):
+        with pytest.raises(CkptFormatError, match="payload"):
+            restore_scenario(Snapshot(meta=snapshot.meta, payload=payload))
 
 
 class TestCheckpointSize:
     def test_tracked_walk_snapshot_does_not_grow_with_events(self):
-        """A ``repro snapshot`` payload holds the world, not the run so far.
-
-        On a 4-region world the walk has sent over every route by t=105;
-        from there, 7x the events fired leave the payload within 1 % —
-        what a run records about itself is O(1) (the send CRC), and the
-        rest of the walk is one queued event, not one per move.
-        """
-        scenario = build_tracked_walk(CONFIG.with_(max_level=1), moves=80)
-        sizes = {}
-        for t in (105.0, 795.0):
+        """A snapshot holds the world's inputs, not the run so far: the
+        payload is the same at every cut."""
+        scenario = _walk()
+        payloads = set()
+        for t in (5.0, 62.0, 150.0):
             scenario.sim.run_until(t)
-            sizes[scenario.sim.events_fired] = len(snapshot_scenario(scenario).payload)
-        (early, small), (late, large) = sorted(sizes.items())
-        assert late >= 7 * early
-        assert large <= small * 1.01, sizes
+            payloads.add(snapshot_scenario(scenario).payload)
+        assert len(payloads) == 1 and scenario.sim.events_fired > 100
 
 
 def test_snapshot_refuses_mid_event_capture():
     from repro.sim.engine import SimulationError
 
-    scenario = build_tracked_walk(CONFIG)
+    scenario = _walk()
     boom = {}
 
     def capture():

@@ -1,31 +1,31 @@
 """The committed golden artifact must stay loadable on HEAD.
 
-``tests/ckpt/golden/walk-r2-M2.ckpt`` is a checkpoint of the canonical
-tracked walk (r=2, MAX=2, seed=7) cut at t=25, committed to the repo.
-CI restores it on every change: the format must stay readable, the
-payload must pass its fingerprint, and the continuation must resume and
-complete its find.  (Trace-level equality with a fresh run is *not*
-asserted here — behavior-changing PRs legitimately shift traces and
-regenerate the artifact; the fresh-snapshot golden tests in
-``test_golden_resume.py`` enforce bit-identical resume on HEAD.)
-
-Regenerate after an intentional behavior or format change::
+``tests/ckpt/golden/walk-r2-M2.ckpt`` is a checkpoint of the scripted
+walk (r=2, MAX=2, seed=7, five moves) cut at t=25, committed to the
+repo.  CI restores it on every change: the format must stay readable,
+the file must pass its digest, the replay must reach the recorded run
+fingerprint at the cut, and the continuation must complete its finds.
+A change to what the walk does moves that fingerprint, so the artifact
+is refused at its cut and must be regenerated::
 
     PYTHONPATH=src python -c "
-    from repro.ckpt import build_tracked_walk, snapshot_scenario, save
-    from repro.scenario import ScenarioConfig
-    s = build_tracked_walk(ScenarioConfig(r=2, max_level=2, seed=7))
+    from repro.ckpt import save, snapshot_scenario
+    from repro.scenario import build
+    from repro.sim.sharded import schedule_workload, walk_scenario
+    config, script = walk_scenario(2, 2, shards=1, n_moves=5, seed=7)
+    s = build(config)
+    schedule_workload(s.system, script)
     s.sim.run_until(25.0)
-    save(snapshot_scenario(s, note='tracked-walk moves=5 golden-artifact'),
+    save(snapshot_scenario(s, note='walk moves=5 golden-artifact'),
          'tests/ckpt/golden/walk-r2-M2.ckpt')"
 """
 
+import pickle
 from pathlib import Path
 
 import pytest
 
-from repro.ckpt import CKPT_SCHEMA, load, restore_scenario, walk_horizon
-from repro.ckpt.snapshot import _python_tag
+from repro.ckpt import CKPT_SCHEMA, load, restore_scenario
 
 ARTIFACT = Path(__file__).parent / "golden" / "walk-r2-M2.ckpt"
 
@@ -45,35 +45,24 @@ def test_meta_matches_the_committed_workload(snapshot):
     assert meta.schema == CKPT_SCHEMA
     assert meta.sim_time == 25.0
     assert meta.events_fired > 0
-    assert "tracked-walk" in meta.note
-    assert [k.kind for k in meta.topo_keys] == ["grid"]
+    assert "walk moves=5" in meta.note
     config = restore_scenario(snapshot).config
     assert (config.r, config.max_level, config.seed) == (2, 2, 7)
-
-
-def test_artifact_python_tag_matches_ci():
-    """The artifact must be regenerated when CI's Python minor moves —
-    by-value code objects don't load across minors, and this test makes
-    that failure a named action instead of a pickle traceback."""
-    raw = ARTIFACT.read_bytes()
-    assert _python_tag().encode() in raw.split(b"\n", 2)[1][:4096]
 
 
 def test_artifact_restores_and_resumes(snapshot):
     scenario = restore_scenario(snapshot)
     assert scenario.sim.now == 25.0
-    scenario.sim.run_until(walk_horizon(5))
-    assert scenario.sim.now == walk_horizon(5)
+    scenario.sim.run()
     records = list(scenario.system.finds.records.values())
-    assert len(records) == 1 and records[0].completed
+    assert len(records) == 4 and all(record.completed for record in records)
     assert scenario.system.evader is not None
 
 
-def test_artifact_forks_deterministically(snapshot):
-    from repro.ckpt import fork_scenario, run_fingerprint
+def test_artifact_loads_and_restores_without_unpickling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checkpoint was unpickled")
 
-    a = fork_scenario(snapshot, 1)
-    b = fork_scenario(snapshot, 1)
-    a.sim.run_until(walk_horizon(5))
-    b.sim.run_until(walk_horizon(5))
-    assert run_fingerprint(a) == run_fingerprint(b)
+    monkeypatch.setattr(pickle, "loads", refuse)
+    monkeypatch.setattr(pickle, "Unpickler", refuse)
+    assert restore_scenario(load(ARTIFACT)).sim.now == 25.0

@@ -13,7 +13,6 @@ per-message interpreter that defines the draws.  Five contracts:
    instant whose counters are already above one resumes bit-identically.
 4. **Fail closed** — a rule on a channel no system has is refused by
    ``arm()``; ``"both"`` means the system's one channel, draw for draw.
-5. **Forks** — a forked injector's message draws follow its fork path.
 """
 
 from types import SimpleNamespace
@@ -26,11 +25,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import repro.obs as obs  # noqa: E402
 from repro.ckpt import (  # noqa: E402
-    build_tracked_walk,
     restore_scenario,
     run_fingerprint,
     snapshot_scenario,
-    walk_horizon,
 )
 from repro.faults import (  # noqa: E402
     CHANNEL_BOTH,
@@ -44,7 +41,12 @@ from repro.faults import (  # noqa: E402
     MessageLoss,
 )
 from repro.scenario import MESSAGE_SYSTEMS, ScenarioConfig, build  # noqa: E402
-from repro.sim.sharded import make_walk_workload, run_script  # noqa: E402
+from repro.sim.sharded import (  # noqa: E402
+    make_walk_workload,
+    run_script,
+    schedule_workload,
+    walk_scenario,
+)
 from tests.faults._reference_perturb import ReferenceInjector  # noqa: E402
 
 
@@ -150,10 +152,19 @@ def test_compiled_program_equals_the_interpreter(plan, seed, stream):
     assert replay(FaultInjector, plan, seed, stream) == expected
 
 
+WALK, SCRIPT = walk_scenario(2, 2, shards=1, n_moves=5, seed=7)
+
+
+def _walk(config):
+    scenario = build(config)
+    schedule_workload(scenario.system, SCRIPT)
+    return scenario
+
+
 def drive_walk(injector_class, plan):
-    """The tracked walk on a built system with ``injector_class`` armed,
+    """The scripted walk on a built system with ``injector_class`` armed,
     recording what the installed filter returned for every send."""
-    scenario = build_tracked_walk(ScenarioConfig(r=2, max_level=2, seed=7))
+    scenario = _walk(WALK)
     system = scenario.system
     injector = injector_class(system, plan, seed=7).arm()
     installed, sends = system.cgcast.fault_filter, []
@@ -165,7 +176,7 @@ def drive_walk(injector_class, plan):
 
     system.cgcast.fault_filter = recording
     with obs.observed() as collector:
-        system.sim.run_until(walk_horizon(5))
+        system.sim.run()
         events = [e for e in collector.events if e.kind == "messages-perturbed"]
     return sends, injector.stats.as_dict(), stream_positions(injector.streams), events
 
@@ -192,7 +203,7 @@ def test_every_op_and_both_channels_are_exercised():
     assert any(d is not None and len(d) > 3 for _, d in sends)
     assert any(d == [] for _, d in sends)
     assert events and {e.channel for e in events} == {CHANNEL_CGCAST}
-    # Past the horizon the sends are untouched: the last move and the find.
+    # Past the horizon the sends are untouched: the later moves and finds.
     late = [d for t, d in sends if t >= 45.0]
     assert late and all(d is None for d in late)
 
@@ -255,28 +266,7 @@ def test_occurrence_counters_hold_one_instant_only():
     assert sum(injector._edge_counts.values()) == sent + 1
 
 
-def test_a_fork_redraws_every_message():
-    """Forks fold their path into the message draws: equal indices draw
-    alike, different ones (and the unforked injector) differ."""
-    plan = FaultPlan.of(MessageLoss(rate=0.5, channel=CHANNEL_BOTH))
-    outcomes = []
-    for index in (None, 1, 1, 2):
-        system = fake_system()
-        injector = FaultInjector(system, plan, seed=7).arm()
-        if index is not None:
-            injector.fork(index)
-        filt = system.cgcast.fault_filter
-        outcomes.append([
-            filt(ENDPOINTS[k % len(ENDPOINTS)], ENDPOINTS[0], PAYLOADS[0], 1.0)
-            for k in range(40)
-        ])
-    unforked, one, again, two = outcomes
-    assert one == again
-    assert len({repr(unforked), repr(one), repr(two)}) == 3
-
-
-ARMED_WALK = ScenarioConfig(
-    r=2, max_level=2, seed=7,
+ARMED_WALK = WALK.with_(
     fault_plan=FaultPlan.of(
         MessageLoss(rate=0.1, channel=CHANNEL_BOTH),
         MessageDuplication(rate=0.4, channel=CHANNEL_BOTH, copies=2),
@@ -286,13 +276,12 @@ ARMED_WALK = ScenarioConfig(
 
 
 def test_snapshot_inside_an_instant_resumes_bit_identically():
-    horizon = walk_horizon(5)
-    golden = build_tracked_walk(ARMED_WALK)
-    golden.sim.run_until(horizon)
+    golden = _walk(ARMED_WALK)
+    golden.sim.run()
 
     # Cut between two events of one instant, after some key of that
     # instant was already sent twice: the next draws need the counters.
-    scenario = build_tracked_walk(ARMED_WALK)
+    scenario = _walk(ARMED_WALK)
     sim, counts = scenario.sim, scenario.injector._edge_counts
     while not (
         counts and max(counts.values()) >= 2 and sim.next_event_time() == sim.now
@@ -302,12 +291,12 @@ def test_snapshot_inside_an_instant_resumes_bit_identically():
 
     resumed = restore_scenario(snapshot)
     assert resumed.injector._edge_counts == counts
-    resumed.sim.run_until(horizon)
+    resumed.sim.run()
     assert run_fingerprint(resumed) == run_fingerprint(golden)
     assert resumed.injector.stats == golden.injector.stats
 
     # The counters are load-bearing: forgetting them changes the run.
     amnesiac = restore_scenario(snapshot)
     amnesiac.injector._edge_counts.clear()
-    amnesiac.sim.run_until(horizon)
+    amnesiac.sim.run()
     assert run_fingerprint(amnesiac) != run_fingerprint(golden)

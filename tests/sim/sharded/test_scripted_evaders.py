@@ -32,6 +32,7 @@ class _BareSystem:
         self.sim = Simulator()
         self.hierarchy = SimpleNamespace(tiling=tiling)
         self.objects = {}
+        self.scripts = []
 
     def object_evader(self, object_id):
         return self.objects.get(object_id)

@@ -1,19 +1,14 @@
-"""Property-based round trips through the checkpoint codec.
+"""Property-based round trips through the checkpoint's value table.
 
-A checkpoint pickles the live object graph (``repro.ckpt.codec``), so
-two state carriers must survive ``loads_graph(dumps_graph(x)[0])``
-bit-identically for checkpoints to resume bit-identically:
-
-* :class:`~repro.sim.rng.RngRegistry` — every named stream must come
-  back mid-sequence, so the copy's future draws equal the original's;
-* :class:`~repro.sim.event_queue.EventQueue` — pop order (including
-  ``(time, priority, seq)`` tie-breaking), cancellation flags and the
-  sequence counter must survive, so later pushes tie-break exactly as
-  they would have in the original.
-
-Both are exercised under random interleavings, with the copy run in
-lockstep against the original.
+A checkpoint holds a world's :class:`~repro.scenario.ScenarioConfig` and
+its scripts as JSON (``repro.ckpt.snapshot``), so any config the table
+can express — every fault rule kind, energy, stabilization, service
+knobs — and any script must decode equal to what was encoded, tuples
+back as tuples.  Plus the :class:`~repro.sim.rng.RngRegistry` fork
+property that generators' ``fork=`` relies on.
 """
+
+import json
 
 import pytest
 
@@ -21,61 +16,95 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.ckpt import dumps_graph, loads_graph  # noqa: E402
-from repro.sim.event_queue import EventQueue  # noqa: E402
-from repro.sim.rng import RngRegistry  # noqa: E402
-
-
-def _clone(graph):
-    """The path every checkpoint takes: one codec round trip."""
-    return loads_graph(dumps_graph(graph)[0])
-
-
-# ----------------------------------------------------------------------
-# RngRegistry
-# ----------------------------------------------------------------------
-stream_names = st.sampled_from(
-    ["fault.0.MessageLoss", "fault.1.RegionBlackout", "walk", "alpha", "b"]
+from repro.ckpt.snapshot import _decode, _encode  # noqa: E402
+from repro.energy.model import EnergyModel  # noqa: E402
+from repro.faults.plan import (  # noqa: E402
+    FaultPlan,
+    GpsStaleness,
+    LagSpike,
+    MessageDuplication,
+    MessageJitter,
+    MessageLoss,
+    RegionBlackout,
+    VsaCrashes,
 )
-# An op draws from a named stream (creating it on first use).
-rng_ops = st.lists(st.tuples(stream_names, st.integers(0, 3)), max_size=60)
+from repro.scenario import MESSAGE_SYSTEMS, ScenarioConfig  # noqa: E402
+from repro.sim.rng import RngRegistry  # noqa: E402
+from repro.sim.sharded.workload import (  # noqa: E402
+    EvaderEnter,
+    EvaderStep,
+    IssueFind,
+    ScriptedWorkload,
+)
+from repro.stabilization import StabilizationConfig  # noqa: E402
+
+times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+rates = st.floats(min_value=0.0, max_value=1.0)
+channels = st.sampled_from(["cgcast", "vbcast", "both"])
+regions = st.tuples(st.integers(0, 8), st.integers(0, 8))
+
+rules = st.one_of(
+    st.builds(MessageLoss, rate=rates, channel=channels),
+    st.builds(MessageDuplication, rate=rates, channel=channels,
+              copies=st.integers(1, 4)),
+    st.builds(MessageJitter, rate=rates, channel=channels, max_extra=times),
+    st.builds(LagSpike, at=times, duration=times, extra_e=times),
+    st.builds(VsaCrashes, rate=rates, period=st.floats(0.1, 1e3),
+              downtime=times, start=times),
+    st.builds(RegionBlackout, at=times, duration=times,
+              regions=st.lists(regions, max_size=3).map(tuple),
+              count=st.integers(0, 3)),
+    st.builds(GpsStaleness, rate=rates, delay=times),
+)
+
+configs = st.builds(
+    ScenarioConfig,
+    r=st.integers(2, 4),
+    max_level=st.integers(1, 3),
+    seed=st.integers(-(2 ** 40), 2 ** 40),
+    system=st.sampled_from(MESSAGE_SYSTEMS),
+    fault_plan=st.none() | st.builds(
+        FaultPlan, rules=st.lists(rules, max_size=4).map(tuple),
+        horizon=st.none() | times,
+    ),
+    energy=st.none() | st.builds(
+        EnergyModel, tx_cost=times, rx_cost=times, idle_cost=times,
+        sense_cost=times, budget=st.none() | st.floats(0.5, 1e6),
+    ),
+    stabilization=st.none() | st.builds(
+        StabilizationConfig, period_base=times, scale=times,
+        miss_limit=st.integers(1, 5), refresh_periods=st.integers(1, 5),
+    ),
+    n_objects=st.integers(1, 10_000),
+    find_clients=st.integers(1, 64),
+)
+
+actions = st.one_of(
+    st.builds(EvaderEnter, time=times, region=regions,
+              object_id=st.integers(0, 100)),
+    st.builds(EvaderStep, time=times, target=regions,
+              object_id=st.integers(0, 100)),
+    st.builds(IssueFind, time=times, origin=regions,
+              find_id=st.integers(1, 10_000), object_id=st.integers(0, 100),
+              deadline=st.none() | times),
+)
+scripts = st.builds(
+    ScriptedWorkload, actions=st.lists(actions, max_size=20).map(tuple),
+    horizon=times,
+)
 
 
-def _warmed(seed, warmup):
-    registry = RngRegistry(seed)
-    for name, draws in warmup:
-        stream = registry.stream(name)
-        for _ in range(draws):
-            stream.random()
-    return registry
+def _round_trip(value):
+    """The path every checkpoint takes: encode, JSON text, decode."""
+    return _decode(json.loads(json.dumps(_encode(value))))
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), warmup=rng_ops, after=rng_ops)
-def test_rng_registry_roundtrip_mid_sequence(seed, warmup, after):
-    original = _warmed(seed, warmup)
-    clone = _clone(original)
-    assert clone.seed == original.seed
-    assert clone.fork_path == original.fork_path
-    assert clone.names() == original.names()
-
-    for name, draws in after:
-        a, b = original.stream(name), clone.stream(name)
-        for _ in range(draws + 1):
-            assert a.random() == b.random()
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), warmup=rng_ops, index=st.integers(0, 5))
-def test_rng_registry_fork_from_restored_state(seed, warmup, index):
-    """Forking a round-tripped registry equals forking the original."""
-    original = _warmed(seed, warmup)
-    clone = _clone(original)
-    original.fork(index)
-    clone.fork(index)
-    assert original.fork_path == clone.fork_path
-    for name in original.names():
-        assert original.stream(name).random() == clone.stream(name).random()
+@settings(max_examples=200, deadline=None)
+@given(config=configs, script=scripts)
+def test_a_config_and_its_script_decode_equal(config, script):
+    assert _round_trip(config) == config
+    assert _round_trip(script) == script
+    assert _round_trip((config, script)) == (config, script)
 
 
 @given(seed=st.integers(0, 2**32 - 1), a=st.integers(0, 5), b=st.integers(0, 5))
@@ -88,90 +117,3 @@ def test_rng_registry_forks_diverge_iff_index_differs(seed, a, b):
         assert draws_x == draws_y
     else:
         assert draws_x != draws_y
-
-
-# ----------------------------------------------------------------------
-# EventQueue
-# ----------------------------------------------------------------------
-times = st.floats(
-    min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False
-)
-priorities = st.integers(min_value=-3, max_value=3)
-
-queue_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("push"), times, priorities),
-        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=200)),
-        st.tuples(st.just("pop")),
-        st.tuples(st.just("pop_before"), times),
-    ),
-    max_size=100,
-)
-
-
-def _apply(queue, handles, op):
-    """Apply one op; return the popped event's key or a sentinel."""
-    if op[0] == "push":
-        _, time, priority = op
-        handles.append(queue.push(time, fn=lambda: None, priority=priority))
-        return ("pushed", handles[-1].seq)
-    if op[0] == "cancel":
-        if handles:
-            queue.cancel(handles[op[1] % len(handles)])
-        return ("cancelled",)
-    until = None if op[0] == "pop" else op[1]
-    event = queue.pop_next_before(until)
-    if event is None:
-        return ("none",)
-    return ("popped", event.time, event.priority, event.seq, event.tag)
-
-
-@settings(max_examples=80, deadline=None)
-@given(before=queue_ops, after=queue_ops)
-def test_event_queue_roundtrip_under_interleaving(before, after):
-    """Round trip → identical behavior under any continuation.
-
-    The original runs ``before`` ops and is round-tripped together with
-    its handles (a checkpoint carries the objects that hold them); both
-    then run ``after`` in lockstep — every pop must return the same
-    ``(time, priority, seq)`` key on both sides, cancels through the
-    copied handles must act on the copy, and later pushes must receive
-    identical sequence numbers.
-    """
-    original = EventQueue()
-    handles = []
-    for op in before:
-        _apply(original, handles, op)
-
-    restored, restored_handles = _clone((original, handles))
-    assert len(restored) == len(original)
-
-    for op in after:
-        assert _apply(restored, restored_handles, op) == _apply(original, handles, op)
-        assert len(restored) == len(original)
-
-    # Full drain must agree too (covers entries `after` never reached).
-    while True:
-        a = original.pop_next_before(None)
-        b = restored.pop_next_before(None)
-        assert (a is None) == (b is None)
-        if a is None:
-            break
-        assert (a.time, a.priority, a.seq) == (b.time, b.priority, b.seq)
-
-
-@settings(max_examples=40, deadline=None)
-@given(ops=queue_ops)
-def test_event_queue_snapshot_is_inert(ops):
-    """Pickling a queue never perturbs the queue it captures."""
-    queue = EventQueue()
-    handles = []
-    results = []
-    for op in ops:
-        dumps_graph(queue)
-        results.append(_apply(queue, handles, op))
-
-    twin = EventQueue()
-    twin_handles = []
-    expected = [_apply(twin, twin_handles, op) for op in ops]
-    assert results == expected

@@ -54,6 +54,23 @@ def test_run_until_stops_at_bound_and_advances_clock():
     assert sim.pending_events == 1
 
 
+def test_run_until_capped_by_max_events_keeps_pending_events_ahead():
+    # The clock used to jump to the bound past the queued t=2 event,
+    # and the next run() raised "an event in the past".
+    sim = Simulator()
+    seen = []
+    for t in (1.0, 2.0):
+        sim.call_at(t, lambda t=t: seen.append(t))
+    assert sim.run_until(10.0, max_events=1) == 1
+    assert sim.now == 1.0
+    sim.run()
+    assert seen == [1.0, 2.0] and sim.now == 2.0
+    # With nothing left at or before the bound, the clock still moves on.
+    sim.call_at(3.0, lambda: seen.append(3.0))
+    assert sim.run_until(10.0, max_events=1) == 1
+    assert sim.now == 10.0
+
+
 def test_run_until_fires_events_at_exact_bound():
     sim = Simulator()
     seen = []

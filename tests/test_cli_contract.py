@@ -68,8 +68,7 @@ DEFAULTS = {
         ("kind", "r", "max_level", "regions", "diameter"),
     ),
     "snapshot": (
-        {"events_fired", "out", "payload_bytes", "schema", "sim_time",
-         "topo_keys"},
+        {"events_fired", "out", "payload_bytes", "schema", "sim_time"},
         ("out", "schema", "events_fired", "payload_bytes"),
     ),
     "resume": (
@@ -111,7 +110,6 @@ DEFAULTS = {
 NESTED = {
     ("demo", "finds"): {"distance", "latency", "origin", "work"},
     ("find", "sweep"): {"distance", "mean_find_work"},
-    ("snapshot", "topo_keys"): {"kind", "max_level", "r"},
     ("service", "plain"): {
         "canonical_fingerprint", "events", "messages_sent", "metrics"},
     ("service", "sharded"): {
@@ -366,8 +364,8 @@ class TestSmokeEnvelopes:
         code, result = run_json(capsys, "resume", GOLDEN_CKPT)
         assert code == 0
         assert result["resumed_from_t"] == 25.0, result
-        assert result["ran_until"] == 70.0, result
-        assert result["finds_completed"] == 1, result
+        assert result["ran_until"] == result["sim_time"] == 207.0, result
+        assert result["finds_completed"] == 4, result
 
     def test_resume_refuses_an_until_before_the_snapshot(self, capsys):
         # Ran to exit 0 reporting ran_until 3 beside sim_time 25.
@@ -386,14 +384,14 @@ class TestSmokeEnvelopes:
         path.write_bytes(bytes(data))
         code, data = run_json(capsys, "resume", str(path))
         assert code == 2
-        assert set(data) == {"error"} and "fingerprint" in data["error"], data
+        assert set(data) == {"error"} and "digest" in data["error"], data
         assert main(["resume", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err == data["error"] + "\n" and not captured.out
 
     def test_resume_runs_a_snapshot_cut_past_its_walk(self, capsys, tmp_path):
-        # The default horizon of a 0-move walk (t=20) lies before a cut
-        # at 50: the run must still reach the cut, not end before it.
+        # A 0-move walk is quiescent before a cut at 50: the resumed run
+        # must stay at the cut, not end before it.
         path = str(tmp_path / "late.ckpt")
         code, _ = run_json(
             capsys, "snapshot", "--moves", "0", "--at", "50", "--out", path
@@ -402,6 +400,19 @@ class TestSmokeEnvelopes:
         code, data = run_json(capsys, "resume", path)
         assert code == 0
         assert data["ran_until"] == data["sim_time"] == data["resumed_from_t"] == 50.0
+
+    def test_resume_of_a_world_that_never_quiesces_needs_until(self, capsys, tmp_path):
+        from repro.ckpt import save, snapshot_scenario
+        from repro.scenario import ScenarioConfig, build
+
+        path = tmp_path / "stabilizing.ckpt"
+        scenario = build(ScenarioConfig(r=2, max_level=2, system="stabilizing"))
+        scenario.sim.run_until(10.0)
+        save(snapshot_scenario(scenario), path)
+        code, data = run_json(capsys, "resume", str(path))
+        assert code == 2 and "--until" in data["error"], data
+        code, data = run_json(capsys, "resume", str(path), "--until", "30")
+        assert code == 0 and data["sim_time"] == 30.0, data
 
     def test_bisect(self, capsys):
         code, report = run_json(capsys, "bisect", "--a", "base", "--b", "seed:8")

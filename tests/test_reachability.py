@@ -24,9 +24,6 @@ SURFACES = ("__init__", "api")
 #: File stems nothing is expected to import.
 UNCHECKED = ("__init__", "__main__")
 
-#: module -> why it may stay with no importer.
-ALLOWED = {"repro.ckpt.fork": "ROADMAP 8(b) decides"}
-
 
 def _modules() -> Dict[str, Path]:
     """Dotted name -> file, for every module and package of ``src/repro``."""
@@ -115,7 +112,7 @@ def test_every_module_has_an_importer(kept):
         name for name, path in MODULES.items() if path.stem not in UNCHECKED
     }
     unreachable = sorted(
-        name for name in checked if not kept[name] and name not in ALLOWED
+        name for name in checked if not kept[name]
     )
     assert not unreachable, (
         f"no module of src/repro, {' or '.join(CONSUMER_DIRS)} imports "
@@ -123,8 +120,3 @@ def test_every_module_has_an_importer(kept):
         "Modules with no importer inside src/:\n  "
         + "\n  ".join(kept_from_outside(kept))
     )
-
-
-def test_the_allowlist_is_not_stale(kept):
-    assert set(ALLOWED) <= set(MODULES)
-    assert not [name for name in ALLOWED if kept[name]]
