@@ -15,9 +15,9 @@ import random
 from repro.api import ScenarioConfig, build
 from repro.analysis import render_table
 from repro.core import uniform_schedule
-from repro.geometry import HexTiling
-from repro.hierarchy import build_agglomerative_hierarchy
 from repro.mobility import RandomNeighborWalk
+
+from irregular_world import HexTiling, build_agglomerative_hierarchy
 
 
 def main() -> None:

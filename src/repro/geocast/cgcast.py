@@ -65,8 +65,9 @@ class SendRecord(NamedTuple):
 # Subscriber for accounting: gets the records in batches (CGcast.observe).
 SendObserver = Callable[[List[SendRecord]], None]
 
-#: Pending records are handed over once this many wait: ``fold_crc``'s
-#: chunk size, so they never outweigh what ``report()`` peaks at anyway.
+#: Pending records are handed over once this many wait, so a batch stays
+#: small beside the world: the send fold keeps no line past its batch but
+#: those of the clock window still open.
 _BATCH = 4096
 
 # Fault interposition hook (see repro.faults): called once per dispatch

@@ -1,6 +1,5 @@
 """Deployment-space geometry: points, regions, tilings (§II-A)."""
 
-from .hex import HexTiling
 from .points import Point, centroid
 from .regions import Region, RegionId
 from .tiling import GraphTiling, GridTiling, Tiling, line_tiling
@@ -8,7 +7,6 @@ from .tiling import GraphTiling, GridTiling, Tiling, line_tiling
 __all__ = [
     "GraphTiling",
     "GridTiling",
-    "HexTiling",
     "Point",
     "Region",
     "RegionId",

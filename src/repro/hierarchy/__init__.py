@@ -1,6 +1,5 @@
 """Cluster hierarchies over tilings (§II-B)."""
 
-from .builder import build_agglomerative_hierarchy
 from .cluster import ClusterId
 from .grid import GridHierarchy, grid_hierarchy
 from .hierarchy import (
@@ -27,7 +26,6 @@ __all__ = [
     "GridHierarchy",
     "HierarchyValidationError",
     "StripHierarchy",
-    "build_agglomerative_hierarchy",
     "default_head",
     "grid_hierarchy",
     "grid_params",

@@ -21,17 +21,21 @@ independent of worker scheduling.
 
 Every world, sharded or not, folds its C-gcast sends through one
 :class:`SendFold` into the :func:`canonical_send_line` stream both
-engines fingerprint.
+engines fingerprint; a replica also folds them into the
+:class:`GroupDigest` its :meth:`ShardContext.report` ships.
 """
 
 from __future__ import annotations
 
 import zlib
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
+from itertools import repeat
+from math import nan
 from sys import intern
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ...core.messages import Grow
 from ...hierarchy.cluster import ClusterId
@@ -76,17 +80,39 @@ def canonical_send_line(record) -> str:
     )
 
 
+class GroupDigest(NamedTuple):
+    """Send lines as one CRC and byte length per group, sorted by key.
+
+    A group is every line that starts with its key (see
+    :class:`SendFold`), its lines sorted and joined with newlines.
+    """
+
+    keys: List[str]
+    crcs: array
+    sizes: array
+
+
 class SendFold:
     """The C-gcast send stream of one world, folded as it is dispatched.
 
     :func:`repro.scenario.build` attaches one to every message-level
     system.  Each send becomes its :func:`canonical_send_line`, and the
-    lines fold in dispatch order into ``crc`` — :func:`fold_crc` of all
-    of them, kept in O(1) — which is the send half of
+    lines fold in dispatch order into ``crc`` — ``crc32`` of all of them
+    joined, kept in O(1) — which is the send half of
     :func:`repro.ckpt.run_fingerprint` and of the bisect fold.  A
     cluster-originated ``Grow`` is a handover, counted per object.
-    ``lines`` stays ``None`` unless a reader wants the lines themselves:
-    the sharded engine sorts them into its K-invariant fingerprint.
+
+    After :meth:`group` the fold also keeps a :class:`GroupDigest`, from
+    which the sharded engine computes the K-invariant
+    ``crc32("\\n".join(sorted(lines)))``.  A line is ``time|sender|rest``
+    and neither part holds a ``|``, so the lines of a group — those
+    starting with its key, no key a prefix of another — sort as one block,
+    in key order.  A key is ``time|sender|``: one automaton dispatches
+    that group, so one shard has all of it.  A world alone in its run
+    groups coarser: ``I.`` holds its float times in ``[I, I + 1)`` for
+    ``I >= 10`` (only they print so), ``time|`` any other time.  The open
+    window's lines wait — that second, or that instant — and once the
+    clock has left it, its groups shrink to their CRCs.
 
     A line is assembled from memoised pieces: the sends of one event
     carry one time object, a tracker fans one payload object out to all
@@ -102,62 +128,136 @@ class SendFold:
         #: is observed in exactly one shard, so per-object sums across
         #: shards are exact and K-invariant.
         self.handovers: Dict[int, int] = {}
-        self.lines: Optional[List[str]] = None
-        # Per (src, dest): ``(cost, delay, prefix, suffix)``.
-        self._pairs: Dict[tuple, Tuple[float, float, str, str]] = {}
+        # Per (src, dest): (cost, delay, line prefix, line suffix, sender part).
+        self._pairs: Dict[tuple, Tuple[float, float, str, str, str]] = {}
+        # None until group(), then whether keys hold the sender.
+        self._by_sender: Optional[bool] = None
+        # The open window as _window() gives it, its lines and the key of
+        # each run of lines in one group.
+        self._window: Tuple[Any, Any, Optional[str]] = (nan, nan, None)
+        self._lines: List[str] = []
+        self._keys: List[str] = []
+        self._closed = GroupDigest([], array("I"), array("I"))
 
     def attach(self, cgcast) -> "SendFold":
         cgcast.observe(self.observe)
         return self
 
+    def group(self, by_sender: bool) -> None:
+        """Also keep the :meth:`digest`; by sender unless alone in the run."""
+        self._by_sender = by_sender
+
     def observe(self, records) -> None:
         """Fold one batch of send records (a ``CGcast.observe`` callback)."""
+        grouped = self._by_sender is not None
+        lines, keys = (self._lines, self._keys) if grouped else ([], None)
+        start = len(lines)
+        cut = self._render(records, lines, keys, self.handovers)
+        self.crc = zlib.crc32("".join(lines[start:] if start else lines).encode(), self.crc)
+        if cut is not None:
+            # The windows before the cut are over: reduce their groups.
+            _reduce(keys[:cut[1]], lines[:cut[0]], self._closed)
+            del lines[:cut[0]], keys[:cut[1]]
+
+    def render(self, records) -> List[str]:
+        """The canonical lines of ``records``, through the memo, folding nothing."""
+        lines: List[str] = []
+        self._render(records, lines, None, {})
+        return lines
+
+    def digest(self) -> GroupDigest:
+        """The groups folded so far, the open window's too (a copy)."""
+        digest = GroupDigest(*(column[:] for column in self._closed))
+        _reduce(self._keys, self._lines, digest)
+        return sort_groups(*digest)
+
+    def _render(self, records, lines, keys, handovers) -> Optional[Tuple[int, int]]:
+        """Append the lines of ``records``; with ``keys``, also the group
+        keys.  Returns where in both the last new window began, if one did."""
         pairs = self._pairs
-        handovers = self.handovers
-        batch: List[str] = []
-        append = batch.append
+        by_sender = self._by_sender if keys is not None else None
+        append = lines.append
+        lo, hi, second = self._window
+        cut = None
         last_time = last_payload = pairs  # matches no time or payload
-        time_repr = payload_repr = ""
+        last_sender = None
+        time_part = payload_repr = ""
         for record in records:
             time, src, dest, payload, cost, delay = record
             # Identity, not equality: 3 == 3.0 but they print differently.
             if time is not last_time:
                 last_time = time
-                time_repr = repr(time)
+                time_part = f"{time!r}|"
+                last_sender = None
+                if by_sender is not None:
+                    if not lo <= time < hi and time != lo:
+                        cut = len(lines), len(keys)
+                        lo, hi, second = _window(time, by_sender)
+                    if not by_sender:
+                        keys.append(second if second and type(time) is float else time_part)
             if payload is not last_payload:
                 last_payload = payload
                 payload_repr = repr(payload)
             pair = pairs.get((src, dest))
             if pair is None:
-                # Interned: a world has few distinct (cost, delay) suffixes.
-                pair = pairs[(src, dest)] = (
-                    cost, delay, f"|{src!r}|{dest!r}|", intern(f"|{cost!r}|{delay!r}"),
-                )
+                pair = pairs[(src, dest)] = _pair(src, dest, cost, delay)
             if pair[0] == cost and pair[1] == delay:
-                append(f"{time_repr}{pair[2]}{payload_repr}{pair[3]}")
+                append(f"{time_part}{pair[2]}{payload_repr}{pair[3]}")
             else:
                 append(canonical_send_line(record))
+            if by_sender and pair[4] is not last_sender:
+                last_sender = pair[4]
+                keys.append(time_part + last_sender)
             if isinstance(payload, Grow) and isinstance(src, ClusterId):
                 oid = getattr(payload, "object_id", 0)
                 handovers[oid] = handovers.get(oid, 0) + 1
-        self.crc = zlib.crc32("".join(batch).encode(), self.crc)
-        if self.lines is not None:
-            self.lines += batch
+        if by_sender is not None:
+            self._window = lo, hi, second
+        return cut
 
 
-def fold_crc(lines: Iterable[str], sep: str = "") -> int:
-    """``crc32(sep.join(lines).encode())`` with one chunk of scratch memory.
+def _window(time, by_sender: bool) -> Tuple[Any, Any, Optional[str]]:
+    """``(lo, hi, second)``: the window opened at ``time`` holds the clock
+    values ``lo <= t < hi`` and ``lo``; ``second`` keys its float times."""
+    if by_sender or not 10 <= time < 1e16:
+        return time, time, None
+    whole = int(time)
+    return whole, whole + 1, f"{whole}."
 
-    The separator also goes *between* the <= 4096-line chunks, so the
-    value is byte for byte the one-shot CRC of the joined trace.
-    """
-    crc = 0
-    lead = ""
-    lines = iter(lines)
-    while chunk := list(islice(lines, 4096)):
-        crc = zlib.crc32((lead + sep.join(chunk)).encode(), crc)
-        lead = sep
-    return crc
+
+def _pair(src, dest, cost, delay) -> Tuple[float, float, str, str, str]:
+    """The memo entry of one (src, dest) pair; refuses a sender with ``|``."""
+    sender = repr(src)
+    if "|" in sender:
+        raise ValueError(f"sender {sender} holds '|': its lines would not sort by group")
+    # Interned: a world has few distinct senders and (cost, delay) suffixes.
+    part = intern(f"{sender}|")
+    return cost, delay, f"{part}{dest!r}|", intern(f"|{cost!r}|{delay!r}"), part
+
+
+def sort_groups(keys: Iterable[str], crcs: Iterable[int], sizes: Iterable[int]) -> GroupDigest:
+    """The groups in key order (sorted runs of keys merge in linear time)."""
+    keys, crcs, sizes = list(keys), array("I", crcs), array("I", sizes)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return GroupDigest(
+        list(map(keys.__getitem__, order)),
+        array("I", map(crcs.__getitem__, order)),
+        array("I", map(sizes.__getitem__, order)),
+    )
+
+
+def _reduce(keys: List[str], lines: List[str], digest: GroupDigest) -> None:
+    """Append the whole groups of ``lines``, keyed among ``keys``, to
+    ``digest`` as a run sorted by key: sorted, the lines are the groups
+    in key order, each starting at the first line not below its key."""
+    lines = sorted(lines)
+    keys = sorted(set(keys))
+    starts = list(map(bisect_left, repeat(lines), keys))
+    groups = map(lines.__getitem__, map(slice, starts, starts[1:] + [len(lines)]))
+    data = list(map(str.encode, map("\n".join, groups)))
+    digest.keys.extend(keys)
+    digest.crcs.extend(map(zlib.crc32, data))
+    digest.sizes.extend(map(len, data))
 
 
 class ShardContext:
@@ -199,13 +299,12 @@ class ShardContext:
         self.outbox: List[RemoteMessage] = []
         self._seq = 0
         self.busy_s = 0.0
-        # The world's send fold, told to keep its lines for report().  The
-        # replica owns it: the fold's subscription becomes the replica's
-        # own, so a profile of the engine (benchmarks/perf names observer
-        # layers by the owner's class) books the fold to the engine.
-        self.send_lines: List[str] = []
+        # The world's send fold, told to digest its groups for report().
+        # The replica owns it: the fold's subscription becomes the
+        # replica's own, so a profile of the engine (benchmarks/perf names
+        # observer layers by the owner's class) books the fold to the engine.
         self.send_fold = self.scenario.send_fold
-        self.send_fold.lines = self.send_lines
+        self.send_fold.group(by_sender=plan.k > 1)
         self.handovers = self.send_fold.handovers
         cgcast = self.system.cgcast
         cgcast.unobserve(self.send_fold.observe)
@@ -306,8 +405,7 @@ class ShardContext:
             "other_work": accountant.other_work if accountant else 0.0,
             "moves_observed": getattr(self.system, "moves_observed", 0),
             "exact_crc": self.exact_crc(),
-            # Sorted here, in the worker: the driver then merges K runs.
-            "send_lines": sorted(self.send_lines),
+            "digest": self.send_fold.digest(),
             "finds": finds,
             "handovers": dict(self.handovers),
             "fault_stats": stats.as_dict() if stats is not None else None,

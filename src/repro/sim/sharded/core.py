@@ -40,13 +40,16 @@ and returns the one :class:`RunRecord`.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
+from itertools import chain, compress, islice
+from operator import eq
 from time import perf_counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from ...energy.ledger import merge_energy
 from ...topo import topology_cache
-from .context import RemoteMessage, ShardContext, fold_crc
+from .context import GroupDigest, RemoteMessage, ShardContext, sort_groups
 from .plan import ShardPlan, strip_plan
 from .workload import ScriptedWorkload
 
@@ -123,13 +126,32 @@ class RunRecord:
         }
 
 
-def canonical_fingerprint(send_lines: List[str]) -> str:
-    """``crc32("\\n".join(sorted(send_lines)).encode())`` as 8 hex digits.
+def canonical_fingerprint(digests: Sequence[GroupDigest]) -> str:
+    """``crc32("\\n".join(sorted(lines)).encode())`` of every shard's lines.
 
-    Folded in chunks, so no joined copy of the trace ever exists; sorted
-    runs (as :meth:`ShardContext.report` hands them) sort in linear time.
+    As 8 hex digits, from one :class:`GroupDigest` per shard: the groups
+    in key order, each appended by ``crc(A + B) = ~crc32(0ⁿ, ~crc(A)) ^
+    crc(B)``, ``n = len(B)``.  A key found twice — in two shards, or
+    reopened in one — raises :class:`ShardedRunError`.
     """
-    crc = fold_crc(sorted(send_lines), "\n")
+    keys, crcs, sizes = sort_groups(
+        chain.from_iterable(d.keys for d in digests),
+        chain.from_iterable(d.crcs for d in digests),
+        chain.from_iterable(d.sizes for d in digests),
+    )
+    # The first key equal to the next one, if any.
+    twice = next(compress(keys, map(eq, keys, islice(keys, 1, None))), None)
+    if twice is not None:
+        shards = [shard for shard, d in enumerate(digests) for k in d.keys if k == twice]
+        where = (f"reopened in shard {shards[0]}" if shards[0] == shards[1]
+                 else f"found in shards {shards[0]} and {shards[1]}")
+        raise ShardedRunError(f"send group {twice!r} {where}")
+    zeros = memoryview(bytes(max(sizes, default=0)))
+    groups = zip(crcs, sizes)
+    crc = next(groups, (0,))[0]
+    for group_crc, size in groups:
+        crc = zlib.crc32(zeros[:size], zlib.crc32(b"\n", crc) ^ 0xFFFFFFFF)
+        crc ^= 0xFFFFFFFF ^ group_crc
     return f"{crc:08x}"
 
 
@@ -257,11 +279,8 @@ def _merge(
     wall: float,
 ) -> RunRecord:
     """Fold the per-shard reports of one run into its :class:`RunRecord`."""
-    lines: List[str] = []
     finds: Dict[int, dict] = {}
     for report in reports:
-        # Popped: the trace is the run's largest object, held once here.
-        lines.extend(report.pop("send_lines"))
         for find_id, info in report["finds"].items():
             # Every shard carries a record (the `found` output fires
             # at the evader's region, which any shard may own):
@@ -329,7 +348,7 @@ def _merge(
         other_work=sum(r["other_work"] for r in reports),
         moves_observed=max(r["moves_observed"] for r in reports),
         cross_shard_messages=cross,
-        canonical_fingerprint=canonical_fingerprint(lines),
+        canonical_fingerprint=canonical_fingerprint([r["digest"] for r in reports]),
         exact_fingerprint=(
             f"{reports[0]['exact_crc']:08x}" if plan.k == 1 else None
         ),

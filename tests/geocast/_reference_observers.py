@@ -8,8 +8,15 @@ here verbatim (only ``self`` now names a small state holder), and
 inside the dispatch, before the message is put in transit — so a test
 can run them in lockstep with the folds and require equal state
 whenever the loop is idle.
+
+It also holds the fingerprints' definitions, which ``src/`` computes by
+folds: ``fold_crc`` of the dispatch-order lines is ``SendFold.crc``,
+:func:`canonical_crc` is the canonical fingerprint, and
+:func:`reference_groups` is what a ``GroupDigest`` must hold.
 """
 
+import re
+import zlib
 from sys import intern
 
 from repro.analysis.accounting import _FIND, _MOVE, _classify
@@ -17,8 +24,51 @@ from repro.core.messages import Grow, TrackerMessage, is_find_message, is_move_m
 from repro.energy.ledger import EnergyLedger
 from repro.geocast.cgcast import SendRecord
 from repro.hierarchy.cluster import ClusterId
-from repro.sim.sharded.context import canonical_send_line, fold_crc
+from repro.sim.sharded.context import canonical_send_line
 from repro.sim.sharded.core import canonical_fingerprint
+
+
+def fold_crc(lines, sep=""):
+    """``crc32(sep.join(lines).encode())`` — with ``sep=""``, ``SendFold.crc``."""
+    return zlib.crc32(sep.join(lines).encode())
+
+
+def canonical_crc(lines):
+    """The canonical fingerprint: the sorted lines joined with newlines."""
+    crc = fold_crc(sorted(lines), "\n")
+    return f"{crc:08x}"
+
+
+def reference_groups(lines, by_sender=True):
+    """``{key: (crc, byte length)}`` of the sorted lines of each group.
+
+    Keyed ``time|sender|``, or with ``by_sender=False`` ``I.`` for a time
+    printed as a float of at least 10 and below 1e16, else ``time|``.
+    """
+    grouped = {}
+    for line in lines:
+        time, sender, _ = line.split("|", 2)
+        if by_sender:
+            key = f"{time}|{sender}|"
+        else:
+            second = re.fullmatch(r"([1-9][0-9]{1,15})\.[0-9]+", time)
+            key = f"{second[1]}." if second else f"{time}|"
+        grouped.setdefault(key, []).append(line)
+    groups = {}
+    for key, members in grouped.items():
+        data = "\n".join(sorted(members)).encode()
+        groups[key] = (zlib.crc32(data), len(data))
+    return groups
+
+
+def digest_groups(*digests):
+    """The same mapping read off group digests; a key found twice fails."""
+    groups = {}
+    for digest in digests:
+        for key, crc, size in zip(*digest):
+            assert key not in groups, key
+            groups[key] = (crc, size)
+    return groups
 
 
 class ReferenceFingerprint:
@@ -183,11 +233,19 @@ def install(cgcast, *observers):
 
 
 class ReferenceWorld:
-    """All five reference observers in lockstep with one ``ShardContext``."""
+    """All five reference observers in lockstep with one ``ShardContext``.
+
+    ``rendered`` keeps the lines the replica's fold makes of each batch it
+    is handed (``SendFold.render`` on the same batch, through the same memo).
+    """
 
     def __init__(self, context):
         self.context = context
         system = context.system
+        self.rendered = []
+        system.cgcast.observe(
+            lambda records: self.rendered.extend(context.send_fold.render(records))
+        )
         self.fingerprint = ReferenceFingerprint()
         self.accountant = ReferenceAccountant()
         self.finds = ReferenceFinds(system.finds)
@@ -210,11 +268,13 @@ class ReferenceWorld:
         """The folds' state equals the per-record state, bit for bit."""
         context, system = self.context, self.context.system
         reference = self.fingerprint
-        assert context.send_lines == reference.send_lines
+        assert self.rendered == reference.send_lines
         assert context.exact_crc() == fold_crc(reference.send_lines)
-        assert canonical_fingerprint(context.send_lines) == canonical_fingerprint(
-            reference.send_lines
+        digest = context.send_fold.digest()
+        assert digest_groups(digest) == reference_groups(
+            reference.send_lines, by_sender=context.plan.k > 1
         )
+        assert canonical_fingerprint([digest]) == canonical_crc(reference.send_lines)
         assert list(context.handovers.items()) == list(reference.handovers.items())
         live, reference = context.scenario.accountant, self.accountant
         for name in ("move_work", "find_work", "other_work", "messages"):

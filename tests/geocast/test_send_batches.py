@@ -12,8 +12,9 @@ lockstep with the folds:
   made while idle, every observer sees every record exactly once in
   dispatch order, the pending list never outgrows ``_BATCH``, and at
   every loop exit the folds' state is the per-record state bit for bit
-  (send lines, both fingerprints, work buckets and their key order,
-  per-find work, handovers, the energy ledger, the sync counters);
+  (send lines, both fingerprints, the group digest, work buckets and
+  their key order, per-find work, handovers, the energy ledger, the sync
+  counters);
 * the same on a fault-armed run with energy and on a client-leg-heavy
   run, and on a multi-object service script that crosses the real
   ``_BATCH`` of 4096 inside one ``run()``;
@@ -37,12 +38,16 @@ from repro.faults import default_plan
 from repro.geocast import cgcast as cgcast_module
 from repro.scenario import ScenarioConfig
 from repro.service.load import LoadGenerator
-from repro.sim.sharded.context import ShardContext
-from repro.sim.sharded.core import _tiling_for
+from repro.sim.sharded.context import ShardContext, canonical_send_line
+from repro.sim.sharded.core import _tiling_for, canonical_fingerprint
 from repro.sim.sharded.plan import strip_plan
 from repro.sim.sharded.workload import make_walk_workload
 from repro.workload import materialize
-from tests.geocast._reference_observers import ReferenceWorld
+from tests.geocast._reference_observers import (
+    ReferenceWorld,
+    canonical_crc,
+    fold_crc,
+)
 
 #: Inexact unit costs: float sums then depend on the order of addition.
 ENERGY = EnergyModel(tx_cost=0.3, rx_cost=0.7, sense_cost=0.2)
@@ -312,8 +317,15 @@ class TestSubscription:
             for o in context.system.cgcast._observers
         ]
         assert context in owners and context.send_fold not in owners
+        tap = _Tap(context.system.cgcast)
+        context.system.cgcast.observe(tap)
         context.sim.run()
-        assert len(context.send_lines) == context.system.cgcast.messages_sent
+        # Folded once each: a second subscription would fold every line twice.
+        assert len(tap.records) == context.system.cgcast.messages_sent > 0
+        lines = [canonical_send_line(record) for record in tap.records]
+        assert context.exact_crc() == fold_crc(lines)
+        report = context.report()
+        assert canonical_fingerprint([report["digest"]]) == canonical_crc(lines)
 
 
 class TestInEventReaders:

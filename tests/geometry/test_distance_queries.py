@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import GraphTiling, GridTiling, HexTiling, Tiling
+from examples.irregular_world import HexTiling
+from repro.geometry import GraphTiling, GridTiling, Tiling
 
 from ._reference_bfs import bfs_row, scan_ball_size, scan_ring
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import HexTiling
+from examples.irregular_world import HexTiling
 
 
 @pytest.fixture(scope="module")

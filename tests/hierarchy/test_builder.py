@@ -10,9 +10,10 @@ from repro.core import (
     capture_snapshot,
     uniform_schedule,
 )
-from repro.geometry import GridTiling, HexTiling, line_tiling
-from repro.hierarchy import build_agglomerative_hierarchy, validate_structure
+from repro.geometry import GridTiling, line_tiling
+from repro.hierarchy import validate_structure
 from repro.mobility import RandomNeighborWalk
+from examples.irregular_world import HexTiling, build_agglomerative_hierarchy
 
 
 class TestBuilder:

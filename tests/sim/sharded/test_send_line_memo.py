@@ -3,10 +3,12 @@
 ``SendFold.observe`` folds a batch of send records, assembling
 each canonical send line from memoised pieces (the instant's repr, the
 payload object's repr, a per ``(src, dest)`` prefix and suffix) instead
-of formatting six reprs per send, and ``CGcast._dispatch`` skips its interpositions when none is
-installed.  Neither shortcut may be observable:
+of formatting six reprs per send, and ``CGcast._dispatch`` skips its
+interpositions when none is installed.  Neither shortcut may be
+observable:
 
-* every memoised line equals :func:`canonical_send_line` of the record
+* every memoised line (``SendFold.render``, the fold's own line loop
+  without the fold) equals :func:`canonical_send_line` of the record
   byte for byte, and both fingerprints equal a reference recomputation
   from the recorded ``SendRecord`` stream — on a fault-armed run and on
   a run heavy in client legs (``send_from_client`` / ``send_to_clients``);
@@ -17,8 +19,6 @@ installed.  Neither shortcut may be observable:
   the exact CRC, ``in_transit()`` at any cut time and the work buckets
   exactly as with neither installed.
 """
-
-import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +32,7 @@ from repro.sim.sharded.context import ShardContext, canonical_send_line
 from repro.sim.sharded.core import _tiling_for, canonical_fingerprint
 from repro.sim.sharded.plan import strip_plan
 from repro.sim.sharded.workload import ScriptedWorkload, make_walk_workload
+from tests.geocast._reference_observers import canonical_crc, fold_crc
 
 
 def _context(n_moves, n_finds, seed, fault_plan=None, r=2, max_level=2):
@@ -42,13 +43,6 @@ def _context(n_moves, n_finds, seed, fault_plan=None, r=2, max_level=2):
     tiling = _tiling_for(config)
     workload = make_walk_workload(tiling, n_moves, n_finds, seed)
     return ShardContext(config, strip_plan(tiling, 1), 0, workload)
-
-
-def _reference_exact_crc(records):
-    crc = 0
-    for record in records:
-        crc = zlib.crc32(canonical_send_line(record).encode(), crc)
-    return crc
 
 
 class TestMemoisedLinesAreCanonical:
@@ -64,19 +58,22 @@ class TestMemoisedLinesAreCanonical:
     )
     def test_every_line_and_both_fingerprints(self, n_moves, n_finds, fault_plan):
         context = _context(n_moves, n_finds, seed=23, fault_plan=fault_plan)
-        records = []
-        context.system.cgcast.observe(records.extend)
+        records, rendered = [], []
+
+        def tap(batch):
+            records.extend(batch)
+            rendered.extend(context.send_fold.render(batch))
+
+        context.system.cgcast.observe(tap)
         context.sim.run()
         assert len(records) == context.system.cgcast.messages_sent > 100
         kinds = {(type(r.src).__name__, type(r.dest).__name__) for r in records}
         assert {("tuple", "ClusterId"), ("ClusterId", "tuple")} <= kinds
         reference = [canonical_send_line(record) for record in records]
-        assert context.send_lines == reference
+        assert rendered == reference
         report = context.report()
-        assert report["exact_crc"] == _reference_exact_crc(records)
-        assert canonical_fingerprint(report["send_lines"]) == canonical_fingerprint(
-            reference
-        )
+        assert report["exact_crc"] == fold_crc(reference)
+        assert canonical_fingerprint([report["digest"]]) == canonical_crc(reference)
         if fault_plan is not None:
             assert sum(report["fault_stats"].values()) > 0
 
@@ -97,10 +94,9 @@ class TestIdentityMemo:
         return src, h.nbrs(src)[0]
 
     def _observe(self, context, *records):
-        del context.send_lines[:]
-        context.send_fold.observe(list(records))
-        assert context.send_lines == [canonical_send_line(r) for r in records]
-        return context.send_lines
+        lines = context.send_fold.render(list(records))
+        assert lines == [canonical_send_line(r) for r in records]
+        return lines
 
     def test_equal_but_distinct_payloads(self, context, pair):
         src, dest = pair
@@ -198,6 +194,6 @@ class TestAbsentInterpositionsCostNothingObservable:
         sent = hooked.system.cgcast.messages_sent
         assert calls == {"filter": sent, "router": sent}
         bare_report, hooked_report = bare.report(), hooked.report()
-        for key in ("exact_crc", "send_lines", "events", "messages_sent",
+        for key in ("exact_crc", "digest", "events", "messages_sent",
                     "total_cost", "move_work", "find_work", "other_work", "finds"):
             assert hooked_report[key] == bare_report[key], key
