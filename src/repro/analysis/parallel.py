@@ -40,7 +40,6 @@ RUNNERS: Dict[str, str] = {
     "invariant_watch": "repro.analysis.experiments:run_invariant_watch",
     "scale_probe": "repro.analysis.experiments:run_scale_probe",
     "chaos": "repro.analysis.recovery:run_chaos",
-    "sharded_walk": "repro.sim.sharded.runner:run_sharded_walk",
 }
 
 

@@ -27,14 +27,12 @@ Grouped exports:
   :func:`cross_check` — the plain ≡ sharded verdict: one materialized
   script on both engines, ``(plain, sharded, match)``;
 * **engines** — :class:`Simulator` (plain event loop),
-  :class:`ShardedSimulator`, the :func:`run_reference_walk` /
-  :func:`run_sharded_walk` one-call runners, and :class:`RunRecord` —
-  the one record every scripted run returns, on either engine, from the
-  runners and from :class:`TrackingService` alike (``cgcast.observe``
+  :class:`ShardedSimulator` and :class:`RunRecord` — the one record
+  every scripted run returns, on either engine (``cgcast.observe``
   callbacks take *lists* of send records, complete whenever the loop is idle);
 * **checkpoint / replay** — :func:`snapshot_scenario`, :func:`save`,
-  :func:`load`, :func:`restore_scenario`, :func:`bisect_divergence`,
-  :class:`Variant`;
+  :func:`load`, :func:`restore_scenario`, :func:`read_run` (a run
+  file's ``(config, script)``) and :func:`bisect_divergence`;
 * **experiment sweeps** — :func:`run_find_sweep`, :func:`run_move_walk`,
   :func:`run_service_mk`, :func:`run_chaos`, :func:`run_mobility_regime`;
 * **mobility generation** — :class:`GeneratorSpec` and the combinators
@@ -73,9 +71,9 @@ from .baselines import (
 )
 from .ckpt import (
     Snapshot,
-    Variant,
     bisect_divergence,
     load,
+    read_run,
     restore_scenario,
     save,
     snapshot_scenario,
@@ -118,12 +116,7 @@ from .service import (
     service_metrics,
 )
 from .sim.engine import Simulator
-from .sim.sharded import (
-    RunRecord,
-    ShardedSimulator,
-    run_reference_walk,
-    run_sharded_walk,
-)
+from .sim.sharded import RunRecord, ShardedSimulator
 from .workload import ScriptedWorkload, Workload, materialize
 
 __all__ = [
@@ -146,13 +139,11 @@ __all__ = [
     "RunRecord",
     "ShardedSimulator",
     "Simulator",
-    "run_reference_walk",
-    "run_sharded_walk",
     # checkpoint / replay
     "Snapshot",
-    "Variant",
     "bisect_divergence",
     "load",
+    "read_run",
     "restore_scenario",
     "save",
     "snapshot_scenario",

@@ -7,20 +7,23 @@ fingerprint) as a small JSON :class:`Snapshot`;
 :func:`restore_scenario` (and the on-disk :func:`save`/:func:`load`
 pair) rebuilds the world, replays it to the cut, checks the fingerprint
 and returns a continuation that resumes bit-identically to the
-uninterrupted run; and :func:`~repro.ckpt.bisect.bisect_divergence`
-localizes the first diverging event between two run variants by
-scanning both live runs in lockstep, with no checkpoint at all.
+uninterrupted run.  A file holding one script is also a *run file*:
+:func:`read_run` returns its ``(config, script)`` to run from t=0, and
+:func:`~repro.ckpt.bisect.bisect_divergence` localizes the first
+diverging event between two such runs by scanning both live runs in
+lockstep.
 
 See ``DESIGN.md`` §7 for the guarantees and the format layout.
 """
 
-from .bisect import DivergenceReport, Variant, bisect_divergence
+from .bisect import DivergenceReport, bisect_divergence
 from .snapshot import (
     CKPT_SCHEMA,
     CkptFormatError,
     Snapshot,
     SnapshotMeta,
     load,
+    read_run,
     restore_scenario,
     run_fingerprint,
     save,
@@ -33,9 +36,9 @@ __all__ = [
     "DivergenceReport",
     "Snapshot",
     "SnapshotMeta",
-    "Variant",
     "bisect_divergence",
     "load",
+    "read_run",
     "restore_scenario",
     "run_fingerprint",
     "save",

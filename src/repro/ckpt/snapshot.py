@@ -295,6 +295,24 @@ def load(path: Union[str, Path]) -> Snapshot:
     return snapshot
 
 
+def read_run(path: Union[str, Path]) -> Tuple[ScenarioConfig, ScriptedWorkload]:
+    """A run file's inputs: its config and its one script, cut aside.
+
+    ``repro sharded`` and ``repro bisect`` run them from t=0; the cut is
+    only where ``repro resume`` continues.
+
+    Raises:
+        CkptFormatError: what :func:`load` refuses, a payload that does
+            not decode, or a file that does not hold exactly one script.
+    """
+    config, scripts = _config_and_scripts(load(path).payload)
+    if len(scripts) != 1:
+        raise CkptFormatError(
+            f"{path}: a run file holds one script, this one holds {len(scripts)}"
+        )
+    return config, scripts[0]
+
+
 # ----------------------------------------------------------------------
 # The canonical run fingerprint (the golden-guarantee comparator)
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -26,9 +27,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .ckpt import (
     CKPT_SCHEMA,
     CkptFormatError,
-    Variant,
     bisect_divergence,
     load,
+    read_run,
     restore_scenario,
     run_fingerprint,
     save,
@@ -61,8 +62,10 @@ def _at_least(floor: int) -> Domain:
 COUNT, POSITIVE = _at_least(0), _at_least(1)
 PROBABILITY = Domain(float, lambda value: 0.0 <= value <= 1.0, "must be in [0, 1]")
 #: A sim time or a length of sim time (0 is the initial instant).
-TIME = Domain(float, lambda value: value >= 0.0, "must be >= 0")
-RATE = Domain(float, lambda value: value > 0.0, "must be > 0")
+TIME = Domain(float, lambda value: math.isfinite(value) and value >= 0.0,
+              "must be >= 0 and finite")
+RATE = Domain(float, lambda value: math.isfinite(value) and value > 0.0,
+              "must be > 0 and finite")
 INT, TEXT, SWITCH = Domain(int), Domain(str), Domain()
 #: A comma-list of names :func:`_selection` looks up under the flag's name.
 SELECTION = Domain(str, says="must name registered entries")
@@ -94,8 +97,9 @@ class Command:
     """One subcommand: what it takes, how it runs, how its result reads.
 
     ``world`` holds the ``(r, max_level, seed)`` defaults of a command that
-    builds a world; ``run(args)`` returns ``(data, exit_code)`` and
-    ``text(view)`` the stdout text (``None``: nothing for stdout).
+    builds a world from flags (one that reads a run file has none);
+    ``run(args)`` returns ``(data, exit_code)`` and ``text(view)`` the
+    stdout text (``None``: nothing for stdout).
     """
 
     name: str
@@ -321,7 +325,8 @@ def _snapshot(args):
 
     config, script = walk_scenario(
         **_pick(args, "r", "max_level", "seed"), shards=1,
-        n_moves=args.moves, loss_rate=args.loss or 0.0,
+        n_moves=args.moves, n_finds=args.finds,
+        loss_rate=args.loss, jitter_rate=args.jitter,
     )
     scenario = build(config)
     schedule_workload(scenario.system, script)
@@ -375,16 +380,13 @@ def _resume_text(v):
 
 
 def _bisect(args):
-    from .scenario import ScenarioConfig
-
-    return bisect_divergence(
-        ScenarioConfig(**_pick(args, "r", "max_level", "seed")),
-        Variant.parse(args.variant_a), Variant.parse(args.variant_b), args.moves,
-    ).as_dict(), 0
+    report = bisect_divergence(read_run(args.a), read_run(args.b), obs_b=args.obs)
+    run_b = f"{args.b} (obs on)" if args.obs else args.b
+    return {"run_a": args.a, "run_b": run_b, **report.as_dict()}, 0
 
 
 def _bisect_text(v):
-    lines = ["bisect [{variant_a}] vs [{variant_b}]: {note}".format_map(v)]
+    lines = ["bisect [{run_a}] vs [{run_b}]: {note}".format_map(v)]
     for side in ("A", "B") if v["diverged"] else ():
         info = v[f"event_{side.lower()}"]
         if info is None:
@@ -399,14 +401,11 @@ def _bisect_text(v):
 
 def _sharded(args):
     from .service import cross_check
-    from .sim.sharded import walk_scenario
 
-    config, walk = walk_scenario(
-        **_pick(args, "r", "max_level", "shards", "seed"),
-        n_moves=args.moves, n_finds=args.finds,
-        loss_rate=args.loss, jitter_rate=args.jitter,
+    config, script = read_run(args.path)
+    reference, sharded, match = cross_check(
+        config.with_(shards=args.shards), script, backend=args.backend
     )
-    reference, sharded, match = cross_check(config, walk, backend=args.backend)
     exact = sharded.exact_fingerprint  # a K=1 run has one dispatch order
     return {
         **_pick(
@@ -424,8 +423,7 @@ def _sharded(args):
 
 def _sharded_text(v):
     return (
-        "sharded: K={shards} backend={backend} r={r} MAX={max_level} "
-        "seed={seed} moves={moves} finds={finds}\n"
+        "sharded: {path} at K={shards} backend={backend}\n"
         "events: {events} over {windows} windows, {cross_shard_messages} "
         "cross-shard messages, finds {finds_completed}/{finds_issued} completed\n"
         "fingerprint: {canonical_fingerprint} (reference "
@@ -620,11 +618,14 @@ COMMANDS: Tuple[Command, ...] = (
         Flag("--strip", SWITCH, help="strip world"),
         Flag("--skip-proximity", SWITCH, help="skip the proximity check"),
     )),
-    Command("snapshot", "checkpoint the scripted walk at a cut point",
+    Command("snapshot", "checkpoint the scripted walk at a cut point "
+            "(at 0: a run file for 'sharded' and 'bisect')",
             (2, 2, 7), _snapshot, _snapshot_text, (
         Flag("--at", TIME, 25.0, "sim time of the cut point (default 25)"),
         Flag("--moves", COUNT, 5, "scripted walk moves (default 5)"),
-        Flag("--loss", PROBABILITY, None, "arm a message-loss fault plan at this rate"),
+        Flag("--finds", COUNT, 4, "scripted walk finds (default 4)"),
+        Flag("--loss", PROBABILITY, 0.0, "arm a message-loss rule at this rate"),
+        Flag("--jitter", PROBABILITY, 0.0, "arm a message-jitter rule at this rate"),
         Flag("--out", TEXT, "walk.ckpt", "checkpoint path (default walk.ckpt)"),
     )),
     Command("resume", "restore a checkpoint and run it to completion",
@@ -634,22 +635,19 @@ COMMANDS: Tuple[Command, ...] = (
              "sim time to run to, not before the cut (default: until no "
              "event is left)"),
     )),
-    Command("bisect", "locate the first diverging event between two run variants",
-            (2, 2, 7), _bisect, _bisect_text, (
-        Flag("--a", TEXT, "base",
-             'variant A, e.g. "base" or "seed:8,loss:0.3"', "variant_a"),
-        Flag("--b", TEXT, "base", 'variant B, e.g. "seed:8" or "obs:on"', "variant_b"),
-        Flag("--moves", COUNT, 5),
+    Command("bisect", "locate the first diverging event between two run files",
+            None, _bisect, _bisect_text, (
+        Flag("a", TEXT, help="run file A (its run from t=0; the cut is ignored)"),
+        Flag("b", TEXT, help="run file B"),
+        Flag("--obs", SWITCH, help="emit obs events on side B"),
     )),
-    Command("sharded", "sharded PDES run vs single-loop reference (determinism check)",
-            (2, 3, 11), _sharded, _sharded_text, (
+    Command("sharded", "a run file on the sharded PDES core vs the single-loop "
+            "reference (determinism check)",
+            None, _sharded, _sharded_text, (
+        Flag("path", TEXT, help="run file (its run from t=0; the cut is ignored)"),
         Flag("--shards", POSITIVE, 2, "region shard count K (default 2)"),
         Flag("--backend", Domain(str, choices=("serial", "processes")), "serial",
              "shard execution backend (default serial)"),
-        Flag("--moves", COUNT, 8),
-        Flag("--finds", COUNT, 4),
-        Flag("--loss", PROBABILITY, 0.0, "arm a message-loss rule at this rate"),
-        Flag("--jitter", PROBABILITY, 0.0, "arm a message-jitter rule at this rate"),
     )),
     Command("service",
             "multi-object tracking service: one load-generator workload "

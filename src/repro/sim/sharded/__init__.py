@@ -18,11 +18,6 @@ from .core import (
     run_script,
 )
 from .plan import ShardPlan, strip_plan
-from .runner import (
-    run_reference_walk,
-    run_sharded_walk,
-    walk_scenario,
-)
 from .workload import (
     EvaderEnter,
     EvaderStep,
@@ -30,6 +25,7 @@ from .workload import (
     ScriptedWorkload,
     make_walk_workload,
     schedule_workload,
+    walk_scenario,
 )
 
 __all__ = [
@@ -46,9 +42,7 @@ __all__ = [
     "canonical_fingerprint",
     "canonical_send_line",
     "make_walk_workload",
-    "run_reference_walk",
     "run_script",
-    "run_sharded_walk",
     "schedule_workload",
     "strip_plan",
     "walk_scenario",

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
+from ...faults.plan import default_plan
 from ...geometry.regions import RegionId
 
 
@@ -128,6 +129,36 @@ def make_walk_workload(
     actions.sort(key=lambda a: a.time)  # stable: preserves script order
     horizon = max(a.time for a in actions)
     return ScriptedWorkload(actions=tuple(actions), horizon=horizon)
+
+
+def walk_scenario(
+    r: int = 2,
+    max_level: int = 3,
+    shards: int = 2,
+    n_moves: int = 8,
+    n_finds: int = 4,
+    seed: int = 11,
+    loss_rate: float = 0.0,
+    jitter_rate: float = 0.0,
+):
+    """The scripted walk as ``(config at K shards, its frozen script)``.
+
+    ``repro snapshot`` writes it to a run file; tests run it with
+    ``run_script(*walk_scenario(...), backend)``.
+    """
+    from ...scenario import ScenarioConfig
+    from .core import _tiling_for
+
+    plan = default_plan(loss_rate=loss_rate, jitter_rate=jitter_rate, jitter_max=0.5)
+    config = ScenarioConfig(
+        r=r,
+        max_level=max_level,
+        seed=seed,
+        shards=shards,
+        # No injector for a null plan: the record's fault_events stay None.
+        fault_plan=None if plan.is_null() else plan,
+    )
+    return config, make_walk_workload(_tiling_for(config), n_moves, n_finds, seed)
 
 
 def schedule_workload(

@@ -1,5 +1,7 @@
 """Tests for the ASCII renderer and the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.render import render_grid_world, render_path, render_pointer_stats
@@ -7,6 +9,11 @@ from repro.cli import main
 from repro.core import VineStalk, capture_snapshot, init_state
 from repro.hierarchy import grid_hierarchy, strip_hierarchy
 from repro.mobility import FixedPath
+
+TESTS = Path(__file__).resolve().parent.parent
+GOLDEN_CKPT = str(TESTS / "ckpt" / "golden" / "walk-r2-M2.ckpt")
+#: A file that exists and is not a checkpoint.
+NOT_A_CKPT = str(TESTS / "__init__.py")
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +137,7 @@ class TestJsonEnvelope:
             assert (args.r, args.max_level, args.seed) == world
         assert worlds["demo"] == (3, 2, 7)
         assert worlds["find"] == (2, 4, 21)
-        assert worlds["sharded"] == (2, 3, 11)
+        assert worlds["mobility"] == (2, 2, 11)
 
     def test_validate_envelope(self, capsys):
         assert main(["validate", "--r", "2", "--max-level", "2", "--json"]) == 0
@@ -174,25 +181,24 @@ class TestJsonEnvelope:
             (["baselines", "--presets", ""], "empty --presets"),
             (["mobility", "--regimes", ""], "empty --regimes"),
             # Rejected by the flag's domain or deeper down (system
-            # registry, ckpt loader, variant parser): one error path.
-            (["sharded", "--shards", "0"], "shards must be >= 1"),
+            # registry, ckpt loader): one error path.
+            (["sharded", GOLDEN_CKPT, "--shards", "0"], "shards must be >= 1"),
             (["chaos", "--system", "bogus"], "unknown system 'bogus'"),
             (["service", "--objects", "0"], "n_objects must be >= 1"),
             (["find", "--r", "1"], "r must be >= 2"),
             (["resume", "/nonexistent.ckpt"], "/nonexistent.ckpt"),
-            (["bisect", "--a", "obs:maybe"], "obs must be on/off"),
+            (["bisect", GOLDEN_CKPT, NOT_A_CKPT], "not a checkpoint"),
             (["baselines", "--faults", "nope"], "unknown faults: nope"),
             (["baselines", "--faults", ""], "empty --faults"),
             # Out of the flag's declared domain: each of these ran to
             # exit 0 (or a traceback) before the table stated domains.
-            (["bisect", "--a", "base", "--b", "seed:8", "--moves", "-1"],
-             "moves must be >= 0"),
+            (["snapshot", "--at", "0", "--moves", "-1"], "moves must be >= 0"),
             (["service", "--rate", "0"], "rate must be > 0"),
             (["service", "--rate", "-1"], "rate must be > 0"),
             (["mobility", "--shards", "-1"], "shards must be >= 0"),
             (["demo", "--moves", "-3"], "moves must be >= 0"),
             (["snapshot", "--moves", "-1"], "moves must be >= 0"),
-            (["sharded", "--finds", "-1"], "finds must be >= 0"),
+            (["snapshot", "--finds", "-1"], "finds must be >= 0"),
         ],
     )
     def test_bad_selection_rejected(self, capsys, argv, needle):

@@ -44,20 +44,67 @@ class TestSnapshotResume:
         assert main(["resume", path]) == 0
 
 
+def run_file(folder, name, *flags):
+    """Write ``repro snapshot --at 0 [flags]``'s run file; return its path."""
+    path = str(folder / f"{name}.ckpt")
+    assert main(["snapshot", "--at", "0", *flags, "--out", path]) == 0
+    return path
+
+
 class TestBisect:
-    def test_identical_variants(self, capsys):
-        assert main(["bisect", "--a", "base", "--b", "base"]) == 0
+    def test_identical_variants(self, tmp_path, capsys):
+        path = run_file(tmp_path, "walk")
+        assert main(["bisect", path, path]) == 0
         assert "no divergence" in capsys.readouterr().out
 
-    def test_seed_divergence_reported(self, capsys):
-        assert main(["bisect", "--a", "base", "--b", "seed:8"]) == 0
+    def test_seed_divergence_reported(self, tmp_path, capsys):
+        a, b = run_file(tmp_path, "a"), run_file(tmp_path, "b", "--seed", "8")
+        assert main(["bisect", a, b]) == 0
         out = capsys.readouterr().out
-        assert "first divergence at event" in out
+        assert "first divergence at event 13" in out
         assert "side A" in out and "side B" in out
 
-    def test_json_report(self, capsys):
-        assert main(["bisect", "--a", "base", "--b", "seed:8", "--json"]) == 0
+    def test_json_report(self, tmp_path, capsys):
+        a, b = run_file(tmp_path, "a"), run_file(tmp_path, "b", "--seed", "8")
+        capsys.readouterr()
+        assert main(["bisect", a, b, "--json"]) == 0
         report = unwrap(capsys.readouterr().out, "bisect")
         assert report["diverged"] is True
-        assert isinstance(report["event_index"], int)
-        assert report["variant_b"] == "seed:8"
+        assert (report["event_index"], report["events_compared"]) == (13, 14)
+        assert (report["run_a"], report["run_b"]) == (a, b)
+
+    def test_obs_on_side_b_does_not_diverge(self, tmp_path, capsys):
+        path = run_file(tmp_path, "walk")
+        capsys.readouterr()
+        assert main(["bisect", path, path, "--obs", "--json"]) == 0
+        report = unwrap(capsys.readouterr().out, "bisect")
+        assert report["diverged"] is False
+        assert report["run_b"] == f"{path} (obs on)"
+
+
+class TestSharded:
+    def test_the_walk_file_reports_the_pinned_counts(self, tmp_path, capsys):
+        path = run_file(
+            tmp_path, "walk", "--max-level", "3", "--seed", "11",
+            "--moves", "8", "--finds", "4",
+        )
+        capsys.readouterr()
+        assert main(["sharded", path, "--shards", "2", "--json"]) == 0
+        data = unwrap(capsys.readouterr().out, "sharded")
+        assert (data["events"], data["windows"], data["cross_shard_messages"]) == (
+            343, 93, 20,
+        )
+        assert data["canonical_fingerprint"] == "1624cda5"
+        assert data["fingerprint_match"] is True
+
+    def test_a_file_without_exactly_one_script_is_refused(self, tmp_path, capsys):
+        from repro.ckpt import save, snapshot_scenario
+        from repro.scenario import ScenarioConfig, build
+
+        path = str(tmp_path / "scriptless.ckpt")
+        save(snapshot_scenario(build(ScenarioConfig(r=2, max_level=2))), path)
+        for argv in (["sharded", path], ["bisect", path, path]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "holds 0" in captured.err and captured.err.count("\n") == 1
+            assert not captured.out

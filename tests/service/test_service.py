@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.scenario import ScenarioConfig
 from repro.service import ARRIVALS, LoadGenerator, TrackingService
-from repro.sim.sharded import run_reference_walk
+from repro.sim.sharded import run_script, walk_scenario
 from repro.sim.sharded.core import _tiling_for
 from repro.sim.sharded.workload import IssueFind, make_walk_workload
 from repro.workload import materialize
@@ -51,9 +51,9 @@ class TestGoldenAB:
         cfg = config(r=2, max_level=3, seed=11, shards=1)
         walk = make_walk_workload(_tiling_for(cfg), 8, 4, seed=cfg.seed)
         service = TrackingService(cfg, engine="plain").run(walk)
-        reference = run_reference_walk(
-            r=2, max_level=3, seed=11, n_moves=8, n_finds=4
-        )
+        reference = run_script(*walk_scenario(
+            r=2, max_level=3, shards=1, n_moves=8, n_finds=4, seed=11
+        ), "plain")
         assert service.exact_fingerprint == reference.exact_fingerprint
         assert service.canonical_fingerprint == reference.canonical_fingerprint
         assert service.finds_issued == reference.finds_issued

@@ -21,8 +21,8 @@ from repro.scenario import ScenarioConfig  # noqa: E402
 from repro.sim.sharded import (  # noqa: E402
     ShardedSimulator,
     make_walk_workload,
-    run_reference_walk,
-    run_sharded_walk,
+    run_script,
+    walk_scenario,
 )
 from repro.sim.sharded.core import _tiling_for  # noqa: E402
 
@@ -102,6 +102,6 @@ def test_sharded_fingerprint_equals_reference(
         seed=seed,
         jitter_rate=jitter_rate,
     )
-    reference = run_reference_walk(**kwargs)
-    sharded = run_sharded_walk(shards=shards, **kwargs)
+    reference = run_script(*walk_scenario(shards=1, **kwargs), "plain")
+    sharded = run_script(*walk_scenario(shards=shards, **kwargs), "serial")
     assert sharded.canonical_fingerprint == reference.canonical_fingerprint

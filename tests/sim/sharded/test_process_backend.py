@@ -9,14 +9,14 @@ scheduling.
 
 import pytest
 
-from repro.sim.sharded import ShardedRunError, run_sharded_walk
+from repro.sim.sharded import ShardedRunError, run_script, walk_scenario
 
 WALK = dict(r=2, max_level=3, n_moves=8, n_finds=4, seed=11)
 
 
 def test_process_backend_matches_serial_backend():
-    serial = run_sharded_walk(shards=2, backend="serial", **WALK)
-    procs = run_sharded_walk(shards=2, backend="processes", **WALK)
+    serial = run_script(*walk_scenario(shards=2, **WALK), "serial")
+    procs = run_script(*walk_scenario(shards=2, **WALK), "processes")
     assert procs.backend == "processes"
     assert procs.canonical_fingerprint == serial.canonical_fingerprint
     assert procs.events == serial.events
@@ -28,20 +28,20 @@ def test_process_backend_matches_serial_backend():
 
 def test_process_backend_fault_armed():
     kwargs = dict(WALK, loss_rate=0.1, jitter_rate=0.3)
-    serial = run_sharded_walk(shards=2, backend="serial", **kwargs)
-    procs = run_sharded_walk(shards=2, backend="processes", **kwargs)
+    serial = run_script(*walk_scenario(shards=2, **kwargs), "serial")
+    procs = run_script(*walk_scenario(shards=2, **kwargs), "processes")
     assert procs.canonical_fingerprint == serial.canonical_fingerprint
     assert procs.fault_events == serial.fault_events
 
 
 def test_single_shard_never_forks():
-    result = run_sharded_walk(shards=1, backend="processes", **WALK)
+    result = run_script(*walk_scenario(shards=1, **WALK), "processes")
     assert result.backend == "serial"
 
 
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError):
-        run_sharded_walk(shards=2, backend="threads", **WALK)
+        run_script(*walk_scenario(shards=2, **WALK), "threads")
 
 
 def test_worker_failure_surfaces_as_sharded_run_error(monkeypatch):

@@ -17,7 +17,7 @@ to catch.
 
 import pytest
 
-from repro.sim.sharded import run_reference_walk, run_sharded_walk
+from repro.sim.sharded import run_script, walk_scenario
 
 # The canonical walk scenario: r=2, MAX=3 (8x8), 8 moves, 4 finds.
 WALK = dict(r=2, max_level=3, n_moves=8, n_finds=4, seed=11)
@@ -34,15 +34,15 @@ SMALL = dict(r=2, max_level=2, n_moves=6, n_finds=6, seed=29)
 
 class TestK1BitIdentity:
     def test_exact_fingerprint_matches_reference_engine(self):
-        reference = run_reference_walk(**WALK)
-        sharded = run_sharded_walk(shards=1, **WALK)
+        reference = run_script(*walk_scenario(shards=1, **WALK), "plain")
+        sharded = run_script(*walk_scenario(shards=1, **WALK), "serial")
         assert reference.exact_fingerprint == WALK_EXACT
         assert sharded.exact_fingerprint == WALK_EXACT
         assert sharded.events == reference.events
         assert sharded.messages_sent == reference.messages_sent
 
     def test_windowed_loop_adds_no_cross_shard_traffic(self):
-        sharded = run_sharded_walk(shards=1, **WALK)
+        sharded = run_script(*walk_scenario(shards=1, **WALK), "serial")
         assert sharded.shards == 1
         assert sharded.cross_shard_messages == 0
 
@@ -50,13 +50,13 @@ class TestK1BitIdentity:
 class TestKInvariance:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_canonical_fingerprint_pinned(self, shards):
-        result = run_sharded_walk(shards=shards, **WALK)
+        result = run_script(*walk_scenario(shards=shards, **WALK), "serial")
         assert result.canonical_fingerprint == WALK_CANONICAL
 
     def test_totals_match_reference_across_k(self):
-        reference = run_reference_walk(**WALK)
+        reference = run_script(*walk_scenario(shards=1, **WALK), "plain")
         for shards in (2, 4):
-            result = run_sharded_walk(shards=shards, **WALK)
+            result = run_script(*walk_scenario(shards=shards, **WALK), "serial")
             assert result.messages_sent == reference.messages_sent
             assert result.moves_observed == reference.moves_observed
             assert result.finds_issued == reference.finds_issued
@@ -66,9 +66,10 @@ class TestKInvariance:
             assert result.cross_shard_messages > 0  # actually sharded
 
     def test_second_scenario_invariant(self):
-        reference = run_reference_walk(**SMALL)
+        reference = run_script(*walk_scenario(shards=1, **SMALL), "plain")
         fingerprints = {
-            run_sharded_walk(shards=k, **SMALL).canonical_fingerprint
+            run_script(*walk_scenario(shards=k, **SMALL), "serial")
+            .canonical_fingerprint
             for k in (1, 2, 4)
         }
         assert fingerprints == {reference.canonical_fingerprint}
@@ -77,14 +78,14 @@ class TestKInvariance:
 class TestFaultArmedInvariance:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_canonical_fingerprint_pinned(self, shards):
-        result = run_sharded_walk(shards=shards, **FAULTY)
+        result = run_script(*walk_scenario(shards=shards, **FAULTY), "serial")
         assert result.canonical_fingerprint == FAULTY_CANONICAL
 
     def test_fault_event_counters_invariant(self):
-        reference = run_reference_walk(**FAULTY)
+        reference = run_script(*walk_scenario(shards=1, **FAULTY), "plain")
         assert reference.fault_events is not None
         for shards in (2, 4):
-            result = run_sharded_walk(shards=shards, **FAULTY)
+            result = run_script(*walk_scenario(shards=shards, **FAULTY), "serial")
             assert result.fault_events == reference.fault_events
         assert reference.fault_events["messages_dropped"] > 0
         assert reference.fault_events["messages_delayed"] > 0

@@ -78,8 +78,8 @@ DEFAULTS = {
     ),
     "bisect": (
         {"diverged", "event_a", "event_b", "event_index", "events_compared",
-         "fingerprint_a", "fingerprint_b", "note", "variant_a", "variant_b"},
-        ("variant_a", "variant_b", "note"),
+         "fingerprint_a", "fingerprint_b", "note", "run_a", "run_b"},
+        ("run_a", "run_b", "note"),
     ),
     "sharded": (
         {"backend", "barrier_wait_s", "bit_identical", "canonical_fingerprint",
@@ -135,8 +135,10 @@ def default_argv(name, tmp_path):
     """The command with no flags but the paths it cannot run without."""
     if name == "snapshot":
         return [name, "--out", str(tmp_path / "walk.ckpt")]
-    if name == "resume":
+    if name in ("resume", "sharded"):
         return [name, GOLDEN_CKPT]
+    if name == "bisect":
+        return [name, GOLDEN_CKPT, GOLDEN_CKPT]
     return [name]
 
 
@@ -201,6 +203,22 @@ def test_numeric_flag_rejects_out_of_domain(command, flag, capsys, tmp_path):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == data["error"] + "\n" and not captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["chaos", "--duration"],
+    ["resume", GOLDEN_CKPT, "--until"],
+    ["snapshot", "--at"],
+    ["service", "--deadline"],
+    ["service", "--rate"],
+], ids=lambda argv: argv[0] + argv[-1])
+def test_a_non_finite_time_or_rate_is_refused(argv, capsys):
+    # Each ran on: chaos until killed, resume and snapshot writing
+    # "Infinity", which is not JSON.
+    assert main([*argv, "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "finite" in captured.err
+    assert not captured.out
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +355,7 @@ class TestSmokeEnvelopes:
         assert data["plain"]["metrics"]["latency"]["p95"] is not None
 
     def test_invalid_input(self, capsys):
-        code, data = run_json(capsys, "sharded", "--shards", "0")
+        code, data = run_json(capsys, "sharded", GOLDEN_CKPT, "--shards", "0")
         assert code == 2
         assert data["error"], data
 
@@ -414,8 +432,11 @@ class TestSmokeEnvelopes:
         code, data = run_json(capsys, "resume", str(path), "--until", "30")
         assert code == 0 and data["sim_time"] == 30.0, data
 
-    def test_bisect(self, capsys):
-        code, report = run_json(capsys, "bisect", "--a", "base", "--b", "seed:8")
+    def test_bisect(self, capsys, tmp_path):
+        a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+        assert main(["snapshot", "--at", "0", "--out", a]) == 0
+        assert main(["snapshot", "--at", "0", "--seed", "8", "--out", b]) == 0
+        code, report = run_json(capsys, "bisect", a, b)
         assert code == 0
         assert report["diverged"] is True, report
         assert isinstance(report["event_index"], int), report
@@ -425,11 +446,15 @@ class TestSmokeEnvelopes:
             assert isinstance(report[side]["tag"], str) and report[side]["tag"], report
             assert report[side]["send_lines"], report
 
-    def test_sharded_across_shard_counts_and_backends(self, capsys):
-        code1, k1 = run_json(capsys, "sharded", "--shards", "1")
+    def test_sharded_across_shard_counts_and_backends(self, capsys, tmp_path):
+        walk = ["snapshot", "--at", "0", "--max-level", "3", "--seed", "11",
+                "--moves", "8", "--finds", "4"]
+        clean, faulty = str(tmp_path / "walk.ckpt"), str(tmp_path / "faulty.ckpt")
+        assert main([*walk, "--out", clean]) == 0
+        assert main([*walk, "--loss", "0.05", "--jitter", "0.2", "--out", faulty]) == 0
+        code1, k1 = run_json(capsys, "sharded", clean, "--shards", "1")
         code2, k2 = run_json(
-            capsys, "sharded", "--shards", "2", "--backend", "processes",
-            "--loss", "0.05", "--jitter", "0.2",
+            capsys, "sharded", faulty, "--shards", "2", "--backend", "processes",
         )
         assert code1 == code2 == 0
         assert k1["fingerprint_match"], k1
