@@ -189,9 +189,8 @@ def run_analytic_cell(
     pointer); flooding and passive-trace maintain nothing.
     """
     from ..service.metrics import handover_summary, latency_percentiles
-    from ..sim.sharded.workload import EvaderEnter, EvaderStep, IssueFind
     from ..topo.cache import shared_grid_hierarchy
-    from ..workload import materialize
+    from ..workload import EvaderEnter, EvaderStep, IssueFind, materialize
 
     hierarchy = shared_grid_hierarchy(GRID["r"], GRID["max_level"])
     script = materialize(_walk(preset, n_moves, n_finds), seed)

@@ -37,7 +37,6 @@ RUNNERS: Dict[str, str] = {
     "move_walk": "repro.analysis.experiments:run_move_walk",
     "find_sweep": "repro.analysis.experiments:run_find_sweep",
     "baseline_comparison": "repro.analysis.experiments:run_baseline_comparison",
-    "invariant_watch": "repro.analysis.experiments:run_invariant_watch",
     "scale_probe": "repro.analysis.experiments:run_scale_probe",
     "chaos": "repro.analysis.recovery:run_chaos",
 }

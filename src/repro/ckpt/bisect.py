@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..scenario import Scenario, ScenarioConfig, build
 from ..sim.sharded.context import canonical_send_line
-from ..sim.sharded.workload import ScriptedWorkload, schedule_workload
+from ..workload import ScriptedWorkload, schedule_workload
 
 #: One side's inputs: what :func:`~repro.ckpt.read_run` returns.
 Run = Tuple[ScenarioConfig, ScriptedWorkload]

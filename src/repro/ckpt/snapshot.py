@@ -12,10 +12,9 @@ requires that digest, so a world also driven from Python outside its
 scripts, or a file whose run the current code no longer reproduces, is
 refused at its cut instead of resuming a different run.
 
-Values go through one closed table of frozen dataclasses
-(:data:`_TYPES`).  Decoding calls only those constructors, so their
-``__post_init__`` checks run on what the file holds, and no code or
-object graph is ever read from a file.
+The payload is :func:`repro.workload.encode_inputs`: one closed table
+of frozen dataclasses, whose constructors — and so their checks, a
+script's validity among them — are all that decoding calls.
 
 On disk a checkpoint is two JSON lines: the header with a SHA-256
 ``digest`` over every header field and the payload, then the payload.
@@ -32,24 +31,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Dict, Tuple, Union
 
 from ..core.tracker import BOTTOM
-from ..energy.model import EnergyModel
-from ..faults import plan as _plan
 from ..obs._state import OBS
 from ..scenario import Scenario, ScenarioConfig, build
-from ..sim.sharded.workload import (
-    EvaderEnter,
-    EvaderStep,
-    IssueFind,
-    ScriptedWorkload,
-    schedule_workload,
-)
-from ..stabilization.stabilizing_tracker import StabilizationConfig
+from ..workload import ScriptedWorkload, decode_inputs, encode_inputs, schedule_workload
 
 #: Schema tag of the snapshot format.  Bump on any change to the file
 #: layout or the value table; :func:`load` refuses other schemas
@@ -59,30 +49,6 @@ CKPT_SCHEMA = "ckpt/6"
 
 #: A lane's pointers at a cluster that is off its path.
 _BOTTOMS = (BOTTOM,) * 4
-
-#: The value types a checkpoint can hold, by class name.
-_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        ScenarioConfig,
-        _plan.FaultPlan,
-        _plan.MessageLoss,
-        _plan.MessageDuplication,
-        _plan.MessageJitter,
-        _plan.LagSpike,
-        _plan.VsaCrashes,
-        _plan.RegionBlackout,
-        _plan.GpsStaleness,
-        EnergyModel,
-        StabilizationConfig,
-        EvaderEnter,
-        EvaderStep,
-        IssueFind,
-        ScriptedWorkload,
-    )
-}
-_FIELDS = {name: tuple(f.name for f in fields(cls)) for name, cls in _TYPES.items()}
-_ACTIONS = (EvaderEnter, EvaderStep, IssueFind)
 
 #: The on-disk header's keys and the JSON types of their values.
 _HEADER_TYPES: Dict[str, Any] = {
@@ -130,62 +96,13 @@ class Snapshot:
 
 
 # ----------------------------------------------------------------------
-# Values
+# Payload
 # ----------------------------------------------------------------------
-def _encode(value: Any) -> Any:
-    """``value`` as JSON: tuples become lists, table types one-key dicts."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, tuple):
-        return [_encode(item) for item in value]
-    name = type(value).__name__
-    if _TYPES.get(name) is not type(value):
-        raise ValueError(f"a checkpoint cannot hold a {name}")
-    encoded = {}
-    for key in _FIELDS[name]:
-        try:
-            encoded[key] = _encode(getattr(value, key))
-        except ValueError as exc:
-            raise ValueError(f"{name}.{key}: {exc}") from None
-    return {name: encoded}
-
-
-def _decode(data: Any) -> Any:
-    """Inverse of :func:`_encode`; builds only table types."""
-    if isinstance(data, list):
-        return tuple(_decode(item) for item in data)
-    if isinstance(data, dict):
-        ((name, values),) = data.items()
-        return _TYPES[name](**{key: _decode(item) for key, item in values.items()})
-    return data
-
-
-def _payload(config: ScenarioConfig, scripts: Tuple[ScriptedWorkload, ...]) -> bytes:
-    document = {"config": _encode(config), "scripts": _encode(scripts)}
-    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
-
-
 def _config_and_scripts(payload: bytes) -> Tuple[ScenarioConfig, tuple]:
     try:
-        document = json.loads(payload)
-        config = _decode(document.pop("config"))
-        scripts = _decode(document.pop("scripts"))
+        return decode_inputs(payload)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CkptFormatError(f"payload does not decode: {exc!r}") from exc
-    if not (
-        not document
-        and isinstance(config, ScenarioConfig)
-        and not config.is_analytic
-        and isinstance(scripts, tuple)
-        and all(
-            isinstance(script, ScriptedWorkload)
-            and isinstance(script.actions, tuple)
-            and all(isinstance(action, _ACTIONS) for action in script.actions)
-            for script in scripts
-        )
-    ):
-        raise CkptFormatError("payload is not a message-level config and its scripts")
-    return config, scripts
 
 
 def _fingerprint_digest(scenario: Scenario) -> str:
@@ -211,7 +128,7 @@ def snapshot_scenario(scenario: Scenario, note: str = "") -> Snapshot:
         from ..sim.engine import SimulationError
 
         raise SimulationError("cannot snapshot while the simulator loop is running")
-    payload = _payload(scenario.config, tuple(scenario.system.scripts))
+    payload = encode_inputs(scenario.config, tuple(scenario.system.scripts))
     meta = SnapshotMeta(
         schema=CKPT_SCHEMA,
         sim_time=sim.now,
@@ -230,8 +147,10 @@ def restore_scenario(snapshot: Snapshot) -> Scenario:
     Every call builds a fresh world: N restores are independent.
 
     Raises:
-        CkptFormatError: another schema, a payload that does not decode,
-            or a replay whose run fingerprint at the cut differs.
+        CkptFormatError: another schema, a payload that does not decode
+            (an invalid script among them), or a replay whose run
+            fingerprint at the cut differs.
+        ScriptError: a script names a region outside the world.
     """
     meta = snapshot.meta
     if meta.schema != CKPT_SCHEMA:

@@ -321,7 +321,8 @@ def _validate_text(v):
 
 def _snapshot(args):
     from .scenario import build
-    from .sim.sharded import schedule_workload, walk_scenario
+    from .sim.sharded import walk_scenario
+    from .workload import schedule_workload
 
     config, script = walk_scenario(
         **_pick(args, "r", "max_level", "seed"), shards=1,

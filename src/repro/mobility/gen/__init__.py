@@ -33,7 +33,6 @@ from .trace import (
     MobilityTrace,
     TraceRecorder,
     generate,
-    generate_trace,
     trace_from_obs,
     trace_workload,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "MobilityTrace",
     "TraceRecorder",
     "generate",
-    "generate_trace",
     "trace_from_obs",
     "trace_workload",
     # models

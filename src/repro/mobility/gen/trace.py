@@ -10,8 +10,7 @@ worst-case floor, like the paper's join).
 Determinism contract: all step randomness is drawn from
 ``RngRegistry(seed)`` stream ``"mobility.gen:<object_id>"`` (find
 placement from ``"mobility.gen:finds"``), so the same ``(spec, seed)``
-pair is byte-identical, and ``fork`` re-derives every stream for
-divergent replicas — the property suite pins both directions.
+pair is byte-identical.
 
 Recording closes the loop: :class:`TraceRecorder` taps a live evader's
 observer hook (or :func:`trace_from_obs` reads ``EvaderMoved`` obs
@@ -23,25 +22,26 @@ through :class:`~repro.mobility.gen.spec.Replay` /
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ...geometry.regions import RegionId
 from ...sim.rng import RngRegistry
-from ...sim.sharded.workload import (
+from ...workload import (
+    STAGGER,
     EvaderEnter,
     EvaderStep,
     IssueFind,
     ScriptedWorkload,
+    unique_time,
 )
 from .limits import SpeedLimits
 from .models import MobilityContractError
 from .spec import Convoy, GeneratorSpec
 
-#: Per-object (and per-find) time stagger, mirroring the service
-#: load generator: keeps causally-independent same-instant events
-#: impossible while staying far below any §VI dwell floor.
-STAGGER = 1.0 / 1024.0
+#: Size of the seeded client-origin pool :func:`trace_workload` draws
+#: find origins from.
+FIND_CLIENTS = 4
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,11 @@ def generate(
     hierarchy,
     n_moves: int,
     seed: int = 0,
-    fork: Optional[int] = None,
     n_objects: int = 1,
-    limits: Optional[SpeedLimits] = None,
     base_dwell: Optional[float] = None,
     delta: float = 1.0,
     e: float = 0.5,
     mode: str = "concurrent",
-    start_time: float = 0.0,
 ) -> Tuple[MobilityTrace, ...]:
     """Generate §VI-legal traces for ``n_objects`` evaders.
 
@@ -102,29 +99,19 @@ def generate(
     if n_moves < 1:
         raise ValueError("need at least one move")
     registry = RngRegistry(seed)
-    if fork is not None:
-        registry = registry.fork(fork)
-    if limits is None:
-        limits = SpeedLimits.for_hierarchy(hierarchy, delta=delta, e=e, mode=mode)
+    limits = SpeedLimits.for_hierarchy(hierarchy, delta=delta, e=e, mode=mode)
     if isinstance(spec, Convoy):
         leader = _generate_one(
-            spec, hierarchy, n_moves, registry, 0, limits, base_dwell, start_time
+            spec, hierarchy, n_moves, registry, 0, limits, base_dwell
         )
         traces = [leader]
         for k in range(1, max(n_objects, 1 + spec.followers)):
             traces.append(_lagged_follower(leader, k, spec.offset))
         return tuple(traces)
     return tuple(
-        _generate_one(
-            spec, hierarchy, n_moves, registry, k, limits, base_dwell, start_time
-        )
+        _generate_one(spec, hierarchy, n_moves, registry, k, limits, base_dwell)
         for k in range(n_objects)
     )
-
-
-def generate_trace(spec, hierarchy, n_moves, **kwargs) -> MobilityTrace:
-    """Single-object convenience wrapper around :func:`generate`."""
-    return generate(spec, hierarchy, n_moves, n_objects=1, **kwargs)[0]
 
 
 def _generate_one(
@@ -135,12 +122,11 @@ def _generate_one(
     object_id: int,
     limits: SpeedLimits,
     base_dwell: Optional[float],
-    start_time: float,
 ) -> MobilityTrace:
     rng = registry.stream(f"mobility.gen:{object_id}")
     model = spec.resolve(hierarchy, rng)
     start = model.start_region(hierarchy.tiling, rng)
-    t = start_time + object_id * STAGGER
+    t = object_id * STAGGER
     steps: List[Tuple[float, RegionId]] = [(t, start)]
     current = start
     for i in range(n_moves):
@@ -184,42 +170,27 @@ def _lagged_follower(leader: MobilityTrace, k: int, offset: int) -> MobilityTrac
 def trace_workload(
     traces: Sequence[MobilityTrace],
     n_finds: int = 0,
-    find_clients: int = 4,
     hierarchy=None,
     seed: int = 0,
-    deadline: Optional[float] = None,
-    settle: float = 0.0,
 ) -> ScriptedWorkload:
     """Export generated traces as a canonical engine script.
 
     Finds are drawn from the registry's ``"mobility.gen:finds"`` stream:
-    origins rotate over ``find_clients`` seeded client regions, targets
-    over the traced objects, and issue times are spread across the
-    movement window with the usual ``j/1024`` stagger plus a uniqueness
-    nudge (no two script actions may share an instant).  ``settle``
-    extends the horizon past the last move so trailing finds complete.
+    origins rotate over :data:`FIND_CLIENTS` seeded client regions,
+    targets over the traced objects, and issue times are spread across
+    the movement window with the usual ``j * STAGGER`` offset made
+    unique (no two script actions may share an instant).
     """
     if not traces:
         raise ValueError("need at least one trace")
     actions: List[object] = []
     used = set()
-
-    def unique(t: float) -> float:
-        while t in used:
-            t += STAGGER / 4.0
-        used.add(t)
-        return t
-
     for trace in traces:
+        oid = trace.object_id
         t0, start = trace.steps[0]
-        actions.append(
-            EvaderEnter(time=unique(t0), region=start, object_id=trace.object_id)
-        )
+        actions.append(EvaderEnter(unique_time(t0, used), start, oid))
         for t, region in trace.steps[1:]:
-            actions.append(
-                EvaderStep(time=unique(t), target=region, object_id=trace.object_id)
-            )
-    horizon = max(tr.steps[-1][0] for tr in traces)
+            actions.append(EvaderStep(unique_time(t, used), region, oid))
     if n_finds:
         rng = RngRegistry(seed).stream("mobility.gen:finds")
         if hierarchy is not None:
@@ -228,24 +199,21 @@ def trace_workload(
             regions = sorted({r for tr in traces for r in tr.regions})
         clients = [
             regions[rng.randrange(len(regions))]
-            for _ in range(min(find_clients, len(regions)))
+            for _ in range(min(FIND_CLIENTS, len(regions)))
         ]
         first = min(tr.steps[0][0] for tr in traces)
-        span = max(horizon - first, 1.0)
+        span = max(max(tr.steps[-1][0] for tr in traces) - first, 1.0)
         for j in range(n_finds):
             frac = (j + 1) / (n_finds + 1)
-            t = unique(first + frac * span + j * STAGGER)
             actions.append(
                 IssueFind(
-                    time=t,
+                    time=unique_time(first + frac * span + j * STAGGER, used),
                     origin=clients[j % len(clients)],
                     find_id=j + 1,
                     object_id=traces[j % len(traces)].object_id,
-                    deadline=deadline,
                 )
             )
-    actions.sort(key=lambda a: a.time)
-    return ScriptedWorkload(actions=tuple(actions), horizon=horizon + settle)
+    return ScriptedWorkload.of(actions)
 
 
 class TraceRecorder:

@@ -44,12 +44,9 @@ class GeneratedWalk:
     n_moves: int = 8
     n_finds: int = 4
     n_objects: int = 1
-    find_clients: int = 4
     delta: float = 1.0
     e: float = 0.5
     mode: str = "concurrent"
-    base_dwell: Optional[float] = None
-    deadline: Optional[float] = None
 
     def traces(self, seed: int = 0):
         from ...topo.cache import shared_grid_hierarchy
@@ -62,7 +59,6 @@ class GeneratedWalk:
             self.n_moves,
             seed=seed,
             n_objects=self.n_objects,
-            base_dwell=self.base_dwell,
             delta=self.delta,
             e=self.e,
             mode=self.mode,
@@ -72,20 +68,8 @@ class GeneratedWalk:
         from ...topo.cache import shared_grid_hierarchy
 
         hierarchy = shared_grid_hierarchy(self.r, self.max_level)
-        traces = self.traces(seed)
-        # Leave one worst-case settle window after the last move so
-        # trailing finds complete before the horizon.
-        limits = SpeedLimits.for_hierarchy(
-            hierarchy, delta=self.delta, e=self.e, mode=self.mode
-        )
         script = trace_workload(
-            traces,
-            n_finds=self.n_finds,
-            find_clients=self.find_clients,
-            hierarchy=hierarchy,
-            seed=seed,
-            deadline=self.deadline,
-            settle=2.0 * limits.enter_floor,
+            self.traces(seed), n_finds=self.n_finds, hierarchy=hierarchy, seed=seed
         )
         return script.actions
 
@@ -147,10 +131,7 @@ def run_mobility_regime(
     n_finds: int = 4,
     n_objects: int = 1,
     shards: int = 0,
-    delta: float = 1.0,
-    e: float = 0.5,
     mode: str = "concurrent",
-    base_dwell: Optional[float] = None,
 ) -> MobilityRegimeResult:
     """Run one mobility regime end to end on the reference engine.
 
@@ -172,13 +153,10 @@ def run_mobility_regime(
         n_moves=n_moves,
         n_finds=n_finds,
         n_objects=n_objects,
-        delta=delta,
-        e=e,
         mode=mode,
-        base_dwell=base_dwell,
     )
     config = ScenarioConfig(
-        r=r, max_level=max_level, delta=delta, e=e, seed=seed,
+        r=r, max_level=max_level, delta=walk.delta, e=walk.e, seed=seed,
         shards=max(shards, 1),
     )
     sharded_fp = match = None
@@ -189,7 +167,7 @@ def run_mobility_regime(
         run = TrackingService(config).run(walk)
 
     hierarchy = shared_grid_hierarchy(r, max_level)
-    limits = SpeedLimits.for_hierarchy(hierarchy, delta=delta, e=e, mode=mode)
+    limits = SpeedLimits.for_hierarchy(hierarchy, delta=walk.delta, e=walk.e, mode=mode)
     traces = walk.traces(seed)
     dwells = [d for tr in traces for d in tr.dwells()]
     violation = None

@@ -2,7 +2,7 @@
 
 from .engine import SimulationError, Simulator
 from .event_queue import Event, EventQueue
-from .rng import RngRegistry, choice_excluding
+from .rng import RngRegistry
 
 __all__ = [
     "Event",
@@ -10,5 +10,4 @@ __all__ = [
     "RngRegistry",
     "SimulationError",
     "Simulator",
-    "choice_excluding",
 ]

@@ -18,23 +18,11 @@ from .core import (
     run_script,
 )
 from .plan import ShardPlan, strip_plan
-from .workload import (
-    EvaderEnter,
-    EvaderStep,
-    IssueFind,
-    ScriptedWorkload,
-    make_walk_workload,
-    schedule_workload,
-    walk_scenario,
-)
+from .workload import make_walk_workload, walk_scenario
 
 __all__ = [
-    "EvaderEnter",
-    "EvaderStep",
-    "IssueFind",
     "RemoteMessage",
     "RunRecord",
-    "ScriptedWorkload",
     "ShardContext",
     "ShardPlan",
     "ShardedRunError",
@@ -43,7 +31,6 @@ __all__ = [
     "canonical_send_line",
     "make_walk_workload",
     "run_script",
-    "schedule_workload",
     "strip_plan",
     "walk_scenario",
 ]

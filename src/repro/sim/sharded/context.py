@@ -39,8 +39,8 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ...core.messages import Grow
 from ...hierarchy.cluster import ClusterId
+from ...workload import ScriptedWorkload, schedule_workload
 from .plan import ShardPlan
-from .workload import ScriptedWorkload, schedule_workload
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,9 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ...energy.ledger import merge_energy
 from ...topo import topology_cache
+from ...workload import ScriptedWorkload, check_world
 from .context import GroupDigest, RemoteMessage, ShardContext, sort_groups
 from .plan import ShardPlan, strip_plan
-from .workload import ScriptedWorkload
 
 BACKENDS = ("serial", "processes")
 
@@ -161,8 +161,7 @@ class ShardedSimulator:
     Args:
         config: Scenario config; ``config.shards`` fixes K (clamped to
             the region count by the strip partitioner).
-        workload: The scripted drive (see
-            :mod:`repro.sim.sharded.workload`).
+        workload: The scripted drive (see :mod:`repro.workload`).
         backend: ``"serial"`` or ``"processes"``; single-shard plans
             always run serially.
         max_windows: Runaway guard on the barrier loop.
@@ -181,9 +180,14 @@ class ShardedSimulator:
             raise ValueError("sharded execution requires delta > 0 lookahead")
         self.config = config
         self.workload = workload
-        self.plan: ShardPlan = strip_plan(_tiling_for(config), config.shards)
+        tiling = _tiling_for(config)
+        self.plan: ShardPlan = strip_plan(tiling, config.shards)
         self.backend = backend if self.plan.k > 1 else "serial"
         self.max_windows = max_windows
+        if self.backend == "processes":
+            # A worker's refusal would surface as a ShardedRunError: the
+            # parent refuses what every replica would, before forking.
+            check_world(workload, tiling)
 
     def run(self) -> RunRecord:
         """Run the workload to quiescence and merge the shard reports."""

@@ -26,10 +26,10 @@ import multiprocessing
 import traceback
 from typing import List, Optional
 
+from ...workload import ScriptedWorkload
 from .context import RemoteMessage, ShardContext
 from .core import ShardedRunError
 from .plan import ShardPlan
-from .workload import ScriptedWorkload
 
 
 def shard_worker_main(conn, config, plan: ShardPlan, shard_id: int,

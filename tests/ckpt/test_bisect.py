@@ -15,8 +15,8 @@ import pytest
 from repro.ckpt import bisect_divergence, read_run
 from repro.cli import main
 from repro.scenario import build
-from repro.sim.sharded import schedule_workload
 from repro.sim.sharded.context import canonical_send_line
+from repro.workload import schedule_workload
 
 #: Run files of the walk (r=2, MAX=2, 5 moves): name -> snapshot flags.
 RUN_FLAGS = {

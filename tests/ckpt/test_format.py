@@ -24,7 +24,8 @@ from repro.ckpt import (
     snapshot_scenario,
 )
 from repro.scenario import build
-from repro.sim.sharded import schedule_workload, walk_scenario
+from repro.sim.sharded import walk_scenario
+from repro.workload import schedule_workload
 
 CONFIG, SCRIPT = walk_scenario(2, 2, shards=1, n_moves=5, seed=7)
 

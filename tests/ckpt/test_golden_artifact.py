@@ -11,7 +11,8 @@ is refused at its cut and must be regenerated::
     PYTHONPATH=src python -c "
     from repro.ckpt import save, snapshot_scenario
     from repro.scenario import build
-    from repro.sim.sharded import schedule_workload, walk_scenario
+    from repro.sim.sharded import walk_scenario
+    from repro.workload import schedule_workload
     config, script = walk_scenario(2, 2, shards=1, n_moves=5, seed=7)
     s = build(config)
     schedule_workload(s.system, script)

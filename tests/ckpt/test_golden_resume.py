@@ -42,7 +42,8 @@ from repro.faults.plan import (  # noqa: E402
     RegionBlackout,
 )
 from repro.scenario import build  # noqa: E402
-from repro.sim.sharded import schedule_workload, walk_scenario  # noqa: E402
+from repro.sim.sharded import walk_scenario  # noqa: E402
+from repro.workload import schedule_workload  # noqa: E402
 
 PLAIN, SCRIPT = walk_scenario(2, 2, shards=1, n_moves=5, seed=7)
 BLACKOUT = PLAIN.with_(

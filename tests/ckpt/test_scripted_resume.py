@@ -10,7 +10,7 @@ import pytest
 
 from repro.ckpt import restore_scenario, run_fingerprint, snapshot_scenario
 from repro.scenario import ScenarioConfig, build
-from repro.sim.sharded.workload import (
+from repro.workload import (
     EvaderEnter,
     EvaderStep,
     IssueFind,

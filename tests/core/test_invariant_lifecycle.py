@@ -14,7 +14,6 @@ import pytest
 
 import repro.analysis.experiments as experiments
 import repro.obs as obs
-from repro.analysis.parallel import JobSpec, SweepRunner
 from repro.mobility import RandomNeighborWalk
 from repro.obs.conformance import ConformanceSampler
 from repro.scenario import ScenarioConfig, build
@@ -98,16 +97,11 @@ def assert_unhooked(sampler):
 
 
 def test_back_to_back_sweep_jobs_leave_no_subscribers(monkeypatch):
-    """Two serial invariant-watch jobs: each ends with no hook left."""
+    """Two back-to-back invariant-watch runs: each ends with no hook left."""
     captured = capture_samplers(monkeypatch)
-    spec = JobSpec(
-        runner="invariant_watch",
-        kwargs={"r": 2, "max_level": 2, "n_moves": 3, "seed": 8},
-    )
-    results = SweepRunner(workers=1).run([spec, spec])
-    assert len(results) == 2
-    assert results[0].value == results[1].value  # same seed, same verdicts
-    assert results[0].value.lateral_sends > 0  # the GrowSent feed was live
+    results = [experiments.run_invariant_watch(2, 2, n_moves=3, seed=8) for _ in range(2)]
+    assert results[0] == results[1]  # same seed, same verdicts
+    assert results[0].lateral_sends > 0  # the GrowSent feed was live
     assert len(captured) == 2
     assert captured[0].collector is not captured[1].collector
     for sampler in captured:

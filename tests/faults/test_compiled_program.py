@@ -44,9 +44,9 @@ from repro.scenario import MESSAGE_SYSTEMS, ScenarioConfig, build  # noqa: E402
 from repro.sim.sharded import (  # noqa: E402
     make_walk_workload,
     run_script,
-    schedule_workload,
     walk_scenario,
 )
+from repro.workload import schedule_workload  # noqa: E402
 from tests.faults._reference_perturb import ReferenceInjector  # noqa: E402
 
 
@@ -115,8 +115,8 @@ messages = st.tuples(
 
 
 def stream_positions(registry):
-    """A registry's root seed, fork path and every stream's position."""
-    return registry.seed, registry.fork_path, {
+    """A registry's root seed and every stream's position."""
+    return registry.seed, {
         name: registry.stream(name).getstate() for name in registry.names()
     }
 

@@ -134,10 +134,8 @@ def test_waypoint_rejects_unreachable_nodes(world):
 
 
 def test_replay_trace_ends_early_when_exhausted(world):
-    from repro.mobility.gen import generate_trace
-
     path_steps = ((0.0, (0, 0)), (50.0, (0, 1)), (100.0, (0, 2)))
-    trace = generate_trace(Replay(steps=path_steps), world, n_moves=10, seed=0)
+    (trace,) = generate(Replay(steps=path_steps), world, n_moves=10, seed=0)
     # Two recorded moves, then the replay idles and the trace ends.
     assert trace.regions == ((0, 0), (0, 1), (0, 2))
 
@@ -296,15 +294,13 @@ def test_trace_workload_requires_traces_and_spreads_finds(world):
     with pytest.raises(ValueError, match="at least one trace"):
         trace_workload([])
     traces = generate(Walk(), world, 5, seed=2)
-    workload = trace_workload(
-        traces, n_finds=3, hierarchy=world, seed=2, deadline=10.0, settle=7.0
-    )
+    workload = trace_workload(traces, n_finds=3, hierarchy=world, seed=2)
     times = [a.time for a in workload.actions]
     assert times == sorted(times) and len(set(times)) == len(times)
     finds = [a for a in workload.actions if type(a).__name__ == "IssueFind"]
     assert len(finds) == 3
-    assert all(f.deadline == 10.0 for f in finds)
-    assert workload.horizon == traces[0].steps[-1][0] + 7.0
+    assert all(traces[0].times[0] < f.time < traces[0].times[-1] for f in finds)
+    assert workload.horizon == traces[0].steps[-1][0]
 
 
 def test_trace_workload_without_hierarchy_uses_visited_regions(world):

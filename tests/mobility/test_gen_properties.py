@@ -105,12 +105,10 @@ def _wrap(children: st.SearchStrategy) -> st.SearchStrategy:
 spec_trees = st.recursive(leaves, _wrap, max_leaves=4)
 
 
-def _traces(spec, world, seed, mode="concurrent", fork=None, n_moves=7):
+def _traces(spec, world, seed, mode="concurrent", n_moves=7):
     hierarchy = shared_grid_hierarchy(*world)
     try:
-        return hierarchy, generate(
-            spec, hierarchy, n_moves, seed=seed, mode=mode, fork=fork
-        )
+        return hierarchy, generate(spec, hierarchy, n_moves, seed=seed, mode=mode)
     except ValueError as exc:
         # An obstacle mask can leave the 2x2 world fewer regions than a
         # WaypointGraph(k=4) wants waypoints (Obstacles(WaypointGraph(k=4),
@@ -194,21 +192,6 @@ def test_same_seed_is_byte_identical(spec, world, seed):
     _, second = _traces(spec, world, seed)
     assert first == second
     assert [t.crc() for t in first] == [t.crc() for t in second]
-
-
-@pytest.mark.parametrize(
-    "name", ["uniform-walk", "hotspot-churn", "waypoint-patrol", "obstacle-walk"]
-)
-def test_fork_index_diverges_stochastic_regimes(name):
-    """Forked registries re-derive every stream: stochastic regimes take
-    different paths (deterministic regimes like dither legitimately
-    coincide, so divergence is pinned on the stochastic presets)."""
-    hierarchy = shared_grid_hierarchy(2, 2)
-    base = generate(preset(name), hierarchy, 8, seed=3)
-    forked = generate(preset(name), hierarchy, 8, seed=3, fork=1)
-    fork2 = generate(preset(name), hierarchy, 8, seed=3, fork=1)
-    assert base != forked
-    assert forked == fork2  # a fork is itself deterministic
 
 
 def test_all_presets_generate_legal_traces():

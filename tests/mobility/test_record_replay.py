@@ -27,7 +27,6 @@ from repro.mobility.gen import (
     Walk,
     check_trace,
     generate,
-    generate_trace,
     trace_from_obs,
     trace_workload,
 )
@@ -95,7 +94,7 @@ def test_recorded_walk_replays_byte_identically():
     evader.stop()
     recorded = recorder.trace()
 
-    replayed = generate_trace(
+    (replayed,) = generate(
         Replay(steps=recorded.steps),
         hierarchy,
         n_moves=len(recorded.steps) - 1,
@@ -110,9 +109,7 @@ def test_obs_round_trip_dispatch_fingerprint_is_bit_identical():
     """generate → run (capturing obs) → trace_from_obs → replay → same fp."""
     hierarchy = shared_grid_hierarchy(2, 2)
     traces = generate(Walk(), hierarchy, 7, seed=23)
-    workload = trace_workload(
-        traces, n_finds=3, hierarchy=hierarchy, seed=23, settle=100.0
-    )
+    workload = trace_workload(traces, n_finds=3, hierarchy=hierarchy, seed=23)
 
     with obs.observed() as collector:
         original_fp, report = _run_script(workload, seed=23)
@@ -125,9 +122,7 @@ def test_obs_round_trip_dispatch_fingerprint_is_bit_identical():
     # Re-script the recovered trace (Replay combinator semantics: the
     # recorded path at the recorded times) and re-run: the tracker must
     # dispatch bit-identically.
-    replay_workload = trace_workload(
-        [recovered], n_finds=3, hierarchy=hierarchy, seed=23, settle=100.0
-    )
+    replay_workload = trace_workload([recovered], n_finds=3, hierarchy=hierarchy, seed=23)
     assert replay_workload.actions == workload.actions
     replay_fp, _ = _run_script(replay_workload, seed=23)
     assert replay_fp == original_fp
@@ -136,9 +131,7 @@ def test_obs_round_trip_dispatch_fingerprint_is_bit_identical():
 def test_replay_model_reproduces_the_recorded_path_regions():
     hierarchy = shared_grid_hierarchy(2, 2)
     original = generate(Walk(), hierarchy, 6, seed=5)[0]
-    replayed = generate_trace(
-        Replay(steps=original.steps), hierarchy, n_moves=6, seed=77
-    )
+    (replayed,) = generate(Replay(steps=original.steps), hierarchy, n_moves=6, seed=77)
     assert replayed.regions == original.regions
 
 

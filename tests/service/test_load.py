@@ -3,9 +3,9 @@
 import pytest
 
 from repro.service import ARRIVALS, LoadGenerator
-from repro.sim.sharded.workload import EvaderEnter, EvaderStep, IssueFind
+from repro.service.load import BURST_GAP, BURST_SIZE
 from repro.topo import shared_grid_hierarchy
-from repro.workload import Workload, materialize
+from repro.workload import EvaderEnter, EvaderStep, IssueFind, Workload, materialize
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ class TestGeneration:
                 assert action.time > entered[action.object_id]
 
     def test_timestamps_are_globally_unique_and_sorted(self, tiling):
-        actions = make_load(tiling, n_finds=50).events(seed=3)
+        actions = materialize(make_load(tiling, n_finds=50), 3).actions
         times = [a.time for a in actions]
         assert times == sorted(times)
         assert len(set(times)) == len(times)
@@ -102,18 +102,16 @@ class TestDeterminism:
 
 class TestArrivalProcesses:
     def test_burst_groups_arrivals(self, tiling):
-        load = make_load(
-            tiling, arrival="burst", n_finds=16, burst_size=4, burst_gap=50.0
-        )
+        load = make_load(tiling, arrival="burst", n_finds=3 * BURST_SIZE)
         finds = [
             a for a in load.events(seed=2) if isinstance(a, IssueFind)
         ]
-        # 16 finds in 4 volleys: each volley spans < 1 time unit while
-        # consecutive volleys are burst_gap apart.
-        volleys = [finds[i : i + 4] for i in range(0, 16, 4)]
+        # Three volleys: each spans < 1 time unit while consecutive
+        # volleys are BURST_GAP apart.
+        volleys = [finds[i : i + BURST_SIZE] for i in range(0, 3 * BURST_SIZE, BURST_SIZE)]
         for volley in volleys:
             assert volley[-1].time - volley[0].time < 1.0
-        assert volleys[1][0].time - volleys[0][0].time >= 49.0
+        assert volleys[1][0].time - volleys[0][0].time >= BURST_GAP - 1.0
 
     def test_uniform_spacing(self, tiling):
         load = make_load(tiling, arrival="uniform", n_finds=8)
@@ -135,7 +133,7 @@ class TestArrivalProcesses:
 
     @pytest.mark.parametrize("bad", [
         {"rate": 0.0}, {"rate": -1.0}, {"rate": float("nan")}, {"n_finds": -1},
-        {"moves_per_object": -1}, {"burst_size": 0}, {"dwell": 0.0},
+        {"moves_per_object": -1}, {"dwell": float("nan")}, {"dwell": 0.0},
     ])
     def test_out_of_range_shape_rejected(self, tiling, bad):
         # rate=0 used to die in expovariate (ZeroDivisionError), rate<0 to

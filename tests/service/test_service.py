@@ -20,8 +20,8 @@ from repro.scenario import ScenarioConfig
 from repro.service import ARRIVALS, LoadGenerator, TrackingService
 from repro.sim.sharded import run_script, walk_scenario
 from repro.sim.sharded.core import _tiling_for
-from repro.sim.sharded.workload import IssueFind, make_walk_workload
-from repro.workload import materialize
+from repro.sim.sharded.workload import make_walk_workload
+from repro.workload import IssueFind, materialize
 
 
 def config(**overrides):

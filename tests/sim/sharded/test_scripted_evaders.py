@@ -15,7 +15,7 @@ from types import SimpleNamespace
 from repro.geometry import GridTiling
 from repro.scenario import ScenarioConfig, build
 from repro.sim import Simulator
-from repro.sim.sharded.workload import (
+from repro.workload import (
     EvaderEnter,
     EvaderStep,
     IssueFind,

@@ -31,7 +31,8 @@ from repro.scenario import ScenarioConfig
 from repro.sim.sharded.context import ShardContext, canonical_send_line
 from repro.sim.sharded.core import _tiling_for, canonical_fingerprint
 from repro.sim.sharded.plan import strip_plan
-from repro.sim.sharded.workload import ScriptedWorkload, make_walk_workload
+from repro.sim.sharded.workload import make_walk_workload
+from repro.workload import ScriptedWorkload
 from tests.geocast._reference_observers import canonical_crc, fold_crc
 
 

@@ -1,11 +1,10 @@
 """Property-based round trips through the checkpoint's value table.
 
 A checkpoint holds a world's :class:`~repro.scenario.ScenarioConfig` and
-its scripts as JSON (``repro.ckpt.snapshot``), so any config the table
-can express — every fault rule kind, energy, stabilization, service
-knobs — and any script must decode equal to what was encoded, tuples
-back as tuples.  Plus the :class:`~repro.sim.rng.RngRegistry` fork
-property that generators' ``fork=`` relies on.
+its scripts as JSON (``repro.workload.encode_inputs``), so any config the
+table can express — every fault rule kind, energy, stabilization,
+service knobs — and any valid script must decode equal to what was
+encoded, tuples back as tuples.
 """
 
 import json
@@ -16,7 +15,6 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.ckpt.snapshot import _decode, _encode  # noqa: E402
 from repro.energy.model import EnergyModel  # noqa: E402
 from repro.faults.plan import (  # noqa: E402
     FaultPlan,
@@ -29,12 +27,13 @@ from repro.faults.plan import (  # noqa: E402
     VsaCrashes,
 )
 from repro.scenario import MESSAGE_SYSTEMS, ScenarioConfig  # noqa: E402
-from repro.sim.rng import RngRegistry  # noqa: E402
-from repro.sim.sharded.workload import (  # noqa: E402
+from repro.workload import (  # noqa: E402
     EvaderEnter,
     EvaderStep,
     IssueFind,
     ScriptedWorkload,
+    _decode,
+    _encode,
 )
 from repro.stabilization import StabilizationConfig  # noqa: E402
 
@@ -88,8 +87,25 @@ actions = st.one_of(
               find_id=st.integers(1, 10_000), object_id=st.integers(0, 100),
               deadline=st.none() | times),
 )
+
+
+def _valid(drawn):
+    """The drawn actions made a valid script: time-sorted, an object's
+    steps after its one enter."""
+    entered, kept = set(), []
+    for action in sorted(drawn, key=lambda a: a.time):
+        if isinstance(action, EvaderEnter):
+            if action.object_id in entered:
+                continue
+            entered.add(action.object_id)
+        elif isinstance(action, EvaderStep) and action.object_id not in entered:
+            continue
+        kept.append(action)
+    return tuple(kept)
+
+
 scripts = st.builds(
-    ScriptedWorkload, actions=st.lists(actions, max_size=20).map(tuple),
+    ScriptedWorkload, actions=st.lists(actions, max_size=20).map(_valid),
     horizon=times,
 )
 
@@ -105,15 +121,3 @@ def test_a_config_and_its_script_decode_equal(config, script):
     assert _round_trip(config) == config
     assert _round_trip(script) == script
     assert _round_trip((config, script)) == (config, script)
-
-
-@given(seed=st.integers(0, 2**32 - 1), a=st.integers(0, 5), b=st.integers(0, 5))
-@settings(max_examples=30, deadline=None)
-def test_rng_registry_forks_diverge_iff_index_differs(seed, a, b):
-    x, y = RngRegistry(seed), RngRegistry(seed)
-    draws_x = [x.fork(a).stream("s").random() for _ in range(3)]
-    draws_y = [y.fork(b).stream("s").random() for _ in range(3)]
-    if a == b:
-        assert draws_x == draws_y
-    else:
-        assert draws_x != draws_y

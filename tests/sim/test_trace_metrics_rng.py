@@ -1,9 +1,6 @@
 """Unit tests for the RNG streams."""
 
-import pytest
-
 from repro.sim import RngRegistry
-from repro.sim.rng import choice_excluding
 
 
 class TestRng:
@@ -30,18 +27,3 @@ class TestRng:
         reg.stream("b")
         reg.stream("a")
         assert reg.names() == ["a", "b"]
-
-    def test_choice_excluding(self):
-        reg = RngRegistry(seed=3)
-        rng = reg.stream("c")
-        for _ in range(20):
-            assert choice_excluding(rng, [1, 2, 3], 2) != 2
-
-    def test_choice_excluding_falls_back_when_only_option(self):
-        rng = RngRegistry(seed=3).stream("c")
-        assert choice_excluding(rng, [2], 2) == 2
-
-    def test_choice_excluding_empty_raises(self):
-        rng = RngRegistry(seed=3).stream("c")
-        with pytest.raises(ValueError):
-            choice_excluding(rng, [], None)
