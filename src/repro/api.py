@@ -40,8 +40,8 @@ Grouped exports:
   :class:`Convoy`, :class:`Hotspots`, :class:`Dither`, :class:`Replay`,
   :class:`Compose`, :class:`Switch`, :class:`TimeSlice`),
   :func:`mobility_preset` / :func:`mobility_presets`,
-  :class:`SpeedLimits`, :class:`MobilityTrace`, :class:`TraceRecorder`,
-  :func:`generate_traces` (DESIGN.md §10);
+  :class:`SpeedLimits`, :class:`MobilityTrace`, :func:`generate_traces`
+  (DESIGN.md §10);
 * **baselines & energy** (DESIGN.md §11) — the baseline pack
   (:class:`PredictiveVineStalk`, :class:`PassiveTraceTracker`) and
   analytic locators (:class:`HomeAgentLocator`,
@@ -99,7 +99,6 @@ from .mobility.gen import (
     SpeedLimits,
     Switch,
     TimeSlice,
-    TraceRecorder,
     Walk,
     WaypointGraph,
     run_mobility_regime,
@@ -167,7 +166,6 @@ __all__ = [
     "TimeSlice",
     "GeneratedWalk",
     "MobilityTrace",
-    "TraceRecorder",
     "SpeedLimits",
     "generate_traces",
     "mobility_preset",

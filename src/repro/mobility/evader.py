@@ -17,7 +17,7 @@ from ..geometry.tiling import Tiling
 from ..sim.engine import Simulator
 from ..obs._state import OBS
 from ..obs.events import EvaderMoved
-from .models import MobilityContractError, MobilityModel
+from .models import MobilityModel
 
 # Observers receive (event, region) with event in {"move", "left"}.
 EvaderObserver = Callable[[str, RegionId], None]
@@ -119,24 +119,14 @@ class Evader:
     def step(self) -> RegionId:
         """Perform one relocation chosen by the mobility model.
 
-        The stay contract: a model whose ``allows_stay`` is ``True``
-        (all historical built-ins) may return the current region to
-        idle — the evader burns the dwell period without emitting
-        ``left``/``move`` and counts it in :attr:`stays_made`.  A
-        move-strict model (``allows_stay=False``, every generated
-        model) must always move; a stay raises
-        :class:`~repro.mobility.models.MobilityContractError` instead
-        of being silently absorbed.
+        A model may return the current region to idle: the evader burns
+        the dwell period without emitting ``left``/``move`` and counts
+        it in :attr:`stays_made`.
         """
         if self.region is None:
             raise RuntimeError("evader has not entered the space")
         target = self.model.next_region(self.region, self.tiling, self.rng)
         if target == self.region:
-            if not getattr(self.model, "allows_stay", True):
-                raise MobilityContractError(
-                    f"{type(self.model).__name__} is move-strict but "
-                    f"returned the current region {target!r}"
-                )
             self.stays_made += 1
             return self.region
         return self.move_to(target)

@@ -1,10 +1,9 @@
 """``repro.mobility.gen`` — composable trajectory generation.
 
 The generator framework (DESIGN.md §10) describes mobility regimes as
-small frozen combinator trees (:mod:`~repro.mobility.gen.spec`),
-resolves them into :class:`~repro.mobility.models.MobilityModel`
-instances the existing :class:`~repro.mobility.evader.Evader` consumes
-unchanged, and emits seeded-deterministic, §VI-speed-legal traces
+small frozen combinator trees (:mod:`~repro.mobility.gen.spec`), each
+of which walks itself (``spec.walk``), and emits seeded-deterministic,
+§VI-speed-legal traces
 (:mod:`~repro.mobility.gen.trace`) that export to the unified workload
 protocol — so every regime runs bit-identically on the plain and
 sharded engines.  Named regimes live in
@@ -12,8 +11,7 @@ sharded engines.  Named regimes live in
 """
 
 from .limits import MODES, SpeedLimits, check_trace, touched_level
-from .models import GeneratedModel, MobilityContractError, masked_tiling
-from .presets import preset, preset_names, register_preset
+from .presets import preset, preset_names
 from .spec import (
     COMBINATORS,
     PRIMITIVES,
@@ -28,10 +26,10 @@ from .spec import (
     TimeSlice,
     Walk,
     WaypointGraph,
+    masked_tiling,
 )
 from .trace import (
     MobilityTrace,
-    TraceRecorder,
     generate,
     trace_from_obs,
     trace_workload,
@@ -58,10 +56,10 @@ __all__ = [
     "TimeSlice",
     "PRIMITIVES",
     "COMBINATORS",
+    "masked_tiling",
     # presets
     "preset",
     "preset_names",
-    "register_preset",
     # §VI limits
     "MODES",
     "SpeedLimits",
@@ -69,14 +67,9 @@ __all__ = [
     "touched_level",
     # traces
     "MobilityTrace",
-    "TraceRecorder",
     "generate",
     "trace_from_obs",
     "trace_workload",
-    # models
-    "GeneratedModel",
-    "MobilityContractError",
-    "masked_tiling",
     # workloads / runner
     "GeneratedWalk",
     "MobilityRegimeResult",

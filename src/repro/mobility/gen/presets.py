@@ -4,8 +4,8 @@ A preset is a frozen :class:`~repro.mobility.gen.spec.GeneratorSpec`
 tree under a stable name; ``GeneratedWalk(mobility="dither")`` and the
 ``repro mobility`` CLI resolve names here.
 Presets avoid explicit region ids so every regime works on any grid
-size — placement choices are sampled at resolve time from the seeded
-stream.
+size — placement choices are sampled from the seeded stream when a
+walk is built.
 """
 
 from __future__ import annotations
@@ -68,12 +68,3 @@ def preset(name: str) -> GeneratorSpec:
 def preset_names() -> Tuple[str, ...]:
     """All registered regime names, sorted."""
     return tuple(sorted(_PRESETS))
-
-
-def register_preset(name: str, spec: GeneratorSpec) -> None:
-    """Register a custom regime (experiments can add their own names)."""
-    if not isinstance(spec, GeneratorSpec):
-        raise TypeError(f"expected a GeneratorSpec, got {type(spec).__name__}")
-    if name in _PRESETS:
-        raise ValueError(f"preset {name!r} already registered")
-    _PRESETS[name] = spec

@@ -1,12 +1,17 @@
 """Frozen generator combinators — the declarative mobility DSL.
 
 A :class:`GeneratorSpec` tree is a small, picklable description of a
-mobility regime.  Specs carry **no runtime state**: ``resolve()`` turns
-a spec into a fresh :class:`~repro.mobility.models.MobilityModel` for
-one evader, drawing every placement decision (waypoint sampling,
-obstacle selection) from the rng stream the caller passes — so the same
-``(spec, seed)`` pair always yields the same model, and a forked
-registry yields a divergent one.
+mobility regime, and the one class that describes it: ``walk()`` runs
+it for one evader.  ``walk(hierarchy, rng, space=None)`` makes every
+placement draw at once (waypoint sampling, obstacle selection, hotspot
+pools, then each child's own draws in part order) from the rng stream
+the caller passes, and returns a generator over ``space`` (default: the
+hierarchy's tiling).  The generator yields the start region; sent the
+current region, it yields ``(next region, dwell factor)`` — a neighbor
+move and the multiplier the trace generator applies to the base dwell
+before clamping to the §VI floor.  A walk never stays, and it ends only
+when a :class:`Replay` runs out.  The same ``(spec, seed)`` pair always
+yields the same walk.
 
 Grammar (each node is a frozen dataclass; children nest freely)::
 
@@ -21,64 +26,114 @@ Grammar (each node is a frozen dataclass; children nest freely)::
           | Switch(parts, every)
           | TimeSlice(parts, boundaries)
 
-``GeneratedWalk(mobility=...)`` accepts a spec or a registry preset name
+``GeneratedWalk(mobility=...)`` accepts a spec or a preset name
 (:mod:`repro.mobility.gen.presets`).
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from itertools import accumulate, count
+from typing import Dict, Sequence, Tuple
 
 from ...geometry.regions import RegionId
-from .models import (
-    ComposeModel,
-    DitherModel,
-    HotspotModel,
-    MaskedModel,
-    ReplayModel,
-    SwitchModel,
-    TimeSliceModel,
-    UniformWalkModel,
-    WaypointGraphModel,
-    masked_tiling,
-)
+from ...geometry.tiling import GraphTiling, Tiling
+
+
+def masked_tiling(tiling: Tiling, obstacles: Sequence[RegionId]) -> GraphTiling:
+    """The sub-tiling of ``tiling`` with ``obstacles`` removed.
+
+    Raises :class:`ValueError` when the remainder is empty, has no moves
+    (a single region), or is disconnected — an obstacle field must leave
+    a walkable space.
+    """
+    blocked = set(obstacles)
+    unknown = blocked - set(tiling.regions())
+    if unknown:
+        raise ValueError(f"obstacle regions not in the tiling: {sorted(unknown)}")
+    allowed = [r for r in tiling.regions() if r not in blocked]
+    if len(allowed) < 2:
+        raise ValueError("obstacle field leaves fewer than two regions")
+    adjacency = {
+        r: [n for n in tiling.neighbors(r) if n not in blocked] for r in allowed
+    }
+    centers = {r: tiling.region(r).center for r in allowed}
+    remainder = GraphTiling(adjacency, centers)
+    if -1 in remainder.distance_row(allowed[0]):
+        raise ValueError("obstacle field disconnects the tiling")
+    return remainder
+
+
+def _toward(space: Tiling, current: RegionId, target: RegionId) -> RegionId:
+    """The neighbor of ``current`` closest to ``target`` (min-id ties)."""
+    return min(
+        space.neighbors(current),
+        key=lambda nb: (space.distance(nb, target), nb),
+    )
+
+
+def _space(hierarchy, space):
+    return hierarchy.tiling if space is None else space
+
+
+def _drive(walks, choose):
+    """Prime every part's walk in order, then send each step to the
+    part ``choose(step)`` names; end when that part ends."""
+    starts = [next(w) for w in walks]
+    current = yield starts[0]
+    for step in count():
+        try:
+            move = walks[choose(step)].send(current)
+        except StopIteration:
+            return
+        current = yield move
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Base class for mobility-generator combinators."""
 
-    def resolve(self, hierarchy, rng, tiling=None):
-        """Build a fresh mobility model for one evader.
+    def walk(self, hierarchy, rng, space=None):
+        """Draw the placements now; return the step generator.
 
-        ``tiling`` overrides ``hierarchy.tiling`` when an enclosing
-        :class:`Obstacles` node has already masked the space.
+        ``space`` overrides ``hierarchy.tiling`` when an enclosing
+        :class:`Obstacles` node has already masked the tiling.
         """
         raise NotImplementedError
-
-    def _space(self, hierarchy, tiling):
-        return hierarchy.tiling if tiling is None else tiling
 
 
 @dataclass(frozen=True)
 class Walk(GeneratorSpec):
     """Uniform random neighbor walk."""
 
-    def resolve(self, hierarchy, rng, tiling=None):
-        return UniformWalkModel()
+    def walk(self, hierarchy, rng, space=None):
+        space = _space(hierarchy, space)
+
+        def steps():
+            current = yield rng.choice(space.regions())
+            while True:
+                current = yield rng.choice(space.neighbors(current)), 1.0
+
+        return steps()
 
 
 @dataclass(frozen=True)
 class WaypointGraph(GeneratorSpec):
     """Patrol a waypoint graph with per-edge speed profiles.
 
+    The walk steps greedily through the space toward the current target
+    waypoint; on arrival it draws the next one uniformly from the graph
+    edges out of the reached waypoint.
+
     Attributes:
-        nodes: explicit waypoint regions; empty means "sample ``k``
-            distinct regions from the (masked) tiling at resolve time".
+        nodes: explicit, distinct waypoint regions; empty means "sample
+            ``k`` distinct regions from the (masked) tiling".
         k: number of waypoints to sample when ``nodes`` is empty.
         edges: directed waypoint-index pairs; empty means a ring
-            ``0 → 1 → … → k-1 → 0``.
+            ``0 → 1 → … → k-1 → 0``.  A waypoint with no edge out
+            bounces back along the edges into it.
         speeds: per-edge dwell multipliers aligned with ``edges``
             (``2.0`` = a slow leg, dwells twice the base; the §VI floor
             still clamps from below).  Empty means all ``1.0``.
@@ -92,13 +147,15 @@ class WaypointGraph(GeneratorSpec):
     def __post_init__(self) -> None:
         if not self.nodes and self.k < 2:
             raise ValueError("need at least two waypoints")
+        if len(set(self.nodes)) != len(self.nodes):
+            raise ValueError(f"nodes must be distinct regions, got {self.nodes}")
         if self.speeds and len(self.speeds) != len(self.edges):
             raise ValueError("speeds must align with edges")
-        if any(s <= 0 for s in self.speeds):
-            raise ValueError("edge speeds must be positive")
+        if not all(math.isfinite(s) and s > 0 for s in self.speeds):
+            raise ValueError(f"speeds must be finite and positive, got {self.speeds}")
 
-    def resolve(self, hierarchy, rng, tiling=None):
-        space = self._space(hierarchy, tiling)
+    def walk(self, hierarchy, rng, space=None):
+        space = _space(hierarchy, space)
         if self.nodes:
             nodes = self.nodes
             missing = set(nodes) - set(space.regions())
@@ -120,29 +177,40 @@ class WaypointGraph(GeneratorSpec):
         for i, j in edges:
             out[i] = out.get(i, ()) + (j,)
         for i in range(n):
-            # Dead-end waypoints bounce back along reverse edges.
             if i not in out:
                 back = tuple(a for a, b in edges if b == i)
                 if not back:
                     raise ValueError(f"waypoint {i} is unreachable and has no edges")
                 out[i] = back
-        speeds = {
-            edge: (self.speeds[idx] if self.speeds else 1.0)
-            for idx, edge in enumerate(edges)
-        }
-        return WaypointGraphModel(nodes=nodes, edges=out, speeds=speeds)
+        speeds = dict(zip(edges, self.speeds))
+
+        def steps():
+            at = target = rng.randrange(n)
+            current = yield nodes[at]
+            while True:
+                while nodes[target] == current:
+                    options = out[target]
+                    at, target = target, options[rng.randrange(len(options))]
+                step = _toward(space, current, nodes[target])
+                current = yield step, speeds.get((at, target), 1.0)
+
+        return steps()
 
 
 @dataclass(frozen=True)
 class Obstacles(GeneratorSpec):
     """Mask regions out of the tiling the inner generator walks.
 
+    When a sibling under a combinator has carried the evader into the
+    mask, the walk first steps greedily back toward the nearest allowed
+    region, at the inner walk's last dwell factor.
+
     Attributes:
         inner: generator confined to the masked space.
         regions: explicit obstacle regions.
         density: additionally block this fraction of the remaining
-            regions, sampled at resolve time; candidates that would
-            disconnect the walkable space are skipped (greedy
+            regions, sampled when the walk is built; candidates that
+            would disconnect the walkable space are skipped (greedy
             connectivity-preserving selection).
     """
 
@@ -156,8 +224,9 @@ class Obstacles(GeneratorSpec):
         if not self.regions and self.density == 0.0:
             raise ValueError("obstacle field needs regions and/or density > 0")
 
-    def resolve(self, hierarchy, rng, tiling=None):
-        space = self._space(hierarchy, tiling)
+    def mask(self, hierarchy, rng, space=None) -> GraphTiling:
+        """Draw the obstacle field; the masked space the inner walk gets."""
+        space = _space(hierarchy, space)
         blocked = list(self.regions)
         if self.density:
             total = len(list(space.regions()))
@@ -172,20 +241,42 @@ class Obstacles(GeneratorSpec):
                 except ValueError:
                     continue
                 blocked.append(region)
-        masked = masked_tiling(space, blocked)
-        inner = self.inner.resolve(hierarchy, rng, tiling=masked)
-        return MaskedModel(inner, masked, tuple(blocked))
+        return masked_tiling(space, blocked)
+
+    def walk(self, hierarchy, rng, space=None):
+        space = _space(hierarchy, space)
+        masked = self.mask(hierarchy, rng, space)
+        inner = self.inner.walk(hierarchy, rng, masked)
+        allowed = set(masked.regions())
+
+        def steps():
+            current = yield next(inner)
+            factor = 1.0
+            while True:
+                if current in allowed:
+                    try:
+                        step, factor = inner.send(current)
+                    except StopIteration:
+                        return
+                else:
+                    step = min(
+                        space.neighbors(current),
+                        key=lambda nb: (min(space.distance(nb, a) for a in allowed), nb),
+                    )
+                current = yield step, factor
+
+        return steps()
 
 
 @dataclass(frozen=True)
 class Convoy(GeneratorSpec):
     """Group mobility: a leader plus bounded-offset followers.
 
-    Resolving yields the **leader's** model (a single evader is just the
-    leader).  :func:`repro.mobility.gen.trace.generate` expands the
-    followers: follower ``k`` repeats the leader's path lagged by
-    ``k * offset`` steps, so the group stays within a bounded trail of
-    the leader for the whole trace.
+    The walk is the **leader's** (a single evader is just the leader).
+    :func:`repro.mobility.gen.trace.generate` expands the followers:
+    follower ``k`` repeats the leader's path lagged by ``k * offset``
+    steps, so the group stays within a bounded trail of the leader for
+    the whole trace.
     """
 
     leader: GeneratorSpec = field(default_factory=Walk)
@@ -198,16 +289,17 @@ class Convoy(GeneratorSpec):
         if self.offset < 1:
             raise ValueError("follower offset must be >= 1 step")
 
-    def resolve(self, hierarchy, rng, tiling=None):
-        return self.leader.resolve(hierarchy, rng, tiling=tiling)
+    def walk(self, hierarchy, rng, space=None):
+        return self.leader.walk(hierarchy, rng, space)
 
 
 @dataclass(frozen=True)
 class Hotspots(GeneratorSpec):
     """Hotspot churn: walk toward time-varying attraction points.
 
-    ``k`` candidate hotspots are sampled at resolve time; every
-    ``period`` steps the active hotspot is redrawn from the pool.
+    ``k`` candidate hotspots are sampled when the walk is built; every
+    ``period`` steps the active hotspot is redrawn from the pool.  At
+    the hotspot the walk orbits it with uniform neighbor steps.
     """
 
     k: int = 3
@@ -219,29 +311,66 @@ class Hotspots(GeneratorSpec):
         if self.period < 1:
             raise ValueError("churn period must be >= 1 step")
 
-    def resolve(self, hierarchy, rng, tiling=None):
-        space = self._space(hierarchy, tiling)
+    def walk(self, hierarchy, rng, space=None):
+        space = _space(hierarchy, space)
         regions = list(space.regions())
         pool = tuple(rng.sample(regions, min(self.k, len(regions))))
-        return HotspotModel(pool=pool, period=self.period)
+
+        def steps():
+            current = yield rng.choice(space.regions())
+            for step in count():
+                if step % self.period == 0:
+                    hotspot = pool[rng.randrange(len(pool))]
+                if hotspot == current:
+                    move = rng.choice(space.neighbors(current))
+                else:
+                    move = _toward(space, current, hotspot)
+                current = yield move, 1.0
+
+        return steps()
 
 
 @dataclass(frozen=True)
 class Dither(GeneratorSpec):
     """Adversarial handover-maximizing path hugging the deepest cluster
-    boundaries (Eppstein–Goodrich–Löffler-style dither)."""
+    boundaries (Eppstein–Goodrich–Löffler-style dither).
 
-    def resolve(self, hierarchy, rng, tiling=None):
-        return DitherModel(hierarchy)
+    Each step moves to the neighbor separated from the current region at
+    the most hierarchy levels, so nearly every relocation forces
+    grows/shrinks through the deepest shared level (the most expensive
+    §VI floor).  Ties break on the smallest region id: after the start
+    the path is a pure function of the start region.
+    """
+
+    def walk(self, hierarchy, rng, space=None):
+        space = _space(hierarchy, space)
+        levels = range(hierarchy.max_level)
+
+        def split(u: RegionId, v: RegionId) -> int:
+            return sum(
+                1 for lv in levels if hierarchy.cluster(u, lv) != hierarchy.cluster(v, lv)
+            )
+
+        def steps():
+            current = yield rng.choice(space.regions())
+            while True:
+                move = min(
+                    space.neighbors(current), key=lambda nb: (-split(current, nb), nb)
+                )
+                current = yield move, 1.0
+
+        return steps()
 
 
 @dataclass(frozen=True)
 class Replay(GeneratorSpec):
-    """Replay a recorded trace's region path as a mobility model.
+    """Replay a recorded trace's region path; the walk ends with it.
 
     ``steps`` is the ``MobilityTrace.steps`` tuple of ``(time, region)``
-    pairs (times are kept for provenance; the evader's own dwell clock —
-    or the trace generator's §VI re-timing — drives the replayed run).
+    pairs (times are kept for provenance; the trace generator's §VI
+    re-timing drives the replayed run).  Knocked off the path by a
+    combinator sibling, the walk steps greedily back toward the next
+    recorded region.
     """
 
     steps: Tuple[Tuple[float, RegionId], ...] = ()
@@ -254,8 +383,31 @@ class Replay(GeneratorSpec):
     def path(self) -> Tuple[RegionId, ...]:
         return tuple(region for _, region in self.steps)
 
-    def resolve(self, hierarchy, rng, tiling=None):
-        return ReplayModel(self.path)
+    def walk(self, hierarchy, rng, space=None):
+        space = _space(hierarchy, space)
+        path = self.path
+        regions = set(space.regions())
+        for i, region in enumerate(path):
+            if region not in regions:
+                raise ValueError(
+                    f"replay step {i} enters {region!r}, outside the walk's space"
+                )
+            if i and not space.are_neighbors(path[i - 1], region):
+                raise ValueError(
+                    f"replayed hop {path[i - 1]!r} -> {region!r} is not a neighbor move"
+                )
+
+        def steps():
+            index = 0
+            current = yield path[0]
+            while True:
+                if current == path[index]:
+                    if index + 1 == len(path):
+                        return
+                    index += 1
+                current = yield _toward(space, current, path[index]), 1.0
+
+        return steps()
 
 
 @dataclass(frozen=True)
@@ -270,13 +422,18 @@ class Compose(GeneratorSpec):
             raise ValueError("Compose needs at least two parts")
         if self.weights and len(self.weights) != len(self.parts):
             raise ValueError("weights must align with parts")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
+        if not all(math.isfinite(w) and w > 0 for w in self.weights):
+            raise ValueError(f"weights must be finite and positive, got {self.weights}")
 
-    def resolve(self, hierarchy, rng, tiling=None):
-        models = tuple(p.resolve(hierarchy, rng, tiling=tiling) for p in self.parts)
-        weights = self.weights or tuple(1.0 for _ in self.parts)
-        return ComposeModel(models, weights)
+    def walk(self, hierarchy, rng, space=None):
+        walks = [p.walk(hierarchy, rng, space) for p in self.parts]
+        cumulative = list(accumulate(self.weights or [1.0] * len(walks)))
+        last = len(walks) - 1
+
+        def pick(step: int) -> int:
+            return min(bisect_right(cumulative, rng.random() * cumulative[-1]), last)
+
+        return _drive(walks, pick)
 
 
 @dataclass(frozen=True)
@@ -292,9 +449,9 @@ class Switch(GeneratorSpec):
         if self.every < 1:
             raise ValueError("switch period must be >= 1 step")
 
-    def resolve(self, hierarchy, rng, tiling=None):
-        models = tuple(p.resolve(hierarchy, rng, tiling=tiling) for p in self.parts)
-        return SwitchModel(models, self.every)
+    def walk(self, hierarchy, rng, space=None):
+        walks = [p.walk(hierarchy, rng, space) for p in self.parts]
+        return _drive(walks, lambda step: (step // self.every) % len(walks))
 
 
 @dataclass(frozen=True)
@@ -315,11 +472,11 @@ class TimeSlice(GeneratorSpec):
         ):
             raise ValueError("boundaries must be positive and strictly increasing")
 
-    def resolve(self, hierarchy, rng, tiling=None):
-        models = tuple(p.resolve(hierarchy, rng, tiling=tiling) for p in self.parts)
-        return TimeSliceModel(models, self.boundaries)
+    def walk(self, hierarchy, rng, space=None):
+        walks = [p.walk(hierarchy, rng, space) for p in self.parts]
+        return _drive(walks, lambda step: bisect_right(self.boundaries, step))
 
 
-#: The primitive generators (6) and combinators (3) the framework ships.
+#: The primitive generators (7) and combinators (3) the framework ships.
 PRIMITIVES = (Walk, WaypointGraph, Obstacles, Convoy, Hotspots, Dither, Replay)
 COMBINATORS = (Compose, Switch, TimeSlice)

@@ -1,10 +1,10 @@
 """Seeded trace generation, recording, and workload export.
 
-``generate()`` walks a resolved generator over the hierarchy's tiling
-and emits §VI-legal :class:`MobilityTrace` objects: each dwell is the
-base dwell scaled by the model's per-step ``dwell_factor`` and clamped
-from below by the :class:`~repro.mobility.gen.limits.SpeedLimits` floor
-for the move that *arrived* at the current region (the enter pays the
+``generate()`` drives a spec's walk over the hierarchy's tiling and
+emits §VI-legal :class:`MobilityTrace` objects: each dwell is the base
+dwell scaled by the walk's per-step dwell factor and clamped from below
+by the :class:`~repro.mobility.gen.limits.SpeedLimits` floor for the
+move that *arrived* at the current region (the enter pays the
 worst-case floor, like the paper's join).
 
 Determinism contract: all step randomness is drawn from
@@ -12,9 +12,8 @@ Determinism contract: all step randomness is drawn from
 placement from ``"mobility.gen:finds"``), so the same ``(spec, seed)``
 pair is byte-identical.
 
-Recording closes the loop: :class:`TraceRecorder` taps a live evader's
-observer hook (or :func:`trace_from_obs` reads ``EvaderMoved`` obs
-events back out of a collector), and the resulting trace replays
+Recording closes the loop: :func:`trace_from_obs` reads ``EvaderMoved``
+obs events back out of a collector, and the resulting trace replays
 through :class:`~repro.mobility.gen.spec.Replay` /
 :func:`trace_workload` with a bit-identical dispatch fingerprint.
 """
@@ -36,7 +35,6 @@ from ...workload import (
     unique_time,
 )
 from .limits import SpeedLimits
-from .models import MobilityContractError
 from .spec import Convoy, GeneratorSpec
 
 #: Size of the seeded client-origin pool :func:`trace_workload` draws
@@ -90,11 +88,14 @@ def generate(
     """Generate §VI-legal traces for ``n_objects`` evaders.
 
     ``base_dwell`` is the pre-clamp dwell target (``None`` means "the
-    floor itself", i.e. move as fast as §VI allows); the model's
-    ``dwell_factor`` scales it per step, and the §VI floor clamps from
-    below either way.  A :class:`~repro.mobility.gen.spec.Convoy` spec
-    expands its followers here (lagged copies of the leader's path), so
-    ``n_objects`` grows to ``1 + followers`` automatically.
+    floor itself", i.e. move as fast as §VI allows); the walk's dwell
+    factor scales it per step, and the §VI floor clamps from below
+    either way.  A trace has ``n_moves`` moves unless a
+    :class:`~repro.mobility.gen.spec.Replay` runs out first; a walk that
+    stays is refused with a :class:`ValueError`.  A
+    :class:`~repro.mobility.gen.spec.Convoy` spec expands its followers
+    here (lagged copies of the leader's path), so ``n_objects`` grows to
+    ``1 + followers`` automatically.
     """
     if n_moves < 1:
         raise ValueError("need at least one move")
@@ -123,25 +124,21 @@ def _generate_one(
     limits: SpeedLimits,
     base_dwell: Optional[float],
 ) -> MobilityTrace:
-    rng = registry.stream(f"mobility.gen:{object_id}")
-    model = spec.resolve(hierarchy, rng)
-    start = model.start_region(hierarchy.tiling, rng)
+    walk = spec.walk(hierarchy, registry.stream(f"mobility.gen:{object_id}"))
+    current = next(walk)
     t = object_id * STAGGER
-    steps: List[Tuple[float, RegionId]] = [(t, start)]
-    current = start
+    steps: List[Tuple[float, RegionId]] = [(t, current)]
     for i in range(n_moves):
-        target = model.next_region(current, hierarchy.tiling, rng)
+        try:
+            target, factor = walk.send(current)
+        except StopIteration:
+            break  # a replay ran out; the trace ends with it
         if target == current:
-            if getattr(model, "allows_stay", True):
-                break  # finite replay exhausted; the trace simply ends
-            raise MobilityContractError(
-                f"{type(model).__name__} returned the current region {current!r}"
-            )
+            raise ValueError(f"step {i + 1}: the walk stayed at {current!r}")
         if i == 0:
             floor = limits.enter_floor
         else:
             floor = limits.required(hierarchy, steps[-2][1], current)
-        factor = getattr(model, "dwell_factor", lambda c, n: 1.0)(current, target)
         dwell = max(floor, (base_dwell if base_dwell is not None else floor) * factor)
         t += dwell
         steps.append((t, target))
@@ -214,35 +211,6 @@ def trace_workload(
                 )
             )
     return ScriptedWorkload.of(actions)
-
-
-class TraceRecorder:
-    """Records a live evader's ``enter``/``move`` stream as a trace.
-
-    Attach before ``enter()``; the recorder taps the evader's observer
-    hook, so recording is engine-neutral and costs one list append per
-    relocation.
-    """
-
-    def __init__(self) -> None:
-        self._steps: List[Tuple[float, RegionId]] = []
-        self._evader = None
-
-    def attach(self, evader) -> "TraceRecorder":
-        self._evader = evader
-        evader.observe(self._on_event)
-        return self
-
-    def _on_event(self, event: str, region: RegionId) -> None:
-        # The enter emits the first "move" (evader.py); "left" is skipped.
-        if event == "move":
-            self._steps.append((self._evader.sim.now, region))
-
-    def trace(self, object_id: Optional[int] = None) -> MobilityTrace:
-        if not self._steps:
-            raise ValueError("no enter/move events recorded yet")
-        oid = self._evader.object_id if object_id is None else object_id
-        return MobilityTrace(steps=tuple(self._steps), object_id=oid)
 
 
 def trace_from_obs(events: Iterable, object_id: int = 0) -> MobilityTrace:

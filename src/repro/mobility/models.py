@@ -24,22 +24,8 @@ from ..geometry.tiling import Tiling
 from ..hierarchy.hierarchy import ClusterHierarchy
 
 
-class MobilityContractError(RuntimeError):
-    """A move-strict mobility model (``allows_stay=False``) returned the
-    current region from ``next_region`` — a contract violation
-    :meth:`Evader.step` refuses to silently absorb."""
-
-
 class MobilityModel:
     """Chooses successive regions for a mobile entity."""
-
-    #: Whether ``next_region`` may return the current region to idle.
-    #: Built-in models keep the historical permissive contract (an
-    #: explicit stay burns one dwell period without emitting
-    #: ``left``/``move``); generator models (:mod:`repro.mobility.gen`)
-    #: set this ``False`` and every stay raises
-    #: :class:`MobilityContractError` instead.
-    allows_stay = True
 
     def start_region(self, tiling: Tiling, rng: random.Random) -> RegionId:
         """Initial region; defaults to a uniformly random one."""

@@ -4,7 +4,6 @@ import pytest
 
 from repro.geometry import GridTiling
 from repro.mobility import Evader, FixedPath, RandomNeighborWalk
-from repro.mobility.models import MobilityContractError, MobilityModel
 from repro.sim import Simulator
 
 
@@ -136,44 +135,3 @@ def test_periodic_stays_accumulate_without_moves(rig):
     assert evader.region == (2, 2)
     assert evader.stays_made == 3
     assert evader.moves_made == 0
-
-
-def test_move_strict_model_stay_raises(rig):
-    sim, tiling = rig
-
-    class StrictStationary(MobilityModel):
-        allows_stay = False
-
-        def start_region(self, tiling, rng):
-            return (0, 0)
-
-        def next_region(self, current, tiling, rng):
-            return current
-
-    evader = Evader(sim, tiling, StrictStationary(), 1.0)
-    evader.enter()
-    with pytest.raises(MobilityContractError, match="move-strict"):
-        evader.step()
-    # The failed step changed nothing observable.
-    assert evader.region == (0, 0)
-    assert evader.stays_made == 0
-    assert evader.moves_made == 0
-
-
-def test_generated_models_are_move_strict_through_the_evader(rig):
-    from repro.mobility.gen import Walk
-    from repro.sim.rng import RngRegistry
-    from repro.topo.cache import shared_grid_hierarchy
-
-    hierarchy = shared_grid_hierarchy(2, 2)
-    sim = Simulator()
-    model = Walk().resolve(hierarchy, RngRegistry(0).stream("mobility.gen:0"))
-    assert model.allows_stay is False
-    evader = Evader(
-        sim, hierarchy.tiling, model, 1.0, rng=RngRegistry(0).stream("mobility.gen:0")
-    )
-    evader.enter()
-    for _ in range(5):
-        evader.step()
-    assert evader.moves_made == 5
-    assert evader.stays_made == 0

@@ -2,11 +2,9 @@
 
 The property suite (``test_gen_properties.py``) pins the global §VI
 contract over random combinator trees; these tests pin the individual
-pieces — spec validation, masked tilings, model mechanics, the preset
+pieces — spec validation, masked tilings, walk mechanics, the preset
 registry and trace/workload edge cases.
 """
-
-import random
 
 import pytest
 
@@ -18,33 +16,21 @@ from repro.mobility.gen import (
     Dither,
     GeneratorSpec,
     Hotspots,
-    MobilityContractError,
     MobilityTrace,
     Obstacles,
     Replay,
     SpeedLimits,
     Switch,
     TimeSlice,
-    TraceRecorder,
     Walk,
     WaypointGraph,
     check_trace,
     generate,
     masked_tiling,
     preset,
-    preset_names,
-    register_preset,
     touched_level,
     trace_workload,
 )
-from repro.mobility.gen.models import (
-    DitherModel,
-    GeneratedModel,
-    MaskedModel,
-    ReplayModel,
-    WaypointGraphModel,
-)
-from repro.mobility.gen.presets import _PRESETS
 from repro.mobility.gen.workload import resolve_spec
 from repro.sim.rng import RngRegistry
 from repro.topo.cache import shared_grid_hierarchy
@@ -57,6 +43,16 @@ def world():
 
 def _rng(seed=0):
     return RngRegistry(seed).stream("mobility.gen:0")
+
+
+def _path(walk, n):
+    """Drive ``walk`` ``n`` steps: the regions and the dwell factors."""
+    path, factors = [next(walk)], []
+    for _ in range(n):
+        region, factor = walk.send(path[-1])
+        path.append(region)
+        factors.append(factor)
+    return path, factors
 
 
 # ----------------------------------------------------------------------
@@ -111,6 +107,16 @@ def test_masked_tiling_preserves_neighbor_subset(world):
         lambda: Switch(parts=(Walk(), Dither()), every=0),
         lambda: TimeSlice(parts=(Walk(), Dither()), boundaries=()),
         lambda: TimeSlice(parts=(Walk(), Dither()), boundaries=(3, 3)),
+        # A repeated waypoint used to make generate() cycle forever.
+        lambda: WaypointGraph(nodes=((0, 0), (0, 0))),
+        lambda: WaypointGraph(
+            nodes=((0, 0), (1, 1), (0, 0)), edges=((0, 2), (2, 0), (1, 0))
+        ),
+        # Non-finite weights and speeds used to run (or fail elsewhere).
+        lambda: Compose(parts=(Walk(), Dither()), weights=(float("nan"), 1.0)),
+        lambda: Compose(parts=(Walk(), Dither()), weights=(float("inf"), 1.0)),
+        lambda: WaypointGraph(k=2, edges=((0, 1), (1, 0)), speeds=(1.0, float("nan"))),
+        lambda: WaypointGraph(k=2, edges=((0, 1), (1, 0)), speeds=(1.0, float("inf"))),
     ],
 )
 def test_malformed_specs_fail_at_construction(build):
@@ -118,25 +124,40 @@ def test_malformed_specs_fail_at_construction(build):
         build()
 
 
+def test_a_replay_crossing_the_mask_is_refused_when_its_walk_is_built(world):
+    steps = ((0.0, (0, 0)), (1.0, (0, 1)), (2.0, (1, 1)))
+    spec = Obstacles(inner=Replay(steps=steps), regions=((0, 0),))
+    with pytest.raises(ValueError, match=r"replay step 0 enters \(0, 0\), outside"):
+        spec.walk(world, _rng())
+    inside_out = Obstacles(inner=Replay(steps=steps), regions=((1, 1),))
+    with pytest.raises(ValueError, match=r"replay step 2 enters \(1, 1\), outside"):
+        generate(Compose(parts=(Walk(), inside_out)), world, 4, seed=0)
+
+
 def test_waypoint_resolve_validates_against_the_tiling(world):
     with pytest.raises(ValueError, match="not in the tiling"):
-        WaypointGraph(nodes=((0, 0), (42, 42))).resolve(world, _rng())
+        WaypointGraph(nodes=((0, 0), (42, 42))).walk(world, _rng())
     with pytest.raises(ValueError, match="cannot sample"):
-        WaypointGraph(k=999).resolve(world, _rng())
+        WaypointGraph(k=999).walk(world, _rng())
     with pytest.raises(ValueError, match="bad waypoint edge"):
-        WaypointGraph(nodes=((0, 0), (0, 1)), edges=((0, 5),)).resolve(world, _rng())
+        WaypointGraph(nodes=((0, 0), (0, 1)), edges=((0, 5),)).walk(world, _rng())
 
 
 def test_waypoint_rejects_unreachable_nodes(world):
     nodes = ((0, 0), (0, 1), (0, 2))
     with pytest.raises(ValueError, match="unreachable"):
-        WaypointGraph(nodes=nodes, edges=((0, 1), (1, 0))).resolve(world, _rng())
+        WaypointGraph(nodes=nodes, edges=((0, 1), (1, 0))).walk(world, _rng())
 
 
 def test_replay_trace_ends_early_when_exhausted(world):
     path_steps = ((0.0, (0, 0)), (50.0, (0, 1)), (100.0, (0, 2)))
     (trace,) = generate(Replay(steps=path_steps), world, n_moves=10, seed=0)
-    # Two recorded moves, then the replay idles and the trace ends.
+    # Two recorded moves, then the replay runs out and the trace ends.
+    assert trace.regions == ((0, 0), (0, 1), (0, 2))
+    # Under a combinator too: the walk ends when the replay's turn
+    # comes at its final region.
+    switch = Switch(parts=(Replay(steps=path_steps), Walk()), every=4)
+    (trace,) = generate(switch, world, n_moves=10, seed=0)
     assert trace.regions == ((0, 0), (0, 1), (0, 2))
 
 
@@ -148,13 +169,12 @@ def test_primitive_and_combinator_inventories():
 
 
 # ----------------------------------------------------------------------
-# Model mechanics
+# Walk mechanics
 # ----------------------------------------------------------------------
 def test_waypoint_slow_legs_scale_the_dwell(world):
     spec = preset("waypoint-slow-legs")
-    model = spec.resolve(world, _rng(3))
-    assert isinstance(model, WaypointGraphModel)
-    assert set(model.speeds.values()) == {1.0, 2.0, 4.0}
+    _, factors = _path(spec.walk(world, _rng(3)), 40)
+    assert set(factors) == {1.0, 2.0, 4.0}
     traces = generate(spec, world, 10, seed=3, base_dwell=50.0)
     # The 2x / 4x legs must be visible in the dwell distribution.
     assert max(traces[0].dwells()) > min(traces[0].dwells())
@@ -162,74 +182,84 @@ def test_waypoint_slow_legs_scale_the_dwell(world):
 
 def test_waypoint_dead_ends_bounce_back(world):
     nodes = ((0, 0), (0, 1))
-    model = WaypointGraph(nodes=nodes, edges=((0, 1),)).resolve(world, _rng())
+    walk = WaypointGraph(nodes=nodes, edges=((0, 1),)).walk(world, _rng())
     # Waypoint 1 has no outgoing edge: it bounces back along 1 -> 0.
-    assert model.edges[1] == (0,)
+    path, _ = _path(walk, 6)
+    assert set(zip(path, path[1:])) == {((0, 0), (0, 1)), ((0, 1), (0, 0))}
 
 
 def test_dither_is_a_pure_function_of_the_start(world):
-    model = DitherModel(world)
-    rng_a, rng_b = random.Random(1), random.Random(999)
-    path_a = [(0, 0)]
-    path_b = [(0, 0)]
-    for _ in range(6):
-        path_a.append(model.next_region(path_a[-1], world.tiling, rng_a))
-        path_b.append(model.next_region(path_b[-1], world.tiling, rng_b))
-    assert path_a == path_b
+    paths = []
+    for seed in (1, 999):
+        walk = Dither().walk(world, _rng(seed))
+        next(walk)  # the start draw; every path below starts at (0, 0)
+        path = [(0, 0)]
+        for _ in range(6):
+            path.append(walk.send(path[-1])[0])
+        paths.append(path)
+    assert paths[0] == paths[1]
 
 
-def test_replay_model_validates_and_idles(world):
-    with pytest.raises(ValueError, match="at least one region"):
-        ReplayModel(())
-    bad = ReplayModel(((0, 0), (3, 3)))
+def test_replay_walk_validates_and_ends(world):
     with pytest.raises(ValueError, match="not a neighbor move"):
-        bad.start_region(world.tiling, _rng())
-    ok = ReplayModel(((0, 0), (0, 1)))
-    assert ok.start_region(world.tiling, _rng()) == (0, 0)
-    assert ok.next_region((0, 0), world.tiling, _rng()) == (0, 1)
-    # Exhausted: idles at the final region (the allows_stay exception).
-    assert ok.next_region((0, 1), world.tiling, _rng()) == (0, 1)
-    assert ok.allows_stay
+        Replay(steps=((0.0, (0, 0)), (1.0, (3, 3)))).walk(world, _rng())
+    walk = Replay(steps=((0.0, (0, 0)), (1.0, (0, 1)))).walk(world, _rng())
+    assert next(walk) == (0, 0)
+    assert walk.send((0, 0)) == ((0, 1), 1.0)
+    # Run out at the final region: the walk ends rather than stays.
+    with pytest.raises(StopIteration):
+        walk.send((0, 1))
 
 
 def test_replay_model_walks_back_when_knocked_off_path(world):
-    model = ReplayModel(((0, 0), (0, 1), (0, 2)))
-    model.start_region(world.tiling, _rng())
-    model.next_region((0, 0), world.tiling, _rng())
-    # A combinator sibling teleported the evader far off path.
-    step = model.next_region((3, 3), world.tiling, _rng())
+    walk = Replay(steps=((0.0, (0, 0)), (1.0, (0, 1)), (2.0, (0, 2)))).walk(
+        world, _rng()
+    )
+    next(walk)
+    walk.send((0, 0))
+    # A combinator sibling carried the evader far off path.
+    step, _ = walk.send((3, 3))
     assert step in world.tiling.neighbors((3, 3))
     assert world.tiling.distance(step, (0, 1)) < world.tiling.distance((3, 3), (0, 1))
 
 
 def test_masked_model_catches_up_from_outside_the_mask(world):
-    spec = Obstacles(inner=Walk(), regions=((0, 0),))
-    model = spec.resolve(world, _rng())
-    assert isinstance(model, MaskedModel)
-    # Current region is the obstacle itself: the model must step out.
-    step = model.next_region((0, 0), world.tiling, _rng())
+    walk = Obstacles(inner=Walk(), regions=((0, 0),)).walk(world, _rng())
+    next(walk)
+    # Current region is the obstacle itself: the walk must step out.
+    step, factor = walk.send((0, 0))
     assert step in world.tiling.neighbors((0, 0))
-    assert step != (0, 0)
+    assert factor == 1.0
 
 
-def test_generated_models_are_move_strict_by_default():
-    assert GeneratedModel.allows_stay is False
-    assert GeneratedModel().dwell_factor((0, 0), (0, 1)) == 1.0
+def test_masked_step_back_reuses_the_inner_walks_last_factor(world):
+    inner = WaypointGraph(
+        nodes=((2, 2), (2, 3)), edges=((0, 1), (1, 0)), speeds=(3.0, 3.0)
+    )
+    walk = Obstacles(inner=inner, regions=((0, 0),)).walk(world, _rng())
+    start = next(walk)
+    assert walk.send(start)[1] == 3.0
+    assert walk.send((0, 0)) == ((0, 1), 3.0)
+
+
+def test_generated_models_are_move_strict_by_default(world):
+    for spec in (Walk(), Dither(), Hotspots(k=1, period=2), WaypointGraph(k=3)):
+        path, _ = _path(spec.walk(world, _rng()), 30)
+        for u, v in zip(path, path[1:]):
+            assert world.tiling.are_neighbors(u, v), (spec, u, v)
 
 
 def test_generate_rejects_a_move_strict_stay(world):
-    class Stuck(GeneratedModel):
-        def start_region(self, tiling, rng):
-            return (0, 0)
-
-        def next_region(self, current, tiling, rng):
-            return current
-
     class StuckSpec(GeneratorSpec):
-        def resolve(self, hierarchy, rng, tiling=None):
-            return Stuck()
+        def walk(self, hierarchy, rng, space=None):
+            def steps():
+                current = yield (0, 0)
+                while True:
+                    current = yield current, 1.0
 
-    with pytest.raises(MobilityContractError, match="returned the current region"):
+            return steps()
+
+    with pytest.raises(ValueError, match=r"step 1: the walk stayed at \(0, 0\)"):
         generate(StuckSpec(), world, 3, seed=0)
 
 
@@ -311,30 +341,12 @@ def test_trace_workload_without_hierarchy_uses_visited_regions(world):
     assert all(f.origin in visited for f in finds)
 
 
-def test_trace_recorder_requires_events():
-    with pytest.raises(ValueError, match="no enter/move events"):
-        TraceRecorder().trace()
-
-
 # ----------------------------------------------------------------------
 # Preset registry
 # ----------------------------------------------------------------------
 def test_preset_lookup_errors_name_the_known_regimes():
     with pytest.raises(KeyError, match="uniform-walk"):
         preset("no-such-regime")
-
-
-def test_register_preset_guards():
-    with pytest.raises(TypeError, match="GeneratorSpec"):
-        register_preset("bogus", object())
-    with pytest.raises(ValueError, match="already registered"):
-        register_preset("uniform-walk", Walk())
-    register_preset("test-custom-regime", Dither())
-    try:
-        assert "test-custom-regime" in preset_names()
-        assert preset("test-custom-regime") == Dither()
-    finally:
-        _PRESETS.pop("test-custom-regime")
 
 
 def test_resolve_spec_accepts_names_and_specs_only():

@@ -4,8 +4,7 @@ Random combinator trees over random grid worlds must emit traces that
 (a) only ever take neighbor hops inside the (obstacle-masked) tiling,
 (b) respect the §VI speed-restriction floors at every touched level in
 both ``concurrent`` and ``atomic`` modes, and (c) obey the RngRegistry
-determinism discipline — same seed byte-identical, forked registry
-divergent.
+determinism discipline — the same seed is byte-identical.
 
 CI's smoke-mobility job runs this module under
 ``HYPOTHESIS_PROFILE=fast``.
@@ -23,7 +22,6 @@ from repro.mobility.gen import (  # noqa: E402
     Compose,
     Convoy,
     Dither,
-    GeneratorSpec,
     Hotspots,
     Obstacles,
     SpeedLimits,
@@ -37,7 +35,6 @@ from repro.mobility.gen import (  # noqa: E402
     preset_names,
     touched_level,
 )
-from repro.mobility.gen.models import MaskedModel  # noqa: E402
 from repro.sim.rng import RngRegistry  # noqa: E402
 from repro.topo.cache import shared_grid_hierarchy  # noqa: E402
 
@@ -105,7 +102,10 @@ def _wrap(children: st.SearchStrategy) -> st.SearchStrategy:
 spec_trees = st.recursive(leaves, _wrap, max_leaves=4)
 
 
-def _traces(spec, world, seed, mode="concurrent", n_moves=7):
+MOVES = 7
+
+
+def _traces(spec, world, seed, mode="concurrent", n_moves=MOVES):
     hierarchy = shared_grid_hierarchy(*world)
     try:
         return hierarchy, generate(spec, hierarchy, n_moves, seed=seed, mode=mode)
@@ -124,6 +124,9 @@ def _traces(spec, world, seed, mode="concurrent", n_moves=7):
 def test_every_relocation_is_a_neighbor_move(spec, world, seed):
     hierarchy, traces = _traces(spec, world, seed)
     regions = set(hierarchy.tiling.regions())
+    # No Replay in these trees, so no walk ends early: the leader makes
+    # every move asked of it (a walk that stayed would have been refused).
+    assert len(traces[0].steps) == MOVES + 1
     for trace in traces:
         path = trace.regions
         assert set(path) <= regions
@@ -141,11 +144,10 @@ def test_every_relocation_is_a_neighbor_move(spec, world, seed):
 def test_obstacle_masked_traces_avoid_the_mask(inner, world, seed, density):
     spec = Obstacles(inner=inner, density=density)
     hierarchy, traces = _traces(spec, world, seed)
-    # Re-resolving from the same registry stream replays the exact
-    # obstacle draw the generator made (the determinism discipline).
-    model = spec.resolve(hierarchy, RngRegistry(seed).stream("mobility.gen:0"))
-    assert isinstance(model, MaskedModel)
-    blocked = set(model.obstacles)
+    # The mask is the walk's first draw: redrawing it from the same
+    # registry stream replays the exact obstacle field the generator used.
+    mask = spec.mask(hierarchy, RngRegistry(seed).stream("mobility.gen:0"))
+    blocked = set(hierarchy.tiling.regions()) - set(mask.regions())
     for trace in traces:
         assert not (set(trace.regions) & blocked)
 
@@ -184,7 +186,7 @@ def test_concurrent_floor_is_the_touched_level_floor(spec, world, seed):
 
 
 # ----------------------------------------------------------------------
-# (c) RngRegistry discipline: seed-identical, fork-divergent
+# (c) RngRegistry discipline: seed-identical
 # ----------------------------------------------------------------------
 @given(spec=spec_trees, world=worlds, seed=st.integers(0, 2**16))
 def test_same_seed_is_byte_identical(spec, world, seed):

@@ -1,14 +1,10 @@
 """Record → replay round trip: recorded traces re-drive the tracker
 with a bit-identical dispatch fingerprint.
 
-Two recording paths are exercised:
-
-* :class:`TraceRecorder` tapping a live evader's observer hook while a
-  classic :class:`RandomNeighborWalk` runs on the plain simulator, and
-* :func:`trace_from_obs` rebuilding the trace from ``EvaderMoved`` obs
-  events captured during a full tracking run.
-
-Either way the recorded trace, replayed through the :class:`Replay`
+:func:`trace_from_obs` rebuilds a trace from ``EvaderMoved`` obs events,
+captured either from a live :class:`RandomNeighborWalk` evader on the
+plain simulator or during a full tracking run.  Either way the recorded
+trace, replayed through the :class:`Replay`
 combinator / :func:`trace_workload`, must reproduce the original run's
 canonical dispatch fingerprint exactly.
 """
@@ -20,10 +16,8 @@ import pytest
 from repro import obs
 from repro.mobility.evader import Evader
 from repro.mobility.gen import (
-    MobilityTrace,
     Replay,
     SpeedLimits,
-    TraceRecorder,
     Walk,
     check_trace,
     generate,
@@ -49,10 +43,8 @@ def _run_script(workload, r=2, max_level=2, seed=11):
     return canonical_fingerprint([report["digest"]]), report
 
 
-def test_trace_recorder_captures_a_random_walk():
-    """Live RandomNeighborWalk evader → TraceRecorder → §VI-legal trace."""
-    hierarchy = shared_grid_hierarchy(2, 2)
-    limits = SpeedLimits.for_hierarchy(hierarchy)
+def _recorded_walk(hierarchy, limits):
+    """A live RandomNeighborWalk evader's trace, read back from obs."""
     sim = Simulator()
     evader = Evader(
         sim,
@@ -61,13 +53,19 @@ def test_trace_recorder_captures_a_random_walk():
         dwell=limits.enter_floor,
         rng=random.Random(7),
     )
-    recorder = TraceRecorder().attach(evader)
-    evader.enter()
-    evader.start()
-    sim.run_until(limits.enter_floor * 6.5)
-    evader.stop()
+    with obs.observed() as collector:
+        evader.enter()
+        evader.start()
+        sim.run_until(limits.enter_floor * 6.5)
+        evader.stop()
+    return trace_from_obs(collector.events)
 
-    recorded = recorder.trace()
+
+def test_obs_trace_captures_a_random_walk():
+    """Live RandomNeighborWalk evader → obs events → §VI-legal trace."""
+    hierarchy = shared_grid_hierarchy(2, 2)
+    limits = SpeedLimits.for_hierarchy(hierarchy)
+    recorded = _recorded_walk(hierarchy, limits)
     assert len(recorded.steps) == 7  # enter + 6 periodic relocations
     assert recorded.regions[0] in set(hierarchy.tiling.regions())
     assert check_trace(recorded, hierarchy, limits) is None
@@ -79,20 +77,7 @@ def test_recorded_walk_replays_byte_identically():
     """Replay re-times the recorded path onto the same §VI floors."""
     hierarchy = shared_grid_hierarchy(2, 2)
     limits = SpeedLimits.for_hierarchy(hierarchy)
-    sim = Simulator()
-    evader = Evader(
-        sim,
-        hierarchy.tiling,
-        RandomNeighborWalk(),
-        dwell=limits.enter_floor,
-        rng=random.Random(7),
-    )
-    recorder = TraceRecorder().attach(evader)
-    evader.enter()
-    evader.start()
-    sim.run_until(limits.enter_floor * 6.5)
-    evader.stop()
-    recorded = recorder.trace()
+    recorded = _recorded_walk(hierarchy, limits)
 
     (replayed,) = generate(
         Replay(steps=recorded.steps),
