@@ -17,8 +17,8 @@ at the same seed):
   cross-engine fingerprint verdict alongside the measured metrics;
 * **analytic** trackers (``flooding``, ``home-agent``,
   ``awerbuch-peleg``, ``passive-trace``) replay the identical scripted
-  trajectory against their operational cost models (the
-  :func:`~repro.analysis.experiments.run_baseline_comparison` idiom),
+  trajectory through the one :class:`~repro.baselines.analytic.
+  AnalyticTracker` protocol (``enter``/``move``/``find``/``handover``),
   with energy derived from the same cost model applied to their
   move/find work and detection counts.
 
@@ -33,15 +33,29 @@ The one entry point is ``repro baselines``; the committed
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from dataclasses import asdict
+from typing import Any, Dict, List, Sequence, Type
+
+from ..baselines.analytic import AnalyticTracker
+from ..baselines.awerbuch_peleg import AwerbuchPelegDirectory
+from ..baselines.flooding import FloodingFinder
+from ..baselines.home_agent import HomeAgentLocator
+from ..baselines.pack.passive_trace import PassiveTraceTracker
 
 SCHEMA = "bench-baselines/1"
 
-#: Registry keys run through the message-level engines.
+#: ScenarioConfig system keys run through the message-level engines.
 MESSAGE_TRACKERS = ("vinestalk", "no-lateral", "predictive")
-#: Registry keys replayed against analytic cost models.
-ANALYTIC_TRACKERS = ("flooding", "home-agent", "awerbuch-peleg", "passive-trace")
-ALL_TRACKERS = MESSAGE_TRACKERS + ANALYTIC_TRACKERS
+#: The message tracker whose cross-engine verdict is the grid's verdict.
+CLASSIC = "vinestalk"
+#: Analytic cost models, replayed through the AnalyticTracker protocol.
+ANALYTIC_TRACKERS: Dict[str, Type[AnalyticTracker]] = {
+    "flooding": FloodingFinder,
+    "home-agent": HomeAgentLocator,
+    "awerbuch-peleg": AwerbuchPelegDirectory,
+    "passive-trace": PassiveTraceTracker,
+}
+ALL_TRACKERS = MESSAGE_TRACKERS + tuple(ANALYTIC_TRACKERS)
 
 #: The shared mobility grid (registered generator presets).
 PRESETS = ("uniform-walk", "convoy-line", "dither")
@@ -87,12 +101,11 @@ def _walk(preset: str, n_moves: int, n_finds: int):
     )
 
 
-def _n_regions() -> int:
-    from ..sim.sharded.core import _tiling_for
-    from ..scenario import ScenarioConfig
+def _tiling():
+    """The grid world's region tiling (the process topology cache's)."""
+    from ..topo.cache import shared_grid_hierarchy
 
-    config = ScenarioConfig(r=GRID["r"], max_level=GRID["max_level"])
-    return len(_tiling_for(config).regions())
+    return shared_grid_hierarchy(GRID["r"], GRID["max_level"]).tiling
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +138,7 @@ def run_message_cell(
     plain, sharded, match = cross_check(
         config, _walk(preset, n_moves, n_finds)
     )
-    n_regions = _n_regions()
+    n_regions = len(_tiling().regions())
     energy = dict(
         energy_metrics(plain.energy, model, plain.now, n_regions)
     )
@@ -162,15 +175,6 @@ def run_message_cell(
 # ----------------------------------------------------------------------
 # Analytic cells
 # ----------------------------------------------------------------------
-def _make_analytic(tracker: str, hierarchy):
-    from ..scenario import SYSTEM_BUILDERS, ScenarioConfig
-
-    config = ScenarioConfig(
-        r=GRID["r"], max_level=GRID["max_level"], system=tracker
-    )
-    return SYSTEM_BUILDERS[tracker](config, hierarchy)
-
-
 def run_analytic_cell(
     tracker: str,
     preset: str,
@@ -180,78 +184,49 @@ def run_analytic_cell(
 ) -> Dict[str, Any]:
     """Replay the cell's frozen script against one analytic cost model.
 
-    Per tracked object one model instance; ``enter`` publishes/places,
-    each ``step`` pays the model's move cost, each scripted find pays
-    its find cost (issued against the object the script targets).
-    Handover heuristics: home-agent rewrites its rendezvous on every
-    move (one handoff per move); Awerbuch–Peleg hands over when a move
-    triggers a directory rewrite (work beyond the level-0 forwarding
-    pointer); flooding and passive-trace maintain nothing.
+    Per tracked object one model instance: ``enter`` places it (a setup
+    cost stays out of the cell's move work), each ``step`` pays the
+    model's move cost and counts a handover when the model says the
+    move handed its record over, each scripted find pays its find cost
+    (issued against the object the script targets).
     """
     from ..service.metrics import handover_summary, latency_percentiles
-    from ..topo.cache import shared_grid_hierarchy
     from ..workload import EvaderEnter, EvaderStep, IssueFind, materialize
 
-    hierarchy = shared_grid_hierarchy(GRID["r"], GRID["max_level"])
+    tiling = _tiling()
     script = materialize(_walk(preset, n_moves, n_finds), seed)
     model = default_energy_model()
 
-    instances: Dict[int, Any] = {}
-    location: Dict[int, Any] = {}
+    instances: Dict[int, AnalyticTracker] = {}
     handovers: Dict[int, int] = {}
     latencies: List[float] = []
     move_work = 0.0
     find_work = 0.0
-    moves = 0
     finds_issued = 0
-    finds_completed = 0
-
-    def instance(oid: int):
-        if oid not in instances:
-            instances[oid] = _make_analytic(tracker, hierarchy)
-        return instances[oid]
 
     for action in script.actions:
         oid = action.object_id
         if isinstance(action, EvaderEnter):
-            target = instance(oid)
-            location[oid] = action.region
-            if tracker == "home-agent":
-                target.move(action.region)  # initial publication
-            elif tracker == "awerbuch-peleg":
-                target.publish(action.region)
-            elif tracker == "passive-trace":
-                target.move(action.region)
+            instances[oid] = ANALYTIC_TRACKERS[tracker](tiling)
+            instances[oid].enter(action.region)
         elif isinstance(action, EvaderStep):
-            target = instance(oid)
-            location[oid] = action.target
-            moves += 1
-            if tracker == "flooding":
-                continue  # reactive: no per-move cost at all
+            target = instances[oid]
             costs = target.move(action.target)
             move_work += costs.work
-            if tracker == "home-agent":
-                handovers[oid] = handovers.get(oid, 0) + 1
-            elif tracker == "awerbuch-peleg" and costs.work > 1.0:
+            if target.handover(costs):
                 handovers[oid] = handovers.get(oid, 0) + 1
         elif isinstance(action, IssueFind):
             finds_issued += 1
-            target = instance(oid)
-            if oid not in location:
-                continue  # object never entered: find cannot resolve
-            if tracker == "flooding":
-                costs = target.find(action.origin, location[oid])
+            if oid in instances:  # an object never entered cannot be found
+                costs = instances[oid].find(action.origin)
                 find_work += costs.work
-            else:
-                costs = target.find(action.origin)
-                find_work += costs.work
-            latencies.append(costs.time)
-            finds_completed += 1
+                latencies.append(costs.time)
 
+    moves = sum(target.moves for target in instances.values())
     charged = (move_work + find_work) * (
         model.tx_cost + model.rx_cost
     ) + moves * model.sense_cost
-    n_regions = _n_regions()
+    n_regions = len(tiling.regions())
     idle = model.idle_cost * script.horizon * n_regions
     return {
         "tracker": tracker,
@@ -259,7 +234,7 @@ def run_analytic_cell(
         "fault": "none",
         "kind": "analytic",
         "finds_issued": finds_issued,
-        "finds_completed": finds_completed,
+        "finds_completed": len(latencies),
         "find_latency": latency_percentiles(latencies),
         "message_work": {
             "move": move_work,
@@ -310,21 +285,20 @@ def run_cross_baselines(
     for preset in presets:
         for fault in faults:
             for tracker in trackers:
-                if tracker in ANALYTIC_TRACKERS:
-                    if fault != "none":
-                        continue  # no message channel to perturb
-                    cell = run_analytic_cell(
-                        tracker, preset, n_moves, n_finds, seed
-                    )
-                else:
-                    cell = run_message_cell(
+                if tracker in MESSAGE_TRACKERS:
+                    cells.append(run_message_cell(
                         tracker, preset, fault, n_moves, n_finds, seed, shards
-                    )
-                cells.append(cell)
-    classic = [
-        c for c in cells
-        if c["tracker"] == "vinestalk" and c["fingerprint_match"] is not None
-    ]
+                    ))
+                elif fault == "none":  # no message channel to perturb
+                    cells.append(run_analytic_cell(
+                        tracker, preset, n_moves, n_finds, seed
+                    ))
+    if not cells:
+        raise ValueError(
+            "the selection leaves no cell: analytic trackers have no "
+            "fault axis, so they run only under fault 'none'"
+        )
+    classic = [c["fingerprint_match"] for c in cells if c["tracker"] == CLASSIC]
     return {
         "schema": SCHEMA,
         "grid": {
@@ -337,13 +311,8 @@ def run_cross_baselines(
             "shards": shards,
             **GRID,
         },
-        "energy_model": {
-            "tx_cost": default_energy_model().tx_cost,
-            "rx_cost": default_energy_model().rx_cost,
-            "idle_cost": default_energy_model().idle_cost,
-            "sense_cost": default_energy_model().sense_cost,
-            "budget": default_energy_model().budget,
-        },
+        "energy_model": asdict(default_energy_model()),
         "cells": cells,
-        "all_classic_match": all(c["fingerprint_match"] for c in classic),
+        # None when no classic cell ran: nothing was compared.
+        "all_classic_match": all(classic) if classic else None,
     }

@@ -205,16 +205,20 @@ def analytic_find_work(side: int, distances: List[int]):
     """``(d, flooding work, home-agent work)`` per distance, for finds from
     the center of a ``side``×``side`` grid: the two §I cost models an
     E2 sweep is set against."""
-    from ..baselines import FloodingFinder, HomeAgentLocator
     from ..geometry import GridTiling
+    from .crossbase import ANALYTIC_TRACKERS
 
-    flood, home = FloodingFinder(GridTiling(side)), HomeAgentLocator(GridTiling(side))
+    tiling = GridTiling(side)
     center = (side // 2, side // 2)
     rows = []
     for d in distances:
         target = (min(center[0] + d, side - 1), center[1])
-        home.move(target)
-        rows.append((d, flood.find(center, target).work, home.find(center).work))
+        row = [d]
+        for key in ("flooding", "home-agent"):
+            model = ANALYTIC_TRACKERS[key](tiling)
+            model.enter(target)
+            row.append(model.find(center).work)
+        rows.append(tuple(row))
     return rows
 
 
@@ -340,29 +344,28 @@ def run_baseline_comparison(
     co-locate with activity, which is exactly the non-locality the
     locality-aware services are designed to avoid.
     """
+    from .crossbase import ANALYTIC_TRACKERS
+
     config = ScenarioConfig(r=r, max_level=max_level)
     system, accountant = build(config).parts()
     tiling = system.hierarchy.tiling
-    # The analytic cost models replay the message-level run's trajectory
-    # and find origins as it goes.
-    analytic = config.with_(hierarchy=system.hierarchy)
-    home = build(analytic.with_(system="home-agent")).system
-    ap = build(analytic.with_(system="awerbuch-peleg")).system
-    flood = build(analytic.with_(system="flooding")).system
     evader = _settled_walker(
         system, random.Random(seed), start=tiling.regions()[0]
     )
-    ap.publish(evader.region)
-    home.move(evader.region)
+    # The analytic cost models replay the message-level run's trajectory
+    # and find origins as it goes.
+    models = {key: ANALYTIC_TRACKERS[key](tiling, delta=config.delta)
+              for key in ("home-agent", "awerbuch-peleg", "flooding")}
+    for model in models.values():
+        model.enter(evader.region)
     rng = random.Random(seed)
     base = accountant.epoch()
     find_every = max(1, n_moves // max(1, n_finds))
     finds_done = 0
-    home_find = ap_find = flood_work = 0.0
     for step in range(n_moves):
         _walk(system, evader, 1)
-        home.move(evader.region)
-        ap.move(evader.region)
+        for model in models.values():
+            model.move(evader.region)
         if step % find_every == 0 and finds_done < n_finds:
             finds_done += 1
             candidates = topology_cache().regions_at_distance(
@@ -372,15 +375,13 @@ def run_baseline_comparison(
                 origin = rng.choice(candidates)
                 system.issue_find(origin)
                 system.run_to_quiescence()
-                home_find += home.find(origin).work
-                ap_find += ap.find(origin).work
-                flood_work += flood.find(origin, evader.region).work
+                for model in models.values():
+                    model.find(origin)
     used = accountant.epoch().minus(base)
-    rows = [ComparisonRow("vinestalk", used.move_work, used.find_work)]
-    rows.append(ComparisonRow("home-agent", home.total_move_work, home_find))
-    rows.append(ComparisonRow("awerbuch-peleg", ap.total_move_work, ap_find))
-    rows.append(ComparisonRow("flooding", 0.0, flood_work))
-    return rows
+    return [ComparisonRow("vinestalk", used.move_work, used.find_work)] + [
+        ComparisonRow(key, model.total_move_work, model.total_find_work)
+        for key, model in models.items()
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -42,10 +42,12 @@ Grouped exports:
   :func:`mobility_preset` / :func:`mobility_presets`,
   :class:`SpeedLimits`, :class:`MobilityTrace`, :func:`generate_traces`
   (DESIGN.md §10);
-* **baselines & energy** (DESIGN.md §11) — the baseline pack
-  (:class:`PredictiveVineStalk`, :class:`PassiveTraceTracker`) and
-  analytic locators (:class:`HomeAgentLocator`,
-  :class:`AwerbuchPelegDirectory`, :class:`FloodingFinder`), the energy
+* **baselines & energy** (DESIGN.md §11) — the message-level
+  :class:`PredictiveVineStalk` and :class:`NoLateralVineStalk`, the four
+  analytic cost models (:class:`FloodingFinder`, :class:`HomeAgentLocator`,
+  :class:`AwerbuchPelegDirectory`, :class:`PassiveTraceTracker`) behind
+  one ``enter``/``move``/``find`` protocol
+  (:class:`~repro.baselines.analytic.AnalyticTracker`), the energy
   subsystem (:class:`EnergyModel`, :class:`EnergyLedger`,
   :class:`AdaptiveRatePolicy`, :func:`energy_metrics`,
   :func:`merge_energy`) and the cross-baseline harness

@@ -1,36 +1,28 @@
 """Baseline trackers and locators the paper's related work compares against.
 
-Every baseline here registers in the :class:`~repro.scenario.
-ScenarioConfig` system registry under a uniform hyphenated key
-(``no-lateral``, ``predictive``, ``home-agent``, ``awerbuch-peleg``,
-``flooding``, ``passive-trace``); underscore spellings normalize.  The
-cross-baseline harness (:mod:`repro.analysis.crossbase`) runs the whole
-family over one shared mobility grid.
+``no-lateral`` and ``predictive`` are :class:`~repro.scenario.
+ScenarioConfig` systems; the four analytic cost models share the
+:class:`~repro.baselines.analytic.AnalyticTracker` protocol and are
+registered in :data:`repro.analysis.crossbase.ANALYTIC_TRACKERS`, the
+harness that runs the whole family over one shared mobility grid.
 """
 
-from .awerbuch_peleg import AwerbuchPelegDirectory, DirectoryCosts
-from .flooding import FloodingFinder, FloodResult
-from .home_agent import HomeAgentCosts, HomeAgentLocator
-from .no_lateral import NoLateralTracker, NoLateralVineStalk, build_no_lateral_system
-from .pack import (
-    PassiveTraceCosts,
-    PassiveTraceTracker,
-    PredictiveTracker,
-    PredictiveVineStalk,
-)
+from .analytic import AnalyticTracker, Cost
+from .awerbuch_peleg import AwerbuchPelegDirectory
+from .flooding import FloodingFinder
+from .home_agent import HomeAgentLocator
+from .no_lateral import NoLateralTracker, NoLateralVineStalk
+from .pack import PassiveTraceTracker, PredictiveTracker, PredictiveVineStalk
 
 __all__ = [
+    "AnalyticTracker",
     "AwerbuchPelegDirectory",
-    "DirectoryCosts",
-    "FloodResult",
+    "Cost",
     "FloodingFinder",
-    "HomeAgentCosts",
     "HomeAgentLocator",
     "NoLateralTracker",
     "NoLateralVineStalk",
-    "PassiveTraceCosts",
     "PassiveTraceTracker",
     "PredictiveTracker",
     "PredictiveVineStalk",
-    "build_no_lateral_system",
 ]

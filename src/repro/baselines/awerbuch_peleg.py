@@ -25,37 +25,25 @@ find ``O(d·log²N)``, move ``O(d·logD·logN)`` amortized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..geometry.regions import RegionId
 from ..geometry.tiling import GridTiling
+from .analytic import FREE, AnalyticTracker, Cost
 
 
-@dataclass(frozen=True)
-class DirectoryCosts:
-    work: float
-    time: float
-
-
-class AwerbuchPelegDirectory:
+class AwerbuchPelegDirectory(AnalyticTracker):
     """Simplified regional-directory location service on a grid."""
 
     def __init__(self, tiling: GridTiling, delta: float = 1.0) -> None:
         if not isinstance(tiling, GridTiling):
             raise TypeError("AwerbuchPelegDirectory requires a GridTiling")
-        self.tiling = tiling
-        self.delta = delta
+        super().__init__(tiling, delta)
         side = max(tiling.width, tiling.height)
         self.levels = max(1, math.ceil(math.log2(side))) if side > 1 else 1
         self.log_n = max(1.0, math.log2(len(tiling.regions())))
-        self.location: Optional[RegionId] = None
         # Per level: position recorded in the directory at last update.
         self._recorded: Dict[int, RegionId] = {}
-        self.total_move_work = 0.0
-        self.total_find_work = 0.0
-        self.moves = 0
-        self.finds = 0
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -70,18 +58,14 @@ class AwerbuchPelegDirectory:
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
-    def publish(self, region: RegionId) -> None:
+    def _enter(self, region: RegionId) -> Cost:
         """Initial registration at every directory level (setup, uncharged)."""
-        self.location = region
         for level in range(self.levels + 1):
             self._recorded[level] = region
+        return FREE
 
-    def move(self, new_region: RegionId) -> DirectoryCosts:
+    def _move(self, new_region: RegionId) -> Cost:
         """Lazy directory updates after a one-region move."""
-        if self.location is None:
-            raise RuntimeError("publish() before move()")
-        self.location = new_region
-        self.moves += 1
         work = 1.0  # the level-0 forwarding pointer
         for level in range(1, self.levels + 1):
             recorded = self._recorded.get(level, new_region)
@@ -91,14 +75,10 @@ class AwerbuchPelegDirectory:
                 reach = self.tiling.distance(new_region, anchor) + 1
                 work += reach * self.log_n  # write-quorum spread
                 self._recorded[level] = new_region
-        self.total_move_work += work
-        return DirectoryCosts(work=work, time=work * self.delta)
+        return Cost(work=work, time=work * self.delta)
 
-    def find(self, origin: RegionId) -> DirectoryCosts:
+    def _find(self, origin: RegionId) -> Cost:
         """Climb directories until one covers the object, then trace."""
-        if self.location is None:
-            raise RuntimeError("publish() before find()")
-        self.finds += 1
         work = 0.0
         for level in range(self.levels + 1):
             anchor = self._anchor(origin, level)
@@ -114,5 +94,8 @@ class AwerbuchPelegDirectory:
                 break
         else:
             work += self.tiling.distance(origin, self.location) + 1
-        self.total_find_work += work
-        return DirectoryCosts(work=work, time=work * self.delta)
+        return Cost(work=work, time=work * self.delta)
+
+    def handover(self, cost: Cost) -> bool:
+        """A move hands over when it rewrites a directory above level 0."""
+        return cost.work > 1.0

@@ -9,57 +9,42 @@ O(d) — and time is the accumulated roundtrip of each ring.
 This is an exact operational cost model over the region graph (every
 region in a flooded ball broadcasts once per attempt); it does not run
 message-level simulation because the flood has no protocol state worth
-modelling.
+modelling.  Moves maintain nothing and cost nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..geometry.regions import RegionId
 from ..geometry.tiling import Tiling
+from .analytic import AnalyticTracker, Cost
 
 
-@dataclass(frozen=True)
-class FloodResult:
-    """Outcome of one expanding-ring search."""
+def flood(
+    tiling: Tiling, origin: RegionId, target: RegionId, delta: float = 1.0
+) -> Cost:
+    """One expanding-ring search from ``origin`` for ``target``.
 
-    work: float
-    time: float
-    rings: int
-    final_radius: int
+    Each attempt floods the ball of the current radius (one broadcast
+    per covered region) and waits a ring roundtrip; radii double until
+    the target is covered.
+    """
+    distance = tiling.distance(origin, target)
+    work = 0.0
+    time = 0.0
+    radius = 1
+    diameter = tiling.diameter()
+    while True:
+        work += tiling.ball_size(origin, radius)
+        time += 2 * radius * delta
+        if radius >= distance:
+            return Cost(work=work, time=time)
+        if radius > 2 * max(1, diameter):  # pragma: no cover - safety
+            raise RuntimeError("flood search failed to terminate")
+        radius *= 2
 
 
-class FloodingFinder:
-    """Expanding-ring search over a tiling."""
+class FloodingFinder(AnalyticTracker):
+    """Expanding-ring search for the object's current region."""
 
-    def __init__(self, tiling: Tiling, delta: float = 1.0) -> None:
-        self.tiling = tiling
-        self.delta = delta
-
-    def ball_size(self, center: RegionId, radius: int) -> int:
-        """Number of regions within ``radius`` of ``center``: one broadcast each."""
-        return self.tiling.ball_size(center, radius)
-
-    def find(self, origin: RegionId, target: RegionId) -> FloodResult:
-        """Search for an object at ``target`` from ``origin``.
-
-        Each attempt floods the ball of the current radius (one broadcast
-        per covered region) and waits a ring roundtrip; radii double until
-        the target is covered.
-        """
-        distance = self.tiling.distance(origin, target)
-        work = 0.0
-        time = 0.0
-        radius = 1
-        rings = 0
-        diameter = self.tiling.diameter()
-        while True:
-            rings += 1
-            work += self.ball_size(origin, radius)
-            time += 2 * radius * self.delta
-            if radius >= distance:
-                return FloodResult(work=work, time=time, rings=rings, final_radius=radius)
-            if radius > 2 * max(1, diameter):  # pragma: no cover - safety
-                raise RuntimeError("flood search failed to terminate")
-            radius *= 2
+    def _find(self, origin: RegionId) -> Cost:
+        return flood(self.tiling, origin, self.location, self.delta)

@@ -16,22 +16,14 @@ over the region graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..geometry.regions import RegionId
 from ..geometry.tiling import Tiling
+from .analytic import AnalyticTracker, Cost
 
 
-@dataclass(frozen=True)
-class HomeAgentCosts:
-    """Costs of one operation."""
-
-    work: float
-    time: float
-
-
-class HomeAgentLocator:
+class HomeAgentLocator(AnalyticTracker):
     """Rendezvous-based location service with a fixed home region."""
 
     def __init__(
@@ -40,34 +32,27 @@ class HomeAgentLocator:
         home: Optional[RegionId] = None,
         delta: float = 1.0,
     ) -> None:
-        self.tiling = tiling
+        super().__init__(tiling, delta)
         regions = tiling.regions()
         # Default home: the lexicographically middle region (a fixed,
         # identity-derived rendezvous point).
         self.home = home if home is not None else regions[len(regions) // 2]
-        self.delta = delta
-        self.location: Optional[RegionId] = None
-        self.total_move_work = 0.0
-        self.total_find_work = 0.0
-        self.moves = 0
-        self.finds = 0
 
-    def move(self, new_region: RegionId) -> HomeAgentCosts:
-        """Object relocated: publish the new location at the home."""
-        self.location = new_region
-        distance = self.tiling.distance(new_region, self.home)
-        cost = HomeAgentCosts(work=float(distance), time=distance * self.delta)
-        self.total_move_work += cost.work
-        self.moves += 1
-        return cost
+    def _move(self, region: RegionId) -> Cost:
+        """Publish ``region`` at the home."""
+        distance = self.tiling.distance(region, self.home)
+        return Cost(work=float(distance), time=distance * self.delta)
 
-    def find(self, origin: RegionId) -> HomeAgentCosts:
+    #: Entering pays the first publication, like a move.
+    _enter = _move
+
+    def _find(self, origin: RegionId) -> Cost:
         """Query the home, then visit the object's region."""
-        if self.location is None:
-            raise RuntimeError("no location published yet")
-        self.finds += 1
         to_home = self.tiling.distance(origin, self.home)
         to_object = self.tiling.distance(self.home, self.location)
         work = float(to_home + to_object)
-        self.total_find_work += work
-        return HomeAgentCosts(work=work, time=work * self.delta)
+        return Cost(work=work, time=work * self.delta)
+
+    def handover(self, cost: Cost) -> bool:
+        """Every move rewrites the rendezvous record."""
+        return True

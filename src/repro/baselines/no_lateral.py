@@ -8,8 +8,7 @@ that level's geometry instead of O(1).  Benchmark E4 contrasts the two.
 
 Implementation: a :class:`Tracker` subclass whose grow ignores
 ``nbrptup`` (it still *maintains* secondary pointers so finds behave
-identically), plus a :func:`build_no_lateral_system` assembling a full
-system around it.
+identically); the ``"no-lateral"`` system builds around it.
 """
 
 from __future__ import annotations
@@ -37,10 +36,3 @@ class NoLateralVineStalk(VineStalk):
     """A VINESTALK system built from :class:`NoLateralTracker` processes."""
 
     tracker_cls = NoLateralTracker
-
-
-def build_no_lateral_system(hierarchy, delta=1.0, e=0.5, schedule=None, sim=None):
-    """Assemble a no-lateral tracking system over ``hierarchy``."""
-    return NoLateralVineStalk(
-        hierarchy, delta=delta, e=e, schedule=schedule, sim=sim
-    )

@@ -11,16 +11,15 @@ Two design points bracketing VINESTALK on the speculation axis:
   the trajectory at query time, trading find latency for a silent
   network between queries.
 
-Both register in the :class:`~repro.scenario.ScenarioConfig` system
-registry (``"predictive"`` / ``"passive-trace"``) and run in the
-cross-baseline harness (:mod:`repro.analysis.crossbase`).
+The first is the ``"predictive"`` :class:`~repro.scenario.
+ScenarioConfig` system, the second an analytic cost model; both run in
+the cross-baseline harness (:mod:`repro.analysis.crossbase`).
 """
 
-from .passive_trace import PassiveTraceCosts, PassiveTraceTracker
+from .passive_trace import PassiveTraceTracker
 from .predictive import PredictiveTracker, PredictiveVineStalk
 
 __all__ = [
-    "PassiveTraceCosts",
     "PassiveTraceTracker",
     "PredictiveTracker",
     "PredictiveVineStalk",

@@ -26,23 +26,15 @@ cross-baseline table positions against predictive pre-configuration
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ...geometry.regions import RegionId
 from ...geometry.tiling import Tiling
-from ..flooding import FloodingFinder
+from ..analytic import FREE, AnalyticTracker, Cost
+from ..flooding import flood
 
 
-@dataclass(frozen=True)
-class PassiveTraceCosts:
-    """Costs of one operation."""
-
-    work: float
-    time: float
-
-
-class PassiveTraceTracker:
+class PassiveTraceTracker(AnalyticTracker):
     """Zero-maintenance tracking via buffered detection traces.
 
     Args:
@@ -56,25 +48,21 @@ class PassiveTraceTracker:
     def __init__(
         self, tiling: Tiling, delta: float = 1.0, trail_cap: int = 64
     ) -> None:
-        self.tiling = tiling
-        self.delta = delta
+        super().__init__(tiling, delta)
         self.trail_cap = trail_cap
-        self._flood = FloodingFinder(tiling, delta=delta)
         #: Buffered detections, oldest first; the last entry is the
         #: object's current region.
         self.trail: List[RegionId] = []
-        self.total_move_work = 0.0
-        self.total_find_work = 0.0
-        self.moves = 0
-        self.finds = 0
 
-    def move(self, new_region: RegionId) -> PassiveTraceCosts:
-        """Object relocated: the region buffers the detection, free."""
-        self.trail.append(new_region)
+    def _move(self, region: RegionId) -> Cost:
+        """The region buffers the detection, free."""
+        self.trail.append(region)
         if len(self.trail) > self.trail_cap:
             del self.trail[0]
-        self.moves += 1
-        return PassiveTraceCosts(work=0.0, time=0.0)
+        return FREE
+
+    #: Entering buffers the first detection.
+    _enter = _move
 
     def _nearest_trail_point(
         self, origin: RegionId
@@ -92,15 +80,12 @@ class PassiveTraceTracker:
         assert best is not None
         return best
 
-    def find(self, origin: RegionId) -> PassiveTraceCosts:
+    def _find(self, origin: RegionId) -> Cost:
         """Flood to the nearest trail point, then chase the trace forward."""
-        if not self.trail:
-            raise RuntimeError("no detections buffered yet")
-        self.finds += 1
         index, entry_region, _distance = self._nearest_trail_point(origin)
-        flood = self._flood.find(origin, entry_region)
-        work = flood.work
-        time = flood.time
+        ring = flood(self.tiling, origin, entry_region, self.delta)
+        work = ring.work
+        time = ring.time
         # Chase the trace forward: one hop-walk per remaining trail
         # segment, ending at the newest detection (the current region).
         previous = entry_region
@@ -109,5 +94,4 @@ class PassiveTraceTracker:
             work += float(hop)
             time += hop * self.delta
             previous = region
-        self.total_find_work += work
-        return PassiveTraceCosts(work=work, time=time)
+        return Cost(work=work, time=time)

@@ -142,7 +142,9 @@ def _region(cell: Optional[Sequence[int]]) -> Optional[tuple]:
     return None if cell is None else tuple(cell)
 
 
-def _verdict(match: bool) -> str:
+def _verdict(match: Optional[bool]) -> str:
+    if match is None:
+        return "nothing compared"
     return "MATCH" if match else "DIVERGED"
 
 
@@ -573,7 +575,7 @@ def _baselines(args):
     )
     if args.out:
         _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return payload, 0 if payload["all_classic_match"] else 1
+    return payload, 1 if payload["all_classic_match"] is False else 0
 
 
 def _baselines_text(v):

@@ -16,11 +16,11 @@ through the same two names:
   :class:`~repro.faults.injector.FaultInjector`.
 
 Registry keys: ``vinestalk``, ``no-lateral``, ``stabilizing``,
-``replicated``, ``emulated``, ``predictive`` build message-level
-systems; ``home-agent``, ``awerbuch-peleg``, ``flooding``,
-``passive-trace`` build the analytic cost-model baselines (no
-simulator, no accountant).  Underscore spellings of any key
-(``home_agent``) normalize to the hyphenated canonical form.
+``replicated``, ``emulated``, ``predictive`` — every key builds a
+message-level world.  Underscore spellings of any key (``no_lateral``)
+normalize to the hyphenated canonical form.  The analytic cost-model
+baselines are not worlds: :data:`repro.analysis.crossbase.
+ANALYTIC_TRACKERS` drives them.
 
 Determinism: ``build`` performs exactly the same construction steps for
 the same config, and the injector's RNG streams are derived from
@@ -36,13 +36,14 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Optional, Union
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import Any, Dict, Optional, Tuple, Union
 
 from .faults.plan import FaultPlan
 from .topo import charge_setup, topology_cache
 
-#: Registry keys of the message-level (simulator-driven) systems.
+#: Registry keys of the buildable systems.
 MESSAGE_SYSTEMS = (
     "vinestalk",
     "no-lateral",
@@ -51,8 +52,6 @@ MESSAGE_SYSTEMS = (
     "emulated",
     "predictive",
 )
-#: Registry keys of the analytic cost-model baselines.
-ANALYTIC_SYSTEMS = ("home-agent", "awerbuch-peleg", "flooding", "passive-trace")
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,6 @@ class ScenarioConfig:
             :func:`build` attaches an :class:`~repro.energy.EnergyLedger`
             to the message-level system's dispatch hooks (exposed as
             ``Scenario.energy_ledger`` and ``system.energy_ledger``).
-            Analytic baselines ignore it (no dispatch path to meter).
     """
 
     r: int = 3
@@ -125,14 +123,13 @@ class ScenarioConfig:
         if isinstance(self.system, str):
             if "_" in self.system:
                 # Uniform registry keys: accept underscore spellings
-                # ("home_agent", "no_lateral", …) and normalize to the
-                # canonical hyphenated key so every baseline is reachable
-                # under one naming convention.
+                # ("no_lateral", …) and normalize to the canonical
+                # hyphenated key.
                 object.__setattr__(self, "system", self.system.replace("_", "-"))
-            if self.system not in MESSAGE_SYSTEMS + ANALYTIC_SYSTEMS:
+            if self.system not in MESSAGE_SYSTEMS:
                 raise ValueError(
                     f"unknown system {self.system!r}; expected one of "
-                    f"{MESSAGE_SYSTEMS + ANALYTIC_SYSTEMS} or a class"
+                    f"{MESSAGE_SYSTEMS} or a class"
                 )
         elif not isinstance(self.system, type):
             raise TypeError("system must be a registry key or a class")
@@ -161,11 +158,6 @@ class ScenarioConfig:
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
         return replace(self, **changes)
 
-    @property
-    def is_analytic(self) -> bool:
-        """True when ``system`` names an analytic cost-model baseline."""
-        return isinstance(self.system, str) and self.system in ANALYTIC_SYSTEMS
-
 
 @dataclass
 class Scenario:
@@ -173,31 +165,28 @@ class Scenario:
 
     Attributes:
         config: The config this world was built from.
-        system: The built system (message-level variant or analytic
-            baseline object).
-        hierarchy: The cluster hierarchy (also for analytic baselines,
-            whose cost models run over ``hierarchy.tiling``).
-        accountant: Attached work accountant (None for analytic
-            baselines).
+        system: The built system.
+        hierarchy: The cluster hierarchy.
+        accountant: Attached work accountant.
         injector: Armed fault injector (None without a fault plan).
         energy_ledger: The attached :class:`~repro.energy.EnergyLedger`
             when the config carries an energy model (None otherwise).
         send_fold: The :class:`~repro.sim.sharded.context.SendFold` of
-            the system's C-gcast sends (None for analytic baselines).
+            the system's C-gcast sends.
     """
 
     config: ScenarioConfig
     system: Any
     hierarchy: Any
-    accountant: Optional[Any] = None
-    injector: Optional[Any] = None
-    energy_ledger: Optional[Any] = None
-    send_fold: Optional[Any] = None
+    accountant: Any
+    injector: Optional[Any]
+    energy_ledger: Optional[Any]
+    send_fold: Any
 
     @property
     def sim(self):
-        """The simulator (None for analytic baselines)."""
-        return getattr(self.system, "sim", None)
+        """The simulator."""
+        return self.system.sim
 
     @property
     def fault_stats(self):
@@ -212,102 +201,42 @@ class Scenario:
 # ----------------------------------------------------------------------
 # System registry
 # ----------------------------------------------------------------------
-def _build_vinestalk(config: ScenarioConfig, hierarchy: Any) -> Any:
-    from .core.vinestalk import VineStalk
-
-    return VineStalk(hierarchy, delta=config.delta, e=config.e, schedule=config.schedule)
-
-
-def _build_no_lateral(config: ScenarioConfig, hierarchy: Any) -> Any:
+@lru_cache(maxsize=None)
+def _system_table() -> Dict[str, Tuple[type, Tuple[str, ...]]]:
+    """Registry key -> (class, config fields passed as keywords besides
+    ``delta``/``e``/``schedule``), imported on first build so that
+    making a config loads no system module."""
     from .baselines.no_lateral import NoLateralVineStalk
-
-    return NoLateralVineStalk(
-        hierarchy, delta=config.delta, e=config.e, schedule=config.schedule
-    )
-
-
-def _build_stabilizing(config: ScenarioConfig, hierarchy: Any) -> Any:
+    from .baselines.pack.predictive import PredictiveVineStalk
+    from .core.emulated import EmulatedVineStalk
+    from .core.vinestalk import VineStalk
+    from .replication.replicated import ReplicatedVineStalk
     from .stabilization.system import StabilizingVineStalk
 
-    return StabilizingVineStalk(
-        hierarchy,
-        delta=config.delta,
-        e=config.e,
-        schedule=config.schedule,
-        stabilization=config.stabilization,
-    )
+    return {
+        "vinestalk": (VineStalk, ()),
+        "no-lateral": (NoLateralVineStalk, ()),
+        "stabilizing": (StabilizingVineStalk, ("stabilization",)),
+        "replicated": (ReplicatedVineStalk, ("replication_factor",)),
+        "emulated": (EmulatedVineStalk,
+                     ("nodes_per_region", "t_restart", "physical_routing")),
+        "predictive": (PredictiveVineStalk, ()),
+    }
 
 
-def _build_replicated(config: ScenarioConfig, hierarchy: Any) -> Any:
-    from .replication.replicated import ReplicatedVineStalk
-
-    return ReplicatedVineStalk(
-        hierarchy,
-        replication_factor=config.replication_factor,
-        delta=config.delta,
-        e=config.e,
-        schedule=config.schedule,
-    )
-
-
-def _build_emulated(config: ScenarioConfig, hierarchy: Any) -> Any:
-    from .core.emulated import EmulatedVineStalk
-
-    return EmulatedVineStalk(
-        hierarchy,
-        nodes_per_region=config.nodes_per_region,
-        t_restart=config.t_restart,
-        delta=config.delta,
-        e=config.e,
-        schedule=config.schedule,
-        physical_routing=config.physical_routing,
-    )
-
-
-def _build_predictive(config: ScenarioConfig, hierarchy: Any) -> Any:
-    from .baselines.pack.predictive import PredictiveVineStalk
-
-    return PredictiveVineStalk(
-        hierarchy, delta=config.delta, e=config.e, schedule=config.schedule
-    )
-
-
-def _build_home_agent(config: ScenarioConfig, hierarchy: Any) -> Any:
-    from .baselines.home_agent import HomeAgentLocator
-
-    return HomeAgentLocator(hierarchy.tiling, delta=config.delta)
-
-
-def _build_awerbuch_peleg(config: ScenarioConfig, hierarchy: Any) -> Any:
-    from .baselines.awerbuch_peleg import AwerbuchPelegDirectory
-
-    return AwerbuchPelegDirectory(hierarchy.tiling, delta=config.delta)
-
-
-def _build_flooding(config: ScenarioConfig, hierarchy: Any) -> Any:
-    from .baselines.flooding import FloodingFinder
-
-    return FloodingFinder(hierarchy.tiling, delta=config.delta)
-
-
-def _build_passive_trace(config: ScenarioConfig, hierarchy: Any) -> Any:
-    from .baselines.pack.passive_trace import PassiveTraceTracker
-
-    return PassiveTraceTracker(hierarchy.tiling, delta=config.delta)
-
-
-SYSTEM_BUILDERS: Dict[str, Callable[[ScenarioConfig, Any], Any]] = {
-    "vinestalk": _build_vinestalk,
-    "no-lateral": _build_no_lateral,
-    "stabilizing": _build_stabilizing,
-    "replicated": _build_replicated,
-    "emulated": _build_emulated,
-    "predictive": _build_predictive,
-    "home-agent": _build_home_agent,
-    "awerbuch-peleg": _build_awerbuch_peleg,
-    "flooding": _build_flooding,
-    "passive-trace": _build_passive_trace,
-}
+def _build_system(config: ScenarioConfig, hierarchy: Any) -> Any:
+    """Instantiate the config's system: a registry key or a
+    VineStalk-like class (``cls(hierarchy, delta=..., e=...)``)."""
+    if isinstance(config.system, type):
+        cls, fields = config.system, ()
+    else:
+        cls, fields = _system_table()[config.system]
+    kwargs: Dict[str, Any] = {"delta": config.delta, "e": config.e}
+    if config.schedule is not None:
+        kwargs["schedule"] = config.schedule
+    for name in fields:
+        kwargs[name] = getattr(config, name)
+    return cls(hierarchy, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -316,11 +245,10 @@ SYSTEM_BUILDERS: Dict[str, Callable[[ScenarioConfig, Any], Any]] = {
 def build(config: ScenarioConfig) -> Scenario:
     """Build the world ``config`` describes.
 
-    Message-level systems get an attached work accountant, a send fold
-    (the send half of :func:`repro.ckpt.run_fingerprint`) and — when the
-    config carries a fault plan — an armed fault injector seeded by
-    ``config.seed``.  Analytic baselines get none of these (they have no
-    simulator to perturb).
+    The world gets an attached work accountant, a send fold (the send
+    half of :func:`repro.ckpt.run_fingerprint`) and — when the config
+    carries a fault plan — an armed fault injector seeded by
+    ``config.seed``.
 
     When no explicit ``hierarchy`` is given, the grid hierarchy comes
     from the per-process :mod:`repro.topo` cache: the same
@@ -340,13 +268,7 @@ def _build_timed(config: ScenarioConfig) -> Scenario:
     if hierarchy is None:
         hierarchy = topology_cache().grid(config.r, config.max_level)
 
-    if isinstance(config.system, type):
-        system = _build_class(config, hierarchy)
-    else:
-        system = SYSTEM_BUILDERS[config.system](config, hierarchy)
-
-    if config.is_analytic:
-        return Scenario(config=config, system=system, hierarchy=hierarchy)
+    system = _build_system(config, hierarchy)
 
     # Lazy: repro.analysis imports repro.analysis.experiments, which
     # imports this module — a top-level import here would cycle.
@@ -377,11 +299,3 @@ def _build_timed(config: ScenarioConfig) -> Scenario:
         energy_ledger=energy_ledger,
         send_fold=send_fold,
     )
-
-
-def _build_class(config: ScenarioConfig, hierarchy: Any) -> Any:
-    """Instantiate a user-supplied VineStalk-like class."""
-    kwargs: Dict[str, Any] = {"delta": config.delta, "e": config.e}
-    if config.schedule is not None:
-        kwargs["schedule"] = config.schedule
-    return config.system(hierarchy, **kwargs)

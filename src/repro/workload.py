@@ -402,9 +402,8 @@ def decode_inputs(
     """Inverse of :func:`encode_inputs`.
 
     Raises:
-        ValueError: not JSON, not a message-level config and its
-            scripts, or a value a constructor refuses
-            (:class:`ScriptError` for a script).
+        ValueError: not JSON, not a config and its scripts, or a value
+            a constructor refuses (:class:`ScriptError` for a script).
         AttributeError, KeyError, TypeError: a document of another shape.
     """
     document = json.loads(payload)
@@ -413,9 +412,8 @@ def decode_inputs(
     if not (
         not document
         and isinstance(config, ScenarioConfig)
-        and not config.is_analytic
         and isinstance(scripts, tuple)
         and all(isinstance(script, ScriptedWorkload) for script in scripts)
     ):
-        raise ValueError("not a message-level config and its scripts")
+        raise ValueError("not a config and its scripts")
     return config, scripts

@@ -199,14 +199,24 @@ class TestJsonEnvelope:
             (["demo", "--moves", "-3"], "moves must be >= 0"),
             (["snapshot", "--moves", "-1"], "moves must be >= 0"),
             (["snapshot", "--finds", "-1"], "finds must be >= 0"),
+            # An analytic cost model is no world: each of these crashed
+            # with an AttributeError (exit 1, a traceback).
+            (["chaos", "--system", "flooding"], "unknown system 'flooding'"),
+            (["chaos", "--system", "home_agent"], "unknown system 'home-agent'"),
+            (["chaos", "--system", "passive-trace"],
+             "unknown system 'passive-trace'"),
+            # Ran zero cells and printed MATCH with exit 0.
+            (["baselines", "--trackers", "flooding", "--faults", "loss"],
+             "no fault axis"),
         ],
     )
     def test_bad_selection_rejected(self, capsys, argv, needle):
-        # A bad selection must fail closed: no traceback, and no empty
-        # grid passing every gate vacuously with exit 0.
+        # A bad selection must fail closed: one line, no traceback, and
+        # no empty grid passing every gate vacuously with exit 0.
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert needle in captured.err and not captured.out
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert main([*argv, "--json"]) == 2
         assert needle in self.unwrap(capsys, argv[0])["error"]

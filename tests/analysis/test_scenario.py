@@ -7,8 +7,8 @@ import pytest
 from repro.core.vinestalk import VineStalk
 from repro.faults import default_plan
 from repro.mobility import FixedPath
+from repro.analysis.crossbase import ANALYTIC_TRACKERS
 from repro.scenario import (
-    ANALYTIC_SYSTEMS,
     MESSAGE_SYSTEMS,
     Scenario,
     ScenarioConfig,
@@ -48,12 +48,12 @@ class TestConfigValueSemantics:
         with pytest.raises(TypeError):
             ScenarioConfig(fault_plan="lossy")
 
-    def test_is_analytic(self):
-        for key in ANALYTIC_SYSTEMS:
-            assert ScenarioConfig(system=key).is_analytic
-        for key in MESSAGE_SYSTEMS:
-            assert not ScenarioConfig(system=key).is_analytic
-        assert not ScenarioConfig(system=VineStalk).is_analytic
+    def test_analytic_keys_are_refused(self):
+        # Analytic cost models are not worlds: no config names them.
+        for key in ANALYTIC_TRACKERS:
+            for spelling in (key, key.replace("-", "_")):
+                with pytest.raises(ValueError, match="unknown system"):
+                    ScenarioConfig(system=spelling)
 
 
 class TestBuild:
@@ -80,13 +80,19 @@ class TestBuild:
             assert scenario.accountant is not None
             assert scenario.send_fold is not None
 
-    def test_every_analytic_system_builds_bare(self):
-        for key in ANALYTIC_SYSTEMS:
-            scenario = build(ScenarioConfig(r=2, max_level=2, system=key))
-            assert scenario.sim is None
-            assert scenario.accountant is None
-            assert scenario.injector is None
-            assert scenario.send_fold is None
+    def test_registry_passes_each_systems_config_fields(self):
+        from repro.stabilization.stabilizing_tracker import StabilizationConfig
+
+        stabilization = StabilizationConfig()
+        base = ScenarioConfig(r=2, max_level=2)
+        replicated = build(base.with_(system="replicated", replication_factor=3))
+        assert replicated.system.replication_factor == 3
+        emulated = build(base.with_(system="emulated", physical_routing=True))
+        assert emulated.system.physical_routing is True
+        stabilizing = build(
+            base.with_(system="stabilizing", stabilization=stabilization)
+        )
+        assert stabilizing.system.stabilization is stabilization
 
     def test_class_system_builds(self):
         scenario = build(ScenarioConfig(r=2, max_level=2, system=VineStalk))

@@ -378,6 +378,15 @@ class TestSmokeEnvelopes:
             for key in ("find_latency", "message_work", "handovers", "energy"):
                 assert key in cell, (cell["tracker"], key)
 
+    def test_baselines_without_a_classic_cell_compares_nothing(self, capsys):
+        # Exited 0 on a "MATCH" although no cell ran on two engines.
+        argv = ["baselines", "--trackers", "flooding", "--presets", "dither",
+                "--moves", "4", "--finds", "2"]
+        code, data = run_json(capsys, *argv)
+        assert code == 0 and data["all_classic_match"] is None
+        assert main(argv) == 0
+        assert "fingerprints: nothing compared" in capsys.readouterr().out
+
     def test_resume(self, capsys):
         code, result = run_json(capsys, "resume", GOLDEN_CKPT)
         assert code == 0
