@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..topo import topology_cache
+from ..sim import engine
+from ..topo import setup_seconds_total, topology_cache
 from ..topo.keys import TopologyKey, grid_key
 
 # Registry of sweepable runners: spec name → "module:attribute".  Names
@@ -89,14 +90,12 @@ class JobResult:
 
 def _execute(spec: JobSpec) -> JobResult:
     """Run one job in the current process (parent or pool worker)."""
-    from ..sim import engine
-    from ..topo import setup_seconds_total
-
     fn = resolve_runner(spec.runner)
     events_before = engine.events_fired_total()
     setup_before = setup_seconds_total()
     start = time.perf_counter()
-    value = fn(**spec.kwargs)
+    with engine.gc_paused(collect=True):  # the job's worlds die here
+        value = fn(**spec.kwargs)
     wall = time.perf_counter() - start
     events = engine.events_fired_total() - events_before
     setup = min(wall, setup_seconds_total() - setup_before)
@@ -135,8 +134,10 @@ def topology_keys_of(jobs: Sequence[JobSpec]) -> Tuple[TopologyKey, ...]:
 
 
 def _warm_worker(keys: Tuple[TopologyKey, ...]) -> None:
-    """Pool initializer: pre-build the sweep's topologies in this worker."""
-    topology_cache().warm(keys)
+    """Pool initializer: pre-build the sweep's topologies in this worker,
+    then freeze the heap so each job's collect skips the cache."""
+    with engine.gc_paused(collect=True, freeze=True):
+        topology_cache().warm(keys)
 
 
 class SweepRunner:

@@ -21,6 +21,8 @@ from ..core.vinestalk import VineStalk
 class NoLateralTracker(Tracker):
     """Tracker variant that always grows to its hierarchy parent."""
 
+    __slots__ = ()
+
     def output_grow_send(self, object_id: int = 0) -> None:
         """As Fig. 2's grow send, but with the lateral branch removed."""
         lane = self.lane(object_id)

@@ -23,6 +23,7 @@ from .snapshot import (
     Snapshot,
     SnapshotMeta,
     load,
+    loads,
     read_run,
     restore_scenario,
     run_fingerprint,
@@ -38,6 +39,7 @@ __all__ = [
     "SnapshotMeta",
     "bisect_divergence",
     "load",
+    "loads",
     "read_run",
     "restore_scenario",
     "run_fingerprint",

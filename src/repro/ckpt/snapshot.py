@@ -184,33 +184,41 @@ def save(snapshot: Snapshot, path: Union[str, Path]) -> None:
 
 
 def load(path: Union[str, Path]) -> Snapshot:
-    """Read a :data:`CKPT_SCHEMA` file with strict format checks.
+    """:func:`loads` on a file's bytes; each refusal names the path."""
+    try:
+        return loads(Path(path).read_bytes())
+    except CkptFormatError as exc:
+        raise CkptFormatError(f"{path}: {exc}") from exc
+
+
+def loads(data: bytes) -> Snapshot:
+    """Parse a checkpoint's bytes with strict format checks.
 
     Raises:
         CkptFormatError: an unreadable or malformed header, another
             schema, or a header or payload that fails the digest (a
             truncated file does).
     """
-    head, _, rest = Path(path).read_bytes().partition(b"\n")
+    head, _, rest = data.partition(b"\n")
     try:
         header = json.loads(head.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CkptFormatError(f"{path}: not a checkpoint: unreadable header: {exc}") from exc
+        raise CkptFormatError(f"not a checkpoint: unreadable header: {exc}") from exc
     schema = header.get("schema") if isinstance(header, dict) else None
     if schema != CKPT_SCHEMA:
         raise CkptFormatError(
-            f"{path}: schema {schema!r} != {CKPT_SCHEMA!r} "
+            f"schema {schema!r} != {CKPT_SCHEMA!r} "
             "(no cross-version compatibility is promised)"
         )
     if set(header) != set(_HEADER_TYPES):
-        raise CkptFormatError(f"{path}: header keys are not {sorted(_HEADER_TYPES)}")
+        raise CkptFormatError(f"header keys are not {sorted(_HEADER_TYPES)}")
     for key, kind in _HEADER_TYPES.items():
         if not isinstance(header[key], kind) or isinstance(header[key], bool):
-            raise CkptFormatError(f"{path}: header {key!r} has the wrong type")
+            raise CkptFormatError(f"header {key!r} has the wrong type")
     digest = header.pop("digest")
     snapshot = Snapshot(SnapshotMeta(**header), rest.removesuffix(b"\n"))
     if snapshot.digest != digest:
-        raise CkptFormatError(f"{path}: header or payload fails its digest check")
+        raise CkptFormatError("header or payload fails its digest check")
     return snapshot
 
 

@@ -36,6 +36,9 @@ FoundObserver = Callable[[int, RegionId, int], None]
 class TrackingClient(Client):
     """Client automaton running the VINESTALK client algorithm."""
 
+    __slots__ = ("evader_here", "_objects_here", "finds_issued", "founds_output",
+                 "home_region", "_found_observers")
+
     def __init__(self, node_id: int, hierarchy: ClusterHierarchy, cgcast) -> None:
         super().__init__(node_id, hierarchy, cgcast)
         self.evader_here = False  # lane-0 presence (legacy name)
@@ -61,13 +64,6 @@ class TrackingClient(Client):
     def on_found(self, observer: FoundObserver) -> None:
         """Observe every ``found`` output this client performs."""
         self._found_observers.append(observer)
-
-    def object_present(self, object_id: int) -> bool:
-        """Whether ``object_id`` is currently in this client's region."""
-        if object_id == 0:
-            return self.evader_here
-        objects = self._objects_here
-        return bool(objects) and object_id in objects
 
     def _set_present(self, object_id: int, present: bool) -> None:
         if object_id == 0:
@@ -110,9 +106,10 @@ class TrackingClient(Client):
     # Found broadcasts from the local VSA
     # ------------------------------------------------------------------
     def on_message(self, message: TrackerMessage) -> None:
-        if isinstance(message, Found) and self.object_present(
-            getattr(message, "object_id", 0)
-        ):
+        if not isinstance(message, Found):
+            return
+        oid = message.object_id
+        if self.evader_here if oid == 0 else oid in self._objects_here:
             self.founds_output += 1
             for observer in self._found_observers:
                 observer(message.find_id, self.region, self.node_id)

@@ -162,8 +162,6 @@ class Prewarm(TrackerMessage):
 # Kinds whose in-transit presence violates a consistent state (§IV-C).
 MOVE_MESSAGE_TYPES = (Grow, GrowNbr, GrowPar, Shrink, ShrinkUpd)
 FIND_MESSAGE_TYPES = (Find, FindQuery, FindAck, Found)
-# Advisory extension messages (neither move- nor find-critical).
-OTHER_MESSAGE_TYPES = (Prewarm,)
 
 
 def is_move_message(message: TrackerMessage) -> bool:

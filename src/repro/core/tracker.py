@@ -194,6 +194,11 @@ class Tracker(TimedAutomaton):
     #: :class:`ObjectLane` is expected.
     object_id = 0
 
+    __slots__ = ("hierarchy", "clust", "lvl", "cgcast", "schedule", "delta", "e", "max_level",
+                 "nbr_clusters", "parent_cluster", "c", "p", "nbrptup", "nbrptdown", "sendq",
+                 "timer", "nbrtimeout", "findAckq", "finding", "find_id", "_recv_handlers",
+                 "_lanes", "_lane_wheel", "_dirty", "_deadline_heap", "_timeout_pending")
+
     def __init__(
         self,
         hierarchy: ClusterHierarchy,

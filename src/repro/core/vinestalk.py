@@ -107,9 +107,9 @@ class VineStalk:
         self.clients: Dict[RegionId, TrackingClient] = {}
         for index, region in enumerate(hierarchy.tiling.regions()):
             client = TrackingClient(index, hierarchy, self.cgcast)
-            client.home_region = region
+            # The GPS fix on entering the system (a GPSupdate's effect).
+            client.region = client.home_region = region
             self.network.add_client(client)
-            client.handle_input(Action.input("GPSupdate", region=region))
             self.cgcast.register_client_sink(
                 region, self._client_sink(client)
             )

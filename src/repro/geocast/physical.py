@@ -38,10 +38,8 @@ class PhysicalCGcast(CGcast):
     ) -> None:
         super().__init__(sim, hierarchy, delta=delta, e=e)
         self.router = GeocastRouter(sim, hierarchy.tiling, delta=delta)
-        self._inboxes: dict = {}
         for region in hierarchy.tiling.regions():
             self.router.register(region, self._make_inbox(region))
-        self.dropped_messages = 0
 
     def _make_inbox(self, region: RegionId) -> Callable[[Any, RegionId], None]:
         def inbox(message: Any, _src: RegionId) -> None:

@@ -41,6 +41,7 @@ from functools import lru_cache
 from typing import Any, Dict, Optional, Tuple, Union
 
 from .faults.plan import FaultPlan
+from .sim.engine import gc_paused
 from .topo import charge_setup, topology_cache
 
 #: Registry keys of the buildable systems.
@@ -257,9 +258,9 @@ def build(config: ScenarioConfig) -> Scenario:
     are immutable after construction, so sharing is trace-identical to
     rebuilding).  Wall time spent in here is charged to the topo layer's
     setup accumulator, which the sweep runner reads to split per-job
-    wall into setup vs run.
+    wall into setup vs run.  It runs GC-paused (``gc_paused``).
     """
-    with charge_setup():
+    with charge_setup(), gc_paused():
         return _build_timed(config)
 
 

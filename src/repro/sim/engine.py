@@ -16,6 +16,7 @@ Typical use::
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 from typing import Any, Callable, List, Optional
 
 from .event_queue import Event, EventQueue
@@ -29,6 +30,26 @@ _EVENTS_FIRED_TOTAL = 0
 def events_fired_total() -> int:
     """Total events fired by all simulators in this process."""
     return _EVENTS_FIRED_TOTAL
+
+
+@contextmanager
+def gc_paused(collect: bool = False, freeze: bool = False):
+    """The one GC policy: builds and runs pause the cyclic collector
+    (DESIGN.md §9.5).  On exit, raised or not, ``collect`` frees the
+    block's cycles, ``freeze`` exempts the survivors from later passes,
+    and the prior state returns, so only the outermost pause re-enables.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collect:
+            gc.collect()
+        if freeze:
+            gc.freeze()
+        if was_enabled:
+            gc.enable()
 
 
 class SimulationError(RuntimeError):
@@ -219,42 +240,30 @@ class Simulator:
         fired = 0
         pop_next_before = self._queue.pop_next_before
         hooks = self._after_event
-        # The loop allocates heavily (messages, closures, send records)
-        # but creates no reference cycles, so the generational collector
-        # finds nothing — yet its gen-2 passes scan the *entire* live
-        # graph, which grows with the tracked-object count M.  That is
-        # an O(M) tax per batch of allocations and the dominant
-        # M-dependent per-event cost at M=10k (DESIGN.md §9.5).  Pause
-        # automatic collection for the loop's duration; refcounting
-        # still frees everything the loop drops.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         try:
-            while True:
-                if max_events is not None and fired >= max_events:
-                    break
-                event = pop_next_before(until, strict)
-                if event is None:
-                    break
-                if event.time < self.now:  # pragma: no cover - defensive
-                    raise SimulationError(
-                        "event queue produced an event in the past"
-                    )
-                self.now = event.time
-                self._events_fired += 1
-                fired += 1
-                event.fn()
-                if hooks is not None:
-                    for hook in hooks:
-                        hook()
-                if self._stop_requested:
-                    break
+            with gc_paused():
+                while True:
+                    if max_events is not None and fired >= max_events:
+                        break
+                    event = pop_next_before(until, strict)
+                    if event is None:
+                        break
+                    if event.time < self.now:  # pragma: no cover - defensive
+                        raise SimulationError(
+                            "event queue produced an event in the past"
+                        )
+                    self.now = event.time
+                    self._events_fired += 1
+                    fired += 1
+                    event.fn()
+                    if hooks is not None:
+                        for hook in hooks:
+                            hook()
+                    if self._stop_requested:
+                        break
         finally:
             self.running = False
             _EVENTS_FIRED_TOTAL += fired
-            if gc_was_enabled:
-                gc.enable()
             for hook in self._loop_exit:
                 hook()
         return fired

@@ -39,6 +39,8 @@ class TimedAutomaton:
             and enables no locally controlled actions until restarted.
     """
 
+    __slots__ = ("name", "failed", "_executor", "_input_handlers", "_perform_handlers")
+
     def __init__(self, name: str) -> None:
         self.name = name
         self.failed = False

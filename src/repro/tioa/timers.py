@@ -31,6 +31,8 @@ class Timer:
     ``Tracker._rearm_wheel``).
     """
 
+    __slots__ = ("_owner", "_tag", "_priority", "_event", "deadline")
+
     def __init__(self, owner: TimedAutomaton, tag: str, priority: int = 0) -> None:
         self._owner = owner
         self._tag = tag
@@ -58,9 +60,6 @@ class Timer:
         self._event = self._owner.executor.wake_at(
             self._owner, deadline, tag=self._tag, priority=self._priority
         )
-
-    def arm_after(self, delay: float) -> None:
-        self.arm(self._owner.now + delay)
 
     def disarm(self) -> None:
         """Clear the deadline (idempotent)."""

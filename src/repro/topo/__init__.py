@@ -30,7 +30,6 @@ on a freshly built ``ScenarioConfig(hierarchy=...)`` world.
 
 from .cache import (
     TopologyCache,
-    add_setup_seconds,
     charge_setup,
     reset_topology_cache,
     setup_seconds_total,
@@ -39,7 +38,7 @@ from .cache import (
     topology_cache,
 )
 from .distances import DistanceTable, distance_table
-from .keys import TopologyKey, grid_key, key_for_config, strip_key
+from .keys import TopologyKey, grid_key, strip_key
 from .routes import RouteTable
 
 __all__ = [
@@ -47,11 +46,9 @@ __all__ = [
     "RouteTable",
     "TopologyCache",
     "TopologyKey",
-    "add_setup_seconds",
     "charge_setup",
     "distance_table",
     "grid_key",
-    "key_for_config",
     "reset_topology_cache",
     "setup_seconds_total",
     "shared_grid_hierarchy",

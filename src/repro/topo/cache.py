@@ -26,7 +26,7 @@ run on an explicit ``ScenarioConfig(hierarchy=grid_hierarchy(...))`` —
 a world the cache never saw.
 
 This module also hosts the setup-wall accumulator
-(:func:`add_setup_seconds` / :func:`setup_seconds_total`):
+(:func:`charge_setup` / :func:`setup_seconds_total`):
 ``repro.scenario.build`` charges world-construction time to it, and the
 sweep runner reads the delta around each job to split per-job wall into
 setup vs run.
@@ -48,12 +48,6 @@ from .routes import RouteTable
 _SETUP_SECONDS = 0.0
 
 
-def add_setup_seconds(seconds: float) -> None:
-    """Charge ``seconds`` of world-construction time to this process."""
-    global _SETUP_SECONDS
-    _SETUP_SECONDS += seconds
-
-
 def setup_seconds_total() -> float:
     """Cumulative world-construction seconds charged in this process."""
     return _SETUP_SECONDS
@@ -62,11 +56,12 @@ def setup_seconds_total() -> float:
 @contextmanager
 def charge_setup():
     """Context manager: charge the enclosed wall time as setup."""
+    global _SETUP_SECONDS
     start = time.perf_counter()
     try:
         yield
     finally:
-        add_setup_seconds(time.perf_counter() - start)
+        _SETUP_SECONDS += time.perf_counter() - start
 
 
 # ----------------------------------------------------------------------

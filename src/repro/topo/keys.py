@@ -9,7 +9,6 @@ jobs to find the distinct topologies a sweep will touch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
 
 #: Hierarchy kinds the cache knows how to build from a key alone.
 KINDS = ("grid", "strip")
@@ -46,15 +45,3 @@ def grid_key(r: int, max_level: int) -> TopologyKey:
 def strip_key(r: int, max_level: int) -> TopologyKey:
     """Key for the 1-D strip hierarchy (``repro.hierarchy.strip``)."""
     return TopologyKey("strip", r, max_level)
-
-
-def key_for_config(config: Any) -> Optional[TopologyKey]:
-    """The topology key of a :class:`~repro.scenario.ScenarioConfig`.
-
-    Returns None when the config carries an explicit pre-built
-    ``hierarchy`` — those are the caller's objects, not cacheable
-    content.
-    """
-    if getattr(config, "hierarchy", None) is not None:
-        return None
-    return grid_key(config.r, config.max_level)

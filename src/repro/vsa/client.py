@@ -26,6 +26,8 @@ class Client(TimedAutomaton):
         cgcast: The C-gcast service used for ``cTOBsend``.
     """
 
+    __slots__ = ("node_id", "hierarchy", "cgcast", "region")
+
     def __init__(self, node_id: int, hierarchy: ClusterHierarchy, cgcast) -> None:
         super().__init__(f"client:{node_id}")
         self.node_id = node_id
@@ -41,15 +43,7 @@ class Client(TimedAutomaton):
     # ------------------------------------------------------------------
     def input_GPSupdate(self, region: RegionId) -> None:
         """GPS told the client its current region."""
-        previous = self.region
         self.region = region
-        if previous != region:
-            self.on_region_changed(previous, region)
-
-    def on_region_changed(
-        self, previous: Optional[RegionId], region: RegionId
-    ) -> None:
-        """Hook for subclasses; called on entry and on region change."""
 
     # ------------------------------------------------------------------
     # Communication

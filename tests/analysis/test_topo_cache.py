@@ -21,7 +21,6 @@ from repro.scenario import ScenarioConfig, build
 from repro.topo import (
     TopologyKey,
     grid_key,
-    key_for_config,
     reset_topology_cache,
     shared_grid_hierarchy,
     strip_key,
@@ -59,11 +58,6 @@ class TestKeys:
             grid_key(1, 2)
         with pytest.raises(ValueError):
             grid_key(2, 0)
-
-    def test_key_for_config(self):
-        assert key_for_config(ScenarioConfig(r=3, max_level=2)) == grid_key(3, 2)
-        explicit = ScenarioConfig(hierarchy=shared_grid_hierarchy(2, 2))
-        assert key_for_config(explicit) is None
 
 
 # ----------------------------------------------------------------------

@@ -133,7 +133,6 @@ def test_level0_self_grow_from_client(rig):
 def test_failed_tracker_ignores_grow(rig):
     t = rig.tracker((0, 0), 1)
     t.fail()
-    t.handle_input_safe = None
     from repro.tioa import Action
 
     t.handle_input(Action.input("cTOBrcv", message=Grow(cid=t.clust)))

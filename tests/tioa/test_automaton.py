@@ -50,7 +50,7 @@ class Alarm(TimedAutomaton):
         self.beeps = []
 
     def arm(self, delay):
-        self.timer.arm_after(delay)
+        self.timer.arm(self.now + delay)
 
     def enabled_outputs(self):
         if self.timer.expired():
