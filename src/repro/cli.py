@@ -415,7 +415,7 @@ def _sharded(args):
             sharded, "shards", "backend", "events", "windows",
             "cross_shard_messages", "messages_sent", "finds_issued",
             "finds_completed", "canonical_fingerprint", "wall_s",
-            "barrier_wait_s", "fault_events",
+            "barrier_wait_s", "shard_busy_s", "critical_path_s", "fault_events",
         ),
         "reference_fingerprint": reference.canonical_fingerprint,
         "fingerprint_match": match,
@@ -432,9 +432,11 @@ def _sharded_text(v):
         "fingerprint: {canonical_fingerprint} (reference "
         "{reference_fingerprint}) -> {verdict}{exact}\n"
         "wall {wall_s:.3f}s (reference {_reference_wall_s:.3f}s), "
-        "barrier wait {barrier_wait_s:.3f}s"
+        "barrier wait {barrier_wait_s:.3f}s, critical path {critical_path_s:.3f}s, "
+        "busy per shard {busy}s"
     ).format_map({
         **v, "verdict": _verdict(v["fingerprint_match"]),
+        "busy": "/".join(f"{busy:.3f}" for busy in v["shard_busy_s"]),
         "exact": ", bit-identical at K=1" if v["bit_identical"] else "",
     })
 

@@ -23,7 +23,6 @@ of Theorems 4.9/5.2; client↔cluster messages cost 1.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import partial
 from inspect import unwrap
 from itertools import count
@@ -76,11 +75,11 @@ _BATCH = 4096
 FaultFilter = Callable[[Any, Any, Any, float], Optional[List[float]]]
 
 # Shard routing hook (see repro.sim.sharded): called once per delivery
-# copy with (src, dest, dest_region, payload, deliver_time).  Returning
-# True claims the copy for cross-shard transport — the dispatcher then
-# skips local scheduling; the sharded driver re-injects it in the
-# destination shard via :meth:`CGcast.apply_remote`.
-ShardRouter = Callable[[Any, Any, RegionId, Any, float], bool]
+# copy with (src, dest, payload, deliver_time).  Returning True claims
+# the copy for cross-shard transport — the dispatcher then skips local
+# scheduling; the sharded driver re-injects it in the destination shard
+# via :meth:`CGcast.apply_remote`.
+ShardRouter = Callable[[Any, Any, Any, float], bool]
 
 
 def _rcv(payload: Any) -> Action:
@@ -119,9 +118,6 @@ class CGcast:
         self.delta = delta
         self.e = e
         self._processes: Dict[ClusterId, TimedAutomaton] = {}
-        # Canonical instance of every registered cluster id, for
-        # re-interning ids that arrive unpickled from another shard.
-        self._cluster_intern: Dict[ClusterId, ClusterId] = {}
         self._client_sinks: Dict[RegionId, List[Callable[[Any], None]]] = {}
         self._observers: List[SendObserver] = []
         # Records dispatched but not yet shown to the observers.
@@ -157,7 +153,6 @@ class CGcast:
         if clust in self._processes:
             raise ValueError(f"process for {clust} already registered")
         self._processes[clust] = automaton
-        self._cluster_intern[clust] = clust
 
     def process(self, clust: ClusterId) -> TimedAutomaton:
         try:
@@ -343,9 +338,7 @@ class CGcast:
         router = self.shard_router
         for copy_delay in delays:
             when = now + copy_delay
-            if router is not None and router(
-                src, dest, self.dest_region_of(dest), payload, when
-            ):
+            if router is not None and router(src, dest, payload, when):
                 continue  # claimed for cross-shard transport
             key = next(self._transit_keys)
             self._in_transit[key] = (src, dest, payload, when)
@@ -371,32 +364,14 @@ class CGcast:
         for sink in self._client_sinks.get(region, ()):
             sink(payload)
 
-    def dest_region_of(self, dest: Any) -> RegionId:
-        """Region that hosts ``dest`` — where delivery physically lands.
-
-        A cluster process lives at its head VSA's region; a
-        ``("clients", region)`` broadcast lands in that region.  This is
-        the key the sharded driver partitions on.
-        """
-        if isinstance(dest, ClusterId):
-            return self.hierarchy.head(dest)
-        if isinstance(dest, tuple) and len(dest) == 2 and dest[0] == "clients":
-            return dest[1]
-        raise ValueError(f"cannot locate destination {dest!r}")
-
     def apply_remote(self, src: Any, dest: Any, payload: Any) -> None:
         """Deliver a message routed in from another shard.
 
         The sending shard already did the dispatch accounting (count,
         cost, observers, fault filter); this applies only the terminal
-        delivery, at the current simulation time.  Cluster ids arriving
-        here were unpickled by the transport, so they are equal-but-not-
-        identical to the local world's: re-intern the payload's against
-        the registered processes so every later comparison (``lane.c ==
-        message.cid`` and friends) takes ``ClusterId.__eq__``'s identity
-        fast path instead of tuple equality.
+        delivery, at the current simulation time.  The receiving shard
+        decoded the copy into this world's own cluster instances.
         """
-        payload = self._intern_payload(payload, self._cluster_intern)
         if isinstance(dest, tuple) and len(dest) == 2 and dest[0] == "clients":
             for sink in self._client_sinks.get(dest[1], ()):
                 sink(payload)
@@ -405,24 +380,3 @@ class CGcast:
         if target is not None and not target.failed:
             target.handle_input(_rcv(payload))
             target.executor.kick(target)
-
-    @staticmethod
-    def _intern_payload(payload: Any, intern: Dict[ClusterId, ClusterId]) -> Any:
-        """``payload`` with canonical (identity-interned) cluster ids.
-
-        Returns the object unchanged (no allocation) when its pointer
-        fields are already canonical or absent.
-        """
-        replacements = {}
-        for field_name in ("cid", "pointer"):
-            cid = getattr(payload, field_name, None)
-            if isinstance(cid, ClusterId):
-                canonical = intern.get(cid)
-                if canonical is not None and canonical is not cid:
-                    replacements[field_name] = canonical
-        if not replacements:
-            return payload
-        try:
-            return replace(payload, **replacements)
-        except TypeError:  # not a dataclass: leave as delivered
-            return payload

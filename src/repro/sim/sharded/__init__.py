@@ -3,13 +3,13 @@
 Partitions the grid hierarchy into K region shards, runs each shard's
 event loop independently (in-process or in forked workers), and
 exchanges boundary-crossing C-gcast traffic at conservative
-δ-width time barriers in a canonical order — seed-deterministic
+δ-width time barriers, injected in a canonical order — seed-deterministic
 regardless of worker scheduling, with a bit-identical K=1 mode.
 
 See DESIGN.md §8 for the barrier protocol and determinism argument.
 """
 
-from .context import RemoteMessage, ShardContext, canonical_send_line
+from .context import ShardContext, canonical_send_line
 from .core import (
     RunRecord,
     ShardedRunError,
@@ -21,7 +21,6 @@ from .plan import ShardPlan, strip_plan
 from .workload import make_walk_workload, walk_scenario
 
 __all__ = [
-    "RemoteMessage",
     "RunRecord",
     "ShardContext",
     "ShardPlan",

@@ -8,16 +8,19 @@ messages (the TIOA model), so non-owned replica state simply never
 advances — it exists only so object references resolve.  Two hooks
 enforce ownership:
 
-* :attr:`CGcast.shard_router` — a dispatch whose destination region is
-  foreign is outboxed instead of scheduled locally;
+* :attr:`CGcast.shard_router` — a copy bound for a foreign region is
+  packed into its destination shard's outbox instead of scheduled;
 * :attr:`VineStalk.client_filter` — augmented-GPS move/left inputs
   reach only owned regions' clients (the evader itself is replicated
   state: every shard applies every scripted evader action).
 
-Cross-shard messages travel as :class:`RemoteMessage` — plain picklable
-data with the sender's dispatch sequence number, which gives the driver
-a canonical ``(deliver_time, src_shard, seq)`` injection order
-independent of worker scheduling.
+A cross-shard copy travels as a flat row, ``(deliver_time, send_time,
+seq, tags, src, dest, class, *field values)``, a cluster id as its index
+in ``hierarchy.all_clusters()``; bit ``i`` of ``tags`` marks src (0),
+dest (1) or payload field ``i - 2`` as one — never the value's type: a
+region id may be an int too.  A window's rows go as one batch per
+destination shard, the only one to decode them (into its own cluster
+instances) and order them ``(deliver_time, src_shard, seq)``.
 
 Every world, sharded or not, folds its C-gcast sends through one
 :class:`SendFold` into the :func:`canonical_send_line` stream both
@@ -30,46 +33,34 @@ from __future__ import annotations
 import zlib
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import fields, is_dataclass
+from functools import lru_cache, partial
+from itertools import chain, repeat
 from math import nan
+from operator import itemgetter
 from sys import intern
 from time import perf_counter
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from ...core.messages import Grow
+from ...core.messages import Grow, TrackerMessage
 from ...hierarchy.cluster import ClusterId
 from ...workload import ScriptedWorkload, schedule_workload
 from .plan import ShardPlan
 
 
-@dataclass(frozen=True)
-class RemoteMessage:
-    """One boundary-crossing C-gcast copy, as exchanged at barriers.
+class ShardedRunError(RuntimeError):
+    """Raised for driver protocol violations or worker failures."""
 
-    Attributes:
-        send_time: Dispatch time in the sending shard.
-        deliver_time: Scheduled delivery time (>= send_time + δ by the
-            conservative lookahead).
-        src: Sender id (cluster, or region for a client sender).
-        dest: Destination (cluster or ``("clients", region)``).
-        payload: The message object (picklable).
-        dest_shard: Shard owning the destination region.
-        src_shard: Sending shard.
-        seq: Sender-shard dispatch sequence — the canonical tiebreak.
-    """
 
-    send_time: float
-    deliver_time: float
-    src: Any
-    dest: Any
-    payload: Any
-    dest_shard: int
-    src_shard: int
-    seq: int
-
-    def sort_key(self) -> Tuple[float, int, int]:
-        return (self.deliver_time, self.src_shard, self.seq)
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """The fields a ``cls`` payload ships as, in ``__init__`` order."""
+    if not (issubclass(cls, TrackerMessage) and is_dataclass(cls)):
+        raise ShardedRunError(
+            f"cannot ship a {cls.__name__} payload across shards: only "
+            "TrackerMessage dataclasses have a flat form"
+        )
+    return tuple(f.name for f in fields(cls) if f.init)
 
 
 def canonical_send_line(record) -> str:
@@ -296,7 +287,6 @@ class ShardContext:
                 "never quiesces, and a script runs until the queue drains"
             )
         self.sim = self.system.sim
-        self.outbox: List[RemoteMessage] = []
         self._seq = 0
         self.busy_s = 0.0
         # The world's send fold, told to digest its groups for report().
@@ -309,63 +299,117 @@ class ShardContext:
         cgcast = self.system.cgcast
         cgcast.unobserve(self.send_fold.observe)
         cgcast.observe(self._observe_send)
+        self._outboxes: List[list] = [[] for _ in range(plan.k)]  # rows by dest shard
         sharded = plan.k > 1
         if sharded:
-            self.system.cgcast.shard_router = self._route_cgcast
+            # The codec's tables: a cluster id ships as its index here.
+            self._clusters = self.scenario.hierarchy.all_clusters()
+            self._cluster_index = {c: i for i, c in enumerate(self._clusters)}
+            # dest -> (shard, flat dest, tags) when foreign, else None.
+            self._routes: Dict[Any, Optional[Tuple[int, Any, int]]] = {}
+            cgcast.shard_router = self._route_cgcast
             if hasattr(self.system, "client_filter"):
                 self.system.client_filter = self.owned.__contains__
         owns = self.owned.__contains__ if sharded else None
         schedule_workload(self.system, workload, owns=owns)
 
     # ------------------------------------------------------------------
-    # Send observer and routing hook
+    # Send observer, routing hook and the row codec
     # ------------------------------------------------------------------
     def _observe_send(self, records) -> None:
         self.send_fold.observe(records)
 
-    def _route_cgcast(self, src, dest, dest_region, payload, deliver_time) -> bool:
-        shard = self.plan.shard_of(dest_region)
-        if shard == self.shard_id:
+    def _route_cgcast(self, src, dest, payload, deliver_time) -> bool:
+        """Pack a copy bound for a foreign shard as a row; claim it."""
+        try:
+            route = self._routes[dest]
+        except KeyError:
+            route = self._routes[dest] = self._route_of(dest)
+        if route is None:
             return False
+        shard, dest, tags = route
+        index = self._cluster_index
+        if isinstance(src, ClusterId):
+            src, tags = index[src], tags | 1
+        cls = type(payload)
+        values = [cls]
+        for bit, name in enumerate(_field_names(cls), 2):
+            value = getattr(payload, name)
+            if isinstance(value, ClusterId):
+                value, tags = index[value], tags | 1 << bit
+            values.append(value)
         self._seq += 1
-        self.outbox.append(RemoteMessage(
-            send_time=self.sim.now,
-            deliver_time=deliver_time,
-            src=src,
-            dest=dest,
-            payload=payload,
-            dest_shard=shard,
-            src_shard=self.shard_id,
-            seq=self._seq,
-        ))
+        self._outboxes[shard].append(
+            (deliver_time, self.sim.now, self._seq, tags, src, dest, *values)
+        )
         return True
+
+    def _route_of(self, dest) -> Optional[Tuple[int, Any, int]]:
+        """``(shard, flat dest, tags)`` when a foreign shard hosts ``dest``:
+        a cluster process lives at its head's region; ``("clients",
+        region)`` lands in that region."""
+        if isinstance(dest, ClusterId):
+            flat, tags, region = self._cluster_index[dest], 2, self.scenario.hierarchy.head(dest)
+        else:
+            flat, tags, region = dest[1], 0, dest[1]
+        shard = self.plan.shard_of(region)
+        return None if shard == self.shard_id else (shard, flat, tags)
+
+    def _decode(self, row) -> tuple:
+        """``(deliver_time, send_time, seq, src, dest, payload)`` of a row,
+        with this world's own cluster instances."""
+        deliver_time, send_time, seq, tags, src, dest, cls, *values = row
+        clusters = self._clusters
+        if tags & 1:
+            src = clusters[src]
+        dest = clusters[dest] if tags & 2 else ("clients", dest)
+        tags >>= 2
+        if tags:
+            values = [clusters[v] if tags >> i & 1 else v for i, v in enumerate(values)]
+        return deliver_time, send_time, seq, src, dest, cls(*values)
 
     # ------------------------------------------------------------------
     # Stepping (driver interface)
     # ------------------------------------------------------------------
-    def next_event_time(self) -> Optional[float]:
-        return self.sim.next_event_time()
+    def inject(self, batches: Iterable[list]) -> None:
+        """Schedule the rows other shards packed for this one.
 
-    def inject(self, message: RemoteMessage) -> None:
-        """Schedule an incoming cross-shard message for local delivery."""
-        self.sim.call_at(
-            message.deliver_time,
-            lambda m=message: self.system.cgcast.apply_remote(
-                m.src, m.dest, m.payload
-            ),
-            tag="xshard:cgcast",
-        )
+        ``batches`` holds one row list per sending shard, in shard order,
+        each in ``seq`` order, so a stable sort on the delivery time gives
+        the canonical ``(deliver_time, src_shard, seq)`` order.  A row due
+        before this shard's clock (the barrier it has reached) would
+        break causality: it raises :class:`ShardedRunError`.
+        """
+        copies = sorted(map(self._decode, chain.from_iterable(batches)), key=itemgetter(0))
+        barrier = self.sim.now
+        if copies and copies[0][0] < barrier:
+            deliver_time, send_time, _, src, dest, payload = copies[0]
+            raise ShardedRunError(
+                f"shard {self.shard_id} got a cross-shard {type(payload).__name__} "
+                f"{src!r} -> {dest!r} sent at {send_time!r} and due at "
+                f"{deliver_time!r}, before the barrier at {barrier!r}"
+            )
+        apply_remote = self.system.cgcast.apply_remote
+        for deliver_time, _, _, src, dest, payload in copies:
+            self.sim.call_at(deliver_time, partial(apply_remote, src, dest, payload),
+                             tag="xshard:cgcast")
 
-    def run_window(self, barrier: float) -> int:
-        """Run all local events strictly before ``barrier``."""
+    def step(self, barrier: float, batches: Iterable[list]) -> tuple:
+        """One window: inject ``batches`` and run every local event before
+        ``barrier``.  Replies ``(outbox, next event time, busy seconds)``,
+        the outbox ``{dest shard: (earliest deliver_time, count, rows)}``.
+        """
+        self.inject(batches)
         t0 = perf_counter()
-        fired = self.sim.run_window(barrier)
-        self.busy_s += perf_counter() - t0
-        return fired
-
-    def drain_outbox(self) -> List[RemoteMessage]:
-        out, self.outbox = self.outbox, []
-        return out
+        self.sim.run_window(barrier)
+        busy = perf_counter() - t0
+        self.busy_s += busy
+        outbox = {}
+        for shard, rows in enumerate(self._outboxes):
+            if rows:
+                outbox[shard] = (min(map(itemgetter(0), rows)), len(rows), rows)
+                self._outboxes[shard] = []
+        return outbox, self.sim.next_event_time(), busy
 
     # ------------------------------------------------------------------
     # Results

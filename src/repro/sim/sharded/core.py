@@ -7,9 +7,9 @@
    shards and in-flight injections) + δ`` — adaptive, so idle stretches
    are skipped in one hop;
 2. step every shard to ``b`` (events strictly before the barrier);
-3. gather the shards' outboxes of boundary-crossing messages, sort
-   them into the canonical ``(deliver_time, src_shard, seq)`` order,
-   and hand each to its destination shard for injection.
+3. forward each shard's batch of boundary-crossing rows, unopened, to
+   its destination shard, which decodes them, sorts them into the
+   canonical ``(deliver_time, src_shard, seq)`` order and injects them.
 
 **Safety** (no causality violation): every C-gcast delay is at
 least δ (the §II-C.3 table bottoms out at the client→cluster rule (e)
@@ -20,11 +20,11 @@ deliverable inside it, so exchanging only at barriers loses nothing.
 The δ-lookahead property test pins this empirically.
 
 **Determinism**: shard replicas are pure functions of ``(config,
-plan, shard_id, workload)``; the exchange order is canonical, fixed by
-sender-side dispatch sequence numbers rather than worker completion
-order — so the N-shard fingerprint is a pure function of the seed,
-independent of scheduling, and identical between the serial and
-process backends.
+plan, shard_id, workload)``; the receiving shard fixes the injection
+order from delivery times and sender-side dispatch sequence numbers
+rather than worker completion order — so the N-shard fingerprint is a
+pure function of the seed, independent of scheduling, and identical
+between the serial and process backends.
 
 Backends: ``serial`` steps the shard contexts in-process (the
 reference semantics, and the honest fallback on 1-core boxes);
@@ -45,19 +45,16 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, islice
 from operator import eq
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...energy.ledger import merge_energy
 from ...topo import topology_cache
 from ...workload import ScriptedWorkload, check_world
-from .context import GroupDigest, RemoteMessage, ShardContext, sort_groups
+from ..engine import gc_paused
+from .context import GroupDigest, ShardContext, ShardedRunError, sort_groups
 from .plan import ShardPlan, strip_plan
 
 BACKENDS = ("serial", "processes")
-
-
-class ShardedRunError(RuntimeError):
-    """Raised for driver protocol violations or worker failures."""
 
 
 @dataclass(frozen=True)
@@ -93,6 +90,11 @@ class RunRecord:
     #: Host seconds the shards spent inside windows.
     busy_s: float
     barrier_wait_s: float
+    #: ``busy_s`` per shard.
+    shard_busy_s: Tuple[float, ...]
+    #: Sum over windows of the slowest shard's window: minus
+    #: ``max(shard_busy_s)``, the cost of load imbalance.
+    critical_path_s: float
     fault_events: Optional[Dict[str, int]]
     #: find_id -> merged per-find record (origin repr, object_id,
     #: issued_at, deadline, completed, latency, work, deadline_missed).
@@ -190,41 +192,44 @@ class ShardedSimulator:
             check_world(workload, tiling)
 
     def run(self) -> RunRecord:
-        """Run the workload to quiescence and merge the shard reports."""
+        """Run the workload to quiescence and merge the shard reports,
+        in one GC pause (DESIGN.md §9.5), not one per window's loop."""
         k = self.plan.k
         delta = self.config.delta
         wall0 = perf_counter()
-        cross = 0
-        windows = 0
-        transport = self._make_transport()
-        try:
-            next_times = transport.start()
-            inboxes: List[List[RemoteMessage]] = [[] for _ in range(k)]
-            while True:
-                candidates = [t for t in next_times if t is not None]
-                candidates.extend(
-                    m.deliver_time for box in inboxes for m in box
-                )
-                if not candidates:
-                    break
-                if windows >= self.max_windows:
-                    raise ShardedRunError(
-                        f"exceeded max_windows={self.max_windows}"
-                    )
-                barrier = min(candidates) + delta
-                outboxes, next_times = transport.step_all(barrier, inboxes)
-                windows += 1
-                exchanged = [m for box in outboxes for m in box]
-                exchanged.sort(key=RemoteMessage.sort_key)
-                cross += len(exchanged)
-                inboxes = [[] for _ in range(k)]
-                for message in exchanged:
-                    inboxes[message.dest_shard].append(message)
-            reports = transport.finish()
-        finally:
-            transport.close()
+        cross = windows = 0
+        critical = 0.0
+        with gc_paused():
+            transport = self._make_transport()
+            try:
+                next_times = transport.start()
+                # Per destination shard, the batches bound for it in
+                # sending-shard order, and the earliest row of each batch.
+                inboxes: List[list] = [[] for _ in range(k)]
+                due: List[float] = []
+                while True:
+                    candidates = [t for t in next_times if t is not None] + due
+                    if not candidates:
+                        break
+                    if windows >= self.max_windows:
+                        raise ShardedRunError(f"exceeded max_windows={self.max_windows}")
+                    barrier = min(candidates) + delta
+                    replies = transport.step_all(barrier, inboxes)
+                    windows += 1
+                    inboxes = [[] for _ in range(k)]
+                    due = []
+                    for outbox, _, _ in replies:
+                        for dest, (earliest, count, batch) in outbox.items():
+                            inboxes[dest].append(batch)
+                            due.append(earliest)
+                            cross += count
+                    next_times = [reply[1] for reply in replies]
+                    critical += max(reply[2] for reply in replies)
+                reports = transport.finish()
+            finally:
+                transport.close()
         wall = perf_counter() - wall0
-        return _merge(reports, self.plan, self.backend, windows, cross, wall)
+        return _merge(reports, self.plan, self.backend, windows, cross, wall, critical)
 
     # ------------------------------------------------------------------
     # Internals
@@ -247,18 +252,11 @@ class SerialTransport:
         ]
 
     def start(self) -> List[Optional[float]]:
-        return [ctx.next_event_time() for ctx in self.contexts]
+        return [ctx.sim.next_event_time() for ctx in self.contexts]
 
-    def step_all(self, barrier: float, inboxes: List[List[RemoteMessage]]):
-        outboxes: List[List[RemoteMessage]] = []
-        next_times: List[Optional[float]] = []
-        for ctx, inbox in zip(self.contexts, inboxes):
-            for message in inbox:
-                ctx.inject(message)
-            ctx.run_window(barrier)
-            outboxes.append(ctx.drain_outbox())
-            next_times.append(ctx.next_event_time())
-        return outboxes, next_times
+    def step_all(self, barrier: float, inboxes: List[list]) -> List[tuple]:
+        """Each shard's :meth:`ShardContext.step` reply; rows travel as lists."""
+        return [ctx.step(barrier, inbox) for ctx, inbox in zip(self.contexts, inboxes)]
 
     def finish(self) -> List[dict]:
         return [ctx.report() for ctx in self.contexts]
@@ -281,6 +279,7 @@ def _merge(
     windows: int,
     cross: int,
     wall: float,
+    critical: float = 0.0,
 ) -> RunRecord:
     """Fold the per-shard reports of one run into its :class:`RunRecord`."""
     finds: Dict[int, dict] = {}
@@ -328,12 +327,8 @@ def _merge(
     fault_events = None
     if reports[0]["fault_stats"] is not None:
         fault_events = dict(reports[0]["fault_stats"])
-        for key in (
-            "messages_dropped", "messages_duplicated", "messages_delayed"
-        ):
-            fault_events[key] = sum(
-                r["fault_stats"][key] for r in reports
-            )
+        for key in ("messages_dropped", "messages_duplicated", "messages_delayed"):
+            fault_events[key] = sum(r["fault_stats"][key] for r in reports)
     busy = [r["busy_s"] for r in reports]
     total_busy = sum(busy)
     # Serial: everything outside shard windows is driver overhead.
@@ -361,6 +356,8 @@ def _merge(
         busy_s=total_busy,
         # No windows, no barriers to wait at (the plain loop).
         barrier_wait_s=max(0.0, wall - overlap) if windows else 0.0,
+        shard_busy_s=tuple(busy),
+        critical_path_s=critical,
         fault_events=fault_events,
         finds=finds,
         handovers=handovers,

@@ -6,13 +6,17 @@ Protocol (parent → worker / worker → parent):
   ShardContext` (replica construction hits the per-process topo cache)
   and replies ``("ready", next_event_time)``;
 * ``("step", barrier, inbox)`` → inject the inbox, run the window,
-  reply ``("stepped", outbox, next_event_time)``;
+  reply ``("stepped", outbox, next_event_time, busy_s)``;
 * ``("finish",)`` → reply ``("report", report_dict)`` and exit.
 
-The parent broadcasts ``step`` to every worker before collecting any
-reply, so the K windows compute concurrently; determinism needs no
-cooperation from the OS scheduler because the parent re-sorts the
-gathered outboxes canonically (see :mod:`repro.sim.sharded.core`).
+A batch of rows crosses the pipes as the bytes its sender pickled
+once: the parent forwards them unopened to the destination, the only
+process that unpickles and decodes them.  The parent broadcasts
+``step`` to every worker before collecting any reply, so the K windows
+compute concurrently; determinism needs no cooperation from the OS
+scheduler because each destination orders its rows canonically (see
+:mod:`repro.sim.sharded.context`).  A worker's whole session is one GC
+pause, as is the parent's run.
 
 Workers fork when the platform allows it (Linux: inherits the warm
 parent topo cache for free); otherwise they spawn, which only requires
@@ -23,11 +27,13 @@ workloads.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import traceback
 from typing import List, Optional
 
 from ...workload import ScriptedWorkload
-from .context import RemoteMessage, ShardContext
+from ..engine import gc_paused
+from .context import ShardContext
 from .core import ShardedRunError
 from .plan import ShardPlan
 
@@ -36,23 +42,24 @@ def shard_worker_main(conn, config, plan: ShardPlan, shard_id: int,
                       workload: ScriptedWorkload) -> None:
     """Worker entry point: build the shard replica and serve steps."""
     try:
-        ctx = ShardContext(config, plan, shard_id, workload)
-        conn.send(("ready", ctx.next_event_time()))
-        while True:
-            command = conn.recv()
-            op = command[0]
-            if op == "step":
-                _, barrier, inbox = command
-                for message in inbox:
-                    ctx.inject(message)
-                ctx.run_window(barrier)
-                conn.send(("stepped", ctx.drain_outbox(), ctx.next_event_time()))
-            elif op == "finish":
-                conn.send(("report", ctx.report()))
-                return
-            else:
-                conn.send(("error", f"unknown command {op!r}", ""))
-                return
+        with gc_paused():
+            ctx = ShardContext(config, plan, shard_id, workload)
+            conn.send(("ready", ctx.sim.next_event_time()))
+            while True:
+                command = conn.recv()
+                op = command[0]
+                if op == "step":
+                    _, barrier, inbox = command
+                    outbox, next_time, busy = ctx.step(barrier, map(pickle.loads, inbox))
+                    for shard, (earliest, count, rows) in outbox.items():
+                        outbox[shard] = earliest, count, pickle.dumps(rows, -1)
+                    conn.send(("stepped", outbox, next_time, busy))
+                elif op == "finish":
+                    conn.send(("report", ctx.report()))
+                    return
+                else:
+                    conn.send(("error", f"unknown command {op!r}", ""))
+                    return
     except EOFError:  # parent died; exit quietly
         return
     except Exception as exc:  # pragma: no cover - surfaced in the parent
@@ -107,16 +114,10 @@ class ProcessTransport:
     def start(self) -> List[Optional[float]]:
         return [self._recv(shard)[1] for shard in range(len(self.pipes))]
 
-    def step_all(self, barrier: float, inboxes: List[List[RemoteMessage]]):
+    def step_all(self, barrier: float, inboxes: List[list]) -> List[tuple]:
         for pipe, inbox in zip(self.pipes, inboxes):
             pipe.send(("step", barrier, inbox))
-        outboxes: List[List[RemoteMessage]] = []
-        next_times: List[Optional[float]] = []
-        for shard in range(len(self.pipes)):
-            message = self._recv(shard)
-            outboxes.append(message[1])
-            next_times.append(message[2])
-        return outboxes, next_times
+        return [self._recv(shard)[1:] for shard in range(len(self.pipes))]
 
     def finish(self) -> List[dict]:
         for pipe in self.pipes:

@@ -28,7 +28,11 @@ from repro.sim.sharded.core import _tiling_for  # noqa: E402
 
 
 def _run_collecting(config, workload):
-    """Run a ShardedSimulator, returning (result, exchanged messages)."""
+    """Run a ShardedSimulator, returning (result, exchanged rows).
+
+    A row is ``(deliver_time, send_time, seq, ...)``: each step reply's
+    outbox maps a destination shard to ``(earliest, count, rows)``.
+    """
     sim = ShardedSimulator(config, workload)
     collected = []
     original = sim._make_transport
@@ -38,10 +42,11 @@ def _run_collecting(config, workload):
         inner = transport.step_all
 
         def step_all(barrier, inboxes):
-            outboxes, next_times = inner(barrier, inboxes)
-            for box in outboxes:
-                collected.extend(box)
-            return outboxes, next_times
+            replies = inner(barrier, inboxes)
+            for outbox, _, _ in replies:
+                for _, _, rows in outbox.values():
+                    collected.extend(rows)
+            return replies
 
         transport.step_all = step_all
         return transport
@@ -76,10 +81,11 @@ def test_cross_shard_delivery_never_beats_delta(
     workload = make_walk_workload(_tiling_for(config), n_moves, n_finds, seed)
     result, exchanged = _run_collecting(config, workload)
     assert result.events > 0
-    for message in exchanged:
-        assert message.deliver_time >= message.send_time + delta - 1e-9, (
-            f"message sent at {message.send_time} delivered "
-            f"at {message.deliver_time} < send + delta={delta}"
+    assert len(exchanged) == result.cross_shard_messages
+    for deliver_time, send_time, *_ in exchanged:
+        assert deliver_time >= send_time + delta - 1e-9, (
+            f"message sent at {send_time} delivered "
+            f"at {deliver_time} < send + delta={delta}"
         )
 
 

@@ -31,7 +31,7 @@ from repro.workload import materialize
 #: is the engine's clock: the plain loop stops at its last event, a
 #: windowed run at its last barrier, up to δ later (checked below).
 ENGINE_FIELDS = {
-    "wall_s", "busy_s", "barrier_wait_s", "now",
+    "wall_s", "busy_s", "barrier_wait_s", "shard_busy_s", "critical_path_s", "now",
     "backend", "shards", "windows", "cross_shard_messages",
 }
 

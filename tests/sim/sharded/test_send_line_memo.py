@@ -172,7 +172,7 @@ class TestAbsentInterpositionsCostNothingObservable:
             calls["filter"] += 1
             return None
 
-        def shard_router(src, dest, dest_region, payload, deliver_time):
+        def shard_router(src, dest, payload, deliver_time):
             calls["router"] += 1
             return False
 

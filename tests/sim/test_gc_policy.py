@@ -1,15 +1,17 @@
 """The one GC policy: ``gc_paused`` owns every pause, freeze and collect.
 
 Builds and event loops run with automatic collection paused and restore
-the prior state however they exit; a sweep job collects its own cyclic
-garbage (timers and trackers refer to each other) before it returns;
-only the pool workers a runner owns freeze their heap.  The per-cluster
-automata are slotted, which is where a world's memory went.
+the prior state however they exit; a sharded run is one pause, barriers
+included; a sweep job collects its own cyclic garbage (timers and
+trackers refer to each other) before it returns; only the pool workers
+a runner owns freeze their heap.  The per-cluster automata are slotted,
+which is where a world's memory went.
 """
 
 import gc
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -19,10 +21,14 @@ from repro.core.client_tracking import TrackingClient
 from repro.core.tracker import Tracker
 from repro.scenario import ScenarioConfig, build
 from repro.sim.engine import Simulator, gc_paused
+from repro.sim.sharded import ShardContext, make_walk_workload, run_script
+from repro.sim.sharded.core import _tiling_for
 from repro.tioa.timers import Timer
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 TINY = job("move_walk", r=2, max_level=2, n_moves=2, seed=1)
+SHARDED = ScenarioConfig(r=2, max_level=2, seed=3, shards=2)
+WALK = make_walk_workload(_tiling_for(SHARDED), 4, 2, 3)
 
 
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
@@ -48,6 +54,51 @@ def test_run_restores_the_gc_state_also_when_an_event_raises(gc_state):
     sim.call_at(2.0, lambda: 1 / 0)
     with pytest.raises(ZeroDivisionError):
         sim.run()
+    assert gc.isenabled() is gc_state
+
+
+def _probe_windows(seen, fail_at=None):
+    """``ShardContext.step``, recording the GC state between windows and
+    inside each (one probe event per shard window); the probe raises
+    instead once ``fail_at`` states are recorded."""
+    step = ShardContext.step
+
+    def probing_step(ctx, barrier, batches):
+        seen.append(gc.isenabled())
+        fail = len(seen) == fail_at
+        ctx.sim.call_at(ctx.sim.now, (lambda: 1 / 0) if fail else (lambda: seen.append(gc.isenabled())))
+        return step(ctx, barrier, batches)
+
+    return mock.patch.object(ShardContext, "step", probing_step)
+
+
+def test_a_sharded_run_is_one_pause(gc_state):
+    seen = []
+    with _probe_windows(seen):
+        record = run_script(SHARDED, WALK, "serial")
+    assert len(seen) == 4 * record.windows and not any(seen)
+    assert gc.isenabled() is gc_state
+
+
+def test_a_sharded_run_restores_the_gc_state_also_when_a_window_raises(gc_state):
+    with _probe_windows([], fail_at=5), pytest.raises(ZeroDivisionError):
+        run_script(SHARDED, WALK, "serial")
+    assert gc.isenabled() is gc_state
+
+
+def test_a_plain_run_pauses_only_in_build_and_the_loop(gc_state):
+    seen = []
+    report = ShardContext.report
+
+    def probing_report(ctx):
+        seen.append(gc.isenabled())
+        return report(ctx)
+
+    with mock.patch.object(ShardContext, "report", probing_report):
+        run_script(SHARDED, WALK, "plain")
+        assert seen == [gc_state]
+        run_script(SHARDED, WALK, "serial")  # one report per shard
+        assert seen == [gc_state, False, False]
     assert gc.isenabled() is gc_state
 
 

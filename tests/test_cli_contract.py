@@ -83,9 +83,9 @@ DEFAULTS = {
     ),
     "sharded": (
         {"backend", "barrier_wait_s", "bit_identical", "canonical_fingerprint",
-         "cross_shard_messages", "events", "fault_events", "finds_completed",
-         "finds_issued", "fingerprint_match", "messages_sent",
-         "reference_fingerprint", "shards", "wall_s", "windows"},
+         "critical_path_s", "cross_shard_messages", "events", "fault_events",
+         "finds_completed", "finds_issued", "fingerprint_match", "messages_sent",
+         "reference_fingerprint", "shard_busy_s", "shards", "wall_s", "windows"},
         ("shards", "backend", "events", "windows", "cross_shard_messages",
          "canonical_fingerprint", "reference_fingerprint"),
     ),
