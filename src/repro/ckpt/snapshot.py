@@ -225,8 +225,8 @@ def loads(data: bytes) -> Snapshot:
 def read_run(path: Union[str, Path]) -> Tuple[ScenarioConfig, ScriptedWorkload]:
     """A run file's inputs: its config and its one script, cut aside.
 
-    ``repro sharded`` and ``repro bisect`` run them from t=0; the cut is
-    only where ``repro resume`` continues.
+    ``repro run FILE --shards K`` and ``repro bisect`` run them from t=0;
+    the cut is only where ``repro run FILE`` continues.
 
     Raises:
         CkptFormatError: what :func:`load` refuses, a payload that does

@@ -1,17 +1,18 @@
 """Command-line interface: ``python -m repro <command> [--json]``.
 
 :data:`COMMANDS` is the whole surface, one :class:`Command` row per
-subcommand (``python -m repro --help`` prints them).  :func:`main` is the
-only place that parses, checks every flag against its :class:`Domain`,
-runs the command and prints the result.  ``run`` describes a result
-once, as a dict; it goes out as the one schema-versioned envelope
-``{"schema": "repro-cli/1", "command": <name>, "data": {...}}`` under
-``--json``, which every command takes, or else as ``text(view)`` — the
-same dict laid over the parsed flags it answers (``_``-prefixed keys are
-for ``text`` only and stay out of the envelope).  Rejected input — a
-value outside its flag's domain, or a typed refusal from deeper down —
-exits 2 with one stderr line, or the envelope with ``data.error``.
-Progress and written files are noted on stderr in either mode.
+subcommand (``python -m repro --help`` prints them; row ``"gen walk"`` is
+``repro gen walk``).  :func:`main` is the only place that parses, checks
+every flag against its :class:`Domain`, runs the command and prints the
+result.  ``Command.run`` describes a result once, as a dict; it goes out
+as the one schema-versioned envelope ``{"schema": "repro-cli/1",
+"command": <name>, "data": {...}}`` under ``--json``, which every command
+takes, or else as ``text(view)`` — the same dict laid over the parsed
+flags it answers (``_``-prefixed keys are for ``text`` only and stay out
+of the envelope).  Rejected input — a value outside its flag's domain, a
+flag that cannot act, or a typed refusal from deeper down — exits 2 with
+one stderr line, or the envelope with ``data.error``.  Progress and
+written files are noted on stderr in either mode.
 """
 
 from __future__ import annotations
@@ -321,36 +322,60 @@ def _validate_text(v):
     ).format_map(v)
 
 
-def _snapshot(args):
+def _saved(snapshot, out: str) -> Dict[str, Any]:
+    """Write ``snapshot`` to ``out``; the fields that describe the file."""
+    save(snapshot, out)
+    return {"out": out, **_pick(snapshot.meta, "schema", "sim_time", "events_fired"),
+            "payload_bytes": len(snapshot.payload)}
+
+
+#: What ``gen`` and ``run --out`` print about the file they wrote.
+_SAVED = ("wrote {out}: schema {schema}, t={sim_time:g}, {events_fired} events "
+          "fired, {payload_bytes} payload bytes")
+
+
+def _gen(config, workload, note: str, out: str):
+    """A run file: ``config`` and the script of ``workload``, cut at t=0."""
     from .scenario import build
+    from .workload import materialize, schedule_workload
+
+    scenario = build(config)
+    schedule_workload(scenario.system, materialize(workload, config.seed))
+    scenario.sim.run_until(0.0)
+    return _saved(snapshot_scenario(scenario, note=note), out), 0
+
+
+def _gen_walk(args):
     from .sim.sharded import walk_scenario
-    from .workload import schedule_workload
 
     config, script = walk_scenario(
-        **_pick(args, "r", "max_level", "seed"), shards=1,
-        n_moves=args.moves, n_finds=args.finds,
-        loss_rate=args.loss, jitter_rate=args.jitter,
+        **_pick(args, "r", "max_level", "seed"), shards=1, n_moves=args.moves,
+        n_finds=args.finds, loss_rate=args.loss, jitter_rate=args.jitter,
     )
-    scenario = build(config)
-    schedule_workload(scenario.system, script)
-    scenario.sim.run_until(args.at)
-    snapshot = snapshot_scenario(scenario, note=f"walk moves={args.moves}")
-    save(snapshot, args.out)
-    return {
-        "out": args.out,
-        **_pick(snapshot.meta, "schema", "sim_time", "events_fired"),
-        "payload_bytes": len(snapshot.payload),
-    }, 0
+    return _gen(config, script, f"walk moves={args.moves}", args.out)
 
 
-def _snapshot_text(v):
-    return (
-        "wrote {out}: schema {schema}, t={sim_time:g}, {events_fired} events "
-        "fired, {payload_bytes} payload bytes"
-    ).format_map(v)
+def _gen_service(args):
+    from .scenario import ScenarioConfig
+    from .service import LoadGenerator
+    from .sim.sharded.core import _tiling_for
+
+    sizes = _pick(args, "n_objects", "find_clients")
+    config = ScenarioConfig(**_pick(args, "r", "max_level", "seed"), **sizes)
+    load = LoadGenerator(
+        tiling=_tiling_for(config), n_finds=args.finds, **sizes,
+        **_pick(args, "arrival", "rate", "moves_per_object", "deadline"),
+    )
+    return _gen(config, load, f"service objects={args.n_objects}", args.out)
 
 
-def _resume(args):
+def _run(args):
+    # K >= 1 shards run the script from t=0 and save no cut; K = 0 continues it.
+    for flag in ("until", "out") if args.shards else ("backend",):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} cannot act with --shards {args.shards}")
+    if args.shards:
+        return _cross_check(args)
     snapshot = load(args.path)
     cut, until = snapshot.meta.sim_time, args.until
     if until is not None and until < cut:
@@ -362,23 +387,67 @@ def _resume(args):
         scenario.sim.run()
     else:
         scenario.sim.run_until(until)
-    fp = run_fingerprint(scenario)
-    system = scenario.system
-    evader = system.evader
-    return {
+    fp, system = run_fingerprint(scenario), scenario.system
+    data = {
         "resumed_from_t": cut,
         "ran_until": fp[0] if until is None else until,
         **dict(zip(("sim_time", "events_fired", "sends", "send_crc"), fp)),
-        "evader_region": None if evader is None else list(evader.region),
+        "evader_region": None if system.evader is None else list(system.evader.region),
         "finds_completed": sum(1 for r in system.finds.records.values() if r.completed),
-    }, 0
+    }
+    if args.out is not None:
+        data.update(_saved(snapshot_scenario(scenario, note=snapshot.meta.note),
+                           args.out))
+    return data, 0
 
 
-def _resume_text(v):
+def _cross_check(args):
+    """``run --shards K``: the file's script from t=0, plain vs K shards."""
+    from .service import cross_check
+
+    config, script = read_run(args.path)
+    reference, sharded, match = cross_check(
+        config.with_(shards=args.shards), script, backend=args.backend or "serial"
+    )
+    exact = sharded.exact_fingerprint  # a K=1 run has one dispatch order
+    return {
+        **_pick(
+            sharded, "shards", "backend", "events", "windows",
+            "cross_shard_messages", "messages_sent", "finds_issued",
+            "finds_completed", "canonical_fingerprint", "wall_s", "barrier_wait_s",
+            "shard_busy_s", "critical_path_s", "fault_events", "metrics",
+        ),
+        "reference_fingerprint": reference.canonical_fingerprint,
+        "reference_metrics": reference.metrics,
+        "fingerprint_match": match,
+        "bit_identical": exact is not None and exact == reference.exact_fingerprint,
+        "_reference_wall_s": reference.wall_s,
+    }, 0 if match else 1
+
+
+def _run_text(v):
+    if "reference_fingerprint" in v:  # --shards K
+        return (
+            "sharded: {path} at K={shards} backend={backend}\n"
+            "events: {events} over {windows} windows, {cross_shard_messages} "
+            "cross-shard messages, finds {finds_completed}/{finds_issued} completed, "
+            "{deadlines_missed}/{deadlines_set} deadlines missed, "
+            "{handovers_total} handovers\n"
+            "fingerprint: {canonical_fingerprint} (reference "
+            "{reference_fingerprint}) -> {verdict}{exact}\n"
+            "wall {wall_s:.3f}s (reference {_reference_wall_s:.3f}s), "
+            "barrier wait {barrier_wait_s:.3f}s, critical path {critical_path_s:.3f}s, "
+            "busy per shard {busy}s"
+        ).format_map({
+            **v["metrics"], **v, "verdict": _verdict(v["fingerprint_match"]),
+            "busy": "/".join(f"{busy:.3f}" for busy in v["shard_busy_s"]),
+            "exact": ", bit-identical at K=1" if v["bit_identical"] else "",
+        })
     return (
         "resumed {path} from t={resumed_from_t:g} to t={sim_time:g}: "
         "{events_fired} events fired, {sends} sends "
         "(crc {send_crc:#010x}), evader at {at}"
+        + ("" if v["out"] is None else "\n" + _SAVED)
     ).format_map({**v, "at": _region(v["evader_region"])})
 
 
@@ -399,93 +468,6 @@ def _bisect_text(v):
         lines.append(f"  side {side}: event {info['tag']} at t={info['time']:g}, "
                      f"{len(sends)} sends")
         lines += [f"    {line}" for line in sends[:4]]
-    return "\n".join(lines)
-
-
-def _sharded(args):
-    from .service import cross_check
-
-    config, script = read_run(args.path)
-    reference, sharded, match = cross_check(
-        config.with_(shards=args.shards), script, backend=args.backend
-    )
-    exact = sharded.exact_fingerprint  # a K=1 run has one dispatch order
-    return {
-        **_pick(
-            sharded, "shards", "backend", "events", "windows",
-            "cross_shard_messages", "messages_sent", "finds_issued",
-            "finds_completed", "canonical_fingerprint", "wall_s",
-            "barrier_wait_s", "shard_busy_s", "critical_path_s", "fault_events",
-        ),
-        "reference_fingerprint": reference.canonical_fingerprint,
-        "fingerprint_match": match,
-        "bit_identical": exact is not None and exact == reference.exact_fingerprint,
-        "_reference_wall_s": reference.wall_s,
-    }, 0 if match else 1
-
-
-def _sharded_text(v):
-    return (
-        "sharded: {path} at K={shards} backend={backend}\n"
-        "events: {events} over {windows} windows, {cross_shard_messages} "
-        "cross-shard messages, finds {finds_completed}/{finds_issued} completed\n"
-        "fingerprint: {canonical_fingerprint} (reference "
-        "{reference_fingerprint}) -> {verdict}{exact}\n"
-        "wall {wall_s:.3f}s (reference {_reference_wall_s:.3f}s), "
-        "barrier wait {barrier_wait_s:.3f}s, critical path {critical_path_s:.3f}s, "
-        "busy per shard {busy}s"
-    ).format_map({
-        **v, "verdict": _verdict(v["fingerprint_match"]),
-        "busy": "/".join(f"{busy:.3f}" for busy in v["shard_busy_s"]),
-        "exact": ", bit-identical at K=1" if v["bit_identical"] else "",
-    })
-
-
-def _service(args):
-    from .scenario import ScenarioConfig
-    from .service import LoadGenerator, cross_check
-    from .sim.sharded.core import _tiling_for
-
-    sizes = _pick(args, "n_objects", "find_clients")
-    config = ScenarioConfig(**_pick(args, "r", "max_level", "seed", "shards"), **sizes)
-    load = LoadGenerator(
-        tiling=_tiling_for(config), n_finds=args.finds, **sizes,
-        **_pick(args, "arrival", "rate", "moves_per_object", "deadline"),
-    )
-    plain, sharded, match = cross_check(config, load)
-    shared = ("canonical_fingerprint", "events", "messages_sent", "metrics")
-    return {
-        "objects": args.n_objects,
-        "clients": args.find_clients,
-        **_pick(args, "finds", "arrival"),
-        "shards": sharded.shards,
-        "plain": _pick(plain, *shared),
-        "sharded": _pick(sharded, *shared, "windows", "cross_shard_messages"),
-        "fingerprint_match": match,
-    }, 0 if match else 1
-
-
-def _service_text(v):
-    metrics = v["sharded"]["metrics"]
-    lines = [
-        "service: M={objects} finds={finds} clients={clients} arrival={arrival} "
-        "r={r} MAX={max_level} seed={seed} K={shards}".format_map(v),
-        "finds: {finds_completed}/{finds_issued} completed (rate "
-        "{completion_rate:.2f}), deadline misses "
-        "{deadlines_missed}/{deadlines_set}".format_map(metrics),
-    ]
-    if metrics["latency"]["p50"] is not None:
-        lines.append(
-            "latency: p50={p50:.1f} p95={p95:.1f} p99={p99:.1f} "
-            "jitter={jitter:.2f}".format_map(metrics["latency"])
-        )
-    lines += [
-        "throughput: {throughput_per_time:.3f} finds/time, "
-        "handovers {handovers_total}".format_map(metrics),
-        f"fingerprint: plain {v['plain']['canonical_fingerprint']} vs "
-        f"K={v['shards']} {v['sharded']['canonical_fingerprint']} -> "
-        f"{_verdict(v['fingerprint_match'])}",
-    ]
     return "\n".join(lines)
 
 
@@ -623,41 +605,16 @@ COMMANDS: Tuple[Command, ...] = (
         Flag("--strip", SWITCH, help="strip world"),
         Flag("--skip-proximity", SWITCH, help="skip the proximity check"),
     )),
-    Command("snapshot", "checkpoint the scripted walk at a cut point "
-            "(at 0: a run file for 'sharded' and 'bisect')",
-            (2, 2, 7), _snapshot, _snapshot_text, (
-        Flag("--at", TIME, 25.0, "sim time of the cut point (default 25)"),
+    Command("gen walk", "one evader's scripted walk", (2, 2, 7),
+            _gen_walk, _SAVED.format_map, (
         Flag("--moves", COUNT, 5, "scripted walk moves (default 5)"),
         Flag("--finds", COUNT, 4, "scripted walk finds (default 4)"),
         Flag("--loss", PROBABILITY, 0.0, "arm a message-loss rule at this rate"),
         Flag("--jitter", PROBABILITY, 0.0, "arm a message-jitter rule at this rate"),
-        Flag("--out", TEXT, "walk.ckpt", "checkpoint path (default walk.ckpt)"),
+        Flag("--out", TEXT, "walk.ckpt", "run file path (default walk.ckpt)"),
     )),
-    Command("resume", "restore a checkpoint and run it to completion",
-            None, _resume, _resume_text, (
-        Flag("path", TEXT, help=f"a {CKPT_SCHEMA} file written by 'repro snapshot'"),
-        Flag("--until", TIME, None,
-             "sim time to run to, not before the cut (default: until no "
-             "event is left)"),
-    )),
-    Command("bisect", "locate the first diverging event between two run files",
-            None, _bisect, _bisect_text, (
-        Flag("a", TEXT, help="run file A (its run from t=0; the cut is ignored)"),
-        Flag("b", TEXT, help="run file B"),
-        Flag("--obs", SWITCH, help="emit obs events on side B"),
-    )),
-    Command("sharded", "a run file on the sharded PDES core vs the single-loop "
-            "reference (determinism check)",
-            None, _sharded, _sharded_text, (
-        Flag("path", TEXT, help="run file (its run from t=0; the cut is ignored)"),
-        Flag("--shards", POSITIVE, 2, "region shard count K (default 2)"),
-        Flag("--backend", Domain(str, choices=("serial", "processes")), "serial",
-             "shard execution backend (default serial)"),
-    )),
-    Command("service",
-            "multi-object tracking service: one load-generator workload "
-            "on both engines + fingerprint verdict",
-            (2, 2, 7), _service, _service_text, (
+    Command("gen service", "a multi-object tracking service load",
+            (2, 2, 7), _gen_service, _SAVED.format_map, (
         Flag("--objects", POSITIVE, 6, "tracked objects M (default 6)", "n_objects"),
         Flag("--finds", COUNT, 40, "total find arrivals (default 40)"),
         Flag("--clients", POSITIVE, 4, "client origin pool size (default 4)",
@@ -667,7 +624,22 @@ COMMANDS: Tuple[Command, ...] = (
         Flag("--rate", RATE, 1.0, "poisson arrivals per sim time unit"),
         Flag("--deadline", TIME, 60.0, "per-find latency budget (sim time)"),
         Flag("--moves-per-object", COUNT, 2, "walk steps per object (default 2)"),
-        Flag("--shards", POSITIVE, 2, "shard count K for the sharded engine"),
+        Flag("--out", TEXT, "service.ckpt", "run file path (default service.ckpt)"),
+    )),
+    Command("run", "continue a run file from its cut, or cross-check it on K "
+            "shards from t=0", None, _run, _run_text, (
+        Flag("path", TEXT, help=f"a {CKPT_SCHEMA} file (repro gen, run --out)"),
+        Flag("--shards", COUNT, 0, "region shards K; 0: reference engine from the cut"),
+        Flag("--backend", Domain(str, choices=("serial", "processes")), None,
+             "shard execution backend with --shards (default serial)"),
+        Flag("--until", TIME, None, "sim time to run to (default: until quiescence)"),
+        Flag("--out", TEXT, None, "save the end state as a cut"),
+    )),
+    Command("bisect", "locate the first diverging event between two run files",
+            None, _bisect, _bisect_text, (
+        Flag("a", TEXT, help="run file A (its run from t=0; the cut is ignored)"),
+        Flag("b", TEXT, help="run file B"),
+        Flag("--obs", SWITCH, help="emit obs events on side B"),
     )),
     Command("mobility",
             "tracked walk across generated mobility regimes "
@@ -712,8 +684,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="VINESTALK reproduction (Nolte & Lynch, ICDCS 2007)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    groups: Dict[str, Any] = {}  # "gen" -> the subparsers of its kinds
     for command in COMMANDS:
-        child = sub.add_parser(command.name, help=command.help)
+        group, _, kind = command.name.partition(" ")
+        if kind and group not in groups:
+            gen = sub.add_parser(group, help="write a run file for 'repro run'")
+            groups[group] = gen.add_subparsers(dest="kind", required=True)
+        parent = groups[group] if kind else sub
+        child = parent.add_parser(kind or group, help=command.help)
         for flag in command.all_flags():
             domain, spec = flag.domain, {"help": flag.help}
             if flag.name.startswith("-"):  # a positional takes neither
@@ -744,7 +722,8 @@ _REJECTED_INPUT = (ValueError, OSError, CkptFormatError)
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one subcommand: the one result path and the one error path."""
     args = _build_parser().parse_args(argv)
-    command = next(row for row in COMMANDS if row.name == args.command)
+    name = " ".join(filter(None, (args.command, getattr(args, "kind", None))))
+    command = next(row for row in COMMANDS if row.name == name)
     rejected: Optional[Exception] = None
     try:
         for flag in command.all_flags():

@@ -51,19 +51,6 @@ class FindRecord:
             return None
         return self.completed_at - self.issued_at
 
-    @property
-    def deadline_missed(self) -> bool:
-        """True when a deadline was set and the find did not beat it.
-
-        An uncompleted find with a deadline counts as missed — the
-        service-level miss rate must not improve by dropping queries.
-        """
-        if self.deadline is None:
-            return False
-        if self.completed_at is None:
-            return True
-        return (self.completed_at - self.issued_at) > self.deadline
-
 
 class FindCoordinator:
     """Issues find ids and aggregates per-find outcomes."""

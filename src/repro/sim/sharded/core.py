@@ -304,6 +304,9 @@ def _merge(
                         merged["latency"] = info["latency"]
                     elif info["latency"] < merged["latency"]:
                         merged["latency"] = info["latency"]
+    # The one deadline-miss rule of every run record: a find with a
+    # deadline that did not complete counts as missed, so the miss rate
+    # cannot improve by dropping queries.
     for info in finds.values():
         deadline = info.get("deadline")
         info["deadline_missed"] = deadline is not None and (

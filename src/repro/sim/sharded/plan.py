@@ -98,17 +98,18 @@ def strip_plan(tiling: Tiling, k: int) -> ShardPlan:
 
     Shard ``i`` owns the slice ``regions[i*n//k : (i+1)*n//k]`` of the
     canonical region order — near-equal sizes, fully determined by
-    ``(tiling, k)``.  ``k`` is clamped to the region count so every
-    shard owns at least one region.
+    ``(tiling, k)``; every shard owns at least one region.
 
     Raises:
-        ValueError: for ``k < 1``.
+        ValueError: for ``k < 1``, or more shards than regions (a run
+            asked for K shards must not quietly report fewer).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     regions = list(tiling.regions())
     n = len(regions)
-    k = min(k, n)
+    if k > n:
+        raise ValueError(f"{k} shards exceed this world's {n} regions")
     assignment: List[Tuple[RegionId, int]] = []
     for shard in range(k):
         for region in regions[shard * n // k : (shard + 1) * n // k]:

@@ -1,6 +1,6 @@
 """The scripted walk: one evader's random neighbor walk with finds.
 
-The sharded-engine goldens, ``repro snapshot`` and the run-file corpus
+The sharded-engine goldens, ``repro gen walk`` and the run-file corpus
 all drive this walk; the script vocabulary it is written in lives in
 :mod:`repro.workload`.
 """
@@ -72,7 +72,7 @@ def walk_scenario(
 ):
     """The scripted walk as ``(config at K shards, its frozen script)``.
 
-    ``repro snapshot`` writes it to a run file; tests run it with
+    ``repro gen walk`` writes it to a run file; tests run it with
     ``run_script(*walk_scenario(...), backend)``.
     """
     from ...scenario import ScenarioConfig

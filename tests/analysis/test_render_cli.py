@@ -133,7 +133,7 @@ class TestJsonEnvelope:
             for command in COMMANDS if command.world is not None
         }
         for name, world in worlds.items():
-            args = parser.parse_args([name])
+            args = parser.parse_args(name.split())
             assert (args.r, args.max_level, args.seed) == world
         assert worlds["demo"] == (3, 2, 7)
         assert worlds["find"] == (2, 4, 21)
@@ -182,23 +182,23 @@ class TestJsonEnvelope:
             (["mobility", "--regimes", ""], "empty --regimes"),
             # Rejected by the flag's domain or deeper down (system
             # registry, ckpt loader): one error path.
-            (["sharded", GOLDEN_CKPT, "--shards", "0"], "shards must be >= 1"),
+            (["baselines", "--shards", "0"], "shards must be >= 1"),
             (["chaos", "--system", "bogus"], "unknown system 'bogus'"),
-            (["service", "--objects", "0"], "n_objects must be >= 1"),
+            (["gen", "service", "--objects", "0"], "n_objects must be >= 1"),
             (["find", "--r", "1"], "r must be >= 2"),
-            (["resume", "/nonexistent.ckpt"], "/nonexistent.ckpt"),
+            (["run", "/nonexistent.ckpt"], "/nonexistent.ckpt"),
             (["bisect", GOLDEN_CKPT, NOT_A_CKPT], "not a checkpoint"),
             (["baselines", "--faults", "nope"], "unknown faults: nope"),
             (["baselines", "--faults", ""], "empty --faults"),
             # Out of the flag's declared domain: each of these ran to
             # exit 0 (or a traceback) before the table stated domains.
-            (["snapshot", "--at", "0", "--moves", "-1"], "moves must be >= 0"),
-            (["service", "--rate", "0"], "rate must be > 0"),
-            (["service", "--rate", "-1"], "rate must be > 0"),
+            (["gen", "walk", "--moves", "-1"], "moves must be >= 0"),
+            (["gen", "service", "--rate", "0"], "rate must be > 0"),
+            (["gen", "service", "--rate", "-1"], "rate must be > 0"),
             (["mobility", "--shards", "-1"], "shards must be >= 0"),
             (["demo", "--moves", "-3"], "moves must be >= 0"),
-            (["snapshot", "--moves", "-1"], "moves must be >= 0"),
-            (["snapshot", "--finds", "-1"], "finds must be >= 0"),
+            (["gen", "walk", "--moves", "-1"], "moves must be >= 0"),
+            (["gen", "walk", "--finds", "-1"], "finds must be >= 0"),
             # An analytic cost model is no world: each of these crashed
             # with an AttributeError (exit 1, a traceback).
             (["chaos", "--system", "flooding"], "unknown system 'flooding'"),
@@ -208,6 +208,17 @@ class TestJsonEnvelope:
             # Ran zero cells and printed MATCH with exit 0.
             (["baselines", "--trackers", "flooding", "--faults", "loss"],
              "no fault axis"),
+            # A flag that cannot act at the --shards given: a sharded run
+            # starts at t=0 and writes no cut, a plain one has no backend.
+            (["run", GOLDEN_CKPT, "--shards", "2", "--until", "30"],
+             "--until cannot act with --shards 2"),
+            (["run", GOLDEN_CKPT, "--shards", "1", "--out", "/nonexistent/c.ckpt"],
+             "--out cannot act with --shards 1"),
+            (["run", GOLDEN_CKPT, "--backend", "processes"],
+             "--backend cannot act with --shards 0"),
+            # Ran K=16 on the 16-region world, reporting shards 16.
+            (["run", GOLDEN_CKPT, "--shards", "50"],
+             "50 shards exceed this world's 16 regions"),
         ],
     )
     def test_bad_selection_rejected(self, capsys, argv, needle):
@@ -219,11 +230,12 @@ class TestJsonEnvelope:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert main([*argv, "--json"]) == 2
-        assert needle in self.unwrap(capsys, argv[0])["error"]
+        command = " ".join(argv[:2]) if argv[0] == "gen" else argv[0]
+        assert needle in self.unwrap(capsys, command)["error"]
 
     def test_corrupt_checkpoint_rejected(self, capsys, tmp_path):
         # The ckpt loader's typed refusal takes the same path.
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"garbage")
-        assert main(["resume", str(path), "--json"]) == 2
-        assert "not a checkpoint" in self.unwrap(capsys, "resume")["error"]
+        assert main(["run", str(path), "--json"]) == 2
+        assert "not a checkpoint" in self.unwrap(capsys, "run")["error"]

@@ -1,6 +1,6 @@
 """Divergence bisection: the report must pinpoint the first split.
 
-Each side is a run file that ``repro snapshot --at 0`` wrote.  Ground
+Each side is a run file that ``repro gen walk`` wrote.  Ground
 truth for the seeded case is computed here the slow way — two full
 runs, each event's clock and send lines folded as they come, first
 differing event by index — and :func:`repro.ckpt.bisect_divergence`,
@@ -18,7 +18,7 @@ from repro.scenario import build
 from repro.sim.sharded.context import canonical_send_line
 from repro.workload import schedule_workload
 
-#: Run files of the walk (r=2, MAX=2, 5 moves): name -> snapshot flags.
+#: Run files of the walk (r=2, MAX=2, 5 moves): name -> ``gen walk`` flags.
 RUN_FLAGS = {
     "seed7": (),
     "seed8": ("--seed", "8"),
@@ -33,7 +33,7 @@ def runs(tmp_path_factory):
     read = {}
     for name, flags in RUN_FLAGS.items():
         path = str(folder / f"{name}.ckpt")
-        assert main(["snapshot", "--at", "0", *flags, "--out", path]) == 0
+        assert main(["gen", "walk", *flags, "--out", path]) == 0
         read[name] = read_run(path)
     return read
 

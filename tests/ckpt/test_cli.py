@@ -1,9 +1,13 @@
-"""The ``repro snapshot`` / ``resume`` / ``bisect`` CLI surface."""
+"""The ``repro gen`` / ``run`` / ``bisect`` CLI surface: a run file, its
+cuts, continuing a cut and bisecting two files."""
 
 import json
+from pathlib import Path
 
-from repro.ckpt import CKPT_SCHEMA
+from repro.ckpt import CKPT_SCHEMA, load
 from repro.cli import CLI_SCHEMA, main
+
+GOLDEN = Path(__file__).parent / "golden" / "walk-r2-M2.ckpt"
 
 
 def unwrap(raw: str, command: str) -> dict:
@@ -14,41 +18,55 @@ def unwrap(raw: str, command: str) -> dict:
     return envelope["data"]
 
 
+def run_file(folder, name, *flags):
+    """Write ``repro gen walk [flags]``'s run file; return its path."""
+    path = str(folder / f"{name}.ckpt")
+    assert main(["gen", "walk", *flags, "--out", path]) == 0
+    return path
+
+
+def cut(folder, at, *flags):
+    """``gen walk [flags]``, then ``run --until at --out``: the cut's path."""
+    path = str(folder / "cut.ckpt")
+    walk = run_file(folder, "walk", *flags)
+    assert main(["run", walk, "--until", str(at), "--out", path]) == 0
+    return path
+
+
 class TestSnapshotResume:
     def test_snapshot_then_resume_round_trips(self, tmp_path, capsys):
-        path = str(tmp_path / "walk.ckpt")
-        assert main(["snapshot", "--out", path]) == 0
+        path = cut(tmp_path, 25)
         out = capsys.readouterr().out
         assert CKPT_SCHEMA in out and path in out
 
-        assert main(["resume", path]) == 0
+        assert main(["run", path]) == 0
         out = capsys.readouterr().out
         assert "resumed" in out and "t=207" in out  # the walk's quiescence
 
+    def test_a_cut_at_25_is_the_golden_artifact(self, tmp_path):
+        # The committed artifact is this cut; it differs only in its
+        # note, so in its digest.
+        written, golden = load(cut(tmp_path, 25)), load(GOLDEN)
+        assert written.payload == golden.payload
+        assert (written.meta.sim_time, written.meta.events_fired) == (25.0, 19)
+        assert written.meta.fingerprint == golden.meta.fingerprint
+        assert f"{written.meta.note} golden-artifact" == golden.meta.note
+
     def test_resume_json_is_stable_across_invocations(self, tmp_path, capsys):
-        path = str(tmp_path / "walk.ckpt")
-        main(["snapshot", "--out", path, "--at", "12.5"])
+        path = cut(tmp_path, 12.5)
         capsys.readouterr()
-        main(["resume", path, "--json"])
-        first = unwrap(capsys.readouterr().out, "resume")
-        main(["resume", path, "--json"])
-        second = unwrap(capsys.readouterr().out, "resume")
+        main(["run", path, "--json"])
+        first = unwrap(capsys.readouterr().out, "run")
+        main(["run", path, "--json"])
+        second = unwrap(capsys.readouterr().out, "run")
         assert first == second
         assert first["resumed_from_t"] == 12.5
         assert first["ran_until"] == first["sim_time"] == 207.0  # quiescence
 
     def test_snapshot_with_loss_plan(self, tmp_path, capsys):
-        path = str(tmp_path / "lossy.ckpt")
-        assert main(["snapshot", "--out", path, "--loss", "0.3"]) == 0
+        path = cut(tmp_path, 25, "--loss", "0.3")
         capsys.readouterr()
-        assert main(["resume", path]) == 0
-
-
-def run_file(folder, name, *flags):
-    """Write ``repro snapshot --at 0 [flags]``'s run file; return its path."""
-    path = str(folder / f"{name}.ckpt")
-    assert main(["snapshot", "--at", "0", *flags, "--out", path]) == 0
-    return path
+        assert main(["run", path]) == 0
 
 
 class TestBisect:
@@ -89,8 +107,8 @@ class TestSharded:
             "--moves", "8", "--finds", "4",
         )
         capsys.readouterr()
-        assert main(["sharded", path, "--shards", "2", "--json"]) == 0
-        data = unwrap(capsys.readouterr().out, "sharded")
+        assert main(["run", path, "--shards", "2", "--json"]) == 0
+        data = unwrap(capsys.readouterr().out, "run")
         assert (data["events"], data["windows"], data["cross_shard_messages"]) == (
             343, 93, 20,
         )
@@ -103,7 +121,7 @@ class TestSharded:
 
         path = str(tmp_path / "scriptless.ckpt")
         save(snapshot_scenario(build(ScenarioConfig(r=2, max_level=2))), path)
-        for argv in (["sharded", path], ["bisect", path, path]):
+        for argv in (["run", path, "--shards", "2"], ["bisect", path, path]):
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert "holds 0" in captured.err and captured.err.count("\n") == 1

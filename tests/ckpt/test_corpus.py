@@ -1,12 +1,13 @@
 """The run-file corpus: every file replays as recorded and is K-invariant.
 
-A run file is a ``ckpt/6`` checkpoint holding one script; ``repro
-sharded`` and ``repro bisect`` run it from t=0.  ``tests/corpus`` holds
-two, both written by ``python -m repro snapshot --at 0 --max-level 3
---seed 11 --moves 8 --finds 4`` (``walk-faulty.ckpt`` adds ``--loss 0.1
---jitter 0.3``); the committed golden artifact is the third input.  A
-change to what the walk does moves their recorded fingerprints: rerun
-those commands to regenerate them.
+A run file is a ``ckpt/6`` checkpoint holding one script; ``repro run
+FILE --shards K`` and ``repro bisect`` run it from t=0.  ``tests/corpus``
+holds two, both written by ``python -m repro gen walk --max-level 3
+--seed 11 --moves 8 --finds 4 --out tests/corpus/walk.ckpt``
+(``walk-faulty.ckpt`` adds ``--loss 0.1 --jitter 0.3``); the committed
+golden artifact is the third input.  A change to what the walk does
+moves their recorded fingerprints: rerun those commands to regenerate
+them.
 """
 
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.ckpt import load, read_run, restore_scenario
+from repro.cli import main
 from repro.service import cross_check
 from tests.sim.sharded.test_sharded_golden import FAULTY_CANONICAL, WALK_CANONICAL
 
@@ -24,10 +26,21 @@ RUN_FILES = [
 ]
 #: The corpus walks are the sharded goldens' walks, so they share pins.
 CANONICAL = {"walk.ckpt": WALK_CANONICAL, "walk-faulty.ckpt": FAULTY_CANONICAL}
+#: The ``repro gen walk`` flags of each corpus file.
+WALK = ("--max-level", "3", "--seed", "11", "--moves", "8", "--finds", "4")
+GEN_FLAGS = {"walk.ckpt": WALK, "walk-faulty.ckpt": (*WALK, "--loss", "0.1",
+                                                     "--jitter", "0.3")}
 
 
 def test_the_pinned_walks_are_in_the_corpus():
     assert set(CANONICAL) <= {path.name for path in RUN_FILES}
+
+
+@pytest.mark.parametrize("name", sorted(GEN_FLAGS))
+def test_gen_walk_writes_the_corpus_file_byte_for_byte(name, tmp_path):
+    path = tmp_path / name
+    assert main(["gen", "walk", *GEN_FLAGS[name], "--out", str(path)]) == 0
+    assert path.read_bytes() == (TESTS / "corpus" / name).read_bytes()
 
 
 @pytest.mark.parametrize("path", RUN_FILES, ids=lambda path: path.name)

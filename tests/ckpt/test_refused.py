@@ -112,9 +112,9 @@ def test_the_library_refuses_before_the_first_event(name, backend, no_event_fire
 
 
 @pytest.mark.parametrize("argv", [
-    ("sharded", "{}"),
-    ("sharded", "{}", "--backend", "processes"),
-    ("resume", "{}"),
+    ("run", "{}", "--shards", "2"),
+    ("run", "{}", "--shards", "2", "--backend", "processes"),
+    ("run", "{}"),
     ("bisect", "{}", "{}"),
 ], ids=["sharded", "sharded-processes", "resume", "bisect"])
 @pytest.mark.parametrize("name", sorted(FILES))

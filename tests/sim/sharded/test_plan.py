@@ -34,11 +34,13 @@ class TestStripPlan:
         order = [plan.shard_of(region) for region in tiling.regions()]
         assert order == sorted(order)
 
-    def test_k_clamped_to_region_count(self):
+    def test_k_above_region_count_rejected(self):
+        # Was clamped: a run asked for 16 shards quietly ran 4.
         tiny = grid_hierarchy(2, 1).tiling  # 2x2 = 4 regions
-        plan = strip_plan(tiny, 16)
-        assert plan.k == len(tiny.regions())
+        plan = strip_plan(tiny, 4)
         assert all(count == 1 for count in plan.counts())
+        with pytest.raises(ValueError, match="5 shards exceed this world's 4 regions"):
+            strip_plan(tiny, 5)
 
     def test_k_below_one_rejected(self, tiling):
         with pytest.raises(ValueError):

@@ -10,7 +10,11 @@ Four things hold for every row of :data:`repro.cli.COMMANDS`:
 (iii) :func:`~repro.service.cross_check` — the one plain ≡ sharded
       verdict — materializes its workload once and agrees with two
       independent service runs;
-(iv)  the envelope assertions of CI's five CLI smoke jobs.
+(iv)  the envelope assertions of CI's five CLI smoke jobs;
+(v)   ``repro gen`` then ``repro run`` reproduce what the commands they
+      replaced (``snapshot``, ``resume``, ``sharded``, ``service``)
+      printed, recorded below as literals from the last commit that had
+      them.
 """
 
 import itertools
@@ -32,8 +36,15 @@ def run_json(capsys, *argv):
     code = main([*argv, "--json"])
     envelope = json.loads(capsys.readouterr().out)
     assert envelope["schema"] == CLI_SCHEMA
-    assert envelope["command"] == argv[0]
+    assert envelope["command"] == " ".join(argv[:2] if argv[0] == "gen" else argv[:1])
     return code, envelope["data"]
+
+
+def gen(tmp_path, kind, *flags, name="run.ckpt"):
+    """Write ``repro gen <kind> [flags]``'s run file; return its path."""
+    path = str(tmp_path / name)
+    assert main(["gen", kind, *flags, "--out", path]) == 0
+    return path
 
 
 @pytest.fixture
@@ -67,11 +78,15 @@ DEFAULTS = {
         {"diameter", "error", "kind", "max_level", "r", "regions", "valid"},
         ("kind", "r", "max_level", "regions", "diameter"),
     ),
-    "snapshot": (
+    "gen walk": (
         {"events_fired", "out", "payload_bytes", "schema", "sim_time"},
         ("out", "schema", "events_fired", "payload_bytes"),
     ),
-    "resume": (
+    "gen service": (
+        {"events_fired", "out", "payload_bytes", "schema", "sim_time"},
+        ("out", "schema", "events_fired", "payload_bytes"),
+    ),
+    "run": (
         {"evader_region", "events_fired", "finds_completed", "ran_until",
          "resumed_from_t", "send_crc", "sends", "sim_time"},
         ("events_fired", "sends"),
@@ -80,20 +95,6 @@ DEFAULTS = {
         {"diverged", "event_a", "event_b", "event_index", "events_compared",
          "fingerprint_a", "fingerprint_b", "note", "run_a", "run_b"},
         ("run_a", "run_b", "note"),
-    ),
-    "sharded": (
-        {"backend", "barrier_wait_s", "bit_identical", "canonical_fingerprint",
-         "critical_path_s", "cross_shard_messages", "events", "fault_events",
-         "finds_completed", "finds_issued", "fingerprint_match", "messages_sent",
-         "reference_fingerprint", "shard_busy_s", "shards", "wall_s", "windows"},
-        ("shards", "backend", "events", "windows", "cross_shard_messages",
-         "canonical_fingerprint", "reference_fingerprint"),
-    ),
-    "service": (
-        {"arrival", "clients", "finds", "fingerprint_match", "objects",
-         "plain", "sharded", "shards"},
-        ("objects", "finds", "clients", "arrival", "shards",
-         "plain.canonical_fingerprint", "sharded.metrics.handovers_total"),
     ),
     "mobility": (
         {"all_fingerprints_match", "all_speed_ok", "finds", "max_level", "mode",
@@ -110,11 +111,6 @@ DEFAULTS = {
 NESTED = {
     ("demo", "finds"): {"distance", "latency", "origin", "work"},
     ("find", "sweep"): {"distance", "mean_find_work"},
-    ("service", "plain"): {
-        "canonical_fingerprint", "events", "messages_sent", "metrics"},
-    ("service", "sharded"): {
-        "canonical_fingerprint", "cross_shard_messages", "events",
-        "messages_sent", "metrics", "windows"},
     ("mobility", "regimes"): {
         "canonical_fingerprint", "events", "find_work", "finds_completed",
         "finds_issued", "fingerprint_match", "mean_dwell", "messages_sent",
@@ -133,13 +129,18 @@ NESTED = {
 
 def default_argv(name, tmp_path):
     """The command with no flags but the paths it cannot run without."""
-    if name == "snapshot":
-        return [name, "--out", str(tmp_path / "walk.ckpt")]
-    if name in ("resume", "sharded"):
+    if name.startswith("gen "):
+        return [*name.split(), "--out", str(tmp_path / "run.ckpt")]
+    if name == "run":
         return [name, GOLDEN_CKPT]
     if name == "bisect":
         return [name, GOLDEN_CKPT, GOLDEN_CKPT]
     return [name]
+
+
+def short(command):
+    """A row's test id: ``gen service`` is ``service``."""
+    return command.name.split()[-1]
 
 
 def dig(data, path):
@@ -148,11 +149,24 @@ def dig(data, path):
     return data
 
 
-def test_the_table_is_the_twelve_commands():
+def test_the_table_is_the_ten_commands(capsys):
     assert [command.name for command in COMMANDS] == list(DEFAULTS)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    listed = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0]
+    assert listed.split(",") == [
+        "demo", "find", "chaos", "report", "validate", "gen", "run", "bisect",
+        "mobility", "baselines",
+    ]
+    # The four commands ``gen`` and ``run`` replaced are unknown.
+    for gone in ("snapshot", "resume", "sharded", "service"):
+        with pytest.raises(SystemExit) as exited:
+            main([gone])
+        assert exited.value.code == 2
+        assert f"invalid choice: '{gone}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command.name)
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda command: short(command))
 def test_default_envelope_keys_and_text(command, capsys, tmp_path, request):
     if command.name == "report":
         request.getfixturevalue("fast_report")
@@ -174,11 +188,35 @@ def test_default_envelope_keys_and_text(command, capsys, tmp_path, request):
 # ----------------------------------------------------------------------
 # (ii) every numeric flag fails closed
 # ----------------------------------------------------------------------
+def run_to_a_cut(tmp_path):
+    """``run`` saving its end state: what ``snapshot --at`` became."""
+    return ["run", GOLDEN_CKPT, "--out", str(tmp_path / "cut.ckpt")]
+
+
+def run_a_service_file(tmp_path):
+    """``run`` of a ``gen service`` file: what ``service --shards`` became."""
+    return ["run", gen(tmp_path, "service", name="service.ckpt")]
+
+
+def flag_of(name, flag):
+    (row,) = [command for command in COMMANDS if command.name == name]
+    (found,) = [each for each in row.all_flags() if each.name == flag]
+    return row, found
+
+
 NUMERIC = [
-    pytest.param(command, flag, id=f"{command.name}{flag.name}")
+    pytest.param(
+        command, flag, lambda tmp_path, name=command.name: default_argv(name, tmp_path),
+        id=short(command) + flag.name,
+    )
     for command in COMMANDS
     for flag in command.all_flags()
     if flag.domain.ok is not None
+] + [
+    pytest.param(*flag_of("run", "--until"), run_to_a_cut, id="run-cut--until"),
+    pytest.param(
+        *flag_of("run", "--shards"), run_a_service_file, id="run-service--shards",
+    ),
 ]
 
 
@@ -192,10 +230,10 @@ def test_every_int_and_float_flag_but_the_seed_declares_a_domain():
     assert unchecked == {"--seed"}
 
 
-@pytest.mark.parametrize("command, flag", NUMERIC)
-def test_numeric_flag_rejects_out_of_domain(command, flag, capsys, tmp_path):
+@pytest.mark.parametrize("command, flag, base", NUMERIC)
+def test_numeric_flag_rejects_out_of_domain(command, flag, base, capsys, tmp_path):
     assert not flag.domain.ok(flag.domain.type("-1"))
-    argv = [*default_argv(command.name, tmp_path), flag.name, "-1"]
+    argv = [*base(tmp_path), flag.name, "-1"]
     code, data = run_json(capsys, *argv)
     assert code == 2
     assert set(data) == {"error"}
@@ -203,22 +241,26 @@ def test_numeric_flag_rejects_out_of_domain(command, flag, capsys, tmp_path):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == data["error"] + "\n" and not captured.out
+    assert not (tmp_path / "cut.ckpt").exists()
 
 
 @pytest.mark.parametrize("argv", [
     ["chaos", "--duration"],
-    ["resume", GOLDEN_CKPT, "--until"],
-    ["snapshot", "--at"],
-    ["service", "--deadline"],
-    ["service", "--rate"],
-], ids=lambda argv: argv[0] + argv[-1])
-def test_a_non_finite_time_or_rate_is_refused(argv, capsys):
-    # Each ran on: chaos until killed, resume and snapshot writing
+    ["run", GOLDEN_CKPT, "--until"],
+    ["run", GOLDEN_CKPT, "--out", "{cut}", "--until"],
+    ["gen", "service", "--deadline"],
+    ["gen", "service", "--rate"],
+], ids=["chaos--duration", "run--until", "run-cut--until", "service--deadline",
+        "service--rate"])
+def test_a_non_finite_time_or_rate_is_refused(argv, capsys, tmp_path):
+    # Each ran on: chaos until killed, a resumed or cut run writing
     # "Infinity", which is not JSON.
+    cut = tmp_path / "cut.ckpt"
+    argv = [str(cut) if arg == "{cut}" else arg for arg in argv]
     assert main([*argv, "inf"]) == 2
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and "finite" in captured.err
-    assert not captured.out
+    assert not captured.out and not cut.exists()
 
 
 # ----------------------------------------------------------------------
@@ -344,27 +386,28 @@ class TestSmokeEnvelopes:
         assert data["failed"] == [], data["failed"]
         assert data["report"].count("✅") > 0
 
-    def test_service(self, capsys):
-        code, data = run_json(
-            capsys, "service", "--objects", "4", "--finds", "16",
-            "--arrival", "burst",
-        )
+    def test_service(self, capsys, tmp_path):
+        path = gen(tmp_path, "service", "--objects", "4", "--finds", "16",
+                   "--arrival", "burst")
+        code, data = run_json(capsys, "run", path, "--shards", "2")
         assert code == 0
         assert data["fingerprint_match"], data
-        assert data["plain"]["metrics"] == data["sharded"]["metrics"], data
-        assert data["plain"]["metrics"]["latency"]["p95"] is not None
+        assert data["reference_metrics"] == data["metrics"], data
+        assert data["metrics"]["latency"]["p95"] is not None
 
     def test_invalid_input(self, capsys):
-        code, data = run_json(capsys, "sharded", GOLDEN_CKPT, "--shards", "0")
+        code, data = run_json(capsys, "run", GOLDEN_CKPT, "--shards", "-1")
         assert code == 2
         assert data["error"], data
 
     def test_service_has_no_profile_flag(self, capsys):
         # Host-time attribution is the bench tracer's, not the CLI's.
-        with pytest.raises(SystemExit) as exited:
-            main(["service", "--profile"])
-        assert exited.value.code == 2
-        assert "--profile" in capsys.readouterr().err
+        for argv in (["gen", "service", "--profile"],
+                     ["run", GOLDEN_CKPT, "--profile"]):
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 2
+            assert "--profile" in capsys.readouterr().err
 
     def test_baselines(self, capsys):
         code, data = run_json(capsys, "baselines", "--moves", "4", "--finds", "2")
@@ -388,7 +431,7 @@ class TestSmokeEnvelopes:
         assert "fingerprints: nothing compared" in capsys.readouterr().out
 
     def test_resume(self, capsys):
-        code, result = run_json(capsys, "resume", GOLDEN_CKPT)
+        code, result = run_json(capsys, "run", GOLDEN_CKPT)
         assert code == 0
         assert result["resumed_from_t"] == 25.0, result
         assert result["ran_until"] == result["sim_time"] == 207.0, result
@@ -396,10 +439,10 @@ class TestSmokeEnvelopes:
 
     def test_resume_refuses_an_until_before_the_snapshot(self, capsys):
         # Ran to exit 0 reporting ran_until 3 beside sim_time 25.
-        code, data = run_json(capsys, "resume", GOLDEN_CKPT, "--until", "3")
+        code, data = run_json(capsys, "run", GOLDEN_CKPT, "--until", "3")
         assert code == 2
         assert set(data) == {"error"} and "t=25" in data["error"], data
-        assert main(["resume", GOLDEN_CKPT, "--until", "3"]) == 2
+        assert main(["run", GOLDEN_CKPT, "--until", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.err == data["error"] + "\n" and not captured.out
 
@@ -409,10 +452,10 @@ class TestSmokeEnvelopes:
         data[data.index(b"golden-artifact") if where == "header" else -1] ^= 1
         path = tmp_path / "corrupted.ckpt"
         path.write_bytes(bytes(data))
-        code, data = run_json(capsys, "resume", str(path))
+        code, data = run_json(capsys, "run", str(path))
         assert code == 2
         assert set(data) == {"error"} and "digest" in data["error"], data
-        assert main(["resume", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err == data["error"] + "\n" and not captured.out
 
@@ -420,11 +463,10 @@ class TestSmokeEnvelopes:
         # A 0-move walk is quiescent before a cut at 50: the resumed run
         # must stay at the cut, not end before it.
         path = str(tmp_path / "late.ckpt")
-        code, _ = run_json(
-            capsys, "snapshot", "--moves", "0", "--at", "50", "--out", path
-        )
+        walk = gen(tmp_path, "walk", "--moves", "0")
+        code, _ = run_json(capsys, "run", walk, "--until", "50", "--out", path)
         assert code == 0
-        code, data = run_json(capsys, "resume", path)
+        code, data = run_json(capsys, "run", path)
         assert code == 0
         assert data["ran_until"] == data["sim_time"] == data["resumed_from_t"] == 50.0
 
@@ -436,15 +478,14 @@ class TestSmokeEnvelopes:
         scenario = build(ScenarioConfig(r=2, max_level=2, system="stabilizing"))
         scenario.sim.run_until(10.0)
         save(snapshot_scenario(scenario), path)
-        code, data = run_json(capsys, "resume", str(path))
+        code, data = run_json(capsys, "run", str(path))
         assert code == 2 and "--until" in data["error"], data
-        code, data = run_json(capsys, "resume", str(path), "--until", "30")
+        code, data = run_json(capsys, "run", str(path), "--until", "30")
         assert code == 0 and data["sim_time"] == 30.0, data
 
     def test_bisect(self, capsys, tmp_path):
-        a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
-        assert main(["snapshot", "--at", "0", "--out", a]) == 0
-        assert main(["snapshot", "--at", "0", "--seed", "8", "--out", b]) == 0
+        a = gen(tmp_path, "walk", name="a.ckpt")
+        b = gen(tmp_path, "walk", "--seed", "8", name="b.ckpt")
         code, report = run_json(capsys, "bisect", a, b)
         assert code == 0
         assert report["diverged"] is True, report
@@ -456,14 +497,13 @@ class TestSmokeEnvelopes:
             assert report[side]["send_lines"], report
 
     def test_sharded_across_shard_counts_and_backends(self, capsys, tmp_path):
-        walk = ["snapshot", "--at", "0", "--max-level", "3", "--seed", "11",
-                "--moves", "8", "--finds", "4"]
-        clean, faulty = str(tmp_path / "walk.ckpt"), str(tmp_path / "faulty.ckpt")
-        assert main([*walk, "--out", clean]) == 0
-        assert main([*walk, "--loss", "0.05", "--jitter", "0.2", "--out", faulty]) == 0
-        code1, k1 = run_json(capsys, "sharded", clean, "--shards", "1")
+        walk = ["--max-level", "3", "--seed", "11", "--moves", "8", "--finds", "4"]
+        clean = gen(tmp_path, "walk", *walk, name="walk.ckpt")
+        faulty = gen(tmp_path, "walk", *walk, "--loss", "0.05", "--jitter", "0.2",
+                     name="faulty.ckpt")
+        code1, k1 = run_json(capsys, "run", clean, "--shards", "1")
         code2, k2 = run_json(
-            capsys, "sharded", faulty, "--shards", "2", "--backend", "processes",
+            capsys, "run", faulty, "--shards", "2", "--backend", "processes",
         )
         assert code1 == code2 == 0
         assert k1["fingerprint_match"], k1
@@ -502,3 +542,105 @@ class TestSmokeEnvelopes:
         # crosses the deepest cluster boundary.
         assert set(rows["dither"]["touched_levels"]) == {"2"}, rows["dither"]
         assert rows["gauntlet"]["objects"] == 3, rows["gauntlet"]
+
+
+# ----------------------------------------------------------------------
+# (v) the replaced commands, reproduced
+# ----------------------------------------------------------------------
+CORPUS_WALK = str(Path(__file__).parent / "corpus" / "walk.ckpt")
+#: Host-clock fields: the only ones a rerun may change.
+WALL = {"wall_s", "barrier_wait_s", "shard_busy_s", "critical_path_s"}
+#: Every arrival process below gave each of the 4 objects 4-5 handovers.
+HANDOVERS = {"histogram": {"4-7": 4}, "max": 5, "mean": 4.5, "min": 4, "objects": 4}
+
+#: ``repro service --objects 4 --finds 16 --arrival A --json`` as the
+#: command printed it: the fingerprint both engines agreed on, the K=2
+#: run's counts, and the service metrics, which the two engines
+#: reported equal.
+PARENT_SERVICE = {
+    "poisson": ("f6bb45c6", {
+        "events": 506, "messages_sent": 416, "windows": 37,
+        "cross_shard_messages": 85,
+    }, {
+        "completion_rate": 0.9375, "deadline_miss_rate": 0.0625,
+        "deadlines_missed": 1, "deadlines_set": 16, "finds_completed": 15,
+        "finds_issued": 16, "handovers": HANDOVERS, "handovers_total": 18,
+        "latency": {"jitter": 3.5860842154082224, "mean": 7.2,
+                    "p50": 8.499999999999998, "p95": 13.0,
+                    "p99": 13.000000000000004},
+        "mean_find_work": 16.4375, "throughput_per_time": 0.5507377391620788,
+    }),
+    "burst": ("5755155e", {
+        "events": 552, "messages_sent": 463, "windows": 38,
+        "cross_shard_messages": 104,
+    }, {
+        "completion_rate": 1.0, "deadline_miss_rate": 0.0,
+        "deadlines_missed": 0, "deadlines_set": 16, "finds_completed": 16,
+        "finds_issued": 16, "handovers": HANDOVERS, "handovers_total": 18,
+        "latency": {"jitter": 3.9863046797754937, "mean": 7.375, "p50": 5.5,
+                    "p95": 13.375, "p99": 14.275},
+        "mean_find_work": 19.375, "throughput_per_time": 0.21469755739595345,
+    }),
+    "uniform": ("ba52d806", {
+        "events": 569, "messages_sent": 480, "windows": 76,
+        "cross_shard_messages": 110,
+    }, {
+        "completion_rate": 1.0, "deadline_miss_rate": 0.0,
+        "deadlines_missed": 0, "deadlines_set": 16, "finds_completed": 16,
+        "finds_issued": 16, "handovers": HANDOVERS, "handovers_total": 18,
+        "latency": {"jitter": 4.205189257817411, "mean": 7.81256103515625,
+                    "p50": 6.75048828125, "p95": 14.875,
+                    "p99": 15.774999999999999},
+        "mean_find_work": 20.4375, "throughput_per_time": 0.18604651162790697,
+    }),
+}
+
+#: ``repro sharded tests/corpus/walk.ckpt --shards 2 --json`` as the
+#: command printed it, host-clock fields aside.
+PARENT_SHARDED = {
+    "backend": "serial", "bit_identical": False,
+    "canonical_fingerprint": "1624cda5", "cross_shard_messages": 20,
+    "events": 343, "fault_events": None, "finds_completed": 4,
+    "finds_issued": 4, "fingerprint_match": True, "messages_sent": 293,
+    "reference_fingerprint": "1624cda5", "shards": 2, "windows": 93,
+}
+
+#: ``repro resume tests/ckpt/golden/walk-r2-M2.ckpt --json`` as the
+#: command printed it.
+PARENT_RESUME = {
+    "evader_region": [0, 1], "events_fired": 208, "finds_completed": 4,
+    "ran_until": 207.0, "resumed_from_t": 25.0, "send_crc": 2699385428,
+    "sends": 186, "sim_time": 207.0,
+}
+
+
+@pytest.mark.parametrize("arrival", list(PARENT_SERVICE))
+def test_gen_service_then_run_is_the_service_command(arrival, capsys, tmp_path):
+    path = gen(tmp_path, "service", "--objects", "4", "--finds", "16",
+               "--arrival", arrival)
+    code, data = run_json(capsys, "run", path, "--shards", "2")
+    fingerprint, counts, metrics = PARENT_SERVICE[arrival]
+    assert code == 0 and data["fingerprint_match"] is True
+    assert data["canonical_fingerprint"] == data["reference_fingerprint"] == fingerprint
+    assert {key: data[key] for key in counts} == counts
+    assert data["metrics"] == data["reference_metrics"] == metrics
+
+
+def test_run_on_shards_is_the_sharded_command(capsys):
+    argv = ["run", CORPUS_WALK, "--shards", "2"]
+    code, data = run_json(capsys, *argv)
+    assert code == 0
+    assert set(data) == {*PARENT_SHARDED, *WALL, "metrics", "reference_metrics"}
+    assert {key: data[key] for key in PARENT_SHARDED} == PARENT_SHARDED
+    assert data["metrics"] == data["reference_metrics"]
+    assert data["metrics"]["finds_completed"] == 4
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    for key in ("shards", "backend", "events", "windows", "cross_shard_messages",
+                "canonical_fingerprint", "reference_fingerprint"):
+        assert str(data[key]) in text, key
+
+
+def test_run_of_a_cut_is_the_resume_command(capsys):
+    code, data = run_json(capsys, "run", GOLDEN_CKPT)
+    assert code == 0 and data == PARENT_RESUME

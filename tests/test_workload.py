@@ -47,7 +47,7 @@ def _crc(script):
 
 
 def _service(arrival):
-    """``repro service``'s defaults (seed 7, M=6, 40 finds, 4 clients)."""
+    """``repro gen service``'s defaults (seed 7, M=6, 40 finds, 4 clients)."""
     config = ScenarioConfig(r=2, max_level=2, seed=7, n_objects=6, find_clients=4)
     return LoadGenerator(
         tiling=_tiling_for(config), n_objects=6, n_finds=40, find_clients=4,
