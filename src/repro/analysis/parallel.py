@@ -134,8 +134,9 @@ def topology_keys_of(jobs: Sequence[JobSpec]) -> Tuple[TopologyKey, ...]:
 
 
 def _warm_worker(keys: Tuple[TopologyKey, ...]) -> None:
-    """Pool initializer: pre-build the sweep's topologies in this worker,
-    then freeze the heap so each job's collect skips the cache."""
+    """Pool initializer: pre-build the sweep's topologies in this worker
+    (``warm`` pauses the collector itself), then collect once and freeze
+    the heap so each job's collect skips the cache."""
     with engine.gc_paused(collect=True, freeze=True):
         topology_cache().warm(keys)
 

@@ -182,7 +182,7 @@ class PredictiveVineStalk(VineStalk):
         ``received == correct + wasted``.  Does not mutate state.
         """
         received = correct = wasted = unresolved = 0
-        for tracker in self.trackers.values():
+        for tracker in self.trackers.built.values():  # unbuilt ones got nothing
             received += tracker.preconfig_received
             correct += tracker.preconfig_correct
             wasted += tracker.preconfig_wasted

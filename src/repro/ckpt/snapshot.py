@@ -262,10 +262,13 @@ def run_fingerprint(scenario: Scenario) -> tuple:
         (find_id, record.completed, record.latency, record.work, record.retries)
         for find_id, record in system.finds.records.items()
     )
+    # Built trackers only, in cluster order: one never built is all ⊥.
+    built = system.trackers.built
+    trackers = [built[c] for c in system.hierarchy.all_clusters() if c in built]
     pointers = tuple(
-        (object_id, clust, state)
+        (object_id, tracker.clust, state)
         for object_id in sorted({0, *system.objects})
-        for clust, tracker in system.trackers.items()
+        for tracker in trackers
         if (state := tracker.pointer_state(object_id)) != _BOTTOMS
     )
     return (

@@ -70,7 +70,6 @@ def atomic_move(
     ``nbrptup``); then shrink the deserted branch bottom-up to the
     junction, clearing the secondary pointers of removed processes.
     """
-    ptr_in = state.pointers
     old_terminus = _terminus(hierarchy, state)
     new_c0 = hierarchy.cluster(new_region, 0)
     if new_c0 == old_terminus:

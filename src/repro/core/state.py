@@ -89,6 +89,8 @@ def capture_snapshot(system, object_id: int = 0) -> SystemSnapshot:
     Includes every Tracker's pointers, its queued ``sendq`` entries, and
     all move messages in transit in C-gcast.  Find-phase messages are
     excluded: the §IV-C state space covers only the tracking structure.
+    A Tracker not yet built reads as its initial state (all ⊥, empty
+    ``sendq``); none is built here.
 
     In a multi-object deployment each lane is an independent instance
     of the §IV-C state space; ``object_id`` selects which lane's
@@ -101,8 +103,13 @@ def capture_snapshot(system, object_id: int = 0) -> SystemSnapshot:
     """
     pointers: Dict[ClusterId, PointerState] = {}
     in_transit: List[TransitMessage] = []
-    for tracker in system.trackers.values():
-        pointers[tracker.clust] = PointerState(*tracker.pointer_state(object_id))
+    built = system.trackers.built
+    for clust in system.hierarchy.all_clusters():
+        tracker = built.get(clust)
+        if tracker is None:
+            pointers[clust] = PointerState()
+            continue
+        pointers[clust] = PointerState(*tracker.pointer_state(object_id))
         for dest, payload in tracker.sendq:
             if (
                 is_move_message(payload)

@@ -56,7 +56,7 @@ enable an action through a deadline, which is always in the heap.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..hierarchy.cluster import ClusterId
 from ..hierarchy.hierarchy import ClusterHierarchy
@@ -411,11 +411,6 @@ class Tracker(TimedAutomaton):
             if exclude is not None and nbr == exclude:
                 continue
             self.sendq.append((nbr, message))
-
-    @property
-    def on_path(self) -> bool:
-        """On the tracking path: has a parent pointer or is the root."""
-        return self.p is not BOTTOM or self.lvl == self.max_level
 
     # ------------------------------------------------------------------
     # Input: cTOBrcv — dispatch on message type

@@ -12,6 +12,12 @@
   client-bound broadcasts;
 * a :class:`~repro.core.finds.FindCoordinator` for find bookkeeping.
 
+Trackers and clients are :class:`Automata`: total mappings whose
+automata are built on first read.  Theorems 4.9/5.2 bound a run's work
+by the distance it covers, so a run builds only the clusters and
+regions it touches; an automaton never read is in its initial Fig. 2
+state, which is how the built-only readers (``Automata.built``) see it.
+
 This is the *abstract* regime (every VSA alive) used by the theorem
 experiments; the emulated regime lives in
 :mod:`repro.core.emulated`.
@@ -19,8 +25,10 @@ experiments; the emulated regime lives in
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
+from ..geocast.cgcast import CGcast
 from ..geometry.regions import RegionId
 from ..hierarchy.cluster import ClusterId
 from ..hierarchy.hierarchy import ClusterHierarchy
@@ -28,11 +36,58 @@ from ..mobility.evader import Evader
 from ..mobility.models import MobilityModel
 from ..sim.engine import Simulator
 from ..tioa.actions import Action
+from ..topo.distances import distance_table
 from .client_tracking import TrackingClient
 from .finds import FindCoordinator
 from .state import SystemSnapshot, capture_snapshot
 from .timers import TimerSchedule, grid_schedule
 from .tracker import Tracker
+
+
+class _Built(dict):
+    """The automata built so far; ``[]`` on a missing key builds one
+    (``make`` stores it here), while ``.get`` and ``in`` never build."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key: Any) -> Any:
+        return self._make(key)
+
+
+class Automata(Mapping):
+    """Every key's automaton, each built on its first ``[]``.
+
+    ``len``, ``in`` and iteration cover every key of ``keys()`` in its
+    order; a key outside it raises ``KeyError`` and builds nothing.
+    ``built`` is the built-only view.
+    """
+
+    __slots__ = ("built", "_keys")
+
+    def __init__(self, keys: Callable[[], Iterable], make: Callable[[Any], Any]) -> None:
+        self.built = _Built(make)
+        self._keys: Any = keys  # called on the first whole-table read
+
+    def _all(self) -> dict:
+        if callable(self._keys):
+            self._keys = dict.fromkeys(self._keys())
+        return self._keys
+
+    def __getitem__(self, key: Any) -> Any:
+        return self.built[key]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __len__(self) -> int:
+        return len(self._all())
+
+    def __contains__(self, key: Any) -> bool:
+        return key in self.built or key in self._all()
 
 
 class VineStalk:
@@ -51,7 +106,7 @@ class VineStalk:
     #: Tracker class to instantiate per cluster; baselines override this.
     tracker_cls = Tracker
     #: C-gcast implementation; the emulated system may use PhysicalCGcast.
-    cgcast_cls = None
+    cgcast_cls = CGcast
     #: Optional :class:`~repro.energy.EnergyLedger` (set by ``build``
     #: when the config carries an energy model).
     energy_ledger = None
@@ -83,42 +138,23 @@ class VineStalk:
         schedule.validate(hierarchy.params, delta, e)
         self.schedule = schedule
 
-        if self.cgcast_cls is not None:
-            self.network = VsaNetwork(
-                hierarchy, delta=delta, e=e, sim=sim, cgcast_cls=self.cgcast_cls
-            )
-        else:
-            self.network = VsaNetwork(hierarchy, delta=delta, e=e, sim=sim)
+        self.network = VsaNetwork(
+            hierarchy, delta=delta, e=e, sim=sim, cgcast_cls=self.cgcast_cls
+        )
         self.sim = self.network.sim
         self.cgcast = self.network.cgcast
 
-        # One Tracker per cluster, hosted at its head region's VSA.
-        self.trackers: Dict[ClusterId, Tracker] = {}
-        for clust in hierarchy.all_clusters():
-            tracker = self.tracker_cls(
-                hierarchy, clust, self.cgcast, schedule, delta, e
-            )
-            head = hierarchy.head(clust)
-            self.network.add_subautomaton(head, f"tracker:l{clust.level}", tracker)
-            self.cgcast.register_process(clust, tracker)
-            self.trackers[clust] = tracker
-
-        # One static client per region.
-        self.clients: Dict[RegionId, TrackingClient] = {}
-        for index, region in enumerate(hierarchy.tiling.regions()):
-            client = TrackingClient(index, hierarchy, self.cgcast)
-            # The GPS fix on entering the system (a GPSupdate's effect).
-            client.region = client.home_region = region
-            self.network.add_client(client)
-            self.cgcast.register_client_sink(
-                region, self._client_sink(client)
-            )
-            self.clients[region] = client
-
         self.finds = FindCoordinator(self.sim)
         self.cgcast.observe(self.finds.observe_send)
-        for client in self.clients.values():
-            client.on_found(self.finds.client_found)
+
+        # One Tracker per cluster and one static client per region, each
+        # built on first use.  C-gcast reads its process and client-sink
+        # tables through the same built dicts.
+        self._region_index = distance_table(hierarchy.tiling).index
+        self.trackers: Automata = Automata(hierarchy.all_clusters, self._add_tracker)
+        self.clients: Automata = Automata(self._region_index.keys, self._add_client)
+        self.cgcast.processes = self.trackers.built
+        self.cgcast.client_sinks = _Built(self._sinks_of)
 
         self.evader: Optional[Evader] = None
         #: All tracked objects by id; ``objects[0] is evader`` when the
@@ -141,6 +177,35 @@ class VineStalk:
     # ------------------------------------------------------------------
     # Wiring helpers
     # ------------------------------------------------------------------
+    def _add_tracker(self, clust: ClusterId) -> Tracker:
+        """Build, host and register ``clust``'s Tracker (under a failed
+        VSA it starts failed, as ``VsaHost.add_subautomaton`` does)."""
+        hierarchy = self.hierarchy
+        head = hierarchy.head(clust)  # KeyError: no such cluster
+        clust = hierarchy.cluster(head, clust.level)  # the interned id
+        tracker = self.tracker_cls(
+            hierarchy, clust, self.cgcast, self.schedule, self.delta, self.e
+        )
+        self.network.add_subautomaton(head, f"tracker:l{clust.level}", tracker)
+        self.cgcast.register_process(clust, tracker)  # into trackers.built
+        return tracker
+
+    def _add_client(self, region: RegionId) -> TrackingClient:
+        """Build and wire ``region``'s static client."""
+        client = TrackingClient(self._region_index[region], self.hierarchy, self.cgcast)
+        # The GPS fix on entering the system (a GPSupdate's effect).
+        client.region = client.home_region = region
+        self.network.add_client(client)
+        self.clients.built[region] = client
+        self.cgcast.register_client_sink(region, self._client_sink(client))
+        client.on_found(self.finds.client_found)
+        return client
+
+    def _sinks_of(self, region: RegionId) -> list:
+        """The sinks of ``region``'s clients, building its client."""
+        self.clients[region]
+        return dict.__getitem__(self.cgcast.client_sinks, region)
+
     def _client_sink(self, client: TrackingClient):
         def sink(message) -> None:
             if not client.failed:
@@ -162,27 +227,17 @@ class VineStalk:
     ) -> Evader:
         """Create, attach and place an evader (emits the first ``move``)."""
         name = "evader" if object_id == 0 else f"evader:{object_id}"
-        evader = Evader(
-            self.sim,
-            self.hierarchy.tiling,
-            model,
-            dwell,
-            rng=rng,
-            name=name,
-            object_id=object_id,
-        )
+        evader = Evader(self.sim, self.hierarchy.tiling, model, dwell, rng=rng,
+                        name=name, object_id=object_id)
         self.attach_object(object_id, evader)
         evader.enter(start)
         return evader
 
     def attach_object(self, object_id: int, evader: Evader) -> None:
         """Attach one tracked object to lane ``object_id``."""
-        objects = self.objects
-        if object_id in objects or (object_id == 0 and self.evader is not None):
-            raise RuntimeError(
-                f"an evader is already attached for object {object_id}"
-            )
-        objects[object_id] = evader
+        if object_id in self.objects:
+            raise RuntimeError(f"an evader is already attached for object {object_id}")
+        self.objects[object_id] = evader
         if object_id == 0:
             self.evader = evader
             # Bound-method observer, exactly as the pre-service code
@@ -197,18 +252,9 @@ class VineStalk:
 
     def object_evader(self, object_id: int) -> Optional[Evader]:
         """The evader attached to lane ``object_id``, if any."""
-        objects = self.objects
-        if objects:
-            found = objects.get(object_id)
-            if found is not None:
-                return found
-        if object_id == 0:
-            return self.evader
-        return None
+        return self.objects.get(object_id)
 
-    def _evader_event(
-        self, event: str, region: RegionId, object_id: int = 0
-    ) -> None:
+    def _evader_event(self, event: str, region: RegionId, object_id: int = 0) -> None:
         """Augmented GPS: deliver move/left to the region's clients (§III).
 
         Delivery is synchronous — client local steps take no time, and
@@ -229,17 +275,15 @@ class VineStalk:
                 return
         self._deliver_evader_event(event, region, object_id)
 
-    def _deliver_evader_event(
-        self, event: str, region: RegionId, object_id: int = 0
-    ) -> None:
+    def _deliver_evader_event(self, event: str, region: RegionId, object_id: int = 0) -> None:
         if self.client_filter is not None and not self.client_filter(region):
             return
         if event == "move" and self.energy_ledger is not None:
             # One detection per delivered move, behind the client filter
             # so each sense is charged in exactly one shard.
             self.energy_ledger.charge_sense(region)
-        client = self.clients.get(region)
-        if client is not None and not client.failed:
+        client = self.clients[region]
+        if not client.failed:
             if object_id == 0:
                 # Payload identical to the pre-service code: lane-0
                 # traces/fingerprints stay bit-identical.
@@ -279,20 +323,11 @@ class VineStalk:
         client = self.clients[origin]
         target = self.object_evader(object_id)
         evader_region = target.region if target is not None else None
-        find_id = self.finds.new_find(
-            origin,
-            evader_region,
-            find_id=find_id,
-            object_id=object_id,
-            deadline=deadline,
-        )
-        self.network.executor.deliver(
-            client, self._find_action(find_id, object_id)
-        )
+        find_id = self.finds.new_find(origin, evader_region, find_id=find_id,
+                                      object_id=object_id, deadline=deadline)
+        self.network.executor.deliver(client, self._find_action(find_id, object_id))
         if retry_after is not None:
-            self._schedule_find_retry(
-                origin, find_id, retry_after, max_retries, object_id
-            )
+            self._schedule_find_retry(origin, find_id, retry_after, max_retries, object_id)
         return find_id
 
     @staticmethod
@@ -302,14 +337,8 @@ class VineStalk:
             return Action.input("find", find_id=find_id)
         return Action.input("find", find_id=find_id, object_id=object_id)
 
-    def _schedule_find_retry(
-        self,
-        origin: RegionId,
-        find_id: int,
-        retry_after: float,
-        retries_left: int,
-        object_id: int = 0,
-    ) -> None:
+    def _schedule_find_retry(self, origin: RegionId, find_id: int, retry_after: float,
+                             retries_left: int, object_id: int = 0) -> None:
         if retries_left <= 0:
             return
 
@@ -319,13 +348,9 @@ class VineStalk:
                 return
             client = self.clients[origin]
             if not client.failed:
-                self.network.executor.deliver(
-                    client, self._find_action(find_id, object_id)
-                )
+                self.network.executor.deliver(client, self._find_action(find_id, object_id))
                 record.retries += 1
-            self._schedule_find_retry(
-                origin, find_id, retry_after, retries_left - 1, object_id
-            )
+            self._schedule_find_retry(origin, find_id, retry_after, retries_left - 1, object_id)
 
         self.sim.call_after(retry_after, retry, tag=f"find-retry:{find_id}")
 

@@ -23,6 +23,7 @@ of Theorems 4.9/5.2; client↔cluster messages cost 1.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import partial
 from inspect import unwrap
 from itertools import count
@@ -102,6 +103,9 @@ class CGcast:
 
     Cluster processes register with :meth:`register_process`; client
     receivers register per region with :meth:`register_client_sink`.
+    Both tables are read with ``[]`` only: a world that builds its
+    automata on first use (:class:`~repro.core.vinestalk.VineStalk`)
+    swaps in dicts whose ``__missing__`` builds, which ``.get`` skips.
     """
 
     def __init__(
@@ -117,8 +121,8 @@ class CGcast:
         self.hierarchy = hierarchy
         self.delta = delta
         self.e = e
-        self._processes: Dict[ClusterId, TimedAutomaton] = {}
-        self._client_sinks: Dict[RegionId, List[Callable[[Any], None]]] = {}
+        self.processes: Dict[ClusterId, TimedAutomaton] = {}
+        self.client_sinks: Dict[RegionId, List[Callable[[Any], None]]] = defaultdict(list)
         self._observers: List[SendObserver] = []
         # Records dispatched but not yet shown to the observers.
         self._pending: List[SendRecord] = []
@@ -137,8 +141,8 @@ class CGcast:
         self._in_transit: Dict[int, tuple] = {}
         self._transit_keys = count()
         # (src, dest) → compiled ``(delay, cost, target process)``.  The
-        # hierarchy and the process registry never change once built,
-        # so the §II-C.3 rule outcome is a pure function of the pair.
+        # hierarchy never changes and a cluster's process, once built,
+        # stays, so the §II-C.3 rule outcome is a pure function of the pair.
         self._routes: Dict[tuple, Tuple[float, float, TimedAutomaton]] = {}
         # The cTOBrcv envelope of the payload last sent: a tracker fans
         # one message object out to all its neighbors back to back.
@@ -150,13 +154,13 @@ class CGcast:
     # ------------------------------------------------------------------
     def register_process(self, clust: ClusterId, automaton: TimedAutomaton) -> None:
         """Bind cluster ``clust``'s Tracker process."""
-        if clust in self._processes:
+        if clust in self.processes:
             raise ValueError(f"process for {clust} already registered")
-        self._processes[clust] = automaton
+        self.processes[clust] = automaton
 
     def process(self, clust: ClusterId) -> TimedAutomaton:
         try:
-            return self._processes[clust]
+            return self.processes[clust]
         except KeyError:
             raise KeyError(f"no process registered for {clust}") from None
 
@@ -164,7 +168,7 @@ class CGcast:
         self, region: RegionId, sink: Callable[[Any], None]
     ) -> None:
         """Register a callback receiving client-bound messages in ``region``."""
-        self._client_sinks.setdefault(region, []).append(sink)
+        self.client_sinks.setdefault(region, []).append(sink)
 
     def observe(self, observer: SendObserver) -> None:
         """Subscribe ``observer(records)`` to the send records.
@@ -361,7 +365,7 @@ class CGcast:
     def _fire_clients(self, key: int, region: RegionId, payload: Any) -> None:
         """Delivery event of a rule (d) broadcast to ``region``'s clients."""
         del self._in_transit[key]
-        for sink in self._client_sinks.get(region, ()):
+        for sink in self.client_sinks[region]:
             sink(payload)
 
     def apply_remote(self, src: Any, dest: Any, payload: Any) -> None:
@@ -373,10 +377,10 @@ class CGcast:
         decoded the copy into this world's own cluster instances.
         """
         if isinstance(dest, tuple) and len(dest) == 2 and dest[0] == "clients":
-            for sink in self._client_sinks.get(dest[1], ()):
+            for sink in self.client_sinks[dest[1]]:
                 sink(payload)
             return
-        target = self._processes.get(dest)
-        if target is not None and not target.failed:
+        target = self.processes[dest]
+        if not target.failed:
             target.handle_input(_rcv(payload))
             target.executor.kick(target)

@@ -76,21 +76,6 @@ class GridHierarchy(ExplicitHierarchy):
         self._children_cache: Dict[ClusterId, List[ClusterId]] = {}
 
     # Closed-form overrides (the generic versions are correct but slower).
-    def cluster(self, u: RegionId, level: int) -> ClusterId:
-        # Fast path: the explicit assignment map already interns one
-        # ClusterId per (region, level); returning it keeps ids identical
-        # (``is``) across the system, which downstream dict lookups and
-        # equality checks exploit.
-        cid = self._assignment.get((u, level))
-        if cid is not None:
-            return cid
-        if not 0 <= level <= self.max_level:
-            raise ValueError(f"level {level} outside 0..{self.max_level}")
-        if level == 0:
-            return ClusterId(0, u)
-        block = self.r**level
-        return ClusterId(level, (u[0] // block, u[1] // block))
-
     def parent(self, c: ClusterId) -> Optional[ClusterId]:
         if c.level == self.max_level:
             return None

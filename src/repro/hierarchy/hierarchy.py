@@ -186,9 +186,12 @@ class ExplicitHierarchy(ClusterHierarchy):
         self._children_cache: Dict[ClusterId, List[ClusterId]] = {}
 
     def cluster(self, u: RegionId, level: int) -> ClusterId:
+        # One interned ClusterId per (region, level): ids stay ``is``-equal.
         try:
             return self._assignment[(u, level)]
         except KeyError:
+            if not 0 <= level <= self.max_level:
+                raise ValueError(f"level {level} outside 0..{self.max_level}") from None
             raise KeyError(f"no level {level} cluster for region {u!r}") from None
 
     def head(self, c: ClusterId) -> RegionId:

@@ -58,7 +58,7 @@ def _outstanding(system, object_id: int, message_type: type, pending) -> int:
     max_level = system.hierarchy.max_level
     return in_transit + sum(
         1
-        for tracker in system.trackers.values()
+        for tracker in system.trackers.built.values()  # an unbuilt one is all ⊥
         if tracker.lvl != max_level and pending(*tracker.pointer_state(object_id))
     )
 

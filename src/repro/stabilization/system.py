@@ -9,6 +9,7 @@ and benchmark.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import List, Optional
 
 from ..core.consistency import check_consistent
@@ -36,17 +37,7 @@ class StabilizingVineStalk(VineStalk):
     ) -> None:
         config = stabilization if stabilization is not None else StabilizationConfig()
         self.stabilization = config
-
-        outer = self
-
-        class _ConfiguredTracker(StabilizingTracker):
-            def __init__(self, hierarchy, clust, cgcast, schedule, delta, e):
-                super().__init__(
-                    hierarchy, clust, cgcast, schedule, delta, e,
-                    stabilization=outer.stabilization,
-                )
-
-        self.tracker_cls = _ConfiguredTracker
+        self.tracker_cls = partial(StabilizingTracker, stabilization=config)
         super().__init__(hierarchy, delta=delta, e=e, schedule=schedule, sim=sim)
         for tracker in self.trackers.values():
             tracker.start_heartbeats()

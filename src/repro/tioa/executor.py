@@ -55,13 +55,6 @@ class Executor:
         except KeyError:
             raise AutomatonError(f"unknown automaton {name!r}") from None
 
-    def automata(self) -> List[TimedAutomaton]:
-        return [self._automata[k] for k in sorted(self._automata)]
-
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
     # ------------------------------------------------------------------
     # Output observation
     # ------------------------------------------------------------------

@@ -16,9 +16,9 @@ used to redo from scratch, and counts the one the tilings now own:
   the tiling for its ring (closed form on a grid, one memoised BFS row
   per centre elsewhere) and counts which of the two happened.
 
-``warm(keys)`` pre-builds hierarchies (and their cluster adjacency) for
-a sweep's distinct topology keys — the pool-worker initializer calls it
-so forked/spawned workers start hot.
+``warm(keys)`` pre-builds hierarchies for a sweep's distinct topology
+keys — the pool-worker initializer calls it so forked/spawned workers
+start hot.
 
 The cache changes *when* topology work happens, never *what* a run
 computes: the golden A/B tests compare a cached run against the same
@@ -39,6 +39,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List
 
+from ..sim.engine import gc_paused
 from .keys import TopologyKey
 from .routes import RouteTable
 
@@ -96,13 +97,14 @@ class TopologyCache:
 
     # -- hierarchies ----------------------------------------------------
     def hierarchy(self, key: TopologyKey) -> Any:
-        """The (shared) hierarchy for ``key``, building it on first use."""
+        """The (shared) hierarchy for ``key``, building it GC-paused on first use."""
         cached = self._hierarchies.get(key)
         if cached is not None:
             self.stats.hierarchy_hits += 1
             return cached
         self.stats.hierarchy_misses += 1
-        built = _build_hierarchy(key)
+        with gc_paused():  # a build only allocates: a pass would free nothing
+            built = _build_hierarchy(key)
         self._hierarchies[key] = built
         return built
 
@@ -154,24 +156,20 @@ class TopologyCache:
 
     # -- warm-up --------------------------------------------------------
     def warm(self, keys: Iterable[TopologyKey]) -> int:
-        """Pre-build hierarchies (and their cluster adjacency) for ``keys``.
+        """Pre-build the hierarchies of ``keys`` (GC-paused, as every
+        :meth:`hierarchy` miss is).
 
         Called by the pool-worker initializer with a sweep's distinct
         topology keys so workers pay construction once, before jobs
-        arrive.  Returns how many hierarchies were newly built.
+        arrive.  A cluster's neighbors are computed and memoised on
+        first use, so a run pays only for the clusters it touches.
+        Returns how many hierarchies were newly built.
         """
         built = 0
         for key in dict.fromkeys(keys):  # de-dup, stable order
-            if key in self._hierarchies:
-                continue
-            hierarchy = self.hierarchy(key)
-            # Touch the cluster neighbor graph so the per-hierarchy
-            # memoization is hot too (lookAhead, consistency checks and
-            # the trackers all query it).
-            for level in hierarchy.levels():
-                for cid in hierarchy.clusters_at_level(level):
-                    hierarchy.nbrs(cid)
-            built += 1
+            if key not in self._hierarchies:
+                self.hierarchy(key)
+                built += 1
         return built
 
     def clear(self) -> None:

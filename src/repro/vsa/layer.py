@@ -125,11 +125,3 @@ class VsaNetwork:
     # ------------------------------------------------------------------
     def alive_vsa_count(self) -> int:
         return sum(1 for host in self.hosts.values() if not host.failed)
-
-    def run(self, duration: float) -> None:
-        """Advance the simulation by ``duration``."""
-        self.sim.run_until(self.sim.now + duration)
-
-    def run_to_quiescence(self, max_events: Optional[int] = None) -> int:
-        """Run until no events remain (mobility stopped)."""
-        return self.sim.run(max_events=max_events)

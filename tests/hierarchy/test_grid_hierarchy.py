@@ -199,3 +199,26 @@ def test_closed_form_construction_equals_generic(r, max_level):
             assert h.children(c) == generic.children(c)
             assert h.nbrs(c) == generic.nbrs(c)
             assert all(n is interned[n] for n in h.nbrs(c))
+
+
+@pytest.mark.parametrize("r, max_level", [(2, 3), (3, 2)])
+def test_no_cluster_outside_the_world(r, max_level):
+    """Regions off the grid have no cluster, and a phantom id no parent:
+    ``KeyError``, as the generic hierarchy says."""
+    h = grid_hierarchy(r, max_level)
+    generic = generic_twin(h)
+    side = h.tiling.width
+    for u in [(99, 99), (-1, 0), (0, -1), (side, 0), (0, side), (side, side)]:
+        for level in h.levels():
+            for hierarchy in (h, generic):
+                with pytest.raises(KeyError):
+                    hierarchy.cluster(u, level)
+    phantoms = [ClusterId(1, (49, 49)), ClusterId(0, (-1, 0)), ClusterId(0, (side, 1))]
+    phantoms += [ClusterId(level, (side // r**level, 0)) for level in h.levels()]
+    for c in phantoms:
+        for hierarchy in (h, generic):
+            if c.level < max_level:
+                with pytest.raises(KeyError):
+                    hierarchy.parent(c)
+            with pytest.raises(KeyError):
+                hierarchy.head(c)
