@@ -99,7 +99,3 @@ class WorkAccountant:
 
     def delta_since(self, earlier: WorkSnapshot) -> WorkSnapshot:
         return self.epoch().minus(earlier)
-
-    @property
-    def total_work(self) -> float:
-        return self.move_work + self.find_work + self.other_work

@@ -503,12 +503,12 @@ def run_emulation_recovery(
     max_level: int,
     t_restart: float = 5.0,
     seed: int = 0,
-    max_recovery_moves: int = 60,
 ) -> EmulationResult:
     """Kill a VSA on the tracking path, revive it, walk until recovery.
 
     Measures the §II-C.2 lifecycle (fail on empty region, restart after
-    ``t_restart``) and how many evader moves rebuild the structure.
+    ``t_restart``) and how many evader moves (at most 60) rebuild the
+    structure.
     """
     scenario = build(
         ScenarioConfig(
@@ -537,7 +537,7 @@ def run_emulation_recovery(
 
     recovery_moves = 0
     recovered = system.path_is_intact()
-    while not recovered and recovery_moves < max_recovery_moves:
+    while not recovered and recovery_moves < 60:
         evader.step()
         system.run_to_quiescence()
         recovery_moves += 1
@@ -560,13 +560,11 @@ def run_equivalence_check(
     max_level: int,
     n_moves: int,
     seed: int = 0,
-    mid_flight_probes: int = 3,
 ) -> Tuple[int, int]:
     """Check lookAhead == atomicMoveSeq over a random execution.
 
-    Probes the equation at ``mid_flight_probes`` random interruption
-    points per move and at every settled point; returns
-    ``(states_checked, mismatches)``.
+    Probes the equation at three random interruption points per move
+    and at every settled point; returns ``(states_checked, mismatches)``.
     """
     from ..core.atomic_model import atomic_move_seq
     from ..core.lookahead import look_ahead
@@ -581,7 +579,7 @@ def run_equivalence_check(
         evader.step()
         seq.append(evader.region)
         want = atomic_move_seq(hierarchy, seq).pointer_map()
-        for _probe in range(mid_flight_probes):
+        for _probe in range(3):
             system.run(rng.uniform(0.0, 10.0))
             snapshot = capture_snapshot(system)
             checked += 1
@@ -680,7 +678,7 @@ def run_replication_survival(m: int) -> float:
         system = build(config).system
         system.make_evader(FixedPath([(4, 4)]), dwell=1e12, start=(4, 4))
         system.run_to_quiescence()
-        system.fail_region(region)
+        system.network.hosts[region].fail()
         find_id = system.issue_find((0, 0) if region != (0, 0) else (8, 0))
         system.run_to_quiescence()
         outcomes.append(system.finds.records[find_id].completed)

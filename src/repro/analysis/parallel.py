@@ -258,30 +258,22 @@ def scale_jobs(levels: Sequence[int] = (4, 5, 6)) -> List[JobSpec]:
     return [job("scale_probe", max_level=M) for M in levels]
 
 
-def chaos_jobs(
-    loss_rates: Sequence[float] = (0.0, 0.05, 0.15),
-    crash_rates: Sequence[float] = (0.0, 0.05),
-    systems: Sequence[str] = ("stabilizing", "vinestalk"),
-    r: int = 2,
-    max_level: int = 2,
-    seed: int = 7,
-    duration: float = 150.0,
-    max_recovery_wait: float = 600.0,
-) -> List[JobSpec]:
-    """X5 chaos sweep: loss-rate × crash-rate grid per system variant."""
+def chaos_jobs() -> List[JobSpec]:
+    """X5 chaos sweep: loss rate {0, 0.05, 0.15} × crash rate {0, 0.05}
+    for the stabilizing and plain systems, on r=2, MAX=2, seed 7, over a
+    150-unit fault window."""
     return [
         job(
             "chaos",
-            r=r,
-            max_level=max_level,
-            seed=seed,
+            r=2,
+            max_level=2,
+            seed=7,
             system=system,
             loss_rate=loss,
             crash_rate=crash,
-            duration=duration,
-            max_recovery_wait=max_recovery_wait,
+            duration=150.0,
         )
-        for system in systems
-        for loss in loss_rates
-        for crash in crash_rates
+        for system in ("stabilizing", "vinestalk")
+        for loss in (0.0, 0.05, 0.15)
+        for crash in (0.0, 0.05)
     ]

@@ -33,6 +33,17 @@ from ..faults.plan import default_plan
 from ..mobility.models import RandomNeighborWalk
 from ..scenario import ScenarioConfig, build
 
+#: Workload cadence inside the fault window.
+MOVE_PERIOD = 20.0
+FIND_PERIOD = 30.0
+#: Per-find retry policy (retries are what buys success under churn).
+FIND_RETRY_AFTER = 25.0
+MAX_RETRIES = 3
+#: How long past the horizon to wait for reconsistency before declaring
+#: the run unrecovered, and the polling interval.
+MAX_RECOVERY_WAIT = 600.0
+PROBE = 5.0
+
 
 @dataclass
 class ChaosResult:
@@ -73,8 +84,7 @@ def _consistent(system) -> bool:
     return not check_consistent(snapshot, system.hierarchy, system.evader.region)
 
 
-def _drive(config: ScenarioConfig, duration, move_period, find_period,
-           find_retry_after, max_retries):
+def _drive(config: ScenarioConfig, duration: float):
     """Build ``config`` and run the fixed workload to the fault horizon.
 
     Returns ``(scenario, moves_scheduled, finds_scheduled)``.  The
@@ -95,26 +105,26 @@ def _drive(config: ScenarioConfig, duration, move_period, find_period,
         system.start_anchor_refresh()
 
     moves = 0
-    t = move_period
+    t = MOVE_PERIOD
     while t <= duration:
         system.sim.call_at(t, evader.step, tag="chaos-move")
         moves += 1
-        t += move_period
+        t += MOVE_PERIOD
 
     find_rng = random.Random(config.seed + 1)
     finds = 0
-    t = find_period
+    t = FIND_PERIOD
     while t <= duration:
 
         def issue() -> None:
             origin = find_rng.choice(regions)
             system.issue_find(
-                origin, retry_after=find_retry_after, max_retries=max_retries
+                origin, retry_after=FIND_RETRY_AFTER, max_retries=MAX_RETRIES
             )
 
         system.sim.call_at(t, issue, tag="chaos-find")
         finds += 1
-        t += find_period
+        t += FIND_PERIOD
 
     system.sim.run_until(duration)
     return scenario, moves, finds
@@ -128,12 +138,6 @@ def run_chaos(
     loss_rate: float = 0.05,
     crash_rate: float = 0.0,
     duration: float = 240.0,
-    move_period: float = 20.0,
-    find_period: float = 30.0,
-    find_retry_after: float = 25.0,
-    max_retries: int = 3,
-    max_recovery_wait: float = 600.0,
-    probe: float = 5.0,
 ) -> ChaosResult:
     """One chaos run plus its golden twin; returns the recovery metrics.
 
@@ -143,12 +147,6 @@ def run_chaos(
         loss_rate, crash_rate: The :func:`~repro.faults.plan.default_plan`
             knobs; the plan's horizon is ``duration``.
         duration: Length of the fault window; the workload also stops here.
-        move_period, find_period: Workload cadence inside the window.
-        find_retry_after, max_retries: Per-find retry policy (retries are
-            what buys success under churn).
-        max_recovery_wait: How long past the horizon to wait for
-            reconsistency before declaring the run unrecovered.
-        probe: Reconsistency polling interval.
     """
     plan = default_plan(
         loss_rate=loss_rate, crash_rate=crash_rate, horizon=duration
@@ -156,20 +154,18 @@ def run_chaos(
     config = ScenarioConfig(
         r=r, max_level=max_level, seed=seed, system=system, fault_plan=plan
     )
-    scenario, moves, finds_scheduled = _drive(
-        config, duration, move_period, find_period, find_retry_after, max_retries
-    )
+    scenario, moves, finds_scheduled = _drive(config, duration)
     sys_obj = scenario.system
     work_at_horizon = scenario.accountant.epoch().total
 
     # Recovery: poll consistency after the fault window closes.
     recovery_start = sys_obj.sim.now
     reconsistency: Optional[float] = None
-    while sys_obj.sim.now - recovery_start <= max_recovery_wait:
+    while sys_obj.sim.now - recovery_start <= MAX_RECOVERY_WAIT:
         if _consistent(sys_obj):
             reconsistency = sys_obj.sim.now - recovery_start
             break
-        sys_obj.sim.run_until(sys_obj.sim.now + probe)
+        sys_obj.sim.run_until(sys_obj.sim.now + PROBE)
     if reconsistency is None and _consistent(sys_obj):
         reconsistency = sys_obj.sim.now - recovery_start
 
@@ -178,14 +174,7 @@ def run_chaos(
     retries = sum(rec.retries for rec in records)
 
     # Golden twin: same workload, no faults, measured at the horizon.
-    golden, _, _ = _drive(
-        config.with_(fault_plan=None),
-        duration,
-        move_period,
-        find_period,
-        find_retry_after,
-        max_retries,
-    )
+    golden, _, _ = _drive(config.with_(fault_plan=None), duration)
     work_golden = golden.accountant.epoch().total
 
     name = system if isinstance(system, str) else system.__name__

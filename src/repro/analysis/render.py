@@ -20,13 +20,12 @@ def render_grid_world(
     hierarchy: ClusterHierarchy,
     snapshot: SystemSnapshot,
     evader_region: Optional[RegionId] = None,
-    show_block_level: int = 1,
 ) -> str:
     """Render a grid world with the tracking path overlaid.
 
     Cell legend: ``E`` evader, digits = the highest level whose path
-    cluster's *head* sits at that region, ``·`` empty.  Block boundaries
-    of ``show_block_level`` are drawn with ``|``/``-`` separators.
+    cluster's *head* sits at that region, ``·`` empty.  Level-1 block
+    boundaries are drawn with ``|``/``-`` separators.
     """
     tiling = hierarchy.tiling
     if not isinstance(tiling, GridTiling):
@@ -40,7 +39,7 @@ def render_grid_world(
         if current is None or mark > current:
             head_marks[head] = mark
 
-    block = getattr(hierarchy, "r", 2) ** show_block_level
+    block = getattr(hierarchy, "r", 2)
     lines: List[str] = []
     for row in range(tiling.height - 1, -1, -1):
         cells: List[str] = []

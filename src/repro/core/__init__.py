@@ -8,7 +8,7 @@ from .atomic_model import (
     init_state,
 )
 from .client_tracking import TrackingClient
-from .consistency import check_consistent, is_consistent
+from .consistency import check_consistent
 from .emulated import EmulatedVineStalk
 from .finds import FindCoordinator, FindRecord
 from .lookahead import LookAheadError, look_ahead
@@ -30,8 +30,6 @@ from .path import (
     check_path_segment,
     check_tracking_path,
     extract_path,
-    lateral_link_count,
-    laterals_per_level_ok,
 )
 from .state import PointerState, SystemSnapshot, TransitMessage, capture_snapshot
 from .timers import TimerSchedule, TimerScheduleError, grid_schedule, uniform_schedule
@@ -72,11 +70,8 @@ __all__ = [
     "extract_path",
     "grid_schedule",
     "init_state",
-    "is_consistent",
     "is_find_message",
     "is_move_message",
-    "lateral_link_count",
-    "laterals_per_level_ok",
     "look_ahead",
     "uniform_schedule",
 ]

@@ -74,11 +74,3 @@ def check_consistent(
         problems.append(f"message in transit: {msg.payload.kind} -> {msg.dest}")
 
     return problems
-
-
-def is_consistent(
-    snapshot: SystemSnapshot,
-    hierarchy: ClusterHierarchy,
-    evader_region: RegionId,
-) -> bool:
-    return not check_consistent(snapshot, hierarchy, evader_region)

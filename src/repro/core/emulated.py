@@ -13,8 +13,7 @@ evader moves rebuild it.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..geometry.regions import RegionId
 from ..hierarchy.hierarchy import ClusterHierarchy
@@ -57,7 +56,7 @@ class EmulatedVineStalk(VineStalk):
             for host in self.network.hosts.values():
                 host.observe(self._host_lifecycle)
         self.nodes: List[PhysicalNode] = per_region_density(
-            self.sim, hierarchy.tiling, nodes_per_region
+            hierarchy.tiling, nodes_per_region
         )
         self.emulation = self.network.enable_emulation(self.nodes, t_restart)
 
@@ -107,18 +106,3 @@ class EmulatedVineStalk(VineStalk):
         if problems:
             return False
         return all(not self.trackers[clust].failed for clust in path or [])
-
-    def random_churn(
-        self,
-        rng: random.Random,
-        kill_probability: float,
-        revive_probability: float,
-    ) -> Dict[str, int]:
-        """One churn round: independently kill/revive per region."""
-        killed = revived = 0
-        for region in self.hierarchy.tiling.regions():
-            if rng.random() < kill_probability:
-                killed += self.kill_region(region)
-            elif rng.random() < revive_probability:
-                revived += self.revive_region(region)
-        return {"killed": killed, "revived": revived}

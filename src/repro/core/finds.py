@@ -130,9 +130,6 @@ class FindCoordinator:
     def completed_records(self) -> List[FindRecord]:
         return [r for r in self.records.values() if r.completed]
 
-    def outstanding(self) -> List[FindRecord]:
-        return [r for r in self.records.values() if not r.completed]
-
     def completion_rate(self) -> float:
         if not self.records:
             return 1.0

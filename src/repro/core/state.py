@@ -10,7 +10,6 @@ consistency checker can manipulate without touching the simulation.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -70,14 +69,6 @@ class SystemSnapshot:
     def pointer_map(self) -> Dict[ClusterId, PointerTuple]:
         """Canonical, comparable view of all pointer values."""
         return {cid: ps.as_tuple() for cid, ps in self.pointers.items()}
-
-    def nonbottom_pointers(self) -> Dict[ClusterId, PointerTuple]:
-        """Only the clusters with at least one non-⊥ pointer (for diffs)."""
-        return {
-            cid: ps.as_tuple()
-            for cid, ps in self.pointers.items()
-            if ps.as_tuple() != (None, None, None, None)
-        }
 
     def messages_of_kind(self, *types) -> List[TransitMessage]:
         return [m for m in self.in_transit if isinstance(m.payload, types)]

@@ -121,9 +121,6 @@ class LaneDeadline:
     def armed(self) -> bool:
         return self.deadline != INFINITY
 
-    def expired(self) -> bool:
-        return self.deadline != INFINITY and self._tracker.now >= self.deadline
-
     def arm(self, deadline: float) -> None:
         tracker = self._tracker
         if deadline < tracker.now:

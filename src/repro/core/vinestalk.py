@@ -186,9 +186,13 @@ class VineStalk:
         tracker = self.tracker_cls(
             hierarchy, clust, self.cgcast, self.schedule, self.delta, self.e
         )
-        self.network.add_subautomaton(head, f"tracker:l{clust.level}", tracker)
+        self._host_tracker(head, clust, tracker)
         self.cgcast.register_process(clust, tracker)  # into trackers.built
         return tracker
+
+    def _host_tracker(self, head: RegionId, clust: ClusterId, tracker: Tracker) -> None:
+        """Register ``tracker`` as subautomaton ``V_{u,l}`` of its head's VSA."""
+        self.network.add_subautomaton(head, f"tracker:l{clust.level}", tracker)
 
     def _add_client(self, region: RegionId) -> TrackingClient:
         """Build and wire ``region``'s static client."""

@@ -7,7 +7,7 @@ battery exhaustion, while mandatory Fig. 2 correctness traffic
 (grow/shrink/find) always flows.
 
 The policy is deliberately deterministic: a pure counter decimation
-(keep one update in ``keep_every``) rather than a random drop, so a
+(keep one update in :data:`KEEP_EVERY`) rather than a random drop, so a
 seeded run is reproducible.  Pressure reads the *local* ledger, which
 under sharding is the shard's own partial view — throttled systems are
 therefore seed-deterministic per engine but not fingerprint-comparable
@@ -19,30 +19,21 @@ from __future__ import annotations
 
 from .ledger import EnergyLedger
 
+#: Pressure (hottest region charge / budget) above which throttling starts.
+THRESHOLD = 0.5
+#: Under pressure, pass one send in ``KEEP_EVERY``.
+KEEP_EVERY = 4
+
 
 class AdaptiveRatePolicy:
     """Counter-based decimation of discretionary sends under pressure.
 
     Args:
         ledger: The live energy ledger to read pressure from.
-        threshold: Pressure (hottest region charge / budget) above which
-            throttling starts.
-        keep_every: Under pressure, pass one send in ``keep_every``.
     """
 
-    def __init__(
-        self,
-        ledger: EnergyLedger,
-        threshold: float = 0.5,
-        keep_every: int = 4,
-    ) -> None:
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError("threshold must be in (0, 1]")
-        if keep_every < 1:
-            raise ValueError("keep_every must be >= 1")
+    def __init__(self, ledger: EnergyLedger) -> None:
         self.ledger = ledger
-        self.threshold = threshold
-        self.keep_every = keep_every
         self.calls = 0
         self.suppressed = 0
 
@@ -56,17 +47,17 @@ class AdaptiveRatePolicy:
     def allow(self) -> bool:
         """Whether the next discretionary send should go out."""
         self.calls += 1
-        if self.pressure() < self.threshold:
+        if self.pressure() < THRESHOLD:
             return True
-        if self.calls % self.keep_every == 0:
+        if self.calls % KEEP_EVERY == 0:
             return True
         self.suppressed += 1
         return False
 
     def as_dict(self) -> dict:
         return {
-            "threshold": self.threshold,
-            "keep_every": self.keep_every,
+            "threshold": THRESHOLD,
+            "keep_every": KEEP_EVERY,
             "calls": self.calls,
             "suppressed": self.suppressed,
         }

@@ -9,12 +9,14 @@ monkey-patching:
   one message channel a built system has, so a rule on ``"both"`` means
   it and a rule on ``"vbcast"`` alone is refused by :meth:`arm`;
 * :attr:`VineStalk.gps_fault_delay
-  <repro.core.vinestalk.VineStalk.gps_fault_delay>` and
-  :attr:`GpsOracle.fault_delay <repro.physical.gps.GpsOracle.fault_delay>`
+  <repro.core.vinestalk.VineStalk.gps_fault_delay>` (the augmented
+  ``move``/``left`` inputs) and :attr:`GpsOracle.fault_delay
+  <repro.physical.gps.GpsOracle.fault_delay>` (each node's ``GPSupdate``)
   for GPS staleness;
 * :meth:`VsaEmulation.blackout <repro.vsa.emulation.VsaEmulation.blackout>`
   (emulated regime) or direct :class:`~repro.vsa.vsa.VsaHost`
-  fail/restart (abstract regime) for crashes and blackouts.
+  fail/restart (abstract regime) for crashes and blackouts; the
+  replicated system follows the hosts of its slot regions.
 
 Determinism: a message rule's draw for one message is keyed on
 ``(seed, rule, time, src, dest, payload type, occurrence)``, so it does
@@ -80,9 +82,6 @@ class FaultStats:
             "restores": self.restores,
             "gps_delayed": self.gps_delayed,
         }
-
-    def total_events(self) -> int:
-        return sum(self.as_dict().values())
 
 
 @dataclass

@@ -240,26 +240,17 @@ class FaultPlan:
         """True when no rule can perturb anything (a provable no-op)."""
         return all(rule.is_null() for rule in self.rules)
 
-    def channel_rules(self, channel: str):
-        """Message-level rules interposing on ``channel``, in order."""
-        return [
-            r for r in self.rules if not r.is_null() and r.applies_to(channel)
-        ]
-
 
 def default_plan(
     loss_rate: float = 0.05,
     crash_rate: float = 0.0,
-    duplication_rate: float = 0.0,
     jitter_rate: float = 0.0,
     jitter_max: float = 10.0,
-    gps_rate: float = 0.0,
-    gps_delay: float = 20.0,
-    crash_period: float = 50.0,
-    crash_downtime: float = 100.0,
     horizon: Optional[float] = None,
 ) -> FaultPlan:
-    """The standard chaos cocktail used by the CLI, bench and CI smoke.
+    """The standard chaos cocktail used by the CLI, bench and CI smoke:
+    C-gcast loss and jitter, and VSA crashes every 50 time units that
+    last 100.  Other mixes are built with :meth:`FaultPlan.of`.
 
     Only rules with a nonzero rate are included, so
     ``default_plan(loss_rate=0, crash_rate=0)`` is a provable no-op
@@ -268,16 +259,10 @@ def default_plan(
     rules = []
     if loss_rate:
         rules.append(MessageLoss(rate=loss_rate, channel=CHANNEL_BOTH))
-    if duplication_rate:
-        rules.append(MessageDuplication(rate=duplication_rate, channel=CHANNEL_BOTH))
     if jitter_rate:
         rules.append(
             MessageJitter(rate=jitter_rate, max_extra=jitter_max, channel=CHANNEL_BOTH)
         )
     if crash_rate:
-        rules.append(
-            VsaCrashes(rate=crash_rate, period=crash_period, downtime=crash_downtime)
-        )
-    if gps_rate:
-        rules.append(GpsStaleness(rate=gps_rate, delay=gps_delay))
+        rules.append(VsaCrashes(rate=crash_rate, period=50.0, downtime=100.0))
     return FaultPlan(rules=tuple(rules), horizon=horizon)

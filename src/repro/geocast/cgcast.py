@@ -232,20 +232,12 @@ class CGcast:
                 return params.p(dest.level)  # rule (b), downward
         # Fallback: exact distance between heads (see module docstring),
         # read from the tiling's shared flat distance table — same
-        # values as ``h.head_distance`` (BFS == tiling.distance), no
-        # per-call BFS on cold (src, dest) pairs.
+        # values as ``tiling.distance`` (BFS), no per-call BFS on cold
+        # (src, dest) pairs.
         from ..topo.distances import distance_table
 
         table = distance_table(h.tiling)
         return max(1, table.distance(h.head(src), h.head(dest)))
-
-    def vsa_delay(self, src: ClusterId, dest: ClusterId) -> float:
-        """Exact delivery delay for a VSA→VSA message."""
-        return (self.delta + self.e) * self.vsa_distance_units(src, dest)
-
-    def vsa_cost(self, src: ClusterId, dest: ClusterId) -> float:
-        """Communication work charged for a VSA→VSA message."""
-        return float(self.vsa_distance_units(src, dest))
 
     # ------------------------------------------------------------------
     # Sending

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -12,24 +11,6 @@ class Point:
 
     x: float
     y: float
-
-    def distance_to(self, other: "Point") -> float:
-        """Euclidean distance."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def chebyshev_to(self, other: "Point") -> float:
-        """L-infinity distance."""
-        return max(abs(self.x - other.x), abs(self.y - other.y))
-
-    def manhattan_to(self, other: "Point") -> float:
-        """L-1 distance."""
-        return abs(self.x - other.x) + abs(self.y - other.y)
-
-    def midpoint(self, other: "Point") -> "Point":
-        return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-
-    def translate(self, dx: float, dy: float) -> "Point":
-        return Point(self.x + dx, self.y + dy)
 
 
 def centroid(points: list) -> Point:

@@ -1,15 +1,15 @@
 """Regions of the deployment space (§II-A).
 
 The plane is divided into known connected regions with unique ids drawn
-from an ordered set ``U``.  A :class:`Region` carries its id, a
-representative center point and (for square grid regions) its bounds.
+from an ordered set ``U``.  A :class:`Region` carries its id and a
+representative center point.
 The tiling object owns the ``nbr`` relation; regions are passive data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Hashable
 
 from .points import Point
 
@@ -23,23 +23,10 @@ class Region:
     Attributes:
         rid: Unique region id (orderable within one tiling).
         center: Representative point of the region.
-        bounds: Optional ``(xmin, ymin, xmax, ymax)`` for rectangular
-            regions; ``None`` for abstract graph-defined regions.
     """
 
     rid: RegionId
     center: Point
-    bounds: Optional[Tuple[float, float, float, float]] = None
-
-    def contains(self, point: Point) -> bool:
-        """Point membership; boundary points count as inside.
-
-        Abstract regions (``bounds is None``) contain only their center.
-        """
-        if self.bounds is None:
-            return point == self.center
-        xmin, ymin, xmax, ymax = self.bounds
-        return xmin <= point.x <= xmax and ymin <= point.y <= ymax
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Region({self.rid!r})"

@@ -94,15 +94,6 @@ class Tiling:
         """Number of regions within ``radius`` of ``center``."""
         return sum(1 for dist in self.distance_row(center) if 0 <= dist <= radius)
 
-    def region_of_point(self, point: Point) -> RegionId:
-        """Region containing ``point`` (minimum id wins on boundaries)."""
-        candidates = [
-            rid for rid in self.regions() if self.region(rid).contains(point)
-        ]
-        if not candidates:
-            raise ValueError(f"point {point} outside the deployment space")
-        return min(candidates)
-
     def validate(self) -> None:
         """Check the §II-A assumptions: symmetry, irreflexivity, connectivity."""
         ids = self.regions()
@@ -144,11 +135,7 @@ class GridTiling(Tiling):
         for col in range(width):
             for row in range(height):
                 rid = (col, row)
-                self._regions[rid] = Region(
-                    rid,
-                    center=Point(col + 0.5, row + 0.5),
-                    bounds=(float(col), float(row), float(col + 1), float(row + 1)),
-                )
+                self._regions[rid] = Region(rid, center=Point(col + 0.5, row + 0.5))
         self._region_order = sorted(self._regions)
         self._nbr_cache: Dict[RegionId, List[RegionId]] = {}
 
@@ -224,27 +211,6 @@ class GridTiling(Tiling):
         cols = min(self.width - 1, col0 + radius) - max(0, col0 - radius) + 1
         rows = min(self.height - 1, row0 + radius) - max(0, row0 - radius) + 1
         return cols * rows
-
-    def region_of_point(self, point: Point) -> RegionId:
-        # Closed-form: boundary points belong to the minimum-id region,
-        # which for (col,row) ordering is the lower-left candidate square.
-        if not (0 <= point.x <= self.width and 0 <= point.y <= self.height):
-            raise ValueError(f"point {point} outside the deployment space")
-
-        def squares(coord: float, limit: int) -> List[int]:
-            base = int(coord)
-            cands = []
-            if coord == base and base - 1 >= 0:
-                cands.append(base - 1)
-            cands.append(min(base, limit - 1))
-            return cands
-
-        options = [
-            (c, r)
-            for c in squares(point.x, self.width)
-            for r in squares(point.y, self.height)
-        ]
-        return min(options)
 
 
 class GraphTiling(Tiling):

@@ -89,7 +89,8 @@ class GridHierarchy(ExplicitHierarchy):
 
         Equivalent to the generic member-boundary scan: full ``r^l``
         blocks share a boundary point exactly when their block coords
-        differ by at most one per axis.
+        differ by at most one per axis.  The ``(dc, dr)`` loop meets them
+        in ``ClusterId`` order, the generic scan's sorted order.
         """
         cached = self._nbrs_cache.get(c)
         if cached is None:
@@ -104,7 +105,6 @@ class GridHierarchy(ExplicitHierarchy):
                     oc, orow = bc + dc, br + dr
                     if 0 <= oc < n_blocks and 0 <= orow < n_blocks:
                         out.append(self.cluster((oc * block, orow * block), c.level))
-            out.sort()
             self._nbrs_cache[c] = cached = out
         return list(cached)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Sequence
 
+from ..geometry.points import centroid
 from ..geometry.regions import RegionId
 from ..geometry.tiling import Tiling
 from .cluster import ClusterId
@@ -106,25 +107,6 @@ class ClusterHierarchy:
     def chain(self, u: RegionId) -> List[ClusterId]:
         """The iterated clusters of region ``u``: ``[cluster(u,0) .. cluster(u,MAX)]``."""
         return [self.cluster(u, level) for level in self.levels()]
-
-    def are_cluster_neighbors(self, a: ClusterId, b: ClusterId) -> bool:
-        return a.level == b.level and b in self.nbrs(a)
-
-    def cluster_distance(self, a: ClusterId, b: ClusterId) -> int:
-        """Min region-graph distance between members of ``a`` and ``b``."""
-        best = None
-        for u in self.members(a):
-            for v in self.members(b):
-                dist = self.tiling.distance(u, v)
-                if best is None or dist < best:
-                    best = dist
-        if best is None:  # pragma: no cover - empty clusters are invalid
-            raise ValueError("cluster with no members")
-        return best
-
-    def head_distance(self, a: ClusterId, b: ClusterId) -> int:
-        """Region-graph distance between the heads of two clusters."""
-        return self.tiling.distance(self.head(a), self.head(b))
 
 
 class ExplicitHierarchy(ClusterHierarchy):
@@ -228,13 +210,11 @@ def default_head(tiling: Tiling, member_list: List[RegionId]) -> RegionId:
         raise ValueError("cluster with no members")
     if len(member_list) == 1:
         return member_list[0]
-    centers = [tiling.region(u).center for u in member_list]
-    cx = sum(pt.x for pt in centers) / len(centers)
-    cy = sum(pt.y for pt in centers) / len(centers)
+    mid = centroid([tiling.region(u).center for u in member_list])
 
     def score(u: RegionId):
         pt = tiling.region(u).center
-        return ((pt.x - cx) ** 2 + (pt.y - cy) ** 2, u)
+        return ((pt.x - mid.x) ** 2 + (pt.y - mid.y) ** 2, u)
 
     return min(member_list, key=score)
 

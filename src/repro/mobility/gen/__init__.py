@@ -31,7 +31,6 @@ from .spec import (
 from .trace import (
     MobilityTrace,
     generate,
-    trace_from_obs,
     trace_workload,
 )
 from .workload import (
@@ -68,7 +67,6 @@ __all__ = [
     # traces
     "MobilityTrace",
     "generate",
-    "trace_from_obs",
     "trace_workload",
     # workloads / runner
     "GeneratedWalk",

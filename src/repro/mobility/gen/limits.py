@@ -119,15 +119,11 @@ class SpeedLimits:
         return cls(per_level=per_level, mode=mode)
 
 
-def check_trace(
-    trace,
-    hierarchy,
-    limits: SpeedLimits,
-    tolerance: float = 1e-9,
-) -> Optional[str]:
+def check_trace(trace, hierarchy, limits: SpeedLimits) -> Optional[str]:
     """Verify a :class:`~repro.mobility.gen.trace.MobilityTrace` against
     ``limits``; returns a human-readable violation or ``None`` when the
-    trace is §VI-legal.
+    trace is §VI-legal (a dwell may fall short of its floor by 1e-9, the
+    float slack of summed step times).
     """
     steps = trace.steps
     for i in range(len(steps) - 1):
@@ -141,7 +137,7 @@ def check_trace(
             prev = steps[i - 1][1]
             floor = limits.required(hierarchy, prev, here)
             what = f"move {prev!r} -> {here!r}"
-        if dwell + tolerance < floor:
+        if dwell + 1e-9 < floor:
             return (
                 f"step {i}: dwell {dwell:g} at {here!r} after {what} "
                 f"violates the §VI floor {floor:g} ({limits.mode})"

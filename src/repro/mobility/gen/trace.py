@@ -1,4 +1,4 @@
-"""Seeded trace generation, recording, and workload export.
+"""Seeded trace generation and workload export.
 
 ``generate()`` drives a spec's walk over the hierarchy's tiling and
 emits §VI-legal :class:`MobilityTrace` objects: each dwell is the base
@@ -11,18 +11,13 @@ Determinism contract: all step randomness is drawn from
 ``RngRegistry(seed)`` stream ``"mobility.gen:<object_id>"`` (find
 placement from ``"mobility.gen:finds"``), so the same ``(spec, seed)``
 pair is byte-identical.
-
-Recording closes the loop: :func:`trace_from_obs` reads ``EvaderMoved``
-obs events back out of a collector, and the resulting trace replays
-through :class:`~repro.mobility.gen.spec.Replay` /
-:func:`trace_workload` with a bit-identical dispatch fingerprint.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ...geometry.regions import RegionId
 from ...sim.rng import RngRegistry
@@ -212,20 +207,3 @@ def trace_workload(
             )
     return ScriptedWorkload.of(actions)
 
-
-def trace_from_obs(events: Iterable, object_id: int = 0) -> MobilityTrace:
-    """Rebuild a trace from recorded ``EvaderMoved`` obs events.
-
-    Accepts any iterable of obs events (e.g. a collector's buffer);
-    non-mobility events and other objects are filtered out.
-    """
-    steps = [
-        (ev.time, ev.region)
-        for ev in events
-        if getattr(ev, "kind", None) == "evader-moved"
-        and ev.object_id == object_id
-        and ev.event == "move"
-    ]
-    if not steps:
-        raise ValueError(f"no EvaderMoved events for object {object_id}")
-    return MobilityTrace(steps=tuple(steps), object_id=object_id)

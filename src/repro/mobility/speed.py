@@ -49,8 +49,6 @@ def atomic_dwell(schedule, params: GeometryParams, delta: float, e: float) -> fl
     return level_update_time(schedule, params, delta, e, params.max_level)
 
 
-def concurrent_dwell(
-    schedule, params: GeometryParams, delta: float, e: float, settle_level: int = 1
-) -> float:
-    """A §VI-style dwell: low levels settle, higher levels update in flight."""
-    return level_update_time(schedule, params, delta, e, settle_level)
+def concurrent_dwell(schedule, params: GeometryParams, delta: float, e: float) -> float:
+    """A §VI-style dwell: level 1 settles, higher levels update in flight."""
+    return level_update_time(schedule, params, delta, e, 1)

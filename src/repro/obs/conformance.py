@@ -45,6 +45,8 @@ from .events import ConformanceViolation, GrowSent
 
 #: Check identifiers, in reporting order.
 CHECKS = ("lemma-4.1-grow", "lemma-4.1-shrink", "lemma-4.2", "theorem-4.8")
+#: Violation records kept on a sampler (its counts stay exact past the cap).
+MAX_RECORDED = 64
 
 
 def _outstanding(system, object_id: int, message_type: type, pending) -> int:
@@ -88,8 +90,6 @@ class ConformanceSampler:
             ``LookAheadError`` becomes a ``theorem-4.8`` violation.
         collector: Collector receiving violation events and the
             Lemma 4.2 GrowSent feed; defaults to the active one.
-        max_recorded: Violation records kept on the sampler (counts
-            stay exact past the cap).
         object_id: Which tracking lane the checks cover (DESIGN.md §9).
             Every lane is an independent instance of the §IV-C state
             space; attach one sampler per object to check them all.
@@ -106,7 +106,6 @@ class ConformanceSampler:
         stride: int = 256,
         strict: bool = True,
         collector: Optional[Any] = None,
-        max_recorded: int = 64,
         object_id: int = 0,
     ) -> None:
         if stride < 1:
@@ -116,7 +115,6 @@ class ConformanceSampler:
         self.strict = strict
         self.object_id = object_id
         self.collector = collector if collector is not None else OBS.collector
-        self.max_recorded = max_recorded
         self.checks_run: Dict[str, int] = {check: 0 for check in CHECKS}
         self.violation_counts: Dict[str, int] = {check: 0 for check in CHECKS}
         self.violations: List[ConformanceViolation] = []
@@ -239,7 +237,7 @@ class ConformanceSampler:
         event = ConformanceViolation(
             time=self.system.sim.now, check=check, detail=detail
         )
-        if len(self.violations) < self.max_recorded:
+        if len(self.violations) < MAX_RECORDED:
             self.violations.append(event)
         collector = self.collector
         if collector is not None:

@@ -149,7 +149,7 @@ class EvaderMoved:
 
     ``region`` is the raw :data:`~repro.geometry.regions.RegionId`, so
     an in-process collector can rebuild an exact replayable trace from
-    these events (:func:`repro.mobility.gen.trace.trace_from_obs`).
+    these events (``tests/mobility/test_record_replay.py`` does).
     """
 
     kind: ClassVar[str] = "evader-moved"

@@ -18,15 +18,11 @@ from .conformance import ConformanceSampler
 from .export import obs_payload
 
 
-def run_obs_probe(
-    r: int = 2,
-    max_level: int = 3,
-    n_moves: int = 30,
-    seed: int = 11,
-    stride: int = 64,
-    strict: bool = True,
-) -> Dict[str, Any]:
-    """One observed run; returns the serialized ``obs/2`` payload."""
+def run_obs_probe(stride: int = 64) -> Dict[str, Any]:
+    """One observed run — a 30-move walk and one find on r=2, MAX=3,
+    seed 11, sampled every ``stride`` events in strict mode; returns the
+    serialized ``obs/2`` payload."""
+    r, max_level, n_moves, seed = 2, 3, 30, 11
     from ..mobility.models import RandomNeighborWalk
     from ..scenario import ScenarioConfig, build
 
@@ -42,7 +38,7 @@ def run_obs_probe(
         )
         system.run_to_quiescence()
         sampler = ConformanceSampler(
-            system, stride=stride, strict=strict, collector=collector
+            system, stride=stride, strict=True, collector=collector
         ).attach()
         for _ in range(n_moves):
             evader.step()

@@ -7,31 +7,19 @@ emulatable from the start.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..geometry.tiling import Tiling
-from ..mobility.models import MobilityModel
-from ..sim.engine import Simulator
 from .node import PhysicalNode
 
 
-def per_region_density(
-    sim: Simulator,
-    tiling: Tiling,
-    nodes_per_region: int,
-    model: Optional[MobilityModel] = None,
-    dwell: float = 1.0,
-    start_id: int = 0,
-) -> List[PhysicalNode]:
-    """Exactly ``nodes_per_region`` nodes in every region."""
+def per_region_density(tiling: Tiling, nodes_per_region: int) -> List[PhysicalNode]:
+    """Exactly ``nodes_per_region`` nodes in every region, ids from 0 in
+    ``tiling.regions()`` order."""
     if nodes_per_region < 0:
         raise ValueError("nodes_per_region must be non-negative")
-    nodes = []
-    next_id = start_id
-    for region in tiling.regions():
-        for _ in range(nodes_per_region):
-            nodes.append(
-                PhysicalNode(next_id, sim, tiling, region, model=model, dwell=dwell)
-            )
-            next_id += 1
-    return nodes
+    return [
+        PhysicalNode(index * nodes_per_region + k, tiling, region)
+        for index, region in enumerate(tiling.regions())
+        for k in range(nodes_per_region)
+    ]

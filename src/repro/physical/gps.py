@@ -2,39 +2,32 @@
 
 The GPS service tells every physical node its region: a
 ``GPSupdate(u)_p`` is issued when node ``p`` enters the system or
-changes region (we also support a periodic refresh).  Per §III, the
-service is *augmented* for tracking: it delivers a ``move`` input to
+changes region.  The §III augmentation — a ``move`` input to the
 clients of a region exactly when the evader enters it, and a ``left``
-when the evader leaves.
+when it leaves — is delivered by the tracking system itself
+(``VineStalk._evader_event``), not here.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..geometry.regions import RegionId
-from ..mobility.evader import Evader
 from ..sim.engine import Simulator
 from .node import PhysicalNode
 
 # GPSupdate sink: (node, region).
 GpsUpdateSink = Callable[[PhysicalNode, RegionId], None]
-# Evader event sink: (node, event, region) with event ∈ {"move", "left"}.
-EvaderEventSink = Callable[[PhysicalNode, str, RegionId], None]
 
 
 class GpsOracle:
-    """Delivers GPSupdate and augmented evader move/left inputs to clients."""
+    """Delivers GPSupdate inputs to the clients riding tracked nodes."""
 
-    def __init__(self, sim: Simulator, refresh_period: Optional[float] = None) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.refresh_period = refresh_period
-        self._nodes: Dict[int, PhysicalNode] = {}
         self._update_sinks: List[GpsUpdateSink] = []
-        self._evader_sinks: List[EvaderEventSink] = []
-        self._evader: Optional[Evader] = None
-        #: Optional staleness hook (repro.faults): ``(kind, region) ->
-        #: extra delay``.  When None or 0.0, delivery stays synchronous.
+        #: Optional staleness hook (repro.faults): ``("GPSupdate", region)
+        #: -> extra delay``.  When None or 0.0, delivery stays synchronous.
         self.fault_delay: Optional[Callable[[str, RegionId], float]] = None
 
     # ------------------------------------------------------------------
@@ -43,23 +36,10 @@ class GpsOracle:
     def on_update(self, sink: GpsUpdateSink) -> None:
         self._update_sinks.append(sink)
 
-    def on_evader_event(self, sink: EvaderEventSink) -> None:
-        self._evader_sinks.append(sink)
-
     def track_node(self, node: PhysicalNode) -> None:
         """Register a node; issues its initial GPSupdate immediately."""
-        self._nodes[node.node_id] = node
         node.observe(self._node_event)
         self._push_update(node)
-        if self.refresh_period is not None:
-            self._schedule_refresh(node)
-
-    def attach_evader(self, evader: Evader) -> None:
-        """Subscribe to the evader for augmented move/left delivery."""
-        if self._evader is not None:
-            raise RuntimeError("an evader is already attached")
-        self._evader = evader
-        evader.observe(self._evader_event)
 
     # ------------------------------------------------------------------
     # Event plumbing
@@ -85,32 +65,3 @@ class GpsOracle:
                 return
         for sink in self._update_sinks:
             sink(node, node.region)
-
-    def _schedule_refresh(self, node: PhysicalNode) -> None:
-        def tick() -> None:
-            if node.node_id in self._nodes:
-                self._push_update(node)
-                self._schedule_refresh(node)
-
-        self.sim.call_after(self.refresh_period, tick, tag=f"gps:{node.node_id}")
-
-    def _evader_event(self, event: str, region: RegionId) -> None:
-        """Deliver move/left to every alive client in the evader's region."""
-        if self.fault_delay is not None:
-            extra = self.fault_delay(event, region)
-            if extra > 0.0:
-                self.sim.call_after(
-                    extra,
-                    lambda: self._deliver_evader_event(event, region),
-                    tag="gps-stale",
-                )
-                return
-        self._deliver_evader_event(event, region)
-
-    def _deliver_evader_event(self, event: str, region: RegionId) -> None:
-        recipients = [
-            n for n in self._nodes.values() if n.alive and n.region == region
-        ]
-        for node in sorted(recipients, key=lambda n: n.node_id):
-            for sink in self._evader_sinks:
-                sink(node, event, region)

@@ -1,21 +1,18 @@
 """Physical mobile nodes (§II-C.1 substrate).
 
 A :class:`PhysicalNode` is the hardware carrier of a client automaton:
-it has an identity, a current region, an alive flag, and (optionally) a
-mobility model relocating it over time.  Region changes are announced to
-observers — the GPS oracle subscribes and turns them into
+it has an identity, a current region and an alive flag; whoever drives
+it relocates it with :meth:`PhysicalNode.move_to`.  Region changes are
+announced to observers — the GPS oracle subscribes and turns them into
 ``GPSupdate`` inputs for the client automaton riding the node.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from ..geometry.regions import RegionId
 from ..geometry.tiling import Tiling
-from ..mobility.models import MobilityModel
-from ..sim.engine import Simulator
 
 # Observers receive (node, event, region); event ∈ {"enter", "leave", "fail", "restart"}.
 NodeObserver = Callable[["PhysicalNode", str, RegionId], None]
@@ -26,37 +23,16 @@ class PhysicalNode:
 
     Args:
         node_id: Unique identifier (``p`` in the paper's ``C_p``).
-        sim: Simulator for movement ticks.
         tiling: Deployment space.
         region: Initial region.
-        model: Optional mobility model; a node without one is static.
-        dwell: Time between relocations when a model is present.
-        rng: Random stream for the model.
     """
 
-    def __init__(
-        self,
-        node_id: int,
-        sim: Simulator,
-        tiling: Tiling,
-        region: RegionId,
-        model: Optional[MobilityModel] = None,
-        dwell: float = 1.0,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        if dwell <= 0:
-            raise ValueError("dwell must be positive")
+    def __init__(self, node_id: int, tiling: Tiling, region: RegionId) -> None:
         self.node_id = node_id
-        self.sim = sim
         self.tiling = tiling
         self.region: RegionId = region
-        self.model = model
-        self.dwell = dwell
-        self.rng = rng if rng is not None else random.Random(node_id)
         self.alive = True
         self._observers: List[NodeObserver] = []
-        self._moving = False
-        self._tick_event = None
 
     @property
     def name(self) -> str:
@@ -84,31 +60,6 @@ class PhysicalNode:
         self.region = target  # update first so "leave" observers see the node gone
         self._emit("leave", old)
         self._emit("enter", target)
-
-    def start_moving(self) -> None:
-        """Begin relocating every ``dwell`` per the mobility model."""
-        if self.model is None:
-            raise RuntimeError(f"{self.name} has no mobility model")
-        if self._moving:
-            return
-        self._moving = True
-        self._schedule_tick()
-
-    def stop_moving(self) -> None:
-        self._moving = False
-        if self._tick_event is not None:
-            self.sim.cancel(self._tick_event)
-            self._tick_event = None
-
-    def _schedule_tick(self) -> None:
-        self._tick_event = self.sim.call_after(self.dwell, self._tick, tag=self.name)
-
-    def _tick(self) -> None:
-        if not self._moving or not self.alive:
-            return
-        target = self.model.next_region(self.region, self.tiling, self.rng)
-        self.move_to(target)
-        self._schedule_tick()
 
     # ------------------------------------------------------------------
     # Failures

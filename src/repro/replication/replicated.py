@@ -18,20 +18,23 @@ We implement the primary-backup reading of that sketch:
   surviving slot carries the replicated state (promotion is free in the
   model because backups hold the synced state);
 * only when **all** ``m`` slots are down does the process fail, losing
-  its state like an ordinary VSA failure.
+  its state like an ordinary VSA failure; it restarts fresh when one of
+  its slots' VSAs returns.
 
-:class:`ReplicatedVineStalk` exposes region-level fault injection and
-per-cluster slot introspection; the tests and the replication bench
-exercise the paper's claim (tolerate limited VSA failures at constant
-overhead).
+:class:`ReplicatedVineStalk` follows the lifecycle of each slot region's
+:class:`~repro.vsa.vsa.VsaHost`, so a host's ``fail``/``restart`` — from
+a fault plan or called directly — is the one way to fail a slot.  With
+``m = 1`` the one slot is the head, and the system behaves as plain
+VINESTALK.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.messages import TrackerMessage, is_move_message
 from ..core.vinestalk import VineStalk
+from ..geometry.points import centroid
 from ..geometry.regions import RegionId
 from ..hierarchy.cluster import ClusterId
 from ..hierarchy.hierarchy import ClusterHierarchy
@@ -44,7 +47,6 @@ class ReplicaSlots:
         self.clust = clust
         self.regions = list(regions)
         self.alive = [True] * len(regions)
-        self.promotions = 0
 
     @property
     def replication_factor(self) -> int:
@@ -52,12 +54,6 @@ class ReplicaSlots:
 
     def alive_count(self) -> int:
         return sum(self.alive)
-
-    def primary(self) -> Optional[RegionId]:
-        for region, up in zip(self.regions, self.alive):
-            if up:
-                return region
-        return None
 
     def spread(self, hierarchy: ClusterHierarchy) -> int:
         """Max distance between slots (the sync-message cost unit)."""
@@ -73,13 +69,11 @@ def choose_slots(
 ) -> List[RegionId]:
     """The ``m`` member regions closest to the cluster centroid."""
     members = hierarchy.members(clust)
-    centers = [hierarchy.tiling.region(u).center for u in members]
-    cx = sum(p.x for p in centers) / len(centers)
-    cy = sum(p.y for p in centers) / len(centers)
+    mid = centroid([hierarchy.tiling.region(u).center for u in members])
 
     def score(u: RegionId):
         point = hierarchy.tiling.region(u).center
-        return ((point.x - cx) ** 2 + (point.y - cy) ** 2, u)
+        return ((point.x - mid.x) ** 2 + (point.y - mid.y) ** 2, u)
 
     return sorted(members, key=score)[: max(1, min(m, len(members)))]
 
@@ -104,11 +98,15 @@ class ReplicatedVineStalk(VineStalk):
             clust: ReplicaSlots(clust, choose_slots(hierarchy, clust, replication_factor))
             for clust in hierarchy.all_clusters()
         }
-        # Which clusters have a slot at each region.
+        # Which clusters have a slot at each region, in the order a
+        # VsaHost fails and restarts the subautomata it hosts.
         self._slots_at: Dict[RegionId, List[tuple]] = {}
         for clust, slots in self.slots.items():
             for index, region in enumerate(slots.regions):
                 self._slots_at.setdefault(region, []).append((clust, index))
+        for region, entries in self._slots_at.items():
+            entries.sort(key=lambda entry: f"tracker:l{entry[0].level}")
+            self.network.hosts[region].observe(self._slot_host_event)
         # Replication overhead: m−1 sync messages per state-changing send.
         self.sync_messages = 0
         self.sync_work = 0.0
@@ -128,47 +126,35 @@ class ReplicatedVineStalk(VineStalk):
                 self.sync_work += extra * slots.spread(self.hierarchy)
 
     # ------------------------------------------------------------------
-    # Fault injection at region granularity
+    # Slot lifecycle
     # ------------------------------------------------------------------
-    def fail_region(self, region: RegionId) -> List[ClusterId]:
-        """The VSA at ``region`` fails; clusters lose the slot it hosts.
+    def _host_tracker(self, head: RegionId, clust: ClusterId, tracker) -> None:
+        """A Tracker lives at its slots, not at its head's VSA alone: it
+        starts failed iff every slot's VSA is down."""
+        self.network.executor.register(tracker)
+        if not self.slots[clust].alive_count():
+            tracker.fail()
 
-        A cluster's process fails only once *all* its slots are down.
-        Returns the clusters whose process actually failed.
+    def _slot_host_event(self, host, event: str) -> None:
+        """A slot region's VSA failed or restarted.
+
+        A cluster's Tracker fails with the VSA of its last live slot and
+        restarts fresh (its state was lost) when one of them returns; a
+        slot returning beside a live one re-syncs from it (one state
+        transfer).
         """
-        lost: List[ClusterId] = []
-        for clust, index in self._slots_at.get(region, []):
+        up = event == "restart"
+        built = self.trackers.built
+        for clust, index in self._slots_at[host.region]:
             slots = self.slots[clust]
-            was_primary = slots.primary() == region
-            slots.alive[index] = False
-            if slots.alive_count() == 0:
-                self.trackers[clust].fail()
-                lost.append(clust)
-            elif was_primary:
-                slots.promotions += 1  # a backup takes over with synced state
-        return lost
-
-    def restart_region(self, region: RegionId) -> List[ClusterId]:
-        """The VSA at ``region`` restarts; fully dead processes restart fresh."""
-        revived: List[ClusterId] = []
-        for clust, index in self._slots_at.get(region, []):
-            slots = self.slots[clust]
-            all_dead = slots.alive_count() == 0
-            slots.alive[index] = True
-            if all_dead:
-                self.trackers[clust].restart()  # state was lost
-                revived.append(clust)
-            else:
-                # Re-sync from the surviving primary: one state transfer.
+            was_alive = slots.alive_count() > 0
+            slots.alive[index] = up
+            tracker = built.get(clust)
+            if not up:
+                if tracker is not None and not slots.alive_count():
+                    tracker.fail()
+            elif was_alive:
                 self.sync_messages += 1
                 self.sync_work += slots.spread(self.hierarchy)
-        return revived
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def cluster_alive(self, clust: ClusterId) -> bool:
-        return not self.trackers[clust].failed
-
-    def total_promotions(self) -> int:
-        return sum(s.promotions for s in self.slots.values())
+            elif tracker is not None:
+                tracker.restart()

@@ -10,9 +10,9 @@ skipped when popped (lazy deletion).
 
 Fast lane: the heap stores ``(time, priority, seq, event)`` tuples rather
 than bare :class:`Event` objects, so every heap sift compares keys with
-C-level tuple comparison instead of calling ``Event.__lt__``.  The ``seq``
-component is unique per queue, so a comparison never reaches the event
-itself.  :meth:`pop_next_before` fuses the cancelled-entry sweep with the
+C-level tuple comparison; events themselves are not orderable.  The
+``seq`` component is unique per queue, so a comparison never reaches the
+event itself.  :meth:`pop_next_before` fuses the cancelled-entry sweep with the
 pop, which lets the simulator loop do a single head scan per fired event
 (``peek_time()`` + ``pop()`` each re-scan the head).
 """
@@ -52,19 +52,9 @@ class Event:
         self._cancelled = False
         self._popped = False
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
     def cancel(self) -> None:
         """Mark this event so that it is skipped when popped."""
         self._cancelled = True
-
-    def sort_key(self) -> tuple:
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else "pending"

@@ -150,12 +150,6 @@ class SendFold:
             _reduce(keys[:cut[1]], lines[:cut[0]], self._closed)
             del lines[:cut[0]], keys[:cut[1]]
 
-    def render(self, records) -> List[str]:
-        """The canonical lines of ``records``, through the memo, folding nothing."""
-        lines: List[str] = []
-        self._render(records, lines, None, {})
-        return lines
-
     def digest(self) -> GroupDigest:
         """The groups folded so far, the open window's too (a copy)."""
         digest = GroupDigest(*(column[:] for column in self._closed))

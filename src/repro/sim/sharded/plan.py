@@ -81,17 +81,6 @@ class ShardPlan:
             counts[shard] += 1
         return counts
 
-    def boundary_regions(self, tiling: Tiling) -> FrozenSet[RegionId]:
-        """Regions with at least one neighbor in a different shard."""
-        return frozenset(
-            region
-            for region, shard in self.assignment
-            if any(
-                self._lookup.get(nbr, shard) != shard
-                for nbr in tiling.neighbors(region)
-            )
-        )
-
 
 def strip_plan(tiling: Tiling, k: int) -> ShardPlan:
     """Partition ``tiling.regions()`` into ``k`` contiguous strips.

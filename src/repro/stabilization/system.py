@@ -116,6 +116,3 @@ class StabilizingVineStalk(VineStalk):
         if self.is_converged():
             return self.sim.now - start
         return None
-
-    def total_repairs(self) -> int:
-        return sum(t.repairs for t in self.trackers.values())

@@ -9,24 +9,18 @@ The executor realises TIOA semantics operationally:
   actions fire immediately (zero time), in the order the automaton
   reports them; this is the "trajectories stop when any precondition is
   satisfied" clause of Fig. 2.
-* **Output routing** — subscribers registered with :meth:`on_output`
-  observe every performed output (communication services use this to
-  pick up ``cTOBsend`` actions).
 * **Wakeups** — :meth:`wake_at` schedules ``on_wakeup`` for timer-driven
   preconditions like ``now = timer``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 from ..sim.engine import Simulator
 from ..sim.event_queue import Event
 from .actions import Action
 from .automaton import AutomatonError, TimedAutomaton
-
-# An output subscriber receives (automaton, action).
-OutputSubscriber = Callable[[TimedAutomaton, Action], None]
 
 _MAX_DRAIN_STEPS = 100_000
 
@@ -37,10 +31,9 @@ class Executor:
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self._automata: Dict[str, TimedAutomaton] = {}
-        self._subscribers: List[OutputSubscriber] = []
 
     # ------------------------------------------------------------------
-    # Registration and lookup
+    # Registration
     # ------------------------------------------------------------------
     def register(self, automaton: TimedAutomaton) -> TimedAutomaton:
         if automaton.name in self._automata:
@@ -48,19 +41,6 @@ class Executor:
         self._automata[automaton.name] = automaton
         automaton.attach(self)
         return automaton
-
-    def automaton(self, name: str) -> TimedAutomaton:
-        try:
-            return self._automata[name]
-        except KeyError:
-            raise AutomatonError(f"unknown automaton {name!r}") from None
-
-    # ------------------------------------------------------------------
-    # Output observation
-    # ------------------------------------------------------------------
-    def on_output(self, subscriber: OutputSubscriber) -> None:
-        """Observe every performed output action (used by channels)."""
-        self._subscribers.append(subscriber)
 
     # ------------------------------------------------------------------
     # Discrete execution
@@ -105,7 +85,6 @@ class Executor:
 
     def _drain(self, automaton: TimedAutomaton) -> None:
         """Fire enabled locally controlled actions until quiescent."""
-        subscribers = self._subscribers
         enabled_outputs = automaton.enabled_outputs
         perform = automaton.perform
         for _ in range(_MAX_DRAIN_STEPS):
@@ -114,10 +93,7 @@ class Executor:
             enabled = enabled_outputs()
             if not enabled:
                 return
-            action = enabled[0]
-            perform(action)
-            for subscriber in subscribers:
-                subscriber(automaton, action)
+            perform(enabled[0])
         raise AutomatonError(
             f"automaton {automaton.name!r} did not quiesce after "
             f"{_MAX_DRAIN_STEPS} locally controlled steps"

@@ -44,10 +44,6 @@ class Timer:
     def armed(self) -> bool:
         return self.deadline != INFINITY
 
-    def expired(self) -> bool:
-        """True when armed and the deadline has been reached."""
-        return self.armed and self._owner.now >= self.deadline
-
     def arm(self, deadline: float) -> None:
         """Set the deadline, replacing any previous one."""
         self.disarm()

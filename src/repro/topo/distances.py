@@ -1,6 +1,6 @@
 """Flat region-distance tables, shared content-addressed per tiling.
 
-The C-gcast delay/cost fallback (``head_distance`` between cluster heads
+The C-gcast delay/cost fallback (the distance between cluster heads
 outside the enumerated §II-C.3 relations) asks for region-graph
 distances pair by pair, on the send path.  :class:`DistanceTable` keeps
 one *row* per source region — the flat ``array('i')`` the tiling's own

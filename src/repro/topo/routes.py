@@ -132,25 +132,3 @@ class RouteTable:
             return None
         _, dist = self._tree(src, down)
         return dist.get(dest)
-
-    def next_hop(
-        self, src: RegionId, dest: RegionId, down: DownSet = EMPTY_DOWN
-    ) -> Optional[RegionId]:
-        """First forwarding hop from ``src`` toward ``dest``.
-
-        Returns None when ``dest`` is unreachable under ``down``, and
-        ``src`` itself when ``src == dest``.
-        """
-        path = self.live_path(src, dest, down)
-        if path is None:
-            return None
-        return path[1] if len(path) > 1 else src
-
-    def distances_from(
-        self, src: RegionId, down: DownSet = EMPTY_DOWN
-    ) -> Dict[RegionId, int]:
-        """Distance map from ``src`` to every reachable region (a copy)."""
-        if src in down:
-            return {}
-        _, dist = self._tree(src, down)
-        return dict(dist)

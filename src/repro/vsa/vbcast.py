@@ -41,10 +41,6 @@ class VBcast:
         """Attach a named endpoint living in ``region``."""
         self._endpoints.setdefault(region, []).append((name, endpoint))
 
-    def unregister(self, region: RegionId, name: str) -> None:
-        entries = self._endpoints.get(region, [])
-        self._endpoints[region] = [(n, ep) for n, ep in entries if n != name]
-
     def bcast(self, source_region: RegionId, message: Any, from_vsa: bool = False) -> None:
         """Broadcast to all endpoints in the source region and its neighbors.
 

@@ -49,12 +49,6 @@ class VsaHost:
             automaton.fail()
         return automaton
 
-    def subautomaton(self, key: str) -> TimedAutomaton:
-        try:
-            return self._subautomata[key]
-        except KeyError:
-            raise KeyError(f"{self.name} hosts no subautomaton {key!r}") from None
-
     def subautomata(self) -> List[TimedAutomaton]:
         return [self._subautomata[k] for k in sorted(self._subautomata)]
 

@@ -39,7 +39,7 @@ class TestAccounting:
         assert acc.move_work == 3.0
         assert acc.find_work == 2.0
         assert acc.other_work == 1.0
-        assert acc.total_work == 6.0
+        assert acc.epoch().total == 6.0
         assert acc.messages == 3
 
     def test_by_kind(self):

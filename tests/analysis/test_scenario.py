@@ -110,7 +110,7 @@ class TestBuild:
         scenario = build(ScenarioConfig(r=2, max_level=2, fault_plan=plan))
         assert scenario.injector is not None
         assert scenario.fault_stats is scenario.injector.stats
-        assert scenario.fault_stats.total_events() == 0  # nothing ran yet
+        assert sum(scenario.fault_stats.as_dict().values()) == 0  # nothing ran yet
 
     def test_same_config_builds_identical_runs(self):
         config = ScenarioConfig(

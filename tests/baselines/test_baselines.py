@@ -13,10 +13,11 @@ from repro.baselines import (
     NoLateralVineStalk,
 )
 from repro.baselines.flooding import flood
-from repro.core import capture_snapshot, check_tracking_path, lateral_link_count
+from repro.core import capture_snapshot, check_tracking_path
 from repro.geometry import GridTiling, line_tiling
 from repro.hierarchy import grid_hierarchy
 from repro.mobility import BoundaryOscillator, FixedPath, worst_boundary_pair
+from tests.core._path_oracles import lateral_link_count
 
 
 class TestNoLateral:

@@ -10,10 +10,10 @@ from repro.core import (
     check_tracking_path,
     empty_state,
     init_state,
-    lateral_link_count,
-    laterals_per_level_ok,
 )
 from repro.hierarchy import grid_hierarchy
+
+from ._path_oracles import lateral_link_count, laterals_per_level_ok
 
 
 @pytest.fixture(scope="module")

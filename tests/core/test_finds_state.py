@@ -75,7 +75,7 @@ class TestFindCoordinator:
         coordinator.new_find((1, 1))
         coordinator.client_found(a, (0, 0), client_id=0)
         assert coordinator.completion_rate() == 0.5
-        assert len(coordinator.outstanding()) == 1
+        assert len(coordinator.records) - len(coordinator.completed_records()) == 1
         assert len(coordinator.completed_records()) == 1
 
     def test_empty_coordinator_rate_is_one(self, coordinator):

@@ -9,7 +9,7 @@ from repro.analysis import run_invariant_watch
 from repro.core import VineStalk
 from repro.hierarchy import grid_hierarchy
 from repro.mobility import BoundaryOscillator, RandomNeighborWalk, worst_boundary_pair
-from repro.obs.conformance import grow_outstanding, shrink_outstanding
+from repro.obs.conformance import MAX_RECORDED, grow_outstanding, shrink_outstanding
 
 
 def test_lemma_4_1_random_walk():
@@ -48,8 +48,8 @@ def test_e3_counts_every_lemma_violation_and_only_those(monkeypatch):
     result = run_invariant_watch(2, 2, n_moves=5, seed=8)
     (sampler,) = captured
     checks = sampler.checks_run["lemma-4.1-grow"]
-    assert checks > sampler.max_recorded
-    assert len(sampler.violations) == sampler.max_recorded
+    assert checks > MAX_RECORDED
+    assert len(sampler.violations) == MAX_RECORDED
     assert result.violations == checks
 
 

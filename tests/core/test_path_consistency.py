@@ -9,7 +9,6 @@ from repro.core import (
     empty_state,
     extract_path,
     init_state,
-    is_consistent,
 )
 from repro.hierarchy import grid_hierarchy
 
@@ -89,7 +88,7 @@ class TestTrackingPath:
 
 class TestConsistency:
     def test_init_is_consistent(self, h):
-        assert is_consistent(init_state(h, (4, 4)), h, (4, 4))
+        assert not check_consistent(init_state(h, (4, 4)), h, (4, 4))
 
     def test_off_path_pointer_reported(self, h):
         state = init_state(h, (4, 4))
@@ -128,6 +127,8 @@ class TestConsistency:
 
     def test_nonbottom_pointers_only_path_and_secondaries(self, h):
         state = init_state(h, (4, 4))
-        nonbottom = state.nonbottom_pointers()
+        nonbottom = {
+            cid for cid, ptrs in state.pointer_map().items() if ptrs != (None,) * 4
+        }
         assert h.root() in nonbottom
         assert h.cluster((0, 0), 0) not in nonbottom

@@ -11,12 +11,12 @@ from repro.core import (
     atomic_move_seq,
     check_consistent,
     init_state,
-    lateral_link_count,
-    laterals_per_level_ok,
     check_tracking_path,
     look_ahead,
 )
 from repro.hierarchy import grid_hierarchy
+
+from ._path_oracles import lateral_link_count, laterals_per_level_ok
 
 H3 = grid_hierarchy(3, 2)
 H2 = grid_hierarchy(2, 3)

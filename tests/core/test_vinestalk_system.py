@@ -189,13 +189,6 @@ class TestEmulatedSystem:
                 break
         assert recovered
 
-    def test_random_churn_bookkeeping(self, h):
-        system = EmulatedVineStalk(h, nodes_per_region=1, t_restart=1.0)
-        rng = random.Random(5)
-        outcome = system.random_churn(rng, kill_probability=0.3, revive_probability=0.5)
-        assert outcome["killed"] > 0
-        assert len(system.failed_regions()) == outcome["killed"]
-
     def test_finds_still_work_away_from_failures(self, h):
         system = EmulatedVineStalk(h, nodes_per_region=1, t_restart=2.0)
         system.make_evader(FixedPath([(4, 4)]), dwell=1e12, start=(4, 4))

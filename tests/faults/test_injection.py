@@ -127,7 +127,7 @@ class TestNullPlansAreNoOps:
         assert plan.is_null()
         scenario, collector = run_workload(plan=plan)
         assert scenario.injector is not None  # armed, not skipped
-        assert scenario.injector.stats.total_events() == 0
+        assert sum(scenario.injector.stats.as_dict().values()) == 0
         assert fingerprint(scenario, collector) == baseline
 
     def test_default_plan_with_zero_knobs_is_trace_identical(self, baseline):
@@ -140,9 +140,11 @@ class TestNullPlansAreNoOps:
 # message-keyed draw became the only message-fault draw.  Any change to
 # RNG stream derivation, the draw definition, hook order or the
 # interposition path shows up here as a diff.
-CHAOS_PLAN = default_plan(
-    loss_rate=0.15, crash_rate=0.05, jitter_rate=0.2, jitter_max=4.0,
-    gps_rate=0.25, gps_delay=3.0, crash_period=20.0, crash_downtime=15.0,
+CHAOS_PLAN = FaultPlan.of(
+    MessageLoss(rate=0.15, channel=CHANNEL_BOTH),
+    MessageJitter(rate=0.2, max_extra=4.0, channel=CHANNEL_BOTH),
+    VsaCrashes(rate=0.05, period=20.0, downtime=15.0),
+    GpsStaleness(rate=0.25, delay=3.0),
     horizon=60.0,
 )
 GOLDEN_CHAOS_FINGERPRINT = (
@@ -176,7 +178,7 @@ class TestNonzeroPlanDeterminism:
 
     def test_chaos_plan_actually_perturbs(self, baseline):
         scenario, collector = run_workload(plan=CHAOS_PLAN)
-        assert scenario.injector.stats.total_events() > 0
+        assert sum(scenario.injector.stats.as_dict().values()) > 0
         assert fingerprint(scenario, collector) != baseline
 
     def test_different_seed_diverges(self):

@@ -28,6 +28,14 @@ from repro.sim.sharded.context import canonical_send_line
 from repro.sim.sharded.core import canonical_fingerprint
 
 
+def rendered_lines(fold, records):
+    """The canonical lines ``fold`` makes of ``records``, through its memo,
+    folding nothing (the line loop ``SendFold.observe`` runs)."""
+    lines = []
+    fold._render(records, lines, None, {})
+    return lines
+
+
 def fold_crc(lines, sep=""):
     """``crc32(sep.join(lines).encode())`` — with ``sep=""``, ``SendFold.crc``."""
     return zlib.crc32(sep.join(lines).encode())
@@ -236,7 +244,7 @@ class ReferenceWorld:
     """All five reference observers in lockstep with one ``ShardContext``.
 
     ``rendered`` keeps the lines the replica's fold makes of each batch it
-    is handed (``SendFold.render`` on the same batch, through the same memo).
+    is handed (:func:`rendered_lines` on the same batch, through the same memo).
     """
 
     def __init__(self, context):
@@ -244,7 +252,7 @@ class ReferenceWorld:
         system = context.system
         self.rendered = []
         system.cgcast.observe(
-            lambda records: self.rendered.extend(context.send_fold.render(records))
+            lambda records: self.rendered.extend(rendered_lines(context.send_fold, records))
         )
         self.fingerprint = ReferenceFingerprint()
         self.accountant = ReferenceAccountant()

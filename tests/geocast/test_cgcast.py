@@ -35,6 +35,11 @@ def register(executor, cgcast, clust):
     return sink
 
 
+def vsa_delay(cgcast, src, dest):
+    """The delivery delay ``send_vsa`` gives a VSA→VSA message."""
+    return (cgcast.delta + cgcast.e) * cgcast.vsa_distance_units(src, dest)
+
+
 class TestDelayRules:
     def test_rule_a_neighbor_delay(self, rig):
         sim, executor, h, cgcast = rig
@@ -42,21 +47,21 @@ class TestDelayRules:
         dest = h.cluster((3, 0), 1)
         assert dest in h.nbrs(src)
         # (δ+e)·n(1) = 1.5 · 5
-        assert cgcast.vsa_delay(src, dest) == pytest.approx(7.5)
-        assert cgcast.vsa_cost(src, dest) == 5
+        assert vsa_delay(cgcast, src, dest) == pytest.approx(7.5)
+        assert cgcast.vsa_distance_units(src, dest) == 5  # the work charged
 
     def test_rule_b_parent_delay(self, rig):
         sim, executor, h, cgcast = rig
         src = h.cluster((0, 0), 0)
         dest = h.parent(src)
         # (δ+e)·p(0) = 1.5 · 2
-        assert cgcast.vsa_delay(src, dest) == pytest.approx(3.0)
+        assert vsa_delay(cgcast, src, dest) == pytest.approx(3.0)
 
     def test_rule_b_child_delay_symmetric(self, rig):
         sim, executor, h, cgcast = rig
         child = h.cluster((0, 0), 1)
         parent = h.parent(child)
-        assert cgcast.vsa_delay(parent, child) == cgcast.vsa_delay(child, parent)
+        assert vsa_delay(cgcast, parent, child) == vsa_delay(cgcast, child, parent)
 
     def test_rule_c_neighbor_of_neighbor(self, rig):
         sim, executor, h, cgcast = rig
@@ -64,14 +69,14 @@ class TestDelayRules:
         dest = h.cluster((8, 0), 1)  # block (2,0): neighbor of a neighbor
         assert dest not in h.nbrs(src)
         # 2(δ+e)·n(1) = 2 · 1.5 · 5
-        assert cgcast.vsa_delay(src, dest) == pytest.approx(15.0)
+        assert vsa_delay(cgcast, src, dest) == pytest.approx(15.0)
 
     def test_fallback_uses_head_distance(self, rig):
         sim, executor, h, cgcast = rig
         src = h.cluster((0, 0), 0)
         dest = h.cluster((5, 5), 0)  # far level-0 cluster: no enumerated rule
-        expected_units = h.head_distance(src, dest)
-        assert cgcast.vsa_delay(src, dest) == pytest.approx(1.5 * expected_units)
+        expected_units = h.tiling.distance(h.head(src), h.head(dest))
+        assert vsa_delay(cgcast, src, dest) == pytest.approx(1.5 * expected_units)
 
     def test_negative_delta_rejected(self, rig):
         sim, executor, h, cgcast = rig

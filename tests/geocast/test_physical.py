@@ -54,7 +54,7 @@ class TestPhysicalDelivery:
         sink = register(executor, cgcast, dest)
         cgcast.send_vsa(src, dest, "m")
         sim.run()
-        expected = 1.5 * h.head_distance(src, dest)
+        expected = 1.5 * h.tiling.distance(h.head(src), h.head(dest))
         assert sink.received[0][0] == pytest.approx(expected)
 
     def test_down_region_on_route_drops_message(self, rig):

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro.core.messages import Find
 from repro.energy import EnergyLedger, EnergyModel
-from repro.faults import default_plan
+from repro.faults import CHANNEL_BOTH, FaultPlan, MessageDuplication, MessageJitter, MessageLoss
 from repro.geocast import cgcast as cgcast_module
 from repro.scenario import ScenarioConfig
 from repro.service.load import LoadGenerator
@@ -48,6 +48,16 @@ from tests.geocast._reference_observers import (
     canonical_crc,
     fold_crc,
 )
+
+
+def lossy_plan(rate, jitter_rate, jitter_max):
+    """Loss and duplication at ``rate`` plus jitter, on C-gcast."""
+    return FaultPlan.of(
+        MessageLoss(rate=rate, channel=CHANNEL_BOTH),
+        MessageDuplication(rate=rate, channel=CHANNEL_BOTH),
+        MessageJitter(rate=jitter_rate, max_extra=jitter_max, channel=CHANNEL_BOTH),
+    )
+
 
 #: Inexact unit costs: float sums then depend on the order of addition.
 ENERGY = EnergyModel(tx_cost=0.3, rx_cost=0.7, sense_cost=0.2)
@@ -124,8 +134,7 @@ class TestInterleavings:
         with mock.patch.object(cgcast_module, "_BATCH", batch):
             context = _context(
                 seed=seed, system="replicated", energy=ENERGY,
-                fault_plan=default_plan(0.05, duplication_rate=0.05,
-                                        jitter_rate=0.2, jitter_max=0.5),
+                fault_plan=lossy_plan(0.05, jitter_rate=0.2, jitter_max=0.5),
             )
             sim, cgcast = context.sim, context.system.cgcast
             reference = ReferenceWorld(context)
@@ -185,8 +194,7 @@ class TestShapes:
     @pytest.mark.parametrize(
         "n_moves, n_finds, config",
         [
-            (8, 6, dict(fault_plan=default_plan(0.1, duplication_rate=0.1,
-                                                jitter_rate=0.3, jitter_max=0.5),
+            (8, 6, dict(fault_plan=lossy_plan(0.1, jitter_rate=0.3, jitter_max=0.5),
                         energy=ENERGY)),
             (3, 24, {}),  # client legs dominate: find storm on a short walk
         ],

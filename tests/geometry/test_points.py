@@ -5,27 +5,6 @@ import pytest
 from repro.geometry import Point, centroid
 
 
-def test_euclidean_distance():
-    assert Point(0, 0).distance_to(Point(3, 4)) == pytest.approx(5.0)
-
-
-def test_chebyshev_distance():
-    assert Point(0, 0).chebyshev_to(Point(3, 4)) == 4
-    assert Point(1, 1).chebyshev_to(Point(-2, 0)) == 3
-
-
-def test_manhattan_distance():
-    assert Point(0, 0).manhattan_to(Point(3, 4)) == 7
-
-
-def test_midpoint():
-    assert Point(0, 0).midpoint(Point(2, 4)) == Point(1, 2)
-
-
-def test_translate():
-    assert Point(1, 1).translate(-1, 2) == Point(0, 3)
-
-
 def test_points_are_hashable_and_comparable():
     assert len({Point(0, 0), Point(0, 0), Point(1, 0)}) == 2
     assert Point(0, 1) < Point(1, 0)

@@ -55,25 +55,6 @@ class TestGridTiling:
     def test_validate_passes(self):
         GridTiling(4).validate()
 
-    def test_region_of_point_interior(self):
-        t = GridTiling(3)
-        assert t.region_of_point(Point(1.5, 2.5)) == (1, 2)
-
-    def test_region_of_point_on_shared_boundary_takes_min_id(self):
-        t = GridTiling(3)
-        # The point (1,1) touches regions (0,0),(0,1),(1,0),(1,1); §II-A
-        # assigns boundary points to the minimum-id region.
-        assert t.region_of_point(Point(1.0, 1.0)) == (0, 0)
-
-    def test_region_of_point_outside_raises(self):
-        t = GridTiling(3)
-        with pytest.raises(ValueError):
-            t.region_of_point(Point(-0.5, 1.0))
-
-    def test_region_of_point_at_far_corner(self):
-        t = GridTiling(3)
-        assert t.region_of_point(Point(3.0, 3.0)) == (2, 2)
-
     @given(
         st.integers(min_value=0, max_value=5),
         st.integers(min_value=0, max_value=5),

@@ -118,14 +118,6 @@ def test_head_is_deterministic():
         assert a.head(c) == b.head(c)
 
 
-def test_cluster_distance(h2):
-    a = h2.cluster((0, 0), 1)
-    b = h2.cluster((2, 0), 1)
-    assert h2.cluster_distance(a, b) == 1
-    far = h2.cluster((0, 0), 0)
-    assert h2.cluster_distance(far, h2.cluster((3, 3), 0)) == 3
-
-
 def test_non_square_tiling_rejected():
     with pytest.raises(ValueError):
         GridHierarchy(GridTiling(4, 2), 2)
@@ -146,14 +138,6 @@ def test_level_out_of_range_rejected(h2):
         h2.cluster((0, 0), 5)
     with pytest.raises(ValueError):
         h2.clusters_at_level(-1)
-
-
-def test_are_cluster_neighbors(h2):
-    a = h2.cluster((0, 0), 1)
-    b = h2.cluster((2, 2), 1)
-    assert h2.are_cluster_neighbors(a, b)  # diagonal blocks touch at a corner
-    assert not h2.are_cluster_neighbors(a, a)
-    assert not h2.are_cluster_neighbors(a, h2.root())
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +181,7 @@ def test_closed_form_construction_equals_generic(r, max_level):
             if level < max_level:
                 assert h.parent(c) is h.cluster(h.members(c)[0], level + 1)
             assert h.children(c) == generic.children(c)
-            assert h.nbrs(c) == generic.nbrs(c)
+            assert h.nbrs(c) == generic.nbrs(c)  # lists: the order is compared too
             assert all(n is interned[n] for n in h.nbrs(c))
 
 

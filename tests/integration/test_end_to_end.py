@@ -68,7 +68,7 @@ def test_work_accounting_matches_cgcast_totals():
     system.issue_find((0, 0))
     system.run_to_quiescence()
     assert accountant.messages == system.cgcast.messages_sent
-    assert accountant.total_work == pytest.approx(system.cgcast.total_cost)
+    assert accountant.epoch().total == pytest.approx(system.cgcast.total_cost)
     assert accountant.move_work > 0
     assert accountant.find_work > 0
 
@@ -82,10 +82,10 @@ def test_two_systems_share_nothing():
                              start=(0, 0), rng=random.Random(1))
     a.run_to_quiescence()
     b_snapshot = capture_snapshot(b)
-    assert b_snapshot.nonbottom_pointers() == {}
+    assert all(ptrs == (None,) * 4 for ptrs in b_snapshot.pointer_map().values())
     evader_a.step()
     a.run_to_quiescence()
-    assert capture_snapshot(b).nonbottom_pointers() == {}
+    assert all(ptrs == (None,) * 4 for ptrs in capture_snapshot(b).pointer_map().values())
 
 
 def test_deterministic_replay():
@@ -108,7 +108,7 @@ def test_deterministic_replay():
         record = system.finds.records[find_id]
         return (
             evader.region,
-            accountant.total_work,
+            accountant.epoch().total,
             record.work,
             record.latency,
             capture_snapshot(system).pointer_map(),

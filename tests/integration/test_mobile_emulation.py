@@ -31,14 +31,16 @@ def test_node_wandering_between_populated_regions_is_harmless(system):
     # One node per region starts wandering; every region keeps >= 2 nodes
     # at all times except transiently, so no VSA ever fails.
     movers = [node for node in sys_.nodes if node.node_id % 3 == 0][:10]
-    rng = random.Random(1)
-    for node in movers:
-        node.model = RandomNeighborWalk()
-        node.dwell = 5.0
-        node.start_moving()
+    walk = RandomNeighborWalk()
+    rngs = {node.node_id: random.Random(node.node_id) for node in movers}
+
+    def step_movers() -> None:
+        for node in movers:
+            node.move_to(walk.next_region(node.region, h.tiling, rngs[node.node_id]))
+
+    for tick in range(1, 21):  # one step every 5 time units up to t = 100
+        sys_.sim.call_after(5.0 * tick, step_movers)
     sys_.run(100.0)
-    for node in movers:
-        node.stop_moving()
     sys_.run_to_quiescence()
     assert sys_.network.alive_vsa_count() == 81
     find_id = sys_.issue_find((0, 0))

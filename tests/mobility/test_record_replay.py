@@ -16,18 +16,36 @@ import pytest
 from repro import obs
 from repro.mobility.evader import Evader
 from repro.mobility.gen import (
+    MobilityTrace,
     Replay,
     SpeedLimits,
     Walk,
     check_trace,
     generate,
-    trace_from_obs,
     trace_workload,
 )
 from repro.mobility.models import RandomNeighborWalk
 from repro.scenario import ScenarioConfig
 from repro.sim.engine import Simulator
 from repro.topo.cache import shared_grid_hierarchy
+
+
+def trace_from_obs(events, object_id=0):
+    """Rebuild a trace from recorded ``EvaderMoved`` obs events.
+
+    Accepts any iterable of obs events (e.g. a collector's buffer);
+    non-mobility events and other objects are filtered out.
+    """
+    steps = [
+        (ev.time, ev.region)
+        for ev in events
+        if getattr(ev, "kind", None) == "evader-moved"
+        and ev.object_id == object_id
+        and ev.event == "move"
+    ]
+    if not steps:
+        raise ValueError(f"no EvaderMoved events for object {object_id}")
+    return MobilityTrace(steps=tuple(steps), object_id=object_id)
 
 
 def _run_script(workload, r=2, max_level=2, seed=11):

@@ -34,7 +34,7 @@ def load_checker():
 
 
 def small_probe():
-    return run_obs_probe(r=2, max_level=2, n_moves=8, seed=11, stride=16)
+    return run_obs_probe(stride=16)
 
 
 class TestPayload:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.geometry import GridTiling
-from repro.mobility import Evader, FixedPath
 from repro.physical import GpsOracle, PhysicalNode, per_region_density
 from repro.sim import Simulator
 
@@ -18,7 +17,7 @@ def rig():
 class TestPhysicalNode:
     def test_move_emits_leave_enter(self, rig):
         sim, tiling = rig
-        node = PhysicalNode(0, sim, tiling, (0, 0))
+        node = PhysicalNode(0, tiling, (0, 0))
         events = []
         node.observe(lambda n, ev, region: events.append((ev, region)))
         node.move_to((1, 1))
@@ -27,43 +26,26 @@ class TestPhysicalNode:
 
     def test_non_neighbor_move_rejected(self, rig):
         sim, tiling = rig
-        node = PhysicalNode(0, sim, tiling, (0, 0))
+        node = PhysicalNode(0, tiling, (0, 0))
         with pytest.raises(ValueError):
             node.move_to((2, 2))
 
     def test_dead_node_does_not_move(self, rig):
         sim, tiling = rig
-        node = PhysicalNode(0, sim, tiling, (0, 0))
+        node = PhysicalNode(0, tiling, (0, 0))
         node.fail()
         node.move_to((1, 1))
         assert node.region == (0, 0)
 
     def test_fail_restart_events(self, rig):
         sim, tiling = rig
-        node = PhysicalNode(0, sim, tiling, (0, 0))
+        node = PhysicalNode(0, tiling, (0, 0))
         events = []
         node.observe(lambda n, ev, region: events.append(ev))
         node.fail()
         node.fail()  # idempotent
         node.restart()
         assert events == ["fail", "restart"]
-
-    def test_periodic_movement(self, rig):
-        sim, tiling = rig
-        node = PhysicalNode(
-            0, sim, tiling, (0, 0), model=FixedPath([(0, 0), (1, 0), (2, 0)]), dwell=1.0
-        )
-        node.model.start_region(tiling, node.rng)
-        node.start_moving()
-        sim.run_until(2.5)
-        assert node.region == (2, 0)
-        node.stop_moving()
-
-    def test_moving_without_model_rejected(self, rig):
-        sim, tiling = rig
-        node = PhysicalNode(0, sim, tiling, (0, 0))
-        with pytest.raises(RuntimeError):
-            node.start_moving()
 
 
 class TestGpsOracle:
@@ -72,7 +54,7 @@ class TestGpsOracle:
         gps = GpsOracle(sim)
         updates = []
         gps.on_update(lambda node, region: updates.append((node.node_id, region)))
-        node = PhysicalNode(3, sim, tiling, (1, 1))
+        node = PhysicalNode(3, tiling, (1, 1))
         gps.track_node(node)
         assert updates == [(3, (1, 1))]
 
@@ -81,59 +63,16 @@ class TestGpsOracle:
         gps = GpsOracle(sim)
         updates = []
         gps.on_update(lambda node, region: updates.append(region))
-        node = PhysicalNode(0, sim, tiling, (0, 0))
+        node = PhysicalNode(0, tiling, (0, 0))
         gps.track_node(node)
         node.move_to((1, 0))
         assert updates == [(0, 0), (1, 0)]
-
-    def test_periodic_refresh(self, rig):
-        sim, tiling = rig
-        gps = GpsOracle(sim, refresh_period=2.0)
-        updates = []
-        gps.on_update(lambda node, region: updates.append(sim.now))
-        gps.track_node(PhysicalNode(0, sim, tiling, (0, 0)))
-        sim.run_until(7.0)
-        assert updates == [0.0, 2.0, 4.0, 6.0]
-
-    def test_evader_events_reach_clients_in_region(self, rig):
-        sim, tiling = rig
-        gps = GpsOracle(sim)
-        seen = []
-        gps.on_evader_event(lambda node, ev, region: seen.append((node.node_id, ev)))
-        gps.track_node(PhysicalNode(0, sim, tiling, (0, 0)))
-        gps.track_node(PhysicalNode(1, sim, tiling, (2, 2)))
-        evader = Evader(sim, tiling, FixedPath([(0, 0), (1, 0)]), 1.0)
-        gps.attach_evader(evader)
-        evader.enter()
-        assert seen == [(0, "move")]
-        evader.step()
-        assert seen == [(0, "move"), (0, "left")]  # nobody lives at (1,0)
-
-    def test_dead_clients_not_notified(self, rig):
-        sim, tiling = rig
-        gps = GpsOracle(sim)
-        seen = []
-        gps.on_evader_event(lambda node, ev, region: seen.append(node.node_id))
-        node = PhysicalNode(0, sim, tiling, (0, 0))
-        gps.track_node(node)
-        node.fail()
-        evader = Evader(sim, tiling, FixedPath([(0, 0)]), 1.0)
-        gps.attach_evader(evader)
-        evader.enter()
-        assert seen == []
-
-    def test_second_evader_rejected(self, rig):
-        sim, tiling = rig
-        gps = GpsOracle(sim)
-        gps.attach_evader(Evader(sim, tiling, FixedPath([(0, 0)]), 1.0))
-        with pytest.raises(RuntimeError):
-            gps.attach_evader(Evader(sim, tiling, FixedPath([(0, 0)]), 1.0))
 
 
 class TestDeployment:
     def test_per_region_density(self, rig):
         sim, tiling = rig
-        nodes = per_region_density(sim, tiling, 3)
+        nodes = per_region_density(tiling, 3)
         assert len(nodes) == 27
         per_region = {}
         for node in nodes:
@@ -143,4 +82,4 @@ class TestDeployment:
     def test_negative_count_rejected(self, rig):
         sim, tiling = rig
         with pytest.raises(ValueError):
-            per_region_density(sim, tiling, -1)
+            per_region_density(tiling, -1)

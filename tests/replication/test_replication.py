@@ -5,9 +5,11 @@ import random
 import pytest
 
 from repro.core import capture_snapshot, check_consistent
+from repro.faults.plan import FaultPlan, RegionBlackout
 from repro.hierarchy import grid_hierarchy
 from repro.mobility import FixedPath, RandomNeighborWalk
 from repro.replication import ReplicatedVineStalk, choose_slots
+from repro.scenario import ScenarioConfig, build
 
 
 @pytest.fixture()
@@ -36,7 +38,17 @@ class TestSlotSelection:
         assert choose_slots(h, clust, 2)[0] == h.head(clust)
 
 
+def fail(system, region):
+    system.network.hosts[region].fail()
+
+
+def restart(system, region):
+    system.network.hosts[region].restart()
+
+
 class TestFailover:
+    """Slots follow their regions' VSA hosts (``VsaHost.fail``/``restart``)."""
+
     def make(self, h, m=2):
         system = ReplicatedVineStalk(h, replication_factor=m)
         evader = system.make_evader(FixedPath([(4, 4)]), dwell=1e12, start=(4, 4))
@@ -46,11 +58,10 @@ class TestFailover:
     def test_primary_failure_keeps_cluster_alive(self, h):
         system, evader = self.make(h)
         clust = h.cluster((4, 4), 1)
-        primary = system.slots[clust].primary()
-        lost = system.fail_region(primary)
-        assert clust not in lost
-        assert system.cluster_alive(clust)
-        assert system.total_promotions() >= 1
+        slots = system.slots[clust]
+        fail(system, slots.regions[0])
+        assert not system.trackers[clust].failed
+        assert slots.alive == [False, True]  # the backup took over
 
     def test_tracking_survives_primary_failures_along_path(self, h):
         # Evader at (3,3): its level-1 cluster's primary slot sits at the
@@ -61,10 +72,10 @@ class TestFailover:
         system.make_evader(FixedPath([(3, 3)]), dwell=1e12, start=(3, 3))
         system.run_to_quiescence()
         clust = h.cluster((3, 3), 1)
-        primary = system.slots[clust].primary()
+        primary = system.slots[clust].regions[0]
         assert primary != (3, 3)
-        lost = system.fail_region(primary)
-        assert clust not in lost
+        fail(system, primary)
+        assert not system.trackers[clust].failed
         find_id = system.issue_find((0, 0))
         system.run_to_quiescence()
         record = system.finds.records[find_id]
@@ -75,22 +86,20 @@ class TestFailover:
         system, evader = self.make(h, m=2)
         clust = h.cluster((4, 4), 1)
         slots = system.slots[clust]
-        lost = []
-        for region in list(slots.regions):
-            lost.extend(system.fail_region(region))
-        assert clust in lost
-        assert not system.cluster_alive(clust)
+        fail(system, slots.regions[0])
+        assert not system.trackers[clust].failed
+        fail(system, slots.regions[1])
+        assert system.trackers[clust].failed
 
     def test_restart_from_total_loss_resets_state(self, h):
         system, evader = self.make(h, m=2)
         clust = h.cluster((4, 4), 1)
         slots = system.slots[clust]
         for region in list(slots.regions):
-            system.fail_region(region)
+            fail(system, region)
         tracker = system.trackers[clust]
-        first = slots.regions[0]
-        system.restart_region(first)
-        assert system.cluster_alive(clust)
+        restart(system, slots.regions[0])
+        assert not tracker.failed
         assert tracker.pointer_state() == (None, None, None, None)
 
     def test_restart_with_survivor_resyncs(self, h):
@@ -98,20 +107,77 @@ class TestFailover:
         clust = h.cluster((4, 4), 1)
         slots = system.slots[clust]
         before_sync = system.sync_messages
-        system.fail_region(slots.regions[1])  # backup down
-        system.restart_region(slots.regions[1])  # resync from primary
+        fail(system, slots.regions[1])  # backup down
+        restart(system, slots.regions[1])  # resync from primary
         # At least this cluster resynced (the region may host other
         # clusters' slots, each charging its own state transfer).
         assert system.sync_messages > before_sync
-        assert system.cluster_alive(clust)
+        assert not system.trackers[clust].failed
         assert system.trackers[clust].pointer_state() != (None, None, None, None)
 
     def test_m1_behaves_like_base(self, h):
         system, evader = self.make(h, m=1)
         clust = h.cluster((4, 4), 1)
-        lost = system.fail_region(system.slots[clust].primary())
-        assert clust in lost
-        assert not system.cluster_alive(clust)
+        fail(system, system.slots[clust].regions[0])
+        assert system.trackers[clust].failed
+
+    def test_a_tracker_built_while_its_slots_are_down_starts_failed(self, h):
+        system = ReplicatedVineStalk(h, replication_factor=2)
+        clust = h.cluster((0, 0), 1)
+        assert clust not in system.trackers.built
+        fail(system, system.slots[clust].regions[0])
+        assert not system.trackers[clust].failed
+        clust = h.cluster((8, 8), 1)
+        for region in system.slots[clust].regions:
+            fail(system, region)
+        assert clust not in system.trackers.built
+        assert system.trackers[clust].failed
+
+
+class TestFaultPlane:
+    """A fault plan reaches the replicas through the hosts it fails (§VII).
+
+    The evader sits at (3,3); a find from (0,0) climbs to the root and
+    descends through the level-1 cluster of (3,3).  Both of those
+    clusters have their head at (4,4), which the plan blacks out before
+    the find and keeps down until the run ends.
+    """
+
+    HEAD = (4, 4)
+
+    def run(self, system="replicated", m=2):
+        plan = FaultPlan.of(RegionBlackout(at=40.0, duration=1e6, regions=(self.HEAD,)))
+        config = ScenarioConfig(
+            r=3, max_level=2, system=system, replication_factor=m, fault_plan=plan
+        )
+        system = build(config).system
+        system.make_evader(FixedPath([(3, 3)]), dwell=1e12, start=(3, 3))
+        system.run(50.0)
+        find_id = system.issue_find((0, 0))
+        system.run(500.0)
+        return system, system.finds.records[find_id]
+
+    def test_a_blackout_of_a_path_head_leaves_the_replicated_tracker_alive(self):
+        system, record = self.run(m=2)
+        h = system.hierarchy
+        assert system.network.hosts[self.HEAD].failed
+        for clust in (h.root(), h.cluster((3, 3), 1)):
+            assert h.head(clust) == self.HEAD
+            assert not system.trackers[clust].failed
+        assert record.completed
+        assert record.found_region == (3, 3)
+
+    def test_with_one_slot_the_blackout_costs_what_it_costs_vinestalk(self):
+        replicated, record = self.run(m=1)
+        plain, reference = self.run(system="vinestalk")
+        h = plain.hierarchy
+        assert plain.trackers[h.root()].failed and replicated.trackers[h.root()].failed
+        assert not reference.completed
+        assert (record.completed_at, record.work, record.retries) == (
+            reference.completed_at, reference.work, reference.retries
+        )
+        assert replicated.cgcast.total_cost == plain.cgcast.total_cost
+        assert replicated.cgcast.messages_sent == plain.cgcast.messages_sent
 
 
 class TestOverhead:

@@ -36,6 +36,7 @@ from tests.geocast._reference_observers import (
     digest_groups,
     fold_crc,
     reference_groups,
+    rendered_lines,
 )
 
 #: Sender reprs that are prefixes of one another ("1", "12", "123").
@@ -197,7 +198,7 @@ class TestFailClosed:
         with pytest.raises(ValueError, match="'a|b'"):
             fold.observe([_rec(2.0, 1), _rec(2.0, "a|b")])
         with pytest.raises(ValueError, match="'a|b'"):
-            SendFold().render([_rec(2.0, "a|b")])
+            rendered_lines(SendFold(), [_rec(2.0, "a|b")])
 
     def test_a_reopened_group_is_refused(self):
         fold = _fold([_rec(1.0, 1), _rec(2.0, 1), _rec(1.0, 1, "x")])

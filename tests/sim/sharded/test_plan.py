@@ -62,19 +62,7 @@ class TestStripPlan:
         for region in tiling.regions():
             assert clone.shard_of(region) == plan.shard_of(region)
 
-    def test_boundary_regions_subset(self, tiling):
-        plan = strip_plan(tiling, 4)
-        boundary = plan.boundary_regions(tiling)
-        assert boundary  # a 4-way split of a connected grid has borders
-        for region in boundary:
-            shard = plan.shard_of(region)
-            assert any(
-                plan.shard_of(neighbor) != shard
-                for neighbor in tiling.neighbors(region)
-            )
-
     def test_single_shard_owns_everything(self, tiling):
         plan = strip_plan(tiling, 1)
         assert isinstance(plan, ShardPlan)
         assert plan.owned_set(0) == set(tiling.regions())
-        assert plan.boundary_regions(tiling) == frozenset()

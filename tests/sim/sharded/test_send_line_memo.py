@@ -7,7 +7,7 @@ of formatting six reprs per send, and ``CGcast._dispatch`` skips its
 interpositions when none is installed.  Neither shortcut may be
 observable:
 
-* every memoised line (``SendFold.render``, the fold's own line loop
+* every memoised line (``rendered_lines``, the fold's own line loop
   without the fold) equals :func:`canonical_send_line` of the record
   byte for byte, and both fingerprints equal a reference recomputation
   from the recorded ``SendRecord`` stream — on a fault-armed run and on
@@ -26,14 +26,14 @@ from hypothesis import strategies as st
 
 from repro.core.messages import Find, Grow, GrowPar
 from repro.geocast.cgcast import SendRecord
-from repro.faults import default_plan
+from repro.faults import CHANNEL_BOTH, FaultPlan, MessageDuplication, MessageJitter, MessageLoss
 from repro.scenario import ScenarioConfig
 from repro.sim.sharded.context import ShardContext, canonical_send_line
 from repro.sim.sharded.core import _tiling_for, canonical_fingerprint
 from repro.sim.sharded.plan import strip_plan
 from repro.sim.sharded.workload import make_walk_workload
 from repro.workload import ScriptedWorkload
-from tests.geocast._reference_observers import canonical_crc, fold_crc
+from tests.geocast._reference_observers import canonical_crc, fold_crc, rendered_lines
 
 
 def _context(n_moves, n_finds, seed, fault_plan=None, r=2, max_level=2):
@@ -51,8 +51,11 @@ class TestMemoisedLinesAreCanonical:
         "n_moves, n_finds, fault_plan",
         [
             # loss + duplication + jitter
-            (8, 6, default_plan(0.1, duplication_rate=0.1, jitter_rate=0.3,
-                                jitter_max=0.5)),
+            (8, 6, FaultPlan.of(
+                MessageLoss(rate=0.1, channel=CHANNEL_BOTH),
+                MessageDuplication(rate=0.1, channel=CHANNEL_BOTH),
+                MessageJitter(rate=0.3, max_extra=0.5, channel=CHANNEL_BOTH),
+            )),
             (3, 24, None),  # client legs dominate: find storm on a short walk
         ],
         ids=["fault-armed", "client-heavy"],
@@ -63,7 +66,7 @@ class TestMemoisedLinesAreCanonical:
 
         def tap(batch):
             records.extend(batch)
-            rendered.extend(context.send_fold.render(batch))
+            rendered.extend(rendered_lines(context.send_fold, batch))
 
         context.system.cgcast.observe(tap)
         context.sim.run()
@@ -95,7 +98,7 @@ class TestIdentityMemo:
         return src, h.nbrs(src)[0]
 
     def _observe(self, context, *records):
-        lines = context.send_fold.render(list(records))
+        lines = rendered_lines(context.send_fold, list(records))
         assert lines == [canonical_send_line(r) for r in records]
         return lines
 

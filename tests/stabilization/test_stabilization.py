@@ -136,7 +136,7 @@ class TestConvergence:
         for _ in range(4):
             system.corrupt(rng, 5)
             assert system.time_to_converge(max_time=3000.0, probe=7.0) is not None
-        assert system.total_repairs() > 0
+        assert sum(t.repairs for t in system.trackers.values()) > 0
 
     def test_converges_while_evader_moves(self):
         h = grid_hierarchy(3, 2)
@@ -156,7 +156,7 @@ class TestConvergence:
     def test_baseline_without_corruption_stays_consistent(self):
         h, system, evader = make_system()
         assert system.time_to_converge(max_time=500.0, probe=7.0) is not None
-        assert system.total_repairs() == 0
+        assert sum(t.repairs for t in system.trackers.values()) == 0
 
 
 class TestHeartbeatMessages:

@@ -53,7 +53,7 @@ class Alarm(TimedAutomaton):
         self.timer.arm(self.now + delay)
 
     def enabled_outputs(self):
-        if self.timer.expired():
+        if self.timer.armed and self.now >= self.timer.deadline:
             return [Action.output("beep")]
         return []
 
@@ -92,10 +92,9 @@ class TestAction:
 class TestExecutor:
     def test_register_and_lookup(self, rig):
         sim, ex = rig
-        echo = ex.register(Echo())
-        assert ex.automaton("echo") is echo
-        with pytest.raises(AutomatonError):
-            ex.automaton("nope")
+        echo = Echo()
+        assert ex.register(echo) is echo
+        assert echo.executor is ex
 
     def test_duplicate_name_rejected(self, rig):
         sim, ex = rig
@@ -119,15 +118,6 @@ class TestExecutor:
         sim.run()
         assert [v for _, v in echo.sent] == [1, 2]
         assert all(t == 0.0 for t, _ in echo.sent)
-
-    def test_output_subscribers_observe(self, rig):
-        sim, ex = rig
-        echo = ex.register(Echo())
-        seen = []
-        ex.on_output(lambda auto, act: seen.append((auto.name, act.name)))
-        ex.deliver(echo, Action.input("ping", value=1))
-        sim.run()
-        assert seen == [("echo", "pong")]
 
     def test_unknown_input_raises(self, rig):
         sim, ex = rig

@@ -19,7 +19,7 @@ def rig():
 
 def test_populated_regions_start_alive(rig):
     sim, tiling, hosts, emulation = rig
-    emulation.add_node(PhysicalNode(0, sim, tiling, (0, 0)))
+    emulation.add_node(PhysicalNode(0, tiling, (0, 0)))
     emulation.initialize()
     assert not hosts[(0, 0)].failed
     assert hosts[(1, 1)].failed  # empty region: VSA failed
@@ -27,7 +27,7 @@ def test_populated_regions_start_alive(rig):
 
 def test_vsa_fails_when_region_empties_by_failure(rig):
     sim, tiling, hosts, emulation = rig
-    node = PhysicalNode(0, sim, tiling, (0, 0))
+    node = PhysicalNode(0, tiling, (0, 0))
     emulation.add_node(node)
     emulation.initialize()
     node.fail()
@@ -36,7 +36,7 @@ def test_vsa_fails_when_region_empties_by_failure(rig):
 
 def test_vsa_fails_when_last_node_leaves(rig):
     sim, tiling, hosts, emulation = rig
-    node = PhysicalNode(0, sim, tiling, (0, 0))
+    node = PhysicalNode(0, tiling, (0, 0))
     emulation.add_node(node)
     emulation.initialize()
     node.move_to((1, 0))
@@ -49,8 +49,8 @@ def test_vsa_fails_when_last_node_leaves(rig):
 
 def test_vsa_survives_while_one_node_remains(rig):
     sim, tiling, hosts, emulation = rig
-    a = PhysicalNode(0, sim, tiling, (0, 0))
-    b = PhysicalNode(1, sim, tiling, (0, 0))
+    a = PhysicalNode(0, tiling, (0, 0))
+    b = PhysicalNode(1, tiling, (0, 0))
     emulation.add_node(a)
     emulation.add_node(b)
     emulation.initialize()
@@ -62,7 +62,7 @@ def test_vsa_survives_while_one_node_remains(rig):
 
 def test_restart_requires_continuous_occupancy(rig):
     sim, tiling, hosts, emulation = rig
-    node = PhysicalNode(0, sim, tiling, (0, 0))
+    node = PhysicalNode(0, tiling, (0, 0))
     emulation.add_node(node)
     emulation.initialize()
     node.fail()
@@ -77,7 +77,7 @@ def test_restart_requires_continuous_occupancy(rig):
 
 def test_restart_after_t_restart(rig):
     sim, tiling, hosts, emulation = rig
-    node = PhysicalNode(0, sim, tiling, (0, 0))
+    node = PhysicalNode(0, tiling, (0, 0))
     emulation.add_node(node)
     emulation.initialize()
     node.fail()
@@ -91,8 +91,8 @@ def test_restart_after_t_restart(rig):
 
 def test_leader_is_min_alive_id(rig):
     sim, tiling, hosts, emulation = rig
-    a = PhysicalNode(3, sim, tiling, (0, 0))
-    b = PhysicalNode(1, sim, tiling, (0, 0))
+    a = PhysicalNode(3, tiling, (0, 0))
+    b = PhysicalNode(1, tiling, (0, 0))
     emulation.add_node(a)
     emulation.add_node(b)
     emulation.initialize()
@@ -111,6 +111,6 @@ def test_negative_t_restart_rejected():
 
 def test_population_sorted(rig):
     sim, tiling, hosts, emulation = rig
-    emulation.add_node(PhysicalNode(5, sim, tiling, (0, 0)))
-    emulation.add_node(PhysicalNode(2, sim, tiling, (0, 0)))
+    emulation.add_node(PhysicalNode(5, tiling, (0, 0)))
+    emulation.add_node(PhysicalNode(2, tiling, (0, 0)))
     assert [n.node_id for n in emulation.population((0, 0))] == [2, 5]
