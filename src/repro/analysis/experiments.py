@@ -529,11 +529,11 @@ def run_emulation_recovery(
     system.kill_region(level1_head)
     system.run_to_quiescence()
     broken = not system.path_is_intact()
-    failures = sum(host.fail_count for host in system.network.hosts.values())
+    failures = sum(host.fail_count for host in system.network.hosts.built.values())
 
     system.revive_region(level1_head)
     system.run(t_restart * 2)
-    restarts = sum(host.restart_count for host in system.network.hosts.values())
+    restarts = sum(host.restart_count for host in system.network.hosts.built.values())
 
     recovery_moves = 0
     recovered = system.path_is_intact()

@@ -264,7 +264,7 @@ def run_fingerprint(scenario: Scenario) -> tuple:
     )
     # Built trackers only, in cluster order: one never built is all ⊥.
     built = system.trackers.built
-    trackers = [built[c] for c in system.hierarchy.all_clusters() if c in built]
+    trackers = [built[c] for c in sorted(built)]
     pointers = tuple(
         (object_id, tracker.clust, state)
         for object_id in sorted({0, *system.objects})

@@ -87,7 +87,7 @@ class EmulatedVineStalk(VineStalk):
 
     def failed_regions(self) -> List[RegionId]:
         return sorted(
-            region for region, host in self.network.hosts.items() if host.failed
+            region for region, host in self.network.hosts.built.items() if host.failed
         )
 
     def path_is_intact(self) -> bool:

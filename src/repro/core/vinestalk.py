@@ -25,8 +25,7 @@ experiments; the emulated regime lives in
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..geocast.cgcast import CGcast
 from ..geometry.regions import RegionId
@@ -36,58 +35,12 @@ from ..mobility.evader import Evader
 from ..mobility.models import MobilityModel
 from ..sim.engine import Simulator
 from ..tioa.actions import Action
-from ..topo.distances import distance_table
+from ..vsa.layer import Automata, VsaNetwork, _Built
 from .client_tracking import TrackingClient
 from .finds import FindCoordinator
 from .state import SystemSnapshot, capture_snapshot
 from .timers import TimerSchedule, grid_schedule
 from .tracker import Tracker
-
-
-class _Built(dict):
-    """The automata built so far; ``[]`` on a missing key builds one
-    (``make`` stores it here), while ``.get`` and ``in`` never build."""
-
-    __slots__ = ("_make",)
-
-    def __init__(self, make: Callable[[Any], Any]) -> None:
-        super().__init__()
-        self._make = make
-
-    def __missing__(self, key: Any) -> Any:
-        return self._make(key)
-
-
-class Automata(Mapping):
-    """Every key's automaton, each built on its first ``[]``.
-
-    ``len``, ``in`` and iteration cover every key of ``keys()`` in its
-    order; a key outside it raises ``KeyError`` and builds nothing.
-    ``built`` is the built-only view.
-    """
-
-    __slots__ = ("built", "_keys")
-
-    def __init__(self, keys: Callable[[], Iterable], make: Callable[[Any], Any]) -> None:
-        self.built = _Built(make)
-        self._keys: Any = keys  # called on the first whole-table read
-
-    def _all(self) -> dict:
-        if callable(self._keys):
-            self._keys = dict.fromkeys(self._keys())
-        return self._keys
-
-    def __getitem__(self, key: Any) -> Any:
-        return self.built[key]
-
-    def __iter__(self):
-        return iter(self._all())
-
-    def __len__(self) -> int:
-        return len(self._all())
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self.built or key in self._all()
 
 
 class VineStalk:
@@ -123,8 +76,6 @@ class VineStalk:
         schedule: Optional[TimerSchedule] = None,
         sim: Optional[Simulator] = None,
     ) -> None:
-        from ..vsa.layer import VsaNetwork
-
         self.hierarchy = hierarchy
         self.delta = delta
         self.e = e
@@ -150,9 +101,11 @@ class VineStalk:
         # One Tracker per cluster and one static client per region, each
         # built on first use.  C-gcast reads its process and client-sink
         # tables through the same built dicts.
-        self._region_index = distance_table(hierarchy.tiling).index
-        self.trackers: Automata = Automata(hierarchy.all_clusters, self._add_tracker)
-        self.clients: Automata = Automata(self._region_index.keys, self._add_client)
+        tiling = hierarchy.tiling
+        self.trackers: Automata = Automata(
+            hierarchy.all_clusters, self._add_tracker, hierarchy.head
+        )
+        self.clients: Automata = Automata(tiling.regions, self._add_client, tiling.index)
         self.cgcast.processes = self.trackers.built
         self.cgcast.client_sinks = _Built(self._sinks_of)
 
@@ -196,7 +149,7 @@ class VineStalk:
 
     def _add_client(self, region: RegionId) -> TrackingClient:
         """Build and wire ``region``'s static client."""
-        client = TrackingClient(self._region_index[region], self.hierarchy, self.cgcast)
+        client = TrackingClient(self.hierarchy.tiling.index(region), self.hierarchy, self.cgcast)
         # The GPS fix on entering the system (a GPSupdate's effect).
         client.region = client.home_region = region
         self.network.add_client(client)

@@ -53,11 +53,3 @@ class AdaptiveRatePolicy:
             return True
         self.suppressed += 1
         return False
-
-    def as_dict(self) -> dict:
-        return {
-            "threshold": THRESHOLD,
-            "keep_every": KEEP_EVERY,
-            "calls": self.calls,
-            "suppressed": self.suppressed,
-        }

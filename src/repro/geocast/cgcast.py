@@ -231,13 +231,8 @@ class CGcast:
             if h.parent(dest) == src:
                 return params.p(dest.level)  # rule (b), downward
         # Fallback: exact distance between heads (see module docstring),
-        # read from the tiling's shared flat distance table — same
-        # values as ``tiling.distance`` (BFS), no per-call BFS on cold
-        # (src, dest) pairs.
-        from ..topo.distances import distance_table
-
-        table = distance_table(h.tiling)
-        return max(1, table.distance(h.head(src), h.head(dest)))
+        # the tiling's own: Chebyshev on a grid, a memoised BFS row on a graph.
+        return max(1, h.tiling.distance(h.head(src), h.head(dest)))
 
     # ------------------------------------------------------------------
     # Sending

@@ -10,10 +10,10 @@ Two tilings are provided:
   adjacency mapping; distances come from the base class's BFS rows.
 
 Both expose the same interface, which the hierarchy and communication
-layers program against.  Besides the pairwise ``distance``, a tiling
-answers the three bulk questions its consumers ask — ``distance_row``,
-``ring`` and ``ball_size`` — by one breadth-first walk on the base class
-and in closed form where the shape allows (:class:`GridTiling`).
+layers program against.  Besides the pairwise ``distance`` and the dense
+``index``, a tiling answers the bulk questions ``distance_row``, ``ring``
+and ``ball_size`` by one memoised breadth-first walk on the base class,
+and :class:`GridTiling` in closed form.
 """
 
 from __future__ import annotations
@@ -34,10 +34,17 @@ class Tiling:
         #: (what :class:`~repro.topo.cache.TopologyCache` counts as misses).
         self.rows_computed = 0
         self._rows: Dict[RegionId, array] = {}
+        self._index: Optional[Dict[RegionId, int]] = None
 
     def regions(self) -> List[RegionId]:
         """All region ids, in a stable order."""
         raise NotImplementedError
+
+    def index(self, rid: RegionId) -> int:
+        """``rid``'s position in ``regions()`` order (else ``KeyError``)."""
+        if self._index is None:
+            self._index = {u: i for i, u in enumerate(self.regions())}
+        return self._index[rid]
 
     def region(self, rid: RegionId) -> Region:
         """The :class:`Region` for ``rid``."""
@@ -67,15 +74,15 @@ class Tiling:
         """
         row = self._rows.get(src)
         if row is None:
-            index = {rid: i for i, rid in enumerate(self.regions())}
-            row = array("i", [-1]) * len(index)
-            row[index[src]] = 0
+            index = self.index
+            row = array("i", [-1]) * len(self.regions())
+            row[index(src)] = 0
             frontier = deque((src,))
             while frontier:
                 cur = frontier.popleft()
-                step = row[index[cur]] + 1
+                step = row[index(cur)] + 1
                 for nxt in self.neighbors(cur):
-                    j = index[nxt]
+                    j = index(nxt)
                     if row[j] < 0:
                         row[j] = step
                         frontier.append(nxt)
@@ -120,7 +127,9 @@ class GridTiling(Tiling):
 
     Region ids are ``(col, row)`` pairs with ``0 <= col < width`` and
     ``0 <= row < height``; the square for ``(c, r)`` spans
-    ``[c, c+1] × [r, r+1]``.
+    ``[c, c+1] × [r, r+1]`` and sits at :meth:`index` ``c * height + r``.
+    Everything is arithmetic on the pair; the id list is made on the
+    first whole-board read.
     """
 
     def __init__(self, width: int, height: Optional[int] = None) -> None:
@@ -131,45 +140,55 @@ class GridTiling(Tiling):
         super().__init__()
         self.width = width
         self.height = height
-        self._regions: Dict[RegionId, Region] = {}
-        for col in range(width):
-            for row in range(height):
-                rid = (col, row)
-                self._regions[rid] = Region(rid, center=Point(col + 0.5, row + 0.5))
-        self._region_order = sorted(self._regions)
+        self._ids: Optional[List[RegionId]] = None
         self._nbr_cache: Dict[RegionId, List[RegionId]] = {}
 
+    def _id_list(self) -> List[RegionId]:
+        if self._ids is None:
+            self._ids = [(c, r) for c in range(self.width) for r in range(self.height)]
+        return self._ids
+
     def regions(self) -> List[RegionId]:
-        return list(self._region_order)
+        return list(self._id_list())
+
+    def block(self, col: int, row: int, size: int) -> List[RegionId]:
+        """The ``size × size`` square with corner ``(col, row)``, in
+        ``regions()`` order: slices of this tiling's own id list."""
+        ids, height = self._id_list(), self.height
+        return [
+            rid
+            for c in range(col, col + size)
+            for rid in ids[c * height + row : c * height + row + size]
+        ]
+
+    def index(self, rid: RegionId) -> int:
+        if isinstance(rid, tuple) and len(rid) == 2:
+            col, row = rid
+            if isinstance(col, int) and isinstance(row, int):
+                if 0 <= col < self.width and 0 <= row < self.height:
+                    return col * self.height + row
+        raise KeyError(rid)
 
     def region(self, rid: RegionId) -> Region:
-        try:
-            return self._regions[rid]
-        except KeyError:
-            raise KeyError(f"unknown region {rid!r}") from None
+        self.index(rid)
+        col, row = rid
+        return Region((col, row), center=Point(col + 0.5, row + 0.5))
 
     def neighbors(self, rid: RegionId) -> List[RegionId]:
-        if rid not in self._regions:
-            raise KeyError(f"unknown region {rid!r}")
         cached = self._nbr_cache.get(rid)
-        if cached is not None:
-            return list(cached)
-        col, row = rid
-        out = []
-        for dc in (-1, 0, 1):
-            for dr in (-1, 0, 1):
-                if dc == 0 and dr == 0:
-                    continue
-                other = (col + dc, row + dr)
-                if other in self._regions:
-                    out.append(other)
-        out.sort()
-        self._nbr_cache[rid] = out
-        return list(out)
+        if cached is None:
+            self.index(rid)
+            col, row = rid
+            cached = self._nbr_cache[rid] = [
+                (c, r)
+                for c in range(max(0, col - 1), min(self.width, col + 2))
+                for r in range(max(0, row - 1), min(self.height, row + 2))
+                if c != col or r != row
+            ]
+        return list(cached)
 
     def distance(self, a: RegionId, b: RegionId) -> int:
-        if a not in self._regions or b not in self._regions:
-            raise KeyError(f"unknown region in distance({a!r}, {b!r})")
+        self.index(a), self.index(b)  # KeyError off the board
         return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
     def diameter(self) -> int:
@@ -178,8 +197,7 @@ class GridTiling(Tiling):
     # Closed forms: the 8-neighborhood BFS distance *is* Chebyshev, so
     # rows, rings and balls need no walk (and no memo).
     def distance_row(self, src: RegionId) -> array:
-        if src not in self._regions:
-            raise KeyError(src)
+        self.index(src)
         col0, row0 = src
         dcols = [abs(col - col0) for col in range(self.width)]
         drows = [abs(row - row0) for row in range(self.height)]
@@ -187,8 +205,7 @@ class GridTiling(Tiling):
         return array("i", [dc if dc > dr else dr for dc in dcols for dr in drows])
 
     def ring(self, center: RegionId, d: int) -> List[RegionId]:
-        if center not in self._regions:
-            raise KeyError(center)
+        self.index(center)
         if not 0 <= d <= self.diameter():
             return []
         col0, row0 = center
@@ -203,8 +220,7 @@ class GridTiling(Tiling):
         ]
 
     def ball_size(self, center: RegionId, radius: int) -> int:
-        if center not in self._regions:
-            raise KeyError(center)
+        self.index(center)
         if radius < 0:
             return 0
         col0, row0 = center
@@ -262,9 +278,7 @@ class GraphTiling(Tiling):
             raise KeyError(f"unknown region {rid!r}") from None
 
     def distance(self, a: RegionId, b: RegionId) -> int:
-        if a not in self._adj or b not in self._adj:
-            raise KeyError(f"unknown region in distance({a!r}, {b!r})")
-        dist = self.distance_row(a)[self._index[b]]
+        dist = self.distance_row(a)[self.index(b)]  # KeyError: unknown region
         if dist < 0:
             raise ValueError(f"regions {a!r} and {b!r} are disconnected")
         return dist

@@ -4,8 +4,8 @@ The hierarchy is the four-tuple ``(C, L, cluster, h)``: cluster ids,
 levels ``0..MAX``, a total onto map from ``(region, level)`` to the
 containing cluster, and a head map from cluster to one of its member
 regions.  :class:`ClusterHierarchy` is the abstract interface;
-:class:`ExplicitHierarchy` realises it from explicit level maps and is
-the base for the grid specialisation.
+:class:`ExplicitHierarchy` realises it from explicit level maps: the
+path for irregular worlds, and the oracle of the closed-form grid.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ class ClusterHierarchy:
     # -- derived terminology --------------------------------------------
     def levels(self) -> range:
         return range(self.max_level + 1)
-
-    def level(self, c: ClusterId) -> int:
-        return c.level
 
     def root(self) -> ClusterId:
         """The unique level-MAX cluster."""

@@ -96,8 +96,9 @@ class ConformanceSampler:
 
     Lifecycle: :meth:`attach` installs the after-event hook and evader
     observer; :meth:`detach` runs a final check and removes both.  The
-    Theorem 4.8 check needs the evader to exist (and have entered) at
-    attach time; without one, only the lemma checks run.
+    Theorem 4.8 reference starts at the object's enter (its first
+    ``move``), whether that comes before or after :meth:`attach`; until
+    then only the lemma checks run.
     """
 
     def __init__(
@@ -137,14 +138,7 @@ class ConformanceSampler:
         if self._attached:
             return self
         self._attached = True
-        finder = getattr(self.system, "object_evader", None)
-        evader = (
-            finder(self.object_id) if finder is not None else self.system.evader
-        )
-        if evader is not None and evader.region is not None:
-            self._evader = evader
-            self._atomic = init_state(self._hierarchy, evader.region)
-            evader.observe(self._on_evader)
+        self._follow()
         self.system.sim.add_after_event(self._after_event)
         if self.collector is not None and OBS.events_enabled:
             self.collector.subscribe(self._on_obs_event)
@@ -166,10 +160,23 @@ class ConformanceSampler:
             self._fed_by_collector = False
         return self
 
+    def _follow(self) -> None:
+        """Observe the object once it exists; one that has entered
+        starts the reference at its region (a later enter, at its own)."""
+        finder = getattr(self.system, "object_evader", None)
+        evader = finder(self.object_id) if finder else self.system.evader
+        if evader is not None:
+            self._evader = evader
+            evader.observe(self._on_evader)
+            if evader.region is not None:
+                self._atomic = init_state(self._hierarchy, evader.region)
+
     # ------------------------------------------------------------------
     # Hooks
     # ------------------------------------------------------------------
     def _after_event(self) -> None:
+        if self._evader is None:
+            self._follow()  # the object may have entered in this event
         self._since += 1
         if self._since >= self.stride:
             self._since = 0
@@ -179,7 +186,9 @@ class ConformanceSampler:
         if event != "move":
             return
         self._epoch += 1
-        if self._atomic is not None:
+        if self._atomic is None:
+            self._atomic = init_state(self._hierarchy, region)  # the enter
+        else:
             try:
                 self._atomic = atomic_move(self._hierarchy, self._atomic, region)
             except AtomicModelError as exc:

@@ -34,10 +34,6 @@ class PhysicalNode:
         self.alive = True
         self._observers: List[NodeObserver] = []
 
-    @property
-    def name(self) -> str:
-        return f"node:{self.node_id}"
-
     def observe(self, observer: NodeObserver) -> None:
         self._observers.append(observer)
 

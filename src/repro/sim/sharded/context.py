@@ -251,20 +251,21 @@ class ShardContext:
     Args:
         config: The scenario config (its ``shards`` field is ignored
             here — the replica itself is always built single-shard).
-        plan: The region → shard assignment.
+        plan: The region → shard assignment; ``None`` is the plain
+            engine's one shard, which then reads no whole-world plan.
         shard_id: This shard's id in ``plan``.
         workload: The scripted drive; evader actions are scheduled
             fully, finds only when owned.
 
-    With ``plan.k == 1`` no hooks are installed and the full workload
-    is scheduled — the replica is then *bit-identical* to the plain
-    serial engine path, which the K=1 golden test pins.
+    With ``plan.k == 1`` (or no plan) no hooks are installed and the
+    full workload is scheduled — the replica is then *bit-identical* to
+    the plain serial engine path, which the K=1 golden test pins.
     """
 
     def __init__(
         self,
         config,
-        plan: ShardPlan,
+        plan: Optional[ShardPlan],
         shard_id: int,
         workload: ScriptedWorkload,
     ) -> None:
@@ -272,7 +273,7 @@ class ShardContext:
 
         self.plan = plan
         self.shard_id = shard_id
-        self.owned = plan.owned_set(shard_id)
+        sharded = plan is not None and plan.k > 1
         self.scenario = build(config.with_(shards=1))
         self.system = self.scenario.system
         if not getattr(self.system, "quiesces", True):
@@ -288,14 +289,16 @@ class ShardContext:
         # replica's own, so a profile of the engine (benchmarks/perf names
         # observer layers by the owner's class) books the fold to the engine.
         self.send_fold = self.scenario.send_fold
-        self.send_fold.group(by_sender=plan.k > 1)
+        self.send_fold.group(by_sender=sharded)
         self.handovers = self.send_fold.handovers
         cgcast = self.system.cgcast
         cgcast.unobserve(self.send_fold.observe)
         cgcast.observe(self._observe_send)
-        self._outboxes: List[list] = [[] for _ in range(plan.k)]  # rows by dest shard
-        sharded = plan.k > 1
+        # Rows by dest shard.
+        self._outboxes: List[list] = [[] for _ in range(plan.k if sharded else 1)]
+        owns = None
         if sharded:
+            owns = plan.owned_set(shard_id).__contains__
             # The codec's tables: a cluster id ships as its index here.
             self._clusters = self.scenario.hierarchy.all_clusters()
             self._cluster_index = {c: i for i, c in enumerate(self._clusters)}
@@ -303,8 +306,7 @@ class ShardContext:
             self._routes: Dict[Any, Optional[Tuple[int, Any, int]]] = {}
             cgcast.shard_router = self._route_cgcast
             if hasattr(self.system, "client_filter"):
-                self.system.client_filter = self.owned.__contains__
-        owns = self.owned.__contains__ if sharded else None
+                self.system.client_filter = owns
         schedule_workload(self.system, workload, owns=owns)
 
     # ------------------------------------------------------------------

@@ -229,7 +229,7 @@ class ShardedSimulator:
             finally:
                 transport.close()
         wall = perf_counter() - wall0
-        return _merge(reports, self.plan, self.backend, windows, cross, wall, critical)
+        return _merge(reports, self.plan.k, self.backend, windows, cross, wall, critical)
 
     # ------------------------------------------------------------------
     # Internals
@@ -274,7 +274,7 @@ def _tiling_for(config) -> Any:
 
 def _merge(
     reports: List[dict],
-    plan: ShardPlan,
+    k: int,
     backend: str,
     windows: int,
     cross: int,
@@ -339,7 +339,7 @@ def _merge(
     # critical path (the busiest worker) — an honest lower bound.
     overlap = max(busy, default=0.0) if backend == "processes" else total_busy
     return RunRecord(
-        shards=plan.k,
+        shards=k,
         backend=backend,
         windows=windows,
         events=sum(r["events"] for r in reports),
@@ -352,7 +352,7 @@ def _merge(
         cross_shard_messages=cross,
         canonical_fingerprint=canonical_fingerprint([r["digest"] for r in reports]),
         exact_fingerprint=(
-            f"{reports[0]['exact_crc']:08x}" if plan.k == 1 else None
+            f"{reports[0]['exact_crc']:08x}" if k == 1 else None
         ),
         now=max(r["now"] for r in reports),
         wall_s=wall,
@@ -379,11 +379,10 @@ def run_script(config, workload: ScriptedWorkload, backend: str = "plain") -> Ru
     if backend != "plain":
         return ShardedSimulator(config, workload, backend).run()
     config = config.with_(shards=1)
-    plan = strip_plan(_tiling_for(config), 1)
     wall0 = perf_counter()
-    # A K=1 context installs no hooks; driving it with a plain
+    # A one-shard context installs no hooks; driving it with a plain
     # ``sim.run()`` is exactly the pre-sharding engine path.
-    context = ShardContext(config, plan, 0, workload)
+    context = ShardContext(config, None, 0, workload)
     context.sim.run()
     reports = [context.report()]
-    return _merge(reports, plan, "plain", 0, 0, perf_counter() - wall0)
+    return _merge(reports, 1, "plain", 0, 0, perf_counter() - wall0)

@@ -16,9 +16,8 @@ result:
   distances and next hops without per-call BFS.  Paths are byte-for-byte
   the ones a per-call BFS produces (the reference BFS under
   ``tests/geocast/`` is the oracle).
-* :class:`~repro.topo.distances.DistanceTable` — all-pairs region
-  distances as flat dense-indexed rows (each made by the tiling's own
-  ``distance_row``), one shared table per tiling.
+* :class:`~repro.topo.distances.DistanceTable` — flat distance rows
+  (the tiling's own ``distance_row``), one shared table per tiling.
 * :class:`~repro.topo.cache.TopologyCache` — the per-process cache:
   memoized hierarchy construction, one shared :class:`RouteTable` per
   tiling, and the hit/miss count of regions-at-distance queries.

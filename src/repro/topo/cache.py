@@ -77,14 +77,6 @@ class CacheStats:
     partition_hits: int = 0
     partition_misses: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hierarchy_hits": self.hierarchy_hits,
-            "hierarchy_misses": self.hierarchy_misses,
-            "partition_hits": self.partition_hits,
-            "partition_misses": self.partition_misses,
-        }
-
 
 @dataclass
 class TopologyCache:
@@ -171,16 +163,6 @@ class TopologyCache:
                 self.hierarchy(key)
                 built += 1
         return built
-
-    def clear(self) -> None:
-        """Drop the hierarchy store and reset counters.
-
-        Route tables and distance rows live on their tiling objects
-        and are dropped with them (clearing hierarchies releases the
-        cached tilings).
-        """
-        self._hierarchies.clear()
-        self.stats = CacheStats()
 
 
 def _build_hierarchy(key: TopologyKey) -> Any:

@@ -9,11 +9,15 @@ It has two operating modes:
   the regime of the paper's §IV/§V analysis;
 * **emulated**: a :class:`~repro.vsa.emulation.VsaEmulation` drives VSA
   failures and restarts from a physical node population (§II-C.2).
+
+Hosts are :class:`Automata`, built on first read: one never read is
+alive and hosts nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..geometry.regions import RegionId
 from ..geocast.cgcast import CGcast
@@ -26,6 +30,56 @@ from ..tioa.executor import Executor
 from .client import Client
 from .emulation import VsaEmulation
 from .vsa import VsaHost
+
+
+class _Built(dict):
+    """The entries built so far; ``[]`` on a missing key builds one
+    (``make`` stores it here), while ``.get`` and ``in`` never build."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key: Any) -> Any:
+        return self._make(key)
+
+
+class Automata(Mapping):
+    """Every key's entry, each built on its first ``[]``.
+
+    ``len`` and iteration read ``keys()`` afresh, in its order; ``in``
+    asks ``locate``, which raises ``KeyError`` for a key outside the
+    world (so does ``[]``, building nothing).  ``built`` is the
+    built-only view.
+    """
+
+    __slots__ = ("built", "_keys", "_locate")
+
+    def __init__(self, keys: Callable[[], Iterable], make: Callable[[Any], Any],
+                 locate: Callable[[Any], Any]) -> None:
+        self.built = _Built(make)
+        self._keys = keys
+        self._locate = locate
+
+    def __getitem__(self, key: Any) -> Any:
+        return self.built[key]
+
+    def __iter__(self):
+        return iter(self._keys())
+
+    def __len__(self) -> int:
+        return len(self._keys())
+
+    def __contains__(self, key: Any) -> bool:
+        if key in self.built:
+            return True
+        try:
+            self._locate(key)
+        except KeyError:
+            return False
+        return True
 
 
 class VsaNetwork:
@@ -52,9 +106,8 @@ class VsaNetwork:
         self.sim = sim if sim is not None else Simulator()
         self.executor = Executor(self.sim)
         self.cgcast = cgcast_cls(self.sim, hierarchy, delta=delta, e=e)
-        self.hosts: Dict[RegionId, VsaHost] = {
-            region: VsaHost(region) for region in hierarchy.tiling.regions()
-        }
+        tiling = hierarchy.tiling
+        self.hosts: Automata = Automata(tiling.regions, self._add_host, tiling.index)
         self.clients: Dict[int, Client] = {}
         self.gps = GpsOracle(self.sim)
         self.gps.on_update(self._gps_update)
@@ -63,6 +116,12 @@ class VsaNetwork:
     # ------------------------------------------------------------------
     # VSA side
     # ------------------------------------------------------------------
+    def _add_host(self, region: RegionId) -> VsaHost:
+        """Build ``region``'s VSA: alive, hosting nothing yet."""
+        self.hierarchy.tiling.index(region)  # KeyError: no such region
+        host = self.hosts.built[region] = VsaHost(region)
+        return host
+
     def host(self, region: RegionId) -> VsaHost:
         try:
             return self.hosts[region]
@@ -124,4 +183,4 @@ class VsaNetwork:
     # Introspection
     # ------------------------------------------------------------------
     def alive_vsa_count(self) -> int:
-        return sum(1 for host in self.hosts.values() if not host.failed)
+        return len(self.hosts) - sum(host.failed for host in self.hosts.built.values())

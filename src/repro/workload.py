@@ -204,18 +204,18 @@ def materialize(workload: Workload, seed: int = 0) -> ScriptedWorkload:
 # ----------------------------------------------------------------------
 def check_world(workload: ScriptedWorkload, tiling) -> None:
     """Raise :class:`ScriptError` at the first action naming a region
-    that is not one of ``tiling``'s."""
-    world = set(tiling.regions())
+    that is not one of ``tiling``'s (each distinct region asked once)."""
+    known = set()
     for index, action in enumerate(workload.actions):
         kind = type(action)
-        if kind is EvaderEnter:
-            region = action.region
-        elif kind is EvaderStep:
-            region = action.target
-        else:
-            region = action.origin
-        if region not in world:
-            raise ScriptError(index, action, "names a region outside the world")
+        region = (action.region if kind is EvaderEnter
+                  else action.target if kind is EvaderStep else action.origin)
+        if region not in known:
+            try:
+                tiling.index(region)
+            except KeyError:
+                raise ScriptError(index, action, "names a region outside the world") from None
+            known.add(region)
 
 
 def schedule_workload(

@@ -143,7 +143,28 @@ def test_level_out_of_range_rejected(h2):
 # ----------------------------------------------------------------------
 # Closed-form construction ≡ the generic constructor
 # ----------------------------------------------------------------------
-def generic_twin(h):
+def explicit_tiling(tiling):
+    """The same board as a generic region graph: each square's centre and
+    its 8-neighbourhood written out region by region, over the grid
+    tiling's own id objects."""
+    from repro.geometry import GraphTiling, Point
+
+    regions = tiling.regions()
+    world = set(regions)
+    adjacency = {
+        u: [
+            (u[0] + dc, u[1] + dr)
+            for dc in (-1, 0, 1)
+            for dr in (-1, 0, 1)
+            if (dc, dr) != (0, 0) and (u[0] + dc, u[1] + dr) in world
+        ]
+        for u in regions
+    }
+    centers = {u: Point(u[0] + 0.5, u[1] + 0.5) for u in regions}
+    return GraphTiling(adjacency, centers)
+
+
+def generic_twin(h, tiling=None):
     """The generic hierarchy over the level maps a grid hierarchy states."""
     from repro.hierarchy.hierarchy import ExplicitHierarchy
 
@@ -152,7 +173,7 @@ def generic_twin(h):
         {u: u if level == 0 else (u[0] // h.r**level, u[1] // h.r**level) for u in regions}
         for level in h.levels()
     ]
-    return ExplicitHierarchy(h.tiling, level_maps, h.params)
+    return ExplicitHierarchy(tiling or h.tiling, level_maps, h.params)
 
 
 @pytest.mark.parametrize(
@@ -161,9 +182,24 @@ def generic_twin(h):
 )
 def test_closed_form_construction_equals_generic(r, max_level):
     h = grid_hierarchy(r, max_level)
-    generic = generic_twin(h)
+    twin = explicit_tiling(h.tiling)
+    generic = generic_twin(h, twin)
     assert h.max_level == generic.max_level == max_level
     regions = h.tiling.regions()
+    assert twin.regions() == regions
+    assert all(a is b for a, b in zip(twin.regions(), regions))
+    probes = regions[:: max(1, len(regions) // 40)]
+    for i, u in enumerate(regions):
+        assert h.tiling.index(u) == twin.index(u) == i  # the dense index
+        assert h.tiling.region(u) == twin.region(u)
+        assert h.tiling.neighbors(u) == twin.neighbors(u)
+    for u in probes:
+        for v in probes:
+            assert h.tiling.distance(u, v) == twin.distance(u, v)
+    for off in [(-1, 0), (h.tiling.width, 0), (0, h.tiling.height), "nowhere"]:
+        for tiling in (h.tiling, twin):
+            with pytest.raises(KeyError):
+                tiling.index(off)
     for level in h.levels():
         clusters = h.clusters_at_level(level)
         assert clusters == generic.clusters_at_level(level)
@@ -176,6 +212,7 @@ def test_closed_form_construction_equals_generic(r, max_level):
             assert h.members(c) == generic.members(c)
             # ... the tiling's own id objects, as the generic maps hold:
             assert all(a is b for a, b in zip(h.members(c), generic.members(c)))
+            assert all(u is regions[h.tiling.index(u)] for u in h.members(c))
             assert h.head(c) == generic.head(c)
             assert h.parent(c) == generic.parent(c)
             if level < max_level:

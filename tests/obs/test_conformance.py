@@ -13,7 +13,11 @@ Key behaviours under test:
   ``lemma-4.1-grow`` violation and a doctored second lateral grow in one
   move epoch a ``lemma-4.2`` one;
 * attach/detach leaves no hook behind (after-event, evader observer,
-  collector subscription).
+  collector subscription);
+* the Theorem 4.8 reference starts at the object's enter: a sampler
+  attached before a scripted run's first event runs the same checks,
+  with the same verdicts, as one attached after the enter, on the plain
+  loop and on each replica of a serial K=2 run.
 """
 
 import random
@@ -27,6 +31,9 @@ from repro.mobility import BoundaryOscillator, RandomNeighborWalk, worst_boundar
 from repro.obs import ConformanceViolation, GrowSent
 from repro.obs.conformance import CHECKS, ConformanceSampler
 from repro.scenario import ScenarioConfig, build
+from repro.sim.sharded import make_walk_workload, run_script
+from repro.sim.sharded.core import SerialTransport, _tiling_for
+from repro.workload import schedule_workload
 
 
 def run_lossy_walk(stride, strict=True, n_moves=25, seed=9):
@@ -235,3 +242,71 @@ def test_stride_must_be_positive():
     scenario = build(ScenarioConfig(r=2, max_level=2, seed=1))
     with pytest.raises(ValueError):
         ConformanceSampler(scenario.system, stride=0)
+
+
+#: A walk whose evader enters in the run's first event.
+ENTER_WORLD = ScenarioConfig(r=2, max_level=4, seed=11)
+ENTER_SCRIPT = make_walk_workload(_tiling_for(ENTER_WORLD), 10, 2, 11)
+#: The transport's own steps, which each serial run below wraps afresh.
+TRANSPORT = (SerialTransport.start, SerialTransport.step_all, SerialTransport.finish)
+
+
+def _plain_summaries(late, stride):
+    scenario = build(ENTER_WORLD)
+    schedule_workload(scenario.system, ENTER_SCRIPT)
+    if late:
+        scenario.sim.run_until(0.0)  # the evader has entered
+    sampler = ConformanceSampler(scenario.system, stride=stride).attach()
+    scenario.sim.run()
+    return [sampler.detach().summary()]
+
+
+def _serial_summaries(late, stride, monkeypatch):
+    """One sampler per replica, attached before the first window or
+    after the first window that ends past t=0."""
+    start, step_all, finish = TRANSPORT
+    summaries = []
+
+    def attach(transport):
+        transport.samplers = [
+            ConformanceSampler(ctx.system, stride=stride) for ctx in transport.contexts
+        ]
+        if not late:
+            for sampler in transport.samplers:
+                sampler.attach()
+        return start(transport)
+
+    def step(transport, barrier, inboxes):
+        replies = step_all(transport, barrier, inboxes)
+        if late and all(ctx.sim.now > 0 for ctx in transport.contexts):
+            for sampler in transport.samplers:
+                sampler.attach()  # idempotent
+        return replies
+
+    def detach(transport):
+        summaries.extend(s.detach().summary() for s in transport.samplers)
+        return finish(transport)
+
+    monkeypatch.setattr(SerialTransport, "start", attach)
+    monkeypatch.setattr(SerialTransport, "step_all", step)
+    monkeypatch.setattr(SerialTransport, "finish", detach)
+    run_script(ENTER_WORLD.with_(shards=2), ENTER_SCRIPT, "serial")
+    return summaries
+
+
+@pytest.mark.parametrize("backend", ["plain", "serial"])
+def test_a_sampler_attached_before_the_enter_checks_theorem_4_8(backend, monkeypatch):
+    def summaries(late, stride):
+        if backend == "plain":
+            return _plain_summaries(late, stride)
+        return _serial_summaries(late, stride, monkeypatch)
+
+    # Only detach's final check: the same checks and verdicts, exactly.
+    assert summaries(False, 10**9) == summaries(True, 10**9)
+    early, late = summaries(False, 1), summaries(True, 1)
+    assert len(early) == len(late) == (1 if backend == "plain" else 2)
+    assert [s["verdicts"] for s in early] == [s["verdicts"] for s in late]
+    for summary in early + late:
+        checks = summary["checks_run"]
+        # Every event after the enter runs Theorem 4.8 beside Lemma 4.1.
+        assert checks["theorem-4.8"] == checks["lemma-4.1-grow"] > 0

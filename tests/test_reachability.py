@@ -17,6 +17,12 @@ as an identifier or as a string that names code — a
 prose and docstrings do not.
 Its own ``def`` is not a mention.  Dunder methods are exempt, and so are
 the TIOA handlers that dispatch builds from a prefix and an action name.
+A method is named through an attribute or a naming string only: a bare
+identifier (a local, a parameter) that shares its name is a collision,
+not a use.  A ``self.<name>`` or ``cls.<name>`` reference inside class
+``C`` has a known receiver: it counts only for a method of ``C``'s MRO
+or an override of one in a subclass of ``C``, never for a method of an
+unrelated class that happens to share the name.
 """
 
 import ast
@@ -53,6 +59,13 @@ ALLOWED = {
     ),
     "repro.analysis.bounds.grid_find_work_bound": (
         "Theorem 5.2 grid corollary: ROADMAP item 11's online theorem-5.2 check"
+    ),
+    "repro.sim.rng.RngRegistry.names": (
+        "stream probe: the fault-program tests compare every derived stream's state"
+    ),
+    "repro.vsa.emulation.VsaEmulation.leader": (
+        "the §II-C.2 emulation leader (minimum-id alive node), pinned by "
+        "tests/vsa/test_emulation.py; no run elects one"
     ),
 }
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -176,19 +189,34 @@ def _docstrings(tree: ast.AST) -> Set[int]:
     return found
 
 
-def mentioned_names(source: str) -> Set[str]:
-    """Every identifier ``source`` uses, imports or spells as a naming
-    string outside docstrings.  Definitions are not uses."""
+def mentioned_names(source: str) -> Tuple[Set[str], Set[str], Set[Tuple[str, str]]]:
+    """``(names, bare, owned)`` of ``source`` outside docstrings: the
+    attribute names and naming-string identifiers, the bare identifiers
+    and imports, and the ``(class, name)`` of each ``self.<name>``/
+    ``cls.<name>`` inside a class body.  Definitions are not uses."""
     tree = ast.parse(source)
     docstrings = _docstrings(tree)
     names: Set[str] = set()
-    for node in ast.walk(tree):
+    bare: Set[str] = set()
+    owned: Set[Tuple[str, str]] = set()
+
+    def visit(node: ast.AST, owner: Optional[str]) -> None:
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            receiver = node.value
+            if (
+                owner is not None
+                and isinstance(receiver, ast.Name)
+                and receiver.id in ("self", "cls")
+            ):
+                owned.add((owner, node.attr))
+            else:
+                names.add(node.attr)
         elif isinstance(node, ast.alias):
-            names.add(node.name.rpartition(".")[2])
+            bare.add(node.name.rpartition(".")[2])
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
@@ -196,25 +224,44 @@ def mentioned_names(source: str) -> Set[str]:
             and _NAMING_STRING.match(node.value)
         ):
             names.update(_IDENTIFIER.findall(node.value))
-    return names
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return names, bare, owned
 
 
-def defined_names(source: str, module: str) -> Iterator[str]:
-    """Qualified name of every top-level function and class and every
-    method (nested classes included) that the rule checks."""
+def class_bases(source: str) -> Dict[str, Set[str]]:
+    """Class name -> the names of its direct bases, for every class."""
+    bases: Dict[str, Set[str]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            found = bases.setdefault(node.name, set())
+            for base in node.bases:
+                if isinstance(base, ast.Name):
+                    found.add(base.id)
+                elif isinstance(base, ast.Attribute):
+                    found.add(base.attr)
+    return bases
 
-    def walk(body, prefix: str) -> Iterator[str]:
+
+def defined_names(source: str, module: str) -> Iterator[Tuple[str, Optional[str]]]:
+    """``(qualified name, owning class or None)`` of every top-level
+    function and class and every method (nested classes included) that
+    the rule checks."""
+
+    def walk(body, prefix: str, owner: Optional[str]) -> Iterator[Tuple[str, Optional[str]]]:
         for node in body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
             dunder = name.startswith("__") and name.endswith("__")
             if not dunder and not name.startswith(DISPATCH_PREFIXES):
-                yield f"{prefix}.{name}"
+                yield f"{prefix}.{name}", owner
             if isinstance(node, ast.ClassDef):
-                yield from walk(node.body, f"{prefix}.{name}")
+                yield from walk(node.body, f"{prefix}.{name}", name)
 
-    yield from walk(ast.parse(source).body, module)
+    yield from walk(ast.parse(source).body, module, None)
 
 
 def unconsumed_names(root: Path) -> List[str]:
@@ -225,15 +272,48 @@ def unconsumed_names(root: Path) -> List[str]:
     for directory in CONSUMER_DIRS:
         consumers += sorted((root / directory).glob("*.py"))
     used: Set[str] = set()
+    bare: Set[str] = set()
+    owned: Set[Tuple[str, str]] = set()
+    bases: Dict[str, Set[str]] = {}
+    for path in sorted(set(files) | set(consumers)):
+        for name, found in class_bases(path.read_text()).items():
+            bases.setdefault(name, set()).update(found)
     for path in consumers:
-        used |= mentioned_names(path.read_text())
+        names, identifiers, refs = mentioned_names(path.read_text())
+        used |= names
+        bare |= identifiers
+        owned |= refs
+
+    def lineage(name: str) -> Set[str]:
+        """``name`` and every class it inherits from, by name."""
+        seen, todo = set(), [name]
+        while todo:
+            cls = todo.pop()
+            if cls not in seen:
+                seen.add(cls)
+                todo.extend(bases.get(cls, ()))
+        return seen
+
+    def reached(owner: str, method: str) -> bool:
+        """A ``self.<method>`` in a class of ``owner``'s MRO, or in a
+        class whose MRO holds ``owner`` (its override dispatches)."""
+        family = lineage(owner)
+        return any(
+            attr == method and (cls in family or owner in lineage(cls))
+            for cls, attr in owned
+        )
+
     found = []
     for path in files:
         parts = path.relative_to(root / "src").with_suffix("").parts
         module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-        for qualified in defined_names(path.read_text(), module):
-            if qualified.rpartition(".")[2] not in used:
-                found.append(qualified)
+        for qualified, owner in defined_names(path.read_text(), module):
+            name = qualified.rpartition(".")[2]
+            if owner is None and name in used | bare:
+                continue
+            if owner is not None and (name in used or reached(owner, name)):
+                continue
+            found.append(qualified)
     return found
 
 
@@ -257,7 +337,10 @@ def test_every_name_has_a_consumer():
 
 def test_the_name_rule_reports_an_unused_method(tmp_path):
     """Negative control: a scratch tree where one method is used only by
-    api/__init__ and docstrings, and one only in a prose string."""
+    api/__init__ and docstrings, one only in a prose string, one only by
+    an unrelated class's ``self.<name>`` and one only by a local of its
+    name — while inherited and overriding methods reached through
+    ``self`` stay consumed."""
     files = {
         "src/repro/__init__.py": "from .core import Box, helper\n",
         "src/repro/api.py": "from .core import Box\nBox().unused()\n",
@@ -281,10 +364,44 @@ def test_the_name_rule_reports_an_unused_method(tmp_path):
             "    return 2\n"
         ),
         "src/repro/parallel.py": 'RUNNERS = {"job": "repro.core:run_job"}\n',
-        "examples/demo.py": "from repro.core import Box\nBox().used()\n",
+        # ``self.reset`` in Gauge names Gauge's attribute, not Counter.reset,
+        # and the local ``total`` is no use of Counter.total;
+        # ``self.hook`` in Base dispatches to Sub's override, and
+        # ``self.shared`` in Sub reaches Base's method through the MRO.
+        "src/repro/lineage.py": (
+            "class Base:\n"
+            "    def run(self):\n"
+            "        return self.hook()\n"
+            "    def shared(self):\n"
+            "        return 0\n"
+            "class Sub(Base):\n"
+            "    def hook(self):\n"
+            "        return self.shared()\n"
+            "class Gauge:\n"
+            "    def __init__(self):\n"
+            "        self.reset = 0\n"
+            "    def read(self):\n"
+            "        return self.reset\n"
+            "class Counter:\n"
+            "    def reset(self):\n"
+            "        return 1\n"
+            "    def total(self):\n"
+            "        total = 2\n"
+            "        return total\n"
+        ),
+        "examples/demo.py": (
+            "from repro.core import Box\n"
+            "from repro.lineage import Counter, Gauge, Sub\n"
+            "Box().used()\nSub().run()\nGauge().read()\nCounter()\n"
+        ),
     }
     for name, text in files.items():
         path = tmp_path / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
-    assert unconsumed_names(tmp_path) == ["repro.core.Box.unused", "repro.core.Box.prose"]
+    assert unconsumed_names(tmp_path) == [
+        "repro.core.Box.unused",
+        "repro.core.Box.prose",
+        "repro.lineage.Counter.reset",
+        "repro.lineage.Counter.total",
+    ]
