@@ -36,7 +36,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Dict, Tuple, Union
 
-from ..core.tracker import BOTTOM
+from ..core.state import BOTTOMS
 from ..obs._state import OBS
 from ..scenario import Scenario, ScenarioConfig, build
 from ..workload import ScriptedWorkload, decode_inputs, encode_inputs, schedule_workload
@@ -46,9 +46,6 @@ from ..workload import ScriptedWorkload, decode_inputs, encode_inputs, schedule_
 #: outright.  ``ckpt/6``: config, scripts and cut as JSON, restored by
 #: replay; earlier schemas serialized the live world.
 CKPT_SCHEMA = "ckpt/6"
-
-#: A lane's pointers at a cluster that is off its path.
-_BOTTOMS = (BOTTOM,) * 4
 
 #: The on-disk header's keys and the JSON types of their values.
 _HEADER_TYPES: Dict[str, Any] = {
@@ -269,7 +266,7 @@ def run_fingerprint(scenario: Scenario) -> tuple:
         (object_id, tracker.clust, state)
         for object_id in sorted({0, *system.objects})
         for tracker in trackers
-        if (state := tracker.pointer_state(object_id)) != _BOTTOMS
+        if (state := tracker.pointer_state(object_id)) != BOTTOMS
     )
     return (
         sim.now,

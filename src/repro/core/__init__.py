@@ -4,7 +4,6 @@ from .atomic_model import (
     AtomicModelError,
     atomic_move,
     atomic_move_seq,
-    empty_state,
     init_state,
 )
 from .client_tracking import TrackingClient
@@ -66,7 +65,6 @@ __all__ = [
     "check_consistent",
     "check_path_segment",
     "check_tracking_path",
-    "empty_state",
     "extract_path",
     "grid_schedule",
     "init_state",

@@ -16,19 +16,11 @@ from typing import List
 from ..geometry.regions import RegionId
 from ..hierarchy.cluster import ClusterId
 from ..hierarchy.hierarchy import ClusterHierarchy
-from .state import PointerState, SystemSnapshot
+from .state import SystemSnapshot
 
 
 class AtomicModelError(ValueError):
     """An atomicMove precondition is violated (e.g. non-neighbor move)."""
-
-
-def empty_state(hierarchy: ClusterHierarchy) -> SystemSnapshot:
-    """The initial state: every pointer ⊥, no messages."""
-    return SystemSnapshot(
-        pointers={cid: PointerState() for cid in hierarchy.all_clusters()},
-        in_transit=[],
-    )
 
 
 def init_state(hierarchy: ClusterHierarchy, region: RegionId) -> SystemSnapshot:
@@ -38,7 +30,7 @@ def init_state(hierarchy: ClusterHierarchy, region: RegionId) -> SystemSnapshot:
     level-0 self-pointer, every ``p`` a hierarchy parent, and the
     secondary pointers forced by consistency condition 3.
     """
-    state = empty_state(hierarchy)
+    state = SystemSnapshot()  # every pointer ⊥, no messages
     ptr = state.pointers
     chain = hierarchy.chain(region)  # level 0 .. MAX
     ptr[chain[0]].c = chain[0]

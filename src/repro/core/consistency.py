@@ -15,7 +15,7 @@ from typing import List
 from ..geometry.regions import RegionId
 from ..hierarchy.hierarchy import ClusterHierarchy
 from .path import check_tracking_path
-from .state import SystemSnapshot
+from .state import PointerState, SystemSnapshot
 
 
 def check_consistent(
@@ -23,36 +23,45 @@ def check_consistent(
     hierarchy: ClusterHierarchy,
     evader_region: RegionId,
 ) -> List[str]:
-    """All violations of the consistent-state conditions."""
+    """All violations of the consistent-state conditions, in cluster order.
+
+    Only the non-⊥ records and the neighbours of processes with
+    ``p ≠ ⊥`` are visited: an expected ``nbrptup``/``nbrptdown`` is
+    non-⊥ only next to such a process, so every other cluster is ⊥ and
+    consistent.
+    """
     problems: List[str] = []
 
     # Condition 1: one valid tracking path.
     path, path_problems = check_tracking_path(snapshot, hierarchy, evader_region)
     problems.extend(path_problems)
     on_path = set(path or [])
+    records = {cid: ps for cid, ps in snapshot.pointers.items() if not ps.is_bottom()}
 
     # Condition 2: off-path processes have c = p = ⊥.
-    for cid, ps in snapshot.pointers.items():
+    for cid in sorted(records):
         if cid in on_path:
             continue
+        ps = records[cid]
         if ps.c is not None:
             problems.append(f"off-path {cid} has c={ps.c}")
         if ps.p is not None:
             problems.append(f"off-path {cid} has p={ps.p}")
 
     # Conditions 3 and 4: secondary pointers are exactly the iff sets.
-    for cid, ps in snapshot.pointers.items():
+    parents = {cid: ps.p for cid, ps in records.items() if ps.p is not None}
+    visited = set(records)
+    for cid in parents:
+        visited.update(hierarchy.nbrs(cid))
+    bottom = PointerState()
+    for cid in sorted(visited):
+        ps = records.get(cid, bottom)
+        nbrs = hierarchy.nbrs(cid)
         up_targets = [
-            cn
-            for cn in hierarchy.nbrs(cid)
-            if snapshot.pointers[cn].p == hierarchy.parent(cn)
-            and snapshot.pointers[cn].p is not None
+            cn for cn in nbrs if cn in parents and parents[cn] == hierarchy.parent(cn)
         ]
         down_targets = [
-            cn
-            for cn in hierarchy.nbrs(cid)
-            if snapshot.pointers[cn].p is not None
-            and snapshot.pointers[cn].p in hierarchy.nbrs(cn)
+            cn for cn in nbrs if cn in parents and parents[cn] in hierarchy.nbrs(cn)
         ]
         if len(up_targets) > 1:
             problems.append(f"{cid} has multiple nbrptup candidates {up_targets}")

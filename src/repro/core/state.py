@@ -6,12 +6,19 @@ transit.  :class:`SystemSnapshot` captures exactly that from a live
 simulation (including each Tracker's ``sendq``, whose entries count as
 "queued" messages), in a form the ``lookAhead`` function and the
 consistency checker can manipulate without touching the simulation.
+
+An absent cluster is ⊥: ``pointers`` holds the records a state sets,
+and reading any other cluster gives a fresh all-⊥ record.  A state
+therefore costs what its tracking path touches — at most one vertical
+and one lateral process per level and their neighbours' secondary
+pointers — never the world.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import DefaultDict, Dict, List, Optional, Tuple
 
 from ..hierarchy.cluster import ClusterId
 from .messages import TrackerMessage, is_move_message
@@ -20,6 +27,8 @@ from .messages import TrackerMessage, is_move_message
 PointerTuple = Tuple[
     Optional[ClusterId], Optional[ClusterId], Optional[ClusterId], Optional[ClusterId]
 ]
+#: The pointers of a process off every path (Fig. 2's initial state).
+BOTTOMS: PointerTuple = (None, None, None, None)
 
 
 @dataclass
@@ -33,6 +42,9 @@ class PointerState:
 
     def as_tuple(self) -> PointerTuple:
         return (self.c, self.p, self.nbrptup, self.nbrptdown)
+
+    def is_bottom(self) -> bool:
+        return self.as_tuple() == BOTTOMS
 
     def copy(self) -> "PointerState":
         return PointerState(self.c, self.p, self.nbrptup, self.nbrptdown)
@@ -55,20 +67,31 @@ class TransitMessage:
 
 @dataclass
 class SystemSnapshot:
-    """Pointer values of every cluster plus move messages in flight."""
+    """Pointer values of the clusters a state sets plus move messages in flight.
 
-    pointers: Dict[ClusterId, PointerState]
+    ``pointers`` is total: a missing cluster reads as (and is stored as)
+    a fresh ⊥ record, so writes through ``pointers[c]`` always stick.
+    :meth:`copy` and :meth:`pointer_map` drop all-⊥ records, so copying
+    and comparing cost O(non-⊥) however many clusters were read.
+    """
+
+    pointers: DefaultDict[ClusterId, PointerState] = field(
+        default_factory=lambda: defaultdict(PointerState)
+    )
     in_transit: List[TransitMessage] = field(default_factory=list)
 
     def copy(self) -> "SystemSnapshot":
-        return SystemSnapshot(
-            pointers={cid: ps.copy() for cid, ps in self.pointers.items()},
-            in_transit=list(self.in_transit),
-        )
+        pointers = defaultdict(PointerState)
+        for cid, ps in self.pointers.items():
+            if not ps.is_bottom():
+                pointers[cid] = ps.copy()
+        return SystemSnapshot(pointers, list(self.in_transit))
 
     def pointer_map(self) -> Dict[ClusterId, PointerTuple]:
-        """Canonical, comparable view of all pointer values."""
-        return {cid: ps.as_tuple() for cid, ps in self.pointers.items()}
+        """Canonical, comparable view of the non-⊥ pointer records."""
+        return {
+            cid: ps.as_tuple() for cid, ps in self.pointers.items() if not ps.is_bottom()
+        }
 
     def messages_of_kind(self, *types) -> List[TransitMessage]:
         return [m for m in self.in_transit if isinstance(m.payload, types)]
@@ -80,8 +103,8 @@ def capture_snapshot(system, object_id: int = 0) -> SystemSnapshot:
     Includes every Tracker's pointers, its queued ``sendq`` entries, and
     all move messages in transit in C-gcast.  Find-phase messages are
     excluded: the §IV-C state space covers only the tracking structure.
-    A Tracker not yet built reads as its initial state (all ⊥, empty
-    ``sendq``); none is built here.
+    Only built Trackers are read, in cluster order: one not yet built is
+    in its initial state (all ⊥, empty ``sendq``), and none is built here.
 
     In a multi-object deployment each lane is an independent instance
     of the §IV-C state space; ``object_id`` selects which lane's
@@ -92,15 +115,14 @@ def capture_snapshot(system, object_id: int = 0) -> SystemSnapshot:
         system: A :class:`~repro.core.vinestalk.VineStalk` instance.
         object_id: Which tracking lane to capture (default: lane 0).
     """
-    pointers: Dict[ClusterId, PointerState] = {}
+    pointers: DefaultDict[ClusterId, PointerState] = defaultdict(PointerState)
     in_transit: List[TransitMessage] = []
     built = system.trackers.built
-    for clust in system.hierarchy.all_clusters():
-        tracker = built.get(clust)
-        if tracker is None:
-            pointers[clust] = PointerState()
-            continue
-        pointers[clust] = PointerState(*tracker.pointer_state(object_id))
+    for clust in sorted(built):
+        tracker = built[clust]
+        state = tracker.pointer_state(object_id)
+        if state != BOTTOMS:
+            pointers[clust] = PointerState(*state)
         for dest, payload in tracker.sendq:
             if (
                 is_move_message(payload)

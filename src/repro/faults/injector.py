@@ -10,9 +10,7 @@ monkey-patching:
   it and a rule on ``"vbcast"`` alone is refused by :meth:`arm`;
 * :attr:`VineStalk.gps_fault_delay
   <repro.core.vinestalk.VineStalk.gps_fault_delay>` (the augmented
-  ``move``/``left`` inputs) and :attr:`GpsOracle.fault_delay
-  <repro.physical.gps.GpsOracle.fault_delay>` (each node's ``GPSupdate``)
-  for GPS staleness;
+  ``move``/``left`` inputs) for GPS staleness;
 * :meth:`VsaEmulation.blackout <repro.vsa.emulation.VsaEmulation.blackout>`
   (emulated regime) or direct :class:`~repro.vsa.vsa.VsaHost`
   fail/restart (abstract regime) for crashes and blackouts; the
@@ -180,7 +178,6 @@ class FaultInjector:
         if any(isinstance(a.rule, GpsStaleness) and not a.rule.is_null()
                for a in self._armed_rules):
             self.system.gps_fault_delay = self._gps_delay
-            self.system.network.gps.fault_delay = self._gps_delay
         for armed in self._armed_rules:
             rule = armed.rule
             if rule.is_null():

@@ -24,7 +24,7 @@ on:
   :class:`LagSpike` models a burst of emulation lag (``e`` growing for
   a window);
 * **Sensing** — :class:`GpsStaleness` delays the augmented GPS
-  ``move``/``left``/``GPSupdate`` inputs of §III.
+  ``move``/``left`` inputs of §III.
 """
 
 from __future__ import annotations
@@ -193,8 +193,8 @@ class RegionBlackout(FaultRule):
 class GpsStaleness(FaultRule):
     """With probability ``rate``, deliver a GPS input ``delay`` late.
 
-    Applies to the augmented ``move``/``left`` evader inputs of §III
-    and to node ``GPSupdate``s in the emulated regime.
+    Applies to the augmented ``move``/``left`` evader inputs of §III,
+    in every regime.
     """
 
     rate: float = 0.0

@@ -20,10 +20,12 @@ from an RNG or schedules an event, so it cannot perturb the run):
 * ``theorem-4.8`` — ``lookAhead(state) == atomicMoveSeq(moves)``.  The
   atomic reference state is folded **incrementally**: one
   :func:`~repro.core.atomic_model.atomic_move` per observed evader
-  move, so a check is O(world) for the snapshot + lookAhead and O(1)
-  amortized for the reference — not O(moves) per check.  A strict-mode
-  :class:`~repro.core.lookahead.LookAheadError` is itself recorded as a
-  ``theorem-4.8`` violation event, never raised out of the event loop.
+  move, so a check is O(path·ω + in transit) for lookAhead and the
+  comparison (plus one read per built Tracker for the snapshot) and
+  O(1) amortized for the reference — never O(world), nor O(moves).
+  A strict-mode :class:`~repro.core.lookahead.LookAheadError` is
+  itself recorded as a ``theorem-4.8`` violation event, never raised
+  out of the event loop.
 
 Striding: the sampler counts fired simulator events through
 :meth:`Simulator.add_after_event` and checks every ``stride``-th event;

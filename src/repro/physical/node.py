@@ -2,9 +2,9 @@
 
 A :class:`PhysicalNode` is the hardware carrier of a client automaton:
 it has an identity, a current region and an alive flag; whoever drives
-it relocates it with :meth:`PhysicalNode.move_to`.  Region changes are
-announced to observers — the GPS oracle subscribes and turns them into
-``GPSupdate`` inputs for the client automaton riding the node.
+it relocates it with :meth:`PhysicalNode.move_to`.  Region changes,
+failures and restarts are announced to observers — the VSA emulation
+subscribes and follows each region's population.
 """
 
 from __future__ import annotations

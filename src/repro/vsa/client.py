@@ -1,7 +1,7 @@
 """Client automata ``C_p`` (§II-C.1).
 
-A client rides a physical node: it learns its region through
-``GPSupdate`` inputs, may send to its region's level-0 VSA through
+A client rides a physical node: it knows its region (the GPS fix its
+builder gives it), may send to its region's level-0 VSA through
 C-gcast, and is subject to stopping failures and restarts (restarting
 from an initial state, per the model).  Algorithm-specific clients (the
 VINESTALK tracking client) subclass this base.
@@ -37,13 +37,6 @@ class Client(TimedAutomaton):
 
     def reset_state(self) -> None:
         self.region = None
-
-    # ------------------------------------------------------------------
-    # GPS
-    # ------------------------------------------------------------------
-    def input_GPSupdate(self, region: RegionId) -> None:
-        """GPS told the client its current region."""
-        self.region = region
 
     # ------------------------------------------------------------------
     # Communication

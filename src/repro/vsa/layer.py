@@ -22,7 +22,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 from ..geometry.regions import RegionId
 from ..geocast.cgcast import CGcast
 from ..hierarchy.hierarchy import ClusterHierarchy
-from ..physical.gps import GpsOracle
 from ..physical.node import PhysicalNode
 from ..sim.engine import Simulator
 from ..tioa.automaton import TimedAutomaton
@@ -109,8 +108,6 @@ class VsaNetwork:
         tiling = hierarchy.tiling
         self.hosts: Automata = Automata(tiling.regions, self._add_host, tiling.index)
         self.clients: Dict[int, Client] = {}
-        self.gps = GpsOracle(self.sim)
-        self.gps.on_update(self._gps_update)
         self.emulation: Optional[VsaEmulation] = None
 
     # ------------------------------------------------------------------
@@ -138,33 +135,11 @@ class VsaNetwork:
     # ------------------------------------------------------------------
     # Client side
     # ------------------------------------------------------------------
-    def add_client(self, client: Client, node: Optional[PhysicalNode] = None) -> Client:
-        """Register a client automaton, optionally riding a physical node."""
+    def add_client(self, client: Client) -> Client:
+        """Register a client automaton."""
         self.executor.register(client)
         self.clients[client.node_id] = client
-        if node is not None:
-            if node.node_id != client.node_id:
-                raise ValueError("client and node ids must match")
-            node.observe(self._node_event)
-            self.gps.track_node(node)
         return client
-
-    def _gps_update(self, node: PhysicalNode, region: RegionId) -> None:
-        client = self.clients.get(node.node_id)
-        if client is not None and not client.failed:
-            from ..tioa.actions import Action
-
-            client.handle_input(Action.input("GPSupdate", region=region))
-            self.executor.kick(client)
-
-    def _node_event(self, node: PhysicalNode, event: str, region: RegionId) -> None:
-        client = self.clients.get(node.node_id)
-        if client is None:
-            return
-        if event == "fail":
-            client.fail()
-        elif event == "restart":
-            client.restart()
 
     # ------------------------------------------------------------------
     # Emulation mode

@@ -59,9 +59,9 @@ class TestRenderer:
 
     def test_render_path_empty(self, world):
         h, _snapshot = world
-        from repro.core import empty_state
+        from repro.core import SystemSnapshot
 
-        assert "no tracking path" in render_path(h, empty_state(h))
+        assert "no tracking path" in render_path(h, SystemSnapshot())
 
     def test_render_broken_path(self, world):
         h, snapshot = world

@@ -4,11 +4,11 @@ import pytest
 
 from repro.core import (
     AtomicModelError,
+    SystemSnapshot,
     atomic_move,
     atomic_move_seq,
     check_consistent,
     check_tracking_path,
-    empty_state,
     init_state,
 )
 from repro.hierarchy import grid_hierarchy
@@ -22,8 +22,9 @@ def h():
 
 
 def test_empty_state_has_no_pointers(h):
-    state = empty_state(h)
-    assert all(ps.as_tuple() == (None, None, None, None) for ps in state.pointers.values())
+    state = SystemSnapshot()
+    assert state.pointer_map() == {}
+    assert state.pointers[h.root()].as_tuple() == (None, None, None, None)
     assert state.in_transit == []
 
 
@@ -97,7 +98,7 @@ def test_atomic_move_rejects_non_neighbor(h):
 
 def test_atomic_move_requires_path(h):
     with pytest.raises(AtomicModelError):
-        atomic_move(h, empty_state(h), (4, 4))
+        atomic_move(h, SystemSnapshot(), (4, 4))
 
 
 def test_atomic_move_does_not_mutate_input(h):

@@ -9,9 +9,9 @@ from repro.core import (
     LookAheadError,
     Shrink,
     ShrinkUpd,
+    SystemSnapshot,
     TransitMessage,
     atomic_move,
-    empty_state,
     init_state,
     look_ahead,
 )
@@ -30,7 +30,7 @@ def test_lookahead_fixpoint_on_consistent_state(h):
 
 
 def test_lookahead_on_empty_state_is_identity(h):
-    state = empty_state(h)
+    state = SystemSnapshot()
     assert look_ahead(state, h).pointer_map() == state.pointer_map()
 
 
@@ -46,7 +46,7 @@ def test_lookahead_does_not_mutate_input(h):
 
 def test_lookahead_after_first_move_equals_init(h):
     """Lemma 4.6: lookAhead(initial state + move(c0)) = init(c0)."""
-    state = empty_state(h)
+    state = SystemSnapshot()
     c0 = h.cluster((4, 4), 0)
     state.in_transit.append(TransitMessage(None, c0, Grow(cid=c0)))
     future = look_ahead(state, h)
@@ -67,7 +67,7 @@ def test_lookahead_after_move_equals_atomic_move(h):
 
 
 def test_lookahead_applies_growpar_messages(h):
-    state = empty_state(h)
+    state = SystemSnapshot()
     a = h.cluster((0, 0), 1)
     b = h.nbrs(a)[0]
     state.in_transit.append(TransitMessage(a, b, GrowPar(cid=a)))
@@ -76,7 +76,7 @@ def test_lookahead_applies_growpar_messages(h):
 
 
 def test_lookahead_applies_grownbr_messages(h):
-    state = empty_state(h)
+    state = SystemSnapshot()
     a = h.cluster((0, 0), 1)
     b = h.nbrs(a)[0]
     state.in_transit.append(TransitMessage(a, b, GrowNbr(cid=a)))
@@ -84,7 +84,7 @@ def test_lookahead_applies_grownbr_messages(h):
 
 
 def test_lookahead_shrinkupd_clears_only_matching(h):
-    state = empty_state(h)
+    state = SystemSnapshot()
     a = h.cluster((0, 0), 1)
     nbrs = h.nbrs(a)
     state.pointers[a].nbrptup = nbrs[0]
@@ -106,7 +106,7 @@ def test_lookahead_stale_shrink_is_ignored(h):
 
 
 def test_lookahead_strict_rejects_two_grows(h):
-    state = empty_state(h)
+    state = SystemSnapshot()
     for region in [(0, 0), (8, 8)]:
         c0 = h.cluster(region, 0)
         state.pointers[c0].c = c0  # two pending grow processes
@@ -119,7 +119,7 @@ def test_lookahead_strict_rejects_two_grows(h):
 
 def test_lookahead_mid_grow_state(h):
     """A grow stopped mid-climb (armed timer) completes in lookAhead."""
-    state = empty_state(h)
+    state = SystemSnapshot()
     c0 = h.cluster((4, 4), 0)
     state.pointers[c0].c = c0  # grow timer armed at level 0
     future = look_ahead(state, h)

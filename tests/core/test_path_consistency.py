@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core import (
+    SystemSnapshot,
     check_consistent,
     check_path_segment,
     check_tracking_path,
-    empty_state,
     extract_path,
     init_state,
 )
@@ -20,7 +20,7 @@ def h():
 
 class TestExtractPath:
     def test_no_path_before_first_move(self, h):
-        sequence, terminated = extract_path(empty_state(h), h)
+        sequence, terminated = extract_path(SystemSnapshot(), h)
         assert sequence == [] and not terminated
 
     def test_vertical_path_extraction(self, h):
@@ -81,7 +81,7 @@ class TestTrackingPath:
         assert any("evader" in p for p in problems)
 
     def test_missing_path_reported(self, h):
-        path, problems = check_tracking_path(empty_state(h), h, (4, 4))
+        path, problems = check_tracking_path(SystemSnapshot(), h, (4, 4))
         assert path is None
         assert problems
 

@@ -16,7 +16,12 @@ from repro.core import (
 )
 from repro.hierarchy import grid_hierarchy
 
-from ._path_oracles import lateral_link_count, laterals_per_level_ok
+from ._path_oracles import (
+    dense_check_consistent,
+    dense_copy,
+    lateral_link_count,
+    laterals_per_level_ok,
+)
 
 H3 = grid_hierarchy(3, 2)
 H2 = grid_hierarchy(2, 3)
@@ -37,6 +42,14 @@ region2 = st.tuples(
     st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7)
 )
 moves_list = st.lists(st.integers(min_value=0, max_value=7), max_size=25)
+pointer_writes = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from(["c", "p", "nbrptup", "nbrptdown"]),
+        st.integers(min_value=0, max_value=10**6),
+    ),
+    max_size=8,
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -54,6 +67,27 @@ def test_atomic_move_seq_consistent_r2(start, moves):
     seq = walk(H2, start, moves)
     state = atomic_move_seq(H2, seq)
     assert check_consistent(state, H2, seq[-1]) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(start=region3, moves=moves_list, writes=pointer_writes)
+def test_sparse_checker_equals_dense(start, moves, writes):
+    """An atomic state with arbitrary pointers written over it (off-path
+    c/p, stray and missing secondaries): the checker that visits what the
+    state touches reports what the every-cluster one does, in order."""
+    seq = walk(H3, start, moves)
+    state = atomic_move_seq(H3, seq)
+    clusters = H3.all_clusters()
+    for at, name, pick in writes:
+        clust = clusters[at % len(clusters)]
+        domain = [None, clust, *H3.nbrs(clust), *H3.children(clust)]
+        if H3.parent(clust) is not None:
+            domain.append(H3.parent(clust))
+        setattr(state.pointers[clust], name, domain[pick % len(domain)])
+    for projected in (state, look_ahead(state, H3, strict=False)):
+        assert check_consistent(projected, H3, seq[-1]) == dense_check_consistent(
+            dense_copy(projected, H3), H3, seq[-1]
+        )
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,9 +1,9 @@
-"""Unit tests for the physical substrate: nodes, GPS oracle, deployment."""
+"""Unit tests for the physical substrate: nodes and deployment."""
 
 import pytest
 
 from repro.geometry import GridTiling
-from repro.physical import GpsOracle, PhysicalNode, per_region_density
+from repro.physical import PhysicalNode, per_region_density
 from repro.sim import Simulator
 
 
@@ -46,27 +46,6 @@ class TestPhysicalNode:
         node.fail()  # idempotent
         node.restart()
         assert events == ["fail", "restart"]
-
-
-class TestGpsOracle:
-    def test_initial_update_on_track(self, rig):
-        sim, tiling = rig
-        gps = GpsOracle(sim)
-        updates = []
-        gps.on_update(lambda node, region: updates.append((node.node_id, region)))
-        node = PhysicalNode(3, tiling, (1, 1))
-        gps.track_node(node)
-        assert updates == [(3, (1, 1))]
-
-    def test_update_on_region_change(self, rig):
-        sim, tiling = rig
-        gps = GpsOracle(sim)
-        updates = []
-        gps.on_update(lambda node, region: updates.append(region))
-        node = PhysicalNode(0, tiling, (0, 0))
-        gps.track_node(node)
-        node.move_to((1, 0))
-        assert updates == [(0, 0), (1, 0)]
 
 
 class TestDeployment:

@@ -4,9 +4,8 @@ import pytest
 
 from repro.geometry import GridTiling
 from repro.hierarchy import grid_hierarchy
-from repro.physical import PhysicalNode
 from repro.sim import Simulator
-from repro.tioa import Action, TimedAutomaton
+from repro.tioa import TimedAutomaton
 from repro.vsa import Client, VBcast, VsaHost, VsaNetwork
 
 
@@ -126,37 +125,6 @@ class TestVsaNetwork:
         with pytest.raises(KeyError):
             net.host((9, 9))
 
-    def test_client_gps_updates_region(self):
-        h = grid_hierarchy(2, 1)
-        net = VsaNetwork(h)
-        client = Client(0, h, net.cgcast)
-        node = PhysicalNode(0, h.tiling, (0, 0))
-        net.add_client(client, node)
-        assert client.region == (0, 0)
-        node.move_to((1, 1))
-        assert client.region == (1, 1)
-
-    def test_client_node_id_mismatch_rejected(self):
-        h = grid_hierarchy(2, 1)
-        net = VsaNetwork(h)
-        client = Client(0, h, net.cgcast)
-        node = PhysicalNode(5, h.tiling, (0, 0))
-        with pytest.raises(ValueError):
-            net.add_client(client, node)
-
-    def test_node_failure_fails_client(self):
-        h = grid_hierarchy(2, 1)
-        net = VsaNetwork(h)
-        client = Client(0, h, net.cgcast)
-        node = PhysicalNode(0, h.tiling, (0, 0))
-        net.add_client(client, node)
-        node.fail()
-        assert client.failed
-        node.restart()
-        assert not client.failed
-        # restart re-delivers a GPS fix
-        assert client.region == (0, 0)
-
     def test_client_local_cluster(self):
         h = grid_hierarchy(2, 1)
         net = VsaNetwork(h)
@@ -164,5 +132,5 @@ class TestVsaNetwork:
         net.add_client(client)
         with pytest.raises(RuntimeError):
             client.local_cluster()
-        client.handle_input(Action.input("GPSupdate", region=(1, 0)))
+        client.region = (1, 0)  # the GPS fix a world's builder gives it
         assert client.local_cluster() == h.cluster((1, 0), 0)
