@@ -15,8 +15,14 @@ in favour of the prose / ``lookAhead`` semantics — see DESIGN.md §3:
    unconditionally below MAX, which could clobber a pending grow timer).
 
 TIOA urgency ("stops when any precondition is satisfied") is realised
-by the executor draining :meth:`enabled_outputs` after every input and
-wakeup.
+by the executor calling :meth:`Tracker.step` after every input and
+wakeup until it reports no enabled action.  C-gcast delivers a message
+by calling :meth:`Tracker.input_cTOBrcv` directly, and ``step``
+performs the first enabled action by calling its ``output_*`` /
+``internal_*`` effect in place: no :class:`~repro.tioa.actions.Action`
+is built on either path.  :meth:`Tracker._next_action` is the one copy
+of the Fig. 2 action precedence; :meth:`Tracker.enabled_outputs` reads
+it too, as an :class:`~repro.tioa.actions.Action`.
 
 Multi-object lanes (DESIGN.md §9)
 ---------------------------------
@@ -35,7 +41,7 @@ lateral-link maintenance traffic is batched across lanes too.
 
 O(active) scheduling (DESIGN.md §9.5)
 -------------------------------------
-Neither :meth:`Tracker.enabled_outputs` nor the wheel ever scans all
+Neither :meth:`Tracker._next_action` nor the wheel ever scans all
 lanes.  A *dirty set* holds the object ids that may have an enabled
 action — a lane enters it when a message arrives for it or one of its
 deadlines comes due, and leaves when :meth:`Tracker._lane_enabled`
@@ -86,15 +92,6 @@ from .messages import (
 from .timers import TimerSchedule
 
 BOTTOM = None  # ⊥ of Fig. 2
-
-# Payload-free actions are immutable; shared instances avoid rebuilding
-# them inside enabled_outputs(), which runs after every discrete step.
-_SENDQ_HEAD = Action.output("sendq_head")
-_FINDACKQ_HEAD = Action.output("findAckq_head")
-_GROW_SEND = Action.output("grow_send")
-_SHRINK_SEND = Action.output("shrink_send")
-_FOUND_SEND = Action.output("found_send")
-_FINDQUERY = Action.internal("findquery")
 
 
 class LaneDeadline:
@@ -279,7 +276,7 @@ class Tracker(TimedAutomaton):
         # every pending lane whose find roundtrip is over: the drain
         # that follows forwards each one to its best recorded ack
         # pointer or escalates.  The flag (rather than reading the
-        # deadline in enabled_outputs) keeps the decision at this single
+        # deadline in _next_action) keeps the decision at this single
         # point — after all same-instant deliveries, per the wheel's
         # priority.  ``_timeout_pending`` is filled by the heap exactly
         # once per armed roundtrip and re-checked here against the live
@@ -547,8 +544,9 @@ class Tracker(TimedAutomaton):
     # ------------------------------------------------------------------
     # Locally controlled actions
     # ------------------------------------------------------------------
-    def enabled_outputs(self) -> List[Action]:
-        """Enabled outputs, in deterministic precedence order.
+    def _next_action(self):
+        """The Fig. 2 precedence: the first enabled locally controlled
+        action as ``(effect, args)``, or ``None`` when none is enabled.
 
         Shared FIFOs first (they batch traffic for every lane), then
         lane 0 — exactly the pre-service order, so single-object runs
@@ -560,42 +558,61 @@ class Tracker(TimedAutomaton):
         dirty-set invariant (quiesced lanes have no enabled action)
         then makes the dirty order and the full-scan order agree on
         the first enabled lane.  Cost: O(dirty · log dirty), not O(M).
+        ``effect`` is the bound ``output_*``/``internal_*`` method, so a
+        subclass override is what runs.
         """
         if self.sendq:
-            return [_SENDQ_HEAD]
+            return self.output_sendq_head, ()
         if self.findAckq:
-            return [_FINDACKQ_HEAD]
-        action = self._lane_enabled(self)
-        if action is not None:
-            return [action]
+            return self.output_findAckq_head, ()
+        now = self.now
+        if self.timer.deadline <= now or self.finding:  # lane 0 may be enabled
+            action = self._lane_enabled(self, now)
+            if action is not None:
+                return action
         heap = self._deadline_heap
-        if heap and heap[0][0] <= self.now:
+        if heap and heap[0][0] <= now:
             self._service_heap()
         dirty = self._dirty
         if dirty:
             lanes = self._lanes
             for object_id in sorted(dirty):
-                action = self._lane_enabled(lanes[object_id])
+                action = self._lane_enabled(lanes[object_id], now)
                 if action is not None:
-                    return [action]
+                    return action
                 dirty.discard(object_id)  # quiesced until re-touched
-        return []
+        return None
 
-    def _lane_enabled(self, lane) -> Optional[Action]:
-        """The enabled lane-local action, if any (Fig. 2, one lane)."""
+    def step(self) -> bool:
+        """Perform the :meth:`_next_action` in place (TIOA urgency)."""
+        action = self._next_action()
+        if action is None:
+            return False
+        effect, args = action
+        effect(*args)
+        return True
+
+    def enabled_outputs(self) -> List[Action]:
+        """:meth:`step`'s next action as an :class:`Action` keyed by effect parameters."""
+        action = self._next_action()
+        if action is None:
+            return []
+        effect, args = action
+        kind, _, name = effect.__name__.partition("_")
+        params = effect.__code__.co_varnames[1 : 1 + len(args)]
+        return [getattr(Action, kind)(name, **dict(zip(params, args)))]
+
+    def _lane_enabled(self, lane, now: float):
+        """The enabled lane-local ``(effect, args)`` at ``now``, if any (Fig. 2, one lane)."""
         # ``timer.expired()`` without its frames: a disarmed deadline is
         # +inf, so the comparison alone says "armed and due".
-        if lane.timer.deadline <= self.now:
+        if lane.timer.deadline <= now:
             # Grow send: now = timer ∧ c ≠ ⊥ ∧ p = ⊥.
             if lane.c is not BOTTOM and lane.p is BOTTOM:
-                if lane is self:
-                    return _GROW_SEND
-                return Action.output("grow_send", object_id=lane.object_id)
+                return self.output_grow_send, (lane.object_id,)
             # Shrink send: now = timer ∧ c = ⊥ ∧ p ≠ ⊥.
             if lane.c is BOTTOM and lane.p is not BOTTOM:
-                if lane is self:
-                    return _SHRINK_SEND
-                return Action.output("shrink_send", object_id=lane.object_id)
+                return self.output_shrink_send, (lane.object_id,)
             # Timer fired but neither grow nor shrink is enabled (the
             # pointer it guarded was changed in flight): disarm lazily.
             lane.timer.disarm()
@@ -603,21 +620,15 @@ class Tracker(TimedAutomaton):
             return self._find_progress_action(lane)
         return None
 
-    def _find_progress_action(self, lane) -> Optional[Action]:
-        """The enabled find-related action, if any (Fig. 2 find section)."""
+    def _find_progress_action(self, lane):
+        """The enabled find-related ``(effect, args)``, if any (Fig. 2 find section)."""
         # found: finding ∧ c = clust.
         if lane.c == self.clust:
-            if lane is self:
-                return _FOUND_SEND
-            return Action.output("found_send", object_id=lane.object_id)
+            return self.output_found_send, (lane.object_id,)
         # find forward: tracing via c, or searching via pointers/timeout.
         dest = self._find_forward_dest(lane)
         if dest is not None:
-            if lane is self:
-                return Action.output("find_forward", dest=dest)
-            return Action.output(
-                "find_forward", dest=dest, object_id=lane.object_id
-            )
+            return self.output_find_forward, (dest, lane.object_id)
         # findquery: c = nbrptdown = ⊥ ∧ nbrptup ∈ {⊥, p} ∧ no query outstanding.
         if (
             lane.c is BOTTOM
@@ -625,9 +636,7 @@ class Tracker(TimedAutomaton):
             and lane.nbrptup in (BOTTOM, lane.p)
             and lane.nbrtimeout.deadline > self.now + self._query_roundtrip()
         ):
-            if lane is self:
-                return _FINDQUERY
-            return Action.internal("findquery", object_id=lane.object_id)
+            return self.internal_findquery, (lane.object_id,)
         return None
 
     def _find_forward_dest(self, lane) -> Optional[ClusterId]:

@@ -164,10 +164,10 @@ class VineStalk:
         return dict.__getitem__(self.cgcast.client_sinks, region)
 
     def _client_sink(self, client: TrackingClient):
+        # A client has no locally controlled action: its inputs need no drain.
         def sink(message) -> None:
             if not client.failed:
-                client.handle_input(Action.input("cTOBrcv", message=message))
-                self.network.executor.kick(client)
+                client.input_cTOBrcv(message)
 
         return sink
 
@@ -241,14 +241,10 @@ class VineStalk:
             self.energy_ledger.charge_sense(region)
         client = self.clients[region]
         if not client.failed:
-            if object_id == 0:
-                # Payload identical to the pre-service code: lane-0
-                # traces/fingerprints stay bit-identical.
-                action = Action.input(event, region=region)
+            if event == "move":
+                client.input_move(region, object_id)
             else:
-                action = Action.input(event, region=region, object_id=object_id)
-            client.handle_input(action)
-            self.network.executor.kick(client)
+                client.input_left(region, object_id)
 
     # ------------------------------------------------------------------
     # Find API

@@ -35,7 +35,6 @@ from ..obs.events import MessageDispatched
 from ..hierarchy.cluster import ClusterId
 from ..hierarchy.hierarchy import ClusterHierarchy
 from ..sim.engine import Simulator
-from ..tioa.actions import Action, ActionKind
 from ..tioa.automaton import TimedAutomaton
 
 
@@ -81,15 +80,6 @@ FaultFilter = Callable[[Any, Any, Any, float], Optional[List[float]]]
 # scheduling; the sharded driver re-injects it in the destination shard
 # via :meth:`CGcast.apply_remote`.
 ShardRouter = Callable[[Any, Any, Any, float], bool]
-
-
-def _rcv(payload: Any) -> Action:
-    """The ``cTOBrcv`` input delivering ``payload``.
-
-    Inline ``Action.input("cTOBrcv", message=payload)``: a single-key
-    payload needs no sort.
-    """
-    return Action("cTOBrcv", ActionKind.INPUT, (("message", payload),))
 
 
 class CGcast:
@@ -144,10 +134,6 @@ class CGcast:
         # hierarchy never changes and a cluster's process, once built,
         # stays, so the §II-C.3 rule outcome is a pure function of the pair.
         self._routes: Dict[tuple, Tuple[float, float, TimedAutomaton]] = {}
-        # The cTOBrcv envelope of the payload last sent: a tracker fans
-        # one message object out to all its neighbors back to back.
-        self._rcv_payload: Any = None
-        self._rcv_action: Optional[Action] = None
 
     # ------------------------------------------------------------------
     # Registration
@@ -245,12 +231,7 @@ class CGcast:
             route = ((self.delta + self.e) * units, float(units), self.process(dest))
             self._routes[(src, dest)] = route
         delay, cost, target = route
-        if payload is not self._rcv_payload:
-            self._rcv_payload = payload
-            self._rcv_action = _rcv(payload)
-        self._dispatch(
-            src, dest, payload, delay, cost, self._fire, target, self._rcv_action
-        )
+        self._dispatch(src, dest, payload, delay, cost, self._fire, target, payload)
 
     def send_to_clients(self, src: ClusterId, payload: Any) -> None:
         """Level-0 cluster broadcasts to its own region's clients (rule (d)).
@@ -284,7 +265,7 @@ class CGcast:
         delay = self.delta  # rule (e)
         self._dispatch(
             region, dest, payload, delay, 1.0,
-            self._fire, self.process(dest), _rcv(payload),
+            self._fire, self.process(dest), payload,
         )
 
     # ------------------------------------------------------------------
@@ -341,12 +322,12 @@ class CGcast:
         """Carry one copy to its destination: ``deliver()`` runs at ``when``."""
         self.sim.call_at(when, deliver, tag="cgcast")
 
-    def _fire(self, key: int, target: TimedAutomaton, action: Action) -> None:
-        """Delivery event of a copy bound for a cluster process."""
+    def _fire(self, key: int, target: TimedAutomaton, payload: Any) -> None:
+        """Delivery event of a copy bound for a cluster process: the
+        ``cTOBrcv`` input, then (urgency) the receiver's drain."""
         del self._in_transit[key]
         if not target.failed:
-            target.handle_input(action)
-            # Urgency: drain locally controlled actions of the receiver.
+            target.input_cTOBrcv(payload)
             target.executor.kick(target)
 
     def _fire_clients(self, key: int, region: RegionId, payload: Any) -> None:
@@ -369,5 +350,5 @@ class CGcast:
             return
         target = self.processes[dest]
         if not target.failed:
-            target.handle_input(_rcv(payload))
+            target.input_cTOBrcv(payload)
             target.executor.kick(target)

@@ -3,16 +3,22 @@
 Discrete transitions are methods; the analog clock ``now`` is provided
 by the executor the automaton is attached to.  Subclasses implement:
 
-* ``input_<name>(**payload)`` — effect of an input action,
+* ``input_<name>(...)`` — effect of an input action.  A channel that
+  knows its receiver calls it directly (C-gcast calls
+  ``input_cTOBrcv(message)``); :meth:`handle_input` dispatches an
+  :class:`Action` to it by name.
 * :meth:`enabled_outputs` — the locally controlled actions whose
   preconditions currently hold, in the order they should fire,
-* ``output_<name>(**payload)`` / ``internal_<name>(**payload)`` — the
-  effect of performing a locally controlled action.
+* ``output_<name>(...)`` / ``internal_<name>(...)`` — the effect of
+  performing a locally controlled action.
 
 The TIOA urgency convention ("trajectories stop when any precondition is
 satisfied") is realised by the executor: after every input delivery or
-timer wakeup it repeatedly performs enabled actions at the current time
-until none remain.
+timer wakeup it calls :meth:`step` — perform the first enabled locally
+controlled action — at the current time until it returns ``False``.
+The base :meth:`step` is ``perform(enabled_outputs()[0])``; an automaton
+on the hot path (the Tracker) overrides it to call the effect in place,
+with no :class:`Action` built.
 """
 
 from __future__ import annotations
@@ -39,17 +45,12 @@ class TimedAutomaton:
             and enables no locally controlled actions until restarted.
     """
 
-    __slots__ = ("name", "failed", "_executor", "_input_handlers", "_perform_handlers")
+    __slots__ = ("name", "failed", "_executor")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.failed = False
         self._executor = None
-        # Resolved handler caches: action name (inputs) or method name
-        # (locally controlled actions) → bound method.  getattr with an
-        # f-string key is hot; resolution happens once per name.
-        self._input_handlers: dict = {}
-        self._perform_handlers: dict = {}
 
     # ------------------------------------------------------------------
     # Executor binding
@@ -106,40 +107,40 @@ class TimedAutomaton:
             return
         if action.kind is not _INPUT:
             raise AutomatonError(f"{self.name!r}: {action!r} is not an input")
-        handler = self._input_handlers.get(action.name)
+        handler = getattr(self, f"input_{action.name}", None)
         if handler is None:
-            handler = getattr(self, f"input_{action.name}", None)
-            if handler is None:
-                raise AutomatonError(f"{self.name!r} has no handler for {action!r}")
-            self._input_handlers[action.name] = handler
+            raise AutomatonError(f"{self.name!r} has no handler for {action!r}")
         handler(**dict(action.payload))
 
     def enabled_outputs(self) -> List[Action]:
         """Locally controlled actions whose preconditions hold right now.
 
-        The executor performs the first returned action, re-queries, and
-        repeats; returning them in precedence order makes executions
-        deterministic.
+        :meth:`step` performs the first returned action; returning them
+        in precedence order makes executions deterministic.
         """
         return []
+
+    def step(self) -> bool:
+        """Perform the first enabled locally controlled action.
+
+        Returns ``False`` (and changes nothing) when none is enabled.
+        The executor calls it until then after every discrete step.
+        """
+        enabled = self.enabled_outputs()
+        if not enabled:
+            return False
+        self.perform(enabled[0])
+        return True
 
     def perform(self, action: Action) -> None:
         """Apply a locally controlled action's effect."""
         if self.failed:
             raise AutomatonError(f"{self.name!r} performed {action!r} while failed")
-        # Keyed by method name: a str hashes in C, where an (ActionKind,
-        # name) tuple key would hash the enum member in Python.
         method = ("output_" if action.kind is _OUTPUT else "internal_") + action.name
-        handler = self._perform_handlers.get(method)
+        handler = getattr(self, method, None)
         if handler is None:
-            handler = getattr(self, method, None)
-            if handler is None:
-                raise AutomatonError(f"{self.name!r} has no effect for {action!r}")
-            self._perform_handlers[method] = handler
-        if action.payload:
-            handler(**dict(action.payload))
-        else:
-            handler()
+            raise AutomatonError(f"{self.name!r} has no effect for {action!r}")
+        handler(**dict(action.payload))
 
     # ------------------------------------------------------------------
     # Timer wakeups

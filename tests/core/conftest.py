@@ -7,7 +7,7 @@ import pytest
 from repro.core import Tracker, grid_schedule
 from repro.hierarchy import grid_hierarchy
 from repro.sim import Simulator
-from repro.tioa import Action, Executor
+from repro.tioa import Executor
 
 DELTA = 1.0
 E = 0.5
@@ -57,8 +57,8 @@ class TrackerRig:
         return self._trackers[clust]
 
     def deliver(self, tracker, message):
-        """Deliver a cTOBrcv and drain urgent outputs (as C-gcast would)."""
-        tracker.handle_input(Action.input("cTOBrcv", message=message))
+        """Deliver a cTOBrcv and drain urgent outputs, as C-gcast does."""
+        tracker.input_cTOBrcv(message)
         self.executor.kick(tracker)
 
     def run(self, duration=None):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Find, Grow
-from repro.core.tracker import _FINDACKQ_HEAD, _SENDQ_HEAD, Tracker
+from repro.core.tracker import Tracker
 from repro.scenario import ScenarioConfig
 from repro.service import ARRIVALS, LoadGenerator, TrackingService
 from repro.sim.sharded.core import _tiling_for
@@ -140,29 +140,30 @@ def _service_config(seed):
     return ScenarioConfig(r=2, max_level=2, seed=seed, shards=2)
 
 
-def _enabled_outputs_fullscan(tracker):
-    """The pre-§9.5 ``Tracker.enabled_outputs``: scans *every* lane.
+def _next_action_fullscan(tracker):
+    """The pre-§9.5 precedence (``Tracker._next_action``): scans *every* lane.
 
     The oracle for the dirty-set equivalence property below: same
     precedence as the dirty-set drain, O(M) per call.
     """
     if tracker.sendq:
-        return [_SENDQ_HEAD]
+        return tracker.output_sendq_head, ()
     if tracker.findAckq:
-        return [_FINDACKQ_HEAD]
-    action = tracker._lane_enabled(tracker)
+        return tracker.output_findAckq_head, ()
+    now = tracker.now
+    action = tracker._lane_enabled(tracker, now)
     if action is not None:
-        return [action]
+        return action
     heap = tracker._deadline_heap
-    if heap and heap[0][0] <= tracker.now:
+    if heap and heap[0][0] <= now:
         tracker._service_heap()  # keep _timeout_pending fed for the wheel
     lanes = tracker._lanes
     if lanes:
         for object_id in sorted(lanes):
-            action = tracker._lane_enabled(lanes[object_id])
+            action = tracker._lane_enabled(lanes[object_id], now)
             if action is not None:
-                return [action]
-    return []
+                return action
+    return None
 
 
 class TestDirtySetEquivalence:
@@ -187,12 +188,21 @@ class TestDirtySetEquivalence:
             deadline=60.0,
         )
         fast = TrackingService(cfg, engine="plain").run(load, seed=seed)
-        original = Tracker.enabled_outputs
-        Tracker.enabled_outputs = _enabled_outputs_fullscan
+        calls = []
+
+        def fullscan(tracker):
+            calls.append(None)
+            return _next_action_fullscan(tracker)
+
+        # The precedence ``Tracker.step`` reads: swapping it is what makes
+        # the slow run a full-scan run (asserted by the call count).
+        original = Tracker._next_action
+        Tracker._next_action = fullscan
         try:
             slow = TrackingService(cfg, engine="plain").run(load, seed=seed)
         finally:
-            Tracker.enabled_outputs = original
+            Tracker._next_action = original
+        assert len(calls) > 0
         assert fast.exact_fingerprint == slow.exact_fingerprint
         assert fast.canonical_fingerprint == slow.canonical_fingerprint
         assert fast.metrics == slow.metrics
