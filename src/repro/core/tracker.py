@@ -16,13 +16,12 @@ in favour of the prose / ``lookAhead`` semantics — see DESIGN.md §3:
 
 TIOA urgency ("stops when any precondition is satisfied") is realised
 by the executor calling :meth:`Tracker.step` after every input and
-wakeup until it reports no enabled action.  C-gcast delivers a message
-by calling :meth:`Tracker.input_cTOBrcv` directly, and ``step``
-performs the first enabled action by calling its ``output_*`` /
-``internal_*`` effect in place: no :class:`~repro.tioa.actions.Action`
-is built on either path.  :meth:`Tracker._next_action` is the one copy
-of the Fig. 2 action precedence; :meth:`Tracker.enabled_outputs` reads
-it too, as an :class:`~repro.tioa.actions.Action`.
+wakeup until it reports no enabled action.  C-gcast delivers by calling
+:meth:`Tracker.input_cTOBrcv`, and ``step`` calls the first enabled
+``output_*`` / ``internal_*`` effect in place: no
+:class:`~repro.tioa.actions.Action` is built on either path.
+:meth:`Tracker._next_action` is the one copy of the Fig. 2 precedence;
+:meth:`Tracker.enabled_outputs` reads it as an ``Action``.
 
 Multi-object lanes (DESIGN.md §9)
 ---------------------------------
@@ -30,14 +29,17 @@ One Tracker hosts one *lane* of Fig. 2 state per tracked object.  Lane
 ``0`` — the single evader of the original paper — lives directly in the
 tracker's own attributes (``self.c``, ``self.timer``, ...), so the
 single-object execution is bit-identical to the pre-service code.
-Additional lanes are :class:`ObjectLane` records created on demand when
-the first message for that ``object_id`` arrives.  Per-lane grow/shrink
-and neighbor-timeout deadlines are *batched*: every extra lane's
-:class:`LaneDeadline` rides one shared wheel :class:`Timer`, armed at
-the minimum outstanding deadline, so a tracker schedules O(1) executor
-wakeups regardless of how many objects route through it.  ``sendq`` and
-``findAckq`` stay shared FIFOs (messages carry their ``object_id``), so
-lateral-link maintenance traffic is batched across lanes too.
+Additional lanes are :class:`ObjectLane` records that exist only while
+they hold state: a message for an absent ``object_id`` builds one, and
+the drain deletes it once it quiesces with every pointer ⊥, no find and
+no future deadline, so an absent lane reads as ⊥ (as a §IV-C snapshot
+reads an absent cluster).  Per-lane grow/shrink and neighbor-timeout
+deadlines are *batched*: every extra lane's :class:`LaneDeadline` rides
+one shared wheel :class:`Timer`, armed at the minimum outstanding
+deadline, so a tracker schedules O(1) executor wakeups regardless of
+how many objects route through it.  ``sendq`` and ``findAckq`` stay
+shared FIFOs (messages carry their ``object_id``), so lateral-link
+maintenance traffic is batched across lanes too.
 
 O(active) scheduling (DESIGN.md §9.5)
 -------------------------------------
@@ -45,18 +47,19 @@ Neither :meth:`Tracker._next_action` nor the wheel ever scans all
 lanes.  A *dirty set* holds the object ids that may have an enabled
 action — a lane enters it when a message arrives for it or one of its
 deadlines comes due, and leaves when :meth:`Tracker._lane_enabled`
-returns nothing for it; iteration is in sorted object-id order, so the
-action precedence (and with it every pinned fingerprint) is unchanged
-from the full scan.  Deadlines live in a lazy min-heap of
-``(deadline, object_id)`` entries pushed on every
-:meth:`LaneDeadline.arm`; stale entries (the lane re-armed or disarmed
-since the push) are dropped when popped.  Servicing the heap both
-re-dirties lanes whose deadline has arrived — *before* the first
-same-instant drain reads them, exactly when the full scan would have
-seen ``expired()`` — and yields the minimum future deadline the wheel
-re-arms at.  The invariant that makes the dirty set sound: a lane
-outside it has no enabled action, and pure time passage can only
-enable an action through a deadline, which is always in the heap.
+returns nothing for it (and from ``_lanes`` too, if it holds no state);
+iteration is in sorted object-id order, so the action precedence (and
+with it every pinned fingerprint) is unchanged from the full scan.
+Deadlines live in a lazy min-heap of ``(deadline, object_id)`` entries
+pushed on every :meth:`LaneDeadline.arm`; stale entries (the lane
+re-armed, disarmed or reclaimed since the push) are dropped when
+popped.  Servicing the heap both re-dirties lanes whose deadline has
+arrived — *before* the first same-instant drain reads them, exactly
+when the full scan would have seen ``expired()`` — and yields the
+minimum future deadline the wheel re-arms at.  The invariant that makes
+the dirty set sound: a lane outside it has no enabled action, and pure
+time passage can only enable an action through a deadline, which is
+always in the heap.
 """
 
 from __future__ import annotations
@@ -136,7 +139,11 @@ class LaneDeadline:
 
 
 class ObjectLane:
-    """Fig. 2 per-object state for one extra tracked object (§9)."""
+    """Fig. 2 per-object state for one extra tracked object (§9).
+
+    Built by the first receipt for its object and deleted by
+    :meth:`Tracker._next_action` when it quiesces holding no state.
+    """
 
     __slots__ = (
         "object_id",
@@ -253,8 +260,7 @@ class Tracker(TimedAutomaton):
         self.findAckq = []
         self.finding = False
         self.find_id = 0
-        if self._lanes:
-            self._lanes.clear()
+        self._lanes.clear()
         self._dirty = set()
         self._deadline_heap = []
         self._timeout_pending = set()
@@ -312,11 +318,9 @@ class Tracker(TimedAutomaton):
         """The lane for ``object_id`` (``self`` for lane 0), creating it."""
         if object_id == 0:
             return self
-        lanes = self._lanes
-        lane = lanes.get(object_id)
+        lane = self._lanes.get(object_id)
         if lane is None:
-            lane = ObjectLane(object_id, self)
-            lanes[object_id] = lane
+            lane = self._lanes[object_id] = ObjectLane(object_id, self)
         return lane
 
     def _service_heap(self) -> float:
@@ -422,10 +426,7 @@ class Tracker(TimedAutomaton):
         if object_id == 0:
             handler(message, self)
             return
-        lane = self._lanes.get(object_id)
-        if lane is None:
-            lane = self.lane(object_id)
-        handler(message, lane)
+        handler(message, self._lanes.get(object_id) or self.lane(object_id))
         # The receipt may have enabled a lane action; the following
         # drain scans dirty lanes only.
         self._dirty.add(object_id)
@@ -486,16 +487,8 @@ class Tracker(TimedAutomaton):
         elif lane.nbrptup is not BOTTOM:
             reply = lane.nbrptup
         if reply is not None:
-            self.findAckq.append(
-                (
-                    message.cid,
-                    FindAck(
-                        pointer=reply,
-                        find_id=message.find_id,
-                        object_id=message.object_id,
-                    ),
-                )
-            )
+            ack = FindAck(pointer=reply, find_id=message.find_id, object_id=message.object_id)
+            self.findAckq.append((message.cid, ack))
 
     def _recv_findack(self, message: FindAck, lane) -> None:
         if not (
@@ -519,16 +512,8 @@ class Tracker(TimedAutomaton):
             if lane.ackptr is None or str(message.pointer) < str(lane.ackptr):
                 lane.ackptr = message.pointer
             return
-        self.sendq.append(
-            (
-                message.pointer,
-                Find(
-                    cid=self.clust,
-                    find_id=message.find_id,
-                    object_id=message.object_id,
-                ),
-            )
-        )
+        find = Find(cid=self.clust, find_id=message.find_id, object_id=message.object_id)
+        self.sendq.append((message.pointer, find))
         lane.finding = False
 
     def _recv_found(self, message: Found, lane) -> None:
@@ -577,10 +562,18 @@ class Tracker(TimedAutomaton):
         if dirty:
             lanes = self._lanes
             for object_id in sorted(dirty):
-                action = self._lane_enabled(lanes[object_id], now)
+                lane = lanes[object_id]
+                action = self._lane_enabled(lane, now)
                 if action is not None:
                     return action
                 dirty.discard(object_id)  # quiesced until re-touched
+                # A quiesced lane holding no state is ⊥: reclaim it.  A
+                # future nbrtimeout keeps it (its heap entry arms a wheel
+                # wakeup); the drain after that wakeup reclaims it.
+                if (lane.c is lane.p is lane.nbrptup is lane.nbrptdown is BOTTOM
+                        and not lane.finding and lane.timer.deadline == INFINITY
+                        and not now < lane.nbrtimeout.deadline < INFINITY):
+                    del lanes[object_id]
         return None
 
     def step(self) -> bool:
@@ -689,12 +682,8 @@ class Tracker(TimedAutomaton):
         assert par is not None, "grow timer armed at MAX level"
         lane.p = par
         self._send(par, Grow(cid=self.clust, object_id=object_id))
-        update = (
-            GrowNbr(cid=self.clust, object_id=object_id)
-            if lateral
-            else GrowPar(cid=self.clust, object_id=object_id)
-        )
-        self._queue_to_nbrs(update)
+        update = GrowNbr if lateral else GrowPar
+        self._queue_to_nbrs(update(cid=self.clust, object_id=object_id))
         if _OBS.events_enabled:
             _OBS.emit(
                 GrowSent(
@@ -758,8 +747,7 @@ class Tracker(TimedAutomaton):
         """``(c, p, nbrptup, nbrptdown)`` snapshot for one lane."""
         if object_id == 0:
             return (self.c, self.p, self.nbrptup, self.nbrptdown)
-        lanes = self._lanes
-        lane = lanes.get(object_id) if lanes else None
+        lane = self._lanes.get(object_id)
         if lane is None:
             return (BOTTOM, BOTTOM, BOTTOM, BOTTOM)
         return (lane.c, lane.p, lane.nbrptup, lane.nbrptdown)

@@ -10,21 +10,28 @@ goldens exercise only incidentally:
   the deadline (stale heap entries are dropped lazily);
 * with every lane idle the wheel must be disarmed and the dirty set
   empty — no O(M) background churn;
+* a quiesced lane holding no state is deleted, except while a future
+  ``nbrtimeout`` still arms a wheel wakeup;
 * property: the dirty-set drain is observationally equivalent to the
-  pre-§9.5 full scan (exact trace CRC) on random service scenarios,
-  which also pins the PR-7 ``timeout_due`` arbitration outcomes.
+  pre-§9.5 full scan (exact trace CRC, event count) on dense
+  same-instant service scripts, which also pins the lanes'
+  ``timeout_due`` arbitration outcomes, and ends with fewer lanes built.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Find, Grow
+from repro.core import Find, FindQuery, Grow, GrowNbr, GrowPar, Shrink, ShrinkUpd
 from repro.core.tracker import Tracker
 from repro.scenario import ScenarioConfig
-from repro.service import ARRIVALS, LoadGenerator, TrackingService
+from repro.service import TrackingService
+from repro.sim.sharded.context import ShardContext
 from repro.sim.sharded.core import _tiling_for
 from repro.tioa.timers import INFINITY
+from repro.workload import EvaderEnter, EvaderStep, IssueFind, ScriptedWorkload
 
 
 class TestDeadlineRedirty:
@@ -136,6 +143,63 @@ class TestWheelQuiescence:
         assert t._deadline_heap == []
 
 
+class TestLaneReclaim:
+    """A lane exists only while it holds state (DESIGN.md §9.5)."""
+
+    def test_find_query_to_an_absent_lane_builds_nothing(self, rig):
+        t = rig.tracker((0, 0), 1)
+        nbr = t.nbr_clusters[0]
+        rig.deliver(t, FindQuery(cid=nbr, find_id=1, object_id=4))
+        assert t._lanes == {}
+        assert t._dirty == set()
+        assert rig.gcast.vsa_sends == []  # ⊥ pointers: nothing to ack
+
+    def test_grow_shrink_round_trip_leaves_no_lane(self, rig):
+        t = rig.tracker((0, 0), 1)
+        child = rig.hierarchy.cluster((0, 0), 0)
+        rig.deliver(t, Grow(cid=child, object_id=3))
+        rig.run()
+        assert t.pointer_state(3)[1] == t.parent_cluster  # on the path
+        rig.deliver(t, Shrink(cid=child, object_id=3))
+        rig.run()
+        assert [p.object_id for _s, _d, p in rig.gcast.of_kind("shrink")] == [3]
+        assert t._lanes == {}
+        assert t.pointer_state(3) == (None, None, None, None)
+
+    def test_a_lane_holding_only_nbrptup_is_kept(self, rig):
+        t = rig.tracker((0, 0), 1)
+        nbr = t.nbr_clusters[0]
+        rig.deliver(t, GrowPar(cid=nbr, object_id=6))
+        assert 6 in t._lanes
+        assert t.pointer_state(6) == (None, None, nbr, None)
+
+    @pytest.mark.parametrize("cleared", [True, False])
+    def test_a_future_nbrtimeout_keeps_the_lane_until_its_wakeup(self, rig, cleared):
+        # Lane 5 queries, then a GrowNbr gives it a pointer to forward
+        # the find along before the roundtrip ends.  Once ShrinkUpd
+        # clears that pointer the lane holds no state, but its
+        # nbrtimeout deadline still arms the wheel: the lane stays until
+        # that wakeup, whose drain reclaims it.  The twin run keeps the
+        # pointer, so its lane is never reclaimable; both fire the one
+        # wakeup.
+        t = rig.tracker((0, 0), 1)
+        nbr = t.nbr_clusters[0]
+        rig.deliver(t, Find(cid=t.clust, find_id=9, object_id=5))
+        deadline = t.lane(5).nbrtimeout.deadline
+        assert deadline > rig.sim.now
+        rig.deliver(t, GrowNbr(cid=nbr, object_id=5))
+        assert [(d, p.object_id) for _s, d, p in rig.gcast.of_kind("find")] == [
+            (nbr, 5)
+        ]
+        if cleared:
+            rig.deliver(t, ShrinkUpd(cid=nbr, object_id=5))
+        assert 5 in t._lanes
+        assert t._lane_wheel.deadline == deadline
+        assert rig.sim.run() == 1  # the wheel wakeup
+        assert rig.sim.now == deadline
+        assert (5 in t._lanes) is not cleared
+
+
 def _service_config(seed):
     return ScenarioConfig(r=2, max_level=2, seed=seed, shards=2)
 
@@ -166,28 +230,65 @@ def _next_action_fullscan(tracker):
     return None
 
 
+def _dense_script(tiling, seed, n_objects):
+    """A same-instant service load: every lane of a tracker comes due at once.
+
+    All objects enter at t=0 from two start regions and step at shared
+    instants, so the trackers above them hold every lane and their
+    grow and shrink timers expire together; the finds land on shared
+    instants too.  Co-enabled extra lanes are then the rule, and the
+    order in which one drain serves them shows in the exact trace CRC.
+    """
+    rng = random.Random(seed)
+    regions = tiling.regions()
+    starts = rng.sample(regions, 2)
+    current = [starts[k % 2] for k in range(n_objects)]
+    actions = [EvaderEnter(0.0, current[k], k) for k in range(n_objects)]
+    for step in (1, 2):
+        for k in range(n_objects):
+            current[k] = rng.choice(tiling.neighbors(current[k]))
+            actions.append(EvaderStep(40.0 * step, current[k], k))
+    for find_id in range(1, 9):
+        at = float(rng.randrange(10, 100, 10))
+        origin = rng.choice(regions)
+        actions.append(IssueFind(at, origin, find_id, rng.randrange(n_objects)))
+    return ScriptedWorkload.of(actions)
+
+
+def _run_counting_lanes(cfg, script):
+    """One plain run of ``script`` and the extra lanes built at its end."""
+    built = []
+    report = ShardContext.report
+
+    def counting(context):
+        trackers = context.system.trackers.built.values()
+        built.append(sum(len(t._lanes) for t in trackers))
+        return report(context)
+
+    ShardContext.report = counting
+    try:
+        record = TrackingService(cfg, engine="plain").run(script)
+    finally:
+        ShardContext.report = report
+    return record, built[0]
+
+
 class TestDirtySetEquivalence:
     @settings(max_examples=6, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
-        arrival=st.sampled_from(ARRIVALS),
+        n_objects=st.integers(min_value=16, max_value=20),
     )
-    def test_dirty_drain_matches_full_scan_bit_for_bit(self, seed, arrival):
+    def test_dirty_drain_matches_full_scan_bit_for_bit(self, seed, n_objects):
         # The oracle: the pre-§9.5 O(M) scan over every lane.  The
         # dirty-set drain must produce the identical execution — exact
-        # trace CRC, not just the canonical fingerprint — so the PR-7
-        # timeout_due arbitration goldens are pinned transitively.
+        # trace CRC, not just the canonical fingerprint — so the
+        # timeout_due arbitration goldens are pinned transitively.  The
+        # load is dense enough that a drain serving co-enabled lanes in
+        # any order but ascending object id changes the trace.
         cfg = _service_config(seed)
-        load = LoadGenerator(
-            tiling=_tiling_for(cfg),
-            n_objects=4,
-            n_finds=8,
-            find_clients=3,
-            arrival=arrival,
-            moves_per_object=2,
-            deadline=60.0,
-        )
-        fast = TrackingService(cfg, engine="plain").run(load, seed=seed)
+        script = _dense_script(_tiling_for(cfg), seed, n_objects)
+        fast, fast_lanes = _run_counting_lanes(cfg, script)
         calls = []
 
         def fullscan(tracker):
@@ -199,11 +300,16 @@ class TestDirtySetEquivalence:
         original = Tracker._next_action
         Tracker._next_action = fullscan
         try:
-            slow = TrackingService(cfg, engine="plain").run(load, seed=seed)
+            slow, slow_lanes = _run_counting_lanes(cfg, script)
         finally:
             Tracker._next_action = original
         assert len(calls) > 0
         assert fast.exact_fingerprint == slow.exact_fingerprint
         assert fast.canonical_fingerprint == slow.canonical_fingerprint
+        # The fingerprints fold sends; wheel wakeups show only here.
+        assert fast.events == slow.events
         assert fast.metrics == slow.metrics
         assert fast.finds == slow.finds
+        # The oracle never reclaims a quiesced ⊥ lane, the drain does —
+        # and the identical execution above says reclaiming is invisible.
+        assert fast_lanes < slow_lanes
