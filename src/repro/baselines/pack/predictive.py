@@ -76,9 +76,9 @@ class PredictiveTracker(Tracker):
                 # the grow fires at the next drain instead of after
                 # g(lvl).  Arming at == now is legal (and deterministic:
                 # the receipt and the drain share the event).
-                lane.timer.arm(self.now)
+                self._arm_deadline(lane, "timer", self.now)
             else:
-                lane.timer.arm(self.now + self.schedule.g(self.lvl))
+                self._arm_deadline(lane, "timer", self.now + self.schedule.g(self.lvl))
 
     def preconfig_unresolved(self) -> int:
         """Prewarms received but neither consumed nor overwritten yet."""

@@ -33,13 +33,14 @@ Additional lanes are :class:`ObjectLane` records that exist only while
 they hold state: a message for an absent ``object_id`` builds one, and
 the drain deletes it once it quiesces with every pointer ⊥, no find and
 no future deadline, so an absent lane reads as ⊥ (as a §IV-C snapshot
-reads an absent cluster).  Per-lane grow/shrink and neighbor-timeout
-deadlines are *batched*: every extra lane's :class:`LaneDeadline` rides
-one shared wheel :class:`Timer`, armed at the minimum outstanding
-deadline, so a tracker schedules O(1) executor wakeups regardless of
-how many objects route through it.  ``sendq`` and ``findAckq`` stay
-shared FIFOs (messages carry their ``object_id``), so lateral-link
-maintenance traffic is batched across lanes too.
+reads an absent cluster).  Each of a lane's two deadlines (grow/shrink
+and neighbor timeout) is a :class:`LaneDeadline` built on its first arm
+by :meth:`Tracker._arm_deadline` (:data:`NEVER_ARMED` until then), and
+they are *batched*: all ride one shared wheel :class:`Timer`, armed at
+the minimum outstanding deadline, so a tracker schedules O(1) executor
+wakeups regardless of how many objects route through it.
+``sendq`` and ``findAckq`` stay shared FIFOs (messages carry their
+``object_id``), so lateral-link maintenance traffic is batched too.
 
 O(active) scheduling (DESIGN.md §9.5)
 -------------------------------------
@@ -101,13 +102,13 @@ class LaneDeadline:
     """A per-lane deadline riding its tracker's shared wheel timer.
 
     Duck-typed to the :class:`~repro.tioa.timers.Timer` surface the
-    Fig. 2 logic reads (``deadline``/``armed``/``expired``/``arm``/
-    ``disarm``) but owns no executor event: arming pushes a
-    ``(deadline, object_id)`` entry onto the tracker's deadline heap
-    and re-evaluates the wheel, which is the single real timer for all
-    extra lanes.  Disarming leaves its heap entry behind as garbage;
-    the heap drops it lazily (the lane's live deadline no longer
-    matches the entry).
+    Fig. 2 logic reads (``deadline``/``armed``/``arm``/``disarm``) but
+    owns no executor event: arming pushes a ``(deadline, object_id)``
+    entry onto the tracker's deadline heap and re-evaluates the wheel,
+    which is the single real timer for all extra lanes.  Disarming
+    leaves its heap entry behind as garbage; the heap drops it lazily
+    (the lane's live deadline no longer matches the entry).  Built by
+    :meth:`Tracker._arm_deadline` on a lane's first arm.
     """
 
     __slots__ = ("_tracker", "_object_id", "deadline")
@@ -124,10 +125,7 @@ class LaneDeadline:
     def arm(self, deadline: float) -> None:
         tracker = self._tracker
         if deadline < tracker.now:
-            raise ValueError(
-                f"lane deadline {deadline} is in the past "
-                f"(now={tracker.now})"
-            )
+            raise ValueError(f"lane deadline {deadline} is in the past (now={tracker.now})")
         self.deadline = deadline
         heappush(tracker._deadline_heap, (deadline, self._object_id))
         tracker._rearm_wheel()
@@ -136,6 +134,10 @@ class LaneDeadline:
         if self.deadline != INFINITY:
             self.deadline = INFINITY
             self._tracker._rearm_wheel()
+
+
+#: An extra lane's ``timer``/``nbrtimeout`` before its first arm (disarmed; no tracker to arm).
+NEVER_ARMED = LaneDeadline(None, 0)
 
 
 class ObjectLane:
@@ -159,7 +161,7 @@ class ObjectLane:
         "timeout_due",
     )
 
-    def __init__(self, object_id: int, tracker: "Tracker") -> None:
+    def __init__(self, object_id: int) -> None:
         self.object_id = object_id
         self.c: Optional[ClusterId] = BOTTOM
         self.p: Optional[ClusterId] = BOTTOM
@@ -167,8 +169,7 @@ class ObjectLane:
         self.nbrptdown: Optional[ClusterId] = BOTTOM
         self.finding = False
         self.find_id = 0
-        self.timer = LaneDeadline(tracker, object_id)
-        self.nbrtimeout = LaneDeadline(tracker, object_id)
+        self.timer = self.nbrtimeout = NEVER_ARMED
         # Deterministic ack arbitration (extra lanes only): qualifying
         # FindAck pointers are *recorded* here — canonical minimum, not
         # first-arrival — and acted on once, at the wheel wakeup after
@@ -255,8 +256,6 @@ class Tracker(TimedAutomaton):
         self.nbrptup = BOTTOM
         self.nbrptdown = BOTTOM
         self.sendq = []
-        self.timer.disarm()
-        self.nbrtimeout.disarm()
         self.findAckq = []
         self.finding = False
         self.find_id = 0
@@ -264,9 +263,7 @@ class Tracker(TimedAutomaton):
         self._dirty = set()
         self._deadline_heap = []
         self._timeout_pending = set()
-        wheel = self._lane_wheel
-        if wheel is not None:
-            wheel.disarm()
+        Tracker.on_failed(self)  # disarm lane 0's timers and the wheel
 
     def on_failed(self) -> None:
         self.timer.disarm()
@@ -320,8 +317,19 @@ class Tracker(TimedAutomaton):
             return self
         lane = self._lanes.get(object_id)
         if lane is None:
-            lane = self._lanes[object_id] = ObjectLane(object_id, self)
+            lane = self._lanes[object_id] = ObjectLane(object_id)
         return lane
+
+    def _arm_deadline(self, lane, name: str, deadline: float) -> None:
+        """Arm ``lane``'s ``"timer"`` or ``"nbrtimeout"`` (the one arming path).
+
+        An extra lane's :class:`LaneDeadline` is built here, on its first arm.
+        """
+        timer = getattr(lane, name)
+        if timer is NEVER_ARMED:
+            timer = LaneDeadline(self, lane.object_id)
+            setattr(lane, name, timer)
+        timer.arm(deadline)
 
     def _service_heap(self) -> float:
         """Pop due/stale deadline-heap entries; return the next live one.
@@ -443,7 +451,7 @@ class Tracker(TimedAutomaton):
         was_bottom = lane.c is BOTTOM
         lane.c = message.cid
         if was_bottom and lane.p is BOTTOM and self.lvl != self.max_level:
-            lane.timer.arm(self.now + self.schedule.g(self.lvl))
+            self._arm_deadline(lane, "timer", self.now + self.schedule.g(self.lvl))
 
     def _recv_growpar(self, message: GrowPar, lane) -> None:
         lane.nbrptup = message.cid
@@ -461,7 +469,7 @@ class Tracker(TimedAutomaton):
         if lane.c == message.cid:
             lane.c = BOTTOM
             if self.lvl != self.max_level and lane.p is not BOTTOM:
-                lane.timer.arm(self.now + self.schedule.s(self.lvl))
+                self._arm_deadline(lane, "timer", self.now + self.schedule.s(self.lvl))
 
     def _recv_shrinkupd(self, message: ShrinkUpd, lane) -> None:
         if lane.nbrptup == message.cid:
@@ -729,7 +737,7 @@ class Tracker(TimedAutomaton):
 
     def internal_findquery(self, object_id: int = 0) -> None:
         lane = self.lane(object_id)
-        lane.nbrtimeout.arm(self.now + self._query_roundtrip())
+        self._arm_deadline(lane, "nbrtimeout", self.now + self._query_roundtrip())
         query = FindQuery(cid=self.clust, find_id=lane.find_id, object_id=object_id)
         self._queue_to_nbrs(query, exclude=lane.p)
         if _OBS.events_enabled:

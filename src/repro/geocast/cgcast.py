@@ -134,6 +134,9 @@ class CGcast:
         # hierarchy never changes and a cluster's process, once built,
         # stays, so the §II-C.3 rule outcome is a pure function of the pair.
         self._routes: Dict[tuple, Tuple[float, float, TimedAutomaton]] = {}
+        # Bound once, for the ``partial`` every copy in transit holds.
+        self._fire = self._fire
+        self._fire_clients = self._fire_clients
 
     # ------------------------------------------------------------------
     # Registration

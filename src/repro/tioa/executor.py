@@ -18,6 +18,7 @@ The executor realises TIOA semantics operationally:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional
 
 from ..sim.engine import Simulator
@@ -34,6 +35,9 @@ class Executor:
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self._automata: Dict[str, TimedAutomaton] = {}
+        # Bound once, for the ``partial`` every scheduled event holds.
+        self._input = self._input
+        self._wakeup = self._wakeup
 
     # ------------------------------------------------------------------
     # Registration
@@ -56,13 +60,7 @@ class Executor:
         priority: int = 0,
     ) -> Event:
         """Schedule an input action at ``now + delay``."""
-
-        def fire() -> None:
-            if target.failed:
-                return
-            target.handle_input(action)
-            self._drain(target)
-
+        fire = partial(self._input, target, action)
         return self.sim.call_after(delay, fire, priority=priority, tag=f"in:{target.name}")
 
     def wake_at(
@@ -73,14 +71,18 @@ class Executor:
         priority: int = 0,
     ) -> Event:
         """Schedule ``target.on_wakeup(tag)`` at absolute ``time``."""
+        fire = partial(self._wakeup, target, tag)
+        return self.sim.call_at(time, fire, priority=priority, tag=f"wake:{target.name}")
 
-        def fire() -> None:
-            if target.failed:
-                return
-            target.on_wakeup(tag)
+    def _input(self, target: TimedAutomaton, action: Action) -> None:
+        if not target.failed:
+            target.handle_input(action)
             self._drain(target)
 
-        return self.sim.call_at(time, fire, priority=priority, tag=f"wake:{target.name}")
+    def _wakeup(self, target: TimedAutomaton, tag: Optional[str]) -> None:
+        if not target.failed:
+            target.on_wakeup(tag)
+            self._drain(target)
 
     def kick(self, target: TimedAutomaton) -> None:
         """Drain: fire ``target``'s enabled actions until quiescent."""

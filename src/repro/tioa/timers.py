@@ -45,13 +45,11 @@ class Timer:
         return self.deadline != INFINITY
 
     def arm(self, deadline: float) -> None:
-        """Set the deadline, replacing any previous one."""
+        """Set the deadline, replacing any previous one (a past one changes nothing)."""
+        now = self._owner.now
+        if deadline < now:
+            raise ValueError(f"timer {self._tag!r} deadline {deadline} is in the past (now={now})")
         self.disarm()
-        if deadline < self._owner.now:
-            raise ValueError(
-                f"timer {self._tag!r} deadline {deadline} is in the past "
-                f"(now={self._owner.now})"
-            )
         self.deadline = deadline
         self._event = self._owner.executor.wake_at(
             self._owner, deadline, tag=self._tag, priority=self._priority

@@ -46,10 +46,10 @@ class TrackerRig:
         self.schedule = grid_schedule(self.hierarchy.params, DELTA, E, r, g0=0.5)
         self._trackers = {}
 
-    def tracker(self, region, level) -> Tracker:
+    def tracker(self, region, level, cls=Tracker) -> Tracker:
         clust = self.hierarchy.cluster(region, level)
         if clust not in self._trackers:
-            tracker = Tracker(
+            tracker = cls(
                 self.hierarchy, clust, self.gcast, self.schedule, DELTA, E
             )
             self.executor.register(tracker)

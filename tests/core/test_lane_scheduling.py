@@ -12,6 +12,8 @@ goldens exercise only incidentally:
   empty — no O(M) background churn;
 * a quiesced lane holding no state is deleted, except while a future
   ``nbrtimeout`` still arms a wheel wakeup;
+* a lane's deadlines exist from their first arm, which every lane and
+  baseline tracker makes through ``Tracker._arm_deadline``;
 * property: the dirty-set drain is observationally equivalent to the
   pre-§9.5 full scan (exact trace CRC, event count) on dense
   same-instant service scripts, which also pins the lanes'
@@ -24,8 +26,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.no_lateral import NoLateralTracker
+from repro.baselines.pack.predictive import PredictiveTracker
 from repro.core import Find, FindQuery, Grow, GrowNbr, GrowPar, Shrink, ShrinkUpd
-from repro.core.tracker import Tracker
+from repro.core.messages import Prewarm
+from repro.core.tracker import NEVER_ARMED, Tracker
 from repro.scenario import ScenarioConfig
 from repro.service import TrackingService
 from repro.sim.sharded.context import ShardContext
@@ -91,7 +96,7 @@ class TestDeadlineRedirty:
         # fire the grow twice.
         lane.timer.disarm()
         assert not lane.timer.armed
-        lane.timer.arm(deadline)
+        t._arm_deadline(lane, "timer", deadline)
         rig.run()
         grows = rig.gcast.of_kind("grow")
         assert [p.object_id for _s, _d, p in grows] == [4]
@@ -103,7 +108,7 @@ class TestDeadlineRedirty:
         rig.deliver(t, Grow(cid=child, object_id=4))
         lane = t.lane(4)
         earlier = lane.timer.deadline / 2
-        lane.timer.arm(earlier)
+        t._arm_deadline(lane, "timer", earlier)
         assert t._lane_wheel.deadline == earlier
         rig.run()
         assert rig.sim.now == earlier
@@ -198,6 +203,98 @@ class TestLaneReclaim:
         assert rig.sim.run() == 1  # the wheel wakeup
         assert rig.sim.now == deadline
         assert (5 in t._lanes) is not cleared
+
+
+class TestDeadlinesOnFirstArm:
+    """An extra lane's deadlines exist from their first arm (DESIGN.md §9)."""
+
+    def test_a_lane_that_never_armed_holds_no_deadline(self, rig):
+        t = rig.tracker((0, 0), 1)
+        nbr, other = t.nbr_clusters[:2]
+        rig.deliver(t, GrowPar(cid=nbr, object_id=6))
+        rig.deliver(t, GrowNbr(cid=other, object_id=6))
+        rig.deliver(t, FindQuery(cid=nbr, find_id=1, object_id=6))
+        rig.deliver(t, ShrinkUpd(cid=other, object_id=6))
+        lane = t._lanes[6]
+        assert lane.timer is NEVER_ARMED and lane.nbrtimeout is NEVER_ARMED
+        assert lane.timer.deadline == lane.nbrtimeout.deadline == INFINITY
+        assert not lane.timer.armed and not lane.nbrtimeout.armed
+        assert [p.object_id for _s, _d, p in rig.gcast.of_kind("findack")] == [6]
+        assert t._lane_wheel is None and t._deadline_heap == []
+
+    def test_first_arm_builds_the_deadline_and_rearms_reuse_it(self, rig):
+        t = rig.tracker((0, 0), 1)
+        nbr = t.nbr_clusters[0]
+        rig.deliver(t, GrowPar(cid=nbr, object_id=2))
+        lane = t._lanes[2]
+        lane.timer.disarm()  # a never-armed deadline disarms as a no-op
+        assert lane.timer is NEVER_ARMED
+        with pytest.raises(AttributeError):  # it has no tracker to arm on
+            lane.timer.arm(4.0)
+        assert NEVER_ARMED.deadline == INFINITY
+        t._arm_deadline(lane, "timer", 4.0)
+        timer = lane.timer
+        assert timer is not NEVER_ARMED and timer._tracker is t
+        assert lane.nbrtimeout is NEVER_ARMED  # the other one is untouched
+        assert t._lane_wheel.deadline == 4.0
+        t._arm_deadline(lane, "timer", 3.0)
+        assert lane.timer is timer and t._lane_wheel.deadline == 3.0
+        lane.timer.disarm()
+        assert lane.timer is timer and not timer.armed
+        assert not t._lane_wheel.armed
+        t._arm_deadline(lane, "timer", 5.0)
+        # One wheel wakeup, at the live deadline only: the stranded 3.0
+        # and 4.0 heap entries fire nothing.
+        assert rig.sim.run() == 1
+        assert rig.sim.now == 5.0
+        assert lane.timer is timer and not timer.armed  # lazily disarmed
+
+    def test_lane_zero_arms_its_executor_timer(self, rig):
+        t = rig.tracker((0, 0), 1)
+        timer = t.timer
+        t._arm_deadline(t, "timer", 2.0)
+        assert t.timer is timer and timer.deadline == 2.0
+        assert t._lane_wheel is None
+
+    def test_predictive_fresh_prewarm_arms_at_now(self, rig):
+        t = rig.tracker((0, 0), 1, cls=PredictiveTracker)
+        child = rig.hierarchy.cluster((0, 0), 0)
+        rig.deliver(t, Prewarm(cid=child, expiry=60.0, object_id=3))
+        rig.deliver(t, Grow(cid=child, object_id=3))
+        # Armed at now: the grow fires in the receipt's own drain.
+        assert t.preconfig_correct == 1
+        grows = rig.gcast.of_kind("grow")
+        assert [(d, p.object_id) for _s, d, p in grows] == [(t.parent_cluster, 3)]
+        lane = t._lanes[3]
+        assert lane.timer is not NEVER_ARMED and not lane.timer.armed
+        assert rig.sim.now == 0.0
+
+    def test_predictive_plain_grow_arms_after_g(self, rig):
+        t = rig.tracker((0, 0), 1, cls=PredictiveTracker)
+        child = rig.hierarchy.cluster((0, 0), 0)
+        rig.deliver(t, Grow(cid=child, object_id=3))
+        lane = t._lanes[3]
+        assert lane.timer is not NEVER_ARMED
+        deadline = rig.sim.now + rig.schedule.g(1)
+        assert lane.timer.deadline == t._lane_wheel.deadline == deadline
+        assert rig.gcast.of_kind("grow") == []
+        rig.run()
+        assert rig.sim.now == deadline
+        assert [p.object_id for _s, _d, p in rig.gcast.of_kind("grow")] == [3]
+
+    def test_no_lateral_grow_send_disarms(self, rig):
+        t = rig.tracker((0, 0), 1, cls=NoLateralTracker)
+        child = rig.hierarchy.cluster((0, 0), 0)
+        rig.deliver(t, GrowPar(cid=t.nbr_clusters[0], object_id=4))
+        rig.deliver(t, Grow(cid=child, object_id=4))
+        lane = t._lanes[4]
+        assert lane.timer.armed
+        rig.run()
+        # The grow goes to the parent despite nbrptup, and disarms.
+        grows = rig.gcast.of_kind("grow")
+        assert [(d, p.object_id) for _s, d, p in grows] == [(t.parent_cluster, 4)]
+        assert not lane.timer.armed and not t._lane_wheel.armed
+        assert lane.p == t.parent_cluster
 
 
 def _service_config(seed):

@@ -208,10 +208,15 @@ class TestTimer:
     def test_past_deadline_rejected(self, rig):
         sim, ex = rig
         alarm = ex.register(Alarm())
-        sim.call_at(2.0, lambda: None)
-        sim.run()
+        alarm.timer.arm(5.0)
+        sim.run_until(2.0)
         with pytest.raises(ValueError):
             alarm.timer.arm(1.0)
+        # The refused arm changed nothing: the prior deadline still fires.
+        assert alarm.timer.armed
+        assert alarm.timer.deadline == 5.0
+        sim.run()
+        assert alarm.beeps == [5.0]
 
     def test_failed_automaton_skips_wakeup(self, rig):
         sim, ex = rig
