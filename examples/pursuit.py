@@ -48,7 +48,7 @@ def main() -> None:
         # Wait for the answer while the world keeps running.
         while not system.finds.records[find_id].completed:
             if system.sim.run_until(system.sim.now + 5.0) == 0 and (
-                system.sim.pending_events == 0
+                system.sim.next_event_time() is None
             ):
                 break
         record = system.finds.records[find_id]

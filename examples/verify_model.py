@@ -50,7 +50,7 @@ def main() -> None:
     want = atomic_move_seq(hierarchy, moves).pointer_map()
     with obs.observed() as collector:
         evader.step()
-        while system.sim.pending_events > 0:
+        while system.sim.next_event_time() is not None:
             system.sim.run(max_events=1)
             snapshot = capture_snapshot(system)
             assert look_ahead(snapshot, hierarchy).pointer_map() == want

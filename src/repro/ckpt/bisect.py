@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..scenario import Scenario, ScenarioConfig, build
+from ..sim.event_queue import TAG
 from ..sim.sharded.context import canonical_send_line
 from ..workload import ScriptedWorkload, schedule_workload
 
@@ -94,12 +95,12 @@ class _Side:
         as it returns.
         """
         sim = self.scenario.sim
-        event = sim._queue.peek()
+        entry = sim._queue.peek()
         self.sends.clear()
         with self.env:
             if not sim.step(until=until):
                 return False
-        self.tag = event.tag
+        self.tag = entry[TAG]
         send_crc = self.scenario.send_fold.crc
         self.crc = zlib.crc32(f"{sim.now!r}|{send_crc}".encode(), self.crc)
         return True

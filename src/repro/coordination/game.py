@@ -145,7 +145,7 @@ class PursuitGame:
         deadline = sim.now + 500.0
         record = self.system.finds.records[find_id]
         while not record.completed and sim.now < deadline:
-            if sim.run_until(sim.now + 10.0) == 0 and sim.pending_events == 0:
+            if sim.run_until(sim.now + 10.0) == 0 and sim.next_event_time() is None:
                 break
         return record.found_region if record.completed else None
 

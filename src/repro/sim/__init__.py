@@ -1,11 +1,10 @@
 """Discrete-event simulation substrate (engine, queue, RNG)."""
 
 from .engine import SimulationError, Simulator
-from .event_queue import Event, EventQueue
+from .event_queue import EventQueue
 from .rng import RngRegistry
 
 __all__ = [
-    "Event",
     "EventQueue",
     "RngRegistry",
     "SimulationError",

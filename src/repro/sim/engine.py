@@ -19,7 +19,7 @@ import gc
 from contextlib import contextmanager
 from typing import Any, Callable, List, Optional
 
-from .event_queue import Event, EventQueue
+from .event_queue import FN, TIME, EventQueue
 
 #: Process-wide count of events fired by every Simulator instance.  The
 #: parallel sweep runner samples this around a job to compute events/sec
@@ -85,8 +85,8 @@ class Simulator:
         fn: Callable[[], Any],
         priority: int = 0,
         tag: Optional[str] = None,
-    ) -> Event:
-        """Schedule ``fn`` at absolute time ``time``.
+    ) -> list:
+        """Schedule ``fn`` at absolute time ``time``; returns the cancellable entry.
 
         Raises:
             SimulationError: if ``time`` lies in the past.
@@ -103,22 +103,18 @@ class Simulator:
         fn: Callable[[], Any],
         priority: int = 0,
         tag: Optional[str] = None,
-    ) -> Event:
+    ) -> list:
         """Schedule ``fn`` after a non-negative ``delay`` from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay} (tag={tag!r})")
         return self._queue.push(self.now + delay, fn, priority=priority, tag=tag)
 
-    def cancel(self, event: Event) -> None:
-        self._queue.cancel(event)
+    def cancel(self, entry: list) -> None:
+        self._queue.cancel(entry)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)
-
     @property
     def events_fired(self) -> int:
         return self._events_fired
@@ -245,17 +241,18 @@ class Simulator:
                 while True:
                     if max_events is not None and fired >= max_events:
                         break
-                    event = pop_next_before(until, strict)
-                    if event is None:
+                    entry = pop_next_before(until, strict)
+                    if entry is None:
                         break
-                    if event.time < self.now:  # pragma: no cover - defensive
+                    time = entry[TIME]
+                    if time < self.now:  # pragma: no cover - defensive
                         raise SimulationError(
                             "event queue produced an event in the past"
                         )
-                    self.now = event.time
+                    self.now = time
                     self._events_fired += 1
                     fired += 1
-                    event.fn()
+                    entry[FN]()
                     if hooks is not None:
                         for hook in hooks:
                             hook()

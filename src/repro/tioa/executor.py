@@ -22,7 +22,6 @@ from functools import partial
 from typing import Dict, Optional
 
 from ..sim.engine import Simulator
-from ..sim.event_queue import Event
 from .actions import Action
 from .automaton import AutomatonError, TimedAutomaton
 
@@ -58,7 +57,7 @@ class Executor:
         action: Action,
         delay: float = 0.0,
         priority: int = 0,
-    ) -> Event:
+    ) -> list:
         """Schedule an input action at ``now + delay``."""
         fire = partial(self._input, target, action)
         return self.sim.call_after(delay, fire, priority=priority, tag=f"in:{target.name}")
@@ -69,7 +68,7 @@ class Executor:
         time: float,
         tag: Optional[str] = None,
         priority: int = 0,
-    ) -> Event:
+    ) -> list:
         """Schedule ``target.on_wakeup(tag)`` at absolute ``time``."""
         fire = partial(self._wakeup, target, tag)
         return self.sim.call_at(time, fire, priority=priority, tag=f"wake:{target.name}")

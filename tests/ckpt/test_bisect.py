@@ -15,6 +15,7 @@ import pytest
 from repro.ckpt import bisect_divergence, read_run
 from repro.cli import main
 from repro.scenario import build
+from repro.sim.event_queue import TAG
 from repro.sim.sharded.context import canonical_send_line
 from repro.workload import schedule_workload
 
@@ -48,7 +49,7 @@ def _event_sends(run):
     scenario.system.cgcast.observe(sends.extend)
     events = []
     while (event := sim._queue.peek()) is not None and sim.step():
-        events.append((sim.now, [canonical_send_line(r) for r in sends], event.tag))
+        events.append((sim.now, [canonical_send_line(r) for r in sends], event[TAG]))
         sends.clear()
     return events
 

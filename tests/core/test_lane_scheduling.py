@@ -123,6 +123,27 @@ class TestDeadlineRedirty:
         grows = rig.gcast.of_kind("grow")
         assert [p.object_id for _s, _d, p in grows] == [2, 5, 9]
 
+    def test_unchanged_rearm_moves_the_wheel_behind_same_instant_wheels(self, rig):
+        # Two trackers' priority-1 wheels come due at one instant.  A
+        # re-arm of a's wheel at its unchanged deadline in between gives
+        # it a fresh queue entry, so b's wakeup fires first.  Keeping a's
+        # entry instead would reorder the same-instant sends, which moves
+        # the dispatch-order fingerprint of large service runs.
+        a = rig.tracker((0, 0), 1)
+        b = rig.tracker((3, 3), 1)
+        rig.deliver(a, Grow(cid=rig.hierarchy.cluster((0, 0), 0), object_id=1))
+        rig.deliver(b, Grow(cid=rig.hierarchy.cluster((3, 3), 0), object_id=1))
+        deadline = a._lane_wheel.deadline
+        assert b._lane_wheel.deadline == deadline
+        rig.deliver(a, Grow(cid=rig.hierarchy.cluster((0, 0), 0), object_id=2))
+        assert a._lane_wheel.deadline == deadline
+        rig.run()
+        grows = rig.gcast.of_kind("grow")
+        assert [(s, p.object_id) for s, _d, p in grows] == [
+            (b.clust, 1), (a.clust, 1), (a.clust, 2)
+        ]
+        assert rig.sim.now == deadline
+
 
 class TestWheelQuiescence:
     def test_idle_lanes_leave_wheel_disarmed_and_dirty_empty(self, rig):

@@ -112,7 +112,7 @@ class TestMidFlightEquality:
         evader.step()
         want = atomic_move_seq(h, seq).pointer_map()
         steps = 0
-        while system.sim.pending_events > 0:
+        while system.sim.next_event_time() is not None:
             system.sim.run(max_events=1)
             steps += 1
             snap = capture_snapshot(system)

@@ -119,3 +119,15 @@ def test_shrink_timer_uses_level_schedule(rig):
     rig.run()
     rig.deliver(t0, Shrink(cid=t0.clust))
     assert t0.timer.deadline == rig.sim.now + rig.schedule.s(0)
+
+
+def test_shrink_off_path_keeps_the_pending_grow_deadline(rig):
+    """DESIGN §3.2: with p = ⊥ a shrink leaves the grow timer as it was."""
+    t = rig.tracker((0, 0), 1)
+    child = rig.hierarchy.children(t.clust)[0]
+    rig.deliver(t, Grow(cid=child))
+    grow_deadline = rig.sim.now + rig.schedule.g(1)
+    assert t.timer.deadline == grow_deadline
+    rig.deliver(t, Shrink(cid=child))
+    assert t.c is None
+    assert t.timer.deadline == grow_deadline  # not re-armed at s(1)

@@ -51,7 +51,7 @@ def test_run_until_stops_at_bound_and_advances_clock():
     assert fired == 2
     assert seen == [1.0, 2.0]
     assert sim.now == 5.0
-    assert sim.pending_events == 1
+    assert len(sim._queue) == 1
 
 
 def test_run_until_capped_by_max_events_keeps_pending_events_ahead():
@@ -116,7 +116,7 @@ def test_stop_from_within_event():
     sim.call_at(2.0, lambda: seen.append(2))
     sim.run()
     assert seen == [1]
-    assert sim.pending_events == 1
+    assert len(sim._queue) == 1
 
 
 def test_max_events_limit():
@@ -125,7 +125,7 @@ def test_max_events_limit():
         sim.call_at(float(t), lambda: None)
     fired = sim.run(max_events=3)
     assert fired == 3
-    assert sim.pending_events == 7
+    assert len(sim._queue) == 7
 
 
 def test_events_fired_counter():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.event_queue import EventQueue
+from repro.sim.event_queue import FN, PRIORITY, SEQ, TAG, TIME, EventQueue
 
 
 def test_empty_queue():
@@ -10,6 +10,7 @@ def test_empty_queue():
     assert len(q) == 0
     assert not q
     assert q.peek_time() is None
+    assert q.peek() is None
     with pytest.raises(IndexError):
         q.pop()
 
@@ -21,14 +22,15 @@ def test_orders_by_time():
     q.push(1.0, lambda: fired.append("a"))
     q.push(2.0, lambda: fired.append("b"))
     while q:
-        q.pop().fn()
+        q.pop()[FN]()
     assert fired == ["a", "b", "c"]
 
 
 def test_fifo_within_same_time():
     q = EventQueue()
-    events = [q.push(5.0, lambda i=i: i, tag=str(i)) for i in range(10)]
-    popped = [q.pop().tag for _ in range(10)]
+    for i in range(10):
+        q.push(5.0, lambda i=i: i, tag=str(i))
+    popped = [q.pop()[TAG] for _ in range(10)]
     assert popped == [str(i) for i in range(10)]
 
 
@@ -36,8 +38,20 @@ def test_priority_breaks_time_ties():
     q = EventQueue()
     q.push(1.0, lambda: None, priority=5, tag="low")
     q.push(1.0, lambda: None, priority=1, tag="high")
-    assert q.pop().tag == "high"
-    assert q.pop().tag == "low"
+    assert q.pop()[TAG] == "high"
+    assert q.pop()[TAG] == "low"
+
+
+def test_pushed_handle_is_the_heap_entry():
+    q = EventQueue()
+    fn = lambda: None  # noqa: E731
+    entry = q.push(2.5, fn, priority=3, tag="t")
+    assert entry == [2.5, 3, 0, fn, "t"]
+    assert (entry[TIME], entry[PRIORITY], entry[SEQ], entry[FN], entry[TAG]) == (
+        2.5, 3, 0, fn, "t"
+    )
+    assert q.peek() is entry
+    assert q.pop() is entry
 
 
 def test_cancel_skips_event():
@@ -46,7 +60,7 @@ def test_cancel_skips_event():
     q.push(2.0, lambda: None, tag="live")
     q.cancel(ev)
     assert len(q) == 1
-    assert q.pop().tag == "live"
+    assert q.pop()[TAG] == "live"
 
 
 def test_cancel_is_idempotent():
@@ -56,6 +70,20 @@ def test_cancel_is_idempotent():
     q.cancel(ev)
     assert len(q) == 0
     assert q.peek_time() is None
+
+
+def test_cancel_after_fire_changes_nothing():
+    # A timer may disarm itself from inside its own wakeup: the entry it
+    # holds has already left the heap.
+    q = EventQueue()
+    fired = q.push(1.0, lambda: None, tag="fired")
+    q.push(2.0, lambda: None, tag="next")
+    assert q.pop() is fired
+    q.cancel(fired)
+    q.cancel(fired)
+    assert len(q) == 1
+    assert q.peek_time() == 2.0
+    assert q.pop()[TAG] == "next"
 
 
 def test_peek_time_skips_cancelled_head():
@@ -84,7 +112,7 @@ def test_interleaved_push_pop():
     q = EventQueue()
     q.push(10.0, lambda: None, tag="late")
     q.push(1.0, lambda: None, tag="early")
-    assert q.pop().tag == "early"
+    assert q.pop()[TAG] == "early"
     q.push(5.0, lambda: None, tag="mid")
-    assert q.pop().tag == "mid"
-    assert q.pop().tag == "late"
+    assert q.pop()[TAG] == "mid"
+    assert q.pop()[TAG] == "late"

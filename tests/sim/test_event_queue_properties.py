@@ -1,9 +1,12 @@
-"""Property-based tests for the tuple-keyed event queue.
+"""Property-based tests for the event queue and its entry handles.
 
 Random interleavings of push / cancel / pop / pop_next_before are run
-against a naive reference model (a sorted list with eager deletion).
-The queue must drain in nondecreasing ``(time, priority, seq)`` order,
-never resurrect a cancelled event, and agree with the model exactly.
+against a naive reference model (a dict of live keys with eager
+deletion).  The queue must drain in nondecreasing ``(time, priority,
+seq)`` order, never resurrect a cancelled event, and agree with the
+model exactly — also when an entry is cancelled twice or after it
+fired, which changes neither ``len`` nor the next pop.  Every pop
+returns the very list ``push`` handed out.
 """
 
 import pytest
@@ -12,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.sim.event_queue import EventQueue  # noqa: E402
+from repro.sim.event_queue import PRIORITY, SEQ, TIME, EventQueue  # noqa: E402
 
 times = st.floats(
     min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -21,7 +24,8 @@ priorities = st.integers(min_value=-3, max_value=3)
 
 # An op is one of:
 #   ("push", time, priority)
-#   ("cancel", k)       — cancel the k-th pushed event (mod pushes so far)
+#   ("cancel", k)       — cancel the k-th pushed entry (mod pushes so far),
+#                         which may be live, cancelled or already fired
 #   ("pop",)            — pop the earliest live event, if any
 #   ("pop_before", t)   — bounded pop
 ops_strategy = st.lists(
@@ -35,10 +39,14 @@ ops_strategy = st.lists(
 )
 
 
+def key(entry):
+    return (entry[TIME], entry[PRIORITY], entry[SEQ])
+
+
 def apply_ops(ops):
-    """Drive queue and reference model together; return popped seqs."""
+    """Drive queue and reference model together; return popped entries."""
     queue = EventQueue()
-    handles = []  # every pushed Event, in push order
+    handles = []  # every pushed entry, in push order (seq == index)
     model = {}  # seq -> (time, priority, seq) for live, unpopped events
     popped = []
 
@@ -46,25 +54,25 @@ def apply_ops(ops):
         live = sorted(model.values())
         if not live:
             return None
-        key = live[0]
-        if until is not None and key[0] > until:
+        head = live[0]
+        if until is not None and head[0] > until:
             return None
-        del model[key[2]]
-        return key[2]
+        del model[head[2]]
+        return head[2]
 
     for op in ops:
         if op[0] == "push":
             _, time, priority = op
-            event = queue.push(time, fn=lambda: None, priority=priority)
-            handles.append(event)
-            model[event.seq] = (time, priority, event.seq)
+            entry = queue.push(time, fn=lambda: None, priority=priority)
+            assert entry[SEQ] == len(handles)
+            handles.append(entry)
+            model[entry[SEQ]] = (time, priority, entry[SEQ])
         elif op[0] == "cancel":
             if not handles:
                 continue
-            event = handles[op[1] % len(handles)]
-            queue.cancel(event)
-            if not event._popped:
-                model.pop(event.seq, None)
+            entry = handles[op[1] % len(handles)]
+            queue.cancel(entry)
+            model.pop(entry[SEQ], None)  # fired or cancelled: nothing to drop
         elif op[0] == "pop":
             want = model_pop()
             if want is None:
@@ -72,7 +80,7 @@ def apply_ops(ops):
                     queue.pop()
             else:
                 got = queue.pop()
-                assert got.seq == want
+                assert got is handles[want]
                 popped.append(got)
         else:  # pop_before
             want = model_pop(op[1])
@@ -80,8 +88,14 @@ def apply_ops(ops):
             if want is None:
                 assert got is None
             else:
-                assert got is not None and got.seq == want
+                assert got is handles[want]
                 popped.append(got)
+        assert len(queue) == len(model)
+        head = queue.peek()
+        if model:
+            assert head is handles[min(model.values())[2]]
+        else:
+            assert head is None and queue.peek_time() is None
     return queue, model, popped
 
 
@@ -96,7 +110,7 @@ def test_queue_matches_reference_model(ops):
         if event is None:
             break
         remaining.append(event)
-    assert [e.seq for e in remaining] == [s for _, _, s in sorted(model.values())]
+    assert [e[SEQ] for e in remaining] == [s for _, _, s in sorted(model.values())]
     assert len(queue) == 0 and not queue
 
 
@@ -120,17 +134,17 @@ def test_popped_keys_nondecreasing_between_pushes(ops):
                 event = queue.pop()
             except IndexError:
                 continue
-            key = (event.time, event.priority, event.seq)
-            assert last_key is None or key >= last_key
-            last_key = key
+            key_ = key(event)
+            assert last_key is None or key_ >= last_key
+            last_key = key_
         elif op[0] == "pop_before":
             event = queue.pop_next_before(op[1])
             if event is None:
                 continue
-            assert event.time <= op[1]
-            key = (event.time, event.priority, event.seq)
-            assert last_key is None or key >= last_key
-            last_key = key
+            assert event[TIME] <= op[1]
+            key_ = key(event)
+            assert last_key is None or key_ >= last_key
+            last_key = key_
 
 
 @settings(max_examples=200, deadline=None)
@@ -139,30 +153,30 @@ def test_cancelled_events_never_resurface(ops):
     queue = EventQueue()
     handles = []
     cancelled = set()
+    fired = set()
     for op in ops:
         if op[0] == "push":
             event = queue.push(op[1], fn=lambda: None, priority=op[2])
             handles.append(event)
         elif op[0] == "cancel" and handles:
             event = handles[op[1] % len(handles)]
+            if event[SEQ] not in fired:
+                cancelled.add(event[SEQ])
             queue.cancel(event)
-            if not event._popped:
-                cancelled.add(event.seq)
-        elif op[0] == "pop":
-            try:
-                event = queue.pop()
-            except IndexError:
-                continue
-            assert event.seq not in cancelled
-        elif op[0] == "pop_before":
-            event = queue.pop_next_before(op[1])
+        else:
+            event = (
+                queue.pop_next_before(None) if op[0] == "pop"
+                else queue.pop_next_before(op[1]) if op[0] == "pop_before"
+                else None
+            )
             if event is not None:
-                assert event.seq not in cancelled
+                assert event[SEQ] not in cancelled
+                fired.add(event[SEQ])
     while True:
         event = queue.pop_next_before(None)
         if event is None:
             break
-        assert event.seq not in cancelled
+        assert event[SEQ] not in cancelled
 
 
 @settings(max_examples=100, deadline=None)
