@@ -196,9 +196,17 @@ class Tracker(TimedAutomaton):
     #: :class:`ObjectLane` is expected.
     object_id = 0
 
+    #: Message class → its ``_recv_<kind>`` function, filled on first
+    #: receipt: one table per class, so a subclass's override wins.
+    _recv_table: dict = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._recv_table = {}
+
     __slots__ = ("hierarchy", "clust", "lvl", "cgcast", "schedule", "delta", "e", "max_level",
                  "nbr_clusters", "parent_cluster", "c", "p", "nbrptup", "nbrptdown", "sendq",
-                 "timer", "nbrtimeout", "findAckq", "finding", "find_id", "_recv_handlers",
+                 "timer", "nbrtimeout", "findAckq", "finding", "find_id",
                  "_lanes", "_lane_wheel", "_dirty", "_deadline_heap", "_timeout_pending")
 
     def __init__(
@@ -235,7 +243,6 @@ class Tracker(TimedAutomaton):
         self.findAckq: List[tuple] = []  # (dest, FindAck)
         self.finding = False
         self.find_id = 0  # bookkeeping tag of the find in service
-        self._recv_handlers: dict = {}  # message class → bound _recv_* method
         # --- extra object lanes (created on demand) --------------------
         self._lanes = {}
         self._lane_wheel = None
@@ -422,19 +429,19 @@ class Tracker(TimedAutomaton):
     # Input: cTOBrcv — dispatch on message type
     # ------------------------------------------------------------------
     def input_cTOBrcv(self, message: TrackerMessage) -> None:
-        handler = self._recv_handlers.get(type(message))
+        handler = self._recv_table.get(type(message))
         if handler is None:
-            handler = getattr(self, f"_recv_{message.kind}", None)
+            handler = getattr(type(self), f"_recv_{message.kind}", None)
             if handler is None:
                 raise TypeError(f"{self.name}: unhandled message {message!r}")
-            self._recv_handlers[type(message)] = handler
+            self._recv_table[type(message)] = handler
         # getattr: extension message types (e.g. heartbeats) may not
         # carry an object_id; they belong to lane 0.
         object_id = getattr(message, "object_id", 0)
         if object_id == 0:
-            handler(message, self)
+            handler(self, message, self)
             return
-        handler(message, self._lanes.get(object_id) or self.lane(object_id))
+        handler(self, message, self._lanes.get(object_id) or self.lane(object_id))
         # The receipt may have enabled a lane action; the following
         # drain scans dirty lanes only.
         self._dirty.add(object_id)

@@ -47,6 +47,11 @@ from .model import EnergyModel
 
 #: Schema tag of the ``as_dict`` payload.
 ENERGY_SCHEMA = "energy/1"
+#: The ``as_dict`` fields besides the per-region and total charges.
+_COUNTERS = (
+    "dispatches", "dispatch_energy", "vbcasts", "vbcast_deliveries",
+    "vbcast_energy", "senses", "sense_energy",
+)
 
 
 class EnergyLedger:
@@ -71,8 +76,8 @@ class EnergyLedger:
         self.vbcast_energy = 0.0
         self.senses = 0
         self.sense_energy = 0.0
-        # (src, dest) endpoints of a dispatch -> the regions hosting them.
-        self._pair_regions: Dict[tuple, tuple] = {}
+        # Dispatch endpoint -> the region hosting it.
+        self._endpoint_regions: Dict[Any, Any] = {}
         self._cgcast = None  # the attached service, for _settle()
 
     # ------------------------------------------------------------------
@@ -111,20 +116,20 @@ class EnergyLedger:
     def observe_send(self, records) -> None:
         """A batch of C-gcast dispatches: tx at each sender, rx at each receiver."""
         tx_cost, rx_cost = self.model.tx_cost, self.model.rx_cost
-        pair_regions = self._pair_regions
+        regions = self._endpoint_regions
         tx_by, rx_by = self.tx, self.rx
         energy = self.dispatch_energy
         for _time, src, dest, _payload, cost, _delay in records:
             tx = tx_cost * cost
             rx = rx_cost * cost
-            regions = pair_regions.get((src, dest))
-            if regions is None:
-                regions = pair_regions[(src, dest)] = (
-                    self.region_of(src), self.region_of(dest)
-                )
-            src, dst = regions
-            tx_by[src] = tx_by.get(src, 0.0) + tx
-            rx_by[dst] = rx_by.get(dst, 0.0) + rx
+            at = regions.get(src)
+            if at is None:
+                at = regions[src] = self.region_of(src)
+            tx_by[at] = tx_by.get(at, 0.0) + tx
+            at = regions.get(dest)
+            if at is None:
+                at = regions[dest] = self.region_of(dest)
+            rx_by[at] = rx_by.get(at, 0.0) + rx
             energy += tx + rx
         self.dispatches += len(records)
         self.dispatch_energy = energy
@@ -198,13 +203,7 @@ class EnergyLedger:
                 "sense": sum(self.sense.values()),
                 "total": self.total_charged(),
             },
-            "dispatches": self.dispatches,
-            "dispatch_energy": self.dispatch_energy,
-            "vbcasts": self.vbcasts,
-            "vbcast_deliveries": self.vbcast_deliveries,
-            "vbcast_energy": self.vbcast_energy,
-            "senses": self.senses,
-            "sense_energy": self.sense_energy,
+            **{key: getattr(self, key) for key in _COUNTERS},
         }
 
 
@@ -222,31 +221,17 @@ def merge_energy(payloads: Iterable[Dict[str, Any]]) -> Optional[Dict[str, Any]]
         if merged is None:
             merged = {
                 "schema": payload["schema"],
-                "per_region": {
-                    key: dict(value)
-                    for key, value in payload["per_region"].items()
-                },
-                "totals": dict(payload["totals"]),
+                "per_region": {},
+                "totals": dict.fromkeys(payload["totals"], 0.0),
+                **dict.fromkeys(_COUNTERS, 0),
             }
-            for key in (
-                "dispatches", "dispatch_energy", "vbcasts",
-                "vbcast_deliveries", "vbcast_energy", "senses",
-                "sense_energy",
-            ):
-                merged[key] = payload[key]
-            continue
+        per_region = merged["per_region"]
         for key, value in payload["per_region"].items():
-            slot = merged["per_region"].get(key)
-            if slot is None:
-                merged["per_region"][key] = dict(value)
-            else:
-                for part in ("tx", "rx", "sense", "total"):
-                    slot[part] += value[part]
-        for part in ("tx", "rx", "sense", "total"):
-            merged["totals"][part] += payload["totals"][part]
-        for key in (
-            "dispatches", "dispatch_energy", "vbcasts",
-            "vbcast_deliveries", "vbcast_energy", "senses", "sense_energy",
-        ):
+            slot = per_region.setdefault(key, dict.fromkeys(value, 0.0))
+            for part, charge in value.items():
+                slot[part] += charge
+        for part, charge in payload["totals"].items():
+            merged["totals"][part] += charge
+        for key in _COUNTERS:
             merged[key] += payload[key]
     return merged

@@ -36,7 +36,7 @@ interpreter that defines it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 from zlib import crc32
 
@@ -71,15 +71,7 @@ class FaultStats:
     gps_delayed: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "messages_dropped": self.messages_dropped,
-            "messages_duplicated": self.messages_duplicated,
-            "messages_delayed": self.messages_delayed,
-            "crashes": self.crashes,
-            "blackouts": self.blackouts,
-            "restores": self.restores,
-            "gps_delayed": self.gps_delayed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -142,8 +134,8 @@ class FaultInjector:
         # (identity, not equality: 3 == 3.0 but they print differently).
         self._key_time: Any = None
         self._key_time_repr = ""
-        # (src, dest) -> "|src|dest|" piece of a C-gcast message key.
-        self._cgcast_edges: Dict[tuple, str] = {}
+        # C-gcast endpoint -> its repr, a piece of the message key.
+        self._endpoint_reprs: Dict[Any, str] = {}
         # The one generator every message draw reseeds.
         self._draw_rng = random.Random(0)
         # The message program's rows, compiled by arm().
@@ -321,10 +313,14 @@ class FaultInjector:
         return [single] if copies is None else copies
 
     def _cgcast_filter(self, src, dest, payload, delay) -> Optional[List[float]]:
-        edge = self._cgcast_edges.get((src, dest))
-        if edge is None:
-            edge = self._cgcast_edges[(src, dest)] = f"|{src!r}|{dest!r}|"
-        return self._perturb(delay, edge + type(payload).__name__)
+        reprs = self._endpoint_reprs
+        sender = reprs.get(src)
+        if sender is None:
+            sender = reprs[src] = repr(src)
+        receiver = reprs.get(dest)
+        if receiver is None:
+            receiver = reprs[dest] = repr(dest)
+        return self._perturb(delay, f"|{sender}|{receiver}|{type(payload).__name__}")
 
     # ------------------------------------------------------------------
     # GPS staleness

@@ -130,10 +130,11 @@ class CGcast:
         # insertion order is send order, and delivery is one O(1) delete.
         self._in_transit: Dict[int, tuple] = {}
         self._transit_keys = count()
-        # (src, dest) → compiled ``(delay, cost, target process)``.  The
-        # hierarchy never changes and a cluster's process, once built,
-        # stays, so the §II-C.3 rule outcome is a pure function of the pair.
-        self._routes: Dict[tuple, Tuple[float, float, TimedAutomaton]] = {}
+        # src → {dest → distance units}: the hierarchy never changes, so
+        # the §II-C.3 rule outcome is a pure function of the pair, and
+        # ``(delay, cost)`` one of the units (``_unit_costs``).
+        self._units: Dict[ClusterId, Dict[ClusterId, int]] = defaultdict(dict)
+        self._unit_costs: Dict[int, Tuple[float, float]] = {}
         # Bound once, for the ``partial`` every copy in transit holds.
         self._fire = self._fire
         self._fire_clients = self._fire_clients
@@ -146,12 +147,6 @@ class CGcast:
         if clust in self.processes:
             raise ValueError(f"process for {clust} already registered")
         self.processes[clust] = automaton
-
-    def process(self, clust: ClusterId) -> TimedAutomaton:
-        try:
-            return self.processes[clust]
-        except KeyError:
-            raise KeyError(f"no process registered for {clust}") from None
 
     def register_client_sink(
         self, region: RegionId, sink: Callable[[Any], None]
@@ -201,8 +196,8 @@ class CGcast:
         """Distance units of a VSA→VSA message per rules (a)-(c).
 
         This is both the charged work and (times ``δ+e``) the delay.
-        :meth:`send_vsa` evaluates it once per (src, dest) pair, when it
-        compiles the pair's route.
+        :meth:`send_vsa` evaluates it once per (src, dest) pair and keeps
+        the result.
         """
         h = self.hierarchy
         params = h.params
@@ -228,13 +223,16 @@ class CGcast:
     # ------------------------------------------------------------------
     def send_vsa(self, src: ClusterId, dest: ClusterId, payload: Any) -> None:
         """Cluster process ``src`` sends ``payload`` to cluster process ``dest``."""
-        route = self._routes.get((src, dest))
-        if route is None:
-            units = self.vsa_distance_units(src, dest)
-            route = ((self.delta + self.e) * units, float(units), self.process(dest))
-            self._routes[(src, dest)] = route
-        delay, cost, target = route
-        self._dispatch(src, dest, payload, delay, cost, self._fire, target, payload)
+        by_dest = self._units[src]
+        units = by_dest.get(dest)
+        if units is None:
+            units = by_dest[dest] = self.vsa_distance_units(src, dest)
+            if units not in self._unit_costs:
+                self._unit_costs[units] = ((self.delta + self.e) * units, float(units))
+        delay, cost = self._unit_costs[units]
+        self._dispatch(
+            src, dest, payload, delay, cost, self._fire, self.processes[dest], payload
+        )
 
     def send_to_clients(self, src: ClusterId, payload: Any) -> None:
         """Level-0 cluster broadcasts to its own region's clients (rule (d)).
@@ -268,7 +266,7 @@ class CGcast:
         delay = self.delta  # rule (e)
         self._dispatch(
             region, dest, payload, delay, 1.0,
-            self._fire, self.process(dest), payload,
+            self._fire, self.processes[dest], payload,
         )
 
     # ------------------------------------------------------------------

@@ -106,11 +106,11 @@ class SendFold:
     clock has left it, its groups shrink to their CRCs.
 
     A line is assembled from memoised pieces: the sends of one event
-    carry one time object, a tracker fans one payload object out to all
-    its neighbors, and cost and delay are functions of (src, dest) — a
-    record that deviates from the pair's cached cost or delay is
-    formatted in full.  The time and payload memos live for one batch,
-    whose records keep the memoised objects alive.
+    carry one time object and a tracker fans one payload object out to
+    its neighbors (identity memos, for one batch, whose records keep the
+    objects alive); a world has few endpoints and ``(cost, delay)``
+    values (memos kept per endpoint, never per pair, and per value and
+    type: ``2 == 2.0`` but they print differently).
     """
 
     def __init__(self) -> None:
@@ -119,8 +119,11 @@ class SendFold:
         #: is observed in exactly one shard, so per-object sums across
         #: shards are exact and K-invariant.
         self.handovers: Dict[int, int] = {}
-        # Per (src, dest): (cost, delay, line prefix, line suffix, sender part).
-        self._pairs: Dict[tuple, Tuple[float, float, str, str, str]] = {}
+        # src -> "src|" (interned), dest -> "dest|", and
+        # (cost, delay, their types) -> "|cost|delay" (interned).
+        self._senders: Dict[Any, str] = {}
+        self._dests: Dict[Any, str] = {}
+        self._suffixes: Dict[tuple, str] = {}
         # None until group(), then whether keys hold the sender.
         self._by_sender: Optional[bool] = None
         # The open window as _window() gives it, its lines and the key of
@@ -159,14 +162,14 @@ class SendFold:
     def _render(self, records, lines, keys, handovers) -> Optional[Tuple[int, int]]:
         """Append the lines of ``records``; with ``keys``, also the group
         keys.  Returns where in both the last new window began, if one did."""
-        pairs = self._pairs
+        senders, dests, suffixes = self._senders, self._dests, self._suffixes
         by_sender = self._by_sender if keys is not None else None
         append = lines.append
         lo, hi, second = self._window
         cut = None
-        last_time = last_payload = pairs  # matches no time or payload
+        last_time = last_payload = last_src = last_cost = last_delay = senders  # matches no record
         last_sender = None
-        time_part = payload_repr = ""
+        time_part = payload_repr = sender = suffix = ""
         for record in records:
             time, src, dest, payload, cost, delay = record
             # Identity, not equality: 3 == 3.0 but they print differently.
@@ -183,16 +186,26 @@ class SendFold:
             if payload is not last_payload:
                 last_payload = payload
                 payload_repr = repr(payload)
-            pair = pairs.get((src, dest))
-            if pair is None:
-                pair = pairs[(src, dest)] = _pair(src, dest, cost, delay)
-            if pair[0] == cost and pair[1] == delay:
-                append(f"{time_part}{pair[2]}{payload_repr}{pair[3]}")
-            else:
-                append(canonical_send_line(record))
-            if by_sender and pair[4] is not last_sender:
-                last_sender = pair[4]
-                keys.append(time_part + last_sender)
+            if src is not last_src:
+                last_src = src
+                sender = senders.get(src)
+                if sender is None:
+                    sender = senders[src] = _sender_part(src)
+            dest_part = dests.get(dest)
+            if dest_part is None:
+                dest_part = dests[dest] = f"{dest!r}|"
+            if cost is not last_cost or delay is not last_delay:
+                last_cost, last_delay = cost, delay
+                key = cost, delay, type(cost), type(delay)
+                suffix = suffixes.get(key)
+                if suffix is None:
+                    suffix = f"|{cost!r}|{delay!r}"
+                    if cost and delay:  # never a zero: 0.0 == -0.0
+                        suffix = suffixes[key] = intern(suffix)
+            append(f"{time_part}{sender}{dest_part}{payload_repr}{suffix}")
+            if by_sender and sender is not last_sender:
+                last_sender = sender
+                keys.append(time_part + sender)
             if isinstance(payload, Grow) and isinstance(src, ClusterId):
                 oid = getattr(payload, "object_id", 0)
                 handovers[oid] = handovers.get(oid, 0) + 1
@@ -210,14 +223,12 @@ def _window(time, by_sender: bool) -> Tuple[Any, Any, Optional[str]]:
     return whole, whole + 1, f"{whole}."
 
 
-def _pair(src, dest, cost, delay) -> Tuple[float, float, str, str, str]:
-    """The memo entry of one (src, dest) pair; refuses a sender with ``|``."""
+def _sender_part(src) -> str:
+    """``"sender|"``, interned; refuses a sender whose repr holds ``|``."""
     sender = repr(src)
     if "|" in sender:
         raise ValueError(f"sender {sender} holds '|': its lines would not sort by group")
-    # Interned: a world has few distinct senders and (cost, delay) suffixes.
-    part = intern(f"{sender}|")
-    return cost, delay, f"{part}{dest!r}|", intern(f"|{cost!r}|{delay!r}"), part
+    return intern(f"{sender}|")
 
 
 def sort_groups(keys: Iterable[str], crcs: Iterable[int], sizes: Iterable[int]) -> GroupDigest:

@@ -3,8 +3,10 @@
 Until sends were folded in batches, ``CGcast._dispatch`` built one
 ``SendRecord`` per message and called every observer with it, inside
 the send.  The five observer bodies of ``src/`` from that time are kept
-here verbatim (only ``self`` now names a small state holder), and
-:func:`install` feeds them the old way — one record at a time, from
+here (only ``self`` now names a small state holder), without their
+memos: the fingerprint formats each record with
+:func:`canonical_send_line` and the energy ledger asks ``region_of``
+each time, so no oracle shares a fold's memo.  :func:`install` feeds them the old way — one record at a time, from
 inside the dispatch, before the message is put in transit — so a test
 can run them in lockstep with the folds and require equal state
 whenever the loop is idle.
@@ -17,7 +19,6 @@ folds: ``fold_crc`` of the dispatch-order lines is ``SendFold.crc``,
 
 import re
 import zlib
-from sys import intern
 
 from repro.analysis.accounting import _FIND, _MOVE, _classify
 from repro.core.messages import Grow, TrackerMessage, is_find_message, is_move_message
@@ -84,36 +85,12 @@ class ReferenceFingerprint:
 
     def __init__(self):
         self.send_lines = []
-        self._line_time = None
-        self._line_time_repr = ""
-        self._line_payload = None
-        self._line_payload_repr = ""
-        self._line_pairs = {}
         self.handovers = {}
 
     def _observe_send(self, record) -> None:
-        time, src, dest, payload, cost, delay = record
-        # Identity, not equality: 3 == 3.0 but they print differently.
-        if time is not self._line_time:
-            self._line_time = time
-            self._line_time_repr = repr(time)
-        if payload is not self._line_payload:
-            self._line_payload = payload
-            self._line_payload_repr = repr(payload)
-        pair = self._line_pairs.get((src, dest))
-        if pair is None:
-            # Interned: a world has few distinct (cost, delay) suffixes.
-            pair = self._line_pairs[(src, dest)] = (
-                cost, delay, f"|{src!r}|{dest!r}|", intern(f"|{cost!r}|{delay!r}"),
-            )
-        if pair[0] == cost and pair[1] == delay:
-            line = (
-                f"{self._line_time_repr}{pair[2]}{self._line_payload_repr}{pair[3]}"
-            )
-        else:
-            line = canonical_send_line(record)
-        self.send_lines.append(line)
-        if isinstance(payload, Grow) and isinstance(src, ClusterId):
+        self.send_lines.append(canonical_send_line(record))
+        payload = record.payload
+        if isinstance(payload, Grow) and isinstance(record.src, ClusterId):
             oid = getattr(payload, "object_id", 0)
             self.handovers[oid] = self.handovers.get(oid, 0) + 1
 
@@ -192,13 +169,7 @@ class ReferenceEnergy(EnergyLedger):
         model = self.model
         tx = model.tx_cost * record.cost
         rx = model.rx_cost * record.cost
-        pair = (record.src, record.dest)
-        regions = self._pair_regions.get(pair)
-        if regions is None:
-            regions = self._pair_regions[pair] = (
-                self.region_of(pair[0]), self.region_of(pair[1])
-            )
-        src, dst = regions
+        src, dst = self.region_of(record.src), self.region_of(record.dest)
         self.tx[src] = self.tx.get(src, 0.0) + tx
         self.rx[dst] = self.rx.get(dst, 0.0) + rx
         self.dispatches += 1

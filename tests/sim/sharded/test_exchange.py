@@ -204,7 +204,7 @@ def test_every_message_class_round_trips_into_the_receivers_instances(world):
         assert type(src_id) is type(want_src)
         assert_own(receiver, src_id, to, payload)
         if isinstance(to, ClusterId):
-            assert receiver.system.cgcast.process(to) is not None
+            assert receiver.system.cgcast.processes[to] is not None
     assert decoded[9][2].expiry == 12.375
 
 

@@ -2,10 +2,11 @@
 
 ``SendFold.observe`` folds a batch of send records, assembling
 each canonical send line from memoised pieces (the instant's repr, the
-payload object's repr, a per ``(src, dest)`` prefix and suffix) instead
-of formatting six reprs per send, and ``CGcast._dispatch`` skips its
-interpositions when none is installed.  Neither shortcut may be
-observable:
+payload object's repr, a per-sender, a per-destination and a per
+``(cost, delay)`` piece) instead of formatting six reprs per send;
+``CGcast.send_vsa`` keeps one distance-units int per pair; and
+``CGcast._dispatch`` skips its interpositions when none is installed.
+None of these shortcuts may be observable:
 
 * every memoised line (``rendered_lines``, the fold's own line loop
   without the fold) equals :func:`canonical_send_line` of the record
@@ -14,26 +15,35 @@ observable:
   a run heavy in client legs (``send_from_client`` / ``send_to_clients``);
 * the identity memo never confuses an equal-but-distinct payload, a
   recycled address, or an instant that compares equal but prints
-  differently;
+  differently, and the suffix memo never a cost or delay that does
+  (``2`` and ``2.0``, ``0.0`` and ``-0.0``) — over random records too;
+* a pair's delay and cost are ``(δ+e)·units`` and ``float(units)``, its
+  units computed once;
 * a no-op ``fault_filter`` plus a never-claiming ``shard_router`` leave
   the exact CRC, ``in_transit()`` at any cut time and the work buckets
   exactly as with neither installed.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.messages import Find, Grow, GrowPar
+from repro.core.messages import Find, FindAck, Grow, GrowPar
 from repro.geocast.cgcast import SendRecord
 from repro.faults import CHANNEL_BOTH, FaultPlan, MessageDuplication, MessageJitter, MessageLoss
+from repro.hierarchy import grid_hierarchy
+from repro.hierarchy.cluster import ClusterId
 from repro.scenario import ScenarioConfig
-from repro.sim.sharded.context import ShardContext, canonical_send_line
+from repro.sim.sharded.context import SendFold, ShardContext, canonical_send_line
 from repro.sim.sharded.core import _tiling_for, canonical_fingerprint
 from repro.sim.sharded.plan import strip_plan
 from repro.sim.sharded.workload import make_walk_workload
 from repro.workload import ScriptedWorkload
-from tests.geocast._reference_observers import canonical_crc, fold_crc, rendered_lines
+from tests.geocast._reference_observers import (
+    canonical_crc, digest_groups, fold_crc, reference_groups, rendered_lines,
+)
 
 
 def _context(n_moves, n_finds, seed, fault_plan=None, r=2, max_level=2):
@@ -145,6 +155,20 @@ class TestIdentityMemo:
         )
         assert lines[0].startswith("3|") and lines[1].startswith("3.0|")
 
+    def test_cost_or_delay_equal_in_value_not_in_repr(self, context, pair):
+        src, dest = pair
+        message = Grow(cid=src)
+        self._observe(
+            context,
+            SendRecord(1.0, src, dest, message, 1.0, 2),
+            SendRecord(1.0, src, dest, message, 1.0, 2.0),
+            SendRecord(1.0, src, dest, message, 1, 2.0),
+            SendRecord(1.0, dest, src, message, 0.0, 1.5),
+            SendRecord(1.0, dest, src, message, -0.0, 1.5),
+        )
+        # The memos outlive a batch: the next one still tells them apart.
+        self._observe(context, SendRecord(2.0, src, dest, message, 1.0, 2))
+
     def test_cost_or_delay_off_the_cached_pair_formats_in_full(self, context, pair):
         src, dest = pair
         message = Grow(cid=src)
@@ -201,3 +225,89 @@ class TestAbsentInterpositionsCostNothingObservable:
         for key in ("exact_crc", "digest", "events", "messages_sent",
                     "total_cost", "move_work", "find_work", "other_work", "finds"):
             assert hooked_report[key] == bare_report[key], key
+
+
+_H = grid_hierarchy(2, 2)
+_REGIONS = [(0, 0), (1, 0), (3, 2), (2, 3)]
+_CLUSTERS = [_H.cluster(u, level) for u in _REGIONS for level in range(3)]
+#: Shared payload objects: a tracker fans one object out to its neighbors.
+_SHARED = [Grow(cid=_CLUSTERS[0]), Find(cid=_CLUSTERS[1], find_id=2, object_id=4)]
+#: Values equal across types or signs print differently.
+_COSTS = (1, 1.0, 2, 2.0, 0.0, -0.0, 3.0)
+_DELAYS = (2, 2.0, 1.5, 0.75, 0, 0.0, -0.0)
+_TIMES = (0, 0.0, 1.5, 3, 3.0, 9.75, 10.5, 12.25, 12.75, 100.0)
+
+_PAYLOADS = st.one_of(
+    st.sampled_from(_SHARED),
+    st.builds(Grow, cid=st.sampled_from(_CLUSTERS), object_id=st.sampled_from([0, 1, 4])),
+    st.builds(
+        FindAck, pointer=st.sampled_from(_CLUSTERS), find_id=st.integers(1, 3),
+        object_id=st.sampled_from([0, 4]),
+    ),
+)
+_RECORDS = st.lists(
+    st.tuples(
+        st.sampled_from(_TIMES),
+        st.sampled_from(_CLUSTERS + _REGIONS),
+        st.sampled_from(_CLUSTERS + [("clients", u) for u in _REGIONS]),
+        _PAYLOADS,
+        st.sampled_from(_COSTS),
+        st.sampled_from(_DELAYS),
+    ),
+    max_size=60,
+).map(lambda rows: [
+    SendRecord(*row) for row in sorted(rows, key=lambda row: row[0])
+])
+
+
+class TestEndpointMemos:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        records=_RECORDS,
+        batch=st.integers(1, 9),
+        grouping=st.sampled_from([None, True, False]),
+    )
+    def test_random_records_render_canonically(self, records, batch, grouping):
+        fold, renderer = SendFold(), SendFold()
+        if grouping is not None:
+            fold.group(by_sender=grouping)
+        rendered = []
+        for start in range(0, len(records), batch):
+            chunk = records[start:start + batch]
+            fold.observe(chunk)
+            # A second fold, its memos carried across the batches too.
+            rendered.extend(rendered_lines(renderer, chunk))
+        lines = [canonical_send_line(record) for record in records]
+        assert rendered == lines
+        assert fold.crc == fold_crc(lines)
+        if grouping is not None:
+            digest = fold.digest()
+            assert digest_groups(digest) == reference_groups(lines, grouping)
+            assert canonical_fingerprint([digest]) == canonical_crc(lines)
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    def test_delay_and_cost_are_functions_of_the_units(self, seed):
+        context = _context(n_moves=10, n_finds=6, seed=seed, r=2, max_level=3)
+        cgcast = context.system.cgcast
+        units_of, calls = {}, Counter()
+        distance = cgcast.vsa_distance_units
+
+        def counted(src, dest):
+            calls[src, dest] += 1
+            units_of[src, dest] = distance(src, dest)
+            return units_of[src, dest]
+
+        cgcast.vsa_distance_units = counted
+        records = []
+        cgcast.observe(records.extend)
+        context.sim.run()
+        vsa = [r for r in records if isinstance(r.src, ClusterId) and isinstance(r.dest, ClusterId)]
+        assert len({(r.src, r.dest) for r in vsa}) > 50
+        assert set(calls) == {(r.src, r.dest) for r in vsa}
+        assert set(calls.values()) == {1}
+        step = cgcast.delta + cgcast.e
+        for r in vsa:
+            units = units_of[r.src, r.dest]
+            assert r.delay == step * units and type(r.delay) is float
+            assert r.cost == float(units) and type(r.cost) is float
