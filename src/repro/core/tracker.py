@@ -138,6 +138,7 @@ class LaneDeadline:
 
 #: An extra lane's ``timer``/``nbrtimeout`` before its first arm (disarmed; no tracker to arm).
 NEVER_ARMED = LaneDeadline(None, 0)
+NO_PENDING: frozenset = frozenset()  # an empty ``_timeout_pending``: a set only once added to
 
 
 class ObjectLane:
@@ -252,7 +253,7 @@ class Tracker(TimedAutomaton):
         # ``timeout_due`` flag awaits the next wheel wakeup.
         self._dirty: set = set()
         self._deadline_heap: list = []
-        self._timeout_pending: set = set()
+        self._timeout_pending = NO_PENDING
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -269,7 +270,7 @@ class Tracker(TimedAutomaton):
         self._lanes.clear()
         self._dirty = set()
         self._deadline_heap = []
-        self._timeout_pending = set()
+        self._timeout_pending = NO_PENDING
         Tracker.on_failed(self)  # disarm lane 0's timers and the wheel
 
     def on_failed(self) -> None:
@@ -308,7 +309,7 @@ class Tracker(TimedAutomaton):
                 ):
                     lane.timeout_due = True
                     dirty.add(oid)
-            pending.clear()
+            self._timeout_pending = NO_PENDING
         # Hand the wheel on to the next future deadline: a drain whose
         # effects touch no LaneDeadline (a lone find escalation, say)
         # would otherwise leave the wheel dead with live deadlines
@@ -374,6 +375,8 @@ class Tracker(TimedAutomaton):
             heappop(heap)
             dirty.add(oid)
             if nbr_live:
+                if not pending:
+                    pending = self._timeout_pending = set()
                 pending.add(oid)
         return INFINITY
 

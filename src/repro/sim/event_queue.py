@@ -3,7 +3,8 @@
 Events are ordered by ``(time, priority, sequence)``.  The sequence number
 is assigned at scheduling time, so events scheduled earlier fire earlier
 when time and priority tie — this makes every simulation run fully
-deterministic for a fixed seed and schedule order.
+deterministic for a fixed seed and schedule order (a number set aside
+by :meth:`EventQueue.reserve` counts as assigned when it was reserved).
 
 A pending event is one heap entry, the list ``[time, priority, seq, fn,
 tag]`` (indexed by :data:`TIME`, :data:`PRIORITY`, :data:`SEQ`,
@@ -52,6 +53,22 @@ class EventQueue:
         entry = [time, priority, seq, fn, tag]
         heapq.heappush(self._heap, entry)
         return entry
+
+    def reserve(self, n: int) -> int:
+        """Set ``n`` consecutive sequence numbers aside; return the first."""
+        first = self._next_seq
+        self._next_seq = first + n
+        return first
+
+    def push_reserved(self, seq: int, time: float, fn: Callable[[], Any],
+                      priority: int = 0, tag: Optional[str] = None) -> list:
+        """:meth:`push` at ``seq``, a number :meth:`reserve` set aside: the
+        entry orders ahead of every later push at equal ``(time, priority)``."""
+        resume, self._next_seq = self._next_seq, seq
+        try:
+            return self.push(time, fn, priority, tag)
+        finally:
+            self._next_seq = resume
 
     def cancel(self, entry: list) -> None:
         """Cancel a scheduled entry: idempotent, and a no-op once it fired."""

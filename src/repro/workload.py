@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, fields
+from functools import partial
 from math import inf
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional, Protocol, Set, Tuple, Union
@@ -39,19 +40,9 @@ from .scenario import ScenarioConfig
 from .stabilization.stabilizing_tracker import StabilizationConfig
 
 __all__ = [
-    "EvaderEnter",
-    "EvaderStep",
-    "IssueFind",
-    "STAGGER",
-    "ScriptError",
-    "ScriptedWorkload",
-    "WorkloadAction",
-    "Workload",
-    "check_world",
-    "decode_inputs",
-    "encode_inputs",
-    "materialize",
-    "schedule_workload",
+    "EvaderEnter", "EvaderStep", "IssueFind", "STAGGER", "ScriptError",
+    "ScriptedWorkload", "WorkloadAction", "Workload", "check_world",
+    "decode_inputs", "encode_inputs", "materialize", "schedule_workload",
     "unique_time",
 ]
 
@@ -71,7 +62,7 @@ def unique_time(t: float, used: Set[float]) -> float:
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvaderEnter:
     """Place object ``object_id``'s evader at ``region`` (first ``move``)."""
 
@@ -80,7 +71,7 @@ class EvaderEnter:
     object_id: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvaderStep:
     """Move object ``object_id``'s evader to neighboring ``target``."""
 
@@ -89,7 +80,7 @@ class EvaderStep:
     object_id: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IssueFind:
     """Issue a find at ``origin``'s client with a pre-assigned id.
 
@@ -192,10 +183,11 @@ def materialize(workload: Workload, seed: int = 0) -> ScriptedWorkload:
 
     Actions are sorted by time with a *stable* sort, so equal-time
     actions keep generation order — the same-time tiebreak is then
-    identical in every shard replica and on the plain engine.
-    Idempotent: materializing a :class:`ScriptedWorkload` returns an
-    equal script.
+    identical in every shard replica and on the plain engine.  A
+    :class:`ScriptedWorkload` is already one: it comes back as it is.
     """
+    if isinstance(workload, ScriptedWorkload):
+        return workload
     return ScriptedWorkload.of(workload.events(seed))
 
 
@@ -228,12 +220,15 @@ def schedule_workload(
     The script is appended to ``system.scripts``: a checkpoint of the
     world records it there and replays it on restore.
 
-    Replication rule: evader actions are scheduled in **every** shard
-    (the evader is replicated world state; each replica moves
-    identically), while ``IssueFind`` actions are scheduled only in the
-    shard owning the origin region.  Find ids are pre-assigned in script
-    order, so the per-shard coordinators allocate the same global ids
-    the serial run would.
+    One cursor walks the script: the queue holds only its next action,
+    which pushes its successor as it fires, before its effect, at a
+    sequence number reserved here — the order of a queue holding the
+    whole script from now on.
+
+    Replication rule: evader actions fire in **every** shard (the evader
+    is replicated world state), an ``IssueFind`` only in the shard owning
+    its origin.  Find ids are pre-assigned in script order, so the
+    per-shard coordinators allocate the global ids the serial run would.
 
     Args:
         system: A built VineStalk-like system (fresh: no evader yet).
@@ -244,85 +239,74 @@ def schedule_workload(
             — the serial reference behavior.
 
     Returns:
-        Number of events scheduled.
+        The script's length: every action fires, one pending at a time.
 
     Raises:
         ScriptError: an action names a region outside the world; nothing
             is scheduled.
+        SimulationError: the first action lies before the clock.
     """
     from .mobility.evader import Evader
     from .mobility.models import RandomNeighborWalk
+    from .sim.engine import SimulationError
 
     tiling = system.hierarchy.tiling
     check_world(workload, tiling)
     system.scripts.append(workload)
+    actions = workload.actions
     sim = system.sim
+    if not actions:
+        return 0
+    if actions[0].time < sim.now:
+        raise SimulationError(f"script starts at t={actions[0].time} before now={sim.now}")
+    queue = sim._queue
+    first = queue.reserve(len(actions))
     # Shared by the script's evaders (2.5 KB of Mersenne Twister each
     # otherwise): they never draw — fixed start, dwell timer never runs
     # — so no draw can depend on their order.
     rng = random.Random(0)
-
     evader_of = system.object_evader
 
-    def ensure_evader(region: RegionId, object_id: int = 0) -> None:
-        evader = evader_of(object_id)
-        if evader is None:
-            evader = Evader(
-                sim,
-                tiling,
-                RandomNeighborWalk(start=region),
-                dwell=1e18,  # scripted: the dwell timer never runs
-                rng=rng,
-                name="evader" if object_id == 0 else f"evader:{object_id}",
-                object_id=object_id,
-            )
-            system.attach_object(object_id, evader)
-        evader.enter(region)
+    def push(index: int) -> None:
+        action = actions[index]
+        kind = type(action)
+        tag = ("workload:enter" if kind is EvaderEnter
+               else "workload:move" if kind is EvaderStep
+               else "workload:find" if owns is None or owns(action.origin)
+               else "workload:find-register")
+        queue.push_reserved(first + index, action.time, partial(fire, index, tag), 0, tag)
 
-    scheduled = 0
-    for action in workload.actions:
-        if isinstance(action, EvaderEnter):
-            sim.call_at(
-                action.time,
-                lambda a=action: ensure_evader(a.region, a.object_id),
-                tag="workload:enter",
-            )
-        elif isinstance(action, EvaderStep):
-            sim.call_at(
-                action.time,
-                lambda a=action: evader_of(a.object_id).move_to(a.target),
-                tag="workload:move",
-            )
-        elif owns is not None and not owns(action.origin):
-            # The record must exist in *every* shard: the `found`
-            # output fires at the evader's current region (its
-            # client is the one with evader_here set), which may be
-            # owned by any shard.  Register bookkeeping only — the
-            # find input itself is delivered in the owning shard.
-            def register(a=action) -> None:
-                evader = evader_of(a.object_id)
-                system.finds.new_find(
-                    a.origin,
-                    evader.region if evader is not None else None,
-                    find_id=a.find_id,
-                    object_id=a.object_id,
-                    deadline=a.deadline,
-                )
-
-            sim.call_at(action.time, register, tag="workload:find-register")
+    def fire(index: int, tag: str) -> None:
+        if index + 1 < len(actions):
+            push(index + 1)
+        a = actions[index]
+        if tag == "workload:move":
+            evader_of(a.object_id).move_to(a.target)
+        elif tag == "workload:find":
+            system.issue_find(a.origin, find_id=a.find_id, object_id=a.object_id,
+                              deadline=a.deadline)
+        elif tag == "workload:enter":
+            evader = evader_of(a.object_id)
+            if evader is None:
+                evader = Evader(sim, tiling, RandomNeighborWalk(start=a.region),
+                                dwell=1e18,  # scripted: the dwell timer never runs
+                                rng=rng, object_id=a.object_id,
+                                name=f"evader:{a.object_id}" if a.object_id else "evader")
+                system.attach_object(a.object_id, evader)
+            evader.enter(a.region)
         else:
-            sim.call_at(
-                action.time,
-                lambda a=action: system.issue_find(
-                    a.origin,
-                    find_id=a.find_id,
-                    object_id=a.object_id,
-                    deadline=a.deadline,
-                ),
-                tag="workload:find",
-            )
-        scheduled += 1
-    return scheduled
+            # An unowned find's record must exist in *every* shard: the
+            # `found` output fires at the evader's current region (its
+            # client is the one with evader_here set), which any shard
+            # may own.  Bookkeeping only — the owning shard delivers
+            # the find input itself.
+            evader = evader_of(a.object_id)
+            system.finds.new_find(a.origin, None if evader is None else evader.region,
+                                  find_id=a.find_id, object_id=a.object_id,
+                                  deadline=a.deadline)
+
+    push(0)
+    return len(actions)
 
 
 # ----------------------------------------------------------------------
@@ -334,21 +318,11 @@ def schedule_workload(
 _TYPES = {
     cls.__name__: cls
     for cls in (
-        ScenarioConfig,
-        _plan.FaultPlan,
-        _plan.MessageLoss,
-        _plan.MessageDuplication,
-        _plan.MessageJitter,
-        _plan.LagSpike,
-        _plan.VsaCrashes,
-        _plan.RegionBlackout,
-        _plan.GpsStaleness,
-        EnergyModel,
-        StabilizationConfig,
-        EvaderEnter,
-        EvaderStep,
-        IssueFind,
-        ScriptedWorkload,
+        ScenarioConfig, EnergyModel, StabilizationConfig,
+        _plan.FaultPlan, _plan.MessageLoss, _plan.MessageDuplication,
+        _plan.MessageJitter, _plan.LagSpike, _plan.VsaCrashes,
+        _plan.RegionBlackout, _plan.GpsStaleness,
+        EvaderEnter, EvaderStep, IssueFind, ScriptedWorkload,
     )
 }
 _FIELDS = {name: tuple(f.name for f in fields(cls)) for name, cls in _TYPES.items()}

@@ -116,3 +116,35 @@ def test_interleaved_push_pop():
     q.push(5.0, lambda: None, tag="mid")
     assert q.pop()[TAG] == "mid"
     assert q.pop()[TAG] == "late"
+
+
+def test_reserved_numbers_order_ahead_of_later_pushes():
+    q = EventQueue()
+    first = q.reserve(2)
+    later = q.push(1.0, lambda: None, tag="later")
+    second = q.push_reserved(first + 1, 1.0, lambda: None, tag="second")
+    head = q.push_reserved(first, 1.0, lambda: None, tag="first")
+    assert (head[SEQ], second[SEQ], later[SEQ]) == (first, first + 1, first + 2)
+    assert q.push(1.0, lambda: None, tag="last")[SEQ] == first + 3
+    assert [q.pop()[TAG] for _ in range(4)] == ["first", "second", "later", "last"]
+
+
+def test_a_reserved_entry_still_orders_by_time_and_priority():
+    q = EventQueue()
+    first = q.reserve(1)
+    q.push(1.0, lambda: None, priority=1, tag="urgent-later")
+    q.push(2.0, lambda: None, tag="earlier")
+    q.push_reserved(first, 2.0, lambda: None, priority=1, tag="reserved")
+    assert [q.pop()[TAG] for _ in range(3)] == ["urgent-later", "earlier", "reserved"]
+
+
+def test_push_reserved_restores_the_counter_when_push_raises():
+    q = EventQueue()
+    first = q.reserve(3)
+    q.push(0.5, lambda: None)
+    resume = q._next_seq
+    with pytest.raises(ValueError):
+        q.push_reserved(first, float("nan"), lambda: None)
+    assert q._next_seq == resume == first + 4
+    assert q.push(1.0, lambda: None)[SEQ] == resume
+    assert len(q) == 2

@@ -109,3 +109,48 @@ def test_a_find_may_precede_its_objects_enter():
     script = ScriptedWorkload.of([EvaderEnter(5.0, (0, 0)), IssueFind(1.0, (1, 1), 1)])
     assert [type(a) for a in script.actions] == [IssueFind, EvaderEnter]
     assert script.horizon == 5.0
+
+
+def test_materialize_returns_a_script_as_it_is():
+    workload, seed = _service("poisson")
+    script = materialize(workload, seed)
+    assert materialize(script) is script
+    assert materialize(script, seed + 1) is script
+    # A generator still goes through the one stable sort and horizon.
+    assert script == ScriptedWorkload.of(workload.events(seed))
+    again = materialize(workload, seed)
+    assert again == script and again is not script
+
+
+#: One action of each kind, and their encoding in a run file's payload.
+ONE_OF_EACH = ScriptedWorkload.of([
+    EvaderEnter(0.0, (0, 0)),
+    EvaderStep(1.5, (0, 1)),
+    IssueFind(2.25, (1, 1), 7, deadline=30.0),
+])
+ONE_OF_EACH_JSON = (
+    b'"scripts":[{"ScriptedWorkload":{"actions":['
+    b'{"EvaderEnter":{"object_id":0,"region":[0,0],"time":0.0}},'
+    b'{"EvaderStep":{"object_id":0,"target":[0,1],"time":1.5}},'
+    b'{"IssueFind":{"deadline":30.0,"find_id":7,"object_id":0,"origin":[1,1],"time":2.25}}'
+    b'],"horizon":2.25}}]}'
+)
+
+
+def test_script_actions_are_slotted_and_encode_as_before():
+    import pickle
+
+    from repro.workload import decode_inputs, encode_inputs
+
+    config = ScenarioConfig(r=2, max_level=2)
+    payload = encode_inputs(config, (ONE_OF_EACH,))
+    assert payload.endswith(ONE_OF_EACH_JSON)
+    assert decode_inputs(payload) == (config, (ONE_OF_EACH,))
+    for action in ONE_OF_EACH.actions:
+        assert not hasattr(action, "__dict__")
+        copy = pickle.loads(pickle.dumps(action))
+        assert copy == action and hash(copy) == hash(action)
+        assert repr(copy) == repr(action)
+        with pytest.raises(AttributeError):
+            action.time = 9.0
+    assert pickle.loads(pickle.dumps(ONE_OF_EACH)) == ONE_OF_EACH
