@@ -24,9 +24,7 @@ of Theorems 4.9/5.2; client↔cluster messages cost 1.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import partial
 from inspect import unwrap
-from itertools import count
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..geometry.regions import RegionId
@@ -125,19 +123,14 @@ class CGcast:
         self.shard_router: Optional[ShardRouter] = None
         self.messages_sent = 0
         self.total_cost = 0.0
-        # Copies currently in transit: transit key → ``(src, dest,
-        # payload, deliver_time)``.  Keys count up, so the dict's
-        # insertion order is send order, and delivery is one O(1) delete.
-        self._in_transit: Dict[int, tuple] = {}
-        self._transit_keys = count()
+        # Copies in transit, keyed by identity (a duplicated copy is its own
+        # entry): insertion order is send order; delivery is one O(1) delete.
+        self._in_transit: Dict[_Copy, None] = {}
         # src → {dest → distance units}: the hierarchy never changes, so
         # the §II-C.3 rule outcome is a pure function of the pair, and
         # ``(delay, cost)`` one of the units (``_unit_costs``).
         self._units: Dict[ClusterId, Dict[ClusterId, int]] = defaultdict(dict)
         self._unit_costs: Dict[int, Tuple[float, float]] = {}
-        # Bound once, for the ``partial`` every copy in transit holds.
-        self._fire = self._fire
-        self._fire_clients = self._fire_clients
 
     # ------------------------------------------------------------------
     # Registration
@@ -187,7 +180,7 @@ class CGcast:
 
     def in_transit(self) -> List[tuple]:
         """Snapshot of undelivered messages: ``(src, dest, payload, time)``."""
-        return list(self._in_transit.values())
+        return [(c.src, c.dest, c.payload, c.when) for c in self._in_transit]
 
     # ------------------------------------------------------------------
     # Delay / cost model
@@ -230,9 +223,7 @@ class CGcast:
             if units not in self._unit_costs:
                 self._unit_costs[units] = ((self.delta + self.e) * units, float(units))
         delay, cost = self._unit_costs[units]
-        self._dispatch(
-            src, dest, payload, delay, cost, self._fire, self.processes[dest], payload
-        )
+        self._dispatch(src, dest, payload, delay, cost, self.processes[dest])
 
     def send_to_clients(self, src: ClusterId, payload: Any) -> None:
         """Level-0 cluster broadcasts to its own region's clients (rule (d)).
@@ -245,10 +236,7 @@ class CGcast:
             raise ValueError("only level-0 clusters broadcast to clients")
         delay = self.delta + self.e  # rule (d)
         region = self.hierarchy.head(src)
-        self._dispatch(
-            src, ("clients", region), payload, delay, 1.0,
-            self._fire_clients, region, payload,
-        )
+        self._dispatch(src, ("clients", region), payload, delay, 1.0, None)
 
     def send_from_client(
         self, region: RegionId, dest: ClusterId, payload: Any
@@ -264,10 +252,7 @@ class CGcast:
                 f"client in {region!r} cannot reach cluster of {dest_region!r}"
             )
         delay = self.delta  # rule (e)
-        self._dispatch(
-            region, dest, payload, delay, 1.0,
-            self._fire, self.processes[dest], payload,
-        )
+        self._dispatch(region, dest, payload, delay, 1.0, self.processes[dest])
 
     # ------------------------------------------------------------------
     # Internals
@@ -279,14 +264,10 @@ class CGcast:
         payload: Any,
         delay: float,
         cost: float,
-        fire: Callable[..., None],
-        *args: Any,
+        target: Optional[TimedAutomaton],
     ) -> None:
-        """Account for one send and put its delivery copies in transit.
-
-        ``fire(key, *args)`` is the terminal delivery of one copy; it
-        runs at the copy's delivery time with the copy's transit key.
-        """
+        """Account for one send and put its delivery copies in transit,
+        each a :class:`_Copy` of ``target`` (None: ``dest``'s clients)."""
         sim = self.sim
         now = sim.now
         self.messages_sent += 1
@@ -313,29 +294,15 @@ class CGcast:
             when = now + copy_delay
             if router is not None and router(src, dest, payload, when):
                 continue  # claimed for cross-shard transport
-            key = next(self._transit_keys)
-            self._in_transit[key] = (src, dest, payload, when)
-            self._transport(src, dest, when, partial(fire, key, *args))
+            copy = _Copy(self, src, dest, payload, when, target)
+            self._in_transit[copy] = None
+            self._transport(src, dest, when, copy)
 
     def _transport(
         self, src: Any, dest: Any, when: float, deliver: Callable[[], None]
     ) -> None:
         """Carry one copy to its destination: ``deliver()`` runs at ``when``."""
         self.sim.call_at(when, deliver, tag="cgcast")
-
-    def _fire(self, key: int, target: TimedAutomaton, payload: Any) -> None:
-        """Delivery event of a copy bound for a cluster process: the
-        ``cTOBrcv`` input, then (urgency) the receiver's drain."""
-        del self._in_transit[key]
-        if not target.failed:
-            target.input_cTOBrcv(payload)
-            target.executor.kick(target)
-
-    def _fire_clients(self, key: int, region: RegionId, payload: Any) -> None:
-        """Delivery event of a rule (d) broadcast to ``region``'s clients."""
-        del self._in_transit[key]
-        for sink in self.client_sinks[region]:
-            sink(payload)
 
     def apply_remote(self, src: Any, dest: Any, payload: Any) -> None:
         """Deliver a message routed in from another shard.
@@ -345,11 +312,37 @@ class CGcast:
         delivery, at the current simulation time.  The receiving shard
         decoded the copy into this world's own cluster instances.
         """
-        if isinstance(dest, tuple) and len(dest) == 2 and dest[0] == "clients":
-            for sink in self.client_sinks[dest[1]]:
-                sink(payload)
-            return
-        target = self.processes[dest]
-        if not target.failed:
-            target.input_cTOBrcv(payload)
+        clients = isinstance(dest, tuple) and len(dest) == 2 and dest[0] == "clients"
+        copy = _Copy(self, src, dest, payload, self.sim.now,
+                     None if clients else self.processes[dest])
+        self._in_transit[copy] = None  # one delivery path: copy() takes it out
+        copy()
+
+
+class _Copy:
+    """One delivery copy in transit: its :meth:`CGcast.in_transit` entry
+    and, called at ``when``, its delivery event.  ``target`` is the cluster
+    process read at send time; a rule (d) copy has none and reads its
+    region's client sinks at delivery."""
+
+    __slots__ = ("cgcast", "src", "dest", "payload", "when", "target")
+
+    def __init__(self, cgcast, src, dest, payload, when, target) -> None:
+        self.cgcast = cgcast
+        self.src = src
+        self.dest = dest
+        self.payload = payload
+        self.when = when
+        self.target = target
+
+    def __call__(self) -> None:
+        """Leave the registry, then the ``cTOBrcv`` input and (urgency)
+        the receiver's drain, or each client sink."""
+        del self.cgcast._in_transit[self]
+        target = self.target
+        if target is None:
+            for sink in self.cgcast.client_sinks[self.dest[1]]:
+                sink(self.payload)
+        elif not target.failed:
+            target.input_cTOBrcv(self.payload)
             target.executor.kick(target)

@@ -98,10 +98,16 @@ class ProcessTransport:
             self.pipes.append(parent_conn)
             self.procs.append(proc)
 
+    def _send(self, shard: int, command: tuple) -> None:
+        try:
+            self.pipes[shard].send(command)
+        except OSError as exc:  # BrokenPipeError, ConnectionResetError
+            raise ShardedRunError(f"shard {shard} worker is gone: {exc!r}") from exc
+
     def _recv(self, shard: int):
         try:
             message = self.pipes[shard].recv()
-        except EOFError as exc:
+        except (EOFError, OSError) as exc:
             raise ShardedRunError(
                 f"shard {shard} worker died without replying"
             ) from exc
@@ -115,13 +121,13 @@ class ProcessTransport:
         return [self._recv(shard)[1] for shard in range(len(self.pipes))]
 
     def step_all(self, barrier: float, inboxes: List[list]) -> List[tuple]:
-        for pipe, inbox in zip(self.pipes, inboxes):
-            pipe.send(("step", barrier, inbox))
+        for shard, inbox in enumerate(inboxes):
+            self._send(shard, ("step", barrier, inbox))
         return [self._recv(shard)[1:] for shard in range(len(self.pipes))]
 
     def finish(self) -> List[dict]:
-        for pipe in self.pipes:
-            pipe.send(("finish",))
+        for shard in range(len(self.pipes)):
+            self._send(shard, ("finish",))
         reports = [self._recv(shard)[1] for shard in range(len(self.pipes))]
         for proc in self.procs:
             proc.join(timeout=10.0)

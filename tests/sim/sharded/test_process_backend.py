@@ -60,3 +60,42 @@ def test_worker_failure_surfaces_as_sharded_run_error(monkeypatch):
     )
     with pytest.raises(ShardedRunError):
         sim.run()
+
+
+def test_a_worker_killed_between_windows_surfaces_as_sharded_run_error():
+    # SIGKILL shard 0's worker after the first window: the next step's
+    # send to it hits a broken pipe, which must arrive as a
+    # ShardedRunError naming the shard, promptly, with every worker reaped.
+    import os
+    import signal
+    import time
+
+    from repro.sim.sharded import ShardedSimulator
+
+    sim = ShardedSimulator(*walk_scenario(shards=2, **WALK), backend="processes")
+    transports = []
+    make = sim._make_transport
+
+    def make_transport():
+        transport = make()
+        transports.append(transport)
+        step_all = transport.step_all
+
+        def step_then_kill(barrier, inboxes):
+            replies = step_all(barrier, inboxes)
+            victim = transport.procs[0]
+            if victim.is_alive():
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=10.0)
+            return replies
+
+        transport.step_all = step_then_kill
+        return transport
+
+    sim._make_transport = make_transport
+    start = time.monotonic()
+    with pytest.raises(ShardedRunError, match="shard 0"):
+        sim.run()
+    assert time.monotonic() - start < 30.0
+    (transport,) = transports
+    assert not any(proc.is_alive() for proc in transport.procs)
