@@ -28,39 +28,32 @@ Multi-object lanes (DESIGN.md §9)
 One Tracker hosts one *lane* of Fig. 2 state per tracked object.  Lane
 ``0`` — the single evader of the original paper — lives directly in the
 tracker's own attributes (``self.c``, ``self.timer``, ...), so the
-single-object execution is bit-identical to the pre-service code.
-Additional lanes are :class:`ObjectLane` records that exist only while
-they hold state: a message for an absent ``object_id`` builds one, and
-the drain deletes it once it quiesces with every pointer ⊥, no find and
-no future deadline, so an absent lane reads as ⊥ (as a §IV-C snapshot
-reads an absent cluster).  Each of a lane's two deadlines (grow/shrink
-and neighbor timeout) is a :class:`LaneDeadline` built on its first arm
-by :meth:`Tracker._arm_deadline` (:data:`NEVER_ARMED` until then), and
-they are *batched*: all ride one shared wheel :class:`Timer`, armed at
-the minimum outstanding deadline, so a tracker schedules O(1) executor
-wakeups regardless of how many objects route through it.
-``sendq`` and ``findAckq`` stay shared FIFOs (messages carry their
-``object_id``), so lateral-link maintenance traffic is batched too.
+single-object execution is bit-identical to the pre-service code.  An
+extra lane is an :class:`ObjectLane` only while it holds ``c``, ``p``, a
+find or a future deadline.  With just secondary pointers its ``_lanes``
+value is its bare ``nbrptup`` or the ``(nbrptup, nbrptdown)`` tuple
+(:meth:`Tracker._keep_pair`), and with nothing it is absent, reading as
+⊥ (as a §IV-C snapshot reads an absent cluster).  A
+``GrowPar``/``GrowNbr``/``ShrinkUpd``/``FindQuery`` receipt for such an
+object runs its ``_recv_*`` rule on the pair alone; any other receipt
+promotes the pair (:meth:`Tracker.lane`), and the drain demotes a
+quiesced lane back to it.  A lane's two deadlines are :class:`LaneDeadline`
+records built on first arm (:data:`NEVER_ARMED` until then), all riding
+one shared wheel :class:`Timer` armed at the minimum outstanding
+deadline, so a tracker schedules O(1) executor wakeups however many
+objects route through it.  ``sendq`` and ``findAckq`` stay shared FIFOs
+(messages carry their ``object_id``).
 
 O(active) scheduling (DESIGN.md §9.5)
 -------------------------------------
-Neither :meth:`Tracker._next_action` nor the wheel ever scans all
-lanes.  A *dirty set* holds the object ids that may have an enabled
-action — a lane enters it when a message arrives for it or one of its
-deadlines comes due, and leaves when :meth:`Tracker._lane_enabled`
-returns nothing for it (and from ``_lanes`` too, if it holds no state);
-iteration is in sorted object-id order, so the action precedence (and
-with it every pinned fingerprint) is unchanged from the full scan.
-Deadlines live in a lazy min-heap of ``(deadline, object_id)`` entries
-pushed on every :meth:`LaneDeadline.arm`; stale entries (the lane
-re-armed, disarmed or reclaimed since the push) are dropped when
-popped.  Servicing the heap both re-dirties lanes whose deadline has
-arrived — *before* the first same-instant drain reads them, exactly
-when the full scan would have seen ``expired()`` — and yields the
-minimum future deadline the wheel re-arms at.  The invariant that makes
-the dirty set sound: a lane outside it has no enabled action, and pure
-time passage can only enable an action through a deadline, which is
-always in the heap.
+Nothing scans all lanes.  A *dirty set* holds the object ids that may
+have an enabled action: a lane enters it on a receipt or a due
+deadline, and leaves when :meth:`Tracker._lane_enabled` returns nothing
+for it; it is served in sorted object-id order, the full scan's order.
+Deadlines sit in a lazy min-heap of ``(deadline, object_id)`` entries
+(stale ones dropped when popped), serviced before the first same-instant
+drain reads them.  Sound because a lane outside the dirty set has no
+enabled action, and time alone enables one only through a deadline.
 """
 
 from __future__ import annotations
@@ -71,28 +64,12 @@ from typing import List, Optional
 from ..hierarchy.cluster import ClusterId
 from ..hierarchy.hierarchy import ClusterHierarchy
 from ..obs._state import OBS as _OBS
-from ..obs.events import (
-    FindForwarded,
-    FindQueryIssued,
-    FoundAnnounced,
-    GrowSent,
-    ShrinkSent,
-)
+from ..obs.events import FindForwarded, FindQueryIssued, FoundAnnounced, GrowSent, ShrinkSent
 from ..tioa.actions import Action
 from ..tioa.automaton import TimedAutomaton
 from ..tioa.timers import INFINITY, Timer
-from .messages import (
-    Find,
-    FindAck,
-    FindQuery,
-    Found,
-    Grow,
-    GrowNbr,
-    GrowPar,
-    Shrink,
-    ShrinkUpd,
-    TrackerMessage,
-)
+from .messages import (Find, FindAck, FindQuery, Found, Grow, GrowNbr, GrowPar, Shrink,
+                       ShrinkUpd, TrackerMessage)
 from .timers import TimerSchedule
 
 BOTTOM = None  # ⊥ of Fig. 2
@@ -101,13 +78,10 @@ BOTTOM = None  # ⊥ of Fig. 2
 class LaneDeadline:
     """A per-lane deadline riding its tracker's shared wheel timer.
 
-    Duck-typed to the :class:`~repro.tioa.timers.Timer` surface the
-    Fig. 2 logic reads (``deadline``/``armed``/``arm``/``disarm``) but
-    owns no executor event: arming pushes a ``(deadline, object_id)``
-    entry onto the tracker's deadline heap and re-evaluates the wheel,
-    which is the single real timer for all extra lanes.  Disarming
-    leaves its heap entry behind as garbage; the heap drops it lazily
-    (the lane's live deadline no longer matches the entry).  Built by
+    The :class:`~repro.tioa.timers.Timer` surface Fig. 2 reads, with no
+    executor event: arming pushes ``(deadline, object_id)`` onto the
+    tracker's deadline heap and re-arms the wheel; a disarm strands its
+    entry, which the heap drops lazily.  Built by
     :meth:`Tracker._arm_deadline` on a lane's first arm.
     """
 
@@ -141,26 +115,33 @@ NEVER_ARMED = LaneDeadline(None, 0)
 NO_PENDING: frozenset = frozenset()  # an empty ``_timeout_pending``: a set only once added to
 
 
+class _SecondaryPair:
+    """The transient lane a secondary receipt's rule runs on when its object
+    has no :class:`ObjectLane`: ``c`` and ``p`` are ⊥, the pointers loaded."""
+
+    __slots__ = ("nbrptup", "nbrptdown")
+    c = p = BOTTOM
+
+
+#: Receipts whose ``_recv_*`` rule reads ``c`` and touches only the secondary pointers.
+_SECONDARY_RECEIPTS = frozenset({GrowPar, GrowNbr, ShrinkUpd, FindQuery})
+
+
+def _secondary(value) -> tuple:
+    """``(nbrptup, nbrptdown)`` of a lane kept by :meth:`Tracker._keep_pair`."""
+    return value if value.__class__ is tuple else (value, BOTTOM)
+
+
 class ObjectLane:
     """Fig. 2 per-object state for one extra tracked object (§9).
 
-    Built by the first receipt for its object and deleted by
-    :meth:`Tracker._next_action` when it quiesces holding no state.
+    Built by the first receipt or arm that needs ``c``, ``p``, a find or
+    a deadline; demoted by :meth:`Tracker._next_action` to its secondary
+    pair (or to nothing) once it quiesces holding none of them.
     """
 
-    __slots__ = (
-        "object_id",
-        "c",
-        "p",
-        "nbrptup",
-        "nbrptdown",
-        "finding",
-        "find_id",
-        "timer",
-        "nbrtimeout",
-        "ackptr",
-        "timeout_due",
-    )
+    __slots__ = ("object_id", "c", "p", "nbrptup", "nbrptdown", "finding", "find_id", "timer",
+                 "nbrtimeout", "ackptr", "timeout_due")
 
     def __init__(self, object_id: int) -> None:
         self.object_id = object_id
@@ -171,12 +152,9 @@ class ObjectLane:
         self.finding = False
         self.find_id = 0
         self.timer = self.nbrtimeout = NEVER_ARMED
-        # Deterministic ack arbitration (extra lanes only): qualifying
-        # FindAck pointers are *recorded* here — canonical minimum, not
-        # first-arrival — and acted on once, at the wheel wakeup after
-        # every same-instant delivery.  Arrival order of simultaneous
-        # acks (which a partitioned run cannot reproduce) then never
-        # affects the forward destination.
+        # Ack arbitration: the canonically smallest qualifying FindAck
+        # pointer, acted on at the wheel wakeup after every same-instant
+        # delivery, so the arrival order of simultaneous acks never shows.
         self.ackptr: Optional[ClusterId] = None
         self.timeout_due = False
 
@@ -210,15 +188,8 @@ class Tracker(TimedAutomaton):
                  "timer", "nbrtimeout", "findAckq", "finding", "find_id",
                  "_lanes", "_lane_wheel", "_dirty", "_deadline_heap", "_timeout_pending")
 
-    def __init__(
-        self,
-        hierarchy: ClusterHierarchy,
-        clust: ClusterId,
-        cgcast,
-        schedule: TimerSchedule,
-        delta: float,
-        e: float,
-    ) -> None:
+    def __init__(self, hierarchy: ClusterHierarchy, clust: ClusterId, cgcast,
+                 schedule: TimerSchedule, delta: float, e: float) -> None:
         super().__init__(f"tracker:{clust.level}:{clust.key}")
         self.hierarchy = hierarchy
         self.clust = clust
@@ -247,10 +218,8 @@ class Tracker(TimedAutomaton):
         # --- extra object lanes (created on demand) --------------------
         self._lanes = {}
         self._lane_wheel = None
-        # O(active) scheduling state (module docstring): object ids that
-        # may have an enabled action, the lazy (deadline, object_id)
-        # min-heap, and lanes whose find roundtrip ended but whose
-        # ``timeout_due`` flag awaits the next wheel wakeup.
+        # O(active) scheduling (module docstring): the dirty set, the lazy
+        # deadline heap, and lanes whose ``timeout_due`` awaits the wheel.
         self._dirty: set = set()
         self._deadline_heap: list = []
         self._timeout_pending = NO_PENDING
@@ -259,10 +228,7 @@ class Tracker(TimedAutomaton):
     # Lifecycle
     # ------------------------------------------------------------------
     def reset_state(self) -> None:
-        self.c = BOTTOM
-        self.p = BOTTOM
-        self.nbrptup = BOTTOM
-        self.nbrptdown = BOTTOM
+        self.c = self.p = self.nbrptup = self.nbrptdown = BOTTOM
         self.sendq = []
         self.findAckq = []
         self.finding = False
@@ -283,17 +249,13 @@ class Tracker(TimedAutomaton):
     def on_wakeup(self, tag=None) -> None:
         if tag != "lane-wheel":
             return
-        # Collect any deadlines that came due at this instant, then mark
-        # every pending lane whose find roundtrip is over: the drain
-        # that follows forwards each one to its best recorded ack
-        # pointer or escalates.  The flag (rather than reading the
-        # deadline in _next_action) keeps the decision at this single
-        # point — after all same-instant deliveries, per the wheel's
-        # priority.  ``_timeout_pending`` is filled by the heap exactly
-        # once per armed roundtrip and re-checked here against the live
-        # lane state, so a wheel re-armed past a due instant (unrelated
-        # lane activity) still flags the lane at its next wakeup — the
-        # same late outcome the full sweep produced.
+        # Collect the deadlines due now, then flag every pending lane
+        # whose find roundtrip is over, so the drain forwards it to its
+        # best recorded ack pointer or escalates: one decision point,
+        # after all same-instant deliveries (the wheel's priority).  The
+        # heap fills ``_timeout_pending`` once per armed roundtrip, and
+        # a wheel re-armed past the instant flags the lane at its next
+        # wakeup, as the full sweep did.
         self._service_heap()
         pending = self._timeout_pending
         if pending:
@@ -301,32 +263,43 @@ class Tracker(TimedAutomaton):
             dirty = self._dirty
             now = self.now
             for oid in sorted(pending):
-                lane = lanes.get(oid) if lanes else None
-                if (
-                    lane is not None
-                    and lane.finding
-                    and lane.nbrtimeout.deadline <= now  # armed: != INFINITY
-                ):
+                lane = lanes.get(oid)
+                # Not reclaimed or demoted since; the deadline armed (!= INFINITY).
+                if lane.__class__ is ObjectLane and lane.finding and (
+                        lane.nbrtimeout.deadline <= now):
                     lane.timeout_due = True
                     dirty.add(oid)
             self._timeout_pending = NO_PENDING
-        # Hand the wheel on to the next future deadline: a drain whose
-        # effects touch no LaneDeadline (a lone find escalation, say)
-        # would otherwise leave the wheel dead with live deadlines
-        # pending.
+        # Hand the wheel on to the next future deadline (a drain that
+        # touches no LaneDeadline would leave it dead otherwise).
         self._rearm_wheel()
 
     # ------------------------------------------------------------------
     # Object lanes
     # ------------------------------------------------------------------
     def lane(self, object_id: int):
-        """The lane for ``object_id`` (``self`` for lane 0), creating it."""
+        """The lane for ``object_id`` (``self`` for lane 0): an
+        :class:`ObjectLane`, built from its secondary pair if need be."""
         if object_id == 0:
             return self
-        lane = self._lanes.get(object_id)
-        if lane is None:
-            lane = self._lanes[object_id] = ObjectLane(object_id)
+        lanes = self._lanes
+        lane = lanes.get(object_id)
+        if lane.__class__ is not ObjectLane:
+            pair = lane
+            lane = lanes[object_id] = ObjectLane(object_id)
+            if pair is not None:
+                lane.nbrptup, lane.nbrptdown = _secondary(pair)
         return lane
+
+    def _keep_pair(self, object_id: int, up, down) -> None:
+        """Hold lane ``object_id`` as its secondary pointers alone: nothing
+        when both are ⊥, a bare ``nbrptup`` when that is all, else the pair."""
+        if down is not BOTTOM:
+            self._lanes[object_id] = (up, down)
+        elif up is not BOTTOM:
+            self._lanes[object_id] = up
+        else:
+            self._lanes.pop(object_id, None)
 
     def _arm_deadline(self, lane, name: str, deadline: float) -> None:
         """Arm ``lane``'s ``"timer"`` or ``"nbrtimeout"`` (the one arming path).
@@ -342,15 +315,11 @@ class Tracker(TimedAutomaton):
     def _service_heap(self) -> float:
         """Pop due/stale deadline-heap entries; return the next live one.
 
-        An entry is *live* when the lane's current grow/shrink or
-        neighbor-timeout deadline still equals the pushed value (a
-        re-arm pushes a fresh entry; a disarm or re-arm strands the old
-        one).  A live entry that has come due dirties its lane — that
-        is the moment the full scan would first have seen ``expired()``
-        or an actionable timeout — and, when it is the find roundtrip
-        that ended, queues the lane for ``timeout_due`` flagging at the
-        next wheel wakeup.  Returns the minimum *future* live deadline
-        (``INFINITY`` when none), leaving that entry in the heap.
+        An entry is *live* while its lane's ``timer`` or ``nbrtimeout``
+        still equals it.  A live due entry dirties its lane (when the full
+        scan would first have seen it expire) and, for a find roundtrip,
+        queues it for ``timeout_due`` at the next wheel wakeup.  Returns
+        the minimum future live deadline (``INFINITY`` when none).
         """
         heap = self._deadline_heap
         if not heap:
@@ -361,8 +330,8 @@ class Tracker(TimedAutomaton):
         now = self.now
         while heap:
             d, oid = heap[0]
-            lane = lanes.get(oid) if lanes else None
-            if lane is None:
+            lane = lanes.get(oid)
+            if lane.__class__ is not ObjectLane:  # reclaimed or demoted: stale
                 heappop(heap)
                 continue
             timer_live = lane.timer.deadline == d
@@ -444,7 +413,18 @@ class Tracker(TimedAutomaton):
         if object_id == 0:
             handler(self, message, self)
             return
-        handler(self, message, self._lanes.get(object_id) or self.lane(object_id))
+        lane = self._lanes.get(object_id)
+        if lane.__class__ is not ObjectLane:
+            if message.__class__ in _SECONDARY_RECEIPTS:
+                # No c, p, find or deadline to read or enable: the one
+                # rule runs on the pair, and no lane is built.
+                pair = _SecondaryPair()
+                pair.nbrptup, pair.nbrptdown = _secondary(lane)
+                handler(self, message, pair)
+                self._keep_pair(object_id, pair.nbrptup, pair.nbrptdown)
+                return
+            lane = self.lane(object_id)
+        handler(self, message, lane)
         # The receipt may have enabled a lane action; the following
         # drain scans dirty lanes only.
         self._dirty.add(object_id)
@@ -585,13 +565,14 @@ class Tracker(TimedAutomaton):
                 if action is not None:
                     return action
                 dirty.discard(object_id)  # quiesced until re-touched
-                # A quiesced lane holding no state is ⊥: reclaim it.  A
-                # future nbrtimeout keeps it (its heap entry arms a wheel
-                # wakeup); the drain after that wakeup reclaims it.
-                if (lane.c is lane.p is lane.nbrptup is lane.nbrptdown is BOTTOM
+                # A quiesced lane with no c, p, find or future deadline
+                # is its secondary pair (⊥ ⊥: nothing).  A future
+                # nbrtimeout keeps it (its heap entry arms a wheel
+                # wakeup); the drain after that wakeup demotes it.
+                if (lane.c is lane.p is BOTTOM
                         and not lane.finding and lane.timer.deadline == INFINITY
                         and not now < lane.nbrtimeout.deadline < INFINITY):
-                    del lanes[object_id]
+                    self._keep_pair(object_id, lane.nbrptup, lane.nbrptdown)
         return None
 
     def step(self) -> bool:
@@ -766,6 +747,8 @@ class Tracker(TimedAutomaton):
         if object_id == 0:
             return (self.c, self.p, self.nbrptup, self.nbrptdown)
         lane = self._lanes.get(object_id)
-        if lane is None:
+        if lane is None:  # the common case of a fingerprint's object × tracker scan
             return (BOTTOM, BOTTOM, BOTTOM, BOTTOM)
-        return (lane.c, lane.p, lane.nbrptup, lane.nbrptdown)
+        if lane.__class__ is ObjectLane:
+            return (lane.c, lane.p, lane.nbrptup, lane.nbrptdown)
+        return (BOTTOM, BOTTOM, *_secondary(lane))

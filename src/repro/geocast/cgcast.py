@@ -75,8 +75,8 @@ FaultFilter = Callable[[Any, Any, Any, float], Optional[List[float]]]
 # Shard routing hook (see repro.sim.sharded): called once per delivery
 # copy with (src, dest, payload, deliver_time).  Returning True claims
 # the copy for cross-shard transport — the dispatcher then skips local
-# scheduling; the sharded driver re-injects it in the destination shard
-# via :meth:`CGcast.apply_remote`.
+# scheduling; the destination shard registers it (:meth:`CGcast.remote_copy`)
+# and delivers it via :meth:`CGcast.apply_remote`.
 ShardRouter = Callable[[Any, Any, Any, float], bool]
 
 
@@ -304,18 +304,25 @@ class CGcast:
         """Carry one copy to its destination: ``deliver()`` runs at ``when``."""
         self.sim.call_at(when, deliver, tag="cgcast")
 
-    def apply_remote(self, src: Any, dest: Any, payload: Any) -> None:
-        """Deliver a message routed in from another shard.
+    def remote_copy(self, src: Any, dest: Any, payload: Any, when: float) -> "_Copy":
+        """Put a copy routed in from another shard in transit until
+        :meth:`apply_remote` delivers it at ``when``.  The receiving shard
+        decoded it into this world's own cluster instances."""
+        copy = _Copy(self, src, dest, payload, when, None)
+        self._in_transit[copy] = None
+        return copy
+
+    def apply_remote(self, copy: "_Copy") -> None:
+        """Deliver a :meth:`remote_copy`, at the current simulation time.
 
         The sending shard already did the dispatch accounting (count,
         cost, observers, fault filter); this applies only the terminal
-        delivery, at the current simulation time.  The receiving shard
-        decoded the copy into this world's own cluster instances.
+        delivery.  The cluster process is read now, as a local copy's is
+        at its send.
         """
-        clients = isinstance(dest, tuple) and len(dest) == 2 and dest[0] == "clients"
-        copy = _Copy(self, src, dest, payload, self.sim.now,
-                     None if clients else self.processes[dest])
-        self._in_transit[copy] = None  # one delivery path: copy() takes it out
+        dest = copy.dest
+        if not (isinstance(dest, tuple) and len(dest) == 2 and dest[0] == "clients"):
+            copy.target = self.processes[dest]
         copy()
 
 

@@ -38,6 +38,8 @@ class PhysicalCGcast(CGcast):
     ) -> None:
         super().__init__(sim, hierarchy, delta=delta, e=e)
         self.router = GeocastRouter(sim, hierarchy.tiling, delta=delta)
+        # A copy dropped at a down region is no longer in flight.
+        self.router.on_drop = lambda message: self._in_transit.pop(message[0], None)
         for region in hierarchy.tiling.regions():
             self.router.register(region, self._make_inbox(region))
 

@@ -11,7 +11,7 @@ physically for the emulated layer and for layer benchmarks.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Optional
 
 from ..geometry.regions import RegionId
 from ..geometry.tiling import Tiling
@@ -53,6 +53,8 @@ class GeocastRouter:
         self.hops_total = 0
         self.delivered = 0
         self.dropped = 0
+        #: Called with each dropped message, when set.
+        self.on_drop: Optional[Callable[[Any], None]] = None
 
     def register(self, region: RegionId, receiver: Callable[[Any, RegionId], None]) -> None:
         self._receivers[region] = receiver
@@ -95,14 +97,14 @@ class GeocastRouter:
 
     def _hop(self, path: List[RegionId], index: int, message: Any, src: RegionId) -> None:
         region = path[index]
-        if region in self._down:
+        last = index == len(path) - 1
+        receiver = self._receivers.get(region) if last else None
+        if region in self._down or (last and receiver is None):
             self.dropped += 1
+            if self.on_drop is not None:
+                self.on_drop(message)
             return
-        if index == len(path) - 1:
-            receiver = self._receivers.get(region)
-            if receiver is None:
-                self.dropped += 1
-                return
+        if last:
             self.delivered += 1
             receiver(message, src)
             return

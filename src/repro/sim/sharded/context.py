@@ -383,7 +383,8 @@ class ShardContext:
 
         ``batches`` holds one row list per sending shard, in shard order,
         each in ``seq`` order, so a stable sort on the delivery time gives
-        the canonical ``(deliver_time, src_shard, seq)`` order.  A row due
+        the canonical ``(deliver_time, src_shard, seq)`` order.  Each copy
+        is in this world's ``cgcast.in_transit()`` from here on.  A row due
         before this shard's clock (the barrier it has reached) would
         break causality: it raises :class:`ShardedRunError`.
         """
@@ -396,10 +397,10 @@ class ShardContext:
                 f"{src!r} -> {dest!r} sent at {send_time!r} and due at "
                 f"{deliver_time!r}, before the barrier at {barrier!r}"
             )
-        apply_remote = self.system.cgcast.apply_remote
+        cgcast = self.system.cgcast
         for deliver_time, _, _, src, dest, payload in copies:
-            self.sim.call_at(deliver_time, partial(apply_remote, src, dest, payload),
-                             tag="xshard:cgcast")
+            copy = cgcast.remote_copy(src, dest, payload, deliver_time)
+            self.sim.call_at(deliver_time, partial(cgcast.apply_remote, copy), tag="xshard:cgcast")
 
     def step(self, barrier: float, batches: Iterable[list]) -> tuple:
         """One window: inject ``batches`` and run every local event before

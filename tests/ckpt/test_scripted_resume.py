@@ -9,6 +9,7 @@ already placed and evaders yet to be created on the same generator.
 import pytest
 
 from repro.ckpt import restore_scenario, run_fingerprint, snapshot_scenario
+from repro.core.tracker import ObjectLane
 from repro.scenario import ScenarioConfig, build
 from repro.workload import (
     EvaderEnter,
@@ -59,3 +60,21 @@ def test_scripted_multi_object_resume_is_bit_identical(cut_at):
     resumed.sim.run()
     assert _outcome(resumed) == _outcome(straight)
     assert _outcome(straight)[1:] == ([((1, 1), 1), ((2, 3), 1), ((1, 2), 1)], 1)
+
+
+def _secondary_only(scenario):
+    """Extra lanes kept as their secondary pointers, over the built trackers."""
+    trackers = scenario.system.trackers.built.values()
+    return sum(type(lane) is not ObjectLane for t in trackers for lane in t._lanes.values())
+
+
+def test_a_cut_while_lanes_hold_only_secondary_pointers_resumes_bit_identical():
+    straight = _scripted()
+    straight.sim.run()
+    scenario = _scripted()
+    scenario.sim.run_until(47.5)  # object 1 mid-step
+    assert _secondary_only(scenario) > 0 and scenario.system.cgcast.in_transit()
+    resumed = restore_scenario(snapshot_scenario(scenario))
+    assert _secondary_only(resumed) == _secondary_only(scenario)
+    resumed.sim.run()
+    assert _outcome(resumed) == _outcome(straight)

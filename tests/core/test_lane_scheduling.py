@@ -10,14 +10,16 @@ goldens exercise only incidentally:
   the deadline (stale heap entries are dropped lazily);
 * with every lane idle the wheel must be disarmed and the dirty set
   empty — no O(M) background churn;
-* a quiesced lane holding no state is deleted, except while a future
-  ``nbrtimeout`` still arms a wheel wakeup;
+* a quiesced lane with no ``c``, ``p``, find or future deadline is
+  demoted to its secondary pair (deleted when that is ⊥ too), except
+  while a future ``nbrtimeout`` still arms a wheel wakeup;
 * a lane's deadlines exist from their first arm, which every lane and
   baseline tracker makes through ``Tracker._arm_deadline``;
 * property: the dirty-set drain is observationally equivalent to the
   pre-§9.5 full scan (exact trace CRC, event count) on dense
   same-instant service scripts, which also pins the lanes'
-  ``timeout_due`` arbitration outcomes, and ends with fewer lanes built.
+  ``timeout_due`` arbitration outcomes, and ends with fewer
+  ``ObjectLane`` records.
 """
 
 import random
@@ -30,7 +32,7 @@ from repro.baselines.no_lateral import NoLateralTracker
 from repro.baselines.pack.predictive import PredictiveTracker
 from repro.core import Find, FindQuery, Grow, GrowNbr, GrowPar, Shrink, ShrinkUpd
 from repro.core.messages import Prewarm
-from repro.core.tracker import NEVER_ARMED, Tracker
+from repro.core.tracker import NEVER_ARMED, ObjectLane, Tracker
 from repro.scenario import ScenarioConfig
 from repro.service import TrackingService
 from repro.sim.sharded.context import ShardContext
@@ -170,7 +172,7 @@ class TestWheelQuiescence:
 
 
 class TestLaneReclaim:
-    """A lane exists only while it holds state (DESIGN.md §9.5)."""
+    """A lane costs what it holds (DESIGN.md §9.5)."""
 
     def test_find_query_to_an_absent_lane_builds_nothing(self, rig):
         t = rig.tracker((0, 0), 1)
@@ -236,18 +238,21 @@ class TestDeadlinesOnFirstArm:
         rig.deliver(t, GrowNbr(cid=other, object_id=6))
         rig.deliver(t, FindQuery(cid=nbr, find_id=1, object_id=6))
         rig.deliver(t, ShrinkUpd(cid=other, object_id=6))
-        lane = t._lanes[6]
+        assert t._lanes[6] is nbr  # nbrptup alone: no lane
+        assert [p.object_id for _s, _d, p in rig.gcast.of_kind("findack")] == [6]
+        assert t._lane_wheel is None and t._deadline_heap == []
+        lane = t.lane(6)  # promoted: the pointers, and no deadline yet
+        assert type(lane) is ObjectLane and t._lanes[6] is lane
+        assert (lane.nbrptup, lane.nbrptdown) == (nbr, None)
         assert lane.timer is NEVER_ARMED and lane.nbrtimeout is NEVER_ARMED
         assert lane.timer.deadline == lane.nbrtimeout.deadline == INFINITY
         assert not lane.timer.armed and not lane.nbrtimeout.armed
-        assert [p.object_id for _s, _d, p in rig.gcast.of_kind("findack")] == [6]
-        assert t._lane_wheel is None and t._deadline_heap == []
 
     def test_first_arm_builds_the_deadline_and_rearms_reuse_it(self, rig):
         t = rig.tracker((0, 0), 1)
         nbr = t.nbr_clusters[0]
         rig.deliver(t, GrowPar(cid=nbr, object_id=2))
-        lane = t._lanes[2]
+        lane = t.lane(2)
         lane.timer.disarm()  # a never-armed deadline disarms as a no-op
         assert lane.timer is NEVER_ARMED
         with pytest.raises(AttributeError):  # it has no tracker to arm on
@@ -269,6 +274,9 @@ class TestDeadlinesOnFirstArm:
         assert rig.sim.run() == 1
         assert rig.sim.now == 5.0
         assert lane.timer is timer and not timer.armed  # lazily disarmed
+        # ...after which the drain demoted the quiesced lane to its pair.
+        assert t._lanes[2] is nbr
+        assert t.pointer_state(2) == (None, None, nbr, None)
 
     def test_lane_zero_arms_its_executor_timer(self, rig):
         t = rig.tracker((0, 0), 1)
@@ -326,7 +334,8 @@ def _next_action_fullscan(tracker):
     """The pre-§9.5 precedence (``Tracker._next_action``): scans *every* lane.
 
     The oracle for the dirty-set equivalence property below: same
-    precedence as the dirty-set drain, O(M) per call.
+    precedence as the dirty-set drain, O(M) per call.  It never demotes
+    a quiesced lane; one kept as its secondary pointers has no action.
     """
     if tracker.sendq:
         return tracker.output_sendq_head, ()
@@ -340,11 +349,13 @@ def _next_action_fullscan(tracker):
     if heap and heap[0][0] <= now:
         tracker._service_heap()  # keep _timeout_pending fed for the wheel
     lanes = tracker._lanes
-    if lanes:
-        for object_id in sorted(lanes):
-            action = tracker._lane_enabled(lanes[object_id], now)
-            if action is not None:
-                return action
+    for object_id in sorted(lanes):
+        lane = lanes[object_id]
+        if type(lane) is not ObjectLane:
+            continue  # secondary pointers only: nothing to enable
+        action = tracker._lane_enabled(lane, now)
+        if action is not None:
+            return action
     return None
 
 
@@ -374,13 +385,13 @@ def _dense_script(tiling, seed, n_objects):
 
 
 def _run_counting_lanes(cfg, script):
-    """One plain run of ``script`` and the extra lanes built at its end."""
+    """One plain run of ``script`` and the :class:`ObjectLane` records at its end."""
     built = []
     report = ShardContext.report
 
     def counting(context):
         trackers = context.system.trackers.built.values()
-        built.append(sum(len(t._lanes) for t in trackers))
+        built.append(sum(type(v) is ObjectLane for t in trackers for v in t._lanes.values()))
         return report(context)
 
     ShardContext.report = counting
@@ -428,6 +439,6 @@ class TestDirtySetEquivalence:
         assert fast.events == slow.events
         assert fast.metrics == slow.metrics
         assert fast.finds == slow.finds
-        # The oracle never reclaims a quiesced ⊥ lane, the drain does —
-        # and the identical execution above says reclaiming is invisible.
+        # The oracle never demotes a quiesced lane, the drain does — and
+        # the identical execution above says demoting is invisible.
         assert fast_lanes < slow_lanes

@@ -72,6 +72,19 @@ class TestPhysicalDelivery:
         assert sink.received == []
         assert cgcast.router.dropped >= 1
 
+    def test_a_dropped_copy_leaves_the_transit_registry(self, rig):
+        sim, executor, h, cgcast = rig
+        src, dest = h.cluster((0, 0), 0), h.cluster((4, 4), 0)
+        sink = register(executor, cgcast, dest)
+        for region in h.tiling.regions():
+            if region not in (h.head(src), h.head(dest)):
+                cgcast.set_region_down(region)
+        cgcast.send_vsa(src, dest, "m")
+        assert len(cgcast.in_transit()) == 1
+        sim.run()
+        assert sink.received == [] and cgcast.router.dropped == 1
+        assert cgcast.in_transit() == []
+
     def test_region_back_up_restores_delivery(self, rig):
         sim, executor, h, cgcast = rig
         src = h.cluster((0, 0), 0)
